@@ -200,7 +200,7 @@ def test_e16_100k_smoke(benchmark):
     print_table("E16 100k-client smoke", table_rows([row]))
     assert row["requests"] > 250_000
     assert row["tracers"] < 1_000  # the whole point: simulate few, charge many
-    assert row["_clients_per_second"] > 10_000
+    assert row["_clients_per_second"] > 160_000  # a third of the measured ~490k
     benchmark.extra_info["clients_per_second"] = row["_clients_per_second"]
     benchmark(lambda: run_fleet(clients=20_000, steps=2))
 

@@ -14,18 +14,18 @@
 #
 # With no stage flag every stage runs in order — the local one-command check.
 # Budgets: E13_SMOKE_BUDGET_SECONDS / E14_SMOKE_BUDGET_SECONDS /
-# E15_SMOKE_BUDGET_SECONDS / E16_SMOKE_BUDGET_SECONDS /
-# E17_SMOKE_BUDGET_SECONDS (default 20s each),
-# E18_SMOKE_BUDGET_SECONDS (default 40s: it runs the 100k-client fleet
-# twice, telemetry on and off), E19_SMOKE_BUDGET_SECONDS (default
-# 40s: seven provisioning cells plus a determinism rerun) and
-# E20_SMOKE_BUDGET_SECONDS (default 40s: three drain transports, the
-# partitioned-operator race, two autoscaler reaction cells and a
-# determinism rerun).  The
-# optimized smokes finish in a couple of seconds — E16 runs 100,000
-# clients inside its budget on the cohort fast path, E17 plays the whole
-# disaster library — so only an order-of-magnitude hot-path regression
-# trips them.
+# E15_SMOKE_BUDGET_SECONDS / E17_SMOKE_BUDGET_SECONDS (default 20s each),
+# E19_SMOKE_BUDGET_SECONDS (default 40s: seven provisioning cells plus a
+# determinism rerun) and E20_SMOKE_BUDGET_SECONDS (default 40s: three
+# drain transports, the partitioned-operator race, two autoscaler
+# reaction cells and a determinism rerun).  Those smokes finish in a
+# couple of seconds, so only an order-of-magnitude hot-path regression
+# trips them.  The two that run 100,000 clients on the cohort fast path
+# are held to ~3x their measured runtime, so losing the queue model's
+# speed fails the stage: E16_SMOKE_BUDGET_SECONDS (default 3s; 0.6s
+# measured, 0.9s on a busy machine) and E18_SMOKE_BUDGET_SECONDS (default
+# 6s; it runs that fleet twice, telemetry on and off: 1.4s measured, 2.1s
+# busy).
 # Usage: scripts/check.sh [--tier1|--smoke|--lint]...
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,7 +76,7 @@ if $run_smoke; then
   echo
   echo "== benchmark smoke: E16 100k-client scale (budgeted) =="
   python benchmarks/bench_e16_scale.py --smoke \
-    --budget-seconds "${E16_SMOKE_BUDGET_SECONDS:-20}"
+    --budget-seconds "${E16_SMOKE_BUDGET_SECONDS:-3}"
 
   echo
   echo "== benchmark smoke: E17 correlated disasters (budgeted) =="
@@ -86,7 +86,7 @@ if $run_smoke; then
   echo
   echo "== benchmark smoke: E18 telemetry pipeline (budgeted) =="
   python benchmarks/bench_e18_telemetry.py --smoke \
-    --budget-seconds "${E18_SMOKE_BUDGET_SECONDS:-40}"
+    --budget-seconds "${E18_SMOKE_BUDGET_SECONDS:-6}"
 
   echo
   echo "== benchmark smoke: E19 autoscaler (budgeted) =="

@@ -4,15 +4,16 @@ The single-request experiments treat every map server as infinitely fast —
 useful for isolating discovery and network costs, but useless for answering
 the fleet-scale question of *where map servers saturate*.  This module adds
 the missing half: each map server owns a :class:`ServerQueue` that models a
-single logical worker with deterministic per-request-kind service times and a
-bounded FIFO queue.
+pool of ``workers`` logical workers with deterministic per-request-kind
+service times, each behind its own bounded FIFO queue.
 
 The model is deliberately simple and exactly reproducible:
 
-* A request arriving at simulated time ``t`` starts service at
-  ``max(t, busy_until)`` — it waits behind every request still outstanding.
-* Requests arriving while ``capacity`` requests are outstanding are dropped
-  (load shedding); callers surface the drop as
+* A request arriving at simulated time ``t`` is placed on the worker offering
+  the earliest feasible start at or after ``t`` — it waits behind the
+  requests that worker still has outstanding.
+* A request that would sit behind ``capacity`` others on every worker is
+  dropped (load shedding); callers surface the drop as
   :class:`ServerOverloadedError` and clients fall back to other servers.
 * Waiting time plus service time is charged against the simulated network's
   latency accounting, so client-observed percentiles include queueing delay.
@@ -20,18 +21,27 @@ The model is deliberately simple and exactly reproducible:
 The model composes with the workload engine's concurrent-round clock: the
 engine rewinds the clock between clients of one round, so the server sees
 its round's requests *out of processing order* but with true (overlapping)
-arrival timestamps.  The queue therefore keeps the server's schedule as a
-sorted list of busy intervals and places each request into the earliest
-idle slot at or after its own arrival: two requests contend only when their
-arrival instants genuinely overlap the same busy period, never merely
-because one was simulated after the other.
+arrival timestamps.  The queue therefore keeps each worker's schedule as
+sorted busy intervals and places each request into the earliest idle slot at
+or after its own arrival: two requests contend only when their arrival
+instants genuinely overlap the same busy period, never merely because one
+was simulated after the other.
+
+Back-to-back jobs are stored run-length encoded.  The cohort fast path
+commits thousands of jobs of one service time per batch, so each worker keeps
+a batch as one *run* ``(base, service_s, lo, hi)`` whose job ``k`` (``lo <= k
+< hi``) occupies ``[base + k * service_s, (base + k * service_s) +
+service_s]`` — the float expressions a per-job commit would evaluate, so
+every start, end and wait is bit-identical to storing the jobs one by one,
+at a cost per run rather than per job.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports nothing here)
@@ -135,54 +145,123 @@ class QueueStats:
         return data
 
 
-class _WorkerFull(Exception):
-    """Internal: one worker's bounded buffer rejected a placement probe."""
-
-
 @dataclass
 class _WorkerSchedule:
-    """One worker's committed busy intervals (non-overlapping, sorted)."""
+    """One worker's committed jobs as sorted, non-overlapping busy spans.
+
+    Span ``i`` covers ``[starts[i], ends[i]]``.  It is a single job when
+    ``runs[i]`` is ``None``, else a run ``(base, service_s, lo, hi,
+    jump_above)`` of back-to-back jobs (see the module docstring).
+    ``jump_above`` is the service time a placement must exceed to jump the
+    run whole: rounding leaves consecutive jobs at most 2.5 ulp apart (and
+    3 ulp from tying), so above 4 ulp nothing fits between two of them and
+    each is one more to queue behind.  It is infinite for a run whose own
+    service time is that small; such runs are walked job by job.
+    """
 
     starts: list[float] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
+    runs: list[tuple[float, float, int, int, float] | None] = field(default_factory=list)
 
-    def prune(self, cutoff: float) -> None:
+    def prune(self, cutoff: float) -> int:
+        """Drop the spans that completed by ``cutoff``; returns how many."""
         cut = bisect_right(self.ends, cutoff)
-        if cut:
-            del self.starts[:cut]
-            del self.ends[:cut]
+        del self.starts[:cut], self.ends[:cut], self.runs[:cut]
+        return cut
+
+    def _first_live(self, run: tuple[float, float, int, int, float], now: float) -> int:
+        """First job of ``run`` (whose last job is live) ending after ``now``."""
+        base, service_s, lo, hi, _ = run
+        job = lo
+        if service_s > 0.0 and now > base:  # arithmetic guess, made exact below
+            job = int(max(lo, min(hi - 1, (now - base) / service_s - 1.0)))
+        while (base + job * service_s) + service_s <= now:
+            job += 1
+        while job > lo and (base + (job - 1) * service_s) + service_s > now:
+            job -= 1
+        return job
 
     def live_count(self, now: float) -> int:
-        return len(self.ends) - bisect_right(self.ends, now)
+        first = bisect_right(self.ends, now)
+        live = 0
+        for index in range(first, len(self.ends)):
+            run = self.runs[index]
+            if run is None:
+                live += 1
+            else:
+                live += run[3] - (run[2] if index > first else self._first_live(run, now))
+        return live
 
-    def place(self, now: float, service_s: float, capacity: int) -> tuple[float, int]:
-        """Earliest feasible ``(start, queued_behind)`` at or after ``now``.
+    def place(self, now: float, service_s: float, capacity: int) -> tuple[float, int, int, int] | None:
+        """Earliest feasible ``(start, queued_behind, span, job)`` at or after ``now``.
 
-        Walks the live suffix (intervals ending after ``now``), jumping over
-        each busy interval until a gap fits the service time.  The intervals
-        jumped are the requests this one actually sits behind — the queue it
-        joins — and their count is what the bounded buffer limits: raises
-        :class:`_WorkerFull` once it reaches ``capacity``.  The walk is
-        bounded by the capacity, so admission cost never grows with the
-        length of the run.
+        Walks the live jobs (those ending after ``now``), jumping over each
+        until a gap fits the service time; ``(span, job)`` is the job the gap
+        precedes, for :meth:`insert`.  The jobs jumped are the requests this
+        one actually sits behind — the queue it joins — and their count is
+        what the bounded buffer limits: returns ``None`` once it reaches
+        ``capacity``.  A run is jumped in one step whenever its
+        ``jump_above`` allows, so admission cost grows with the spans still
+        live, never with the length of a run.
         """
-        first_live = bisect_right(self.ends, now)
+        starts, ends, runs = self.starts, self.ends, self.runs
+        first = bisect_right(ends, now)
         cursor = now
         queued_behind = 0
-        for index in range(first_live, len(self.starts)):
-            if self.starts[index] - cursor >= service_s:
-                break
-            interval_end = self.ends[index]
-            if interval_end > cursor:
-                cursor = interval_end
-                queued_behind += 1
-                if queued_behind >= capacity:
-                    raise _WorkerFull()
-        return cursor, queued_behind
+        for index in range(first, len(ends)):
+            run = runs[index]
+            if run is None:
+                if starts[index] - cursor >= service_s:
+                    return cursor, queued_behind, index, 0
+                if ends[index] > cursor:
+                    cursor = ends[index]
+                    queued_behind += 1
+            else:
+                base, run_service_s, lo, hi, jump_above = run
+                job = lo if index > first else self._first_live(run, now)
+                start = base + job * run_service_s
+                if service_s > jump_above and start - cursor < service_s and start + run_service_s > cursor:
+                    cursor = ends[index]  # behind this job and all the run's later ones
+                    queued_behind += hi - job
+                    job = hi
+                while job < hi and queued_behind < capacity:
+                    start = base + job * run_service_s
+                    if start - cursor >= service_s:
+                        return cursor, queued_behind, index, job
+                    if start + run_service_s > cursor:
+                        cursor = start + run_service_s
+                        queued_behind += 1
+                    job += 1
+            if queued_behind >= capacity:
+                return None
+        return cursor, queued_behind, len(ends), 0
 
-    def commit(self, start: float, service_s: float) -> None:
-        insort(self.starts, start)
-        insort(self.ends, start + service_s)
+    def insert(self, index: int, job: int, base: float, service_s: float, count: int) -> int:
+        """Commit ``count`` back-to-back jobs before ``job`` of span ``index``.
+
+        Splits a run when ``job`` is interior to it: both halves keep the
+        run's ``base``, so their jobs keep their exact instants.  Returns
+        the number of spans added.
+        """
+        added = 1
+        run = self.runs[index] if index < len(self.runs) else None
+        if run is not None and job > run[2]:
+            old_base, old_service_s, lo, hi, jump_above = run
+            self.starts.insert(index, self.starts[index])
+            self.ends.insert(index, (old_base + (job - 1) * old_service_s) + old_service_s)
+            self.runs.insert(index, (old_base, old_service_s, lo, job, jump_above))
+            index += 1
+            self.starts[index] = old_base + job * old_service_s
+            self.runs[index] = (old_base, old_service_s, job, hi, jump_above)
+            added = 2
+        last_end = (base + (count - 1) * service_s) + service_s
+        slack = 4.0 * math.ulp(last_end)
+        self.starts.insert(index, base)
+        self.ends.insert(index, last_end)
+        self.runs.insert(
+            index, None if count == 1 else (base, service_s, 0, count, slack if service_s > slack else math.inf)
+        )
+        return added
 
 
 @dataclass
@@ -217,6 +296,9 @@ class ServerQueue:
     demand by kind; kept separate from :attr:`kind_arrivals` because the
     cohort diff mechanism requires that one stays phantom-free."""
     _schedules: list[_WorkerSchedule] = field(default_factory=list, repr=False)
+    _busy_until: float = field(default=0.0, repr=False)
+    _stored_spans: int = field(default=0, repr=False)
+    _prune_above: int = field(default=1024, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -228,7 +310,7 @@ class ServerQueue:
     @property
     def busy_until(self) -> float:
         """Simulated instant at which the last scheduled request completes."""
-        return max((s.ends[-1] for s in self._schedules if s.ends), default=0.0)
+        return self._busy_until
 
     @property
     def depth(self) -> int:
@@ -237,17 +319,31 @@ class ServerQueue:
         return sum(schedule.live_count(now) for schedule in self._schedules)
 
     _PRUNE_LAG_SECONDS = 120.0
-    """How far behind the newest arrival completed intervals are retained.
+    """How far behind the newest arrival completed spans are retained.
 
     The workload engine's clock only rewinds within one concurrent round
-    (seconds at most), so intervals that completed minutes before the
-    current arrival can never be observed again and are dropped to keep the
+    (seconds at most), so spans that completed minutes before the current
+    arrival can never be observed again and are dropped to keep the
     schedule lists — and their insertion cost — small."""
 
     def _prune(self, now: float) -> None:
+        """Drop long-completed spans once the stored count has doubled.
+
+        The threshold moves to twice what a prune leaves behind, so a
+        schedule that is all live (nothing to drop) is not rescanned on
+        every arrival and pruning stays amortized O(1) per stored span.
+        """
+        if self._stored_spans <= self._prune_above:
+            return
         cutoff = now - self._PRUNE_LAG_SECONDS
-        for schedule in self._schedules:
-            schedule.prune(cutoff)
+        self._stored_spans -= sum(schedule.prune(cutoff) for schedule in self._schedules)
+        self._prune_above = max(1024, 2 * self._stored_spans)
+
+    def _commit(
+        self, schedule: _WorkerSchedule, span: int, job: int, start: float, service_s: float, jobs: int
+    ) -> None:
+        self._stored_spans += schedule.insert(span, job, start, service_s, jobs)
+        self._busy_until = max(self._busy_until, schedule.ends[-1])
 
     def snapshot(self, window_seconds: float | None = None) -> dict[str, float]:
         """The queue's stats snapshot, normalized for (and reporting) workers."""
@@ -291,20 +387,16 @@ class ServerQueue:
         self.stats.arrivals += 1
         self.kind_arrivals[kind] = self.kind_arrivals.get(kind, 0) + 1
         self.kind_totals[kind] = self.kind_totals.get(kind, 0) + 1
-        if sum(len(schedule.ends) for schedule in self._schedules) > 1024:
-            self._prune(now)
+        self._prune(now)
         service_ms = self.service_times.service_ms(kind)
         service_s = service_ms / 1000.0
 
-        best: tuple[float, int, _WorkerSchedule] | None = None
+        best: tuple[float, int, int, int] | None = None
         for schedule in self._schedules:
-            try:
-                start, queued_behind = schedule.place(now, service_s, self.capacity)
-            except _WorkerFull:
-                continue
-            if best is None or start < best[0]:
-                best = (start, queued_behind, schedule)
-                if start <= now:
+            placed = schedule.place(now, service_s, self.capacity)
+            if placed is not None and (best is None or placed[0] < best[0]):
+                best, best_schedule = placed, schedule
+                if placed[0] <= now:
                     break  # an idle worker cannot be beaten
         if best is None:
             self.stats.dropped += 1
@@ -312,14 +404,14 @@ class ServerQueue:
                 f"all {self.workers} worker queue(s) full "
                 f"({self.capacity} per worker) for {kind!r} request"
             )
-        start, queued_behind, schedule = best
+        start, queued_behind, span, job = best
 
         self.stats.depth_total += queued_behind
         if queued_behind > self.stats.max_depth:
             self.stats.max_depth = queued_behind
 
         wait_ms = (start - now) * 1000.0
-        schedule.commit(start, service_s)
+        self._commit(best_schedule, span, job, start, service_s, 1)
 
         self.stats.served += 1
         self.stats.busy_ms += service_ms
@@ -346,7 +438,8 @@ class ServerQueue:
         exists for):
 
         * placement is tail-append per worker (interior idle gaps are not
-          back-filled), and
+          back-filled) — which is also what lets a batch commit one
+          run-length-encoded run per worker — and
         * the per-worker drop check is the aggregate ``capacity − live``
           backlog bound rather than a per-job placement probe.
 
@@ -360,8 +453,7 @@ class ServerQueue:
         now = self.network.clock.now()
         self.stats.arrivals += count
         self.kind_totals[kind] = self.kind_totals.get(kind, 0) + count
-        if sum(len(schedule.ends) for schedule in self._schedules) > 1024:
-            self._prune(now)
+        self._prune(now)
         service_ms = self.service_times.service_ms(kind)
         service_s = service_ms / 1000.0
 
@@ -380,45 +472,46 @@ class ServerQueue:
         if admitted == 0:
             return (0, dropped)
 
-        # Greedy earliest-finish water-fill, bounded by per-worker caps.
-        # The loop runs at most capacity × workers times, never `count`.
-        assigned = [0] * self.workers
+        # Greedy earliest-finish water-fill, bounded by per-worker caps: each
+        # job goes to the worker that would finish it first (lowest index on
+        # ties).  A worker's finish times only rise, so the greedy order is a
+        # k-way merge over a heap: O(admitted × log workers), and `admitted`
+        # is at most capacity × workers, never `count`.
         if service_s <= 0.0:
             # Zero service time: every job starts at its worker's tail and
-            # nothing levels — spread round-robin across workers with room.
-            remaining = admitted
-            while remaining:
-                for index in range(self.workers):
-                    if remaining and assigned[index] < caps[index]:
-                        take = min(remaining, caps[index] - assigned[index])
-                        assigned[index] += take
-                        remaining -= take
+            # nothing levels — fill the workers with room in index order.
+            assigned, remaining = [], admitted
+            for cap in caps:
+                assigned.append(min(cap, remaining))
+                remaining -= assigned[-1]
         else:
+            assigned = [0] * self.workers
+            heap = [(tails[index], index) for index in range(self.workers) if caps[index]]
+            heapify(heap)
             for _ in range(admitted):
-                best_index = -1
-                best_finish = math.inf
-                for index in range(self.workers):
-                    if assigned[index] >= caps[index]:
-                        continue
-                    finish = tails[index] + assigned[index] * service_s
-                    if finish < best_finish:
-                        best_finish = finish
-                        best_index = index
-                assigned[best_index] += 1
+                index = heap[0][1]
+                assigned[index] = taken = assigned[index] + 1
+                if taken < caps[index]:
+                    heapreplace(heap, (tails[index] + taken * service_s, index))
+                else:
+                    heappop(heap)
 
+        # One run per worker; waits accumulate job by job, in the order and
+        # with the expressions of per-job admission, so the float sum is the
+        # same.  Job `position` queues behind `live + position` others.
+        stats = self.stats
+        wait_ms_total = stats.wait_ms_total
         for index, jobs in enumerate(assigned):
             if not jobs:
                 continue
             schedule = self._schedules[index]
             tail = tails[index]
+            self._commit(schedule, len(schedule.ends), 0, tail, service_s, jobs)
             for position in range(jobs):
-                start = tail + position * service_s
-                schedule.commit(start, service_s)
-                self.stats.wait_ms_total += (start - now) * 1000.0
-                queued_behind = lives[index] + position
-                self.stats.depth_total += queued_behind
-                if queued_behind > self.stats.max_depth:
-                    self.stats.max_depth = queued_behind
-            self.stats.served += jobs
-            self.stats.busy_ms += jobs * service_ms
+                wait_ms_total += ((tail + position * service_s) - now) * 1000.0
+            stats.depth_total += jobs * lives[index] + jobs * (jobs - 1) // 2
+            stats.max_depth = max(stats.max_depth, lives[index] + jobs - 1)
+            stats.served += jobs
+            stats.busy_ms += jobs * service_ms
+        stats.wait_ms_total = wait_ms_total
         return (admitted, dropped)

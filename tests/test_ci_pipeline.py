@@ -114,20 +114,24 @@ class TestCheckShStages:
             assert artifact in script, f"check.sh does not gate {artifact}"
 
     def test_smoke_stage_runs_every_budgeted_bench(self):
-        """Each experiment smoke runs under its own wall-clock budget knob."""
+        """Each experiment smoke runs under its own wall-clock budget knob.
+
+        The two 100k-client smokes (E16, E18) default to ~3x their measured
+        runtime, so a cohort-fast-path slowdown fails the stage; the rest
+        only trip on an order-of-magnitude regression."""
         script = CHECK_SH.read_text()
-        for bench, budget in (
-            ("bench_e13_workload.py", "E13_SMOKE_BUDGET_SECONDS"),
-            ("bench_e14_churn.py", "E14_SMOKE_BUDGET_SECONDS"),
-            ("bench_e15_control.py", "E15_SMOKE_BUDGET_SECONDS"),
-            ("bench_e16_scale.py", "E16_SMOKE_BUDGET_SECONDS"),
-            ("bench_e17_faults.py", "E17_SMOKE_BUDGET_SECONDS"),
-            ("bench_e18_telemetry.py", "E18_SMOKE_BUDGET_SECONDS"),
-            ("bench_e19_autoscale.py", "E19_SMOKE_BUDGET_SECONDS"),
-            ("bench_e20_operator.py", "E20_SMOKE_BUDGET_SECONDS"),
+        for bench, budget, default_seconds in (
+            ("bench_e13_workload.py", "E13_SMOKE_BUDGET_SECONDS", 20),
+            ("bench_e14_churn.py", "E14_SMOKE_BUDGET_SECONDS", 20),
+            ("bench_e15_control.py", "E15_SMOKE_BUDGET_SECONDS", 20),
+            ("bench_e16_scale.py", "E16_SMOKE_BUDGET_SECONDS", 3),
+            ("bench_e17_faults.py", "E17_SMOKE_BUDGET_SECONDS", 20),
+            ("bench_e18_telemetry.py", "E18_SMOKE_BUDGET_SECONDS", 6),
+            ("bench_e19_autoscale.py", "E19_SMOKE_BUDGET_SECONDS", 40),
+            ("bench_e20_operator.py", "E20_SMOKE_BUDGET_SECONDS", 40),
         ):
             assert bench in script, f"check.sh does not run {bench}"
-            assert budget in script, f"check.sh does not budget via {budget}"
+            assert f'"${{{budget}:-{default_seconds}}}"' in script, f"check.sh does not budget via {budget}"
 
     def test_ci_summary_renders_every_artifact(self):
         summary = (REPO_ROOT / "scripts" / "ci_summary.py").read_text()

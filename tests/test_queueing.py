@@ -8,7 +8,13 @@ on the same fleet experiments.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right, insort
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.config import FederationConfig
 from repro.simulation.network import LatencyModel, SimulatedNetwork
@@ -310,3 +316,390 @@ class TestPhantomArrivals:
             queue.phantom_arrivals("search", -1)
         assert queue.phantom_arrivals("search", 0) == (0, 0)
         assert queue.stats.arrivals == 0
+
+
+# --------------------------------------------------------------------------
+# Reference model: the per-interval queue the run-length-encoded one replaced.
+#
+# ``ServerQueue`` stores each worker's schedule as runs and water-fills a
+# phantom batch with a heap merge.  The oracle below is the implementation
+# it replaced, kept verbatim in its arithmetic: one ``(start, end)`` pair per
+# job, a per-interval placement walk, and the O(admitted × workers) greedy
+# loop.  It never prunes — pruning must not be observable — and it must agree
+# with ``ServerQueue`` bit for bit, so every comparison below is ``==``.
+# --------------------------------------------------------------------------
+
+
+class _OracleWorkerFull(Exception):
+    pass
+
+
+class _OracleSchedule:
+    def __init__(self) -> None:
+        self.starts: list[float] = []
+        self.ends: list[float] = []
+
+    def live_count(self, now: float) -> int:
+        return len(self.ends) - bisect_right(self.ends, now)
+
+    def place(self, now: float, service_s: float, capacity: int) -> tuple[float, int]:
+        first_live = bisect_right(self.ends, now)
+        cursor = now
+        queued_behind = 0
+        for index in range(first_live, len(self.starts)):
+            if self.starts[index] - cursor >= service_s:
+                break
+            interval_end = self.ends[index]
+            if interval_end > cursor:
+                cursor = interval_end
+                queued_behind += 1
+                if queued_behind >= capacity:
+                    raise _OracleWorkerFull()
+        return cursor, queued_behind
+
+    def commit(self, start: float, service_s: float) -> None:
+        insort(self.starts, start)
+        insort(self.ends, start + service_s)
+
+
+class OracleQueue:
+    """The pre-rewrite ``ServerQueue`` scheduling core, stats included."""
+
+    def __init__(self, network: SimulatedNetwork, service_times: ServiceTimeModel, capacity: int, workers: int) -> None:
+        self.network = network
+        self.service_times = service_times
+        self.capacity = capacity
+        self.workers = workers
+        self.stats = QueueStats()
+        self.schedules = [_OracleSchedule() for _ in range(workers)]
+
+    @property
+    def busy_until(self) -> float:
+        return max((s.ends[-1] for s in self.schedules if s.ends), default=0.0)
+
+    @property
+    def depth(self) -> int:
+        now = self.network.clock.now()
+        return sum(schedule.live_count(now) for schedule in self.schedules)
+
+    def process(self, kind: str) -> float:
+        now = self.network.clock.now()
+        self.stats.arrivals += 1
+        service_ms = self.service_times.service_ms(kind)
+        service_s = service_ms / 1000.0
+        best: tuple[float, int, _OracleSchedule] | None = None
+        for schedule in self.schedules:
+            try:
+                start, queued_behind = schedule.place(now, service_s, self.capacity)
+            except _OracleWorkerFull:
+                continue
+            if best is None or start < best[0]:
+                best = (start, queued_behind, schedule)
+                if start <= now:
+                    break
+        if best is None:
+            self.stats.dropped += 1
+            raise ServerOverloadedError(kind)
+        start, queued_behind, schedule = best
+        self.stats.depth_total += queued_behind
+        if queued_behind > self.stats.max_depth:
+            self.stats.max_depth = queued_behind
+        wait_ms = (start - now) * 1000.0
+        schedule.commit(start, service_s)
+        self.stats.served += 1
+        self.stats.busy_ms += service_ms
+        self.stats.wait_ms_total += wait_ms
+        total_ms = wait_ms + service_ms
+        self.network.server_processing(total_ms)
+        return total_ms
+
+    def phantom_arrivals(self, kind: str, count: int) -> tuple[int, int]:
+        if count == 0:
+            return (0, 0)
+        now = self.network.clock.now()
+        self.stats.arrivals += count
+        service_ms = self.service_times.service_ms(kind)
+        service_s = service_ms / 1000.0
+        tails: list[float] = []
+        lives: list[int] = []
+        caps: list[int] = []
+        for schedule in self.schedules:
+            tails.append(max(now, schedule.ends[-1] if schedule.ends else 0.0))
+            live = schedule.live_count(now)
+            lives.append(live)
+            caps.append(max(0, self.capacity - live))
+        admitted = min(count, sum(caps))
+        dropped = count - admitted
+        self.stats.dropped += dropped
+        if admitted == 0:
+            return (0, dropped)
+        assigned = [0] * self.workers
+        if service_s <= 0.0:
+            remaining = admitted
+            while remaining:
+                for index in range(self.workers):
+                    if remaining and assigned[index] < caps[index]:
+                        take = min(remaining, caps[index] - assigned[index])
+                        assigned[index] += take
+                        remaining -= take
+        else:
+            for _ in range(admitted):
+                best_index = -1
+                best_finish = math.inf
+                for index in range(self.workers):
+                    if assigned[index] >= caps[index]:
+                        continue
+                    finish = tails[index] + assigned[index] * service_s
+                    if finish < best_finish:
+                        best_finish = finish
+                        best_index = index
+                assigned[best_index] += 1
+        for index, jobs in enumerate(assigned):
+            if not jobs:
+                continue
+            schedule = self.schedules[index]
+            tail = tails[index]
+            for position in range(jobs):
+                start = tail + position * service_s
+                schedule.commit(start, service_s)
+                self.stats.wait_ms_total += (start - now) * 1000.0
+                queued_behind = lives[index] + position
+                self.stats.depth_total += queued_behind
+                if queued_behind > self.stats.max_depth:
+                    self.stats.max_depth = queued_behind
+            self.stats.served += jobs
+            self.stats.busy_ms += jobs * service_ms
+        return (admitted, dropped)
+
+
+KINDS = ("search", "routing", "tiles")
+
+# Any non-negative service time, weighted toward round configured values and
+# toward ones at or below an ulp of the clock (1e-13 ms against seconds),
+# which fit *between* two back-to-back jobs and so may not jump a run whole.
+service_ms_values = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 10.0, 1000.0 / 3.0, 1e-13, 1e-12, 1e-9]),
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+)
+queue_shapes = st.tuples(
+    st.integers(min_value=1, max_value=5),  # workers
+    st.integers(min_value=1, max_value=12),  # capacity
+    st.tuples(service_ms_values, service_ms_values, service_ms_values),
+)
+# Rewinds stay within the prune lag of the latest arrival, as the engine's do.
+queue_ops = st.one_of(
+    st.tuples(st.just("process"), st.sampled_from(KINDS)),
+    st.tuples(st.just("phantom"), st.sampled_from(KINDS), st.integers(min_value=0, max_value=40)),
+    st.tuples(
+        st.just("advance"),
+        st.sampled_from([0.001, 0.0025, 0.01, 1.0, 150.0]) | st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    ),
+    st.tuples(
+        st.just("rewind"),
+        st.sampled_from([0.001, 0.0025, 0.01, 1.0]) | st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    ),
+)
+
+
+def make_pair(workers: int, capacity: int, kind_ms: tuple[float, ...]) -> tuple[ServerQueue, OracleQueue]:
+    model = ServiceTimeModel(per_kind_ms=dict(zip(KINDS, kind_ms)))
+    queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
+    oracle = OracleQueue(SimulatedNetwork(), model, capacity, workers)
+    return queue, oracle
+
+
+def apply_op(queue, op: tuple, high_water: float) -> object:
+    """Run one drawn operation; returns what a caller would observe."""
+    clock = queue.network.clock
+    if op[0] == "process":
+        try:
+            return queue.process(op[1])
+        except ServerOverloadedError:
+            return "overloaded"
+    if op[0] == "phantom":
+        return queue.phantom_arrivals(op[1], op[2])
+    if op[0] == "advance":
+        return clock.advance(op[1])
+    floor = max(0.0, high_water - 100.0)
+    return clock.rewind_to(max(floor, clock.now() - op[1]))
+
+
+def worker_jobs(schedule) -> list[tuple[float, float]]:
+    """Every stored job of one worker, in schedule order, from its spans."""
+    jobs = []
+    for start, end, run in zip(schedule.starts, schedule.ends, schedule.runs, strict=True):
+        if run is None:
+            jobs.append((start, end))
+            continue
+        base, service_s, lo, hi, _ = run
+        span = [(base + k * service_s, (base + k * service_s) + service_s) for k in range(lo, hi)]
+        assert (span[0][0], span[-1][1]) == (start, end)
+        jobs.extend(span)
+    return jobs
+
+
+class TestRunLengthQueueMatchesOracle:
+    """``ServerQueue`` vs the per-interval oracle: equal, not approximately."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=queue_shapes, ops=st.lists(queue_ops, max_size=60), prune_always=st.booleans())
+    # A zero-length job arriving exactly where one batch job ends and the
+    # next begins lands *inside* the run, which must split around it.
+    @example(
+        shape=(1, 8, (10.0, 0.0, 10.0)),
+        prune_always=False,
+        ops=[
+            ("phantom", "search", 4),
+            ("advance", 0.01),
+            ("process", "routing"),
+            ("process", "search"),
+            ("rewind", 0.02),
+            ("process", "search"),
+        ],
+    )
+    # Rewinding into the middle of a committed run: only its live suffix
+    # counts as backlog, and a batch appended behind it levels across workers.
+    @example(
+        shape=(3, 4, (2.0, 2.0, 2.5)),
+        prune_always=True,
+        ops=[
+            ("phantom", "search", 9),
+            ("advance", 0.005),
+            ("phantom", "tiles", 7),
+            ("rewind", 0.003),
+            ("process", "routing"),
+            ("advance", 150.0),
+            ("process", "tiles"),
+        ],
+    )
+    # A zero-service batch is a run of identical empty jobs: a later request
+    # queues behind one of them, not all (found by jumping such runs whole).
+    @example(
+        shape=(1, 2, (0.0, 2.0, 0.0)),
+        prune_always=False,
+        ops=[("advance", 0.001), ("phantom", "search", 2), ("rewind", 0.001), ("process", "routing")],
+    )
+    # After a rewind more jobs are live than the buffer holds.  A request that
+    # walks a run job by job is shed the moment it is behind `capacity` of
+    # them, even though a later job of the same run leaves a gap it would fit
+    # (found by dropping the capacity guard from the per-job walk).
+    @example(
+        shape=(1, 6, (1e-12, 0.0, 5473.8125)),
+        prune_always=False,
+        ops=[
+            ("process", "search"),
+            ("process", "tiles"),
+            ("phantom", "tiles", 6),
+            ("rewind", 0.001),
+            ("process", "search"),
+        ],
+    )
+    def test_every_observable_equals_the_oracle(self, shape, ops, prune_always):
+        queue, oracle = make_pair(*shape)
+        high_water = 0.0
+        for op in ops:
+            if prune_always:
+                queue._prune_above = 0  # force a prune scan on the next arrival
+            high_water = max(high_water, queue.network.clock.now())
+            assert apply_op(queue, op, high_water) == apply_op(oracle, op, high_water)
+            assert queue.stats == oracle.stats
+            assert queue.busy_until == oracle.busy_until
+            assert queue.depth == oracle.depth
+            assert queue.network.clock.now() == oracle.network.clock.now()
+        for schedule, reference in zip(queue._schedules, oracle.schedules):
+            if not prune_always:
+                assert worker_jobs(schedule) == list(zip(reference.starts, reference.ends))
+
+    def test_tiny_job_fits_the_ulp_gap_inside_a_run(self):
+        """Job 5 of this batch ends one ulp before job 6 starts.  A request
+        shorter than that ulp, arriving exactly then, is served in the gap —
+        so it must not jump the run — and splits it without moving a job."""
+        queue, oracle = make_pair(1, 12, (2.0, 1e-15, 2.0))
+        gap_opens = (0.001 + 5 * 0.002) + 0.002
+        assert (0.001 + 6 * 0.002) - gap_opens >= 1e-18
+        for side in (queue, oracle):
+            side.network.clock.advance(0.001)
+            side.phantom_arrivals("search", 8)
+            side.network.clock.advance(1.0)
+            side.network.clock.rewind_to(gap_opens)  # rewinding sets the instant exactly
+        assert queue.process("routing") == oracle.process("routing") == 1e-15
+        assert [run and run[2:4] for run in queue._schedules[0].runs] == [(0, 6), None, (6, 8)]
+        assert worker_jobs(queue._schedules[0]) == list(zip(oracle.schedules[0].starts, oracle.schedules[0].ends))
+        for side in (queue, oracle):
+            side.network.clock.rewind_to(0.004)
+        assert queue.process("tiles") == oracle.process("tiles")
+        assert queue.stats == oracle.stats and queue.stats.max_depth == 8
+
+    def test_saturated_batch_matches_oracle_at_fleet_scale(self):
+        """The cohort path's shape: many workers, deep buffers, batches that
+        overflow them, real requests rewound between batches."""
+        queue, oracle = make_pair(16, 64, (4.0, 12.0, 1.5))
+        for step in range(3):
+            for tracer in range(12):
+                for side in (queue, oracle):
+                    side.network.clock.rewind_to(step * 2.0)
+                    side.network.clock.advance(0.0007 * tracer)
+                kind = KINDS[tracer % 3]
+                assert apply_op(queue, ("process", kind), 0.0) == apply_op(oracle, ("process", kind), 0.0)
+                assert queue.phantom_arrivals(kind, 311) == oracle.phantom_arrivals(kind, 311)
+                assert queue.stats == oracle.stats
+            for side in (queue, oracle):
+                side.network.clock.advance_to(max(side.network.clock.now(), (step + 1) * 2.0))
+        assert queue.stats.dropped > 0 and queue.stats.served > 16 * 64
+        assert queue.busy_until == oracle.busy_until
+        assert sum(len(s.runs) for s in queue._schedules) < queue.stats.served // 4
+
+
+class QueueMachine(RuleBasedStateMachine):
+    """Interleaved process / phantom / clock moves / forced prunes.
+
+    Two ``ServerQueue``s take the same operations; only one is ever pruned,
+    so any observable effect of pruning shows up as a difference.
+    """
+
+    @initialize(shape=queue_shapes)
+    def build(self, shape):
+        workers, capacity, kind_ms = shape
+        model = ServiceTimeModel(per_kind_ms=dict(zip(KINDS, kind_ms)))
+        self.queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
+        self.unpruned = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
+        self.unpruned._prune_above = 10**9
+        self.high_water = 0.0
+
+    @rule(op=queue_ops)
+    def operate(self, op):
+        self.high_water = max(self.high_water, self.queue.network.clock.now())
+        result = apply_op(self.queue, op, self.high_water)
+        assert result == apply_op(self.unpruned, op, self.high_water)
+        if op[0] == "process" and result != "overloaded":
+            assert result >= self.queue.service_times.service_ms(op[1])  # wait >= 0
+
+    @rule()
+    def prune(self):
+        self.queue._prune_above = 0
+        self.queue._prune(self.queue.network.clock.now())
+
+    @invariant()
+    def conserved_and_bounded(self):
+        stats = self.queue.stats
+        assert stats.arrivals == stats.served + stats.dropped
+        assert stats.wait_ms_total >= 0.0
+        assert stats.max_depth < self.queue.capacity  # queued_behind < capacity
+        assert stats == self.unpruned.stats
+        assert self.queue.depth == self.unpruned.depth
+        assert self.queue.busy_until == self.unpruned.busy_until
+        assert self.queue._stored_spans == sum(len(s.runs) for s in self.queue._schedules)
+
+    @invariant()
+    def worker_runs_never_overlap(self):
+        for schedule in self.queue._schedules:
+            jobs = worker_jobs(schedule)
+            for (start, end), (next_start, next_end) in zip(jobs, jobs[1:]):
+                assert start <= next_start and end <= next_end
+                # Back-to-back jobs are computed from their run's base, not
+                # chained, so they may meet a few ulp early — never more.
+                assert next_start - end >= -4.0 * math.ulp(end)
+
+
+QueueMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestQueueMachine = QueueMachine.TestCase
