@@ -422,6 +422,14 @@ def verify(
             f"net-healthy first-event lag {healthy['lag_first_s']:.3f}s not "
             f"strictly above the direct baseline {direct['lag_first_s']:.3f}s"
         )
+    for stat in ("lag_mean_s", "lag_max_s"):
+        # A control hop only ever adds delay: every event lands at the same
+        # round boundary as in-process, plus the hop RTTs paid before it.
+        if healthy[stat] < direct[stat]:
+            failures.append(
+                f"net-healthy {stat} {healthy[stat]:.3f}s below the direct "
+                f"baseline {direct[stat]:.3f}s — a network hop cannot speed delivery up"
+            )
     if lossy["lag_first_s"] <= healthy["lag_first_s"]:
         failures.append(
             f"net-lossy first-event lag {lossy['lag_first_s']:.3f}s not above "

@@ -98,6 +98,7 @@ if $run_smoke; then
   python benchmarks/bench_e20_operator.py --smoke \
     --budget-seconds "${E20_SMOKE_BUDGET_SECONDS:-40}"
 
+  drifted=false
   for artifact in BENCH_e13.json BENCH_e14.json BENCH_e15.json BENCH_e16.json BENCH_e17.json BENCH_e18.json BENCH_e19.json BENCH_e20.json; do
     # `git diff` exits 0 for untracked paths, which would make the gate
     # vacuous for an artifact nobody committed — require the baseline.
@@ -106,10 +107,14 @@ if $run_smoke; then
       exit 1
     fi
     if ! git diff --quiet -- "$artifact" 2>/dev/null; then
-      echo "FAIL: smoke did not reproduce the committed $artifact"
-      exit 1
+      echo "FAIL: smoke did not reproduce the committed $artifact; drifted keys (old -> new):"
+      python scripts/artifact_drift.py "$artifact"
+      drifted=true
     fi
   done
+  if $drifted; then
+    exit 1
+  fi
 fi
 
 if $run_lint; then

@@ -17,7 +17,8 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.churn.schedule import ChurnEventKind, ChurnSchedule
+from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
+from repro.simulation.tape import TapeCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.federation import Federation
@@ -53,8 +54,11 @@ class ChurnController:
     """Most recent JOIN instant per server — the workload engine measures
     time-to-rediscovery from these."""
     crashed_at: dict[str, float] = field(default_factory=dict)
-    _cursor: int = 0
+    _cursor: TapeCursor[ChurnEvent] = field(init=False, repr=False)
     _lease_expiries: list[tuple[float, str]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._cursor = TapeCursor(self.schedule.events)
 
     @property
     def effective_lease_seconds(self) -> float:
@@ -64,32 +68,26 @@ class ChurnController:
 
     @property
     def pending_events(self) -> int:
-        return len(self.schedule.events) - self._cursor + len(self._lease_expiries)
+        return self._cursor.remaining + len(self._lease_expiries)
 
     def apply_until(self, now: float) -> list[AppliedChurnEvent]:
-        """Apply every event (and lease expiry) due at or before ``now``."""
+        """Apply every event (and lease expiry) due at or before ``now``,
+        in time order; a lease expiring at an event's instant goes first."""
         performed: list[AppliedChurnEvent] = []
-        events = self.schedule.events
-        while True:
-            next_event = events[self._cursor] if self._cursor < len(events) else None
-            next_expiry = self._lease_expiries[0] if self._lease_expiries else None
-            take_expiry = next_expiry is not None and (
-                next_event is None or next_expiry[0] <= next_event.at_seconds
-            )
-            if take_expiry:
-                if next_expiry[0] > now:
-                    break
-                self._lease_expiries.pop(0)
-                performed.append(self._expire_lease(*next_expiry))
-            elif next_event is not None:
-                if next_event.at_seconds > now:
-                    break
-                self._cursor += 1
-                performed.append(self._apply(next_event.at_seconds, next_event.kind, next_event.server_id))
-            else:
-                break
+        for event in self._cursor.due(now):
+            performed.extend(self._expire_leases(event.at_seconds))
+            performed.append(self._apply(event.at_seconds, event.kind, event.server_id))
+        performed.extend(self._expire_leases(now))
         self.applied.extend(performed)
         return performed
+
+    def _expire_leases(self, until: float) -> list[AppliedChurnEvent]:
+        """Pop every lease expiry at or before ``until``.  Re-reads the list
+        each step: applying a crash inserts an expiry, a join removes some."""
+        expired: list[AppliedChurnEvent] = []
+        while self._lease_expiries and self._lease_expiries[0][0] <= until:
+            expired.append(self._expire_lease(*self._lease_expiries.pop(0)))
+        return expired
 
     # ------------------------------------------------------------------
     # Event application

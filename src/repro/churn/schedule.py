@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.simulation.tape import Tape
+
 
 class ChurnEventKind(str, Enum):
     """What happens to a server at a scheduled instant."""
@@ -45,42 +47,14 @@ class ChurnEvent:
             raise ValueError("churn events cannot predate the run")
 
 
-@dataclass(frozen=True)
-class ChurnSchedule:
+class ChurnSchedule(Tape[ChurnEvent]):
     """A time-ordered tape of churn events over eligible servers."""
 
-    events: tuple[ChurnEvent, ...] = ()
-
-    def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.events, key=lambda e: (e.at_seconds, e.server_id, e.kind.value))
-        )
-        object.__setattr__(self, "events", ordered)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    @property
-    def horizon_seconds(self) -> float:
-        return self.events[-1].at_seconds if self.events else 0.0
-
-    @property
-    def servers(self) -> tuple[str, ...]:
-        return tuple(sorted({event.server_id for event in self.events}))
-
-    def events_for(self, server_id: str) -> tuple[ChurnEvent, ...]:
-        return tuple(event for event in self.events if event.server_id == server_id)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_events(cls, events: list[ChurnEvent] | tuple[ChurnEvent, ...]) -> "ChurnSchedule":
-        """A trace-driven schedule from an explicit event list."""
-        return cls(tuple(events))
+    @staticmethod
+    def _sort_key(event: ChurnEvent) -> tuple[float, str, str]:
+        # A total order: churn's same-instant events never depend on each
+        # other, so ties break by (server, kind) rather than authored order.
+        return (event.at_seconds, event.server_id, event.kind.value)
 
     @classmethod
     def poisson(

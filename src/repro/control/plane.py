@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.churn.replicas import DEFAULT_REPLICA_WEIGHT
-from repro.control.schedule import ControlEventKind, ControlSchedule
+from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.errors import FederationConfigError
+from repro.simulation.tape import TapeCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.federation import Federation
@@ -83,10 +84,13 @@ class ControlPlane:
     federation: "Federation"
     schedule: ControlSchedule | None = None
     applied: list[AppliedControlEvent] = field(default_factory=list)
-    _cursor: int = 0
+    _cursor: TapeCursor[ControlEvent] = field(init=False, repr=False)
     _predrain_weights: dict[str, int] = field(default_factory=dict)
     """Weight each drained server carried before its drain, so
     :meth:`undrain` restores the operator's intent, not a guess."""
+
+    def __post_init__(self) -> None:
+        self._cursor = TapeCursor(self.schedule.events if self.schedule is not None else ())
 
     # ------------------------------------------------------------------
     # Imperative operator API
@@ -135,9 +139,7 @@ class ControlPlane:
 
     @property
     def pending_events(self) -> int:
-        if self.schedule is None:
-            return 0
-        return len(self.schedule.events) - self._cursor
+        return self._cursor.remaining
 
     # ------------------------------------------------------------------
     # Shared application core
@@ -204,15 +206,9 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def apply_until(self, now: float) -> list[AppliedControlEvent]:
         """Apply every scheduled action due at or before ``now``."""
-        if self.schedule is None:
-            return []
-        performed: list[AppliedControlEvent] = []
-        events = self.schedule.events
-        while self._cursor < len(events) and events[self._cursor].at_seconds <= now:
-            event = events[self._cursor]
-            self._cursor += 1
-            performed.append(
-                self._perform(event.at_seconds, event.kind, event.server_id, event.value)
-            )
+        performed = [
+            self._perform(event.at_seconds, event.kind, event.server_id, event.value)
+            for event in self._cursor.due(now)
+        ]
         self.applied.extend(performed)
         return performed

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.simulation.tape import Tape
+
 
 class ControlEventKind(str, Enum):
     """What the operator does to a server's SRV advertisement."""
@@ -60,47 +62,13 @@ class ControlEvent:
             raise ValueError("SRV weights and priorities cannot be negative")
 
 
-@dataclass(frozen=True)
-class ControlSchedule:
-    """A time-ordered tape of operator actions over federation servers."""
+class ControlSchedule(Tape[ControlEvent]):
+    """A time-ordered tape of operator actions over federation servers.
 
-    events: tuple[ControlEvent, ...] = ()
-
-    def __post_init__(self) -> None:
-        # Sort by time ONLY, and rely on sort stability: same-instant events
-        # keep their authored order, so an operator can express "set the
-        # weight, THEN drain" at one instant and get exactly that.  (Churn
-        # tapes tie-break arbitrarily because their same-instant events
-        # never depend on each other; control actions routinely do.)
-        ordered = tuple(sorted(self.events, key=lambda e: e.at_seconds))
-        object.__setattr__(self, "events", ordered)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    @property
-    def horizon_seconds(self) -> float:
-        return self.events[-1].at_seconds if self.events else 0.0
-
-    @property
-    def servers(self) -> tuple[str, ...]:
-        return tuple(sorted({event.server_id for event in self.events}))
-
-    def events_for(self, server_id: str) -> tuple[ControlEvent, ...]:
-        return tuple(event for event in self.events if event.server_id == server_id)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_events(
-        cls, events: list[ControlEvent] | tuple[ControlEvent, ...]
-    ) -> "ControlSchedule":
-        """A schedule from an explicit event list (scripted incident)."""
-        return cls(tuple(events))
+    Same-instant events keep their authored order (the base tape's stable
+    time-only sort), so an operator can express "set the weight, THEN
+    drain" at one instant and get exactly that.
+    """
 
     @classmethod
     def drain_window(

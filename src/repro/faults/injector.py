@@ -3,8 +3,8 @@
 The :class:`FaultInjector` is the disaster-side sibling of
 :class:`repro.churn.controller.ChurnController` and
 :class:`repro.control.plane.ControlPlane`: the workload engine calls
-:meth:`FaultInjector.apply_until` at each round boundary (the FAULT event
-rank fires before churn and control), and every due tape event mutates the
+:meth:`FaultInjector.apply_until` at each round boundary (before churn
+and control), and every due tape event mutates the
 network's :class:`~repro.simulation.network.NetworkFaultState` — the
 primitives the data path consults per exchange.
 
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.core.federation import Federation
 from repro.faults.schedule import FaultEvent, FaultEventKind, FaultPlan
 from repro.simulation.network import GrayFailure, NetworkFaultState
+from repro.simulation.tape import TapeCursor
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,10 +47,11 @@ class FaultInjector:
     """What one query against a dark authority costs the resolver before it
     gives up with SERVFAIL."""
     applied: list[AppliedFaultEvent] = field(default_factory=list)
-    _cursor: int = 0
+    _cursor: TapeCursor[FaultEvent] = field(init=False, repr=False)
     _active_crowds: dict[tuple[tuple[str, ...], str], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._cursor = TapeCursor(self.plan.events)
         state = self.federation.network.fault_state()
         state.dns_timeout_ms = self.dns_timeout_ms
 
@@ -67,18 +69,13 @@ class FaultInjector:
 
     def apply_until(self, now_seconds: float) -> list[AppliedFaultEvent]:
         """Apply every tape event due at or before ``now_seconds``."""
-        performed: list[AppliedFaultEvent] = []
-        events = self.plan.events
-        while self._cursor < len(events) and events[self._cursor].at_seconds <= now_seconds:
-            event = events[self._cursor]
-            self._cursor += 1
-            performed.append(self._apply(event))
+        performed = [self._apply(event) for event in self._cursor.due(now_seconds)]
         self.applied.extend(performed)
         return performed
 
     @property
     def exhausted(self) -> bool:
-        return self._cursor >= len(self.plan.events)
+        return self._cursor.remaining == 0
 
     def inject_round_load(self) -> None:
         """Charge every active flash crowd's arrivals for this round."""

@@ -43,7 +43,8 @@ from repro.control.schedule import ControlSchedule
 from repro.core.config import FederationConfig
 from repro.faults.schedule import FaultPlan
 from repro.simulation.queueing import ServiceTimeModel
-from repro.workload.engine import WorkloadConfig, WorkloadReport
+from repro.workload.config import WorkloadConfig
+from repro.workload.report import WorkloadReport
 from repro.worldgen.scenario import FederatedScenario, build_scenario
 
 WORLD_SEED = 33

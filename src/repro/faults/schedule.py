@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.simulation.tape import Tape
+
 
 class FaultEventKind(str, Enum):
     """What the disaster does to the federation at one instant."""
@@ -106,45 +108,17 @@ class FaultEvent:
             raise ValueError("a flash crowd needs positive extra load")
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """A time-ordered tape of correlated-failure events."""
+class FaultPlan(Tape[FaultEvent]):
+    """A time-ordered tape of correlated-failure events (same-instant
+    events keep authored order: heal the old cut, then open the new one)."""
 
-    events: tuple[FaultEvent, ...] = ()
-
-    def __post_init__(self) -> None:
-        # Stable sort by time only: same-instant events keep authored order
-        # (heal the old cut, then open the new one), like control tapes.
-        ordered = tuple(sorted(self.events, key=lambda e: e.at_seconds))
-        object.__setattr__(self, "events", ordered)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
+    @staticmethod
+    def _servers_of(event: FaultEvent) -> tuple[str, ...]:
+        return event.server_ids
 
     def __add__(self, other: "FaultPlan") -> "FaultPlan":
         """Merge two plans into one tape (disasters compose)."""
         return FaultPlan(self.events + other.events)
-
-    @property
-    def horizon_seconds(self) -> float:
-        return self.events[-1].at_seconds if self.events else 0.0
-
-    @property
-    def servers(self) -> tuple[str, ...]:
-        return tuple(sorted({sid for event in self.events for sid in event.server_ids}))
-
-    def events_for(self, server_id: str) -> tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if server_id in e.server_ids)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_events(cls, events: list[FaultEvent] | tuple[FaultEvent, ...]) -> "FaultPlan":
-        return cls(tuple(events))
 
     @classmethod
     def partition(

@@ -33,9 +33,11 @@ from typing import TYPE_CHECKING
 
 from repro.control.plane import AppliedControlEvent
 from repro.control.schedule import ControlEvent, ControlSchedule
+from repro.core.errors import FederationConfigError
 from repro.operator.api import OperatorApi
 from repro.operator.schemas import ControlResponse
 from repro.simulation.network import NetworkTimeoutError
+from repro.simulation.tape import TapeCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.plane import ControlOp
@@ -203,12 +205,15 @@ class NetworkedControlPlayer:
     applied: list[AppliedControlEvent] = field(default_factory=list)
     delivery_lags: list[float] = field(default_factory=list)
     retries: int = 0
-    _cursor: int = 0
+    _cursor: TapeCursor[ControlEvent] = field(init=False, repr=False)
     _pending: list[_PendingRequest] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._cursor = TapeCursor(self.schedule.events)
 
     @property
     def pending_events(self) -> int:
-        return (len(self.schedule.events) - self._cursor) + len(self._pending)
+        return self._cursor.remaining + len(self._pending)
 
     def apply_until(self, now: float) -> list[AppliedControlEvent]:
         """Issue every due event (and retry every lost one) at ``now``."""
@@ -220,10 +225,7 @@ class NetworkedControlPlayer:
                 still_pending.append(pending)
         self._pending = still_pending
 
-        events = self.schedule.events
-        while self._cursor < len(events) and events[self._cursor].at_seconds <= now:
-            event = events[self._cursor]
-            self._cursor += 1
+        for event in self._cursor.due(now):
             token = self.client.next_token()
             if not self._issue(event, token, performed):
                 self._pending.append(_PendingRequest(event=event, token=token))
@@ -300,7 +302,7 @@ class OperatorControlAdapter:
                 federation = self.client.api.federation
                 try:
                     priority, weight = federation.srv_of(op.server_id)
-                except Exception:
+                except FederationConfigError:
                     priority, weight = 0, 0
                 record = AppliedControlEvent(
                     now,

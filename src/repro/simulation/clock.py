@@ -35,13 +35,8 @@ class SimulatedClock:
         return self.advance(milliseconds / 1000.0)
 
     def advance_to(self, timestamp: float) -> float:
-        """Advance the clock to an absolute instant (must not be earlier).
-
-        The event-driven workload engine schedules in absolute simulated
-        time, so jumping the clock to a popped event's timestamp is its
-        idiom; ``advance`` stays the relative-delta API everything else
-        uses.
-        """
+        """Advance the clock to an absolute instant (must not be earlier);
+        ``advance`` is the relative-delta API nearly everything uses."""
         if timestamp < self._now:
             raise ValueError("cannot advance the clock backwards")
         return self.advance(timestamp - self._now)

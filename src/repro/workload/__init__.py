@@ -10,15 +10,9 @@ so caches can be measured under realistic request streams.
 """
 
 from repro.workload.cohort import Cohort, plan_cohorts
-from repro.workload.engine import (
-    FleetClient,
-    WorkloadConfig,
-    WorkloadEngine,
-    WorkloadReport,
-    client_base_seed,
-    derived_seed_streams,
-)
-from repro.workload.events import Event, EventHeap, EventKind
+from repro.workload.config import WorkloadConfig, client_base_seed, derived_seed_streams
+from repro.workload.engine import WorkloadEngine
+from repro.workload.fleet import FleetClient
 from repro.workload.mobility import (
     AisleWalk,
     CommuterHandoff,
@@ -26,6 +20,7 @@ from repro.workload.mobility import (
     MobilityModel,
     RandomWaypoint,
 )
+from repro.workload.report import WorkloadReport
 from repro.workload.traffic import RequestKind, RequestMix, ZipfSampler, zipf_weights
 
 __all__ = [
@@ -33,9 +28,6 @@ __all__ = [
     "Cohort",
     "CommuterHandoff",
     "CommuterTrace",
-    "Event",
-    "EventHeap",
-    "EventKind",
     "FleetClient",
     "MobilityModel",
     "RandomWaypoint",

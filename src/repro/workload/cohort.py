@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workload.engine import FleetClient
+    from repro.workload.fleet import FleetClient
 
 
 @dataclass

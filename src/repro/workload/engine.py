@@ -3,20 +3,20 @@
 The engine owns nothing but orchestration: it builds one
 :class:`repro.core.client.OpenFlameClient` per simulated device (so every
 device has its own discovery and tile caches), assigns each a mobility model
-and a seed-derived RNG, and then drives the fleet through an event-driven
-simulation: a single heap (:mod:`repro.workload.events`) of churn, control,
-request and end-of-round observation events scheduled over the shared
-:class:`~repro.simulation.clock.SimulatedClock`.  All latency comes from the
-federation's simulated network, and per-service latency is recorded into
-percentile histograms so a run can report tail latency (p50/p95/p99)
-alongside cache hit-rates.
+and a seed-derived RNG, and then drives the fleet through one plain round
+loop (:meth:`WorkloadEngine.run`) over the shared
+:class:`~repro.simulation.clock.SimulatedClock`: fault, churn and control
+tapes land at the round boundary, every device takes one concurrent turn,
+the clock advances by the slowest turn plus pacing, and the end-of-round
+observations fire.  All latency comes from the federation's simulated
+network, and per-service latency is recorded into percentile histograms so
+a run can report tail latency (p50/p95/p99) alongside cache hit-rates.
 
 Small fleets run every device through the full client stack (the *exact*
-path, byte-identical to the retained legacy round loop).  At
-:attr:`WorkloadConfig.cohort_min_clients` and above the engine switches to
-the cohort fast path (:mod:`repro.workload.cohort`): devices that are
-statistically identical — same mobility family, same resolver pool, no
-individual state — are represented by a few fully simulated *tracer*
+path).  At :attr:`WorkloadConfig.cohort_min_clients` and above the engine
+switches to the cohort fast path (:mod:`repro.workload.cohort`): devices
+that are statistically identical — same mobility family, same resolver
+pool, no individual state — are represented by a few fully simulated *tracer*
 devices plus integer phantom counts whose server-side load is charged in
 batch, which is what lets one process reach 100k clients inside a smoke
 budget and a million in a full sweep.
@@ -28,18 +28,14 @@ produce byte-identical :meth:`WorkloadReport.snapshot` dictionaries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.autoscale.policy import AutoscalerConfig
 from repro.autoscale.scaler import Autoscaler
 from repro.churn.controller import ChurnController
 from repro.churn.failover import FailoverRecorder
-from repro.churn.schedule import ChurnSchedule
 from repro.control.plane import ControlPlane
-from repro.control.schedule import ControlSchedule
-from repro.core.client import OpenFlameClient
 from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultPlan
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.localization.cues import CueBundle, GnssCue
@@ -49,77 +45,37 @@ from repro.operator.client import (
     OperatorClient,
     OperatorControlAdapter,
 )
-from repro.operator.config import OperatorConfig
 from repro.operator.permissions import ALL_PERMISSIONS, PrincipalRegistry
 from repro.services.routing import FederatedRoutingError
 from repro.simulation.metrics import MetricsRegistry
-from repro.simulation.queueing import load_cv
 from repro.spatialindex.cellid import CellId
-from repro.telemetry import TelemetryConfig, TelemetryPipeline
-from repro.workload.cohort import Cohort, plan_cohorts
-from repro.workload.events import EventHeap, EventKind, RoundObserver, notify_round_end
-from repro.workload.mobility import (
-    AisleWalk,
-    CommuterHandoff,
-    CommuterTrace,
-    MobilityModel,
-    RandomWaypoint,
+from repro.telemetry import TelemetryPipeline
+from repro.workload.cohort import Cohort
+from repro.workload.config import (
+    WorkloadConfig,
+    client_base_seed,
+    derived_seed_streams,
+    operator_seed,
 )
-from repro.workload.traffic import RequestKind, RequestMix, ZipfSampler
+from repro.workload.fleet import FleetBuilder, FleetClient
+from repro.workload.mobility import AisleWalk
+from repro.workload.report import WorkloadReport
+from repro.workload.traffic import RequestKind, ZipfSampler
 from repro.worldgen.scenario import FederatedScenario
 
-_CLIENT_SEED_STRIDE = 1_000_003
-"""Prime stride separating per-client RNG streams derived from one seed."""
+__all__ = [
+    "FleetClient",
+    "PointOfInterest",
+    "RoundObserver",
+    "WorkloadConfig",
+    "WorkloadEngine",
+    "WorkloadReport",
+    "client_base_seed",
+    "derived_seed_streams",
+]
 
-_SELECTION_SEED_SALT = 0xD15C
-"""XOR salt deriving a device's RFC 2782 weighted-selection stream."""
-
-_JITTER_SEED_SALT = 0x5EED
-"""XOR salt deriving a device's network jitter/loss stream."""
-
-_BACKOFF_SEED_SALT = 0xB0FF
-"""XOR salt deriving a device's retry-backoff jitter stream."""
-
-_OPERATOR_SEED_SALT = 0xC7A1
-"""XOR salt deriving the operator console's control-hop jitter/loss stream
-(bare run seed, not a device base, so it collides with no device stream
-under the same argument as the POI shuffle)."""
-
-
-def operator_seed(seed: int) -> int:
-    """The operator client's network-draw stream seed for a run seed."""
-    return seed ^ _OPERATOR_SEED_SALT
-
-
-def client_base_seed(seed: int, index: int) -> int:
-    """Device ``index``'s base (mobility/traffic) RNG seed for a run seed."""
-    return seed + _CLIENT_SEED_STRIDE * (index + 1)
-
-
-def derived_seed_streams(seed: int, index: int) -> dict[str, int]:
-    """Every RNG stream seed derived for one device, by family.
-
-    Collision-freedom argument (audited for 100k–1M-device fleets): base
-    seeds are ``seed + stride·(i+1)`` with a stride of 1,000,003, so two
-    distinct devices' base seeds differ by at least the stride.  The
-    selection, jitter and backoff families are the base XOR a salt below
-    2^16; two integers whose XOR is below 2^16 agree on every bit from 16
-    up and so differ by less than 65,536 < stride.  Hence a salted seed
-    can never collide with any *other* device's seed in the same or
-    another family, and within one device the three salts (and their
-    pairwise XORs) are non-zero, so all four streams are distinct.  The
-    engine-level POI shuffle uses the bare run ``seed`` — device index −1
-    under the same argument — and can collide with nothing either.
-    ``tests/test_rng_streams.py`` asserts both the pairwise-distinctness
-    and the salts-below-stride invariant this argument rests on.
-    """
-    base = client_base_seed(seed, index)
-    return {
-        "base": base,
-        "selection": base ^ _SELECTION_SEED_SALT,
-        "jitter": base ^ _JITTER_SEED_SALT,
-        "backoff": base ^ _BACKOFF_SEED_SALT,
-    }
+RoundObserver = Callable[[int, float], None]
+"""A round-boundary hook: ``observer(round_index, now_seconds)``."""
 
 
 @dataclass(frozen=True)
@@ -129,327 +85,6 @@ class PointOfInterest:
     name: str
     location: LatLng
     store_index: int | None = None
-
-
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Tunables of one workload run."""
-
-    clients: int = 25
-    steps: int = 8
-    seed: int = 0
-    mix: RequestMix = field(default_factory=RequestMix)
-    zipf_exponent: float = 1.0
-    search_radius_meters: float = 350.0
-    viewport_meters: float = 120.0
-    tile_zoom: int = 17
-    gnss_error_meters: float = 12.0
-    step_seconds: float = 2.0
-    """Wall-clock pacing between fleet rounds (thinking/walking time)."""
-    resolver_pools: int = 1
-    """Recursive resolvers to shard the fleet across (round-robin).  One pool
-    is the historical single-shared-resolver deployment; more pools model
-    regional resolver deployments, each with its own DNS cache."""
-    long_traces: bool = False
-    """Give the fleet's commuter cohort scripted multi-stop journeys
-    (:class:`~repro.workload.mobility.CommuterTrace`) instead of the fast
-    ping-pong handoff.  With dwell times, a circuit spans multiple
-    registration/discovery TTLs of simulated time, so commuters re-enter
-    zones with every cache layer gone stale."""
-    trace_dwell_steps: int = 3
-    """Steps a long-trace commuter dwells at each stop (``long_traces``
-    only).  Bigger dwells stretch the journey across more TTL windows."""
-    churn: ChurnSchedule | None = None
-    """Membership churn applied while the fleet runs: the engine plays the
-    schedule through a :class:`~repro.churn.controller.ChurnController` at
-    round boundaries, so crashes/leaves/rejoins land between concurrent
-    rounds exactly as TTL expiry does."""
-    churn_lease_seconds: float | None = None
-    """Registration-lease override for crashed servers (``None`` uses the
-    federation's ``registration_ttl_seconds``)."""
-    control: ControlSchedule | None = None
-    """Operator actions applied while the fleet runs: the engine plays the
-    tape through a :class:`~repro.control.plane.ControlPlane` at round
-    boundaries (same granularity as churn), then tracks each device's
-    stale SRV view until it converges on the new advertisement —
-    ``WorkloadReport.control_stats`` reports the convergence tail."""
-    faults: FaultPlan | None = None
-    """Correlated-disaster tape applied while the fleet runs: the engine
-    plays the plan through a :class:`~repro.faults.injector.FaultInjector`
-    at round boundaries (the FAULT event rank fires before churn and
-    control), mutating the network's fault state — partitions, gray
-    failures, authority outages — and charging active flash crowds' load.
-    ``None`` attaches no fault state at all, keeping fault-free runs
-    byte-identical to the pre-fault engine."""
-    telemetry: TelemetryConfig | None = None
-    """Windowed-telemetry pipeline config.  ``None`` (default) collects no
-    telemetry and adds no snapshot keys, so telemetry-free runs stay
-    byte-identical to builds without the telemetry subsystem; set one and
-    the run's windows become queryable via ``WorkloadReport.telemetry``."""
-    autoscale: AutoscalerConfig | None = None
-    """Closed-loop autoscaler config.  Requires ``telemetry`` (the scaler
-    reads only telemetry roll-ups); it evaluates once per sealed window at
-    round boundaries and drives the federation's warm pools
-    (``Federation.attach_warm_pool``) through its own control plane.
-    ``None`` (default) builds no scaler, registers no observer and adds no
-    snapshot keys, so autoscaler-off runs stay byte-identical to builds
-    without the autoscale subsystem."""
-    operator: OperatorConfig | None = None
-    """Route the run's control traffic through the operator API layer
-    (:mod:`repro.operator`): the control tape is replayed as authenticated
-    ``ControlRequest`` messages by a
-    :class:`~repro.operator.client.NetworkedControlPlayer`, and (by
-    default) the autoscaler's batches travel the same door.  With
-    ``transport="network"`` every request pays simulated control-hop
-    latency/loss/partitions; ``"direct"`` keeps the exchange in-process.
-    ``None`` (default) builds no API, charges nothing, and adds no
-    snapshot keys, so operator-free runs stay byte-identical to builds
-    without the operator subsystem."""
-    engine: str = "event"
-    """Which execution loop drives the fleet: ``"event"`` (the heap-driven
-    engine, default) or ``"legacy"`` (the retained round loop, kept as the
-    golden reference the equivalence suite compares against)."""
-    cohort_min_clients: int = 5000
-    """Fleet size at or above which the event engine stops materializing
-    every device and switches to the cohort fast path (tracers + phantom
-    batch load).  Fleets below the threshold — including every committed
-    byte-gated benchmark — run the exact per-device path."""
-    tracers_per_cohort: int = 16
-    """Fully simulated devices per cohort on the fast path.  Tracers keep
-    their true index-derived RNG streams and all individual state (caches,
-    replica-health memories, SRV views) — they are the slow-path escape
-    hatch — so more tracers buys fidelity at the cost of scale."""
-
-    def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ValueError("a workload needs at least one client")
-        if self.steps < 1:
-            raise ValueError("a workload needs at least one step")
-        if self.step_seconds < 0.0:
-            raise ValueError("step pacing cannot be negative")
-        if self.resolver_pools < 1:
-            raise ValueError("a workload needs at least one resolver pool")
-        if self.trace_dwell_steps < 0:
-            raise ValueError("trace dwell steps cannot be negative")
-        if self.engine not in ("event", "legacy"):
-            raise ValueError("engine must be 'event' or 'legacy'")
-        if self.cohort_min_clients < 1:
-            raise ValueError("cohort threshold must be positive")
-        if self.tracers_per_cohort < 1:
-            raise ValueError("a cohort needs at least one tracer")
-        if self.autoscale is not None and self.telemetry is None:
-            raise ValueError(
-                "the autoscaler reads only telemetry roll-ups; "
-                "set WorkloadConfig.telemetry alongside autoscale"
-            )
-
-
-@dataclass
-class FleetClient:
-    """One simulated device: client stack + mobility + its own RNG stream."""
-
-    index: int
-    client: OpenFlameClient
-    mobility: MobilityModel
-    rng: random.Random
-    net_rng: random.Random | None = None
-    """Jitter/loss RNG stream for this device's network exchanges (only set
-    when the federation's latency model is stochastic)."""
-    weight: int = 1
-    """Devices this client stands for: 1 on the exact path; a tracer on the
-    cohort fast path answers for itself plus ``weight - 1`` phantoms."""
-    position: LatLng = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.position = self.mobility.reset(self.rng)
-
-    def advance(self) -> LatLng:
-        self.position = self.mobility.step(self.rng)
-        return self.position
-
-
-@dataclass
-class WorkloadReport:
-    """The outcome of one workload run."""
-
-    metrics: MetricsRegistry
-    requests: int
-    errors: int
-    discovery_cache_hits: int
-    discovery_cache_misses: int
-    tile_cache_hits: int
-    tile_cache_misses: int
-    dns_cache_hit_rate: float
-    simulated_seconds: float
-    server_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-    """Per-map-server load-model snapshot (utilization, queue depth, drops,
-    workers); empty when the federation runs without a server-side queue
-    model."""
-    dns_pool_hit_rates: tuple[float, ...] = ()
-    """Hit rate of each shared regional resolver pool, in pool order."""
-    failover: FailoverRecorder = field(default_factory=FailoverRecorder)
-    """Fleet-aggregated failover accounting (attempts, failed chains, stale
-    attempts, failover latencies)."""
-    failed_requests: int = 0
-    """Client requests that got no service at all: every map-server chain
-    they tried exhausted its replicas (or routing found nothing to stitch)."""
-    churn_events_applied: int = 0
-    rediscoveries: int = 0
-    rejoins_unseen: int = 0
-    """Rejoined servers that saw no traffic again before the run ended."""
-    replica_groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    """Replica-group membership at the end of the run (group id → server
-    ids), used to fold ``server_stats`` into per-group balance metrics."""
-    control_stats: dict[str, float] = field(default_factory=dict)
-    """Operator-control-plane outcome: events applied/rejected, devices whose
-    stale SRV view was tracked, and the time-to-converge tail (p50/p95 of
-    seconds from a control event landing at the authority to each tracked
-    device's view catching up).  Empty when the run had no control tape."""
-    sampling: dict[str, float] = field(default_factory=dict)
-    """Cohort-fast-path accounting (cohorts, tracers, max weight); empty on
-    the exact path, so small-fleet snapshots carry no extra keys and the
-    committed benchmark artifacts stay byte-identical."""
-    degraded_requests: int = 0
-    """Requests served from a stale-while-unreachable cached SRV view after
-    live discovery failed (graceful degradation, not full service)."""
-    fault_stats: dict[str, float] = field(default_factory=dict)
-    """Fault-injection outcome: tape events applied/skipped, degraded
-    (stale-served) requests and stale cache serves.  Empty when the run had
-    no fault plan, so fault-free snapshots carry no extra keys."""
-    telemetry: TelemetryPipeline | None = None
-    """The run's sealed telemetry windows and their roll-up queries (demand
-    heatmaps, per-cell percentiles, zonal queue maps, per-region SLO burn).
-    ``None`` when the run collected no telemetry, so telemetry-free
-    snapshots carry no extra keys."""
-    autoscale_stats: dict[str, float] = field(default_factory=dict)
-    """Autoscaler outcome: evaluations, applied/rejected ops, promotions,
-    ramp steps, parks, flaps, and the replica-seconds cost integral.  Empty
-    when the run had no autoscaler, so scaler-free snapshots carry no
-    extra keys."""
-    operator_stats: dict[str, float] = field(default_factory=dict)
-    """Operator-API outcome: requests issued/delivered, replays, per-family
-    rejections, timeouts, audit-log length, and — when a control tape rode
-    the API — tape retries and the delivery-lag tail (seconds from an
-    event's scripted instant to its op landing at the authority).  Empty
-    when the run had no operator config, so operator-free snapshots carry
-    no extra keys."""
-
-    @property
-    def discovery_cache_hit_rate(self) -> float:
-        total = self.discovery_cache_hits + self.discovery_cache_misses
-        return self.discovery_cache_hits / total if total else 0.0
-
-    @property
-    def tile_cache_hit_rate(self) -> float:
-        total = self.tile_cache_hits + self.tile_cache_misses
-        return self.tile_cache_hits / total if total else 0.0
-
-    def latency_percentiles(self, service: str = "all") -> dict[str, float]:
-        # Read without the creating accessor: querying a service that saw no
-        # traffic must not grow the registry (snapshots stay deterministic).
-        histogram = self.metrics.histograms.get(f"latency_ms.{service}")
-        if histogram is None:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        return {"p50": histogram.p50, "p95": histogram.p95, "p99": histogram.p99}
-
-    @property
-    def dropped_requests(self) -> int:
-        """Requests shed by overloaded map servers across the whole run."""
-        return int(sum(stats.get("dropped", 0.0) for stats in self.server_stats.values()))
-
-    def group_load_cvs(self) -> dict[str, float]:
-        """Per-replica-group coefficient of variation of replica utilization.
-
-        0.0 is a perfectly balanced group; the first-healthy funnel over an
-        all-healthy 4-replica group reads ≈1.73 (one replica serves, three
-        idle).  Groups without queue-model stats are skipped.
-        """
-        cvs: dict[str, float] = {}
-        for group_id, server_ids in sorted(self.replica_groups.items()):
-            loads = [
-                self.server_stats[server_id].get("utilization", 0.0)
-                for server_id in server_ids
-                if server_id in self.server_stats
-            ]
-            if len(loads) >= 2:
-                cvs[group_id] = load_cv(loads)
-        return cvs
-
-    @property
-    def replica_load_cv(self) -> float:
-        """The run's balance headline: mean utilization CV over replica groups."""
-        cvs = self.group_load_cvs()
-        return sum(cvs.values()) / len(cvs) if cvs else 0.0
-
-    @property
-    def failed_request_rate(self) -> float:
-        """Fraction of client requests that got no service at all."""
-        total = self.requests + self.errors
-        return self.failed_requests / total if total else 0.0
-
-    def availability(self) -> dict[str, float]:
-        """The run's availability metrics in one flat dict."""
-        recorder = self.failover
-        failover_tail = self.latency_percentiles("failover")
-        rediscovery = self.metrics.summaries.get("availability.rediscovery_seconds")
-        return {
-            "failed_requests": float(self.failed_requests),
-            "failed_request_rate": self.failed_request_rate,
-            "request_chains": float(recorder.chains),
-            "failed_chains": float(recorder.chains_failed),
-            "failed_chain_rate": recorder.failed_chain_rate,
-            "stale_attempts": float(recorder.stale_attempts),
-            "stale_attempt_rate": recorder.stale_attempt_rate,
-            "failovers": float(recorder.failovers),
-            "backoff_ms_total": recorder.backoff_ms_total,
-            "dead_detections_own": float(recorder.dead_detections_own),
-            "dead_detections_shared": float(recorder.dead_detections_shared),
-            "detect_mean_ms": recorder.detect_mean_ms,
-            "failover_p50_ms": failover_tail["p50"],
-            "failover_p95_ms": failover_tail["p95"],
-            "failover_p99_ms": failover_tail["p99"],
-            "churn_events_applied": float(self.churn_events_applied),
-            "rediscoveries": float(self.rediscoveries),
-            "rejoins_unseen": float(self.rejoins_unseen),
-            "rediscovery_seconds_mean": rediscovery.mean if rediscovery is not None else 0.0,
-            "rediscovery_seconds_max": (
-                rediscovery.maximum if rediscovery is not None and rediscovery.count else 0.0
-            ),
-        }
-
-    def snapshot(self) -> dict[str, float]:
-        """One flat, deterministic dict describing the whole run."""
-        data = dict(sorted(self.metrics.snapshot().items()))
-        data["requests"] = float(self.requests)
-        data["errors"] = float(self.errors)
-        data["discovery_cache.hit_rate"] = self.discovery_cache_hit_rate
-        data["tile_cache.hit_rate"] = self.tile_cache_hit_rate
-        data["dns_cache.hit_rate"] = self.dns_cache_hit_rate
-        data["simulated_seconds"] = self.simulated_seconds
-        for server_id in sorted(self.server_stats):
-            for stat, value in sorted(self.server_stats[server_id].items()):
-                data[f"server.{server_id}.{stat}"] = value
-        for pool_index, hit_rate in enumerate(self.dns_pool_hit_rates):
-            data[f"dns_pool.{pool_index}.hit_rate"] = hit_rate
-        for key, value in sorted(self.availability().items()):
-            data[f"availability.{key}"] = value
-        for group_id, cv in self.group_load_cvs().items():
-            data[f"balance.{group_id}.util_cv"] = cv
-        data["balance.replica_load_cv"] = self.replica_load_cv
-        for key, value in sorted(self.control_stats.items()):
-            data[f"control.{key}"] = value
-        for key, value in sorted(self.sampling.items()):
-            data[f"sampling.{key}"] = value
-        for key, value in sorted(self.fault_stats.items()):
-            data[f"faults.{key}"] = value
-        if self.telemetry is not None:
-            for key, value in sorted(self.telemetry.summary().items()):
-                data[f"telemetry.{key}"] = value
-        for key, value in sorted(self.autoscale_stats.items()):
-            data[f"autoscale.{key}"] = value
-        for key, value in sorted(self.operator_stats.items()):
-            data[f"operator.{key}"] = value
-        return data
 
 
 class WorkloadEngine:
@@ -463,10 +98,7 @@ class WorkloadEngine:
     ) -> None:
         self.scenario = scenario
         self.config = config or WorkloadConfig()
-        self._cohort_mode = (
-            self.config.engine == "event"
-            and self.config.clients >= self.config.cohort_min_clients
-        )
+        self._cohort_mode = self.config.clients >= self.config.cohort_min_clients
         # Large fleets get bounded streaming histograms by default so a
         # million-client sweep does not retain one float per observation; an
         # explicitly supplied registry always wins.
@@ -475,8 +107,9 @@ class WorkloadEngine:
         self._poi_sampler: ZipfSampler[PointOfInterest] = ZipfSampler(
             self.pois, self.config.zipf_exponent
         )
-        self.cohorts: list[Cohort] = []
-        self.fleet = self._build_fleet()
+        builder = FleetBuilder(scenario, self.config)
+        self.fleet = builder.build_fleet(self._cohort_mode)
+        self.cohorts: list[Cohort] = builder.cohorts
         self._device_by_index = {device.index: device for device in self.fleet}
         # Multiplier applied to every metric a request records; 1 except
         # while a cohort tracer answers for its phantoms.
@@ -498,7 +131,6 @@ class WorkloadEngine:
         self._pending_rediscovery: dict[str, tuple[float, int]] = {}
         self.operator_api: OperatorApi | None = None
         self.operator_client: OperatorClient | None = None
-        self._operator_adapter: OperatorControlAdapter | None = None
         if self.config.operator is not None:
             op_config = self.config.operator
             principals = PrincipalRegistry()
@@ -540,8 +172,8 @@ class WorkloadEngine:
         # (device index, server_id) -> (event instant, target (prio, weight)).
         self._pending_convergence: dict[tuple[int, str], tuple[float, tuple[int, int]]] = {}
         self._devices_tracked = 0
-        # Round-boundary observers, shared by both loops.  An empty list is
-        # a strict no-op, so observer-free runs stay byte-identical.
+        # Round-boundary observers.  An empty list is a strict no-op, so
+        # observer-free runs stay byte-identical.
         self._round_observers: list[RoundObserver] = []
         self.telemetry: TelemetryPipeline | None = None
         if self.config.telemetry is not None:
@@ -562,18 +194,11 @@ class WorkloadEngine:
 
             assert self.telemetry is not None  # enforced by WorkloadConfig
             scaler_control = None
-            if (
-                self.operator_client is not None
-                and self.config.operator is not None
-                and self.config.operator.route_autoscaler
-            ):
+            if self.operator_client is not None and self.config.operator.route_autoscaler:
                 # The autoscaler's batches travel the operator API like any
                 # console's: authenticated, audited, and (over the network
                 # transport) paying the same control-hop latency and loss.
-                self._operator_adapter = OperatorControlAdapter(
-                    client=self.operator_client
-                )
-                scaler_control = self._operator_adapter
+                scaler_control = OperatorControlAdapter(client=self.operator_client)
             self.autoscaler = Autoscaler(
                 federation=scenario.federation,
                 reader=TelemetryReader(pipeline=self.telemetry),
@@ -584,7 +209,10 @@ class WorkloadEngine:
 
     def add_round_observer(self, observer: RoundObserver) -> None:
         """Register a hook called as ``observer(round_index, now_seconds)``
-        after each round's end-of-round observations, by either loop."""
+        after each round's end-of-round observations, in registration
+        order.  Observers must not mutate engine state — they exist so
+        subsystems like telemetry can snapshot at round granularity without
+        the loop knowing about them."""
         self._round_observers.append(observer)
 
     # ------------------------------------------------------------------
@@ -611,143 +239,6 @@ class WorkloadEngine:
         random.Random(self.config.seed).shuffle(pois)
         return pois
 
-    def _mobility_spec(self, index: int) -> tuple[str, int]:
-        """Which mobility family (and store, for aisle walks) a device gets.
-
-        Shared by both fleet builders so the cohort planner's equivalence
-        classes are exactly the families the exact path would construct.
-        """
-        if self.scenario.stores and index % 3 == 1:
-            return ("aisle", (index // 3) % len(self.scenario.stores))
-        if index % 3 == 2:
-            return ("trace" if self.config.long_traces else "commute", 0)
-        return ("waypoint", 0)
-
-    def _commute_routes(self) -> tuple[list[LatLng], list[LatLng]]:
-        stores = self.scenario.stores
-        city_bounds = self.scenario.city.bounds
-        commute_stops = [store.entrance for store in stores[:2]]
-        if len(commute_stops) < 2:
-            commute_stops = [
-                city_bounds.south_west,
-                stores[0].entrance if stores else city_bounds.north_east,
-            ]
-        # Long traces tour the whole city: every store plus the far corners,
-        # so a circuit crosses each coverage boundary and — with dwell —
-        # outlives the registration TTLs.
-        trace_stops = [store.entrance for store in stores] + [
-            city_bounds.south_west,
-            city_bounds.north_east,
-        ]
-        return commute_stops, trace_stops
-
-    def _make_mobility(
-        self,
-        spec: tuple[str, int],
-        commute_stops: list[LatLng],
-        trace_stops: list[LatLng],
-    ) -> MobilityModel:
-        family, store_index = spec
-        if family == "aisle":
-            return AisleWalk(self.scenario.stores[store_index])
-        if family == "trace":
-            return CommuterTrace(
-                list(trace_stops), dwell_steps=self.config.trace_dwell_steps
-            )
-        if family == "commute":
-            return CommuterHandoff(list(commute_stops))
-        return RandomWaypoint(self.scenario.city.bounds)
-
-    def _make_device(
-        self,
-        index: int,
-        pools,
-        stochastic: bool,
-        mobility: MobilityModel,
-        weight: int = 1,
-    ) -> FleetClient:
-        seeds = derived_seed_streams(self.config.seed, index)
-        return FleetClient(
-            index=index,
-            client=self.scenario.federation.client(
-                stub_resolver=pools[index % len(pools)],
-                # A distinct weighted-selection stream per device: replica
-                # draws must not depend on fleet interleaving.
-                selection_seed=seeds["selection"],
-                backoff_seed=seeds["backoff"],
-            ),
-            mobility=mobility,
-            rng=random.Random(seeds["base"]),
-            # A distinct stream per device: network draws must not depend
-            # on how the fleet's requests interleave.
-            net_rng=random.Random(seeds["jitter"]) if stochastic else None,
-            weight=weight,
-        )
-
-    def _build_fleet(self) -> list[FleetClient]:
-        federation = self.scenario.federation
-        pools = federation.resolver_pool(self.config.resolver_pools)
-        # Fault runs always get per-device jitter streams: a gray failure can
-        # make a deterministic latency model draw loss mid-run, and those
-        # draws must not depend on how the fleet's requests interleave.
-        stochastic = (
-            federation.network.latency.is_stochastic or self.config.faults is not None
-        )
-        commute_stops, trace_stops = self._commute_routes()
-        if self._cohort_mode:
-            return self._build_cohort_fleet(pools, stochastic, commute_stops, trace_stops)
-        fleet: list[FleetClient] = []
-        for index in range(self.config.clients):
-            mobility = self._make_mobility(
-                self._mobility_spec(index), commute_stops, trace_stops
-            )
-            fleet.append(self._make_device(index, pools, stochastic, mobility))
-        return fleet
-
-    def _build_cohort_fleet(
-        self,
-        pools,
-        stochastic: bool,
-        commute_stops: list[LatLng],
-        trace_stops: list[LatLng],
-    ) -> list[FleetClient]:
-        """Plan cohorts over the whole fleet, materialize only the tracers.
-
-        A cohort is (mobility spec, resolver pool index): every device in it
-        would be built from the same store/route/bounds and talk to the same
-        shared resolver, so they differ only by RNG stream — exactly the
-        statistical identity tracer sampling needs.  Planning is one
-        arithmetic pass over the index range; device objects exist only for
-        tracers, which is what makes million-client fleets affordable.
-        """
-
-        def assignments():
-            for index in range(self.config.clients):
-                spec = self._mobility_spec(index)
-                pool_index = index % len(pools)
-                label = f"{spec[0]}{spec[1]}-pool{pool_index}"
-                yield index, (spec, pool_index), label
-
-        self.cohorts = plan_cohorts(assignments(), self.config.tracers_per_cohort)
-        fleet: list[FleetClient] = []
-        for cohort in self.cohorts:
-            spec, _pool_index = cohort.key
-            weights = cohort.tracer_weights()
-            for tracer_index, weight in zip(cohort.tracer_indices, weights):
-                device = self._make_device(
-                    tracer_index,
-                    pools,
-                    stochastic,
-                    self._make_mobility(spec, commute_stops, trace_stops),
-                    weight=weight,
-                )
-                cohort.tracers.append(device)
-                fleet.append(device)
-        # Fleet order (and thus every per-round interleaving) stays index
-        # order regardless of how cohorts were discovered.
-        fleet.sort(key=lambda device: device.index)
-        return fleet
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -761,119 +252,34 @@ class WorkloadEngine:
         Without this, large fleets would spuriously age every TTL between one
         client's consecutive requests.
 
-        ``config.engine`` picks the loop: the event-driven engine (default)
-        or the retained legacy round loop.  Below the cohort threshold the
-        two produce byte-identical snapshots (the equivalence suite gates
-        this); at or above it the event engine switches to cohort sampling.
+        A round is, in statement order: tapes (faults, then churn, then
+        control — which may itself advance the clock when control requests
+        pay a network hop), every device's or cohort's turn from the
+        instant the tapes left the clock at, the clock advance, the
+        rediscovery/convergence checks, and the round observers.
         """
-        if self.config.engine == "legacy":
-            return self.run_legacy()
-        return self._run_events()
-
-    def run_legacy(self) -> WorkloadReport:
-        """The original round loop, retained verbatim as the golden
-        reference ``tests/test_engine_equivalence.py`` compares the event
-        engine against."""
         network = self.scenario.federation.network
         clock = network.clock
         started_at = clock.now()
-        self._telemetry_begin(clock.now())
+        self._telemetry_begin(started_at)
         try:
             for round_index in range(self.config.steps):
                 self._apply_faults(clock.now())
                 self._apply_churn(clock.now())
                 self._apply_control(clock.now())
                 round_start = clock.now()
-                slowest = 0.0
-                for device in self.fleet:
-                    device.advance()
-                    kind = self.config.mix.sample(device.rng)
-                    self._issue(device, kind)
-                    slowest = max(slowest, clock.now() - round_start)
-                    clock.rewind_to(round_start)
-                clock.advance(slowest + self.config.step_seconds)
+                self._round_slowest = 0.0
+                if self._cohort_mode:
+                    for cohort in self.cohorts:
+                        self._run_cohort(cohort, round_start)
+                else:
+                    for device in self.fleet:
+                        self._run_device(device, round_start)
+                clock.advance(self._round_slowest + self.config.step_seconds)
                 self._observe_rediscoveries(clock.now())
                 self._observe_convergence(clock.now())
-                notify_round_end(self._round_observers, round_index, clock.now())
-        finally:
-            # Leave the shared network on its default jitter stream: direct
-            # (non-fleet) use after a run must not inherit the last device's.
-            network.set_jitter_stream(None)
-        return self._report(clock.now() - started_at)
-
-    def _schedule_round(self, heap: EventHeap, at: float) -> None:
-        """Queue one fleet round's fixed events at instant ``at``.
-
-        EventKind ranks make the pop order faults → churn → control → round
-        begin (which fans out the device/cohort events) → devices → round
-        end, replicating the legacy loop's statement order exactly.
-        """
-        if self.fault_injector is not None:
-            heap.push(at, EventKind.FAULT)
-        if self.churn_controller is not None:
-            heap.push(at, EventKind.CHURN)
-        if self.control_plane is not None:
-            heap.push(at, EventKind.CONTROL)
-        heap.push(at, EventKind.ROUND_BEGIN)
-        heap.push(at, EventKind.ROUND_END)
-
-    def _run_events(self) -> WorkloadReport:
-        """The event-driven loop: pop the heap dry, advancing the clock to
-        each event's instant.
-
-        Per-device work stays byte-identical to the legacy loop below the
-        cohort threshold because the heap's total order replays its
-        statement order; above the threshold ROUND_BEGIN fans out cohort
-        events instead of device events and the fast path takes over.
-        """
-        network = self.scenario.federation.network
-        clock = network.clock
-        started_at = clock.now()
-        heap = EventHeap()
-        rounds_remaining = self.config.steps
-        self._round_start = clock.now()
-        self._round_slowest = 0.0
-        self._telemetry_begin(clock.now())
-        self._schedule_round(heap, clock.now())
-        try:
-            while heap:
-                event = heap.pop()
-                # Networked control exchanges advance the clock *during* a
-                # CONTROL event, so a same-instant sibling (ROUND_BEGIN)
-                # can pop with its scheduled time already in the past;
-                # time only moves forward.
-                clock.advance_to(max(event.at_seconds, clock.now()))
-                if event.kind is EventKind.FAULT:
-                    self._apply_faults(clock.now())
-                elif event.kind is EventKind.CHURN:
-                    self._apply_churn(clock.now())
-                elif event.kind is EventKind.CONTROL:
-                    self._apply_control(clock.now())
-                elif event.kind is EventKind.ROUND_BEGIN:
-                    self._round_start = clock.now()
-                    self._round_slowest = 0.0
-                    if self._cohort_mode:
-                        for cohort in self.cohorts:
-                            heap.push(self._round_start, EventKind.COHORT, cohort)
-                    else:
-                        for device in self.fleet:
-                            heap.push(self._round_start, EventKind.DEVICE, device)
-                elif event.kind is EventKind.DEVICE:
-                    self._run_device(event.payload, self._round_start)
-                elif event.kind is EventKind.COHORT:
-                    self._run_cohort(event.payload, self._round_start)
-                else:  # ROUND_END
-                    clock.advance(self._round_slowest + self.config.step_seconds)
-                    self._observe_rediscoveries(clock.now())
-                    self._observe_convergence(clock.now())
-                    notify_round_end(
-                        self._round_observers,
-                        self.config.steps - rounds_remaining,
-                        clock.now(),
-                    )
-                    rounds_remaining -= 1
-                    if rounds_remaining > 0:
-                        self._schedule_round(heap, clock.now())
+                for observer in self._round_observers:
+                    observer(round_index, clock.now())
         finally:
             # Leave the shared network on its default jitter stream: direct
             # (non-fleet) use after a run must not inherit the last device's.

@@ -154,6 +154,43 @@ class TestCheckShStages:
         script = CHECK_SH.read_text()
         assert "check_docs_links.py" in script, "lint stage skips the docs link checker"
 
+    def test_smoke_gate_names_the_drifted_keys(self, tmp_path):
+        """A failing byte-gate must say *what* drifted: check.sh hands the
+        artifact to scripts/artifact_drift.py, which prints one
+        ``path: old -> new`` line per changed, added or removed leaf."""
+        import json
+        import subprocess
+        import sys
+
+        script = CHECK_SH.read_text()
+        assert 'python scripts/artifact_drift.py "$artifact"' in script
+        helper = REPO_ROOT / "scripts" / "artifact_drift.py"
+
+        def git(*args):
+            subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+        committed = {"drain": [{"cell": "direct", "lag": 7.57}, {"cell": "net", "lag": 5.3}], "gone": 1}
+        artifact = tmp_path / "BENCH_x.json"
+        artifact.write_text(json.dumps(committed))
+        git("init", "-q")
+        git("add", "BENCH_x.json")
+        committed["drain"][1]["lag"] = 7.67
+        del committed["gone"]
+        committed["new"] = True
+        artifact.write_text(json.dumps(committed))
+        result = subprocess.run(
+            [sys.executable, str(helper), "BENCH_x.json"],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.splitlines() == [
+            "  BENCH_x.json  drain[1].lag: 5.3 -> 7.67",
+            "  BENCH_x.json  gone: 1 -> '<absent>'",
+            "  BENCH_x.json  new: '<absent>' -> True",
+        ]
+
     def test_requirements_file_exists_for_pip_cache(self):
         requirements = (REPO_ROOT / "requirements-dev.txt").read_text()
         for package in ("pytest", "hypothesis", "numpy", "ruff"):

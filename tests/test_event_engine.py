@@ -1,10 +1,10 @@
-"""The event heap, cohort planning, and the large-fleet fast path.
+"""Cohort planning, config validation, and the large-fleet fast path.
 
-The byte-identity half of the engine refactor is gated by
-``test_engine_equivalence.py``; this module covers the new machinery
-itself: deterministic heap ordering, cohort partitioning arithmetic,
-tracer weighting, phantom load charging, and the fast path's scaling and
-determinism properties.
+The byte-identity half of the engine is gated by
+``test_engine_equivalence.py``; this module covers the fast-path machinery
+itself: cohort partitioning arithmetic, tracer weighting, phantom load
+charging, and the fast path's scaling and determinism properties — plus
+the configs :class:`WorkloadConfig` must reject at construction.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import time
 
 import pytest
 
+from repro.churn.schedule import ChurnSchedule
 from repro.core.config import FederationConfig
+from repro.faults.schedule import FaultPlan
+from repro.operator.config import OperatorConfig
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import (
     Cohort,
-    EventHeap,
-    EventKind,
     WorkloadConfig,
     WorkloadEngine,
     plan_cohorts,
@@ -34,47 +35,6 @@ def small_scenario(**kw):
     kw.setdefault("seed", 33)
     kw.setdefault("reuse_worlds", True)
     return build_scenario(**kw)
-
-
-class TestEventHeap:
-    def test_orders_by_time_then_kind_then_sequence(self):
-        heap = EventHeap()
-        heap.push(5.0, EventKind.ROUND_END)
-        heap.push(5.0, EventKind.CHURN)
-        heap.push(1.0, EventKind.DEVICE, payload="late-pushed, early-time")
-        heap.push(5.0, EventKind.DEVICE, payload="a")
-        heap.push(5.0, EventKind.DEVICE, payload="b")
-        heap.push(5.0, EventKind.CONTROL)
-        popped = [heap.pop() for _ in range(len(heap))]
-        assert [e.kind for e in popped] == [
-            EventKind.DEVICE,  # t=1.0
-            EventKind.CHURN,
-            EventKind.CONTROL,
-            EventKind.DEVICE,
-            EventKind.DEVICE,
-            EventKind.ROUND_END,
-        ]
-        # Same time + same kind pops FIFO by insertion sequence.
-        assert [e.payload for e in popped[3:5]] == ["a", "b"]
-
-    def test_kind_ranks_replicate_round_statement_order(self):
-        """The legacy loop's statement order is churn → control → round
-        begin → devices → round end; the IntEnum ranks must match it."""
-        assert (
-            EventKind.CHURN
-            < EventKind.CONTROL
-            < EventKind.ROUND_BEGIN
-            < EventKind.DEVICE
-            < EventKind.COHORT
-            < EventKind.ROUND_END
-        )
-
-    def test_peek_and_bool(self):
-        heap = EventHeap()
-        assert not heap
-        assert heap.peek() is None
-        event = heap.push(2.0, EventKind.DEVICE)
-        assert heap and heap.peek() is event
 
 
 class TestCohortPlanning:
@@ -110,15 +70,33 @@ class TestCohortPlanning:
 
 
 class TestConfigValidation:
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(engine="both")
-
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
             WorkloadConfig(cohort_min_clients=0)
         with pytest.raises(ValueError):
             WorkloadConfig(tracers_per_cohort=0)
+
+    def test_rejects_fault_region_no_device_lives_in(self):
+        """A device's region is ``index % resolver_pools``; a partition
+        scoped to a region beyond that would apply and cut nobody."""
+        plan = FaultPlan.partition(("a",), 10.0, 50.0, regions=(0, 2))
+        with pytest.raises(ValueError, match="client region 2"):
+            WorkloadConfig(resolver_pools=2, faults=plan)
+        WorkloadConfig(resolver_pools=3, faults=plan)
+
+    def test_rejects_operator_region_no_device_lives_in(self):
+        with pytest.raises(ValueError, match="operator region 1"):
+            WorkloadConfig(operator=OperatorConfig(region=1))
+        WorkloadConfig(resolver_pools=2, operator=OperatorConfig(region=1))
+
+    def test_rejects_non_positive_churn_lease(self):
+        for lease in (0.0, -5.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                WorkloadConfig(churn=ChurnSchedule(), churn_lease_seconds=lease)
+
+    def test_rejects_churn_lease_without_churn(self):
+        with pytest.raises(ValueError, match="no churn tape"):
+            WorkloadConfig(churn_lease_seconds=30.0)
 
 
 class TestCohortFastPath:
@@ -193,14 +171,6 @@ class TestCohortFastPath:
 
         small, large = total_arrivals(600), total_arrivals(1800)
         assert large == pytest.approx(3 * small, rel=0.1)
-
-    def test_legacy_engine_never_uses_cohorts(self):
-        config = WorkloadConfig(
-            clients=600, steps=1, seed=7, cohort_min_clients=500, engine="legacy"
-        )
-        engine = WorkloadEngine(small_scenario(), config)
-        assert not engine._cohort_mode
-        assert len(engine.fleet) == 600
 
     def test_scales_to_100k_clients_quickly(self):
         """The tentpole's scale target: a 100k-client fleet must build and

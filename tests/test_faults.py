@@ -6,12 +6,14 @@ infinite-transparent-retry bugfix), jittered/escalating retry policies,
 :class:`FaultPlan` tape semantics, the injector, and end-to-end workload
 runs under partitions / authority outages / gray failures — including the
 byte-identity guarantees: fault-free runs carry no fault keys, and the
-event engine stays equivalent to the legacy loop *with* a fault tape.
+round loop reproduces the retired legacy loop's digest *with* a fault tape.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -40,6 +42,8 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 WORLD_SEED = 33
+
+LEGACY_FAULT_RUN_SHA256 = "1a3bba1d0d0fec2957599197f93e54d38b043b6c91c8d0202a0015f3913c66a9"
 
 
 def _scenario(stale_serve_max_ms: float = 0.0, ttl: float = 120.0, reg_ttl: float = 3600.0):
@@ -439,33 +443,25 @@ class TestWorkloadUnderFaults:
         assert scenario.federation.network.faults is None
 
     def test_event_engine_equivalent_to_legacy_under_faults(self):
-        """The golden-reference equivalence holds with a fault tape: both
-        loops apply the same events at the same round boundaries."""
-
-        def run(loop: str) -> dict[str, float]:
-            scenario = _scenario()
-            victims = tuple(scenario.store_replica_ids(i)[0] for i in range(2))
-            plan = FaultPlan.partition(victims, 30.0, 90.0) + FaultPlan.gray(
-                (scenario.store_replica_ids(0)[1],),
-                50.0,
-                110.0,
-                latency_multiplier=6.0,
-                loss_probability=0.2,
-            )
-            engine = WorkloadEngine(
-                scenario,
-                WorkloadConfig(
-                    clients=10,
-                    steps=6,
-                    seed=7,
-                    step_seconds=20.0,
-                    faults=plan,
-                    engine=loop,
-                ),
-            )
-            return engine.run().snapshot()
-
-        assert run("event") == run("legacy")
+        """The round loop reproduces, byte for byte, the snapshot the
+        retired legacy loop produced under this fault tape (sha256 of the
+        canonical JSON, recorded at the commit that deleted that loop and
+        confirmed identical on the event loop there)."""
+        scenario = _scenario()
+        victims = tuple(scenario.store_replica_ids(i)[0] for i in range(2))
+        plan = FaultPlan.partition(victims, 30.0, 90.0) + FaultPlan.gray(
+            (scenario.store_replica_ids(0)[1],),
+            50.0,
+            110.0,
+            latency_multiplier=6.0,
+            loss_probability=0.2,
+        )
+        engine = WorkloadEngine(
+            scenario,
+            WorkloadConfig(clients=10, steps=6, seed=7, step_seconds=20.0, faults=plan),
+        )
+        snapshot = json.dumps(engine.run().snapshot(), sort_keys=True)
+        assert hashlib.sha256(snapshot.encode()).hexdigest() == LEGACY_FAULT_RUN_SHA256
 
 
 class TestScenarioLibrary:

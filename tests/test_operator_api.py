@@ -514,6 +514,46 @@ class TestEngineIntegration(_EngineScenarios):
         network = engine.scenario.federation.network
         assert network.stats.messages_by_kind.get("control.request", 0) >= 1
 
+    def test_networked_control_round_ends_after_its_devices_ran(self):
+        """A control exchange that advances the clock while round *k*'s tape
+        is applied must not reorder the round: round *k*'s observers fire
+        only after every device took its round-*k* turn, and paying the
+        control hop never makes the run *shorter* than the in-process one."""
+        scenario = _scenario()
+        drained = scenario.store_replica_ids(0)[0]
+        control_round = 2
+        tape = ControlSchedule.from_events(
+            [ControlEvent(control_round * self.STEP_SECONDS, ControlEventKind.DRAIN, drained)]
+        )
+        engine = WorkloadEngine(
+            scenario,
+            WorkloadConfig(
+                clients=12,
+                steps=5,
+                seed=7,
+                step_seconds=self.STEP_SECONDS,
+                control=tape,
+                operator=OperatorConfig(transport="network"),
+            ),
+        )
+        turns = {device.index: 0 for device in engine.fleet}
+        for device in engine.fleet:
+
+            def counted(advance=device.advance, index=device.index):
+                turns[index] += 1
+                return advance()
+
+            device.advance = counted
+        turns_at_round_end: list[tuple[int, set[int]]] = []
+        engine.add_round_observer(
+            lambda index, now: turns_at_round_end.append((index, set(turns.values())))
+        )
+        networked = engine.run()
+        assert networked.control_stats["events_applied"] == 1.0
+        assert turns_at_round_end == [(k, {k + 1}) for k in range(5)]
+        _, direct = self._run(operator=OperatorConfig(transport="direct"), steps=5)
+        assert networked.simulated_seconds >= direct.simulated_seconds
+
     def test_networked_runs_are_deterministic(self):
         def snapshot():
             _, report = self._run(operator=OperatorConfig(transport="network"))

@@ -6,13 +6,13 @@ selection/jitter/backoff streams as the base XOR a small salt.  A collision
 between any two streams of any two devices would silently correlate
 "independent" devices, which at 100k–1M clients is a statistics bug, not
 a curiosity.  These tests pin the invariants the collision-freedom
-argument in :func:`repro.workload.engine.derived_seed_streams` rests on
+argument in :func:`repro.workload.config.derived_seed_streams` rests on
 and brute-force distinctness over representative index ranges.
 """
 
 from __future__ import annotations
 
-from repro.workload.engine import (
+from repro.workload.config import (
     _BACKOFF_SEED_SALT,
     _CLIENT_SEED_STRIDE,
     _JITTER_SEED_SALT,
