@@ -6,7 +6,8 @@
 #             the byte-for-byte reproducibility gate on ALL committed
 #             artifacts (BENCH_e13.json .. BENCH_e20.json are written by
 #             the smoke sweeps themselves, so a drifting simulation fails
-#             the gate)
+#             the gate), and perfbench --quick (the host-time
+#             benchmark's own output checks on small inputs)
 #   --lint    ruff check + ruff format --check (skipped with a notice when
 #             ruff is not installed, so offline containers stay one-command;
 #             CI installs ruff and enforces it), plus the docs link
@@ -97,6 +98,13 @@ if $run_smoke; then
   echo "== benchmark smoke: E20 operator API (budgeted) =="
   python benchmarks/bench_e20_operator.py --smoke \
     --budget-seconds "${E20_SMOKE_BUDGET_SECONDS:-40}"
+
+  echo
+  echo "== benchmark smoke: perfbench --quick (host-time benchmark self-check) =="
+  # Not a measurement (one small repetition per workload, ~7s): fails on a
+  # simulated-output mismatch between repetitions, a switched-off layer
+  # making calls, or any of the suite's output checks.
+  PYTHONPATH="$PYTHONPATH:." python -m perfbench --quick --out "$(mktemp)"
 
   drifted=false
   for artifact in BENCH_e13.json BENCH_e14.json BENCH_e15.json BENCH_e16.json BENCH_e17.json BENCH_e18.json BENCH_e19.json BENCH_e20.json; do

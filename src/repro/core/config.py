@@ -9,6 +9,7 @@ from repro.churn.retry import RetryPolicy
 from repro.discovery.naming import DEFAULT_DISCOVERY_SUFFIX
 from repro.simulation.network import LatencyModel
 from repro.simulation.queueing import ServiceTimeModel
+from repro.spatialindex.cellid import MAX_LEVEL
 from repro.spatialindex.covering import CoveringOptions
 
 
@@ -98,6 +99,28 @@ class FederationConfig:
                 f"unknown replica_selection {self.replica_selection!r}; "
                 f"expected one of {SELECTION_MODES}"
             )
+        covering = self.registration_covering
+        if not (1 <= self.discovery_level <= MAX_LEVEL):
+            raise ValueError(f"discovery_level must be in [1, {MAX_LEVEL}]")
+        if self.discovery_ancestor_levels < 0:
+            raise ValueError("discovery_ancestor_levels cannot be negative")
+        if covering.max_level > self.discovery_level:
+            raise ValueError(
+                f"registration_covering.max_level ({covering.max_level}) is finer than "
+                f"discovery_level ({self.discovery_level}): the discovery walk only climbs, "
+                "so registrations below the query level would never be found"
+            )
+        if self.discovery_level - self.discovery_ancestor_levels > covering.min_level:
+            raise ValueError(
+                f"the discovery walk stops at level "
+                f"{self.discovery_level - self.discovery_ancestor_levels}, short of "
+                f"registration_covering.min_level ({covering.min_level}): coarse "
+                "registrations would never be found; raise discovery_ancestor_levels"
+            )
+        if self.device_discovery_cache_ttl_seconds < 0.0:
+            raise ValueError("device_discovery_cache_ttl_seconds cannot be negative")
+        if self.discovery_cache_max_entries < 1:
+            raise ValueError("discovery_cache_max_entries must be >= 1")
         if self.shared_health_ttl_seconds <= 0.0:
             raise ValueError("shared_health_ttl_seconds must be positive")
         if self.stale_serve_max_ms < 0.0:

@@ -50,6 +50,10 @@ def _ancestor_walk(naming: SpatialNaming, token: str, ancestor_levels: int) -> t
     return tuple(naming.ancestor_names(CellId(token))[: ancestor_levels + 1])
 
 
+_NOTHING_WALKED: tuple[tuple[str, ...], float, bool] = ((), math.inf, False)
+"""The merged outcome of an empty walk: no servers, never expires, no failure."""
+
+
 @dataclass(frozen=True, slots=True)
 class DiscoveryResult:
     """The outcome of one discovery query."""
@@ -89,6 +93,10 @@ class Discoverer:
     default) disables stale serving entirely."""
 
     def __post_init__(self) -> None:
+        if self.ancestor_levels < 0:
+            raise ValueError("ancestor_levels cannot be negative")
+        if self.max_query_cells < 1:
+            raise ValueError("max_query_cells must be >= 1")
         if self.naming is None:
             self.naming = SpatialNaming()
         self.cache = DiscoveryCache(
@@ -150,59 +158,69 @@ class Discoverer:
     # Internals
     # ------------------------------------------------------------------
     def _discover_cells(self, cells: list[CellId]) -> DiscoveryResult:
+        """Walk ``cells`` (all at ``query_level``, so all walks are equally
+        long) and merge what their names resolve to."""
         servers: list[str] = []
         seen: set[str] = set()
         # Single-flight tables for this query batch: duplicate queries for a
         # cell (or for a name shared between two cells' ancestor walks) issued
         # while the first one is logically in flight coalesce onto its result
-        # instead of issuing more DNS traffic.
-        name_results: dict[str, tuple[list[str], float, bool]] = {}
-        cell_results: dict[str, list[str]] = {}
+        # instead of issuing more DNS traffic.  ``walked[name]`` is the merged
+        # outcome of the walk from ``name`` upward — (servers, earliest
+        # expiry, any failure) — so a cell whose parent was already walked
+        # resolves one name and reuses the rest in one probe.
+        walked: dict[str, tuple[tuple[str, ...], float, bool]] = {}
+        cell_results: dict[str, tuple[str, ...]] = {}
         lookups = 0
         coalesced = 0
+        clock = self.resolver.network.clock
+        # With the device cache off (the default) every probe of it misses
+        # and every store is dropped, so the walk does not make them.
+        caching = self.cache.enabled
 
         for cell in cells:
-            inflight = cell_results.get(cell.token)
-            if inflight is not None:
-                cell_servers = inflight
+            cell_servers = cell_results.get(cell.token)
+            if cell_servers is not None:
                 coalesced += 1
             else:
-                cached = self.cache.get(cell.token)
-                if cached is not None:
-                    cell_servers = list(cached)
-                else:
-                    cell_servers = []
-                    cell_expires_at = math.inf
-                    resolution_failed = False
-                    for name in self._names_for_cell(cell):
-                        if name not in name_results:
-                            lookups += 1
-                            name_results[name] = self._resolve_name(name)
-                        else:
-                            coalesced += 1
-                        name_servers, name_expires_at, name_failed = name_results[name]
-                        cell_servers.extend(name_servers)
-                        cell_expires_at = min(cell_expires_at, name_expires_at)
-                        resolution_failed = resolution_failed or name_failed
-                    # The expiry is absolute: the clock advances while the walk
-                    # resolves, and an entry derived from an answer expiring at
-                    # T must itself expire at T no matter when it is stored.
-                    self.cache.put(
-                        cell.token,
-                        cell_servers,
-                        ttl_seconds=cell_expires_at - self.resolver.network.clock.now(),
-                    )
-                    if not cell_servers and resolution_failed:
-                        # Graceful degradation: live resolution failed (not
-                        # "nobody covers this cell" — the authority could not
-                        # answer at all).  Serve a just-expired cached view if
-                        # one is still inside the stale window; the entry is
-                        # NOT re-cached, so the window stays anchored to the
-                        # moment the data went stale.
-                        stale = self.cache.get_stale(cell.token)
-                        if stale is not None:
-                            cell_servers = list(stale)
-                            self.stale_serves += 1
+                cell_servers = self.cache.get(cell.token) if caching else None
+                if cell_servers is None:
+                    walk = self._names_for_cell(cell)
+                    fresh = []
+                    rest = _NOTHING_WALKED
+                    for name in walk:
+                        known = walked.get(name)
+                        if known is not None:
+                            rest = known
+                            break
+                        # Deepest name first, one exchange each, in walk order.
+                        fresh.append((name, self._resolve_name(name)))
+                    lookups += len(fresh)
+                    coalesced += len(walk) - len(fresh)
+                    for name, (name_servers, expires_at, failed) in reversed(fresh):
+                        if rest[1] < expires_at:
+                            expires_at = rest[1]
+                        rest = walked[name] = (name_servers + rest[0], expires_at, failed or rest[2])
+                    cell_servers, cell_expires_at, resolution_failed = rest
+                    if caching:
+                        # The expiry is absolute: the clock advances while the
+                        # walk resolves, and an entry derived from an answer
+                        # expiring at T must itself expire at T no matter when
+                        # it is stored.
+                        self.cache.put(
+                            cell.token, cell_servers, ttl_seconds=cell_expires_at - clock.now()
+                        )
+                        if not cell_servers and resolution_failed:
+                            # Graceful degradation: live resolution failed (not
+                            # "nobody covers this cell" — the authority could
+                            # not answer at all).  Serve a just-expired cached
+                            # view if one is still inside the stale window; the
+                            # entry is NOT re-cached, so the window stays
+                            # anchored to the moment the data went stale.
+                            stale = self.cache.get_stale(cell.token)
+                            if stale is not None:
+                                cell_servers = stale
+                                self.stale_serves += 1
                 cell_results[cell.token] = cell_servers
 
             for server_id in cell_servers:
@@ -212,45 +230,46 @@ class Discoverer:
 
         return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced)
 
-    def _resolve_name(self, name: str) -> tuple[list[str], float, bool]:
+    def _resolve_name(self, name: str) -> tuple[tuple[str, ...], float, bool]:
         """Resolve one spatial name to ``(targets, absolute expiry, failed)``.
 
         The expiry bounds how long a device-cache entry derived from this
-        answer may live.  It is the instant the resolver's own cache entry
-        lapses (an answer served from a cache expiring in 10s must not seed a
-        120s device entry), falling back to the minimum record TTL for
-        answers the resolver did not cache, and to the resolver's negative
-        TTL for empty answers.  ``failed`` marks a *transient* resolution
-        failure (SERVFAIL/REFUSED) — the cue for stale-serve degradation —
-        as opposed to an authoritative "nobody covers this name".
+        answer may live: never past the instant the resolver itself stops
+        standing by the answer (``response.expires_at`` — an answer served
+        from a cache expiring in 10s must not seed a 120s device entry), nor
+        past the records' own TTL; an answer the resolver is not caching
+        expires at once.  ``failed`` marks a *transient* resolution failure
+        (SERVFAIL/REFUSED) — the cue for stale-serve degradation — as opposed
+        to an authoritative "nobody covers this name".
         """
         response = self.resolver.resolve(name, MAP_SERVER_RECORD_TYPE)
-        dns_cache = self.resolver.recursive.cache
         now = self.resolver.network.clock.now()
-        remaining = dns_cache.remaining_ttl(name, MAP_SERVER_RECORD_TYPE)
         if response.code not in (ResponseCode.NOERROR, ResponseCode.NXDOMAIN):
             # Transient failures (SERVFAIL/REFUSED) are deliberately not
             # cached by the resolver; the device cache must not negative-cache
             # them either, or it would hide the recovery an uncached client
             # sees on its very next query.
-            return [], now, True
-        if response.code != ResponseCode.NOERROR or not response.answers:
-            ttl = remaining if remaining is not None else dns_cache.negative_ttl_seconds
-            return [], now + ttl, False
-        matching = [r for r in response.answers if r.record_type == MAP_SERVER_RECORD_TYPE]
-        if not matching:
-            ttl = remaining if remaining is not None else dns_cache.negative_ttl_seconds
-            return [], now + ttl, False
-        decoded = [SrvData.decode(record.data) for record in matching]
-        targets = []
-        for srv in decoded:
-            # The freshest SRV data this device has actually seen for the
-            # target; weighted replica selection reads this view.
-            self.srv_view[srv.target] = (srv.priority, srv.weight)
-            targets.append(srv.target)
-        ttl = min(record.ttl_seconds for record in matching)
-        if remaining is not None:
-            ttl = min(ttl, remaining)
+            return (), now, True
+        targets: tuple[str, ...] = ()
+        ttl = math.inf
+        if response.answers and response.code == ResponseCode.NOERROR:
+            found = []
+            for record in response.answers:
+                if record.record_type == MAP_SERVER_RECORD_TYPE:
+                    srv = SrvData.decode(record.data)
+                    # The freshest SRV data this device has actually seen for
+                    # the target; weighted replica selection reads this view.
+                    self.srv_view[srv.target] = (srv.priority, srv.weight)
+                    found.append(srv.target)
+                    if record.ttl_seconds < ttl:
+                        ttl = record.ttl_seconds
+            targets = tuple(found)
+        if response.expires_at is None:
+            ttl = 0.0
+        else:
+            remaining = response.expires_at - now
+            if remaining < ttl:
+                ttl = remaining
         return targets, now + ttl, False
 
     def _names_for_cell(self, cell: CellId) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dns.message import DnsResponse, Question, ResponseCode
 from repro.dns.records import RecordType, ResourceRecord, normalize_name
 from repro.simulation.clock import SimulatedClock
 
@@ -34,121 +35,113 @@ class CacheStats:
 
 
 @dataclass
-class _PositiveEntry:
-    records: list[ResourceRecord]
-    expires_at: float
-
-
-@dataclass
-class _NegativeEntry:
-    expires_at: float
-
-
-@dataclass
 class DnsCache:
-    """A TTL cache for DNS answers keyed by (name, type)."""
+    """A TTL cache for DNS answers keyed by (name, type).
+
+    An entry is the :class:`DnsResponse` the cache answers with: the cached
+    records (none for a negative entry — NXDOMAIN / NODATA), ``from_cache``
+    set, and ``expires_at`` the absolute instant on ``clock`` it lapses, so
+    whoever is handed the answer can bound what they derive from it without
+    asking the cache a second time.  A key holds at most one entry, positive
+    or negative: inserting either kind replaces whatever was there.
+    ``max_entries`` bounds both kinds together.
+    """
 
     clock: SimulatedClock
     max_entries: int = 10_000
     negative_ttl_seconds: float = DEFAULT_NEGATIVE_TTL_SECONDS
     stats: CacheStats = field(default_factory=CacheStats)
-    _positive: dict[tuple[str, RecordType], _PositiveEntry] = field(default_factory=dict)
-    _negative: dict[tuple[str, RecordType], _NegativeEntry] = field(default_factory=dict)
+    _entries: dict[tuple[str, RecordType], DnsResponse] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, name: str, record_type: RecordType) -> list[ResourceRecord] | None:
-        """Cached answer records, or None on a miss.
+    def lookup(self, name: str, record_type: RecordType) -> DnsResponse | None:
+        """The live cached answer for ``name``/``record_type``, or None on a miss.
 
-        A negative-cache hit returns an empty list (distinct from None).
+        A negative-cache hit is an NXDOMAIN answer with no records (distinct
+        from None).  Every hit on a key returns the same object: read it, do
+        not mutate it.
         """
         key = (normalize_name(name), record_type)
-        now = self.clock.now()
-
-        negative = self._negative.get(key)
-        if negative is not None:
-            if negative.expires_at > now:
-                self.stats.negative_hits += 1
-                return []
-            del self._negative[key]
-
-        entry = self._positive.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        if entry.expires_at <= now:
-            del self._positive[key]
-            self.stats.evictions += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return list(entry.records)
+        entry = self._entries.get(key)
+        if entry is not None:
+            if entry.expires_at > self.clock.now():
+                if entry.answers:
+                    self.stats.hits += 1
+                else:
+                    self.stats.negative_hits += 1
+                return entry
+            self._drop_expired(key, entry)
+        self.stats.misses += 1
+        return None
 
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def put(self, name: str, record_type: RecordType, records: list[ResourceRecord]) -> None:
-        """Cache a positive answer using the minimum TTL across records."""
-        if not records:
-            self.put_negative(name, record_type)
-            return
-        key = (normalize_name(name), record_type)
-        ttl = min(record.ttl_seconds for record in records)
-        if ttl <= 0:
-            return
-        self._evict_if_full()
-        self._positive[key] = _PositiveEntry(list(records), self.clock.now() + ttl)
-        self.stats.insertions += 1
+    def put(
+        self, name: str, record_type: RecordType, records: list[ResourceRecord]
+    ) -> DnsResponse | None:
+        """Cache a positive answer using the minimum TTL across records.
 
-    def put_negative(self, name: str, record_type: RecordType, ttl: float | None = None) -> None:
-        """Cache the absence of records at ``name``/``record_type``."""
-        key = (normalize_name(name), record_type)
-        ttl_value = self.negative_ttl_seconds if ttl is None else ttl
-        if ttl_value <= 0:
-            return
-        self._negative[key] = _NegativeEntry(self.clock.now() + ttl_value)
-        self.stats.insertions += 1
-
-    def _evict_if_full(self) -> None:
-        if len(self._positive) < self.max_entries:
-            return
-        now = self.clock.now()
-        expired = [key for key, entry in self._positive.items() if entry.expires_at <= now]
-        for key in expired:
-            del self._positive[key]
-            self.stats.evictions += 1
-        if len(self._positive) >= self.max_entries:
-            # Evict the entry closest to expiry.
-            victim = min(self._positive, key=lambda k: self._positive[k].expires_at)
-            del self._positive[victim]
-            self.stats.evictions += 1
-
-    def remaining_ttl(self, name: str, record_type: RecordType) -> float | None:
-        """Seconds until the cached entry for ``name``/``record_type`` expires.
-
-        Returns None when nothing (live) is cached.  Unlike :meth:`get` this
-        never mutates the cache or its statistics, so layered caches can use
-        it to clamp their own entry lifetimes to the DNS data they were
-        derived from.
+        Returns the stored entry, or None when the answer is not cacheable
+        (a zero TTL).
         """
-        key = (normalize_name(name), record_type)
+        if not records:
+            return self.put_negative(name, record_type)
+        return self._store(name, record_type, list(records), min(r.ttl_seconds for r in records))
+
+    def put_negative(
+        self, name: str, record_type: RecordType, ttl: float | None = None
+    ) -> DnsResponse | None:
+        """Cache the absence of records at ``name``/``record_type``."""
+        return self._store(
+            name, record_type, [], self.negative_ttl_seconds if ttl is None else ttl
+        )
+
+    def _store(
+        self, name: str, record_type: RecordType, records: list[ResourceRecord], ttl: float
+    ) -> DnsResponse | None:
+        if ttl <= 0:
+            return None
+        self._make_room()
+        question = Question(name, record_type)
+        entry = self._entries[(question.name, record_type)] = DnsResponse(
+            question,
+            code=ResponseCode.NOERROR if records else ResponseCode.NXDOMAIN,
+            answers=records,
+            from_cache=True,
+            expires_at=self.clock.now() + ttl,
+        )
+        self.stats.insertions += 1
+        return entry
+
+    def _make_room(self) -> None:
+        if len(self._entries) < self.max_entries:
+            return
         now = self.clock.now()
-        entry = self._positive.get(key)
-        if entry is not None and entry.expires_at > now:
-            return entry.expires_at - now
-        negative = self._negative.get(key)
-        if negative is not None and negative.expires_at > now:
-            return negative.expires_at - now
-        return None
+        expired = [(key, entry) for key, entry in self._entries.items() if entry.expires_at <= now]
+        for key, entry in expired:
+            self._drop_expired(key, entry)
+        if len(self._entries) >= self.max_entries:
+            # Evict the entry closest to expiry.
+            victim = min(self._entries, key=lambda k: self._entries[k].expires_at)
+            del self._entries[victim]
+            self.stats.evictions += 1
+
+    def _drop_expired(self, key: tuple[str, RecordType], entry: DnsResponse) -> None:
+        """Remove a lapsed entry; only lapsed *answers* count as evictions
+        (a lapsed negative entry was never holding data)."""
+        del self._entries[key]
+        if entry.answers:
+            self.stats.evictions += 1
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        self._positive.clear()
-        self._negative.clear()
+        self._entries.clear()
 
     @property
     def size(self) -> int:
-        return len(self._positive) + len(self._negative)
+        return len(self._entries)

@@ -39,6 +39,13 @@ class DnsResponse:
     additional: list[ResourceRecord] = field(default_factory=list)
     authoritative: bool = False
     from_cache: bool = False
+    expires_at: float | None = None
+    """Absolute instant (on the answering resolver's clock) until which the
+    resolver will keep giving this answer from its cache; ``None`` when it
+    is not caching it (SERVFAIL, a zero TTL, an authority's own response).
+    Set only by :meth:`repro.dns.resolver.RecursiveResolver.resolve`, so a
+    device can bound what it derives from the answer without ever reading
+    the resolver's cache."""
 
     @property
     def is_referral(self) -> bool:

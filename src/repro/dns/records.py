@@ -132,7 +132,14 @@ class SrvData:
         return f"{self.priority} {self.weight} {self.port} {self.target}"
 
     @classmethod
+    @lru_cache(maxsize=4096)
     def decode(cls, data: str) -> "SrvData":
+        """Parse :meth:`encode`'s format.
+
+        Memoized on the data string (instances are frozen, so sharing one is
+        safe): a run advertises a few dozen distinct SRV strings and reads
+        them back on every discovery answer and registry scan.
+        """
         parts = data.split(maxsplit=3)
         if len(parts) != 4:
             raise ValueError(f"malformed SRV data {data!r}")

@@ -60,23 +60,28 @@ class RecursiveResolver:
     # Resolution
     # ------------------------------------------------------------------
     def resolve(self, name: str, record_type: RecordType) -> DnsResponse:
-        """Resolve ``name``/``record_type``, using the cache when possible."""
-        self.stats.queries += 1
-        question = Question(name, record_type)
+        """Resolve ``name``/``record_type``, using the cache when possible.
 
-        cached = self.cache.get(name, record_type)
+        The response says how long this resolver will stand by it
+        (``expires_at``), whether it came out of the cache or was cached
+        just now.
+        """
+        self.stats.queries += 1
+        cached = self.cache.lookup(name, record_type)
         if cached is not None:
             self.stats.cache_answers += 1
-            code = ResponseCode.NOERROR if cached else ResponseCode.NXDOMAIN
-            return DnsResponse(question, code=code, answers=cached, from_cache=True)
+            return cached
 
-        response = self._resolve_iteratively(question)
+        response = self._resolve_iteratively(Question(name, record_type))
+        stored = None
         if response.code == ResponseCode.NOERROR and response.answers:
-            self.cache.put(name, record_type, response.answers)
+            stored = self.cache.put(name, record_type, response.answers)
         elif response.code in (ResponseCode.NXDOMAIN, ResponseCode.NOERROR):
-            self.cache.put_negative(name, record_type)
+            stored = self.cache.put_negative(name, record_type)
             if response.code == ResponseCode.NXDOMAIN:
                 self.stats.nxdomain += 1
+        if stored is not None:
+            response.expires_at = stored.expires_at
         return response
 
     def resolve_data(self, name: str, record_type: RecordType) -> list[str]:

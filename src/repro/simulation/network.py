@@ -357,11 +357,18 @@ class SimulatedNetwork:
         fail_on_exhaustion: bool = False,
     ) -> float:
         """Charge one request/response exchange and return its latency in ms."""
-        latency_ms = self._jittered(
-            2.0 * one_way_latency_ms,
-            server_id=server_id,
-            fail_on_exhaustion=fail_on_exhaustion,
-        )
+        latency_ms = 2.0 * one_way_latency_ms
+        model = self.latency
+        if (
+            model.jitter_sigma > 0.0
+            or model.loss_probability > 0.0
+            or (server_id is not None and self.faults is not None)
+        ):
+            # Only jitter, loss or a gray failure of ``server_id`` can change
+            # the latency or draw from the RNG; otherwise it is the constant.
+            latency_ms = self._jittered(
+                latency_ms, server_id=server_id, fail_on_exhaustion=fail_on_exhaustion
+            )
         self.clock.advance_ms(latency_ms)
         self.stats.record(kind, latency_ms)
         return latency_ms

@@ -59,6 +59,36 @@ def _bounds_of(token: str) -> BoundingBox:
     return BoundingBox(south, west, north, east)
 
 
+def _grid_position(point: LatLng, level: int) -> tuple[int, int]:
+    """``(row, col)`` of the level-``level`` cell containing ``point``.
+
+    Successive halving of the world rectangle, one row bit and one column
+    bit per level (rows count south→north, columns west→east) — the
+    position :meth:`CellId.from_indices` turns into a token.
+    """
+    if not (0 <= level <= MAX_LEVEL):
+        raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
+    latitude, longitude = point.latitude, point.longitude
+    south, west, north, east = _WORLD.south, _WORLD.west, _WORLD.north, _WORLD.east
+    row = col = 0
+    for _ in range(level):
+        mid_lat = (south + north) / 2.0
+        mid_lng = (west + east) / 2.0
+        row <<= 1
+        col <<= 1
+        if latitude >= mid_lat:
+            row |= 1
+            south = mid_lat
+        else:
+            north = mid_lat
+        if longitude >= mid_lng:
+            col |= 1
+            west = mid_lng
+        else:
+            east = mid_lng
+    return row, col
+
+
 @total_ordering
 @dataclass(frozen=True, slots=True)
 class CellId:
@@ -85,27 +115,7 @@ class CellId:
     @classmethod
     def from_point(cls, point: LatLng, level: int) -> "CellId":
         """The unique level-``level`` cell containing ``point``."""
-        if not (0 <= level <= MAX_LEVEL):
-            raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
-        south, west, north, east = _WORLD.south, _WORLD.west, _WORLD.north, _WORLD.east
-        digits = []
-        for _ in range(level):
-            mid_lat = (south + north) / 2.0
-            mid_lng = (west + east) / 2.0
-            if point.latitude >= mid_lat:
-                vertical = 1
-                south = mid_lat
-            else:
-                vertical = 0
-                north = mid_lat
-            if point.longitude >= mid_lng:
-                horizontal = 1
-                west = mid_lng
-            else:
-                horizontal = 0
-                east = mid_lng
-            digits.append(str(vertical * 2 + horizontal))
-        return cls("".join(digits))
+        return cls.from_indices(*_grid_position(point, level), level)
 
     @classmethod
     @lru_cache(maxsize=65536)

@@ -18,7 +18,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
 from repro.simulation.lru import LruCache
-from repro.spatialindex.cellid import MAX_LEVEL, CellId, _bounds_of
+from repro.spatialindex.cellid import MAX_LEVEL, CellId, _bounds_of, _grid_position
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +163,8 @@ def cells_at_level(box: BoundingBox, level: int, max_cells: int = 64) -> list[Ce
     # for every discovery query a fleet issues).
     south_west = LatLng(max(-90.0, box.south), max(-180.0, box.west))
     north_east = LatLng(min(90.0, box.north), min(180.0, box.east))
-    row0, col0 = CellId.from_point(south_west, level).indices()
-    row1, col1 = CellId.from_point(north_east, level).indices()
+    row0, col0 = _grid_position(south_west, level)
+    row1, col1 = _grid_position(north_east, level)
     row1, col1 = max(row0, row1), max(col0, col1)
     cells: list[CellId] = []
     # Same scan order as the historical implementation: south→north rows,

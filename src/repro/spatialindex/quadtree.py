@@ -9,6 +9,7 @@ and nearest-neighbour queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Generic, Iterator, TypeVar
 
 from repro.geometry.bbox import BoundingBox
@@ -69,12 +70,16 @@ class QuadTree(Generic[T]):
 
     def query_radius(self, center: LatLng, radius_meters: float) -> list[tuple[LatLng, T]]:
         """All pairs within ``radius_meters`` of ``center``."""
-        box = BoundingBox.around(center, radius_meters)
-        return [
-            (point, value)
-            for point, value in self.query_box(box)
-            if center.distance_to(point) <= radius_meters
-        ]
+        return [(point, value) for _, point, value in self._within(center, radius_meters)]
+
+    def _within(self, center: LatLng, radius_meters: float) -> list[tuple[float, LatLng, T]]:
+        """``(distance, point, value)`` for every pair within ``radius_meters``."""
+        hits = []
+        for point, value in self.query_box(BoundingBox.around(center, radius_meters)):
+            distance = center.distance_to(point)
+            if distance <= radius_meters:
+                hits.append((distance, point, value))
+        return hits
 
     def nearest(self, center: LatLng, count: int = 1) -> list[tuple[LatLng, T]]:
         """The ``count`` entries nearest to ``center`` (brute-force fallback on
@@ -88,10 +93,11 @@ class QuadTree(Generic[T]):
         # the query point lies far outside the tree's bounds.
         max_radius = self._bounds.diagonal_meters() + center.distance_to(self._bounds.center) + 1.0
         while radius <= max_radius:
-            hits = self.query_radius(center, radius)
+            hits = self._within(center, radius)
             if len(hits) >= count:
-                hits.sort(key=lambda item: center.distance_to(item[0]))
-                return hits[:count]
+                # The radius filter already measured every candidate.
+                hits.sort(key=itemgetter(0))
+                return [(point, value) for _, point, value in hits[:count]]
             radius *= 2.0
         hits = sorted(self, key=lambda item: center.distance_to(item[0]))
         return hits[:count]

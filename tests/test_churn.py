@@ -719,9 +719,9 @@ class TestCacheExpiryUnderRewindingClock:
 
         # The resolver cache holds no live positive entry naming the dead
         # server: every cached answer lapsed on schedule.
-        for entry in list(dns_cache._positive.values()):
+        for entry in list(dns_cache._entries.values()):
             assert entry.expires_at <= clock.now() or all(
-                "churnstore" not in record.data for record in entry.records
+                "churnstore" not in record.data for record in entry.answers
             )
 
         # Revive: within one record TTL (which also bounds the negative

@@ -133,6 +133,15 @@ class TestCheckShStages:
             assert bench in script, f"check.sh does not run {bench}"
             assert f'"${{{budget}:-{default_seconds}}}"' in script, f"check.sh does not budget via {budget}"
 
+    def test_smoke_stage_runs_the_perfbench_self_check(self):
+        """The host-time benchmark's output checks (equal simulated output
+        across repetitions, off layers making no calls) run on every push;
+        the record goes to a temp file, never into the tree."""
+        script = CHECK_SH.read_text()
+        assert 'python -m perfbench --quick --out "$(mktemp)"' in script
+        smoke_stage = script[script.index("if $run_smoke; then") : script.index("if $run_lint; then")]
+        assert "perfbench --quick" in smoke_stage, "perfbench runs outside the smoke stage"
+
     def test_ci_summary_renders_every_artifact(self):
         summary = (REPO_ROOT / "scripts" / "ci_summary.py").read_text()
         for artifact in (

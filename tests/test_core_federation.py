@@ -10,6 +10,7 @@ from repro.core.federation import Federation
 from repro.geometry.point import LatLng
 from repro.mapserver.auth import Credential
 from repro.mapserver.policy import AccessPolicy, ServiceName
+from repro.spatialindex.covering import CoveringOptions
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.outdoor import generate_city
 
@@ -69,11 +70,40 @@ class TestFederationLifecycle:
         assert server.policy is policy
 
     def test_custom_config_respected(self):
-        config = FederationConfig(discovery_suffix="loc.custom.example", discovery_level=16)
+        config = FederationConfig(
+            discovery_suffix="loc.custom.example",
+            discovery_level=16,
+            registration_covering=CoveringOptions(min_level=12, max_level=16, max_cells=64),
+        )
         federation = Federation(config=config)
         assert federation.naming.suffix == "loc.custom.example"
         context = federation.build_context()
         assert context.discoverer.query_level == 16
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"discovery_ancestor_levels": -1}, "discovery_ancestor_levels"),
+            ({"discovery_level": 0}, "discovery_level"),
+            ({"discovery_level": 99}, "discovery_level"),
+            # Finer registrations (default max_level=17) than the query level.
+            ({"discovery_level": 15}, "finer than"),
+            ({"discovery_level": 16}, "finer than"),
+            # The walk would stop at level 15, above min_level=13 registrations.
+            ({"discovery_ancestor_levels": 2}, "stops at level 15"),
+            ({"discovery_cache_max_entries": 0}, "discovery_cache_max_entries"),
+            ({"device_discovery_cache_ttl_seconds": -1.0}, "device_discovery_cache_ttl_seconds"),
+        ],
+    )
+    def test_inconsistent_discovery_config_rejected(self, overrides, message):
+        """Each of these used to be accepted and then silently discover
+        nothing (or nothing coarse)."""
+        with pytest.raises(ValueError, match=message):
+            FederationConfig(**overrides)
+
+    def test_walk_reaching_exactly_the_coarsest_registration_is_accepted(self):
+        config = FederationConfig(discovery_ancestor_levels=4)  # 17 - 4 == min_level 13
+        assert config.discovery_ancestor_levels == 4
 
     def test_new_server_discoverable_immediately(self, federation: Federation):
         client = federation.client()

@@ -142,6 +142,12 @@ def _wire_discovery(registry: DiscoveryRegistry, network: SimulatedNetwork) -> D
 
 
 class TestDiscoverer:
+    @pytest.mark.parametrize("bad", [{"ancestor_levels": -1}, {"max_query_cells": 0}])
+    def test_bad_walk_bounds_rejected_at_construction(self, registry: DiscoveryRegistry, bad):
+        stub = _wire_discovery(registry, SimulatedNetwork()).resolver
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            Discoverer(resolver=stub, naming=registry.naming, **bad)
+
     def test_discovers_registered_server(self, registry: DiscoveryRegistry):
         network = SimulatedNetwork()
         registry.register_region("store.example", Polygon.regular(CENTER, 200.0))

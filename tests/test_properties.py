@@ -14,7 +14,7 @@ from repro.geometry.point import LatLng, LocalPoint
 from repro.geometry.projection import LocalProjection
 from repro.geometry.transform import estimate_similarity
 from repro.spatialindex import geohash
-from repro.spatialindex.cellid import CellId
+from repro.spatialindex.cellid import MAX_LEVEL, CellId, _grid_position
 from repro.spatialindex.covering import (
     CoveringOptions,
     RegionCoverer,
@@ -70,6 +70,40 @@ class TestCellProperties:
     @given(points, levels)
     def test_cell_contains_its_point(self, point: LatLng, level: int):
         assert CellId.from_point(point, level).contains_point(point)
+
+    @given(
+        st.one_of(
+            points,
+            # Exact cell boundaries at level <= 8: where `>=` vs `>` shows.
+            st.builds(
+                lambda row, col: LatLng(-90.0 + row * 0.703125, -180.0 + col * 1.40625),
+                st.integers(0, 256),
+                st.integers(0, 255),
+            ),
+        ),
+        st.integers(min_value=0, max_value=MAX_LEVEL),
+    )
+    def test_from_point_matches_the_digit_by_digit_halving(self, point: LatLng, level: int):
+        """``from_point`` accumulates row/column bits and builds the token
+        once; the reference appends one digit per halving, as it used to."""
+        south, west, north, east = -90.0, -180.0, 90.0, 180.0
+        digits = []
+        for _ in range(level):
+            mid_lat = (south + north) / 2.0
+            mid_lng = (west + east) / 2.0
+            vertical = horizontal = 0
+            if point.latitude >= mid_lat:
+                vertical, south = 1, mid_lat
+            else:
+                north = mid_lat
+            if point.longitude >= mid_lng:
+                horizontal, west = 1, mid_lng
+            else:
+                east = mid_lng
+            digits.append(str(vertical * 2 + horizontal))
+        cell = CellId.from_point(point, level)
+        assert cell.token == "".join(digits)
+        assert cell.indices() == _grid_position(point, level)
 
     @given(points, levels)
     def test_ancestor_chain_is_prefix_ordered(self, point: LatLng, level: int):

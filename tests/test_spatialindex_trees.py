@@ -70,6 +70,23 @@ class TestQuadTree:
         brute = sorted(range(len(points)), key=lambda i: center.distance_to(points[i]))[:5]
         assert {value for _, value in nearest} == set(brute)
 
+    def test_nearest_is_the_ring_query_stably_sorted_by_distance(self):
+        """``nearest`` reuses the ring filter's distances as its sort key; the
+        result must still be the ring re-measured and stably sorted — exact
+        ties (duplicate points) stay in traversal order."""
+        points = _random_points(80, seed=6)
+        points += points[:25]
+        tree: QuadTree[int] = QuadTree(AREA, capacity=4)
+        for index, point in enumerate(points):
+            tree.insert(point, index)
+        for center in _random_points(20, seed=7) + points[:5]:
+            radius = 50.0
+            while len(tree.query_radius(center, radius)) < 7:
+                radius *= 2.0
+            ring = tree.query_radius(center, radius)
+            expected = sorted(ring, key=lambda item: center.distance_to(item[0]))[:7]
+            assert tree.nearest(center, count=7) == expected
+
     def test_nearest_on_empty_tree(self):
         tree: QuadTree[int] = QuadTree(AREA)
         assert tree.nearest(LatLng(40.5, -79.5)) == []
