@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from repro.core.config import FederationConfig
+from repro.faults.scenarios import RETRY_POLICY, SERVER_QUEUE_CAPACITY, SERVICE_TIMES, WORLD_SEED
+from repro.worldgen.scenario import FederatedScenario, build_scenario
+
 
 def md1_mean_wait_ms(service_ms: float, utilization: float) -> float:
     """Mean queueing wait of an M/D/1 server (milliseconds).
@@ -95,3 +99,29 @@ def print_table(title: str, rows: list[dict[str, object]]) -> None:
             else:
                 cells.append(f"{str(value):>18s}")
         print(" | ".join(cells))
+
+
+def disaster_world(
+    device_ttl: float, dns_ttl: float, store_count: int = 2, store_replicas: int = 2
+) -> FederatedScenario:
+    """The E17-style disaster world E18–E20 build their cells on: a 5x5 city
+    with replicated stores under the fault library's service-time, queue and
+    retry models.  The experiments differ only in how fast clients may
+    converge (device-cache and DNS record TTLs) and in the replica layout."""
+    config = FederationConfig(
+        device_discovery_cache_ttl_seconds=device_ttl,
+        registration_ttl_seconds=dns_ttl,
+        client_tile_cache_entries=256,
+        service_times=SERVICE_TIMES,
+        server_queue_capacity=SERVER_QUEUE_CAPACITY,
+        retry_policy=RETRY_POLICY,
+    )
+    return build_scenario(
+        store_count=store_count,
+        city_rows=5,
+        city_cols=5,
+        config=config,
+        seed=WORLD_SEED,
+        reuse_worlds=True,
+        store_replicas=store_replicas,
+    )

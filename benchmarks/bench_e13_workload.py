@@ -17,31 +17,22 @@ Runs three ways:
   ``--budget-seconds``); like E14, the smoke sweep *is* the committed
   ``BENCH_e13.json`` artifact, so every check run re-verifies that it
   reproduces byte-for-byte;
-* the full sweep (no flags) runs 10 → 10,000 clients (~40 s); write it
-  elsewhere (``--json``) when tracking the long perf trajectory so it
-  does not clobber the gated smoke artifact.
+* the full sweep (no flags) runs 10 → 10,000 clients (~40 s) and writes
+  ``BENCH_e13_full.json``, so tracking the long perf trajectory never
+  clobbers the gated smoke artifact.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
+from types import SimpleNamespace
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
+from _util import check_md1_sanity, print_table
 from repro.core.config import FederationConfig
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import check_md1_sanity, print_table  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -70,13 +61,6 @@ SERVER_QUEUE_CAPACITY = 256
 requests in near-lockstep phases, so a shallow buffer sheds load well before
 the service rate itself saturates.  256 keeps drops a signal of genuine
 saturation (thousands of clients) rather than phase alignment."""
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e13.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e13_full.json"
-"""Default output of the full sweep, so exploratory 10→10k runs never
-clobber the byte-for-byte-gated smoke artifact."""
-
 
 def build_workload_scenario(cached: bool, seed: int = WORLD_SEED, loaded: bool = True):
     """The standard E13 world, with client caches and the server load model."""
@@ -132,6 +116,7 @@ def run_fleet(
         "_server_stats": report.server_stats,
         "_wall_seconds": wall_seconds,
         "_simulated_seconds": report.simulated_seconds,
+        "_snapshot_digest": digest(report.snapshot()),
     }
 
 
@@ -143,16 +128,9 @@ def sweep(fleet_sizes: list[int], steps: int) -> list[dict[str, object]]:
     return rows
 
 
-def table_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [
-        {key: value for key, value in row.items() if not key.startswith("_")}
-        for row in rows
-    ]
-
-
-def emit_json(rows: list[dict[str, object]], steps: int, path: Path) -> None:
-    """Write the machine-readable sweep artifact future PRs can diff."""
-    payload = {
+def payload(rows: list[dict[str, object]], steps: int) -> dict[str, object]:
+    """The machine-readable sweep artifact future PRs can diff."""
+    return {
         "experiment": "E13",
         "description": "fleet sweep with server-side queueing model",
         "world_seed": WORLD_SEED,
@@ -188,7 +166,29 @@ def emit_json(rows: list[dict[str, object]], steps: int, path: Path) -> None:
             for row in rows
         ],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def verify(rows: list[dict[str, object]], steps: int) -> list[str]:
+    """The experiment's claims, checked on a sweep's rows."""
+    failures: list[str] = []
+    uncached = [row for row in rows if row["cached"] == "False"]
+    cached = [row for row in rows if row["cached"] == "True"]
+    for before, after in zip(uncached, cached):
+        if after["disc_hit_rate"] <= before["disc_hit_rate"]:
+            failures.append("cached discovery did not beat the uncached baseline")
+            break
+    if rows[0]["clients"] != rows[-1]["clients"]:
+        smallest = [r for r in rows if r["clients"] == rows[0]["clients"]]
+        largest = [r for r in rows if r["clients"] == rows[-1]["clients"]]
+        if max(r["util_max"] for r in largest) <= max(r["util_max"] for r in smallest):
+            failures.append("server utilization did not grow with fleet size")
+    # Analytic sanity: below saturation, measured mean waits must sit within
+    # the M/D/1 (Pollaczek–Khinchine) band — Poisson lower bound to
+    # one-batch-per-round upper bound.
+    for row in rows:
+        for failure in check_md1_sanity(row["_server_stats"], steps):
+            failures.append(f"M/D/1 sanity ({row['clients']} clients, cached={row['cached']}): {failure}")
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -257,86 +257,27 @@ def test_e13_deterministic_snapshot(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument("--steps", type=int, default=None, help="steps per client (>= 1)")
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    if args.steps is not None and args.steps < 1:
-        parser.error("--steps must be >= 1")
+def run(smoke: bool) -> SimpleNamespace:
+    fleet_sizes, steps = ([10, 50], 3) if smoke else ([10, 100, 1000, 10_000], 4)
+    return SimpleNamespace(rows=sweep(fleet_sizes, steps), steps=steps)
 
-    if args.smoke:
-        fleet_sizes = [10, 50]
-        steps = args.steps if args.steps is not None else 3
-    else:
-        fleet_sizes = [10, 100, 1000, 10_000]
-        steps = args.steps if args.steps is not None else 4
 
-    started = time.perf_counter()
-    rows = sweep(fleet_sizes, steps)
-    elapsed = time.perf_counter() - started
-    print_table("E13 workload sweep (cached vs uncached discovery)", table_rows(rows))
+def rerun(s: SimpleNamespace) -> tuple[str, str]:
+    """Determinism: the cheapest cached cell must reproduce exactly."""
+    reference = next(row for row in s.rows if row["cached"] == "True")  # fleets run smallest first
+    return reference["_snapshot_digest"], run_fleet(reference["clients"], s.steps, cached=True)["_snapshot_digest"]
 
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, steps, json_path)
-        print(f"\nwrote {json_path}")
 
-    failures = []
-    uncached = [row for row in rows if row["cached"] == "False"]
-    cached = [row for row in rows if row["cached"] == "True"]
-    for before, after in zip(uncached, cached):
-        if after["disc_hit_rate"] <= before["disc_hit_rate"]:
-            failures.append("cached discovery did not beat the uncached baseline")
-            break
-    if len(fleet_sizes) > 1:
-        smallest = [r for r in rows if r["clients"] == fleet_sizes[0]]
-        largest = [r for r in rows if r["clients"] == fleet_sizes[-1]]
-        if max(r["util_max"] for r in largest) <= max(r["util_max"] for r in smallest):
-            failures.append("server utilization did not grow with fleet size")
-    # Analytic sanity: below saturation, measured mean waits must sit within
-    # the M/D/1 (Pollaczek–Khinchine) band — Poisson lower bound to
-    # one-batch-per-round upper bound.
-    for row in rows:
-        for failure in check_md1_sanity(row["_server_stats"], steps):
-            failures.append(f"M/D/1 sanity ({row['clients']} clients, cached={row['cached']}): {failure}")
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: cached discovery wins at every fleet size and server load grows "
-        f"toward saturation ({elapsed:.1f}s)"
-    )
-    return 0
-
+EXPERIMENT = Experiment(
+    id="E13",
+    doc=__doc__,
+    run=run,
+    tables=lambda s: [("E13 workload sweep (cached vs uncached discovery)", s.rows)],
+    verify=lambda s: verify(s.rows, s.steps),
+    rerun=rerun,
+    payload=lambda s: payload(s.rows, s.steps),
+    ok=lambda s: "cached discovery wins at every fleet size and server load grows toward saturation",
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(EXPERIMENT))

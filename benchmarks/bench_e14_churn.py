@@ -44,25 +44,16 @@ rewrites byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
+from types import SimpleNamespace
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
+from _util import print_table
 from repro.churn import FIRST_HEALTHY, WEIGHTED, ChurnSchedule, RetryPolicy
 from repro.core.config import FederationConfig
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -84,13 +75,6 @@ SERVER_QUEUE_CAPACITY = 256
 RETRY_POLICY = RetryPolicy.utilization_aware()
 """Utilization-aware exponential backoff: retries against a saturated
 replica spread out, retries after a one-off blip stay fast."""
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e14.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e14_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
-
 
 BALANCE_REPLICAS = 4
 """Replica count of the balance/detection comparison cells: a 4-replica
@@ -183,16 +167,8 @@ def run_churn(
         "_scheduled_events": len(schedule),
         "_wall_seconds": wall_seconds,
         "_simulated_seconds": report.simulated_seconds,
-        "_snapshot_digest": _digest(report.snapshot()),
+        "_snapshot_digest": digest(report.snapshot()),
     }
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    import hashlib
-
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def sweep(
@@ -235,16 +211,9 @@ def sweep(
     return rows
 
 
-def table_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [
-        {key: value for key, value in row.items() if not key.startswith("_")}
-        for row in rows
-    ]
-
-
-def emit_json(rows: list[dict[str, object]], clients: int, steps: int, path: Path) -> None:
-    """Write the machine-readable availability/failover curves."""
-    payload = {
+def payload(rows: list[dict[str, object]], clients: int, steps: int) -> dict[str, object]:
+    """The machine-readable availability/failover curves."""
+    return {
         "experiment": "E14",
         "description": "availability and failover under federation churn "
         "(churn rate x replica count)",
@@ -280,7 +249,6 @@ def emit_json(rows: list[dict[str, object]], clients: int, steps: int, path: Pat
             for row in rows
         ],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def verify(rows: list[dict[str, object]], churn_rates: list[float]) -> list[str]:
@@ -395,78 +363,33 @@ def test_e14_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        replica_counts = [1, 2, 3]
-        churn_rates = [0.0, 1.5, 3.0]
-        clients, steps = 24, 10
+def run(smoke: bool) -> SimpleNamespace:
+    if smoke:
+        churn_rates, clients, steps = [0.0, 1.5, 3.0], 24, 10
     else:
-        replica_counts = [1, 2, 3]
-        churn_rates = [0.0, 1.0, 3.0, 6.0]
-        clients, steps = 100, 12
+        churn_rates, clients, steps = [0.0, 1.0, 3.0, 6.0], 100, 12
+    rows = sweep([1, 2, 3], churn_rates, clients, steps)
+    return SimpleNamespace(rows=rows, churn_rates=churn_rates, clients=clients, steps=steps)
 
-    started = time.perf_counter()
-    rows = sweep(replica_counts, churn_rates, clients, steps)
-    elapsed = time.perf_counter() - started
-    print_table("E14 availability under churn (replicas x churn rate)", table_rows(rows))
 
-    failures = verify(rows, churn_rates)
+def rerun(s: SimpleNamespace) -> tuple[str, str]:
+    """Determinism: the cheapest degraded cell must reproduce exactly."""
+    top_rate = max(s.churn_rates)
+    reference = next(row for row in s.rows if row["replicas"] == 1 and row["churn_per_min"] == top_rate)
+    return reference["_snapshot_digest"], run_churn(1, top_rate, s.clients, s.steps)["_snapshot_digest"]
 
-    # Determinism: the cheapest degraded cell must reproduce exactly.
-    repeat = run_churn(1, max(churn_rates), clients, steps)
-    reference = next(
-        row for row in rows
-        if row["replicas"] == 1 and row["churn_per_min"] == max(churn_rates)
-    )
-    if repeat["_snapshot_digest"] != reference["_snapshot_digest"]:
-        failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, clients, steps, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: churn degrades single-replica availability, replication restores "
-        f"it below 1% failed requests, failover latency measured ({elapsed:.1f}s)"
-    )
-    return 0
-
+EXPERIMENT = Experiment(
+    id="E14",
+    doc=__doc__,
+    run=run,
+    tables=lambda s: [("E14 availability under churn (replicas x churn rate)", s.rows)],
+    verify=lambda s: verify(s.rows, s.churn_rates),
+    rerun=rerun,
+    payload=lambda s: payload(s.rows, s.clients, s.steps),
+    ok=lambda s: "churn degrades single-replica availability, replication restores it below 1% "
+    "failed requests, failover latency measured",
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(EXPERIMENT))

@@ -36,18 +36,11 @@ rewrites byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
 import time
-from pathlib import Path
+from types import SimpleNamespace
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
+from _util import print_table
 from repro.churn import RetryPolicy
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.control import ControlEvent, ControlEventKind, ControlSchedule
@@ -55,9 +48,6 @@ from repro.core.config import FederationConfig
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -84,12 +74,6 @@ SERVICE_TIMES = ServiceTimeModel(
 SERVER_QUEUE_CAPACITY = 256
 
 RETRY_POLICY = RetryPolicy.utilization_aware()
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e15.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e15_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
 
 
 def build_control_scenario(
@@ -168,16 +152,10 @@ def _row(
         "_replica_arrivals": {sid: arrivals[sid] for sid in replica_ids},
         "_wall_seconds": wall_seconds,
         "_simulated_seconds": report.simulated_seconds,
-        "_snapshot_digest": _digest(report.snapshot()),
+        "_snapshot_digest": digest(report.snapshot()),
     }
     row.update(extra)
     return row
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def run_drain(
@@ -338,16 +316,9 @@ def sweep(
     return rows
 
 
-def table_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [
-        {key: value for key, value in row.items() if not key.startswith("_")}
-        for row in rows
-    ]
-
-
-def emit_json(rows: list[dict[str, object]], clients: int, steps: int, path: Path) -> None:
-    """Write the machine-readable drain-convergence / standby curves."""
-    payload = {
+def payload(rows: list[dict[str, object]], clients: int, steps: int) -> dict[str, object]:
+    """The machine-readable drain-convergence / standby curves."""
+    return {
         "experiment": "E15",
         "description": "operator control plane: drain convergence "
         "(drain round x device TTL) and warm-standby tiers",
@@ -389,7 +360,6 @@ def emit_json(rows: list[dict[str, object]], clients: int, steps: int, path: Pat
             for row in rows
         ],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def verify(rows: list[dict[str, object]], dns_ttls: list[float]) -> list[str]:
@@ -516,82 +486,37 @@ def test_e15_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        drain_rounds = [2, 5]
-        dns_ttls = [40.0, 80.0]
-        clients, steps = 24, 12
+def run(smoke: bool) -> SimpleNamespace:
+    if smoke:
+        drain_rounds, dns_ttls, clients, steps = [2, 5], [40.0, 80.0], 24, 12
     else:
-        drain_rounds = [2, 5, 8]
-        dns_ttls = [30.0, 60.0, 120.0]
-        clients, steps = 64, 14
-
-    started = time.perf_counter()
+        drain_rounds, dns_ttls, clients, steps = [2, 5, 8], [30.0, 60.0, 120.0], 64, 14
     rows = sweep(drain_rounds, dns_ttls, clients, steps)
-    elapsed = time.perf_counter() - started
-    print_table("E15 operator control plane (drain round x DNS TTL)", table_rows(rows))
+    return SimpleNamespace(rows=rows, drain_rounds=drain_rounds, dns_ttls=dns_ttls, clients=clients, steps=steps)
 
-    failures = verify(rows, dns_ttls)
 
-    # Determinism: the first drain cell must reproduce exactly.
-    repeat = run_drain(drain_rounds[0], dns_ttls[0], clients, steps)
+def rerun(s: SimpleNamespace) -> tuple[str, str]:
+    """Determinism: the first drain cell must reproduce exactly."""
+    drain_round, ttl = s.drain_rounds[0], s.dns_ttls[0]
     reference = next(
         row
-        for row in rows
-        if row["_phase"] == "drain"
-        and row["drain_round"] == drain_rounds[0]
-        and row["dns_ttl_s"] == dns_ttls[0]
+        for row in s.rows
+        if row["_phase"] == "drain" and row["drain_round"] == drain_round and row["dns_ttl_s"] == ttl
     )
-    if repeat["_snapshot_digest"] != reference["_snapshot_digest"]:
-        failures.append("rerun with fixed seed produced a different snapshot")
+    return reference["_snapshot_digest"], run_drain(drain_round, ttl, s.clients, s.steps)["_snapshot_digest"]
 
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, clients, steps, json_path)
-        print(f"\nwrote {json_path}")
 
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: live drains converge within the cache-decay window with zero "
-        f"failed requests; warm standbys idle until tier 0 dies; operator "
-        f"promotion beats cold failover ({elapsed:.1f}s)"
-    )
-    return 0
-
+EXPERIMENT = Experiment(
+    id="E15",
+    doc=__doc__,
+    run=run,
+    tables=lambda s: [("E15 operator control plane (drain round x DNS TTL)", s.rows)],
+    verify=lambda s: verify(s.rows, s.dns_ttls),
+    rerun=rerun,
+    payload=lambda s: payload(s.rows, s.clients, s.steps),
+    ok=lambda s: "live drains converge within the cache-decay window with zero failed requests; "
+    "warm standbys idle until tier 0 dies; operator promotion beats cold failover",
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(EXPERIMENT))

@@ -16,33 +16,24 @@ Runs three ways:
 * under pytest-benchmark like the other experiments;
 * standalone: ``python benchmarks/bench_e16_scale.py [--smoke]`` —
   ``--smoke`` runs 20k and 100k clients in seconds (used by
-  ``scripts/check.sh`` under the ``E16_SMOKE_BUDGET_SECONDS`` wall-clock
-  budget); the smoke sweep *is* the committed ``BENCH_e16.json``
-  artifact, byte-for-byte gated like E13/E14/E15;
+  ``scripts/check.sh`` under the wall-clock budget ``registry.py`` sets,
+  ≈3x measured, so losing the fast path fails the stage); the smoke sweep
+  *is* the committed ``BENCH_e16.json`` artifact, byte-for-byte gated
+  like E13/E14/E15;
 * the full sweep (no flags) runs 100k → 1,000,000 clients; it writes
   ``BENCH_e16_full.json`` so exploration never clobbers the gated file.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
+from _util import print_table
 from repro.core.config import FederationConfig
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -73,11 +64,6 @@ fleets push into the knee."""
 SERVER_QUEUE_CAPACITY = 512
 """Per-worker queue slots; deep enough that drops mean sustained overload,
 not a single lockstep round's phase alignment."""
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e16.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e16_full.json"
-"""Default output of the full (1M-client) sweep."""
 
 
 def workers_for(clients: int) -> int:
@@ -139,6 +125,7 @@ def run_fleet(clients: int, steps: int, seed: int = WORKLOAD_SEED) -> dict[str, 
         "_server_stats": report.server_stats,
         "_simulated_seconds": report.simulated_seconds,
         "_sampling": dict(report.sampling),
+        "_snapshot_digest": digest(report.snapshot()),
     }
 
 
@@ -146,16 +133,9 @@ def sweep(fleet_sizes: list[int], steps: int) -> list[dict[str, object]]:
     return [run_fleet(clients, steps) for clients in fleet_sizes]
 
 
-def table_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [
-        {key: value for key, value in row.items() if not key.startswith("_")}
-        for row in rows
-    ]
-
-
-def emit_json(rows: list[dict[str, object]], steps: int, path: Path) -> None:
-    """Write the machine-readable sweep artifact future PRs can diff."""
-    payload = {
+def payload(rows: list[dict[str, object]], steps: int) -> dict[str, object]:
+    """The machine-readable sweep artifact future PRs can diff."""
+    return {
         "experiment": "E16",
         "description": "large-fleet scale sweep on the cohort fast path",
         "world_seed": WORLD_SEED,
@@ -188,7 +168,24 @@ def emit_json(rows: list[dict[str, object]], steps: int, path: Path) -> None:
             for row in rows
         ],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def verify(rows: list[dict[str, object]], steps: int) -> list[str]:
+    """The experiment's claims, checked on a sweep's rows."""
+    failures: list[str] = []
+    for row in rows:
+        expected = row["clients"] * steps
+        accounted = row["requests"] + row["errors"]
+        # Weighted totals must account for every simulated device-step
+        # (skipped zero-length routes are the only legitimate shortfall).
+        if not 0.9 * expected <= accounted <= 1.001 * expected:
+            failures.append(
+                f"{row['clients']} clients: weighted totals {accounted:.0f} "
+                f"do not account for {expected} device-steps"
+            )
+    if rows[-1]["util_max"] <= 0.0:
+        failures.append("no server-side load measured at the largest fleet")
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -232,84 +229,38 @@ def test_e16_deterministic_snapshot(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="20k + 100k clients (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument("--steps", type=int, default=None, help="steps per client (>= 1)")
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    if args.steps is not None and args.steps < 1:
-        parser.error("--steps must be >= 1")
+STEPS = 3
 
-    if args.smoke:
-        fleet_sizes = [20_000, 100_000]
-        steps = args.steps if args.steps is not None else 3
-    else:
-        fleet_sizes = [100_000, 500_000, 1_000_000]
-        steps = args.steps if args.steps is not None else 3
 
-    started = time.perf_counter()
-    rows = sweep(fleet_sizes, steps)
-    elapsed = time.perf_counter() - started
-    print_table("E16 scale sweep (cohort fast path)", table_rows(rows))
+def run(smoke: bool) -> list[dict[str, object]]:
+    return sweep([20_000, 100_000] if smoke else [100_000, 500_000, 1_000_000], STEPS)
 
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, steps, json_path)
-        print(f"\nwrote {json_path}")
 
-    failures = []
-    for row in rows:
-        expected = row["clients"] * steps
-        accounted = row["requests"] + row["errors"]
-        # Weighted totals must account for every simulated device-step
-        # (skipped zero-length routes are the only legitimate shortfall).
-        if not 0.9 * expected <= accounted <= 1.001 * expected:
-            failures.append(
-                f"{row['clients']} clients: weighted totals {accounted:.0f} "
-                f"do not account for {expected} device-steps"
-            )
+def rerun(rows: list[dict[str, object]]) -> tuple[str, str]:
+    """Determinism: the smallest fleet must reproduce exactly."""
+    return rows[0]["_snapshot_digest"], run_fleet(rows[0]["clients"], STEPS)["_snapshot_digest"]
+
+
+def ok(rows: list[dict[str, object]]) -> str:
     biggest = rows[-1]
-    if biggest["util_max"] <= 0.0:
-        failures.append("no server-side load measured at the largest fleet")
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(fast-path regression?)"
-        )
-
     headline = max(row["_clients_per_second"] for row in rows)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: {biggest['clients']:,} clients on {biggest['tracers']} tracers, "
+    return (
+        f"{biggest['clients']:,} clients on {biggest['tracers']} tracers, "
         f"peak {headline:,.0f} simulated client-steps/s, "
-        f"max server utilization {biggest['util_max']:.2f} ({elapsed:.1f}s)"
+        f"max server utilization {biggest['util_max']:.2f}"
     )
-    return 0
 
+
+EXPERIMENT = Experiment(
+    id="E16",
+    doc=__doc__,
+    run=run,
+    tables=lambda rows: [("E16 scale sweep (cohort fast path)", rows)],
+    verify=lambda rows: verify(rows, STEPS),
+    rerun=rerun,
+    payload=lambda rows: payload(rows, STEPS),
+    ok=ok,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(EXPERIMENT))

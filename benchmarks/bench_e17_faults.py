@@ -38,18 +38,11 @@ rewrites byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import sys
 import time
-from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
+from _util import print_table
 from repro.faults.scenarios import (
     SCENARIOS,
     WORKLOAD_SEED,
@@ -60,26 +53,9 @@ from repro.faults.scenarios import (
 )
 from repro.workload import WorkloadEngine
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e17.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e17_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
-
 FULL_CLIENTS = 60
 """Fleet size of the full sweep (the smoke sweep uses each scenario's own
 ``clients``, which is what the committed bands are calibrated against)."""
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    import hashlib
-
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def run_disaster(spec: DisasterSpec, clients: int | None = None) -> dict[str, object]:
@@ -118,8 +94,8 @@ def run_disaster(spec: DisasterSpec, clients: int | None = None) -> dict[str, ob
         },
         "_band_failures": check_bands(spec, metrics),
         "_wall_seconds": wall_seconds,
-        "_baseline_snapshot_digest": _digest(baseline.snapshot()),
-        "_snapshot_digest": _digest(faulted.snapshot()),
+        "_baseline_snapshot_digest": digest(baseline.snapshot()),
+        "_snapshot_digest": digest(faulted.snapshot()),
         "_simulated_seconds": faulted.simulated_seconds,
     }
 
@@ -128,16 +104,9 @@ def sweep(clients: int | None = None) -> list[dict[str, object]]:
     return [run_disaster(spec, clients) for spec in SCENARIOS]
 
 
-def table_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [
-        {key: value for key, value in row.items() if not key.startswith("_")}
-        for row in rows
-    ]
-
-
-def emit_json(rows: list[dict[str, object]], path: Path) -> None:
-    """Write the machine-readable disaster outcomes + acceptance bands."""
-    payload = {
+def payload(rows: list[dict[str, object]]) -> dict[str, object]:
+    """The machine-readable disaster outcomes + acceptance bands."""
+    return {
         "experiment": "E17",
         "description": "correlated-disaster scenario library: availability "
         "and graceful degradation under fault injection",
@@ -161,7 +130,6 @@ def emit_json(rows: list[dict[str, object]], path: Path) -> None:
             for row in rows
         ],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def verify(rows: list[dict[str, object]]) -> list[str]:
@@ -218,71 +186,25 @@ def test_e17_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="the scenario library at its calibrated fleet sizes (finishes "
-        "in seconds) for CI smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
+def rerun(rows: list[dict[str, object]]) -> tuple[str, str]:
+    """Determinism: the richest scenario (authority outage: DNS timeouts,
+    stale serving, degraded accounting) must reproduce exactly."""
+    reference = rows[2]
+    repeat = run_disaster(SCENARIOS[2], clients=reference["_clients"])
+    return reference["_snapshot_digest"], repeat["_snapshot_digest"]
 
-    started = time.perf_counter()
-    rows = sweep(clients=None if args.smoke else FULL_CLIENTS)
-    elapsed = time.perf_counter() - started
-    print_table("E17 correlated disasters (baseline vs faulted)", table_rows(rows))
 
-    failures = verify(rows)
-
-    # Determinism: the richest scenario (authority outage: DNS timeouts,
-    # stale serving, degraded accounting) must reproduce exactly.
-    repeat = run_disaster(
-        SCENARIOS[2], clients=None if args.smoke else FULL_CLIENTS
-    )
-    reference = next(row for row in rows if row["scenario"] == repeat["scenario"])
-    if repeat["_snapshot_digest"] != reference["_snapshot_digest"]:
-        failures.append("rerun with fixed seed produced a different snapshot")
-
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: all {len(rows)} disasters stayed inside their acceptance bands "
-        f"— failover under partitions, load shedding under crowds, stale-serve "
-        f"degradation under authority outage ({elapsed:.1f}s)"
-    )
-    return 0
-
+EXPERIMENT = Experiment(
+    id="E17",
+    doc=__doc__,
+    run=lambda smoke: sweep(clients=None if smoke else FULL_CLIENTS),
+    tables=lambda rows: [("E17 correlated disasters (baseline vs faulted)", rows)],
+    verify=verify,
+    rerun=rerun,
+    payload=payload,
+    ok=lambda rows: f"all {len(rows)} disasters stayed inside their acceptance bands — failover under "
+    "partitions, load shedding under crowds, stale-serve degradation under authority outage",
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(EXPERIMENT))

@@ -36,28 +36,15 @@ Runs three ways, like E13–E18:
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
+from types import SimpleNamespace
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
+from _util import disaster_world, print_table
 from repro.autoscale import AutoscalerConfig
-from repro.core.config import FederationConfig
-from repro.faults.scenarios import RETRY_POLICY, SERVICE_TIMES
 from repro.faults.schedule import FaultPlan
 from repro.telemetry import SLOConfig, TelemetryConfig
 from repro.telemetry.reader import TelemetryReader
 from repro.workload import WorkloadConfig, WorkloadEngine
-from repro.worldgen.scenario import build_scenario
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -123,43 +110,11 @@ ATTAINMENT_MARGIN = 0.02
 """Autoscaled SLO attainment must beat static-lean by at least this much
 (measured headroom is ~0.05 on both traffic patterns)."""
 
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e19.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e19_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
 
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    import hashlib
-
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def build_world(
-    device_ttl: float = 30.0, dns_ttl: float = 60.0
-):
+def build_world(device_ttl: float = 30.0, dns_ttl: float = 60.0):
     """The E17-style disaster world with TTLs short enough that clients
     converge on weight changes within a couple of telemetry windows."""
-    config = FederationConfig(
-        device_discovery_cache_ttl_seconds=device_ttl,
-        registration_ttl_seconds=dns_ttl,
-        client_tile_cache_entries=256,
-        service_times=SERVICE_TIMES,
-        server_queue_capacity=256,
-        retry_policy=RETRY_POLICY,
-    )
-    return build_scenario(
-        store_count=2,
-        city_rows=5,
-        city_cols=5,
-        config=config,
-        seed=WORLD_SEED,
-        reuse_worlds=True,
-        store_replicas=2,
-    )
+    return disaster_world(device_ttl, dns_ttl)
 
 
 BASE_REPLICAS = 2
@@ -266,7 +221,7 @@ def run_cell(
         "_weight_changes": stats.get("weight_changes", 0.0),
         "_failed_rate": report.failed_request_rate,
         "_simulated_seconds": report.simulated_seconds,
-        "_snapshot_digest": _digest(report.snapshot()),
+        "_snapshot_digest": digest(report.snapshot()),
     }
 
 
@@ -307,13 +262,6 @@ def run_oscillation(clients: int) -> dict[str, object]:
 
 def by_mode(rows: list[dict[str, object]]) -> dict[str, dict[str, object]]:
     return {str(row["mode"]): row for row in rows}
-
-
-def table_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [
-        {key: value for key, value in row.items() if not key.startswith("_")}
-        for row in rows
-    ]
 
 
 def verify(
@@ -415,13 +363,12 @@ def test_e19_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def emit_json(
+def payload(
     flash: list[dict[str, object]],
     diurnal: list[dict[str, object]],
     oscillation: dict[str, object],
     clients: int,
-    path: Path,
-) -> None:
+) -> dict[str, object]:
     def cell_block(row: dict[str, object]) -> dict[str, object]:
         return {
             "attainment": row["attainment"],
@@ -437,7 +384,7 @@ def emit_json(
             "snapshot_digest": row["_snapshot_digest"],
         }
 
-    payload = {
+    return {
         "experiment": "E19",
         "description": "closed-loop autoscaling from telemetry roll-ups: "
         "elastic warm-pool capacity vs static provisioning on SLO "
@@ -456,83 +403,52 @@ def emit_json(
             **cell_block(oscillation),
         },
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="the calibrated 24-client cells (finishes in seconds) for CI "
-        "smoke checks",
+def run(smoke: bool) -> SimpleNamespace:
+    clients = SMOKE_CLIENTS if smoke else FULL_CLIENTS
+    return SimpleNamespace(
+        flash=run_pattern("flash", flash_plan, FLASH_STEPS, clients),
+        diurnal=run_pattern("diurnal", diurnal_plan, DIURNAL_STEPS, clients),
+        oscillation=run_oscillation(clients),
+        clients=clients,
     )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the cell artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the cells take longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    clients = SMOKE_CLIENTS if args.smoke else FULL_CLIENTS
 
-    started = time.perf_counter()
-    flash = run_pattern("flash", flash_plan, FLASH_STEPS, clients)
-    diurnal = run_pattern("diurnal", diurnal_plan, DIURNAL_STEPS, clients)
-    oscillation = run_oscillation(clients)
-    elapsed = time.perf_counter() - started
-    print_table("E19 flash crowd", table_rows(flash))
-    print_table("E19 diurnal curve", table_rows(diurnal))
-    print_table("E19 oscillation stability", table_rows([oscillation]))
 
-    failures = verify(flash, diurnal, oscillation)
+def rerun(s: SimpleNamespace) -> tuple[str, str]:
+    """Determinism: the richest cell (autoscaler + crowd + telemetry) must
+    reproduce exactly."""
+    repeat = run_cell("auto", flash_plan, FLASH_STEPS, s.clients)
+    return by_mode(s.flash)["auto"]["_snapshot_digest"], repeat["_snapshot_digest"]
 
-    # Determinism: the richest cell (autoscaler + crowd + telemetry) must
-    # reproduce exactly.
-    repeat = run_cell("auto", flash_plan, FLASH_STEPS, clients)
-    if repeat["_snapshot_digest"] != by_mode(flash)["auto"]["_snapshot_digest"]:
-        failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (
-        DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH
-    )
-    if not args.no_json:
-        emit_json(flash, diurnal, oscillation, clients, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"cells took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s "
-            "budget (hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    flash_cells, diurnal_cells = by_mode(flash), by_mode(diurnal)
-    print(
-        f"\nOK: flash attainment lean {flash_cells['static-lean']['attainment']:.3f} "
-        f"→ auto {flash_cells['auto']['attainment']:.3f} at "
-        f"{flash_cells['auto']['cost_rs'] / flash_cells['static-over']['cost_rs']:.0%} "
-        f"of static-over cost; diurnal auto {diurnal_cells['auto']['attainment']:.3f} "
-        f"with {diurnal_cells['auto']['promotions']:.0f} promotions; oscillation "
+def ok(s: SimpleNamespace) -> str:
+    flash, diurnal, oscillation = by_mode(s.flash), by_mode(s.diurnal), s.oscillation
+    return (
+        f"flash attainment lean {flash['static-lean']['attainment']:.3f} "
+        f"→ auto {flash['auto']['attainment']:.3f} at "
+        f"{flash['auto']['cost_rs'] / flash['static-over']['cost_rs']:.0%} "
+        f"of static-over cost; diurnal auto {diurnal['auto']['attainment']:.3f} "
+        f"with {diurnal['auto']['promotions']:.0f} promotions; oscillation "
         f"{oscillation['_weight_changes']:.0f} weight changes, "
-        f"{oscillation['flaps']:.0f} flaps ({elapsed:.1f}s)"
+        f"{oscillation['flaps']:.0f} flaps"
     )
-    return 0
 
+
+EXPERIMENT = Experiment(
+    id="E19",
+    doc=__doc__,
+    run=run,
+    tables=lambda s: [
+        ("E19 flash crowd", s.flash),
+        ("E19 diurnal curve", s.diurnal),
+        ("E19 oscillation stability", [s.oscillation]),
+    ],
+    verify=lambda s: verify(s.flash, s.diurnal, s.oscillation),
+    rerun=rerun,
+    payload=lambda s: payload(s.flash, s.diurnal, s.oscillation, s.clients),
+    ok=ok,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(EXPERIMENT))

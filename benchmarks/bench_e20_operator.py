@@ -46,17 +46,19 @@ Runs three ways, like E13–E19:
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
+from types import SimpleNamespace
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
+from _util import disaster_world, print_table
+from bench_e19_autoscale import (
+    AUTOSCALE,
+    FLASH_STEPS,
+    POOL_SIZE,
+    RESOLVER_POOLS,
+    TELEMETRY,
+    build_world,
+    flash_plan,
+)
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
 from repro.faults.scenarios import RETRY_POLICY, SERVICE_TIMES
@@ -73,18 +75,6 @@ from repro.operator.permissions import ALL_PERMISSIONS
 from repro.simulation.network import GrayFailure
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
-from bench_e19_autoscale import (  # noqa: E402
-    AUTOSCALE,
-    FLASH_STEPS,
-    POOL_SIZE,
-    RESOLVER_POOLS,
-    TELEMETRY,
-    build_world,
-    flash_plan,
-)
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -105,20 +95,6 @@ next-round same-token retries — not just padded latencies."""
 
 OPERATOR_TIMEOUT_MS = 400.0
 
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e20.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e20_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    import hashlib
-
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
 
 # ----------------------------------------------------------------------
 # Drain-convergence cells
@@ -126,23 +102,7 @@ def _digest(snapshot: dict[str, float]) -> str:
 def drain_world():
     """One store, four replicas, the E17 service-time/retry models — the
     same control-plane regime E15 measured, now with an operator door."""
-    config = FederationConfig(
-        device_discovery_cache_ttl_seconds=20.0,
-        registration_ttl_seconds=60.0,
-        client_tile_cache_entries=256,
-        service_times=SERVICE_TIMES,
-        server_queue_capacity=256,
-        retry_policy=RETRY_POLICY,
-    )
-    return build_scenario(
-        store_count=1,
-        city_rows=5,
-        city_cols=5,
-        config=config,
-        seed=WORLD_SEED,
-        reuse_worlds=True,
-        store_replicas=REPLICAS,
-    )
+    return disaster_world(device_ttl=20.0, dns_ttl=60.0, store_count=1, store_replicas=REPLICAS)
 
 
 def drain_tape(server_id: str) -> ControlSchedule:
@@ -207,7 +167,7 @@ def run_drain_cell(mode: str, clients: int) -> dict[str, object]:
         "_tape_pending": stats["tape_pending"],
         "_unconverged": report.control_stats["devices_unconverged"],
         "_audit_records": stats["audit_records"],
-        "_snapshot_digest": _digest(report.snapshot()),
+        "_snapshot_digest": digest(report.snapshot()),
     }
 
 
@@ -218,18 +178,10 @@ def run_drain_cells(clients: int) -> list[dict[str, object]]:
 # ----------------------------------------------------------------------
 # Partitioned-operator cell
 # ----------------------------------------------------------------------
-def run_partition_cell() -> dict[str, object]:
-    """Two consoles, one partition, one audited winner.
-
-    Operator ``east`` (region 0) and operator ``west`` (region 1) target
-    the two replicas of one group with conflicting drains.  A region-
-    scoped partition cuts ``west`` off from the control endpoint first:
-    its request burns the full timeout and goes *pending* — the API never
-    saw it.  ``east``'s drain lands.  The partition heals, ``west``
-    retries with the same idempotency token, and the group guard turns
-    the late arrival into an audited ``conflict``.  Throughout, the group
-    keeps a registered positive-weight member — no NXDOMAIN window."""
-    scenario = build_scenario(
+def partition_world():
+    """One store, two replicas for the two consoles to race over (the cell
+    drives them by hand; no fleet runs)."""
+    return build_scenario(
         store_count=1,
         city_rows=5,
         city_cols=5,
@@ -243,6 +195,20 @@ def run_partition_cell() -> dict[str, object]:
         reuse_worlds=True,
         store_replicas=2,
     )
+
+
+def run_partition_cell() -> dict[str, object]:
+    """Two consoles, one partition, one audited winner.
+
+    Operator ``east`` (region 0) and operator ``west`` (region 1) target
+    the two replicas of one group with conflicting drains.  A region-
+    scoped partition cuts ``west`` off from the control endpoint first:
+    its request burns the full timeout and goes *pending* — the API never
+    saw it.  ``east``'s drain lands.  The partition heals, ``west``
+    retries with the same idempotency token, and the group guard turns
+    the late arrival into an audited ``conflict``.  Throughout, the group
+    keeps a registered positive-weight member — no NXDOMAIN window."""
+    scenario = partition_world()
     federation = scenario.federation
     first, second = scenario.store_replica_ids(0)
     group_id = sorted(federation.replica_groups)[0]
@@ -287,24 +253,11 @@ def run_partition_cell() -> dict[str, object]:
     nxdomain_free = nxdomain_free and registered_positive()
 
     weights = sorted(federation.srv_of(server_id)[1] for server_id in (first, second))
-    digest = state_digest(federation)
+    final_digest = state_digest(federation)
 
     # Replay determinism: the shared audit log, replayed through a fresh
     # API over a fresh federation, must land the identical state digest.
-    fresh = build_scenario(
-        store_count=1,
-        city_rows=5,
-        city_cols=5,
-        config=FederationConfig(
-            device_discovery_cache_ttl_seconds=20.0,
-            registration_ttl_seconds=60.0,
-            service_times=SERVICE_TIMES,
-            retry_policy=RETRY_POLICY,
-        ),
-        seed=WORLD_SEED,
-        reuse_worlds=True,
-        store_replicas=2,
-    )
+    fresh = partition_world()
     replay_principals = PrincipalRegistry()
     replay_principals.register("east", ALL_PERMISSIONS)
     replay_principals.register("west", ALL_PERMISSIONS)
@@ -322,7 +275,7 @@ def run_partition_cell() -> dict[str, object]:
         "drained_weights": weights,
         "nxdomain_free": nxdomain_free,
         "audit_outcomes": [record.outcome for record in audit.records],
-        "state_digest": digest,
+        "state_digest": final_digest,
         "replay_digest": replay_digest,
     }
 
@@ -369,7 +322,7 @@ def run_reaction_cell(transport: str, clients: int) -> dict[str, object]:
         "ops_applied": stats["ops_applied"],
         "ops_rejected": stats["ops_rejected"],
         "audited": report.operator_stats["audit_records"],
-        "_snapshot_digest": _digest(report.snapshot()),
+        "_snapshot_digest": digest(report.snapshot()),
     }
 
 
@@ -382,13 +335,6 @@ def run_reaction_cells(clients: int) -> list[dict[str, object]]:
 # ----------------------------------------------------------------------
 def by_mode(rows: list[dict[str, object]], key: str = "mode") -> dict[str, dict[str, object]]:
     return {str(row[key]): row for row in rows}
-
-
-def table_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [
-        {key: value for key, value in row.items() if not key.startswith("_")}
-        for row in rows
-    ]
 
 
 def verify(
@@ -515,13 +461,12 @@ def test_e20_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def emit_json(
+def payload(
     drain: list[dict[str, object]],
     partition: dict[str, object],
     reaction: list[dict[str, object]],
     clients: int,
-    path: Path,
-) -> None:
+) -> dict[str, object]:
     def drain_block(row: dict[str, object]) -> dict[str, object]:
         return {
             "delivery_lag_first_s": row["lag_first_s"],
@@ -549,7 +494,7 @@ def emit_json(
             "snapshot_digest": row["_snapshot_digest"],
         }
 
-    payload = {
+    return {
         "experiment": "E20",
         "description": "the operator API layer: control ops as "
         "authenticated, schema-validated messages over the simulated "
@@ -576,101 +521,57 @@ def emit_json(
         },
         "autoscaler": {row["transport"]: reaction_block(row) for row in reaction},
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="the calibrated small-fleet cells (finishes in seconds) for CI "
-        "smoke checks",
+PARTITION_COLUMNS = ("winner", "winner_seq", "loser_seq", "loser_error", "west_timeouts", "nxdomain_free")
+
+
+def run(smoke: bool) -> SimpleNamespace:
+    clients = SMOKE_CLIENTS if smoke else FULL_CLIENTS
+    return SimpleNamespace(
+        drain=run_drain_cells(clients),
+        partition=run_partition_cell(),
+        reaction=run_reaction_cells(AUTOSCALE_SMOKE_CLIENTS if smoke else AUTOSCALE_FULL_CLIENTS),
+        clients=clients,
     )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the cell artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the cells take longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    clients = SMOKE_CLIENTS if args.smoke else FULL_CLIENTS
-    reaction_clients = AUTOSCALE_SMOKE_CLIENTS if args.smoke else AUTOSCALE_FULL_CLIENTS
 
-    started = time.perf_counter()
-    drain = run_drain_cells(clients)
-    partition = run_partition_cell()
-    reaction = run_reaction_cells(reaction_clients)
-    elapsed = time.perf_counter() - started
-    print_table("E20 drain transports", table_rows(drain))
-    print_table(
-        "E20 partitioned operators",
-        [
-            {
-                key: partition[key]
-                for key in (
-                    "winner",
-                    "winner_seq",
-                    "loser_seq",
-                    "loser_error",
-                    "west_timeouts",
-                    "nxdomain_free",
-                )
-            }
-        ],
-    )
-    print_table("E20 autoscaler reaction", table_rows(reaction))
 
-    failures = verify(drain, partition, reaction)
+def rerun(s: SimpleNamespace) -> tuple[str, str]:
+    """Determinism: the richest cell (lossy control hop: RNG-drawn
+    retransmits, timeouts, and round retries) must reproduce exactly."""
+    repeat = run_drain_cell("net-lossy", s.clients)
+    return by_mode(s.drain)["net-lossy"]["_snapshot_digest"], repeat["_snapshot_digest"]
 
-    # Determinism: the richest cell (lossy control hop: RNG-drawn
-    # retransmits, timeouts, and round retries) must reproduce exactly.
-    repeat = run_drain_cell("net-lossy", clients)
-    if repeat["_snapshot_digest"] != by_mode(drain)["net-lossy"]["_snapshot_digest"]:
-        failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (
-        DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH
-    )
-    if not args.no_json:
-        emit_json(drain, partition, reaction, clients, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"cells took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s "
-            "budget (hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    cells = by_mode(drain)
-    reaction_cells = by_mode(reaction, key="transport")
-    print(
-        f"\nOK: first-event drain lag direct {cells['direct']['lag_first_s']:.2f}s "
+def ok(s: SimpleNamespace) -> str:
+    cells, partition = by_mode(s.drain), s.partition
+    reaction = by_mode(s.reaction, key="transport")
+    return (
+        f"first-event drain lag direct {cells['direct']['lag_first_s']:.2f}s "
         f"→ healthy {cells['net-healthy']['lag_first_s']:.2f}s → lossy "
         f"{cells['net-lossy']['lag_first_s']:.2f}s; partition winner seq "
         f"{partition['winner_seq']} < loser {partition['loser_seq']} "
         f"({partition['loser_error']}); autoscaler first action "
-        f"{reaction_cells['direct']['first_action_s']:.1f}s → "
-        f"{reaction_cells['network']['first_action_s']:.1f}s networked; "
-        f"replay digest {partition['replay_digest']} ({elapsed:.1f}s)"
+        f"{reaction['direct']['first_action_s']:.1f}s → "
+        f"{reaction['network']['first_action_s']:.1f}s networked; "
+        f"replay digest {partition['replay_digest']}"
     )
-    return 0
 
+
+EXPERIMENT = Experiment(
+    id="E20",
+    doc=__doc__,
+    run=run,
+    tables=lambda s: [
+        ("E20 drain transports", s.drain),
+        ("E20 partitioned operators", [{key: s.partition[key] for key in PARTITION_COLUMNS}]),
+        ("E20 autoscaler reaction", s.reaction),
+    ],
+    verify=lambda s: verify(s.drain, s.partition, s.reaction),
+    rerun=rerun,
+    payload=lambda s: payload(s.drain, s.partition, s.reaction, s.clients),
+    ok=ok,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(EXPERIMENT))

@@ -2,24 +2,29 @@
 """Render the BENCH artifacts' headline numbers as a markdown summary.
 
 CI appends the output to ``$GITHUB_STEP_SUMMARY`` after the smoke stage, so
-every run shows the telemetry / disaster / scale / control-plane /
-availability / balancing / saturation / autoscaling headlines next to the
-uploaded ``BENCH_e13.json`` .. ``BENCH_e20.json`` artifacts without anyone
-downloading them.  Standalone use: ``python scripts/ci_summary.py``.
-Column definitions and regeneration commands for every table live in
-``docs/BENCHMARKS.md``.
+every run shows each registered experiment's headline numbers next to its
+uploaded ``BENCH_eNN.json`` artifact without anyone downloading it.
+Standalone use: ``python scripts/ci_summary.py``.  Column definitions and
+regeneration commands for every table live in ``docs/BENCHMARKS.md``.
+
+Which artifacts exist comes from ``benchmarks/registry.py``; experiment
+``ENN`` is rendered by the function named ``eNN_summary`` below.
 
 Rendering degrades gracefully: a missing or malformed artifact becomes a
 note in the summary rather than a traceback that kills the whole step —
-one corrupt benchmark file must never hide the other five tables.
+one corrupt benchmark file must never hide the other tables.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+from registry import EXPERIMENTS, artifact_name  # noqa: E402
 
 
 def e20_summary(payload: dict) -> list[str]:
@@ -154,15 +159,14 @@ def e18_summary(payload: dict) -> list[str]:
             )
         )
     overhead = payload.get("overhead", {})
-    measured = overhead.get("measured", {})
-    if measured:
+    if overhead:
         lines.append(
-            "| telemetry-on overhead | {clients} clients: {pct:+.1f}% wall clock, "
-            "{records:.0f} records into {windows} retained window(s) |".format(
+            "| telemetry-on overhead | {clients} clients: {records:.0f} records into "
+            "{windows} retained window(s); snapshot unchanged with telemetry off: {same} |".format(
                 clients=int(overhead.get("clients", 0)),
-                pct=measured.get("overhead_pct", 0.0),
                 records=overhead.get("records", 0.0),
                 windows=int(overhead.get("windows_retained", 0)),
+                same="yes" if overhead.get("telemetry_transparent") else "NO",
             )
         )
     return lines
@@ -301,16 +305,11 @@ def e13_summary(payload: dict) -> list[str]:
     return lines
 
 
-RENDERERS: tuple[tuple[str, object], ...] = (
-    ("BENCH_e20.json", e20_summary),
-    ("BENCH_e19.json", e19_summary),
-    ("BENCH_e18.json", e18_summary),
-    ("BENCH_e17.json", e17_summary),
-    ("BENCH_e16.json", e16_summary),
-    ("BENCH_e15.json", e15_summary),
-    ("BENCH_e14.json", e14_summary),
-    ("BENCH_e13.json", e13_summary),
+RENDERERS = tuple(
+    (artifact_name(experiment_id), globals()[f"{experiment_id.lower()}_summary"])
+    for experiment_id in reversed(EXPERIMENTS)
 )
+"""``(artifact, renderer)`` per registered experiment, newest first."""
 
 
 def summarize(root: Path) -> list[str]:

@@ -3,7 +3,9 @@
 ``actionlint`` is not part of the offline toolchain, so tier-1 carries a
 lightweight stand-in: the workflow must parse as YAML, trigger on pushes and
 pull requests, cover Python 3.10–3.12 with pip caching, call the staged
-``scripts/check.sh`` entry points, and gate/upload both BENCH artifacts.
+``scripts/check.sh`` entry points, and gate/upload the BENCH artifact of
+every experiment in ``benchmarks/registry.py`` — the one place experiments
+are enumerated; nothing here (or in ``check.sh``) names one.
 The same file checks that the stages the workflow calls actually exist in
 ``check.sh`` and that the ruff configuration the lint stage enforces is
 present in ``pyproject.toml``.
@@ -11,6 +13,10 @@ present in ``pyproject.toml``.
 
 from __future__ import annotations
 
+import fnmatch
+import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +26,21 @@ yaml = pytest.importorskip("yaml")
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 CHECK_SH = REPO_ROOT / "scripts" / "check.sh"
+BENCHMARKS = REPO_ROOT / "benchmarks"
+
+
+def load(path: Path):
+    """Import a script by path (``benchmarks/`` on ``sys.path``, as when run)."""
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.insert(0, str(BENCHMARKS))
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+registry = load(BENCHMARKS / "registry.py")
+ARTIFACTS = [registry.artifact_name(experiment_id) for experiment_id in registry.EXPERIMENTS]
 
 
 @pytest.fixture(scope="module")
@@ -72,18 +93,11 @@ class TestWorkflow:
         steps = workflow["jobs"]["smoke"]["steps"]
         uploads = [s for s in steps if str(s.get("uses", "")).startswith("actions/upload-artifact")]
         assert uploads, "smoke job uploads no artifacts"
-        paths = uploads[0]["with"]["path"]
-        for artifact in (
-            "BENCH_e13.json",
-            "BENCH_e14.json",
-            "BENCH_e15.json",
-            "BENCH_e16.json",
-            "BENCH_e17.json",
-            "BENCH_e18.json",
-            "BENCH_e19.json",
-            "BENCH_e20.json",
-        ):
-            assert artifact in paths, f"smoke job does not upload {artifact}"
+        pattern = uploads[0]["with"]["path"]
+        for artifact in ARTIFACTS:
+            assert fnmatch.fnmatch(artifact, pattern), f"smoke job does not upload {artifact}"
+        # Full sweeps are exploratory output, never CI artifacts.
+        assert not fnmatch.fnmatch(registry.artifact_name("E16", smoke=False), pattern)
         assert any("ci_summary" in s.get("run", "") for s in steps), "no step-summary step"
 
     def test_workflow_steps_are_well_formed(self, workflow):
@@ -100,38 +114,41 @@ class TestCheckShStages:
         script = CHECK_SH.read_text()
         for flag in ("--tier1", "--smoke", "--lint"):
             assert flag in script
-        # Every artifact is byte-for-byte gated.
-        for artifact in (
-            "BENCH_e13.json",
-            "BENCH_e14.json",
-            "BENCH_e15.json",
-            "BENCH_e16.json",
-            "BENCH_e17.json",
-            "BENCH_e18.json",
-            "BENCH_e19.json",
-            "BENCH_e20.json",
-        ):
-            assert artifact in script, f"check.sh does not gate {artifact}"
 
     def test_smoke_stage_runs_every_budgeted_bench(self):
-        """Each experiment smoke runs under its own wall-clock budget knob.
-
-        The two 100k-client smokes (E16, E18) default to ~3x their measured
-        runtime, so a cohort-fast-path slowdown fails the stage; the rest
-        only trip on an order-of-magnitude regression."""
+        """One loop over the registry runs each smoke under its registered
+        budget and gates its artifact; the script names no experiment."""
         script = CHECK_SH.read_text()
-        for bench, budget, default_seconds in (
-            ("bench_e13_workload.py", "E13_SMOKE_BUDGET_SECONDS", 20),
-            ("bench_e14_churn.py", "E14_SMOKE_BUDGET_SECONDS", 20),
-            ("bench_e15_control.py", "E15_SMOKE_BUDGET_SECONDS", 20),
-            ("bench_e16_scale.py", "E16_SMOKE_BUDGET_SECONDS", 3),
-            ("bench_e17_faults.py", "E17_SMOKE_BUDGET_SECONDS", 20),
-            ("bench_e18_telemetry.py", "E18_SMOKE_BUDGET_SECONDS", 6),
-            ("bench_e19_autoscale.py", "E19_SMOKE_BUDGET_SECONDS", 40),
-            ("bench_e20_operator.py", "E20_SMOKE_BUDGET_SECONDS", 40),
-        ):
-            assert bench in script, f"check.sh does not run {bench}"
-            assert f'"${{{budget}:-{default_seconds}}}"' in script, f"check.sh does not budget via {budget}"
+        assert 'registered="$(python benchmarks/registry.py)"' in script
+        assert 'python "benchmarks/$script" --smoke --budget-seconds "$budget"' in script
+        assert 'git ls-files --error-unmatch "$artifact"' in script
+        assert 'git diff --quiet -- "$artifact"' in script
+        for literal in ("bench_e", "BENCH_e1", "BENCH_e2"):
+            assert literal not in script, f"check.sh hard-codes an experiment ({literal}…)"
+
+    def test_registry_lists_what_check_sh_reads(self):
+        listing = subprocess.run(
+            [sys.executable, str(BENCHMARKS / "registry.py")], capture_output=True, text=True, check=True
+        )
+        assert [line.split() for line in listing.stdout.splitlines()] == [
+            [experiment_id, script, str(budget), registry.artifact_name(experiment_id)]
+            for experiment_id, (script, budget) in registry.EXPERIMENTS.items()
+        ]
+
+    def test_every_registered_script_exposes_its_experiment(self):
+        for experiment_id, (script, budget) in registry.EXPERIMENTS.items():
+            path = BENCHMARKS / script
+            assert path.is_file(), f"{experiment_id}: {script} does not exist"
+            experiment = load(path).EXPERIMENT
+            assert experiment.id == experiment_id
+            assert budget >= 2, f"{experiment_id}: budget under the 2 s floor"
+
+    def test_every_artifact_is_tracked_by_git(self):
+        """The byte gate compares against the committed copy."""
+        tracked = subprocess.run(
+            ["git", "ls-files", "--", *ARTIFACTS], cwd=REPO_ROOT, capture_output=True, text=True, check=True
+        )
+        assert tracked.stdout.split() == sorted(ARTIFACTS)
 
     def test_smoke_stage_runs_the_perfbench_self_check(self):
         """The host-time benchmark's output checks (equal simulated output
@@ -143,21 +160,11 @@ class TestCheckShStages:
         assert "perfbench --quick" in smoke_stage, "perfbench runs outside the smoke stage"
 
     def test_ci_summary_renders_every_artifact(self):
-        summary = (REPO_ROOT / "scripts" / "ci_summary.py").read_text()
-        for artifact in (
-            "BENCH_e13.json",
-            "BENCH_e14.json",
-            "BENCH_e15.json",
-            "BENCH_e16.json",
-            "BENCH_e17.json",
-            "BENCH_e18.json",
-            "BENCH_e19.json",
-            "BENCH_e20.json",
-        ):
-            assert artifact in summary, f"ci_summary.py ignores {artifact}"
+        summary = load(REPO_ROOT / "scripts" / "ci_summary.py")
+        assert sorted(name for name, _render in summary.RENDERERS) == sorted(ARTIFACTS)
         # The step summary points readers at the docs layer for column
         # definitions and regeneration commands.
-        assert "docs/BENCHMARKS.md" in summary
+        assert "docs/BENCHMARKS.md" in "\n".join(summary.summarize(REPO_ROOT))
 
     def test_lint_stage_runs_the_docs_link_checker(self):
         script = CHECK_SH.read_text()
@@ -168,8 +175,6 @@ class TestCheckShStages:
         artifact to scripts/artifact_drift.py, which prints one
         ``path: old -> new`` line per changed, added or removed leaf."""
         import json
-        import subprocess
-        import sys
 
         script = CHECK_SH.read_text()
         assert 'python scripts/artifact_drift.py "$artifact"' in script
@@ -211,14 +216,7 @@ class TestDocsLinks:
     and actually capable of flagging a dead relative link."""
 
     def _checker(self):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "check_docs_links", REPO_ROOT / "scripts" / "check_docs_links.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return load(REPO_ROOT / "scripts" / "check_docs_links.py")
 
     def test_repo_docs_have_no_dead_links(self):
         checker = self._checker()
@@ -245,9 +243,6 @@ class TestDocsLinks:
     def test_fallback_lint_is_clean(self):
         """The offline stand-in for ruff must keep passing (compile +
         unused-import audit over the whole tree)."""
-        import subprocess
-        import sys
-
         result = subprocess.run(
             [sys.executable, str(REPO_ROOT / "scripts" / "lint_fallback.py")],
             capture_output=True,

@@ -93,7 +93,7 @@ class TestGracefulDegradation:
                         "clients": 100_000,
                         "records": 300000.0,
                         "windows_retained": 8,
-                        "measured": {"overhead_pct": 3.5},
+                        "telemetry_transparent": True,
                     },
                 }
             )
