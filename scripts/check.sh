@@ -10,8 +10,11 @@
 #             host-time benchmark's own output checks on small inputs)
 #   --lint    ruff check + ruff format --check (skipped with a notice when
 #             ruff is not installed, so offline containers stay one-command;
-#             CI installs ruff and enforces it), plus the docs link
-#             checker (a dead relative link in README.md or docs/ fails)
+#             CI installs ruff and enforces it), plus — with or without
+#             ruff — the docs link checker (a dead relative link in
+#             README.md or docs/ fails) and the set-order sum checker (a
+#             float sum iterating a set in src/repro/ fails: its rounding
+#             would follow the process's string-hash seed)
 #
 # With no stage flag every stage runs in order — the local one-command check.
 # Usage: scripts/check.sh [--tier1|--smoke|--lint]...
@@ -91,6 +94,10 @@ if $run_lint; then
   echo
   echo "== lint: docs relative links =="
   python scripts/check_docs_links.py
+
+  echo
+  echo "== lint: float sums over sets =="
+  python scripts/check_set_order_sums.py
 fi
 
 echo

@@ -54,17 +54,29 @@ class BeaconFingerprintDatabase:
         """Weighted k-nearest-neighbour localization in RSSI space."""
         if not self.fingerprints or not cue.readings:
             return None
-        observed = cue.reading_map()
-        scored: list[tuple[float, BeaconFingerprint]] = []
-        for fingerprint in self.fingerprints:
-            distance = self._signature_distance(observed, fingerprint.rssi_by_beacon)
-            if distance is None:
+        # Summed in the cue's reading order; over a set of beacon ids the
+        # float rounding of the sum would follow PYTHONHASHSEED.
+        readings = list(cue.reading_map().items())
+        scored: list[tuple[float, int]] = []
+        for position, fingerprint in enumerate(self.fingerprints):
+            surveyed_rssi = fingerprint.rssi_by_beacon.get
+            total = 0.0
+            common = 0
+            for beacon, rssi in readings:
+                surveyed = surveyed_rssi(beacon)
+                if surveyed is not None:
+                    total += (rssi - surveyed) ** 2
+                    common += 1
+            if not common:
                 continue
-            scored.append((distance, fingerprint))
+            # RMS difference over the shared beacons, penalising sparse
+            # overlap so signatures sharing more beacons win.
+            overlap_penalty = 10.0 * (len(readings) - common)
+            scored.append((math.sqrt(total / common) + overlap_penalty, position))
         if not scored:
             return None
-        scored.sort(key=lambda item: item[0])
-        best = scored[: self.k_neighbors]
+        scored.sort()
+        best = [(distance, self.fingerprints[position]) for distance, position in scored[: self.k_neighbors]]
 
         weights = [1.0 / (distance + 1e-3) for distance, _ in best]
         total_weight = sum(weights)
@@ -75,8 +87,8 @@ class BeaconFingerprintDatabase:
         # Accuracy: spread of the matched fingerprints around the estimate.
         spread = max(estimate.distance_to(fp.location) for _, fp in best)
         accuracy = max(1.0, spread)
-        mean_signature_distance = sum(d for d, _ in best) / len(best)
-        confidence = 1.0 / (1.0 + mean_signature_distance / 10.0)
+        mean_distance = sum(d for d, _ in best) / len(best)
+        confidence = 1.0 / (1.0 + mean_distance / 10.0)
         return LocalizationResult(
             server_id=server_id,
             location=estimate,
@@ -84,17 +96,6 @@ class BeaconFingerprintDatabase:
             confidence=min(1.0, confidence),
             cue_type=CueType.BEACON,
         )
-
-    @staticmethod
-    def _signature_distance(observed: dict[str, float], reference: dict[str, float]) -> float | None:
-        """RMS difference over beacons present in both signatures."""
-        common = set(observed) & set(reference)
-        if not common:
-            return None
-        total = sum((observed[b] - reference[b]) ** 2 for b in common)
-        # Penalise sparse overlap so signatures sharing more beacons win.
-        overlap_penalty = 10.0 * (len(observed) - len(common))
-        return math.sqrt(total / len(common)) + overlap_penalty
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,10 @@ class ImageFingerprint:
     heading_degrees: float | None = None
 
 
+_ImageReference = tuple[np.ndarray, tuple[int, ...], float]
+"""A descriptor as a float array, with its shape and its norm."""
+
+
 @dataclass
 class ImageFingerprintDatabase:
     """Matches image cues against surveyed visual descriptors (cosine similarity)."""
@@ -113,9 +118,21 @@ class ImageFingerprintDatabase:
     fingerprints: list[ImageFingerprint] = field(default_factory=list)
     k_neighbors: int = 3
     min_similarity: float = 0.2
+    _references: list[_ImageReference] = field(init=False, repr=False, compare=False)
+    """Derived once when a fingerprint is registered; index-aligned with
+    ``fingerprints``."""
+
+    def __post_init__(self) -> None:
+        self._references = [self._reference(fingerprint) for fingerprint in self.fingerprints]
+
+    @staticmethod
+    def _reference(fingerprint: ImageFingerprint) -> _ImageReference:
+        descriptor = np.asarray(fingerprint.descriptor, dtype=float)
+        return descriptor, descriptor.shape, float(np.linalg.norm(descriptor))
 
     def add(self, fingerprint: ImageFingerprint) -> None:
         self.fingerprints.append(fingerprint)
+        self._references.append(self._reference(fingerprint))
 
     def __len__(self) -> int:
         return len(self.fingerprints)
@@ -124,24 +141,29 @@ class ImageFingerprintDatabase:
         if not self.fingerprints:
             return None
         query = cue.as_array()
-        query_norm = np.linalg.norm(query)
+        query_norm = float(np.linalg.norm(query))
         if query_norm < 1e-12:
             return None
 
-        scored: list[tuple[float, ImageFingerprint]] = []
-        for fingerprint in self.fingerprints:
-            reference = np.asarray(fingerprint.descriptor, dtype=float)
-            if reference.shape != query.shape:
+        # One dot product per reference, not one matrix product: whether
+        # ``gemv`` rounds like ``ddot`` depends on the BLAS build.
+        query_shape = query.shape
+        scored: list[tuple[float, int]] = []
+        for position, (reference, shape, norm) in enumerate(self._references):
+            if shape != query_shape:
                 continue
-            denom = query_norm * np.linalg.norm(reference)
+            denom = query_norm * norm
             if denom < 1e-12:
                 continue
-            similarity = float(query @ reference / denom)
-            scored.append((similarity, fingerprint))
+            scored.append((-float(query @ reference / denom), position))
         if not scored:
             return None
-        scored.sort(key=lambda item: item[0], reverse=True)
-        best = [item for item in scored[: self.k_neighbors] if item[0] >= self.min_similarity]
+        scored.sort()
+        best = [
+            (-negated, self.fingerprints[position])
+            for negated, position in scored[: self.k_neighbors]
+            if -negated >= self.min_similarity
+        ]
         if not best:
             return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.geometry.point import LatLng
 from repro.osm.elements import (
@@ -145,33 +146,47 @@ class GeocodeIndex:
     def entry_count(self) -> int:
         return len(self._entries)
 
-    def lookup(self, address: Address, limit: int = 5, min_score: float = 0.3) -> list[GeocodeResult]:
+    def lookup(
+        self,
+        address: Address,
+        limit: int = 5,
+        min_score: float = 0.3,
+        visible: Callable[[Node], bool] | None = None,
+    ) -> list[GeocodeResult]:
         """Best-matching addressable nodes for an address query.
 
         ``min_score`` filters out incidental single-token matches (every city
         has thousands of nodes containing the token "street"), so an address
         that genuinely is not in this map returns an empty list rather than a
-        noise match.
+        noise match.  ``visible`` (``None``: every node) drops candidates
+        before the ``limit`` cut, so a restricted caller still gets up to
+        ``limit`` results.
         """
         query_tokens = _tokenise(address.as_query())
         if not query_tokens:
             return []
-        results: list[GeocodeResult] = []
-        for node_id, tokens, label in self._entries:
-            overlap = query_tokens & tokens
+        # Rank on (-score, entry index): the order a stable descending sort
+        # on score gives, without building a result per scanned entry.
+        query_size = len(query_tokens)
+        ranked: list[tuple[float, int, int, str]] = []
+        for position, (node_id, tokens, label) in enumerate(self._entries):
+            overlap = len(query_tokens & tokens)
             if not overlap:
                 continue
-            precision = len(overlap) / len(query_tokens)
-            recall = len(overlap) / len(tokens)
+            precision = overlap / query_size
+            recall = overlap / len(tokens)
             score = 0.7 * precision + 0.3 * recall
             if score < min_score:
                 continue
-            node = self.map_data.node(node_id)
-            results.append(
-                GeocodeResult(node_id, node.location, label, score, self.map_data.metadata.name)
-            )
-        results.sort(key=lambda r: r.score, reverse=True)
-        return results[:limit]
+            if visible is not None and not visible(self.map_data.node(node_id)):
+                continue
+            ranked.append((-score, position, node_id, label))
+        ranked.sort()
+        map_name = self.map_data.metadata.name
+        return [
+            GeocodeResult(node_id, self.map_data.node(node_id).location, label, -negated_score, map_name)
+            for negated_score, _, node_id, label in ranked[:limit]
+        ]
 
 
 @dataclass
@@ -185,10 +200,15 @@ class GeocodeService:
     def __post_init__(self) -> None:
         self.index = GeocodeIndex(self.map_data)
 
-    def geocode(self, address: Address, limit: int = 5) -> list[GeocodeResult]:
+    def geocode(
+        self,
+        address: Address,
+        limit: int = 5,
+        visible: Callable[[Node], bool] | None = None,
+    ) -> list[GeocodeResult]:
         """Forward geocode an address within this map."""
         self.queries_served += 1
-        return self.index.lookup(address, limit)
+        return self.index.lookup(address, limit, visible=visible)
 
     def reverse_geocode(self, location: LatLng, max_distance_meters: float = 250.0) -> ReverseGeocodeResult | None:
         """Snap a location to the nearest named/addressable node within range."""

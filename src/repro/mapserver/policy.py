@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from repro.mapserver.auth import Credential
 from repro.osm.elements import TAG_PRIVACY, Node
@@ -140,8 +141,22 @@ class AccessPolicy:
             return True
         return False
 
+    def node_filter(self, credential: Credential) -> Callable[[Node], bool] | None:
+        """The per-node visibility test for ``credential``: ``None`` when the
+        principal sees every node, else a predicate that is false for
+        private-tagged ones.  Services apply it while ranking, before their
+        ``limit`` cut."""
+        if self.can_see_private_data(credential):
+            return None
+        return _is_public
+
     def filter_nodes(self, nodes: list[Node], credential: Credential) -> list[Node]:
         """Drop private-tagged nodes for principals without data access."""
-        if self.can_see_private_data(credential):
+        visible = self.node_filter(credential)
+        if visible is None:
             return nodes
-        return [node for node in nodes if node.tags.get(TAG_PRIVACY) != "private"]
+        return [node for node in nodes if visible(node)]
+
+
+def _is_public(node: Node) -> bool:
+    return node.tags.get(TAG_PRIVACY) != "private"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.geometry.point import LatLng
 from repro.osm.elements import Node
@@ -99,38 +100,47 @@ class SearchService:
         near: LatLng | None = None,
         radius_meters: float | None = None,
         limit: int = 10,
+        visible: Callable[[Node], bool] | None = None,
     ) -> list[SearchResult]:
         """Search for nodes matching ``query``, optionally constrained to a radius.
 
         Relevance combines keyword overlap with proximity (closer results rank
-        higher when a reference location is given).
+        higher when a reference location is given).  ``visible`` (``None``:
+        every node) drops candidates before the ``limit`` cut, so a restricted
+        caller still gets up to ``limit`` results.
         """
         self.queries_served += 1
         scored = self.index.candidates(query)
         if not scored:
             return []
 
-        results: list[SearchResult] = []
-        for node_id, keyword_score in scored.items():
+        # Rank on (-relevance, candidate index): the order a stable descending
+        # sort on relevance gives, without building a result per candidate.
+        ranked: list[tuple[float, int, float, Node]] = []
+        for position, (node_id, keyword_score) in enumerate(scored.items()):
             node = self.map_data.node(node_id)
             distance = near.distance_to(node.location) if near is not None else 0.0
             if radius_meters is not None and near is not None and distance > radius_meters:
                 continue
+            if visible is not None and not visible(node):
+                continue
             proximity = 1.0 / (1.0 + distance / 100.0) if near is not None else 1.0
             relevance = 0.7 * keyword_score + 0.3 * proximity
-            results.append(
-                SearchResult(
-                    node_id=node_id,
-                    location=node.location,
-                    label=self._label(node),
-                    relevance=relevance,
-                    distance_meters=distance,
-                    map_name=self.map_data.metadata.name,
-                    tags=tuple(sorted(node.tags.items())),
-                )
+            ranked.append((-relevance, position, distance, node))
+        ranked.sort()
+        map_name = self.map_data.metadata.name
+        return [
+            SearchResult(
+                node_id=node.node_id,
+                location=node.location,
+                label=self._label(node),
+                relevance=-negated_relevance,
+                distance_meters=distance,
+                map_name=map_name,
+                tags=tuple(sorted(node.tags.items())),
             )
-        results.sort(key=lambda r: r.relevance, reverse=True)
-        return results[:limit]
+            for negated_relevance, _, distance, node in ranked[:limit]
+        ]
 
     @staticmethod
     def _label(node: Node) -> str:

@@ -126,14 +126,7 @@ class MapServer:
     def geocode(self, address: Address, credential: Credential = ANONYMOUS, limit: int = 5) -> list[GeocodeResult]:
         self.policy.check(ServiceName.GEOCODE, credential)
         self._admit(ServiceName.GEOCODE)
-        results = self.geocode_service.geocode(address, limit)
-        if self.policy.can_see_private_data(credential):
-            return results
-        visible_ids = {
-            node.node_id
-            for node in self.policy.filter_nodes(list(self.map_data.nodes()), credential)
-        }
-        return [r for r in results if r.node_id in visible_ids]
+        return self.geocode_service.geocode(address, limit, self.policy.node_filter(credential))
 
     def reverse_geocode(
         self,
@@ -155,14 +148,9 @@ class MapServer:
     ) -> list[SearchResult]:
         self.policy.check(ServiceName.SEARCH, credential)
         self._admit(ServiceName.SEARCH)
-        results = self.search_service.search(query, near, radius_meters, limit=limit)
-        if self.policy.can_see_private_data(credential):
-            return results
-        visible_ids = {
-            node.node_id
-            for node in self.policy.filter_nodes(list(self.map_data.nodes()), credential)
-        }
-        return [r for r in results if r.node_id in visible_ids]
+        return self.search_service.search(
+            query, near, radius_meters, limit, self.policy.node_filter(credential)
+        )
 
     def route(
         self,

@@ -90,14 +90,18 @@ class QuadTree(Generic[T]):
             return []
         radius = 50.0
         # The ring search must be able to reach every stored point even when
-        # the query point lies far outside the tree's bounds.
-        max_radius = self._bounds.diagonal_meters() + center.distance_to(self._bounds.center) + 1.0
-        while radius <= max_radius:
+        # the query point lies far outside the tree's bounds; that limit costs
+        # two great-circle distances, so it is measured only once the first
+        # ring has come up short.
+        max_radius: float | None = None
+        while max_radius is None or radius <= max_radius:
             hits = self._within(center, radius)
             if len(hits) >= count:
                 # The radius filter already measured every candidate.
                 hits.sort(key=itemgetter(0))
                 return [(point, value) for _, point, value in hits[:count]]
+            if max_radius is None:
+                max_radius = self._bounds.diagonal_meters() + center.distance_to(self._bounds.center) + 1.0
             radius *= 2.0
         hits = sorted(self, key=lambda item: center.distance_to(item[0]))
         return hits[:count]

@@ -170,6 +170,21 @@ class TestCheckShStages:
         script = CHECK_SH.read_text()
         assert "check_docs_links.py" in script, "lint stage skips the docs link checker"
 
+    def test_lint_stage_runs_the_set_order_sum_checker_without_ruff_too(self):
+        """``lint_fallback.py`` is skipped where ruff is installed (CI), so
+        the checker runs beside it, not inside it."""
+        script = CHECK_SH.read_text()
+        lint_stage = script[script.index("if $run_lint; then") :]
+        end_of_ruff_branch = lint_stage.index("python scripts/lint_fallback.py\n  fi\n")
+        assert lint_stage.index("python scripts/check_set_order_sums.py") > end_of_ruff_branch
+
+    def test_nothing_pins_the_hash_seed(self):
+        """The byte gate and the tier-1 goldens catch a result that follows
+        set iteration order only because every CI process draws a fresh
+        string-hash seed; pinning it would hide such a result for good."""
+        for path in (CHECK_SH, WORKFLOW):
+            assert "PYTHONHASHSEED" not in path.read_text(), f"{path.name} sets PYTHONHASHSEED"
+
     def test_smoke_gate_names_the_drifted_keys(self, tmp_path):
         """A failing byte-gate must say *what* drifted: check.sh hands the
         artifact to scripts/artifact_drift.py, which prints one
@@ -249,3 +264,39 @@ class TestDocsLinks:
             text=True,
         )
         assert result.returncode == 0, result.stdout
+
+
+class TestSetOrderSums:
+    """The hash-order sum checker the lint stage runs: clean on the real
+    tree, and flags the shapes beacon localization's bug had."""
+
+    def _checker(self):
+        return load(REPO_ROOT / "scripts" / "check_set_order_sums.py")
+
+    def test_repo_sources_are_clean(self):
+        assert self._checker().findings(REPO_ROOT) == []
+
+    def test_checker_flags_sums_over_sets_only(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "sums.py").write_text(
+            "import math\n"
+            "def distance(observed, reference):\n"
+            "    common = set(observed) & set(reference)\n"
+            "    unrelated = [1.0]\n"
+            "    return sum((observed[b] - reference[b]) ** 2 for b in common)\n"  # line 5
+            "def inline(a, b):\n"
+            "    return math.fsum([a[k] for k in frozenset(a) - {1}])\n"  # line 7
+            "def display(weights):\n"
+            "    return sum(weights[k] for k in {k for k in weights})\n"  # line 9
+            "def fine(observed, reference, common):\n"
+            "    ordered = sorted(set(observed) & set(reference))\n"
+            "    total = sum(observed[b] for b in ordered) + sum(reference[b] for b in common)\n"
+            "    return total + sum(x for x in observed.values()) + len(set(observed))\n"
+        )
+        failures = self._checker().findings(tmp_path)
+        assert [failure.split(": ")[0] for failure in failures] == [
+            "src/repro/sums.py:5",
+            "src/repro/sums.py:7",
+            "src/repro/sums.py:9",
+        ]

@@ -8,11 +8,15 @@ import pytest
 
 from repro.geometry.point import LatLng
 from repro.localization.cues import CueType
+from repro.mapserver.auth import Credential
 from repro.mapserver.geocode import Address, GeocodeService
+from repro.mapserver.policy import AccessPolicy
 from repro.mapserver.routing_service import RoutingService
 from repro.mapserver.search import SearchService
 from repro.mapserver.server import MapServer
 from repro.mapserver.tile_service import TileService
+from repro.osm.elements import Node
+from repro.osm.mapdata import MapData, MapMetadata
 from repro.tiles.tile_math import tile_for_point
 
 
@@ -258,3 +262,38 @@ class TestMapServerFacade:
         assert server.covers_point(just_outside, slack_meters=50.0)
         far_away = store.entrance.destination(180.0, 5_000.0)
         assert not server.covers_point(far_away)
+
+
+class TestPrivateDataBeforeTheCut:
+    """Private nodes are dropped while ranking, not after the ``limit`` cut:
+    a restricted principal gets up to ``limit`` *visible* results, and a
+    short answer does not betray that private matches exist."""
+
+    NEAR = LatLng(40.4400, -79.9500)
+
+    def _server(self) -> MapServer:
+        map_data = MapData(MapMetadata(name="campus-print"))
+        map_data.add_node(Node(1, self.NEAR, {"name": "printer dean", "privacy": "private"}))
+        map_data.add_node(Node(2, self.NEAR, {"name": "printer staff", "privacy": "private"}))
+        map_data.add_node(Node(3, self.NEAR.destination(90.0, 30.0), {"name": "printer lobby"}))
+        return MapServer(
+            server_id="print",
+            map_data=map_data,
+            policy=AccessPolicy(private_data_domains={"campus.edu"}),
+        )
+
+    def test_anonymous_search_fills_the_limit_with_visible_nodes(self):
+        server = self._server()
+        assert [r.label for r in server.search("printer", self.NEAR, limit=2)] == ["printer lobby"]
+        assert [r.label for r in server.search("printer", self.NEAR, limit=10)] == ["printer lobby"]
+
+    def test_anonymous_geocode_fills_the_limit_with_visible_nodes(self):
+        server = self._server()
+        assert [r.label for r in server.geocode(Address.parse("printer"), limit=1)] == ["printer lobby"]
+
+    def test_insider_still_gets_the_private_nodes_first(self):
+        server = self._server()
+        insider = Credential(user_id="alice", email="alice@campus.edu")
+        found = server.search("printer", self.NEAR, credential=insider, limit=2)
+        assert [r.node_id for r in found] == [1, 2]
+        assert [r.node_id for r in server.geocode(Address.parse("printer"), insider, limit=3)] == [1, 2, 3]
