@@ -27,7 +27,7 @@ from functools import lru_cache
 from repro.discovery.cache import DiscoveryCache
 from repro.discovery.naming import SpatialNaming
 from repro.discovery.registry import MAP_SERVER_RECORD_TYPE
-from repro.dns.message import ResponseCode
+from repro.dns.message import DnsResponse, ResponseCode
 from repro.dns.records import SrvData
 from repro.dns.resolver import StubResolver
 from repro.geometry.bbox import BoundingBox
@@ -37,17 +37,22 @@ from repro.spatialindex.cellid import CellId
 from repro.spatialindex.covering import cells_at_level, normalize_covering
 
 
-@lru_cache(maxsize=65536)
-def _ancestor_walk(naming: SpatialNaming, token: str, ancestor_levels: int) -> tuple[str, ...]:
-    """Domain names for one cell's ancestor walk (cell first, then coarser).
+_NOERROR = ResponseCode.NOERROR
+_NXDOMAIN = ResponseCode.NXDOMAIN
 
-    Every client in a fleet walks the same city cells, and each walk re-derives
-    the same ~``ancestor_levels`` parent tokens and names; the walk is pure in
-    (naming, token), so one process-wide cache serves the whole fleet.  The
-    names themselves come from :meth:`SpatialNaming.ancestor_names` — this is
-    only a bounded, memoized view of it.
+_WALK_TABLE_MAX_TOKENS = 65536
+
+
+@lru_cache(maxsize=64)
+def _walk_table(suffix: str, ancestor_levels: int) -> dict[str, tuple[str, ...]]:
+    """The token → walk-names table of one ``(suffix, ancestor_levels)``.
+
+    Every client in a fleet walks the same city cells, and a cell's names
+    (itself first, then coarser) are pure in its token, so every
+    :class:`Discoverer` naming the same way shares one table —
+    :meth:`Discoverer._names_for_cell` fills it and keeps it bounded.
     """
-    return tuple(naming.ancestor_names(CellId(token))[: ancestor_levels + 1])
+    return {}
 
 
 _NOTHING_WALKED: tuple[tuple[str, ...], float, bool] = ((), math.inf, False)
@@ -131,7 +136,9 @@ class Discoverer:
     # ------------------------------------------------------------------
     def discover_at(self, location: LatLng, uncertainty_meters: float = 0.0) -> DiscoveryResult:
         """Discover map servers around a coarse device location."""
-        if uncertainty_meters <= 0.0:
+        if not (0.0 <= uncertainty_meters < math.inf):
+            raise ValueError(f"uncertainty_meters must be finite and >= 0, got {uncertainty_meters}")
+        if uncertainty_meters == 0.0:
             cells = [CellId.from_point(location, self.query_level)]
         else:
             box = BoundingBox.around(location, uncertainty_meters)
@@ -148,6 +155,8 @@ class Discoverer:
         """Discover every map server along a path of waypoints (for routing)."""
         if not waypoints:
             raise ValueError("waypoints must be non-empty")
+        if not (0.0 <= corridor_meters < math.inf):
+            raise ValueError(f"corridor_meters must be finite and >= 0, got {corridor_meters}")
         all_cells: list[CellId] = []
         for waypoint in waypoints:
             box = BoundingBox.around(waypoint, corridor_meters)
@@ -174,19 +183,23 @@ class Discoverer:
         lookups = 0
         coalesced = 0
         clock = self.resolver.network.clock
+        resolve = self.resolver.resolve
+        names_by_token = _walk_table(self.naming.suffix, self.ancestor_levels)
         # With the device cache off (the default) every probe of it misses
         # and every store is dropped, so the walk does not make them.
         caching = self.cache.enabled
 
         for cell in cells:
-            cell_servers = cell_results.get(cell.token)
+            token = cell.token
+            cell_servers = cell_results.get(token)
             if cell_servers is not None:
                 coalesced += 1
             else:
-                cell_servers = self.cache.get(cell.token) if caching else None
+                cell_servers = self.cache.get(token) if caching else None
                 if cell_servers is None:
-                    walk = self._names_for_cell(cell)
-                    fresh = []
+                    walk = names_by_token.get(token) or self._names_for_cell(cell, names_by_token)
+                    names: list[str] = []
+                    outcomes: list[tuple[tuple[str, ...], float, bool]] = []
                     rest = _NOTHING_WALKED
                     for name in walk:
                         known = walked.get(name)
@@ -194,21 +207,38 @@ class Discoverer:
                             rest = known
                             break
                         # Deepest name first, one exchange each, in walk order.
-                        fresh.append((name, self._resolve_name(name)))
-                    lookups += len(fresh)
-                    coalesced += len(walk) - len(fresh)
-                    for name, (name_servers, expires_at, failed) in reversed(fresh):
-                        if rest[1] < expires_at:
-                            expires_at = rest[1]
-                        rest = walked[name] = (name_servers + rest[0], expires_at, failed or rest[2])
+                        response = resolve(name, MAP_SERVER_RECORD_TYPE)
+                        now = clock.now()
+                        expires_at = response.expires_at
+                        names.append(name)
+                        if expires_at is None or response.answers:
+                            outcomes.append(self._decode(response, now))
+                        else:
+                            # "Nobody at this name", and the resolver stands
+                            # by it until ``expires_at`` (only NOERROR and
+                            # NXDOMAIN answers are ever stamped with one):
+                            # what ``_decode`` returns for it.
+                            outcomes.append(((), now + (expires_at - now), False))
+                    lookups += len(names)
+                    coalesced += len(walk) - len(names)
                     cell_servers, cell_expires_at, resolution_failed = rest
+                    for name, (name_servers, expires_at, failed) in zip(
+                        reversed(names), reversed(outcomes)
+                    ):
+                        if name_servers:
+                            cell_servers = name_servers + cell_servers
+                        if expires_at < cell_expires_at:
+                            cell_expires_at = expires_at
+                        if failed:
+                            resolution_failed = True
+                        walked[name] = (cell_servers, cell_expires_at, resolution_failed)
                     if caching:
                         # The expiry is absolute: the clock advances while the
                         # walk resolves, and an entry derived from an answer
                         # expiring at T must itself expire at T no matter when
                         # it is stored.
                         self.cache.put(
-                            cell.token, cell_servers, ttl_seconds=cell_expires_at - clock.now()
+                            token, cell_servers, ttl_seconds=cell_expires_at - clock.now()
                         )
                         if not cell_servers and resolution_failed:
                             # Graceful degradation: live resolution failed (not
@@ -217,11 +247,11 @@ class Discoverer:
                             # view if one is still inside the stale window; the
                             # entry is NOT re-cached, so the window stays
                             # anchored to the moment the data went stale.
-                            stale = self.cache.get_stale(cell.token)
+                            stale = self.cache.get_stale(token)
                             if stale is not None:
                                 cell_servers = stale
                                 self.stale_serves += 1
-                cell_results[cell.token] = cell_servers
+                cell_results[token] = cell_servers
 
             for server_id in cell_servers:
                 if server_id not in seen:
@@ -230,8 +260,8 @@ class Discoverer:
 
         return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced)
 
-    def _resolve_name(self, name: str) -> tuple[tuple[str, ...], float, bool]:
-        """Resolve one spatial name to ``(targets, absolute expiry, failed)``.
+    def _decode(self, response: DnsResponse, now: float) -> tuple[tuple[str, ...], float, bool]:
+        """Decode one spatial name's answer to ``(targets, absolute expiry, failed)``.
 
         The expiry bounds how long a device-cache entry derived from this
         answer may live: never past the instant the resolver itself stops
@@ -242,9 +272,8 @@ class Discoverer:
         (SERVFAIL/REFUSED) — the cue for stale-serve degradation — as opposed
         to an authoritative "nobody covers this name".
         """
-        response = self.resolver.resolve(name, MAP_SERVER_RECORD_TYPE)
-        now = self.resolver.network.clock.now()
-        if response.code not in (ResponseCode.NOERROR, ResponseCode.NXDOMAIN):
+        code = response.code
+        if code is not _NOERROR and code is not _NXDOMAIN:
             # Transient failures (SERVFAIL/REFUSED) are deliberately not
             # cached by the resolver; the device cache must not negative-cache
             # them either, or it would hide the recovery an uncached client
@@ -252,7 +281,7 @@ class Discoverer:
             return (), now, True
         targets: tuple[str, ...] = ()
         ttl = math.inf
-        if response.answers and response.code == ResponseCode.NOERROR:
+        if response.answers and code is _NOERROR:
             found = []
             for record in response.answers:
                 if record.record_type == MAP_SERVER_RECORD_TYPE:
@@ -272,12 +301,19 @@ class Discoverer:
                 ttl = remaining
         return targets, now + ttl, False
 
-    def _names_for_cell(self, cell: CellId) -> tuple[str, ...]:
-        """Names to query for a cell: the cell itself plus a few ancestors.
+    def _names_for_cell(
+        self, cell: CellId, names_by_token: dict[str, tuple[str, ...]]
+    ) -> tuple[str, ...]:
+        """Names to query for a cell new to ``names_by_token``: the cell
+        itself plus a few ancestors.
 
         Registrations may live at coarser cells than the query level (large
         providers cover whole districts with one record), so each query also
-        walks up the hierarchy.  The walk is bounded by ``ancestor_levels``
-        and memoized process-wide (see :func:`_ancestor_walk`).
+        walks up the hierarchy, bounded by ``ancestor_levels``.
         """
-        return _ancestor_walk(self.naming, cell.token, self.ancestor_levels)
+        if len(names_by_token) >= _WALK_TABLE_MAX_TOKENS:
+            names_by_token.clear()
+        walk = names_by_token[cell.token] = tuple(
+            self.naming.ancestor_names(cell)[: self.ancestor_levels + 1]
+        )
+        return walk

@@ -8,6 +8,7 @@ TTL expiry without sleeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -23,16 +24,25 @@ class SimulatedClock:
         return self._now
 
     def advance(self, seconds: float) -> float:
-        """Advance the clock by ``seconds`` (must be non-negative)."""
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
+        """Advance the clock by ``seconds`` (finite and non-negative)."""
+        if not (0.0 <= seconds < math.inf):
+            raise _bad_advance(seconds, "seconds")
         self._now += seconds
         self._advance_count += 1
         return self._now
 
     def advance_ms(self, milliseconds: float) -> float:
-        """Advance the clock by ``milliseconds``."""
-        return self.advance(milliseconds / 1000.0)
+        """Advance the clock by ``milliseconds`` (finite and non-negative).
+
+        Every simulated exchange lands here, so this does its own arithmetic
+        — the same as :meth:`advance` — instead of paying a second call.
+        """
+        seconds = milliseconds / 1000.0
+        if not (0.0 <= seconds < math.inf):
+            raise _bad_advance(milliseconds, "milliseconds")
+        self._now += seconds
+        self._advance_count += 1
+        return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Advance the clock to an absolute instant (must not be earlier);
@@ -60,3 +70,11 @@ class SimulatedClock:
     def advance_count(self) -> int:
         """How many times the clock has been advanced (useful in tests)."""
         return self._advance_count
+
+
+def _bad_advance(amount: float, unit: str) -> ValueError:
+    """The error for an advance that is negative, NaN or infinite: a NaN or
+    infinite ``now()`` would make every later ``expires_at > now`` false."""
+    if amount < 0:
+        return ValueError(f"cannot advance the clock backwards ({amount} {unit})")
+    return ValueError(f"cannot advance the clock by a non-finite amount ({amount} {unit})")

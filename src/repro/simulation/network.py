@@ -370,7 +370,12 @@ class SimulatedNetwork:
                 latency_ms, server_id=server_id, fail_on_exhaustion=fail_on_exhaustion
             )
         self.clock.advance_ms(latency_ms)
-        self.stats.record(kind, latency_ms)
+        # ``NetworkStats.record``, in place: this runs once per exchange.
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.total_latency_ms += latency_ms
+        by_kind = stats.messages_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
         return latency_ms
 
     # Convenience wrappers for the hop classes used throughout the library.

@@ -59,33 +59,37 @@ def _bounds_of(token: str) -> BoundingBox:
     return BoundingBox(south, west, north, east)
 
 
-def _grid_position(point: LatLng, level: int) -> tuple[int, int]:
-    """``(row, col)`` of the level-``level`` cell containing ``point``.
+def _grid_position(latitude: float, longitude: float, level: int) -> tuple[int, int]:
+    """``(row, col)`` of the level-``level`` cell containing a point.
 
-    Successive halving of the world rectangle, one row bit and one column
-    bit per level (rows count south→north, columns west→east) — the
-    position :meth:`CellId.from_indices` turns into a token.
+    Rows count south→north, columns west→east — the position
+    :meth:`CellId.from_indices` turns into a token.  The coordinates must lie
+    inside the world rectangle (a :class:`LatLng`'s, or a box's clamped to
+    it).  ``int((value - origin) / step)`` can be one off where the quotient
+    rounds across an integer, so it is corrected against the cell edges
+    ``origin + k * step``: those are dyadic multiples of 45°, exact in binary
+    floating point at every level up to ``MAX_LEVEL``, and are the same
+    edges successive halving of the world (:func:`_bounds_of`) arrives at.
     """
     if not (0 <= level <= MAX_LEVEL):
         raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
-    latitude, longitude = point.latitude, point.longitude
-    south, west, north, east = _WORLD.south, _WORLD.west, _WORLD.north, _WORLD.east
-    row = col = 0
-    for _ in range(level):
-        mid_lat = (south + north) / 2.0
-        mid_lng = (west + east) / 2.0
-        row <<= 1
-        col <<= 1
-        if latitude >= mid_lat:
-            row |= 1
-            south = mid_lat
-        else:
-            north = mid_lat
-        if longitude >= mid_lng:
-            col |= 1
-            west = mid_lng
-        else:
-            east = mid_lng
+    side = 1 << level
+    step = 180.0 / side
+    row = int((latitude + 90.0) / step)
+    if row >= side:
+        row = side - 1
+    elif -90.0 + row * step > latitude:
+        row -= 1
+    elif -90.0 + (row + 1) * step <= latitude:
+        row += 1
+    step = 360.0 / side
+    col = int((longitude + 180.0) / step)
+    if col >= side:
+        col = side - 1
+    elif -180.0 + col * step > longitude:
+        col -= 1
+    elif -180.0 + (col + 1) * step <= longitude:
+        col += 1
     return row, col
 
 
@@ -115,7 +119,7 @@ class CellId:
     @classmethod
     def from_point(cls, point: LatLng, level: int) -> "CellId":
         """The unique level-``level`` cell containing ``point``."""
-        return cls.from_indices(*_grid_position(point, level), level)
+        return cls.from_indices(*_grid_position(point.latitude, point.longitude, level), level)
 
     @classmethod
     @lru_cache(maxsize=65536)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 from repro.geometry.bbox import BoundingBox
@@ -152,37 +153,39 @@ def cells_at_level(box: BoundingBox, level: int, max_cells: int = 64) -> list[Ce
     always at the same level as (or finer than) registration names and the
     DNS ancestor walk is guaranteed to meet every registration.  The scan runs
     south-west to north-east; if the box needs more than ``max_cells`` cells
-    the outermost ones are dropped (the query becomes slightly less complete
-    rather than unboundedly expensive).
+    the northernmost rows (and the east end of the last row scanned) are
+    dropped — the query becomes less complete rather than unboundedly
+    expensive.
     """
     if max_cells < 1:
         raise ValueError("max_cells must be >= 1")
-    # Corner cells pin the integer index range of the aligned grid; every
-    # candidate in between is then derived with bit arithmetic rather than
-    # re-quantizing a floating-point probe per cell (this enumeration runs
-    # for every discovery query a fleet issues).
-    south_west = LatLng(max(-90.0, box.south), max(-180.0, box.west))
-    north_east = LatLng(min(90.0, box.north), min(180.0, box.east))
-    row0, col0 = _grid_position(south_west, level)
-    row1, col1 = _grid_position(north_east, level)
-    row1, col1 = max(row0, row1), max(col0, col1)
-    cells: list[CellId] = []
-    # Same scan order as the historical implementation: south→north rows,
-    # west→east within a row, dropping the outermost cells once the budget
-    # is exhausted.
-    for row in range(row0, row1 + 1):
-        if len(cells) >= max_cells:
-            break
-        for col in range(col0, col1 + 1):
-            if len(cells) >= max_cells:
-                break
-            cell = CellId.from_indices(row, col, level)
-            if cell.bounds().intersects(box):
-                cells.append(cell)
-    # The grid scan yields unique same-level cells, so normalization reduces
-    # to the canonical (level, token) ordering — no containment pass needed.
+    south, west = max(-90.0, box.south), max(-180.0, box.west)
+    north, east = min(90.0, box.north), min(180.0, box.east)
+    if south > 90.0 or west > 180.0 or north < -90.0 or east < -180.0:
+        raise ValueError(f"{box} lies outside the world")
+    # The box matters only through the grid positions of its two corners, so
+    # nearby queries (a fleet in one city) share a handful of blocks.
+    row0, col0 = _grid_position(south, west, level)
+    row1, col1 = _grid_position(north, east, level)
+    return list(_block(row0, col0, max(row0, row1), max(col0, col1), level, max_cells))
+
+
+@lru_cache(maxsize=1024)
+def _block(
+    row0: int, col0: int, row1: int, col1: int, level: int, max_cells: int
+) -> tuple[CellId, ...]:
+    """The first ``max_cells`` cells of a grid block, scanning rows
+    south→north and west→east within a row, in token order.
+
+    Every cell of the block intersects the box whose corners gave the
+    indices — :func:`_grid_position` and ``CellId.bounds`` agree on the cell
+    edges — so none is tested against it.
+    """
+    scan = ((row, col) for row in range(row0, row1 + 1) for col in range(col0, col1 + 1))
+    cells = [CellId.from_indices(row, col, level) for row, col in islice(scan, max_cells)]
+    # Unique same-level cells: normalization is the canonical token order.
     cells.sort(key=lambda cell: cell.token)
-    return cells
+    return tuple(cells)
 
 
 def normalize_covering(cells: list[CellId]) -> list[CellId]:

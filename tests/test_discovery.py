@@ -201,6 +201,54 @@ class TestDiscoverer:
         with pytest.raises(ValueError):
             discoverer.discover_along([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_uncertainty_must_be_finite_and_non_negative(self, registry: DiscoveryRegistry, bad):
+        """NaN and infinity used to clamp to the whole world and walk its
+        south-west corner; a negative radius passed for an exact point."""
+        network = SimulatedNetwork()
+        discoverer = _wire_discovery(registry, network)
+        with pytest.raises(ValueError, match=f"uncertainty_meters.*{bad}"):
+            discoverer.discover_at(CENTER, bad)
+        with pytest.raises(ValueError, match=f"corridor_meters.*{bad}"):
+            discoverer.discover_along([CENTER], bad)
+        assert network.stats.messages_sent == 0
+
+    def test_client_discover_rejects_a_non_finite_uncertainty(self, client):
+        for bad in (float("nan"), float("inf"), -5.0):
+            with pytest.raises(ValueError, match=str(bad)):
+                client.discover(CENTER, bad)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_uncertainty_is_an_exact_point(self, registry: DiscoveryRegistry, zero):
+        discoverer = _wire_discovery(registry, SimulatedNetwork())
+        result = discoverer.discover_at(CENTER, zero)
+        assert result.cells_queried == (CellId.from_point(CENTER, 13),)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="cells_at_level scans south→north and stops at max_query_cells (24); a 500 m "
+        "search needs 35–48 level-17 cells, so the northern rows are never walked "
+        "(ROADMAP: the cell cap cuts the north and east of every 500 m search)",
+    )
+    def test_search_discovery_does_not_depend_on_compass_direction(self):
+        """The same store, mirrored north and south of the user, at the
+        federation's defaults and ``FederatedSearch``'s default 500 m radius."""
+        found = {}
+        for side, bearing in (("north", 0.0), ("south", 180.0)):
+            registry = DiscoveryRegistry(
+                covering_options=CoveringOptions(min_level=13, max_level=17, max_cells=64)
+            )
+            registry.register_region(
+                "store.example", Polygon.regular(CENTER.destination(bearing, 250.0), 60.0)
+            )
+            stub = _wire_discovery(registry, SimulatedNetwork()).resolver
+            discoverer = Discoverer(
+                resolver=stub, naming=registry.naming, query_level=17, ancestor_levels=8
+            )
+            found[side] = discoverer.discover_at(CENTER, 500.0).server_ids
+        assert found["south"] == ("store.example",)
+        assert found["north"] == found["south"]
+
     def test_caching_reduces_authority_traffic(self, registry: DiscoveryRegistry):
         network = SimulatedNetwork()
         registry.register_region("store.example", Polygon.regular(CENTER, 200.0))

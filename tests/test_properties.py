@@ -103,7 +103,7 @@ class TestCellProperties:
             digits.append(str(vertical * 2 + horizontal))
         cell = CellId.from_point(point, level)
         assert cell.token == "".join(digits)
-        assert cell.indices() == _grid_position(point, level)
+        assert cell.indices() == _grid_position(point.latitude, point.longitude, level)
 
     @given(points, levels)
     def test_ancestor_chain_is_prefix_ordered(self, point: LatLng, level: int):

@@ -28,6 +28,33 @@ class TestClock:
         with pytest.raises(ValueError):
             clock.advance(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cannot_advance_by_a_non_finite_amount(self, bad):
+        """A NaN or infinite ``now()`` makes every later ``expires_at > now``
+        false: caches and leases would never expire (or always have)."""
+        clock = SimulatedClock()
+        clock.advance(1.0)
+        for advance in (clock.advance, clock.advance_ms, lambda value: clock.advance_to(1.0 + value)):
+            with pytest.raises(ValueError, match=str(bad)):
+                advance(bad)
+        assert clock.now() == 1.0
+        assert clock.advance_count == 1
+
+    def test_negative_milliseconds_go_backwards_too(self):
+        clock = SimulatedClock()
+        with pytest.raises(ValueError, match="backwards.*-2.5"):
+            clock.advance_ms(-2.5)
+        with pytest.raises(ValueError, match="backwards"):
+            clock.advance_to(-1.0)
+
+    def test_negative_zero_is_no_advance(self):
+        clock = SimulatedClock()
+        clock.advance(-0.0)
+        clock.advance_ms(-0.0)
+        clock.advance_to(-0.0)
+        assert clock.now() == 0.0
+        assert clock.advance_count == 3
+
     def test_rewind_to_past_instant(self):
         clock = SimulatedClock()
         clock.advance(5.0)
