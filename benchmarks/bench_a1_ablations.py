@@ -1,12 +1,12 @@
-"""A1/A2 — design-choice ablations called out in DESIGN.md.
+"""A1 — Section 5.1 design choices: the two ablations of the discovery design.
 
-A1: the device-side discovery cache (client keeps per-cell results for a short
-TTL on top of the resolver's DNS cache) — how much of the federated overhead
+The device-side discovery cache (a client keeps per-cell results for a short
+TTL on top of the resolver's DNS cache): how much of the federated overhead
 measured in E2/E3 it removes for a user who stays in one place.
 
-A2: the discovery naming level — coarser cells mean fewer DNS names and
-lookups but more false-positive server contacts; finer cells the reverse.
-This is the central tuning knob of the §5.1 naming scheme.
+The discovery naming level: coarser cells mean fewer DNS names and lookups
+but more false-positive server contacts; finer cells the reverse.  This is
+the central tuning knob of the §5.1 naming scheme.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from repro.spatialindex.covering import CoveringOptions
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.outdoor import generate_city
 
-from _util import print_table
-
 ANCHOR = LatLng(40.4420, -79.9580)
+REPEATS = 20
+PROBES = 24
 
 
 def _small_world(config: FederationConfig) -> tuple[Federation, LatLng]:
@@ -33,39 +33,27 @@ def _small_world(config: FederationConfig) -> tuple[Federation, LatLng]:
     return federation, store.entrance
 
 
-def test_a1_device_cache_ablation(benchmark):
+def device_cache() -> dict:
     """Repeated same-place discovery with and without the device-side cache."""
-    rows = []
-    for label, ttl in (("no device cache", 0.0), ("device cache (60 s TTL)", 60.0)):
-        federation, entrance = _small_world(
-            FederationConfig(device_discovery_cache_ttl_seconds=ttl)
-        )
+    rows = {}
+    for configuration, ttl in (("no device cache", 0.0), ("device cache (60 s TTL)", 60.0)):
+        federation, entrance = _small_world(FederationConfig(device_discovery_cache_ttl_seconds=ttl))
         client = federation.client()
-        client.discover(entrance, uncertainty_meters=60.0)  # warm everything
+        client.discover(entrance, uncertainty_meters=60.0)  # the stated warm-up: resolver and device caches filled
         federation.reset_network_stats()
-        repeats = 20
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             client.discover(entrance, uncertainty_meters=60.0)
-        rows.append(
-            {
-                "configuration": label,
-                "msgs_per_discovery": federation.network.stats.messages_sent / repeats,
-                "sim_latency_ms": federation.network.stats.total_latency_ms / repeats,
-            }
-        )
-    print_table("A1 device-side discovery cache", rows)
-    assert rows[1]["msgs_per_discovery"] < rows[0]["msgs_per_discovery"]
-    benchmark.extra_info["cached_msgs"] = rows[1]["msgs_per_discovery"]
-
-    federation, entrance = _small_world(FederationConfig(device_discovery_cache_ttl_seconds=60.0))
-    client = federation.client()
-    client.discover(entrance, uncertainty_meters=60.0)
-    benchmark(lambda: client.discover(entrance, uncertainty_meters=60.0))
+        rows[configuration] = {
+            "discoveries": REPEATS,
+            "msgs_per_discovery": federation.network.stats.messages_sent / REPEATS,
+            "sim_latency_ms": federation.network.stats.total_latency_ms / REPEATS,
+        }
+    return rows
 
 
-def test_a2_discovery_level_ablation(benchmark):
+def naming_level() -> dict:
     """Sweep the discovery/registration cell level (the §5.1 naming granularity)."""
-    rows = []
+    rows = {}
     for level in (14, 16, 18):
         config = FederationConfig(
             discovery_level=level,
@@ -74,37 +62,45 @@ def test_a2_discovery_level_ablation(benchmark):
         )
         federation, entrance = _small_world(config)
         client = federation.client()
-
-        # Cost: DNS records published + lookups for a cold discovery.
-        records = federation.registry.total_records
+        # Cost: DNS records published + messages for a cold discovery.
         federation.resolver.cache.flush()
         federation.reset_network_stats()
-        result = client.discover(entrance, uncertainty_meters=60.0)
+        found = client.discover(entrance, uncertainty_meters=60.0)
         cold_messages = federation.network.stats.messages_sent
-
         # Precision: how often a probe 250 m away still discovers the store
         # (a false positive the client must filter).
-        false_positives = 0
-        probes = 24
-        for index in range(probes):
-            probe = entrance.destination(360.0 * index / probes, 250.0)
-            if "store.maps.example" in client.discover(probe, uncertainty_meters=10.0).server_ids:
-                false_positives += 1
-
-        rows.append(
-            {
-                "cell_level": level,
-                "dns_records": records,
-                "cold_discovery_msgs": float(cold_messages),
-                "servers_found": len(result.server_ids),
-                "false_positive_rate_250m": false_positives / probes,
-            }
+        false_positives = sum(
+            "store.maps.example"
+            in client.discover(entrance.destination(360.0 * index / PROBES, 250.0), uncertainty_meters=10.0).server_ids
+            for index in range(PROBES)
         )
-    print_table("A2 discovery naming level ablation", rows)
-    # Finer levels should reduce distant false positives.
-    assert rows[-1]["false_positive_rate_250m"] <= rows[0]["false_positive_rate_250m"]
-    benchmark.extra_info["levels"] = [row["cell_level"] for row in rows]
+        rows[str(level)] = {
+            "dns_records": federation.registry.total_records,
+            "cold_discovery_msgs": cold_messages,
+            "servers_found": len(found.server_ids),
+            "probes": PROBES,
+            "false_positive_rate_250m": false_positives / PROBES,
+        }
+    return rows
 
-    federation, entrance = _small_world(FederationConfig())
-    client = federation.client()
-    benchmark(lambda: client.discover(entrance, uncertainty_meters=60.0))
+
+CELLS = {"device_cache": device_cache, "naming_level": naming_level}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    bare, cached = t["device_cache"]["no device cache"], t["device_cache"]["device cache (60 s TTL)"]
+    coarse, fine = t["naming_level"]["14"], t["naming_level"]["18"]
+    return {
+        f"the device cache cuts repeat-discovery msgs, >= 20 discoveries each: {cached} vs {bare}": (
+            min(bare["discoveries"], cached["discoveries"]) >= 20
+            and cached["msgs_per_discovery"] < bare["msgs_per_discovery"]
+        ),
+        **{
+            f"at naming level {level} a discovery at the store's door finds a server: {row}": row["servers_found"] >= 1
+            for level, row in t["naming_level"].items()
+        },
+        f"finer names sweep in no more false positives 250 m out, >= 24 probes each: level 18 {fine} vs 14 {coarse}": (
+            min(coarse["probes"], fine["probes"]) >= 24
+            and fine["false_positive_rate_250m"] <= coarse["false_positive_rate_250m"]
+        ),
+    }

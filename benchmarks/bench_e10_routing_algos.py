@@ -2,24 +2,26 @@
 
 The centralized pipeline (and each federated map server) can preprocess its
 road graph with contraction hierarchies to make queries cheap.  This
-experiment reproduces the characteristic trade-off: preprocessing cost grows
-with graph size, while queries settle far fewer vertices than plain Dijkstra
-and return identical distances.
+experiment reproduces the trade-off in deterministic work: preprocessing adds
+shortcuts that grow with the graph, and from ~100 vertices up queries settle
+about half the vertices plain Dijkstra does, at identical distances.  The
+36-vertex scenario city is *below* CH's break-even (19.3 settled against
+Dijkstra's 16.8): its row is reported with a note and no settled-vertices
+band.  Host time for preprocessing and queries is perfbench's to measure
+(``mapserver.route_self_s``).
 """
 
 from __future__ import annotations
 
+import math
 import random
-import time
-
-import pytest
 
 from repro.geometry.point import LatLng
 from repro.routing.contraction import build_contraction_hierarchy
-from repro.routing.graph import RoutingGraph
-from repro.routing.shortest_path import astar, bidirectional_dijkstra, dijkstra
+from repro.routing.graph import RoutingGraph, graph_from_map
+from repro.routing.shortest_path import NoRouteError, astar, bidirectional_dijkstra, dijkstra
 
-from _util import print_table
+from _util import paper_world
 
 
 def _grid_graph(rows: int, cols: int, drop_probability: float = 0.1, seed: int = 0) -> RoutingGraph:
@@ -39,110 +41,116 @@ def _grid_graph(rows: int, cols: int, drop_probability: float = 0.1, seed: int =
     return graph
 
 
-def test_e10_preprocessing_vs_query_speedup(benchmark):
-    rows = []
+def _settled_per_query(query, pairs) -> dict:
+    """Mean settled vertices over the pairs ``query`` can route; only "no
+    route" excuses a pair, so any other failure is loud."""
+    settled = []
+    for source, target in pairs:
+        try:
+            settled.append(query(source, target).settled_vertices)
+        except NoRouteError:
+            continue
+    return {
+        "pairs": len(pairs),
+        "routable_pairs": len(settled),
+        "settled_per_query": sum(settled) / len(settled) if settled else None,
+    }
+
+
+def _ch_against_dijkstra(graph: RoutingGraph, pairs) -> dict:
+    hierarchy = build_contraction_hierarchy(graph)
+    routable = mismatches = plain_settled = fast_settled = 0
+    for source, target in pairs:
+        try:
+            plain = dijkstra(graph, source, target)
+        except NoRouteError:
+            continue
+        fast = hierarchy.query(source, target)  # on a pair Dijkstra routes, a CH failure is a finding: let it raise
+        routable += 1
+        mismatches += not math.isclose(fast.cost, plain.cost, rel_tol=1e-9, abs_tol=1e-12)
+        plain_settled += plain.settled_vertices
+        fast_settled += fast.settled_vertices
+    return {
+        "shortcuts": hierarchy.shortcut_count,
+        "pairs": len(pairs),
+        "routable_pairs": routable,
+        "cost_mismatches": mismatches,
+        "dijkstra_settled_per_query": plain_settled / routable if routable else None,
+        "ch_settled_per_query": fast_settled / routable if routable else None,
+    }
+
+
+def preprocessing() -> dict:
+    rows = {}
     for side in (6, 10, 14):
         graph = _grid_graph(side, side, seed=side)
-        start = time.perf_counter()
-        hierarchy = build_contraction_hierarchy(graph)
-        preprocess_seconds = time.perf_counter() - start
-
         rng = random.Random(1)
-        dijkstra_settled = 0
-        ch_settled = 0
-        query_count = 0
-        for _ in range(20):
-            source = rng.randrange(graph.vertex_count)
-            target = rng.randrange(graph.vertex_count)
-            try:
-                plain = dijkstra(graph, source, target)
-                fast = hierarchy.query(source, target)
-            except Exception:
-                continue
-            assert fast.cost == pytest.approx(plain.cost, rel=1e-9)
-            dijkstra_settled += plain.settled_vertices
-            ch_settled += fast.settled_vertices
-            query_count += 1
-
-        rows.append(
-            {
-                "vertices": graph.vertex_count,
-                "shortcuts": hierarchy.shortcut_count,
-                "preprocess_s": preprocess_seconds,
-                "dijkstra_settled/query": dijkstra_settled / max(1, query_count),
-                "ch_settled/query": ch_settled / max(1, query_count),
-            }
-        )
-    print_table("E10 contraction hierarchies: preprocessing vs query work", rows)
-    # CH queries settle no more vertices than Dijkstra (usually far fewer).
-    for row in rows:
-        assert row["ch_settled/query"] <= row["dijkstra_settled/query"] * 1.05
-    benchmark.extra_info["largest_graph_shortcuts"] = rows[-1]["shortcuts"]
-
-    graph = _grid_graph(8, 8, seed=99)
-    benchmark(lambda: build_contraction_hierarchy(graph))
+        pairs = [(rng.randrange(graph.vertex_count), rng.randrange(graph.vertex_count)) for _ in range(20)]
+        rows[str(graph.vertex_count)] = _ch_against_dijkstra(graph, pairs)
+    return rows
 
 
-def test_e10_query_algorithm_comparison(benchmark):
-    """Query-time comparison of Dijkstra, A*, bidirectional and CH on one graph."""
+def algorithms() -> dict:
+    """Dijkstra, A*, bidirectional and CH on one 144-vertex graph."""
     graph = _grid_graph(12, 12, seed=7)
     hierarchy = build_contraction_hierarchy(graph)
     rng = random.Random(2)
     pairs = [(rng.randrange(graph.vertex_count), rng.randrange(graph.vertex_count)) for _ in range(20)]
-
-    def timed(fn) -> tuple[float, float]:
-        start = time.perf_counter()
-        settled = 0
-        for source, target in pairs:
-            try:
-                settled += fn(source, target).settled_vertices
-            except Exception:
-                continue
-        return (time.perf_counter() - start) * 1000.0 / len(pairs), settled / len(pairs)
-
-    rows = []
-    for name, fn in (
-        ("dijkstra", lambda s, t: dijkstra(graph, s, t)),
-        ("astar", lambda s, t: astar(graph, s, t)),
-        ("bidirectional", lambda s, t: bidirectional_dijkstra(graph, s, t)),
-        ("contraction hierarchy", lambda s, t: hierarchy.query(s, t)),
-    ):
-        per_query_ms, settled = timed(fn)
-        rows.append({"algorithm": name, "ms_per_query": per_query_ms, "settled_per_query": settled})
-    print_table("E10 query algorithms on a 144-vertex graph", rows)
-    assert rows[-1]["settled_per_query"] <= rows[0]["settled_per_query"]
-    source, target = pairs[0]
-    benchmark(lambda: hierarchy.query(source, target))
+    queries = {
+        "dijkstra": lambda s, t: dijkstra(graph, s, t),
+        "astar": lambda s, t: astar(graph, s, t),
+        "bidirectional": lambda s, t: bidirectional_dijkstra(graph, s, t),
+        "contraction hierarchy": hierarchy.query,
+    }
+    return {name: _settled_per_query(query, pairs) for name, query in queries.items()}
 
 
-def test_e10_city_graph_ablation(benchmark, bench_scenario):
-    """The same ablation on the generated city graph used by the experiments."""
-    from repro.routing.graph import graph_from_map
-
-    graph = graph_from_map(bench_scenario.city.map_data)
-    start = time.perf_counter()
-    hierarchy = build_contraction_hierarchy(graph)
-    preprocess_seconds = time.perf_counter() - start
+def city_graph() -> dict:
+    """The same comparison on the generated city graph the experiments use."""
+    world, _ = paper_world()
+    graph = graph_from_map(world.city.map_data)
     rng = random.Random(5)
     vertices = list(graph.vertices())
-    settled_plain = 0
-    settled_ch = 0
-    for _ in range(15):
-        source, target = rng.choice(vertices), rng.choice(vertices)
-        plain = dijkstra(graph, source, target)
-        fast = hierarchy.query(source, target)
-        assert fast.cost == pytest.approx(plain.cost, rel=1e-9)
-        settled_plain += plain.settled_vertices
-        settled_ch += fast.settled_vertices
-    rows = [
-        {
-            "graph": "scenario city",
+    pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(15)]
+    return {
+        "scenario city": {
             "vertices": graph.vertex_count,
-            "preprocess_s": preprocess_seconds,
-            "dijkstra_settled": settled_plain / 15,
-            "ch_settled": settled_ch / 15,
+            **_ch_against_dijkstra(graph, pairs),
+            "note": "36 vertices is below CH's break-even, no settled-vertices band",
         }
-    ]
-    print_table("E10 city road graph", rows)
-    source, target = rng.choice(vertices), rng.choice(vertices)
-    benchmark(lambda: hierarchy.query(source, target))
+    }
+
+
+CELLS = {"preprocessing": preprocessing, "algorithms": algorithms, "city_graph": city_graph}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    plain, hierarchy = t["algorithms"]["dijkstra"], t["algorithms"]["contraction hierarchy"]
+    small, large = t["preprocessing"]["36"], t["preprocessing"]["196"]
+    city = t["city_graph"]["scenario city"]
+    return {
+        **{
+            f"{vertices}-vertex grid: >= 15 of 20 pairs routable, 0 cost mismatches, CH settles <= 1.05x Dijkstra's "
+            f"vertices: {row}": (
+                row["routable_pairs"] >= 15
+                and row["cost_mismatches"] == 0
+                and row["ch_settled_per_query"] <= row["dijkstra_settled_per_query"] * 1.05
+            )
+            for vertices, row in t["preprocessing"].items()
+        },
+        f"preprocessing work (shortcuts) grows with the graph: {small} -> {large}": (
+            large["shortcuts"] > small["shortcuts"] > 0
+        ),
+        **{
+            f"{name} routes the same >= 15 of 20 pairs Dijkstra does: {row} vs {plain}": (
+                row["routable_pairs"] == plain["routable_pairs"] >= 15
+            )
+            for name, row in t["algorithms"].items()
+        },
+        f"on 144 vertices CH settles no more vertices per query than Dijkstra: {hierarchy} vs {plain}": (
+            plain["routable_pairs"] >= 15 and hierarchy["settled_per_query"] <= plain["settled_per_query"]
+        ),
+        f"city graph: 0 CH/Dijkstra cost mismatches over >= 12 of 15 routable pairs: {city}": (
+            city["routable_pairs"] >= 12 and city["cost_mismatches"] == 0
+        ),
+    }

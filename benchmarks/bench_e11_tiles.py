@@ -17,86 +17,70 @@ from repro.tiles.renderer import TileRenderer
 from repro.tiles.stitcher import TileStitcher, composite_coverage
 from repro.tiles.tile_math import tiles_for_box
 
-from _util import print_table
+from _util import paper_world
+
+ALIGNMENT_RUNS = 5
 
 
-def test_e11_alignment_error_vs_correspondences(benchmark, bench_scenario):
-    """More (noisy) manual correspondences give a better frame alignment."""
-    store = bench_scenario.stores[0]
+def alignment() -> dict:
+    """More (noisy, 1 m) manual correspondences give a better frame alignment."""
+    world, _ = paper_world()
+    store = world.stores[0]
     truth = store.projection
     rng = random.Random(3)
 
-    probes = [
-        LocalPoint(rng.uniform(0, store.width_meters), rng.uniform(0, store.depth_meters), truth.frame)
-        for _ in range(20)
-    ]
+    def random_local() -> LocalPoint:
+        return LocalPoint(rng.uniform(0, store.width_meters), rng.uniform(0, store.depth_meters), truth.frame)
+
+    probes = [random_local() for _ in range(20)]
 
     def mean_error(correspondence_count: int, noise_meters: float) -> float:
         correspondences = CorrespondenceSet(local_frame=truth.frame)
         for _ in range(correspondence_count):
-            local = LocalPoint(
-                rng.uniform(0, store.width_meters), rng.uniform(0, store.depth_meters), truth.frame
-            )
-            geographic = truth.to_geographic(local).destination(
-                rng.uniform(0, 360.0), abs(rng.gauss(0.0, noise_meters))
-            )
-            correspondences.add(local, geographic)
-        alignment = correspondences.estimate_alignment()
-        return sum(
-            alignment.local_to_geographic(p).distance_to(truth.to_geographic(p)) for p in probes
-        ) / len(probes)
+            local = random_local()
+            noisy = truth.to_geographic(local).destination(rng.uniform(0, 360.0), abs(rng.gauss(0.0, noise_meters)))
+            correspondences.add(local, noisy)
+        aligned = correspondences.estimate_alignment()
+        return sum(aligned.local_to_geographic(p).distance_to(truth.to_geographic(p)) for p in probes) / len(probes)
 
-    rows = []
-    for count in (2, 4, 8, 16):
-        errors = [mean_error(count, noise_meters=1.0) for _ in range(5)]
-        rows.append({"correspondences": count, "mean_alignment_error_m": sum(errors) / len(errors)})
-    print_table("E11 alignment error vs manual correspondences (1 m annotation noise)", rows)
-    assert rows[-1]["mean_alignment_error_m"] < rows[0]["mean_alignment_error_m"] + 0.5
-    assert rows[-1]["mean_alignment_error_m"] < 2.0
-    benchmark.extra_info["best_alignment_error_m"] = rows[-1]["mean_alignment_error_m"]
-    benchmark(lambda: mean_error(8, 1.0))
-
-
-def test_e11_composite_viewport_coverage(benchmark, bench_scenario, bench_client):
-    """Stitching the store map over the city map increases viewport content."""
-    store = bench_scenario.stores[0]
-    viewport = BoundingBox.around(store.entrance, 50.0)
-    zoom = 19
-
-    # City-only rendering.
-    city_renderer = TileRenderer(bench_scenario.city.map_data, line_thickness=1)
-    stitcher = TileStitcher()
-    city_only = {
-        coordinate: stitcher.stitch([city_renderer.render(coordinate)])
-        for coordinate in tiles_for_box(viewport, zoom)
+    return {
+        str(count): {
+            "runs": ALIGNMENT_RUNS,
+            "mean_alignment_error_m": sum(mean_error(count, 1.0) for _ in range(ALIGNMENT_RUNS)) / ALIGNMENT_RUNS,
+        }
+        for count in (2, 4, 8, 16)
     }
 
-    # Federated composite through the client.
-    view = bench_client.render_viewport(viewport, zoom=zoom)
 
-    rows = [
-        {"view": "city map only", "mean_coverage": composite_coverage(city_only)},
-        {"view": "federated composite", "mean_coverage": view.coverage_fraction},
-    ]
-    print_table("E11 viewport coverage around the storefront", rows)
-    assert view.coverage_fraction >= composite_coverage(city_only)
-    benchmark.extra_info["federated_coverage"] = view.coverage_fraction
-    benchmark(lambda: bench_client.render_viewport(viewport, zoom=zoom))
-
-
-def test_e11_tile_render_and_stitch_cost(benchmark, bench_scenario):
-    """Raw cost of rendering + compositing one tile from two sources."""
-    store = bench_scenario.stores[0]
-    from repro.tiles.tile_math import tile_for_point
-
-    coordinate = tile_for_point(store.entrance, 19)
-    city_renderer = TileRenderer(bench_scenario.city.map_data)
-    store_renderer = TileRenderer(store.map_data, line_thickness=2)
+def coverage() -> dict:
+    """Stitching the store map over the city map increases viewport content."""
+    world, client = paper_world()
+    viewport = BoundingBox.around(world.stores[0].entrance, 50.0)
+    city_renderer = TileRenderer(world.city.map_data, line_thickness=1)
     stitcher = TileStitcher()
+    city_only = {
+        coordinate: stitcher.stitch([city_renderer.render(coordinate)]) for coordinate in tiles_for_box(viewport, 19)
+    }
+    view = client.render_viewport(viewport, zoom=19)
+    return {
+        "city map only": {"tiles": len(city_only), "mean_coverage": composite_coverage(city_only)},
+        "federated composite": {"tiles": view.tiles_downloaded, "mean_coverage": view.coverage_fraction},
+    }
 
-    def render_and_stitch():
-        return stitcher.stitch([city_renderer.render(coordinate), store_renderer.render(coordinate)])
 
-    composite = render_and_stitch()
-    assert composite.coverage_fraction >= 0.0
-    benchmark(render_and_stitch)
+CELLS = {"alignment": alignment, "coverage": coverage}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    two, sixteen = t["alignment"]["2"], t["alignment"]["16"]
+    city, composite = t["coverage"]["city map only"], t["coverage"]["federated composite"]
+    return {
+        "16 correspondences align to < 2 m and < the 2-point error + 0.5 m, >= 5 runs each: "
+        f"{sixteen} vs {two}": (
+            min(two["runs"], sixteen["runs"]) >= 5
+            and sixteen["mean_alignment_error_m"] < min(two["mean_alignment_error_m"] + 0.5, 2.0)
+        ),
+        f"stitching the store map in loses no viewport content, >= 1 tile each: {composite} vs {city}": (
+            min(city["tiles"], composite["tiles"]) >= 1 and composite["mean_coverage"] >= city["mean_coverage"]
+        ),
+    }

@@ -10,87 +10,82 @@ from __future__ import annotations
 
 from repro.simulation.metrics import Summary
 
-from _util import print_table
+from _util import paper_world
 
 
-def test_e12_street_address_geocoding(benchmark, bench_scenario, bench_client):
+def street_addresses() -> dict:
     """Street addresses resolve through the world provider with small error."""
-    addresses = list(bench_scenario.city.building_addresses.items())[:20]
-    error = Summary("error")
-    resolved = 0
-    fanout = Summary("fanout")
+    world, client = paper_world()
+    addresses = list(world.city.building_addresses.items())[:20]
+    error, fanout = Summary("error"), Summary("fanout")
     for address, location in addresses:
-        result = bench_client.geocode(f"{address}, {bench_scenario.city.city_name}")
+        result = client.geocode(f"{address}, {world.city.city_name}")
         fanout.observe(result.servers_consulted)
-        if result.best is None:
-            continue
-        resolved += 1
-        error.observe(result.best.location.distance_to(location))
-    rows = [
-        {
+        if result.best is not None:
+            error.observe(result.best.location.distance_to(location))
+    return {
+        "street addresses": {
             "queries": len(addresses),
-            "resolved_fraction": resolved / len(addresses),
+            "resolved_fraction": error.count / len(addresses),
             "mean_error_m": error.mean,
             "mean_servers_consulted": fanout.mean,
         }
-    ]
-    print_table("E12 federated forward geocode: street addresses", rows)
-    assert rows[0]["resolved_fraction"] > 0.9
-    assert rows[0]["mean_error_m"] < 30.0
-    benchmark.extra_info.update(rows[0])
-    address, _ = addresses[0]
-    benchmark(lambda: bench_client.geocode(f"{address}, {bench_scenario.city.city_name}"))
+    }
 
 
-def test_e12_indoor_destination_geocoding(benchmark, bench_scenario, bench_client):
+def indoor_destinations() -> dict:
     """Indoor destinations (store entrances) resolve via the two-stage flow."""
-    rows = []
-    for store in bench_scenario.stores:
-        entrance_address = None
-        for node in store.map_data.nodes():
-            if "addr:full" in node.tags:
-                entrance_address = node.tags["addr:full"]
-                break
-        query = f"{store.name} entrance, {entrance_address}"
-        result = bench_client.geocode(query)
-        error = result.best.location.distance_to(store.entrance) if result.best else float("nan")
-        rows.append(
-            {
-                "store": store.name,
-                "resolved": result.best is not None,
-                "error_m": error,
-                "coarse_stage_used": result.coarse_location is not None,
-            }
-        )
-    print_table("E12 federated forward geocode: indoor destinations", rows)
-    assert all(row["resolved"] for row in rows)
-    store = bench_scenario.stores[0]
-    entrance_address = next(
-        node.tags["addr:full"] for node in store.map_data.nodes() if "addr:full" in node.tags
-    )
-    benchmark(lambda: bench_client.geocode(f"{store.name} entrance, {entrance_address}"))
+    world, client = paper_world()
+    rows = {}
+    for store in world.stores:
+        street = next(node.tags["addr:full"] for node in store.map_data.nodes() if "addr:full" in node.tags)
+        result = client.geocode(f"{store.name} entrance, {street}")
+        rows[store.name] = {
+            "resolved": result.best is not None,
+            "error_m": result.best.location.distance_to(store.entrance) if result.best else None,
+            "coarse_stage_used": result.coarse_location is not None,
+        }
+    return rows
 
 
-def test_e12_reverse_geocode_precision(benchmark, bench_scenario, bench_client):
+def reverse_geocode() -> dict:
     """Reverse geocoding an indoor point: federated snaps to the shelf, the
     centralized baseline can only snap to an outdoor feature far away."""
-    store = bench_scenario.stores[0]
-    federated_distance = Summary("federated")
-    centralized_distance = Summary("centralized")
-    samples = list(store.product_locations.values())[:10]
-    for location in samples:
-        federated = bench_client.reverse_geocode(location, max_distance_meters=150.0)
-        if federated.best is not None:
-            federated_distance.observe(federated.best.distance_meters)
-        central = bench_scenario.centralized.reverse_geocode(location, max_distance_meters=500.0)
-        if central is not None:
-            centralized_distance.observe(central.distance_meters)
-    rows = [
-        {"system": "federated", "mean_snap_distance_m": federated_distance.mean, "answers": federated_distance.count},
-        {"system": "centralized", "mean_snap_distance_m": centralized_distance.mean, "answers": centralized_distance.count},
-    ]
-    print_table("E12 reverse geocode of indoor points", rows)
-    assert federated_distance.mean < centralized_distance.mean
-    benchmark.extra_info["federated_snap_m"] = federated_distance.mean
-    location = samples[0]
-    benchmark(lambda: bench_client.reverse_geocode(location, max_distance_meters=150.0))
+    world, client = paper_world()
+    federated, centralized = Summary("federated"), Summary("centralized")
+    for location in list(world.stores[0].product_locations.values())[:10]:
+        precise = client.reverse_geocode(location, max_distance_meters=150.0).best
+        if precise is not None:
+            federated.observe(precise.distance_meters)
+        coarse = world.centralized.reverse_geocode(location, max_distance_meters=500.0)
+        if coarse is not None:
+            centralized.observe(coarse.distance_meters)
+    return {
+        system: {"answers": snapped.count, "mean_snap_distance_m": snapped.mean}
+        for system, snapped in (("federated", federated), ("centralized", centralized))
+    }
+
+
+CELLS = {
+    "street_addresses": street_addresses,
+    "indoor_destinations": indoor_destinations,
+    "reverse_geocode": reverse_geocode,
+}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    streets, stores = t["street_addresses"]["street addresses"], t["indoor_destinations"]
+    federated, centralized = t["reverse_geocode"]["federated"], t["reverse_geocode"]["centralized"]
+    return {
+        f"> 0.9 of >= 20 street addresses resolve, at < 30 m mean error: {streets}": (
+            streets["queries"] >= 20 and streets["resolved_fraction"] > 0.9 and streets["mean_error_m"] < 30.0
+        ),
+        f"every one of >= 3 store entrances resolves: {stores}": (
+            len(stores) >= 3 and all(row["resolved"] for row in stores.values())
+        ),
+        "reverse geocode of indoor points snaps closer federated than centralized, >= 8 of 10 answers each: "
+        f"{federated} vs {centralized}": (
+            min(federated["answers"], centralized["answers"]) >= 8
+            and federated["mean_snap_distance_m"] < centralized["mean_snap_distance_m"]
+        ),
+    }

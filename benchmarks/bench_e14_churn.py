@@ -29,26 +29,16 @@ on a 4-replica group:
   paying its own ``dead_server_timeout`` vs one device paying and the
   rest of its resolver pool learning for free.
 
-Runs three ways, like E13:
-
-* under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e14_churn.py --smoke`` —
-  the reduced sweep used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e14.json`` reproduces;
-* the full sweep (no flags) runs a larger fleet over more churn rates.
-
-Everything is deterministic under the fixed seeds: the same invocation
-rewrites byte-identical JSON.
+Runs through ``harness.main``: ``--smoke`` is the reduced sweep whose output
+*is* the committed, byte-gated ``BENCH_e14.json``; no flag runs a larger
+fleet over more churn rates.
 """
 
 from __future__ import annotations
 
-import time
 from types import SimpleNamespace
 
-from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
-from _util import print_table
+from harness import Experiment, digest, main  # first: finds src/ when run standalone
 from repro.churn import FIRST_HEALTHY, WEIGHTED, ChurnSchedule, RetryPolicy
 from repro.core.config import FederationConfig
 from repro.simulation.queueing import ServiceTimeModel
@@ -115,7 +105,6 @@ def run_churn(
     phase: str = "churn",
 ) -> dict[str, object]:
     """Run one (replica count × churn rate × policy) cell of the sweep."""
-    started = time.perf_counter()
     scenario = build_churn_scenario(replicas, mode=mode, shared_health=shared_health)
     eligible = [
         server_id
@@ -140,7 +129,6 @@ def run_churn(
         ),
     )
     report = engine.run()
-    wall_seconds = time.perf_counter() - started
     availability = report.availability()
     return {
         "mode": mode + ("+shared" if shared_health else ""),
@@ -165,7 +153,6 @@ def run_churn(
         "_selection": mode,
         "_availability": availability,
         "_scheduled_events": len(schedule),
-        "_wall_seconds": wall_seconds,
         "_simulated_seconds": report.simulated_seconds,
         "_snapshot_digest": digest(report.snapshot()),
     }
@@ -337,32 +324,6 @@ def verify(rows: list[dict[str, object]], churn_rates: list[float]) -> list[str]
     return failures
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-def test_e14_availability_degrades_and_replicas_restore(benchmark):
-    """Churn kills single-replica availability; one more replica restores it."""
-    rates = [0.0, 3.0]
-    # The smoke fleet size: verify()'s balance thresholds (CV < 0.15 for
-    # weighted selection) are calibrated against this workload.
-    rows = sweep([1, 2], rates, clients=24, steps=10)
-    print_table("E14 churn x replicas", table_rows(rows))
-    assert not verify(rows, rates)
-    benchmark.extra_info["failed_rate_r1"] = rows[1]["failed_rate"]
-    benchmark(lambda: run_churn(1, 3.0, clients=8, steps=4))
-
-
-def test_e14_deterministic(benchmark):
-    """Fixed seeds give byte-identical availability snapshots."""
-    first = run_churn(2, 3.0, clients=12, steps=6)
-    second = run_churn(2, 3.0, clients=12, steps=6)
-    assert first["_snapshot_digest"] == second["_snapshot_digest"]
-    benchmark(lambda: run_churn(2, 3.0, clients=8, steps=4))
-
-
-# ----------------------------------------------------------------------
-# Standalone mode
-# ----------------------------------------------------------------------
 def run(smoke: bool) -> SimpleNamespace:
     if smoke:
         churn_rates, clients, steps = [0.0, 1.5, 3.0], 24, 10

@@ -21,26 +21,16 @@ measures what an operator can *do to* a live one through the control plane
   reacts (promote the standby to tier 0, drain the corpse to weight 0)
   spares the fleet most of the dead-server timeouts a cold failover pays.
 
-Runs three ways, like E13/E14:
-
-* under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e15_control.py --smoke`` —
-  the reduced sweep used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e15.json`` reproduces;
-* the full sweep (no flags) runs a larger fleet over more drain/TTL cells.
-
-Everything is deterministic under the fixed seeds: the same invocation
-rewrites byte-identical JSON.
+Runs through ``harness.main``: ``--smoke`` is the reduced sweep whose output
+*is* the committed, byte-gated ``BENCH_e15.json``; no flag runs a larger
+fleet over more drain/TTL cells.
 """
 
 from __future__ import annotations
 
-import time
 from types import SimpleNamespace
 
-from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
-from _util import print_table
+from harness import Experiment, digest, main  # first: finds src/ when run standalone
 from repro.churn import RetryPolicy
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.control import ControlEvent, ControlEventKind, ControlSchedule
@@ -112,7 +102,6 @@ def _row(
     phase: str,
     report,
     scenario,
-    wall_seconds: float,
     drained_id: str | None = None,
     standby_id: str | None = None,
     **extra,
@@ -150,7 +139,6 @@ def _row(
         "_availability": availability,
         "_control": dict(sorted(control.items())),
         "_replica_arrivals": {sid: arrivals[sid] for sid in replica_ids},
-        "_wall_seconds": wall_seconds,
         "_simulated_seconds": report.simulated_seconds,
         "_snapshot_digest": digest(report.snapshot()),
     }
@@ -166,7 +154,6 @@ def run_drain(
     seed: int = WORKLOAD_SEED,
 ) -> dict[str, object]:
     """One drain cell: weight replica 0 to zero at a chosen round boundary."""
-    started = time.perf_counter()
     scenario = build_control_scenario(dns_ttl_seconds)
     drained = scenario.store_replica_ids(0)[0]
     schedule = ControlSchedule.from_events(
@@ -189,7 +176,6 @@ def run_drain(
         "drain",
         report,
         scenario,
-        time.perf_counter() - started,
         drained_id=drained,
         drain_round=drain_round,
         dns_ttl_s=dns_ttl_seconds,
@@ -209,7 +195,6 @@ def run_drain_baseline(
     drain" is checked as *failed(drain cell) == failed(baseline)*, not as an
     absolute zero that breaks the moment the underlying workload has any.
     """
-    started = time.perf_counter()
     scenario = build_control_scenario(dns_ttl_seconds)
     engine = WorkloadEngine(
         scenario,
@@ -227,7 +212,6 @@ def run_drain_baseline(
         "baseline",
         report,
         scenario,
-        time.perf_counter() - started,
         drain_round=0,
         dns_ttl_s=dns_ttl_seconds,
     )
@@ -248,7 +232,6 @@ def run_standby(
     as their cached SRV views converge — instead of every device paying its
     own dead-server timeout for the full record/cache decay window.
     """
-    started = time.perf_counter()
     scenario = build_control_scenario(
         STANDBY_DNS_TTL_SECONDS, replicas=2, priorities=(0, 1)
     )
@@ -290,7 +273,6 @@ def run_standby(
         "standby",
         report,
         scenario,
-        time.perf_counter() - started,
         standby_id=standby,
         drain_round=0,
         dns_ttl_s=STANDBY_DNS_TTL_SECONDS,
@@ -463,29 +445,6 @@ def verify(rows: list[dict[str, object]], dns_ttls: list[float]) -> list[str]:
     return failures
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-def test_e15_drain_converges_without_failures(benchmark):
-    """A live drain moves traffic within one DNS TTL, zero failures."""
-    rows = sweep([2], [40.0, 80.0], clients=24, steps=12)
-    print_table("E15 drain convergence + warm standby", table_rows(rows))
-    assert not verify(rows, [40.0, 80.0])
-    benchmark.extra_info["conv_p95_s"] = rows[0]["conv_p95_s"]
-    benchmark(lambda: run_drain(2, 40.0, clients=8, steps=6))
-
-
-def test_e15_deterministic(benchmark):
-    """Fixed seeds give byte-identical control-plane snapshots."""
-    first = run_drain(2, 40.0, clients=12, steps=8)
-    second = run_drain(2, 40.0, clients=12, steps=8)
-    assert first["_snapshot_digest"] == second["_snapshot_digest"]
-    benchmark(lambda: run_standby(True, True, clients=8, steps=6))
-
-
-# ----------------------------------------------------------------------
-# Standalone mode
-# ----------------------------------------------------------------------
 def run(smoke: bool) -> SimpleNamespace:
     if smoke:
         drain_rounds, dns_ttls, clients, steps = [2, 5], [40.0, 80.0], 24, 12

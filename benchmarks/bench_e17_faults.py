@@ -23,26 +23,16 @@ bands:
 * **rolling-gray** — 12x latency + 35% loss marching across replica
   ranks; bounded retransmits keep requests succeeding at inflated p95.
 
-Runs three ways, like E13–E16:
-
-* under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e17_faults.py --smoke`` —
-  used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e17.json`` reproduces;
-* the full sweep (no flags) runs the same scenarios with a larger fleet.
-
-Everything is deterministic under the fixed seeds: the same invocation
-rewrites byte-identical JSON.
+Runs through ``harness.main``: ``--smoke`` is the sweep whose output *is* the
+committed, byte-gated ``BENCH_e17.json``; no flag runs the same scenarios
+with a larger fleet.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 
-from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
-from _util import print_table
+from harness import Experiment, digest, main  # first: finds src/ when run standalone
 from repro.faults.scenarios import (
     SCENARIOS,
     WORKLOAD_SEED,
@@ -62,7 +52,6 @@ def run_disaster(spec: DisasterSpec, clients: int | None = None) -> dict[str, ob
     """Run one scenario's baseline + faulted pair and fold the metrics."""
     if clients is not None:
         spec = dataclasses.replace(spec, clients=clients)
-    started = time.perf_counter()
     baseline_world = spec.build()
     baseline = WorkloadEngine(
         baseline_world, spec.workload(baseline_world, faulted=False)
@@ -71,7 +60,6 @@ def run_disaster(spec: DisasterSpec, clients: int | None = None) -> dict[str, ob
     faulted = WorkloadEngine(
         faulted_world, spec.workload(faulted_world, faulted=True)
     ).run()
-    wall_seconds = time.perf_counter() - started
     metrics = scenario_metrics(baseline, faulted)
     return {
         "scenario": spec.name,
@@ -93,7 +81,6 @@ def run_disaster(spec: DisasterSpec, clients: int | None = None) -> dict[str, ob
             name: list(band) for name, band in sorted(spec.bands.items())
         },
         "_band_failures": check_bands(spec, metrics),
-        "_wall_seconds": wall_seconds,
         "_baseline_snapshot_digest": digest(baseline.snapshot()),
         "_snapshot_digest": digest(faulted.snapshot()),
         "_simulated_seconds": faulted.simulated_seconds,
@@ -160,32 +147,6 @@ def verify(rows: list[dict[str, object]]) -> list[str]:
     return failures
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-def test_e17_disasters_stay_in_band(benchmark):
-    """Every scenario's faulted run stays inside its acceptance bands."""
-    rows = sweep()
-    print_table("E17 correlated disasters", table_rows(rows))
-    assert not verify(rows)
-    benchmark.extra_info["authority_degraded_rate"] = next(
-        row["degraded"] for row in rows if row["scenario"] == "authority-outage"
-    )
-    benchmark(lambda: run_disaster(SCENARIOS[0], clients=8))
-
-
-def test_e17_deterministic(benchmark):
-    """Fixed seeds give byte-identical disaster snapshots."""
-    first = run_disaster(SCENARIOS[2])
-    second = run_disaster(SCENARIOS[2])
-    assert first["_snapshot_digest"] == second["_snapshot_digest"]
-    assert first["_baseline_snapshot_digest"] == second["_baseline_snapshot_digest"]
-    benchmark(lambda: run_disaster(SCENARIOS[0], clients=8))
-
-
-# ----------------------------------------------------------------------
-# Standalone mode
-# ----------------------------------------------------------------------
 def rerun(rows: list[dict[str, object]]) -> tuple[str, str]:
     """Determinism: the richest scenario (authority outage: DNS timeouts,
     stale serving, degraded accounting) must reproduce exactly."""

@@ -23,23 +23,17 @@ claims are pinned:
   action was down), promotions bounded by the pool, a bounded number of
   weight changes.
 
-Runs three ways, like E13–E18:
-
-* under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e19_autoscale.py --smoke``
-  — used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e19.json`` reproduces;
-* the full sweep (no flags) re-runs the cells with a larger fleet and
-  writes ``BENCH_e19_full.json``.
+Runs through ``harness.main``: ``--smoke`` is the sweep whose output *is* the
+committed, byte-gated ``BENCH_e19.json``; no flag re-runs the cells with a
+larger fleet into the git-ignored ``BENCH_e19_full.json``.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
-from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
-from _util import disaster_world, print_table
+from harness import Experiment, digest, main  # first: finds src/ when run standalone
+from _util import disaster_world
 from repro.autoscale import AutoscalerConfig
 from repro.faults.schedule import FaultPlan
 from repro.telemetry import SLOConfig, TelemetryConfig
@@ -327,42 +321,6 @@ def verify(
     return failures
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-def _smoke_flash():
-    return run_pattern("flash", flash_plan, FLASH_STEPS, SMOKE_CLIENTS)
-
-
-def test_e19_flash_crowd_auto_beats_lean_under_over_cost(benchmark):
-    rows = _smoke_flash()
-    print_table("E19 flash crowd", table_rows(rows))
-    cells = by_mode(rows)
-    assert cells["auto"]["attainment"] > cells["static-lean"]["attainment"]
-    assert cells["auto"]["cost_rs"] <= 0.9 * cells["static-over"]["cost_rs"]
-    benchmark.extra_info["auto_attainment"] = cells["auto"]["attainment"]
-    benchmark(lambda: run_cell("auto", flash_plan, 8, SMOKE_CLIENTS))
-
-
-def test_e19_oscillation_is_bounded(benchmark):
-    row = run_oscillation(SMOKE_CLIENTS)
-    print_table("E19 oscillation", table_rows([row]))
-    assert row["flaps"] == 0
-    assert row["promotions"] <= POOL_SIZE
-    assert row["_weight_changes"] <= MAX_OSCILLATION_WEIGHT_CHANGES
-    benchmark(lambda: run_cell("auto", flash_plan, 8, SMOKE_CLIENTS))
-
-
-def test_e19_deterministic(benchmark):
-    first = run_cell("auto", flash_plan, FLASH_STEPS, SMOKE_CLIENTS)
-    second = run_cell("auto", flash_plan, FLASH_STEPS, SMOKE_CLIENTS)
-    assert first["_snapshot_digest"] == second["_snapshot_digest"]
-    benchmark(lambda: run_cell("auto", flash_plan, 8, SMOKE_CLIENTS))
-
-
-# ----------------------------------------------------------------------
-# Standalone mode
-# ----------------------------------------------------------------------
 def payload(
     flash: list[dict[str, object]],
     diurnal: list[dict[str, object]],

@@ -1,110 +1,69 @@
 """E1 — Figure 1: the centralized architecture serving the five base services.
 
-Measures, for the centralized baseline, the request latency (wall clock via
-pytest-benchmark), and the simulated message count / network latency per
-request for each of the five location-based services of Section 4.
+For the centralized baseline, the simulated message count and network latency
+per request of each of the five location-based services of Section 4 (one
+client↔provider exchange each), and what the Figure-1 offline stage builds
+from the merged world map.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
+from repro.centralized.preprocess import preprocess_world_map
 from repro.localization.cues import CueBundle, GnssCue
 from repro.mapserver.geocode import Address
 from repro.tiles.tile_math import tile_for_point
 
-from _util import print_table
+from _util import cost_per_request, paper_world
 
 
-@pytest.fixture(scope="module")
-def central(bench_scenario):
-    return bench_scenario.centralized
-
-
-def _measure_network(system, fn, repeats: int = 20) -> dict[str, float]:
-    system.network.reset_stats()
-    for _ in range(repeats):
-        fn()
-    stats = system.network.stats
+def services() -> dict:
+    world, _ = paper_world()
+    central, city = world.centralized, world.city
+    center = city.bounds.center
+    address = Address.parse(f"{next(iter(city.building_addresses))}, {city.city_name}")
+    rng = random.Random(0)
+    pairs = [(city.random_street_point(rng), city.random_street_point(rng)) for _ in range(10)]
+    cues = CueBundle(gnss=GnssCue(center, accuracy_meters=10.0))
+    coordinate = tile_for_point(center, 17)
+    requests = {
+        "geocode": [lambda: central.geocode(address)],
+        "search": [lambda: central.search("cafe", near=center, radius_meters=2000.0)],
+        "routing": [lambda pair=pair: central.route(*pair) for pair in pairs],
+        "localization": [lambda: central.localize(cues)],
+        "tiles": [lambda: central.get_tile(coordinate)],
+    }
     return {
-        "messages_per_request": stats.messages_sent / repeats,
-        "sim_latency_ms": stats.total_latency_ms / repeats,
+        service: cost_per_request(central.network, calls, passes=20 // len(calls))
+        for service, calls in requests.items()
     }
 
 
-def test_e1_geocode(benchmark, bench_scenario, central):
-    address = Address.parse(f"{next(iter(bench_scenario.city.building_addresses))}, {bench_scenario.city.city_name}")
-    result = benchmark(lambda: central.geocode(address))
-    assert result
-    info = _measure_network(central, lambda: central.geocode(address))
-    benchmark.extra_info.update(info)
-    print_table("E1 centralized geocode", [{"service": "geocode", **info}])
-
-
-def test_e1_search(benchmark, bench_scenario, central):
-    near = bench_scenario.city.bounds.center
-    result = benchmark(lambda: central.search("cafe", near=near, radius_meters=2000.0))
-    assert result
-    info = _measure_network(central, lambda: central.search("cafe", near=near, radius_meters=2000.0))
-    benchmark.extra_info.update(info)
-    print_table("E1 centralized search", [{"service": "search", **info}])
-
-
-def test_e1_routing(benchmark, bench_scenario, central):
-    rng = random.Random(0)
-    pairs = [
-        (bench_scenario.city.random_street_point(rng), bench_scenario.city.random_street_point(rng))
-        for _ in range(10)
-    ]
-    iterator = iter(range(10**9))
-
-    def route_once():
-        index = next(iterator) % len(pairs)
-        return central.route(*pairs[index])
-
-    benchmark(route_once)
-    info = _measure_network(central, route_once)
-    benchmark.extra_info.update(info)
-    print_table("E1 centralized routing", [{"service": "routing", **info}])
-
-
-def test_e1_localization(benchmark, bench_scenario, central):
-    center = bench_scenario.city.bounds.center
-    cues = CueBundle(gnss=GnssCue(center, accuracy_meters=10.0))
-    result = benchmark(lambda: central.localize(cues))
-    assert result is not None
-    info = _measure_network(central, lambda: central.localize(cues))
-    benchmark.extra_info.update(info)
-    print_table("E1 centralized localization", [{"service": "localization", **info}])
-
-
-def test_e1_tiles(benchmark, bench_scenario, central):
-    coordinate = tile_for_point(bench_scenario.city.bounds.center, 17)
-    result = benchmark(lambda: central.get_tile(coordinate))
-    assert result is not None
-    info = _measure_network(central, lambda: central.get_tile(coordinate))
-    benchmark.extra_info.update(info)
-    print_table("E1 centralized tiles", [{"service": "tiles", **info}])
-
-
-def test_e1_preprocessing_pipeline(benchmark, bench_scenario):
+def preprocessing() -> dict:
     """The Figure-1 offline stage: ingest + preprocess the whole world map."""
-    from repro.centralized.preprocess import preprocess_world_map
-
-    world_map = bench_scenario.centralized.world_map
-    report = benchmark.pedantic(
-        lambda: preprocess_world_map(world_map, use_contraction_hierarchy=False),
-        rounds=3,
-        iterations=1,
-    )
-    rows = [
-        {
-            "graph_vertices": report.report.graph_vertices,
-            "geocode_entries": report.report.geocode_entries,
-            "search_entries": report.report.search_entries,
+    world, _ = paper_world()
+    report = preprocess_world_map(world.centralized.world_map, use_contraction_hierarchy=False).report
+    return {
+        "world map": {
+            "graph_vertices": report.graph_vertices,
+            "geocode_entries": report.geocode_entries,
+            "search_entries": report.search_entries,
         }
-    ]
-    benchmark.extra_info.update(rows[0])
-    print_table("E1 centralized preprocessing", rows)
+    }
+
+
+CELLS = {"services": services, "preprocessing": preprocessing}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    built = t["preprocessing"]["world map"]
+    return {
+        **{
+            f"centralized {service} answers all of >= 20 requests in one exchange each (1.0 msgs): {row}": (
+                row["answered"] == row["requests"] >= 20 and row["messages_per_request"] == 1.0
+            )
+            for service, row in t["services"].items()
+        },
+        f"the offline stage builds a non-empty graph and indexes: {built}": min(built.values()) > 0,
+    }

@@ -33,23 +33,17 @@ pinned:
   log through a fresh API over a fresh federation reproduces the exact
   final SRV state (equal state digests).
 
-Runs three ways, like E13–E19:
-
-* under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e20_operator.py --smoke``
-  — used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e20.json`` reproduces;
-* the full sweep (no flags) re-runs the cells with a larger fleet and
-  writes ``BENCH_e20_full.json``.
+Runs through ``harness.main``: ``--smoke`` is the sweep whose output *is* the
+committed, byte-gated ``BENCH_e20.json``; no flag re-runs the cells with a
+larger fleet into the git-ignored ``BENCH_e20_full.json``.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
-from harness import Experiment, digest, main, table_rows  # first: finds src/ when run standalone
-from _util import disaster_world, print_table
+from harness import Experiment, digest, main  # first: finds src/ when run standalone
+from _util import disaster_world
 from bench_e19_autoscale import (
     AUTOSCALE,
     FLASH_STEPS,
@@ -428,39 +422,6 @@ def verify(
     return failures
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-def test_e20_networked_drain_lags_direct(benchmark):
-    rows = run_drain_cells(SMOKE_CLIENTS)
-    print_table("E20 drain transports", table_rows(rows))
-    cells = by_mode(rows)
-    assert cells["net-healthy"]["lag_first_s"] > cells["direct"]["lag_first_s"]
-    assert cells["net-lossy"]["lag_first_s"] > cells["net-healthy"]["lag_first_s"]
-    assert all(row["failed"] == 0.0 for row in rows)
-    benchmark(lambda: run_drain_cell("net-healthy", SMOKE_CLIENTS))
-
-
-def test_e20_partitioned_operators_resolve_by_audit_order(benchmark):
-    cell = run_partition_cell()
-    assert cell["winner"] == "east"
-    assert cell["loser_error"] == "conflict"
-    assert cell["winner_seq"] < cell["loser_seq"]
-    assert cell["nxdomain_free"]
-    assert cell["replay_digest"] == cell["state_digest"]
-    benchmark(run_partition_cell)
-
-
-def test_e20_deterministic(benchmark):
-    first = run_drain_cell("net-lossy", SMOKE_CLIENTS)
-    second = run_drain_cell("net-lossy", SMOKE_CLIENTS)
-    assert first["_snapshot_digest"] == second["_snapshot_digest"]
-    benchmark(lambda: run_drain_cell("direct", SMOKE_CLIENTS))
-
-
-# ----------------------------------------------------------------------
-# Standalone mode
-# ----------------------------------------------------------------------
 def payload(
     drain: list[dict[str, object]],
     partition: dict[str, object],

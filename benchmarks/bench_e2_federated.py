@@ -2,125 +2,94 @@
 
 Runs the five base services through the federated client against the same
 world as E1 and reports the federation overhead (messages and simulated
-latency per request, DNS lookups) relative to the one-exchange centralized
-baseline.
+latency per request) relative to the one-exchange centralized baseline.
+Every row is steady state on its own world and client, after the one warm-up
+pass ``cost_per_request`` states.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.geometry.bbox import BoundingBox
 from repro.mapserver.geocode import Address
 
-from _util import print_table
+from _util import cost_per_request, paper_world
 
 
-@pytest.fixture(scope="module")
-def warm_client(bench_scenario):
-    """A client whose resolver cache has been warmed with one pass of queries."""
-    client = bench_scenario.federation.client()
-    store = bench_scenario.stores[0]
-    client.search("seaweed", near=store.entrance, radius_meters=300.0)
-    return client
+def _search(world, client) -> list:
+    entrance = world.stores[0].entrance
+    return [lambda: client.search("seaweed", near=entrance, radius_meters=300.0)]
 
 
-def _measure_network(scenario, fn, repeats: int = 10) -> dict[str, float]:
-    scenario.federation.reset_network_stats()
-    for _ in range(repeats):
-        fn()
-    stats = scenario.federation.network.stats
-    return {
-        "messages_per_request": stats.messages_sent / repeats,
-        "sim_latency_ms": stats.total_latency_ms / repeats,
-    }
+def _geocode(world, client) -> list:
+    address = Address.parse(f"{next(iter(world.city.building_addresses))}, {world.city.city_name}")
+    return [lambda: client.geocoder.geocode(address).best]
 
 
-def test_e2_federated_search(benchmark, bench_scenario, warm_client):
-    store = bench_scenario.stores[0]
-    result = benchmark(lambda: warm_client.search("seaweed", near=store.entrance, radius_meters=300.0))
-    assert len(result) > 0
-    info = _measure_network(
-        bench_scenario, lambda: warm_client.search("seaweed", near=store.entrance, radius_meters=300.0)
-    )
-    benchmark.extra_info.update(info)
-    print_table("E2 federated search", [{"service": "search", **info}])
-
-
-def test_e2_federated_geocode(benchmark, bench_scenario, warm_client):
-    address = Address.parse(
-        f"{next(iter(bench_scenario.city.building_addresses))}, {bench_scenario.city.city_name}"
-    )
-    result = benchmark(lambda: warm_client.geocoder.geocode(address))
-    assert result.best is not None
-    info = _measure_network(bench_scenario, lambda: warm_client.geocoder.geocode(address))
-    benchmark.extra_info.update(info)
-    print_table("E2 federated geocode", [{"service": "geocode", **info}])
-
-
-def test_e2_federated_routing(benchmark, bench_scenario, warm_client):
+def _routing(world, client) -> list:
     rng = random.Random(1)
-    pairs = [
-        (bench_scenario.city.random_street_point(rng), bench_scenario.city.random_street_point(rng))
-        for _ in range(8)
-    ]
-    counter = iter(range(10**9))
-
-    def route_once():
-        index = next(counter) % len(pairs)
-        return warm_client.route(*pairs[index])
-
-    benchmark(route_once)
-    info = _measure_network(bench_scenario, route_once)
-    benchmark.extra_info.update(info)
-    print_table("E2 federated routing", [{"service": "routing", **info}])
+    pairs = [(world.city.random_street_point(rng), world.city.random_street_point(rng)) for _ in range(8)]
+    return [lambda pair=pair: client.route(*pair) for pair in pairs]
 
 
-def test_e2_federated_localization(benchmark, bench_scenario, warm_client):
-    store = bench_scenario.stores[0]
+def _localization(world, client) -> list:
+    store = world.stores[0]
     rng = random.Random(2)
     true_local = store.random_interior_point(rng)
     true_geo = store.local_to_geographic(true_local)
     cues = store.sense_cues(true_local, rng)
-    result = benchmark(lambda: warm_client.localize(true_geo, cues))
-    assert result.best is not None
-    info = _measure_network(bench_scenario, lambda: warm_client.localize(true_geo, cues))
-    benchmark.extra_info.update(info)
-    print_table("E2 federated localization", [{"service": "localization", **info}])
+    return [lambda: client.localize(true_geo, cues).best]
 
 
-def test_e2_federated_tiles(benchmark, bench_scenario, warm_client):
-    store = bench_scenario.stores[0]
-    viewport = BoundingBox.around(store.entrance, 50.0)
-    result = benchmark(lambda: warm_client.render_viewport(viewport, zoom=19))
-    assert result.tiles_downloaded > 0
-    info = _measure_network(bench_scenario, lambda: warm_client.render_viewport(viewport, zoom=19))
-    benchmark.extra_info.update(info)
-    print_table("E2 federated tiles", [{"service": "tiles", **info}])
+def _tiles(world, client) -> list:
+    viewport = BoundingBox.around(world.stores[0].entrance, 50.0)
+    return [lambda: client.render_viewport(viewport, zoom=19).tiles_downloaded]
 
 
-def test_e2_overhead_summary(benchmark, bench_scenario, warm_client):
-    """The headline comparison row: federated vs centralized message counts."""
-    store = bench_scenario.stores[0]
-    central = bench_scenario.centralized
-
-    federated = _measure_network(
-        bench_scenario, lambda: warm_client.search("seaweed", near=store.entrance, radius_meters=300.0)
-    )
-    central.network.reset_stats()
-    for _ in range(10):
-        central.search("seaweed", near=store.entrance, radius_meters=300.0)
-    centralized = {
-        "messages_per_request": central.network.stats.messages_sent / 10,
-        "sim_latency_ms": central.network.stats.total_latency_ms / 10,
+def services() -> dict:
+    providers = {
+        "search": _search,
+        "geocode": _geocode,
+        "routing": _routing,
+        "localization": _localization,
+        "tiles": _tiles,
     }
-    rows = [
-        {"architecture": "federated (Fig 2)", **federated},
-        {"architecture": "centralized (Fig 1)", **centralized},
-    ]
-    benchmark.extra_info["federated_messages"] = federated["messages_per_request"]
-    benchmark.extra_info["centralized_messages"] = centralized["messages_per_request"]
-    print_table("E2 search overhead: federated vs centralized", rows)
-    benchmark(lambda: warm_client.search("seaweed", near=store.entrance, radius_meters=300.0))
+    rows = {}
+    for service, requests_of in providers.items():
+        world, client = paper_world()
+        requests = requests_of(world, client)
+        rows[service] = cost_per_request(world.federation.network, requests, passes=10 // len(requests))
+    return rows
+
+
+def search_overhead() -> dict:
+    """The headline comparison: the same product search, federated vs centralized."""
+    world, client = paper_world()
+    entrance = world.stores[0].entrance
+    central_search = [lambda: world.centralized.search("seaweed", near=entrance, radius_meters=300.0) is not None]
+    return {
+        "federated (Fig 2)": cost_per_request(world.federation.network, _search(world, client), passes=10),
+        "centralized (Fig 1)": cost_per_request(world.centralized.network, central_search, passes=10),
+    }
+
+
+CELLS = {"services": services, "search_overhead": search_overhead}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    federated, centralized = t["search_overhead"]["federated (Fig 2)"], t["search_overhead"]["centralized (Fig 1)"]
+    return {
+        **{
+            f"federated {service} answers all of >= 8 requests, each costing more than one exchange: {row}": (
+                row["answered"] == row["requests"] >= 8 and row["messages_per_request"] > 1.0
+            )
+            for service, row in t["services"].items()
+        },
+        "federated search costs more msgs and more sim-ms than centralized over >= 10 requests each (federation pays "
+        f"overhead for reach, so a free one is a mismeasured one): {federated} vs {centralized}": (
+            min(federated["requests"], centralized["requests"]) >= 10
+            and federated["messages_per_request"] > centralized["messages_per_request"]
+            and federated["sim_latency_ms"] > centralized["sim_latency_ms"]
+        ),
+    }

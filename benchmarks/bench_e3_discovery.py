@@ -1,4 +1,4 @@
-"""E3 — Section 5.1: DNS-based discovery latency, message counts and caching.
+"""E3 — Section 5.1: DNS-based discovery message counts, latency and caching.
 
 Reports discovery cost with a cold resolver cache, a warm cache, and after
 TTL expiry, plus the effect of query-location popularity (Zipf-like repeats)
@@ -10,131 +10,107 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.federation import Federation
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
+from repro.osm.builder import MapBuilder
 from repro.worldgen.outdoor import generate_city
 
-from _util import print_table
+ZIPF_QUERIES = 150
 
 
-@pytest.fixture(scope="module")
-def discovery_world():
-    """A federation with a grid of small map servers registered."""
+def _discovery_world() -> tuple[Federation, list[LatLng]]:
+    """A city plus 24 small venue map servers; returns the venue locations."""
     federation = Federation()
     city = generate_city(rows=5, cols=5, seed=3)
     federation.add_map_server("city.example", city.map_data, is_world_provider=True)
     rng = random.Random(0)
     locations = []
     for index in range(24):
-        row = rng.randrange(4)
-        col = rng.randrange(4)
-        anchor = city.intersections[row][col].location.destination(
-            rng.uniform(0, 360), rng.uniform(20.0, 60.0)
-        )
+        corner = city.intersections[rng.randrange(4)][rng.randrange(4)].location
+        anchor = corner.destination(rng.uniform(0, 360), rng.uniform(20.0, 60.0))
         region = Polygon.regular(anchor, rng.uniform(30.0, 80.0), sides=6)
-        from repro.osm.builder import MapBuilder
-
         builder = MapBuilder(name=f"venue-{index}")
         builder.add_node(anchor, {"name": f"venue {index}"})
         map_data = builder.build()
         map_data.set_coverage(region)
         federation.add_map_server(f"venue-{index}.example", map_data)
         locations.append(anchor)
-    return federation, city, locations
+    return federation, locations
 
 
-def test_e3_cold_vs_warm_discovery(benchmark, discovery_world):
-    federation, city, locations = discovery_world
+def _discover(federation: Federation, client, location: LatLng, uncertainty_meters: float) -> dict:
+    """One discovery, with what it cost on the wire."""
+    federation.reset_network_stats()
+    found = client.discover(location, uncertainty_meters=uncertainty_meters)
+    stats = federation.network.stats
+    return {
+        "servers_found": len(found.server_ids),
+        "messages": stats.messages_sent,
+        "sim_latency_ms": stats.total_latency_ms,
+    }
+
+
+def cache_state() -> dict:
+    federation, locations = _discovery_world()
     client = federation.client()
-    probe = locations[0]
-
-    # Cold: flush the resolver cache first.
     federation.resolver.cache.flush()
-    federation.reset_network_stats()
-    client.discover(probe, uncertainty_meters=80.0)
-    cold = {
-        "cache_state": "cold",
-        "messages": float(federation.network.stats.messages_sent),
-        "sim_latency_ms": federation.network.stats.total_latency_ms,
-    }
-
-    # Warm: repeat the same query.
-    federation.reset_network_stats()
-    client.discover(probe, uncertainty_meters=80.0)
-    warm = {
-        "cache_state": "warm",
-        "messages": float(federation.network.stats.messages_sent),
-        "sim_latency_ms": federation.network.stats.total_latency_ms,
-    }
-
-    # Expired: advance past the registration TTL.
+    cold = _discover(federation, client, locations[0], 80.0)
+    warm = _discover(federation, client, locations[0], 80.0)
     federation.network.clock.advance(federation.config.registration_ttl_seconds + 1.0)
-    federation.reset_network_stats()
-    client.discover(probe, uncertainty_meters=80.0)
-    expired = {
-        "cache_state": "after TTL expiry",
-        "messages": float(federation.network.stats.messages_sent),
-        "sim_latency_ms": federation.network.stats.total_latency_ms,
-    }
-
-    rows = [cold, warm, expired]
-    print_table("E3 discovery cost vs cache state", rows)
-    assert warm["sim_latency_ms"] < cold["sim_latency_ms"]
-    benchmark.extra_info["cold_messages"] = cold["messages"]
-    benchmark.extra_info["warm_messages"] = warm["messages"]
-    benchmark(lambda: client.discover(probe, uncertainty_meters=80.0))
+    expired = _discover(federation, client, locations[0], 80.0)
+    return {"cold": cold, "warm": warm, "after TTL expiry": expired}
 
 
-def test_e3_zipf_workload_cache_hit_rate(benchmark, discovery_world):
+def zipf() -> dict:
     """Popular places dominate discovery traffic; the cache absorbs them."""
-    federation, city, locations = discovery_world
+    federation, locations = _discovery_world()
     client = federation.client()
     rng = random.Random(11)
-    federation.resolver.cache.flush()
-
-    # Zipf-ish popularity over the venue locations.
     weights = [1.0 / (rank + 1) for rank in range(len(locations))]
-    total = sum(weights)
-    weights = [w / total for w in weights]
-
-    def one_query():
-        location = rng.choices(locations, weights=weights, k=1)[0]
+    for location in rng.choices(locations, weights=weights, k=ZIPF_QUERIES):
         client.discover(location, uncertainty_meters=60.0)
-
-    for _ in range(150):
-        one_query()
-    stats = federation.resolver.cache.stats
-    hit_rate = stats.hit_rate
-    rows = [
-        {
-            "queries": 150,
-            "cache_hit_rate": hit_rate,
-            "authoritative_exchanges": float(federation.resolver.stats.authoritative_exchanges),
+    return {
+        "zipf over 24 venues": {
+            "queries": ZIPF_QUERIES,
+            "cache_hit_rate": federation.resolver.cache.stats.hit_rate,
+            "authoritative_exchanges": federation.resolver.stats.authoritative_exchanges,
         }
-    ]
-    print_table("E3 Zipf discovery workload", rows)
-    assert hit_rate > 0.5
-    benchmark.extra_info["cache_hit_rate"] = hit_rate
-    benchmark(one_query)
+    }
 
 
-def test_e3_discovery_away_from_any_server(benchmark, discovery_world):
+def empty_region() -> dict:
     """Negative caching keeps 'nothing here' queries cheap too."""
-    federation, _, _ = discovery_world
+    federation, _ = _discovery_world()
     client = federation.client()
     empty_spot = LatLng(41.2, -78.3)
-    client.discover(empty_spot, uncertainty_meters=60.0)
-    federation.reset_network_stats()
-    result = client.discover(empty_spot, uncertainty_meters=60.0)
-    rows = [
-        {
-            "servers_found": len(result.server_ids),
-            "repeat_messages": float(federation.network.stats.messages_sent),
-        }
-    ]
-    print_table("E3 discovery of an empty region (repeat query)", rows)
-    assert result.server_ids == ()
-    benchmark(lambda: client.discover(empty_spot, uncertainty_meters=60.0))
+    return {
+        "first query": _discover(federation, client, empty_spot, 60.0),
+        "repeat query": _discover(federation, client, empty_spot, 60.0),
+    }
+
+
+CELLS = {"cache_state": cache_state, "zipf": zipf, "empty_region": empty_region}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    cold, warm, expired = (t["cache_state"][state] for state in ("cold", "warm", "after TTL expiry"))
+    popular = t["zipf"]["zipf over 24 venues"]
+    first, repeat = t["empty_region"]["first query"], t["empty_region"]["repeat query"]
+    return {
+        f"every cache-state probe discovers >= 1 server: {t['cache_state']}": (
+            min(cold["servers_found"], warm["servers_found"], expired["servers_found"]) >= 1
+        ),
+        f"warm discovery is cheaper than cold in msgs and sim-ms (the DNS cache absorbs the walk): {warm} vs {cold}": (
+            warm["messages"] < cold["messages"] and warm["sim_latency_ms"] < cold["sim_latency_ms"]
+        ),
+        f"discovery after TTL expiry costs more msgs than warm (records die with their TTL): {expired} vs {warm}": (
+            expired["messages"] > warm["messages"]
+        ),
+        f"Zipf workload hit rate > 0.5 over >= 150 queries: {popular}": (
+            popular["queries"] >= 150 and popular["cache_hit_rate"] > 0.5
+        ),
+        f"an empty region finds 0 servers, and negative caching makes the repeat cheaper: {first} then {repeat}": (
+            first["servers_found"] == repeat["servers_found"] == 0 and repeat["messages"] < first["messages"]
+        ),
+    }

@@ -9,88 +9,71 @@ from __future__ import annotations
 
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
-from repro.spatialindex.covering import (
-    CoveringOptions,
-    RegionCoverer,
-    covering_area_square_meters,
-)
-
-from _util import print_table
+from repro.spatialindex.covering import CoveringOptions, RegionCoverer, covering_area_square_meters
 
 CENTER = LatLng(40.44, -79.95)
+BOUNDARY_PROBES = 72
 
 
-def test_e4_covering_size_vs_level(benchmark):
-    """Covering size and over-approximation for a store-sized region."""
+def _covering_row(region: Polygon, options: CoveringOptions) -> dict:
+    cells = RegionCoverer(options).cover_polygon(region)
+    return {
+        "dns_names": len(cells),
+        "blowup_factor": covering_area_square_meters(cells) / region.area_square_meters(),
+    }
+
+
+def level_sweep() -> dict:
+    """Covering size and over-approximation for a 40 m store vs the max level."""
     region = Polygon.regular(CENTER, 40.0, sides=8)
-    rows = []
-    for max_level in (13, 15, 17, 19):
-        coverer = RegionCoverer(CoveringOptions(min_level=11, max_level=max_level, max_cells=128))
-        cells = coverer.cover_polygon(region)
-        rows.append(
-            {
-                "max_level": max_level,
-                "cells (DNS names)": len(cells),
-                "blowup_factor": covering_area_square_meters(cells) / region.area_square_meters(),
-            }
-        )
-    print_table("E4 covering of a 40 m store vs max level", rows)
-    # Finer levels trade more names for a tighter region approximation.
-    assert rows[-1]["blowup_factor"] < rows[0]["blowup_factor"]
-    benchmark.extra_info["finest_cells"] = rows[-1]["cells (DNS names)"]
-    coverer = RegionCoverer(CoveringOptions(min_level=11, max_level=17, max_cells=128))
-    benchmark(lambda: coverer.cover_polygon(region))
+    return {
+        str(max_level): _covering_row(region, CoveringOptions(min_level=11, max_level=max_level, max_cells=128))
+        for max_level in (13, 15, 17, 19)
+    }
 
 
-def test_e4_covering_size_vs_region_size(benchmark):
-    """From a store to a campus to a whole city district."""
-    rows = []
-    for radius in (30.0, 150.0, 600.0, 2_000.0):
-        region = Polygon.regular(CENTER, radius, sides=10)
-        coverer = RegionCoverer(CoveringOptions(min_level=11, max_level=17, max_cells=256))
-        cells = coverer.cover_polygon(region)
-        rows.append(
-            {
-                "region_radius_m": radius,
-                "cells (DNS names)": len(cells),
-                "blowup_factor": covering_area_square_meters(cells) / region.area_square_meters(),
-            }
-        )
-    print_table("E4 covering size vs region size (levels 11-17)", rows)
-    assert all(row["cells (DNS names)"] <= 256 for row in rows)
-    benchmark.extra_info["largest_region_cells"] = rows[-1]["cells (DNS names)"]
-    region = Polygon.regular(CENTER, 600.0, sides=10)
-    coverer = RegionCoverer(CoveringOptions(min_level=11, max_level=17, max_cells=256))
-    benchmark(lambda: coverer.cover_polygon(region))
+def region_sweep() -> dict:
+    """From a store to a campus to a whole city district (levels 11-17)."""
+    options = CoveringOptions(min_level=11, max_level=17, max_cells=256)
+    return {
+        str(radius): _covering_row(Polygon.regular(CENTER, float(radius), sides=10), options)
+        for radius in (30, 150, 600, 2_000)
+    }
 
 
-def test_e4_boundary_fuzziness_false_positive_rate(benchmark):
+def false_positives() -> dict:
     """How often does a point just outside the region still discover it?
 
     The covering over-approximation means nearby-but-outside clients discover
     the server and must filter it out afterwards; this quantifies how often,
-    as a function of distance from the boundary.
+    as a function of distance from the boundary of a 50 m region.
     """
     region = Polygon.regular(CENTER, 50.0, sides=12)
-    coverer = RegionCoverer(CoveringOptions(min_level=13, max_level=17, max_cells=64))
-    cells = coverer.cover_polygon(region)
+    cells = RegionCoverer(CoveringOptions(min_level=13, max_level=17, max_cells=64)).cover_polygon(region)
+    rows = {}
+    for meters_outside in (10, 50, 150, 400):
+        bearings = (360.0 * step / BOUNDARY_PROBES for step in range(BOUNDARY_PROBES))
+        probes = [CENTER.destination(bearing, 50.0 + meters_outside) for bearing in bearings]
+        hits = sum(any(cell.contains_point(probe) for cell in cells) for probe in probes)
+        rows[str(meters_outside)] = {"probes": len(probes), "false_positive_rate": hits / len(probes)}
+    return rows
 
-    rows = []
-    for extra_distance in (10.0, 50.0, 150.0, 400.0):
-        hits = 0
-        samples = 72
-        for step in range(samples):
-            bearing = 360.0 * step / samples
-            probe = CENTER.destination(bearing, 50.0 + extra_distance)
-            if any(cell.contains_point(probe) for cell in cells):
-                hits += 1
-        rows.append(
-            {
-                "meters_outside": extra_distance,
-                "discovery_false_positive_rate": hits / samples,
-            }
-        )
-    print_table("E4 fuzzy-boundary false positives", rows)
-    # Fuzziness decays with distance: far-away points rarely sweep the server in.
-    assert rows[-1]["discovery_false_positive_rate"] <= rows[0]["discovery_false_positive_rate"]
-    benchmark(lambda: coverer.cover_polygon(region))
+
+CELLS = {"level_sweep": level_sweep, "region_sweep": region_sweep, "false_positives": false_positives}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    coarse, fine = t["level_sweep"]["13"], t["level_sweep"]["19"]
+    near, far = t["false_positives"]["10"], t["false_positives"]["400"]
+    return {
+        f"a finer max level trades more DNS names for a tighter covering: level 19 {fine} vs level 13 {coarse}": (
+            fine["blowup_factor"] < coarse["blowup_factor"] and fine["dns_names"] >= coarse["dns_names"] >= 1
+        ),
+        **{
+            f"a {radius} m region registers under 1..256 DNS names: {row}": 1 <= row["dns_names"] <= 256
+            for radius, row in t["region_sweep"].items()
+        },
+        f"fuzzy-boundary false positives do not grow with distance, >= 72 probes each: 400 m {far} vs 10 m {near}": (
+            min(near["probes"], far["probes"]) >= 72 and far["false_positive_rate"] <= near["false_positive_rate"]
+        ),
+    }

@@ -13,92 +13,86 @@ import random
 
 from repro.worldgen.scenario import build_scenario
 
-from _util import print_table
+from _util import paper_world
+
+QUERIES_PER_STORE = 8
 
 
-def _recall(system_search, stores, queries_per_store: int = 8) -> float:
-    hits = 0
-    total = 0
+def _recall_row(search, stores) -> dict:
+    """Recall of each store's first products, asked for from just outside it."""
+    hits = queries = 0
     for store in stores:
         near = store.entrance.destination(180.0, 60.0)
-        for product in store.products[:queries_per_store]:
-            total += 1
-            results = system_search(product.name, near)
-            found = any(
-                product.name in (label or "") for label in results
-            )
-            if found:
-                hits += 1
-    return hits / total if total else 0.0
+        for product in store.products[:QUERIES_PER_STORE]:
+            queries += 1
+            labels = [r.tag_dict().get("product") or r.label for r in search(product.name, near)]
+            hits += any(product.name in (label or "") for label in labels)
+    return {"queries": queries, "recall": hits / queries if queries else None}
 
 
-def test_e7_indoor_search_recall(benchmark, bench_scenario, bench_client):
-    stores = bench_scenario.stores
-
-    def federated_search(query, near):
-        result = bench_client.search(query, near=near, radius_meters=300.0, limit=10)
-        return [r.tag_dict().get("product") or r.label for r in result.results]
-
-    def centralized_search(query, near):
-        results = bench_scenario.centralized.search(query, near=near, radius_meters=300.0, limit=10)
-        return [r.tag_dict().get("product") or r.label for r in results]
-
-    federated_recall = _recall(federated_search, stores)
-    centralized_recall = _recall(centralized_search, stores)
-    rows = [
-        {"system": "federated (Fig 2)", "indoor_product_recall": federated_recall},
-        {"system": "centralized, indoor maps withheld (Fig 1)", "indoor_product_recall": centralized_recall},
-    ]
-    print_table("E7 indoor product search recall", rows)
-    assert federated_recall > 0.9
-    assert centralized_recall < 0.1
-    benchmark.extra_info["federated_recall"] = federated_recall
-    benchmark.extra_info["centralized_recall"] = centralized_recall
-
-    store = stores[0]
-    benchmark(lambda: bench_client.search("seaweed", near=store.entrance, radius_meters=300.0))
+def _centralized_search(world):
+    return lambda query, near: world.centralized.search(query, near=near, radius_meters=300.0, limit=10)
 
 
-def test_e7_centralized_with_ingested_indoor_ablation(benchmark):
-    """Ablation: if stores did share their maps, the centralized recall recovers.
+def recall() -> dict:
+    world, client = paper_world()
+    return {
+        "federated (Fig 2)": _recall_row(
+            lambda query, near: client.search(query, near=near, radius_meters=300.0, limit=10).results, world.stores
+        ),
+        "centralized, indoor maps withheld (Fig 1)": _recall_row(_centralized_search(world), world.stores),
+    }
 
-    This isolates the cause of E7's gap: it is data availability (the paper's
-    privacy/ownership argument), not the search algorithm.
+
+def ingested_ablation() -> dict:
+    """If stores did share their maps, the centralized recall recovers.
+
+    This isolates the cause of the recall gap: it is data availability (the
+    paper's privacy/ownership argument), not the search algorithm.
     """
-    scenario = build_scenario(store_count=2, centralized_ingests_indoor=True, seed=51)
-
-    def centralized_search(query, near):
-        results = scenario.centralized.search(query, near=near, radius_meters=300.0, limit=10)
-        return [r.tag_dict().get("product") or r.label for r in results]
-
-    recall = _recall(centralized_search, scenario.stores)
-    rows = [{"system": "centralized, indoor maps ingested (ablation)", "indoor_product_recall": recall}]
-    print_table("E7 ablation: centralized with ingested indoor maps", rows)
-    assert recall > 0.9
-    store = scenario.stores[0]
-    benchmark(lambda: scenario.centralized.search("seaweed", near=store.entrance, radius_meters=300.0))
+    world = build_scenario(store_count=2, centralized_ingests_indoor=True, seed=51)
+    return {"centralized, indoor maps ingested": _recall_row(_centralized_search(world), world.stores)}
 
 
-def test_e7_fanout_cost(benchmark, bench_scenario, bench_client):
+def fanout() -> dict:
     """How many servers a federated search touches, near and far from stores."""
-    store = bench_scenario.stores[0]
-    rng = random.Random(1)
-    near_store = bench_client.search("seaweed", near=store.entrance, radius_meters=300.0)
-    downtown = bench_client.search("cafe", near=bench_scenario.city.random_street_point(rng), radius_meters=300.0)
-    rows = [
-        {
-            "query location": "next to a store",
-            "servers_consulted": near_store.servers_consulted,
-            "servers_with_results": near_store.servers_with_results,
-            "dns_lookups": near_store.dns_lookups,
-        },
-        {
-            "query location": "random street corner",
-            "servers_consulted": downtown.servers_consulted,
-            "servers_with_results": downtown.servers_with_results,
-            "dns_lookups": downtown.dns_lookups,
-        },
-    ]
-    print_table("E7 federated search fan-out", rows)
-    assert near_store.servers_consulted >= downtown.servers_with_results
-    benchmark(lambda: bench_client.search("seaweed", near=store.entrance, radius_meters=300.0))
+    world, client = paper_world()
+    searches = {
+        "next to a store": client.search("seaweed", near=world.stores[0].entrance, radius_meters=300.0),
+        "random street corner": client.search(
+            "cafe", near=world.city.random_street_point(random.Random(1)), radius_meters=300.0
+        ),
+    }
+    return {
+        where: {
+            "servers_consulted": result.servers_consulted,
+            "servers_with_results": result.servers_with_results,
+            "dns_lookups": result.dns_lookups,
+        }
+        for where, result in searches.items()
+    }
+
+
+CELLS = {"recall": recall, "ingested_ablation": ingested_ablation, "fanout": fanout}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    federated, withheld = t["recall"]["federated (Fig 2)"], t["recall"]["centralized, indoor maps withheld (Fig 1)"]
+    ingested = t["ingested_ablation"]["centralized, indoor maps ingested"]
+    near_store, corner = t["fanout"]["next to a store"], t["fanout"]["random street corner"]
+    return {
+        f"federated indoor-product recall > 0.9 over >= 24 queries: {federated}": (
+            federated["queries"] >= 24 and federated["recall"] > 0.9
+        ),
+        f"centralized recall < 0.1 over >= 24 queries (it never obtained the indoor maps): {withheld}": (
+            withheld["queries"] >= 24 and withheld["recall"] < 0.1
+        ),
+        f"centralized recall > 0.9 over >= 16 queries once it ingests them (data, not algorithm): {ingested}": (
+            ingested["queries"] >= 16 and ingested["recall"] > 0.9
+        ),
+        "a search next to a store finds >= 1 server with results and consults >= as many as have results at a "
+        f"street corner: {near_store} vs {corner}": (
+            near_store["servers_with_results"] >= 1
+            and near_store["servers_consulted"] >= corner["servers_with_results"]
+        ),
+    }

@@ -3,127 +3,105 @@
 Quantifies (a) how much private map data each class of principal can see
 under the campus policy (user-, service-, and application-level controls),
 (b) the same exposure under a centralized model that had to ingest the data
-to serve it at all, and (c) the request-path overhead of policy checks.
+to serve it at all, and (c) which services each principal may call.
 """
 
 from __future__ import annotations
 
 from repro.localization.cues import CueBundle, GnssCue
 from repro.mapserver.auth import Credential
-from repro.mapserver.policy import AccessDenied, ServiceName
+from repro.mapserver.policy import AccessDenied
+from repro.tiles.tile_math import tile_for_point
+from repro.worldgen.scenario import build_scenario
 
-from _util import print_table
-
-
-def _visible_private_rooms(server, campus, credential) -> int:
-    building = next(iter(campus.building_locations.values()))
-    try:
-        results = server.search("room hall lab office", near=building, radius_meters=500.0, credential=credential, limit=100)
-    except AccessDenied:
-        return 0
-    private_names = set(campus.room_locations)
-    return sum(1 for r in results if r.label in private_names)
+ROOM_QUERY = "room hall lab office"
 
 
-def test_e9_data_exposure_by_principal(benchmark, bench_scenario_with_campus):
-    scenario = bench_scenario_with_campus
-    campus = scenario.campus
-    server = scenario.campus_server
-    assert campus is not None and server is not None
+def _campus_world():
+    """A world whose campus map server enforces the Section 5.3 policy."""
+    world = build_scenario(store_count=1, include_campus=True, city_rows=5, city_cols=5, seed=43)
+    return world.campus, world.campus_server, next(iter(world.campus.building_locations.values()))
 
+
+def _exposure_row(campus, results) -> dict:
+    visible = sum(1 for result in results if result.label in campus.room_locations)
+    return {
+        "private_rooms": campus.private_room_count,
+        "private_rooms_visible": visible,
+        "fraction_of_private_data": visible / campus.private_room_count if campus.private_room_count else None,
+    }
+
+
+def exposure() -> dict:
+    campus, server, building = _campus_world()
     principals = {
         "anonymous": Credential(),
         "outside user": Credential(email="user@gmail.com"),
         "campus user": Credential(email="user@campus.edu"),
     }
-    total_private = campus.private_room_count
-    rows = []
-    for label, credential in principals.items():
-        visible = _visible_private_rooms(server, campus, credential)
-        rows.append(
-            {
-                "principal": label,
-                "private_rooms_visible": visible,
-                "fraction_of_private_data": visible / total_private if total_private else 0.0,
-            }
-        )
-    print_table("E9 private-data exposure by principal (federated, campus policy)", rows)
-    assert rows[0]["private_rooms_visible"] == 0
-    assert rows[-1]["private_rooms_visible"] > 0
-    benchmark.extra_info["campus_user_visible"] = rows[-1]["private_rooms_visible"]
-
-    campus_user = principals["campus user"]
-    benchmark(lambda: _visible_private_rooms(server, campus, campus_user))
+    rows = {}
+    for principal, credential in principals.items():
+        try:
+            results = server.search(ROOM_QUERY, near=building, radius_meters=500.0, credential=credential, limit=100)
+        except AccessDenied:
+            results = []
+        rows[principal] = _exposure_row(campus, results)
+    return rows
 
 
-def test_e9_centralized_exposure_baseline(benchmark):
+def centralized_exposure() -> dict:
     """If the campus had uploaded its map centrally, everyone could query it."""
-    from repro.worldgen.scenario import build_scenario
-
-    scenario = build_scenario(store_count=0, include_campus=True, centralized_ingests_indoor=True, seed=61)
-    campus = scenario.campus
-    assert campus is not None
-    building = next(iter(campus.building_locations.values()))
-    results = scenario.centralized.search("room hall lab office", near=building, radius_meters=500.0, limit=100)
-    visible = sum(1 for r in results if r.label in set(campus.room_locations))
-    rows = [
-        {
-            "principal": "anyone (centralized, data ingested)",
-            "private_rooms_visible": visible,
-            "fraction_of_private_data": visible / campus.private_room_count,
-        }
-    ]
-    print_table("E9 exposure under the centralized model", rows)
-    assert visible > 0
-    benchmark(lambda: scenario.centralized.search("room", near=building, radius_meters=500.0))
+    world = build_scenario(store_count=0, include_campus=True, centralized_ingests_indoor=True, seed=61)
+    building = next(iter(world.campus.building_locations.values()))
+    results = world.centralized.search(ROOM_QUERY, near=building, radius_meters=500.0, limit=100)
+    return {"anyone (centralized, data ingested)": _exposure_row(world.campus, results)}
 
 
-def test_e9_service_level_controls(benchmark, bench_scenario_with_campus):
+def service_access() -> dict:
     """Tiles public, localization app-gated — per-service outcomes by principal."""
-    scenario = bench_scenario_with_campus
-    campus = scenario.campus
-    server = scenario.campus_server
-    assert campus is not None and server is not None
-    building = next(iter(campus.building_locations.values()))
-    from repro.tiles.tile_math import tile_for_point
-
+    campus, server, building = _campus_world()
     principals = {
         "anonymous": Credential(),
         "campus-nav app": Credential(application_id=campus.navigation_app_id),
         "campus user": Credential(email="x@campus.edu"),
     }
-    rows = []
-    for label, credential in principals.items():
-        def allowed(call) -> str:
-            try:
-                call()
-                return "allowed"
-            except AccessDenied:
-                return "denied"
 
-        rows.append(
-            {
-                "principal": label,
-                "tiles": allowed(lambda: server.get_tile(tile_for_point(building, 18), credential)),
-                "search": allowed(lambda: server.search("hall", near=building, credential=credential)),
-                "localization": allowed(
-                    lambda: server.localize(CueBundle(gnss=GnssCue(building)), credential)
-                ),
-            }
-        )
-    print_table("E9 per-service access by principal", rows)
-    assert rows[0]["tiles"] == "allowed"
-    assert rows[0]["localization"] == "denied"
-    assert rows[1]["localization"] == "allowed"
-    benchmark.extra_info["rows"] = len(rows)
-    credential = principals["campus user"]
-    benchmark(lambda: server.policy.allows(ServiceName.SEARCH, credential))
+    def outcome(call) -> str:
+        try:
+            call()
+            return "allowed"
+        except AccessDenied:
+            return "denied"
+
+    return {
+        principal: {
+            "tiles": outcome(lambda: server.get_tile(tile_for_point(building, 18), credential)),
+            "search": outcome(lambda: server.search("hall", near=building, credential=credential)),
+            "localization": outcome(lambda: server.localize(CueBundle(gnss=GnssCue(building)), credential)),
+        }
+        for principal, credential in principals.items()
+    }
 
 
-def test_e9_policy_check_overhead(benchmark, bench_scenario_with_campus):
-    """The per-request cost of evaluating the access policy is negligible."""
-    scenario = bench_scenario_with_campus
-    server = scenario.campus_server
-    assert server is not None
-    credential = Credential(email="x@campus.edu", application_id="campus-nav")
-    benchmark(lambda: server.policy.check(ServiceName.SEARCH, credential))
+CELLS = {"exposure": exposure, "centralized_exposure": centralized_exposure, "service_access": service_access}
+
+
+def bands(t: dict) -> dict[str, bool]:
+    anonymous, outsider, insider = (t["exposure"][who] for who in ("anonymous", "outside user", "campus user"))
+    central = t["centralized_exposure"]["anyone (centralized, data ingested)"]
+    access = t["service_access"]
+    return {
+        f"outsiders see 0 of >= 20 private rooms under the campus policy: {anonymous} and {outsider}": (
+            anonymous["private_rooms"] >= 20
+            and anonymous["private_rooms_visible"] == outsider["private_rooms_visible"] == 0
+        ),
+        f"a campus user sees > 0 private rooms: {insider}": insider["private_rooms_visible"] > 0,
+        f"once the campus map is ingested centrally anyone sees > 0 of >= 20 private rooms: {central}": (
+            central["private_rooms"] >= 20 and central["private_rooms_visible"] > 0
+        ),
+        f"service-level controls: anonymous tiles allowed / localization denied, app localization allowed: {access}": (
+            access["anonymous"]["tiles"] == "allowed"
+            and access["anonymous"]["localization"] == "denied"
+            and access["campus-nav app"]["localization"] == "allowed"
+        ),
+    }

@@ -1,4 +1,4 @@
-"""The one standalone runner behind the byte-gated experiments (E13–E20).
+"""The one runner behind every experiment in ``benchmarks/`` (E00, E13–E20).
 
 A ``bench_eNN_*.py`` module declares what is specific to its experiment in an
 :class:`Experiment` record — its cells, its claims, its artifact payload, its
@@ -59,8 +59,9 @@ class Experiment:
     """The headline sentence printed after ``OK:``."""
 
 
-def digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
+def digest(snapshot: object) -> str:
+    """A short stable fingerprint (determinism) of whatever a cell produced:
+    an engine run's full snapshot, or the rows of a cell made of service calls."""
     return hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()[:16]
 
 

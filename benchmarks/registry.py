@@ -1,4 +1,4 @@
-"""The byte-gated experiments, as data: id → (script, smoke budget in seconds).
+"""Every experiment in ``benchmarks/``, as data: id → (script, smoke budget in seconds).
 
 Everything that enumerates experiments iterates this table instead of naming
 them: ``scripts/check.sh --smoke`` (runs each script under its budget, then
@@ -14,6 +14,7 @@ this tree, 2 s floor — tight enough that losing a hot path fails the stage.
 from __future__ import annotations
 
 EXPERIMENTS: dict[str, tuple[str, int]] = {
+    "E00": ("bench_e00_paper.py", 6),  # 1.1–1.7 s, the paper's E1–E12 + A1: 34 tables, a fresh world per cell
     "E13": ("bench_e13_workload.py", 2),  # 0.2 s measured
     "E14": ("bench_e14_churn.py", 5),  # 1.4–1.5 s
     "E15": ("bench_e15_control.py", 5),  # 1.2–1.3 s

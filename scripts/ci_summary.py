@@ -8,7 +8,8 @@ Standalone use: ``python scripts/ci_summary.py``.  Column definitions and
 regeneration commands for every table live in ``docs/BENCHMARKS.md``.
 
 Which artifacts exist comes from ``benchmarks/registry.py``; experiment
-``ENN`` is rendered by the function named ``eNN_summary`` below.
+``ENN`` is rendered by the function named ``eNN_summary`` below (``E00``,
+the paper's E1–E12 + A1, by one generic renderer driven by its payload).
 
 Rendering degrades gracefully: a missing or malformed artifact becomes a
 note in the summary rather than a traceback that kills the whole step —
@@ -18,6 +19,7 @@ one corrupt benchmark file must never hide the other tables.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -302,6 +304,28 @@ def e13_summary(payload: dict) -> list[str]:
                 util=util_max,
             )
         )
+    return lines
+
+
+def _natural(key: str) -> list:
+    """Sort key under which digit runs compare as numbers: E2 < E10, 50 < 150."""
+    return [int(part) if part.isdigit() else part for part in re.split(r"(\d+)", key)]
+
+
+def e00_summary(payload: dict) -> list[str]:
+    """Every table of the paper experiments, whatever its rows and columns:
+    ``experiment -> table -> row -> column``.  JSON keeps neither row nor
+    column order, so both are sorted here."""
+    lines = ["## E00 — the paper's claims (E1–E12, A1)"]
+    for experiment in sorted(payload, key=_natural):
+        for name, table in payload[experiment].items():
+            columns = sorted({column for row in table.values() for column in row})
+            header = [f"| | {' | '.join(columns)} |", "|---|" + "---:|" * len(columns)]
+            lines += ["", f"**{experiment} {name}**", "", *header]
+            for label in sorted(table, key=_natural):
+                cells = (table[label].get(column, "") for column in columns)
+                shown = (f"{cell:g}" if isinstance(cell, float) else str(cell) for cell in cells)
+                lines.append(f"| {label} | {' | '.join(shown)} |")
     return lines
 
 

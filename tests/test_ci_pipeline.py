@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import fnmatch
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,29 @@ class TestCheckShStages:
             experiment = load(path).EXPERIMENT
             assert experiment.id == experiment_id
             assert budget >= 2, f"{experiment_id}: budget under the 2 s floor"
+
+    def test_one_toolchain_no_pytest_under_benchmarks(self):
+        """An experiment runs one way — ``harness.main`` on a registry row.
+        A ``test_*`` in ``benchmarks/`` is a second way that nothing collects
+        (``bench_*.py`` does not match pytest's pattern), so none may exist."""
+        second_way = re.compile(
+            r"^\s*(import|from) pytest|def test_|def \w+\(benchmark\b|benchmark\.(extra_info|pedantic)", re.M
+        )
+        for path in sorted(BENCHMARKS.glob("*.py")):
+            found = second_way.search(path.read_text())
+            assert found is None, f"{path.name}: {found.group(0)!r}"
+        assert not (BENCHMARKS / "conftest.py").exists()
+        requirements = (REPO_ROOT / "requirements-dev.txt").read_text().splitlines()
+        assert not [line for line in requirements if "benchmark" in line and not line.startswith("#")]
+        assert ".benchmarks" not in (REPO_ROOT / ".gitignore").read_text()
+
+    def test_every_bench_module_is_reachable_from_a_registry_row(self):
+        """Registered scripts, plus the ``bench_*`` providers they import."""
+        reachable = {script for script, _budget in registry.EXPERIMENTS.values()}
+        for script in sorted(reachable):
+            imported = re.findall(r"^import (bench_\w+)", (BENCHMARKS / script).read_text(), re.M)
+            reachable.update(f"{name}.py" for name in imported)
+        assert sorted(path.name for path in BENCHMARKS.glob("bench_*.py")) == sorted(reachable)
 
     def test_every_artifact_is_tracked_by_git(self):
         """The byte gate compares against the committed copy."""

@@ -104,3 +104,20 @@ class TestGracefulDegradation:
         assert "SLO burn alerting" in text
         assert "telemetry-on overhead" in text
         assert "100000 clients" in text
+
+    def test_paper_tables_render_generically_in_natural_order(self, tmp_path):
+        """E00 has no hand-written columns: whatever tables the payload holds
+        render, experiments and numeric row labels in numeric order."""
+        row = {"dns_names": 2, "blowup_factor": 15.686475}
+        (tmp_path / "BENCH_e00.json").write_text(
+            json.dumps({"E10": {"t": {"x": {"n": 1}}}, "E4": {"level_sweep": {"150": row, "30": row}}})
+        )
+        text = "\n".join(ci_summary.summarize(tmp_path))
+        assert text.index("**E4 level_sweep**") < text.index("**E10 t**")
+        assert "| | blowup_factor | dns_names |" in text
+        assert text.index("| 30 | 15.6865 | 2 |") < text.index("| 150 | 15.6865 | 2 |")
+
+    def test_paper_artifact_of_the_wrong_shape_becomes_a_note(self, tmp_path):
+        (tmp_path / "BENCH_e00.json").write_text(json.dumps({"E1": "oops"}))
+        text = "\n".join(ci_summary.summarize(tmp_path))
+        assert "## BENCH_e00.json" in text and "_unreadable — AttributeError" in text

@@ -84,3 +84,30 @@ def test_over_budget_exits_one_and_no_budget_means_no_check(capsys):
     assert harness.main(STUB, ["--smoke", "--budget-seconds", "3600"]) == 0
     assert harness.main(STUB, ["--smoke"]) == 0
 
+
+
+def test_rerun_digests_a_cell_of_rows_when_cells_are_service_calls_on_a_world(tmp_path, capsys):
+    """E00's cells are service calls on a world, not engine runs: there is no
+    run snapshot to fingerprint, so the rerun digests one cell's rows —
+    nested tables of counts, floats and strings, in any key order."""
+    assert harness.digest({"warm": {"messages": 13, "note": "x"}}) == harness.digest(
+        {"warm": {"note": "x", "messages": 13}}
+    )
+    inherited = iter(range(13, 99))  # a cell that measures from wherever its last run left shared state
+
+    def cell(leaky: bool) -> dict:
+        return {"warm": {"messages": next(inherited) if leaky else 13, "sim_latency_ms": 26.0, "note": "x"}}
+
+    def rows_experiment(leaky: bool) -> harness.Experiment:
+        return dataclasses.replace(
+            STUB,
+            run=lambda smoke: {"E3": {"cache_state": cell(leaky)}},
+            tables=lambda sweep: [("E3 cache_state", [{"row": "warm", **sweep["E3"]["cache_state"]["warm"]}])],
+            rerun=lambda sweep: (harness.digest(sweep["E3"]["cache_state"]), harness.digest(cell(leaky))),
+            payload=lambda sweep: sweep,
+        )
+
+    assert harness.main(rows_experiment(leaky=False), ["--smoke"]) == 0
+    assert json.loads((tmp_path / "BENCH_e99.json").read_text())["E3"]["cache_state"]["warm"]["messages"] == 13
+    assert harness.main(rows_experiment(leaky=True), ["--smoke"]) == 1
+    assert "FAIL: rerun with fixed seed produced a different snapshot" in capsys.readouterr().out
