@@ -12,9 +12,11 @@
 #             ruff is not installed, so offline containers stay one-command;
 #             CI installs ruff and enforces it), plus — with or without
 #             ruff — the docs link checker (a dead relative link in
-#             README.md or docs/ fails) and the set-order sum checker (a
+#             README.md or docs/ fails), the set-order sum checker (a
 #             float sum iterating a set in src/repro/ fails: its rounding
-#             would follow the process's string-hash seed)
+#             would follow the process's string-hash seed) and the memo
+#             bound checker (functools.cache, lru_cache or LruCache with no
+#             stated bound in src/repro/ fails)
 #
 # With no stage flag every stage runs in order — the local one-command check.
 # Usage: scripts/check.sh [--tier1|--smoke|--lint]...
@@ -98,6 +100,10 @@ if $run_lint; then
   echo
   echo "== lint: float sums over sets =="
   python scripts/check_set_order_sums.py
+
+  echo
+  echo "== lint: memo bounds =="
+  python scripts/check_unbounded_memos.py
 fi
 
 echo

@@ -18,6 +18,7 @@ from repro.routing.contraction import ContractionHierarchy, build_contraction_hi
 from repro.routing.graph import RoutingGraph, graph_from_map
 from repro.routing.shortest_path import NoRouteError, Route, bidirectional_dijkstra, dijkstra
 from repro.routing.stitching import RouteLeg
+from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache
 
 
 _hierarchy_memo: "WeakKeyDictionary[RoutingGraph, ContractionHierarchy]" = WeakKeyDictionary()
@@ -27,6 +28,20 @@ _hierarchy_memo: "WeakKeyDictionary[RoutingGraph, ContractionHierarchy]" = WeakK
 every service over an unchanged map, so the expensive preprocessing happens
 once per distinct graph rather than once per map-server instance.
 """
+
+
+_path_memo: "WeakKeyDictionary[RoutingGraph, LruCache]" = WeakKeyDictionary()
+"""Computed paths memoized per routing graph (identity-keyed, each bounded).
+
+``(algorithm, source, target, metric)`` → ``(points, cost, settled vertices)``:
+a pure function of the graph, so — like the hierarchy — every service over
+the same graph (the replicas of one map) shares it, and a changed map, which
+is a new graph, starts empty.
+"""
+
+_NO_ROUTE: tuple = ()
+"""What a path memo holds for a pair of vertices with no path between them
+(a miss reads ``None``, so ``None`` cannot mean "no route")."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,29 +72,44 @@ class RoutingService:
     to plain Dijkstra.  The hierarchy is built lazily on the first routing
     query so that servers that never route (tile-only providers, short-lived
     scenario builds) never pay the preprocessing cost.
+
+    The graph and the hierarchy are derived from the map, so they follow
+    :attr:`MapData.version`: a request after the map has changed re-takes the
+    graph and preprocesses again on demand.  The two pure steps of a request
+    are computed once per graph and reused: the snap of a point to its
+    vertex (:meth:`RoutingGraph.nearest_vertex`) and the path between two
+    vertices (``_path_memo``); ``queries_served`` counts every request.
     """
 
     map_data: MapData
     algorithm: str = "dijkstra"
     _graph: RoutingGraph = field(init=False)
+    _graph_version: int = field(init=False)
     _hierarchy: ContractionHierarchy | None = field(init=False, default=None)
-    _hierarchy_built: bool = field(init=False, default=False)
+    _paths: LruCache = field(init=False, repr=False)
     queries_served: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
+        self._take_graph()
+
+    def _take_graph(self) -> None:
         self._graph = graph_from_map(self.map_data)
+        self._graph_version = self.map_data.version
+        self._hierarchy = None
+        self._paths = _path_memo.get(self._graph)
+        if self._paths is None:
+            self._paths = _path_memo[self._graph] = LruCache(max_entries=ANSWER_MEMO_ENTRIES)
 
     def _ensure_hierarchy(self) -> ContractionHierarchy | None:
-        if not self._hierarchy_built:
-            self._hierarchy_built = True
-            if self._graph.vertex_count > 0:
-                # Graphs are shared across services of the same (unmutated)
-                # map, so the one-off preprocessing is shared too.
-                hierarchy = _hierarchy_memo.get(self._graph)
-                if hierarchy is None:
-                    hierarchy = build_contraction_hierarchy(self._graph)
-                    _hierarchy_memo[self._graph] = hierarchy
-                self._hierarchy = hierarchy
+        graph = self.graph
+        if self._hierarchy is None and graph.vertex_count > 0:
+            # Graphs are shared across services of the same (unmutated)
+            # map, so the one-off preprocessing is shared too.
+            hierarchy = _hierarchy_memo.get(graph)
+            if hierarchy is None:
+                hierarchy = build_contraction_hierarchy(graph)
+                _hierarchy_memo[graph] = hierarchy
+            self._hierarchy = hierarchy
         return self._hierarchy
 
     # ------------------------------------------------------------------
@@ -87,11 +117,14 @@ class RoutingService:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> RoutingGraph:
+        """The routing graph of the map as it is now."""
+        if self._graph_version != self.map_data.version:
+            self._take_graph()
         return self._graph
 
     @property
     def is_routable(self) -> bool:
-        return self._graph.vertex_count >= 2
+        return self.graph.vertex_count >= 2
 
     # ------------------------------------------------------------------
     # Queries
@@ -108,24 +141,31 @@ class RoutingService:
         when the map has no navigable graph or no path exists.
         """
         self.queries_served += 1
-        if not self.is_routable:
+        graph = self.graph
+        if graph.vertex_count < 2:
             return None
-        source = self._graph.nearest_vertex(origin)
-        target = self._graph.nearest_vertex(destination)
-        entry_snap = origin.distance_to(self._graph.location(source))
-        exit_snap = destination.distance_to(self._graph.location(target))
-        try:
-            route = self._compute(source, target, metric)
-        except NoRouteError:
+        source = graph.nearest_vertex(origin)
+        target = graph.nearest_vertex(destination)
+        key = (self.algorithm, source, target, metric)
+        path = self._paths.lookup(key)
+        if path is None:
+            try:
+                route = self._compute(source, target, metric)
+            except NoRouteError:
+                path = _NO_ROUTE
+            else:
+                path = (tuple(route.locations(graph)), route.cost, route.settled_vertices)
+            self._paths.store(key, path)
+        if not path:
             return None
-        points = tuple(route.locations(self._graph))
+        points, cost, settled_vertices = path
         return RouteResponse(
             points=points,
-            cost=route.cost,
+            cost=cost,
             metric=metric,
-            entry_snap_meters=entry_snap,
-            exit_snap_meters=exit_snap,
-            settled_vertices=route.settled_vertices,
+            entry_snap_meters=origin.distance_to(graph.location(source)),
+            exit_snap_meters=destination.distance_to(graph.location(target)),
+            settled_vertices=settled_vertices,
             map_name=self.map_data.metadata.name,
         )
 
@@ -140,5 +180,5 @@ class RoutingService:
             if hierarchy is not None and metric == hierarchy.metric:
                 return hierarchy.query(source, target)
         if self.algorithm == "bidirectional":
-            return bidirectional_dijkstra(self._graph, source, target, metric)
-        return dijkstra(self._graph, source, target, metric)
+            return bidirectional_dijkstra(self.graph, source, target, metric)
+        return dijkstra(self.graph, source, target, metric)

@@ -16,6 +16,7 @@ from typing import Callable
 from repro.geometry.point import LatLng
 from repro.osm.elements import Node
 from repro.osm.mapdata import MapData
+from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,17 +41,23 @@ def _tokenise(text: str) -> list[str]:
 
 @dataclass
 class SearchIndex:
-    """An inverted index from keyword tokens to node ids."""
+    """An inverted index from keyword tokens to node ids.
+
+    Derived from the map, so it follows :attr:`MapData.version`: a read after
+    the map has changed rebuilds first.
+    """
 
     map_data: MapData
     _postings: dict[str, set[int]] = field(default_factory=dict, init=False)
     _document_tokens: dict[int, set[str]] = field(default_factory=dict, init=False)
+    _version: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.rebuild()
 
     def rebuild(self) -> None:
         """Index every node's name, tag keys and tag values."""
+        self._version = self.map_data.version
         self._postings.clear()
         self._document_tokens.clear()
         for node in self.map_data.nodes():
@@ -64,12 +71,18 @@ class SearchIndex:
             for token in tokens:
                 self._postings.setdefault(token, set()).add(node.node_id)
 
+    def _refresh(self) -> None:
+        if self._version != self.map_data.version:
+            self.rebuild()
+
     @property
     def indexed_nodes(self) -> int:
+        self._refresh()
         return len(self._document_tokens)
 
     def candidates(self, query: str) -> dict[int, float]:
         """Node ids matching any query token, scored by token overlap."""
+        self._refresh()
         query_tokens = _tokenise(query)
         if not query_tokens:
             return {}
@@ -85,14 +98,21 @@ class SearchIndex:
 
 @dataclass
 class SearchService:
-    """Keyword + proximity search over one map."""
+    """Keyword + proximity search over one map.
+
+    A search is a pure function of the request and the map, so each distinct
+    request is ranked once per :attr:`MapData.version` and repeats are served
+    from ``_answers``; ``queries_served`` counts every request either way.
+    """
 
     map_data: MapData
     index: SearchIndex = field(init=False)
     queries_served: int = field(default=0, init=False)
+    _answers: LruCache = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.index = SearchIndex(self.map_data)
+        self._answers = LruCache(max_entries=ANSWER_MEMO_ENTRIES)
 
     def search(
         self,
@@ -110,9 +130,26 @@ class SearchService:
         caller still gets up to ``limit`` results.
         """
         self.queries_served += 1
+        # ``visible`` is in the key: callers with different views of the map
+        # never share an answer.
+        key = (self.map_data.version, query, near, radius_meters, limit, visible)
+        answer = self._answers.lookup(key)
+        if answer is None:
+            answer = self._rank(query, near, radius_meters, limit, visible)
+            self._answers.store(key, answer)
+        return list(answer)
+
+    def _rank(
+        self,
+        query: str,
+        near: LatLng | None,
+        radius_meters: float | None,
+        limit: int,
+        visible: Callable[[Node], bool] | None,
+    ) -> tuple[SearchResult, ...]:
         scored = self.index.candidates(query)
         if not scored:
-            return []
+            return ()
 
         # Rank on (-relevance, candidate index): the order a stable descending
         # sort on relevance gives, without building a result per candidate.
@@ -129,7 +166,7 @@ class SearchService:
             ranked.append((-relevance, position, distance, node))
         ranked.sort()
         map_name = self.map_data.metadata.name
-        return [
+        return tuple(
             SearchResult(
                 node_id=node.node_id,
                 location=node.location,
@@ -140,7 +177,7 @@ class SearchService:
                 tags=tuple(sorted(node.tags.items())),
             )
             for negated_relevance, _, distance, node in ranked[:limit]
-        ]
+        )
 
     @staticmethod
     def _label(node: Node) -> str:

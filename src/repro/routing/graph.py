@@ -16,6 +16,7 @@ from weakref import WeakKeyDictionary
 from repro.geometry.point import LatLng
 from repro.osm.elements import TAG_HIGHWAY, Node, Way
 from repro.osm.mapdata import MapData
+from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache
 from repro.spatialindex.quadtree import QuadTree
 
 ROUTABLE_TAGS = (TAG_HIGHWAY, "indoor_path", "corridor", "aisle_path")
@@ -61,6 +62,10 @@ class RoutingGraph:
     _adjacency: dict[int, list[Edge]] = field(default_factory=dict)
     _reverse: dict[int, list[Edge]] = field(default_factory=dict)
     _index: QuadTree[int] | None = field(default=None, repr=False)
+    _snaps: LruCache = field(
+        default_factory=lambda: LruCache(max_entries=ANSWER_MEMO_ENTRIES), repr=False
+    )
+    """Point → nearest vertex, valid for as long as ``_index`` is."""
 
     # ------------------------------------------------------------------
     # Construction
@@ -71,6 +76,7 @@ class RoutingGraph:
             self._adjacency[node_id] = []
             self._reverse[node_id] = []
             self._index = None
+            self._snaps.flush()
 
     def add_edge(self, edge: Edge, bidirectional: bool = True) -> None:
         if edge.source not in self._locations or edge.target not in self._locations:
@@ -143,8 +149,11 @@ class RoutingGraph:
         """The graph vertex closest to ``point`` (snapping for route endpoints)."""
         if not self._locations:
             raise GraphError("graph has no vertices")
-        hits = self._ensure_index().nearest(point, count=1)
-        return hits[0][1]
+        vertex = self._snaps.lookup(point)
+        if vertex is None:
+            vertex = self._ensure_index().nearest(point, count=1)[0][1]
+            self._snaps.store(point, vertex)
+        return vertex
 
     def path_length_meters(self, path: list[int]) -> float:
         """Total length of a vertex path using stored edge lengths when available."""

@@ -73,21 +73,27 @@ class FederatedTileClient:
         servers_consulted = 0
         tiles_downloaded = 0
         tiles_from_cache = 0
+        relevant_by_server: dict[str, list[TileCoordinate]] = {}
+
+        def relevant_to(server) -> list[TileCoordinate]:
+            """The viewport's tiles that touch ``server``'s map (once per server)."""
+            relevant = relevant_by_server.get(server.server_id)
+            if relevant is None:
+                server_box = server.map_data.bounding_box().expanded(20.0)
+                relevant = [c for c in coordinates if tile_bounds(c).intersects(server_box)]
+                relevant_by_server[server.server_id] = relevant
+            return relevant
 
         for target in targets:
             live = next((server for _, server in target.candidates if server is not None), None)
-            if live is not None:
-                server_box = live.map_data.bounding_box().expanded(20.0)
-                if not any(tile_bounds(c).intersects(server_box) for c in coordinates):
-                    continue
+            if live is not None and not relevant_to(live):
+                continue
             servers_consulted += 1
             # A failover retry must not re-download what an earlier replica
             # already served before it keeled over.
             done: set[TileCoordinate] = set()
 
             def fetch_viewport(server) -> int:
-                server_box = server.map_data.bounding_box().expanded(20.0)
-                relevant = [c for c in coordinates if tile_bounds(c).intersects(server_box)]
                 # Cached tiles must not outlive the server's access policy: a
                 # credential that has since been denied re-fetches (and fails)
                 # rather than being served from its own cache.
@@ -96,7 +102,7 @@ class FederatedTileClient:
                 )
                 fetched = 0
                 nonlocal tiles_downloaded, tiles_from_cache
-                for coordinate in relevant:
+                for coordinate in relevant_to(server):
                     if coordinate in done:
                         continue
                     if use_cache:

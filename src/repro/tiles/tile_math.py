@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
@@ -71,8 +72,10 @@ def tile_for_point(point: LatLng, zoom: int) -> TileCoordinate:
     return TileCoordinate(zoom, x, y)
 
 
+@lru_cache(maxsize=4096)
 def tile_bounds(tile: TileCoordinate) -> BoundingBox:
-    """The geographic bounding box of a tile."""
+    """The geographic bounding box of a tile (pure in a frozen coordinate;
+    a viewport asks for the same few tiles once per discovered server)."""
     side = 1 << tile.zoom
 
     def x_to_lng(x: float) -> float:

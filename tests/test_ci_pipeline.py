@@ -202,6 +202,12 @@ class TestCheckShStages:
         end_of_ruff_branch = lint_stage.index("python scripts/lint_fallback.py\n  fi\n")
         assert lint_stage.index("python scripts/check_set_order_sums.py") > end_of_ruff_branch
 
+    def test_lint_stage_runs_the_memo_bound_checker_without_ruff_too(self):
+        script = CHECK_SH.read_text()
+        lint_stage = script[script.index("if $run_lint; then") :]
+        end_of_ruff_branch = lint_stage.index("python scripts/lint_fallback.py\n  fi\n")
+        assert lint_stage.index("python scripts/check_unbounded_memos.py") > end_of_ruff_branch
+
     def test_nothing_pins_the_hash_seed(self):
         """The byte gate and the tier-1 goldens catch a result that follows
         set iteration order only because every CI process draws a fresh
@@ -324,3 +330,73 @@ class TestSetOrderSums:
             "src/repro/sums.py:7",
             "src/repro/sums.py:9",
         ]
+
+
+class TestMemoBounds:
+    """The memo bound checker the lint stage runs: clean on the real tree,
+    and one failing fixture per shape an unbounded memo takes."""
+
+    def _checker(self):
+        return load(REPO_ROOT / "scripts" / "check_unbounded_memos.py")
+
+    def _findings(self, tmp_path, source: str) -> list[str]:
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "memos.py").write_text(source)
+        return [failure.split(": ")[0] for failure in self._checker().findings(tmp_path)]
+
+    def test_repo_sources_are_clean(self):
+        assert self._checker().findings(REPO_ROOT) == []
+
+    def test_checker_flags_functools_cache(self, tmp_path):
+        source = (
+            "import functools\n"
+            "from functools import cache\n"
+            "@cache\n"  # line 3
+            "def bounds(tile): ...\n"
+            "class Index:\n"
+            "    @functools.cache\n"  # line 6
+            "    def lookup(self, key): ...\n"
+            "@cache\n"
+            "def table(): ...\n"  # zero arguments: one value at most
+        )
+        assert self._findings(tmp_path, source) == ["src/repro/memos.py:3", "src/repro/memos.py:6"]
+
+    def test_checker_flags_lru_cache_without_a_stated_bound(self, tmp_path):
+        source = (
+            "import functools\n"
+            "from functools import lru_cache\n"
+            "LIMIT = 64\n"
+            "@lru_cache\n"  # line 4
+            "def bare(x): ...\n"
+            "@lru_cache()\n"  # line 6
+            "def called(x): ...\n"
+            "@functools.lru_cache(maxsize=None)\n"  # line 8
+            "def unbounded(x): ...\n"
+            "@lru_cache(None)\n"  # line 10
+            "def positional(*xs): ...\n"
+            "@lru_cache(maxsize=1024)\n"
+            "def literal(x): ...\n"
+            "@lru_cache(maxsize=LIMIT)\n"
+            "def named(x): ...\n"
+            "@lru_cache(maxsize=None)\n"
+            "def table(): ...\n"
+        )
+        assert self._findings(tmp_path, source) == [f"src/repro/memos.py:{line}" for line in (4, 6, 8, 10)]
+
+    def test_checker_flags_lru_cache_objects_without_a_stated_bound(self, tmp_path):
+        source = (
+            "import sys\n"
+            "from repro.simulation.lru import LruCache\n"
+            "LIMIT = 64\n"
+            "_default = LruCache()\n"  # line 4
+            "_none = LruCache(max_entries=None)\n"  # line 5
+            "_computed = LruCache(max_entries=2 ** 40)\n"  # line 6
+            "_huge = LruCache(float('inf'))\n"  # line 7
+            "_literal = LruCache(max_entries=32)\n"
+            "_named = LruCache(LIMIT)\n"
+            "class Cache:\n"
+            "    def __post_init__(self):\n"
+            "        self._lru = LruCache(max_entries=self.max_entries)\n"
+        )
+        assert self._findings(tmp_path, source) == [f"src/repro/memos.py:{line}" for line in (4, 5, 6, 7)]

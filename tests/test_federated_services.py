@@ -220,6 +220,21 @@ class TestFederatedTiles:
         store_names = {store.map_data.metadata.name for store in scenario.stores}
         assert not contributing_maps & store_names
 
+    def test_each_tile_is_matched_against_each_server_once(self, scenario, client, monkeypatch):
+        """One tile/coverage intersection per (server, tile) per viewport: the
+        pre-check and the fetch share one ``relevant`` list."""
+        from repro.services import tiles as federated_tiles
+        from repro.tiles.tile_math import tile_bounds, tiles_for_box
+
+        matched = []
+        monkeypatch.setattr(
+            federated_tiles, "tile_bounds", lambda tile: matched.append(tile) or tile_bounds(tile)
+        )
+        viewport = BoundingBox.around(scenario.stores[0].entrance, 60.0)
+        view = client.render_viewport(viewport, zoom=19)
+        assert view.servers_consulted >= 2
+        assert len(matched) == view.servers_consulted * len(tiles_for_box(viewport, 19))
+
 
 class TestPolicyEnforcementThroughFederation:
     def test_campus_search_restricted_to_campus_users(self, scenario):
