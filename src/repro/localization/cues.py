@@ -18,6 +18,7 @@ A GNSS (GPS-like) cue is included as the coarse outdoor fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -54,6 +55,12 @@ class BeaconReading:
     beacon_id: str
     rssi_dbm: float
 
+    def __post_init__(self) -> None:
+        if not self.beacon_id:
+            raise ValueError("beacon_id must not be empty")
+        if not math.isfinite(self.rssi_dbm):
+            raise ValueError(f"rssi_dbm must be finite, got {self.rssi_dbm!r} for beacon {self.beacon_id!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class BeaconCue:
@@ -79,6 +86,11 @@ class ImageCue:
     """
 
     descriptor: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        for index, component in enumerate(self.descriptor):
+            if not math.isfinite(component):
+                raise ValueError(f"descriptor must be finite, got {component!r} at index {index}")
 
     @property
     def cue_type(self) -> CueType:

@@ -4,11 +4,46 @@ A map server that advertises beacon or image localization holds a fingerprint
 database — a set of surveyed reference points, each with the cue signature
 observed there.  Localization is nearest-neighbour matching in signature
 space followed by weighted averaging of the best matches' positions.
+
+**Nominate wide, score exactly.**  A database surveys hundreds of references
+and keeps ``k_neighbors`` of them, so each ``localize`` is filter-and-refine:
+one stacked numpy pass gives every reference an *approximate* score, every
+reference within a margin of the ``k``-th best approximate score is nominated,
+and only the nominees are scored by the per-row expressions
+(:func:`_beacon_distance`, :func:`_image_similarity`) whose floats are the
+answer.  No float of the stacked pass reaches a ``LocalizationResult``; it
+differs from the per-row float only by rounding (``gemv`` against ``ddot``,
+column order against cue order), and the margins absorb that:
+
+* If ``|approx - exact| <= delta`` for every reference, fewer than ``k``
+  references have an exact score strictly better than the ``k``-th best
+  exact score ``T``, so the ``k``-th best approximate score is no better than
+  ``T`` by more than ``delta``, and every reference scoring ``T`` or better —
+  the exact top ``k`` with all its ties — is within ``2 * delta`` of it.
+* Image: both sides are a ``d``-term dot product over a product of norms,
+  ``delta ~ 2 * d * 2**-53`` on a cosine (4e-15 at ``d = 16``).
+  ``_IMAGE_MARGIN = 1e-9`` is five orders wider and grows with ``d`` past
+  1000 components.
+* Beacon: both sides sum at most ``R`` non-negative squared differences (no
+  cancellation), ``delta ~ R * 2**-53`` relative (1e-12 on a score of 10^3).
+  ``_BEACON_MARGIN = 1e-6`` is relative to the score above 1 and absolute
+  below it.
+* A reference the comparison cannot prove worse (a NaN, a tie at the margin)
+  is nominated.  Inputs the argument does not cover take the full scan: no
+  more than ``k`` references, a reference under the ``denom < 1e-12`` floor
+  for this query, norms whose product overflows, a reference sharing no
+  beacon with the cue, non-finite survey data, a descriptor shape no stack
+  holds.
+
+The stacks are derived data beside the reference: built on the first
+``localize`` after the reference list changed length, bounded by the
+database they mirror.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +56,23 @@ from repro.localization.cues import BeaconCue, CueType, ImageCue, LocalizationRe
 BEACON_TX_POWER_DBM = -40.0
 BEACON_PATH_LOSS_EXPONENT = 2.2
 BEACON_MIN_RSSI_DBM = -100.0
+
+
+_IMAGE_MARGIN = 1e-9
+_BEACON_MARGIN = 1e-6
+
+
+def _nominees(approx: np.ndarray, k: int, margin: float, unit: float) -> list[int]:
+    """Indices of ``approx`` (lower is better, more than ``k`` entries) not
+    provably worse than the ``k``-th best by more than ``margin``, which is
+    relative to the score above ``unit`` and to ``unit`` below it."""
+    kth = float(np.partition(approx, k - 1)[k - 1])
+    return np.flatnonzero(~(approx > kth + margin * max(unit, abs(kth)))).tolist()
+
+
+def _positive_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def rssi_at_distance(distance_meters: float) -> float:
@@ -37,12 +89,92 @@ class BeaconFingerprint:
     rssi_by_beacon: dict[str, float]
 
 
+def _beacon_distance(readings: list[tuple[str, float]], rssi_by_beacon: dict[str, float]) -> float | None:
+    """RMS difference over the beacons a cue shares with one surveyed
+    signature, penalising sparse overlap so signatures sharing more beacons
+    win; ``None`` when they share none.
+
+    Summed in the cue's reading order; over a set of beacon ids the float
+    rounding of the sum would follow PYTHONHASHSEED.
+    """
+    surveyed_rssi = rssi_by_beacon.get
+    total = 0.0
+    common = 0
+    for beacon, rssi in readings:
+        surveyed = surveyed_rssi(beacon)
+        if surveyed is not None:
+            total += (rssi - surveyed) ** 2
+            common += 1
+    if not common:
+        return None
+    return math.sqrt(total / common) + 10.0 * (len(readings) - common)
+
+
+@dataclass(frozen=True, slots=True)
+class _BeaconStack:
+    """Every surveyed signature of a database as rows of one matrix."""
+
+    columns: dict[str, int]
+    """Beacon id -> column, in first-seen order."""
+    surveyed: np.ndarray
+    """One row per fingerprint: RSSI, 0 where it lacks the beacon."""
+    present: np.ndarray
+    """1.0 where the reference surveyed the beacon, else 0.0."""
+    finite: bool
+
+    @classmethod
+    def build(cls, fingerprints: list[BeaconFingerprint]) -> _BeaconStack:
+        columns: dict[str, int] = {}
+        for fingerprint in fingerprints:
+            for beacon in fingerprint.rssi_by_beacon:
+                columns.setdefault(beacon, len(columns))
+        surveyed = np.zeros((len(fingerprints), len(columns)))
+        present = np.zeros_like(surveyed)
+        for row, fingerprint in enumerate(fingerprints):
+            for beacon, rssi in fingerprint.rssi_by_beacon.items():
+                surveyed[row, columns[beacon]] = rssi
+                present[row, columns[beacon]] = 1.0
+        return cls(columns, surveyed, present, bool(np.isfinite(surveyed).all()))
+
+    def approximate(self, readings: list[tuple[str, float]]) -> np.ndarray | None:
+        """:func:`_beacon_distance` of every row to within rounding, or
+        ``None`` when the survey holds a non-finite value or some row shares
+        no beacon with the cue."""
+        if not self.finite:
+            return None
+        columns = self.columns
+        observed = [0.0] * len(columns)
+        mask = [0.0] * len(columns)
+        for beacon, rssi in readings:
+            column = columns.get(beacon)
+            if column is not None:
+                observed[column] = rssi
+                mask[column] = 1.0
+        observed, mask = np.array(observed), np.array(mask)
+        common = self.present @ mask
+        if common.min() < 1.0:
+            return None
+        difference = self.present * observed
+        np.subtract(self.surveyed, difference, out=difference)
+        np.multiply(difference, difference, out=difference)
+        score = difference @ mask
+        score /= common
+        np.sqrt(score, out=score)
+        score += (len(readings) - common) * 10.0
+        return score
+
+
 @dataclass
 class BeaconFingerprintDatabase:
     """Matches beacon cues against surveyed beacon signatures."""
 
     fingerprints: list[BeaconFingerprint] = field(default_factory=list)
     k_neighbors: int = 3
+    _stack: _BeaconStack | None = field(default=None, init=False, repr=False, compare=False)
+    """Rebuilt when ``fingerprints`` has changed length since it was built."""
+
+    def __post_init__(self) -> None:
+        _positive_int("k_neighbors", self.k_neighbors)
 
     def add(self, fingerprint: BeaconFingerprint) -> None:
         self.fingerprints.append(fingerprint)
@@ -50,29 +182,32 @@ class BeaconFingerprintDatabase:
     def __len__(self) -> int:
         return len(self.fingerprints)
 
+    def _approximate(self, readings: list[tuple[str, float]]) -> np.ndarray | None:
+        """:meth:`_BeaconStack.approximate` on a stack that is current."""
+        stack = self._stack
+        if stack is None or len(stack.surveyed) != len(self.fingerprints):
+            stack = self._stack = _BeaconStack.build(self.fingerprints)
+        return stack.approximate(readings)
+
+    def _nominate(self, readings: list[tuple[str, float]]) -> Iterable[int]:
+        """Positions of every fingerprint that may be among the ``k_neighbors``
+        nearest to ``readings`` (all of them for a degenerate input)."""
+        approx = self._approximate(readings)
+        if approx is None or len(approx) <= self.k_neighbors:
+            return range(len(self.fingerprints))
+        return _nominees(approx, self.k_neighbors, _BEACON_MARGIN, 1.0)
+
     def localize(self, cue: BeaconCue, server_id: str) -> LocalizationResult | None:
         """Weighted k-nearest-neighbour localization in RSSI space."""
         if not self.fingerprints or not cue.readings:
             return None
-        # Summed in the cue's reading order; over a set of beacon ids the
-        # float rounding of the sum would follow PYTHONHASHSEED.
         readings = list(cue.reading_map().items())
+        fingerprints = self.fingerprints
         scored: list[tuple[float, int]] = []
-        for position, fingerprint in enumerate(self.fingerprints):
-            surveyed_rssi = fingerprint.rssi_by_beacon.get
-            total = 0.0
-            common = 0
-            for beacon, rssi in readings:
-                surveyed = surveyed_rssi(beacon)
-                if surveyed is not None:
-                    total += (rssi - surveyed) ** 2
-                    common += 1
-            if not common:
-                continue
-            # RMS difference over the shared beacons, penalising sparse
-            # overlap so signatures sharing more beacons win.
-            overlap_penalty = 10.0 * (len(readings) - common)
-            scored.append((math.sqrt(total / common) + overlap_penalty, position))
+        for position in self._nominate(readings):
+            distance = _beacon_distance(readings, fingerprints[position].rssi_by_beacon)
+            if distance is not None:
+                scored.append((distance, position))
         if not scored:
             return None
         scored.sort()
@@ -111,6 +246,69 @@ _ImageReference = tuple[np.ndarray, tuple[int, ...], float]
 """A descriptor as a float array, with its shape and its norm."""
 
 
+def _image_similarity(query: np.ndarray, query_norm: float, reference: _ImageReference) -> float | None:
+    """Cosine similarity of ``query`` to one reference; ``None`` for a
+    reference of another shape or a vanishing norm product.
+
+    One dot product per reference, not one matrix product: whether ``gemv``
+    rounds like ``ddot`` depends on the BLAS build.
+    """
+    descriptor, shape, norm = reference
+    if shape != query.shape:
+        return None
+    denom = query_norm * norm
+    if denom < 1e-12:
+        return None
+    return float(query @ descriptor / denom)
+
+
+_NORM_PRODUCT_CEILING = 1e300
+"""Below this no partial sum of ``query @ reference`` overflows."""
+
+
+@dataclass(frozen=True, slots=True)
+class _ImageStack:
+    """The references of a database as unit rows, one matrix per descriptor
+    length."""
+
+    count: int
+    groups: dict[tuple[int, ...], tuple[list[int], np.ndarray, float, float, float]]
+    """Shape -> the positions of its references, their negated unit
+    descriptors as rows, their smallest and largest norm, and the margin."""
+
+    @classmethod
+    def build(cls, references: list[_ImageReference]) -> _ImageStack:
+        """A zero norm is under the ``denom`` floor for every query and is
+        left out; a length with a non-finite norm gets no group."""
+        positions_by_shape: dict[tuple[int, ...], list[int]] = {}
+        for position, (_, shape, norm) in enumerate(references):
+            if len(shape) == 1 and norm != 0.0:
+                positions_by_shape.setdefault(shape, []).append(position)
+        groups = {}
+        for shape, positions in positions_by_shape.items():
+            norms = np.array([references[position][2] for position in positions])
+            if not np.isfinite(norms).all():
+                continue
+            descriptors = np.array([references[position][0] for position in positions])
+            margin = _IMAGE_MARGIN * max(1.0, shape[0] / 1000.0)
+            groups[shape] = (positions, -descriptors / norms[:, None], float(norms.min()), float(norms.max()), margin)
+        return cls(len(references), groups)
+
+    def approximate(self, query: np.ndarray, query_norm: float) -> tuple[list[int], np.ndarray, float] | None:
+        """``(positions, -similarity * query_norm to within rounding, margin)``
+        over every reference :func:`_image_similarity` scores for this query,
+        or ``None`` when no group holds the query's shape, a reference is
+        under the ``denom`` floor for this query or a norm product nears
+        overflow."""
+        group = self.groups.get(query.shape)
+        if group is None:
+            return None
+        positions, negated_units, min_norm, max_norm, margin = group
+        if not (1e-12 <= query_norm * min_norm and query_norm * max_norm <= _NORM_PRODUCT_CEILING):
+            return None
+        return positions, negated_units @ query, margin
+
+
 @dataclass
 class ImageFingerprintDatabase:
     """Matches image cues against surveyed visual descriptors (cosine similarity)."""
@@ -121,8 +319,13 @@ class ImageFingerprintDatabase:
     _references: list[_ImageReference] = field(init=False, repr=False, compare=False)
     """Derived once when a fingerprint is registered; index-aligned with
     ``fingerprints``."""
+    _stack: _ImageStack | None = field(default=None, init=False, repr=False, compare=False)
+    """Rebuilt when ``_references`` has changed length since it was built."""
 
     def __post_init__(self) -> None:
+        _positive_int("k_neighbors", self.k_neighbors)
+        if not math.isfinite(self.min_similarity):
+            raise ValueError(f"min_similarity must be finite, got {self.min_similarity!r}")
         self._references = [self._reference(fingerprint) for fingerprint in self.fingerprints]
 
     @staticmethod
@@ -137,6 +340,23 @@ class ImageFingerprintDatabase:
     def __len__(self) -> int:
         return len(self.fingerprints)
 
+    def _approximate(self, query: np.ndarray, query_norm: float) -> tuple[list[int], np.ndarray, float] | None:
+        """:meth:`_ImageStack.approximate` on a stack that is current."""
+        stack = self._stack
+        if stack is None or stack.count != len(self._references):
+            stack = self._stack = _ImageStack.build(self._references)
+        return stack.approximate(query, query_norm)
+
+    def _nominate(self, query: np.ndarray, query_norm: float) -> Iterable[int]:
+        """Positions of every reference that may be among the ``k_neighbors``
+        most similar to ``query`` (all of them for a degenerate input)."""
+        approximated = self._approximate(query, query_norm)
+        if approximated is not None:
+            positions, approx, margin = approximated
+            if len(positions) > self.k_neighbors:
+                return [positions[index] for index in _nominees(approx, self.k_neighbors, margin, query_norm)]
+        return range(len(self._references))
+
     def localize(self, cue: ImageCue, server_id: str) -> LocalizationResult | None:
         if not self.fingerprints:
             return None
@@ -145,17 +365,12 @@ class ImageFingerprintDatabase:
         if query_norm < 1e-12:
             return None
 
-        # One dot product per reference, not one matrix product: whether
-        # ``gemv`` rounds like ``ddot`` depends on the BLAS build.
-        query_shape = query.shape
+        references = self._references
         scored: list[tuple[float, int]] = []
-        for position, (reference, shape, norm) in enumerate(self._references):
-            if shape != query_shape:
-                continue
-            denom = query_norm * norm
-            if denom < 1e-12:
-                continue
-            scored.append((-float(query @ reference / denom), position))
+        for position in self._nominate(query, query_norm):
+            similarity = _image_similarity(query, query_norm, references[position])
+            if similarity is not None:
+                scored.append((-similarity, position))
         if not scored:
             return None
         scored.sort()

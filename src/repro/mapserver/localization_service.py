@@ -24,7 +24,7 @@ from repro.localization.fingerprint import (
     FiducialRegistry,
     ImageFingerprintDatabase,
 )
-from repro.osm.mapdata import MapData
+from repro.osm.mapdata import MapData, MapDataError
 
 
 @dataclass
@@ -121,7 +121,8 @@ class LocalizationService:
     def _plausibly_in_coverage(self, result: LocalizationResult) -> bool:
         try:
             coverage = self.map_data.coverage
-        except Exception:
+        except MapDataError:
+            # No nodes and no explicit polygon: nothing to hold the fix against.
             return True
         if coverage.contains(result.location):
             return True

@@ -285,6 +285,12 @@ class TestDocsLinks:
         assert "[tool.ruff]" in pyproject
         assert "[tool.ruff.lint]" in pyproject
 
+    def test_runtime_warnings_fail_tier1(self):
+        """Silent NaN arithmetic in a numpy kernel must be a test failure."""
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        options = pyproject.split("[tool.pytest.ini_options]", 1)[1].split("\n[", 1)[0]
+        assert 'filterwarnings = ["error::RuntimeWarning"]' in options
+
     def test_fallback_lint_is_clean(self):
         """The offline stand-in for ruff must keep passing (compile +
         unused-import audit over the whole tree)."""

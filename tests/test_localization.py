@@ -55,6 +55,24 @@ class TestCues:
         with pytest.raises(ValueError):
             LocalizationResult("s", ANCHOR, accuracy_meters=-1.0, confidence=0.5, cue_type=CueType.GNSS)
 
+    @pytest.mark.parametrize("rssi", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rssi_is_rejected_at_construction(self, rssi):
+        """One bad sensor value must not reach a map server's kernel (it
+        used to surface as ``latitude nan outside [-90, 90]`` or a
+        ``ZeroDivisionError`` out of ``OpenFlameClient.localize``)."""
+        with pytest.raises(ValueError, match=r"rssi_dbm must be finite, got (nan|-?inf) for beacon 'b0'"):
+            BeaconReading("b0", rssi)
+
+    def test_empty_beacon_id_is_rejected(self):
+        with pytest.raises(ValueError, match="beacon_id"):
+            BeaconReading("", -60.0)
+
+    @pytest.mark.parametrize("component", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_descriptor_is_rejected_at_construction(self, component):
+        """It used to return ``None`` behind a numpy ``RuntimeWarning``."""
+        with pytest.raises(ValueError, match=r"descriptor must be finite, got (nan|-?inf) at index 1"):
+            ImageCue((0.5, component, 0.25))
+
     def test_reading_map(self):
         cue = BeaconCue((BeaconReading("a", -50.0), BeaconReading("b", -70.0)))
         assert cue.reading_map() == {"a": -50.0, "b": -70.0}
@@ -124,6 +142,13 @@ class TestBeaconFingerprinting:
         _, database = _beacon_world()
         assert database.localize(BeaconCue(()), "server") is None
 
+    @pytest.mark.parametrize("k", [0, -1, 2.0, None])
+    def test_k_neighbors_is_validated(self, k):
+        """``0`` used to divide by zero and ``-1`` to average all but one
+        fingerprint into a fix with no error."""
+        with pytest.raises(ValueError, match="k_neighbors must be an int >= 1"):
+            BeaconFingerprintDatabase(k_neighbors=k)
+
     def test_result_metadata(self):
         beacons, database = _beacon_world()
         readings = tuple(BeaconReading(bid, rssi_at_distance(10.0)) for bid in beacons)
@@ -161,6 +186,17 @@ class TestImageFingerprinting:
     def test_zero_descriptor_returns_none(self):
         database, _ = self._database()
         assert database.localize(ImageCue((0.0,) * 25), "server") is None
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, None])
+    def test_k_neighbors_is_validated(self, k):
+        """``0`` used to answer ``None`` for every cue."""
+        with pytest.raises(ValueError, match="k_neighbors must be an int >= 1"):
+            ImageFingerprintDatabase(k_neighbors=k)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_min_similarity_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="min_similarity must be finite"):
+            ImageFingerprintDatabase(min_similarity=threshold)
 
     def test_dimension_mismatch_ignored(self):
         database, _ = self._database()

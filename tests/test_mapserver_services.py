@@ -7,9 +7,10 @@ import random
 import pytest
 
 from repro.geometry.point import LatLng
-from repro.localization.cues import CueType
+from repro.localization.cues import CueBundle, CueType, GnssCue
 from repro.mapserver.auth import Credential
 from repro.mapserver.geocode import Address, GeocodeService
+from repro.mapserver.localization_service import LocalizationService
 from repro.mapserver.policy import AccessPolicy
 from repro.mapserver.routing_service import RoutingService
 from repro.mapserver.search import SearchService
@@ -262,6 +263,26 @@ class TestMapServerFacade:
         assert server.covers_point(just_outside, slack_meters=50.0)
         far_away = store.entrance.destination(180.0, 5_000.0)
         assert not server.covers_point(far_away)
+
+
+class TestLocalizationCoverageCheck:
+    CUES = CueBundle(gnss=GnssCue(LatLng(40.4400, -79.9500)))
+
+    def test_a_map_with_no_extent_keeps_every_fix(self):
+        service = LocalizationService(MapData(MapMetadata(name="empty")), "s1", accepts_gnss=True)
+        assert [fix.cue_type for fix in service.localize(self.CUES)] == [CueType.GNSS]
+
+    def test_only_the_missing_extent_is_excused(self, monkeypatch):
+        """Anything else raised under ``MapData.coverage`` is a bug and must
+        surface (it used to read as "in coverage")."""
+
+        def broken(self):
+            raise RuntimeError("coverage is broken")
+
+        monkeypatch.setattr(MapData, "coverage", property(broken))
+        service = LocalizationService(MapData(MapMetadata(name="empty")), "s1", accepts_gnss=True)
+        with pytest.raises(RuntimeError, match="coverage is broken"):
+            service.localize(self.CUES)
 
 
 class TestPrivateDataBeforeTheCut:

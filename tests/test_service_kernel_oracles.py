@@ -16,6 +16,17 @@ iteration order — and so the float rounding of the sum — followed
 ``PYTHONHASHSEED``.  (Builtin ``sum()`` is that same left-to-right
 accumulation up to CPython 3.11 and a compensated sum from 3.12; the explicit
 loop gives one answer on both.)
+
+Both fingerprint kernels are filter-and-refine: a stacked numpy pass nominates
+every reference within a margin of the ``k``-th best approximate score and
+only the nominees are scored by the per-row expressions.  The full scans
+above stay the oracles, and ``adversarial_image_cases`` /
+``adversarial_beacon_cases`` aim at what a filter can get wrong: exact ties,
+scores a few ulp apart around the ``k``-th place, a flood of references tied
+*at* it, databases of ``1 .. k + 1`` references, norms under the
+query-dependent ``denom`` floor, partial beacon overlap.  The margin is
+checked against the measured ``|approx - exact|`` over the same cases, and
+the gain is pinned as a count of per-row scoring passes.
 """
 
 from __future__ import annotations
@@ -23,8 +34,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +46,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.geometry.point import LatLng
+from repro.localization import fingerprint as kernels
 from repro.localization.cues import BeaconCue, BeaconReading, CueType, ImageCue, LocalizationResult
 from repro.localization.fingerprint import (
     BeaconFingerprint,
@@ -44,6 +58,7 @@ from repro.mapserver.geocode import Address, GeocodeIndex, GeocodeResult, _token
 from repro.mapserver.search import SearchResult, SearchService
 from repro.osm.elements import Node
 from repro.osm.mapdata import MapData, MapMetadata
+from repro.worldgen.scenario import build_scenario
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +254,72 @@ beacon_cues = st.lists(st.builds(BeaconReading, beacon_ids, rssi), max_size=8).m
     lambda readings: BeaconCue(tuple(readings))
 )
 
+
+def nudged(value: float, ulps: int) -> float:
+    """``value`` moved ``ulps`` representable floats up (down if negative)."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def _shuffled_and_cut(draw, k: int, references: list, filler) -> list:
+    """``references`` cut to ``1 .. k + 1`` entries half of the time (the
+    ``k``-th best may not exist), in a drawn order (ties resolve by position)."""
+    references = draw(st.permutations(references)) if references else [draw(filler)]
+    if draw(st.booleans()):
+        references = references[: draw(st.integers(1, k + 1))]
+    return list(references)
+
+
+@st.composite
+def adversarial_image_cases(draw):
+    """``(fingerprints, query descriptor, k, min_similarity)`` built around
+    one ``base`` direction the query is parallel to."""
+    k = draw(k_neighbors)
+    length = draw(st.sampled_from([2, 3, 16]))
+    component = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+    base = draw(st.lists(component, min_size=length, max_size=length))
+    # 1e-7: under the ``denom < 1e-12`` floor for the 1e-6 query only.
+    reference_scale = draw(st.sampled_from([1.0, 1.0, 1e-7, 1e3]))
+    descriptors = [tuple(reference_scale * x for x in base)] * draw(st.integers(0, k + 7))
+    for ulps in draw(st.lists(st.integers(-4, 4), max_size=6)):
+        descriptors.append(tuple([nudged(reference_scale * base[0], ulps), *(reference_scale * x for x in base[1:])]))
+    anything = st.lists(components, min_size=length, max_size=length).map(tuple)
+    descriptors += draw(st.lists(anything | st.just((0.0,) * length) | st.just((1.0,) * (length + 1)), max_size=k + 2))
+    descriptors = _shuffled_and_cut(draw, k, descriptors, anything)
+    fingerprints = [
+        ImageFingerprint(draw(locations), descriptor, draw(st.none() | st.sampled_from([0.0, 90.0])))
+        for descriptor in descriptors
+    ]
+    query_scale = draw(st.sampled_from([1.0, 1e-6, 250.0]))
+    query = draw(st.just(tuple(query_scale * x for x in base)) | anything)
+    return fingerprints, query, k, draw(min_similarities)
+
+
+@st.composite
+def adversarial_beacon_cases(draw):
+    """``(fingerprints, cue, k)`` where most fingerprints share ``b0`` with
+    the cue (the stacked pass needs one beacon in common per reference)."""
+    k = draw(k_neighbors)
+    level = st.integers(-100, -30).map(float) | rssi
+    surveyed = draw(st.sets(st.sampled_from(["b1", "b2", "b3", "b4"])))
+    base = {beacon: draw(level) for beacon in ["b0", *sorted(surveyed)]}
+    signatures = [dict(base)] * draw(st.integers(0, k + 7))
+    for ulps in draw(st.lists(st.integers(-4, 4), max_size=6)):
+        signatures.append({**base, "b0": nudged(base["b0"], ulps)})
+    overlapping = st.dictionaries(beacon_ids, level, max_size=6).map(lambda extra: {"b0": -60.0, **extra})
+    signatures += draw(st.lists(overlapping | st.dictionaries(beacon_ids, level, max_size=2), max_size=k + 2))
+    signatures = _shuffled_and_cut(draw, k, signatures, overlapping)
+    fingerprints = [BeaconFingerprint(draw(locations), signature) for signature in signatures]
+    # The cue: the base beacons at the base levels (ties and near-ties at
+    # distance ~0) or at any level (near-ties between sums taken in cue order
+    # and in column order), then beacons no fingerprint surveyed and repeats.
+    heard = [BeaconReading(beacon, draw(st.just(value) | level)) for beacon, value in base.items()]
+    heard = heard[draw(st.integers(0, len(heard))) :]
+    heard += draw(st.lists(st.builds(BeaconReading, beacon_ids | st.sampled_from(["b0", "zz"]), level), max_size=5))
+    return fingerprints, BeaconCue(tuple(draw(st.permutations(heard)))), k
+
+
 WORDS = ["forbes", "fifth", "street", "cafe", "library", "simville", "printer", "12"]
 phrases = st.lists(st.sampled_from(WORDS), min_size=0, max_size=3).map(" ".join)
 
@@ -271,6 +352,36 @@ class TestImageLocalize:
         db = ImageFingerprintDatabase(list(fingerprints), k_neighbors=k, min_similarity=min_similarity)
         cue = ImageCue(query)
         assert db.localize(cue, "s") == oracle_image_localize(db, cue, "s")
+
+    @given(adversarial_image_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_where_a_filter_can_go_wrong(self, case):
+        fingerprints, query, k, min_similarity = case
+        db = ImageFingerprintDatabase(fingerprints, k_neighbors=k, min_similarity=min_similarity)
+        cue = ImageCue(query)
+        assert db.localize(cue, "s") == oracle_image_localize(db, cue, "s")
+
+    @given(adversarial_image_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_margin_is_a_thousand_times_the_rounding(self, case):
+        fingerprints, query, k, _ = case
+        db = ImageFingerprintDatabase(fingerprints, k_neighbors=k)
+        query = ImageCue(query).as_array()
+        query_norm = float(np.linalg.norm(query))
+        approximated = db._approximate(query, query_norm)
+        if approximated is None:
+            return
+        positions, approx, margin = approximated
+        assert margin == kernels._IMAGE_MARGIN
+        scoreable = [
+            position
+            for position, reference in enumerate(db._references)
+            if kernels._image_similarity(query, query_norm, reference) is not None
+        ]
+        assert positions == scoreable
+        for position, approximate in zip(positions, approx.tolist()):
+            exact = -kernels._image_similarity(query, query_norm, db._references[position]) * query_norm
+            assert abs(approximate - exact) * 1000.0 <= margin * max(query_norm, abs(exact))
 
     @given(
         st.lists(image_fingerprints, max_size=6),
@@ -306,6 +417,47 @@ class TestBeaconLocalize:
     def test_matches_oracle(self, fingerprints, cue, k):
         db = BeaconFingerprintDatabase(list(fingerprints), k_neighbors=k)
         assert db.localize(cue, "s") == oracle_beacon_localize(db, cue, "s")
+
+    @given(adversarial_beacon_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_where_a_filter_can_go_wrong(self, case):
+        fingerprints, cue, k = case
+        db = BeaconFingerprintDatabase(fingerprints, k_neighbors=k)
+        assert db.localize(cue, "s") == oracle_beacon_localize(db, cue, "s")
+
+    @given(adversarial_beacon_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_margin_is_a_thousand_times_the_rounding(self, case):
+        fingerprints, cue, k = case
+        db = BeaconFingerprintDatabase(fingerprints, k_neighbors=k)
+        readings = list(cue.reading_map().items())
+        approx = db._approximate(readings) if readings else None
+        exact = [kernels._beacon_distance(readings, fingerprint.rssi_by_beacon) for fingerprint in fingerprints]
+        if approx is None:
+            return
+        assert len(approx) == len(exact)
+        for approximate, distance in zip(approx.tolist(), exact):
+            assert abs(approximate - distance) * 1000.0 <= kernels._BEACON_MARGIN * max(1.0, distance)
+
+    @given(adversarial_beacon_cases(), st.lists(beacon_fingerprints, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_never_lags_fingerprints(self, case, later):
+        """Constructor-built, ``add()``-built and added-to-after-a-query
+        databases answer alike: the stack tracks ``fingerprints``."""
+        first, cue, k = case
+        grown = BeaconFingerprintDatabase(list(first), k_neighbors=k)
+        assert grown.localize(cue, "s") == oracle_beacon_localize(grown, cue, "s")
+        added = BeaconFingerprintDatabase(k_neighbors=k)
+        for fingerprint in first:
+            added.add(fingerprint)
+        for fingerprint in later:
+            grown.add(fingerprint)
+            added.add(fingerprint)
+        whole = BeaconFingerprintDatabase(first + later, k_neighbors=k)
+        expected = oracle_beacon_localize(whole, cue, "s")
+        assert grown.localize(cue, "s") == expected
+        assert added.localize(cue, "s") == expected
+        assert whole.localize(cue, "s") == expected
 
     def test_sum_runs_in_cue_order(self):
         """A cue whose squared differences sum to different floats in reading
@@ -359,6 +511,47 @@ class TestSearch:
         everything = oracle_search(service, query, near, limit=100)
         found = service.search(query, near, limit=limit, visible=lambda node: node.node_id not in hidden)
         assert found == [r for r in everything if r.node_id not in hidden][:limit]
+
+
+# ----------------------------------------------------------------------
+# The gain, as a count
+# ----------------------------------------------------------------------
+def test_per_row_scoring_passes_stay_within_k_plus_two_per_call(monkeypatch):
+    """40 seeded indoor localizations on the perfbench world: each database
+    call scores ``k + 2`` references at most with the per-row expressions
+    (3 of 130 on this world; all 130 with the nomination pass dropped)."""
+    counts = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for owner, attribute, name in (
+        (kernels, "_beacon_distance", "beacon rows"),
+        (kernels, "_image_similarity", "image rows"),
+        (BeaconFingerprintDatabase, "localize", "beacon calls"),
+        (ImageFingerprintDatabase, "localize", "image calls"),
+    ):
+        monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
+
+    scenario = build_scenario(store_count=2, city_rows=5, city_cols=5, seed=33)
+    client = scenario.federation.client()
+    rng = random.Random(7)
+    fixes = 0
+    for _ in range(40):
+        store = rng.choice(scenario.stores)
+        indoors = store.random_interior_point(rng)
+        fix = client.localize(store.local_to_geographic(indoors), store.sense_cues(indoors, rng))
+        fixes += fix.best is not None
+    assert fixes == 40
+    assert all(len(store.beacon_db) == len(store.image_db) == 130 for store in scenario.stores)
+    for technology, database in (("beacon", BeaconFingerprintDatabase), ("image", ImageFingerprintDatabase)):
+        calls = counts[f"{technology} calls"]
+        assert calls >= 40
+        assert counts[f"{technology} rows"] <= calls * (database().k_neighbors + 2), counts
 
 
 # ----------------------------------------------------------------------
