@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Fail the lint stage on a host-side memo with no stated bound.
+"""Fail the lint stage on a host-side memo with no stated bound, or one the
+memo table in ``docs/ARCHITECTURE.md`` does not name.
 
 The library remembers pure results in many places (extracted graphs, cell
 enumerations, rendered composites, per-map answers — the table is in
@@ -18,7 +19,15 @@ check names the three shapes an unbounded memo takes, anywhere under
 
 A decorated function that takes no argument at all holds at most one value
 and is exempt from the first two.  ``WeakKeyDictionary`` memos are bounded by
-the lifetime of their keys and are not this check's business.
+the lifetime of their keys and pass the bound rules as they are.
+
+The second rule keeps the table honest: every memo *site* — an
+``lru_cache``-decorated function that takes arguments, an ``LruCache(...)``
+given a literal or named bound (by the name it is assigned to), a
+module-level ``WeakKeyDictionary()`` — must appear, by name and in
+backticks, in the first column of the table under "Every host-side memo in
+``src/repro/``".  An ``LruCache`` sized by an attribute of its owner is one
+of the client-side model caches, which the table deliberately leaves out.
 
 Standalone use: ``python scripts/check_unbounded_memos.py`` (exit 0 clean,
 exit 1 with one ``path:line`` per finding otherwise).
@@ -27,9 +36,13 @@ exit 1 with one ``path:line`` per finding otherwise).
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+MEMO_TABLE = Path("docs") / "ARCHITECTURE.md"
+MEMO_TABLE_HEADER = "| memo | key | bound | invalidated by |"
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -95,14 +108,79 @@ def findings(root: Path) -> list[str]:
     return failures
 
 
+def _assigned_names(statement: ast.Assign | ast.AnnAssign) -> list[str]:
+    """``_paths`` and ``_path_memo`` for ``self._paths = _path_memo[graph] = …``."""
+    targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+    names = []
+    for target in targets:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        name = _name_of(target)
+        if name is not None:
+            names.append(name)
+    return names
+
+
+def memo_sites(root: Path) -> list[tuple[str, int, list[str]]]:
+    """``(path, line, names)`` of every memo site under ``root/src/repro``;
+    a site is listed when the table names any one of its names."""
+    sites: list[tuple[str, int, list[str]]] = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = str(path.relative_to(root))
+        for node in ast.walk(tree):
+            if isinstance(node, _FUNCTIONS) and _takes_arguments(node):
+                if any(
+                    _name_of(d.func if isinstance(d, ast.Call) else d) == "lru_cache"
+                    for d in node.decorator_list
+                ):
+                    sites.append((where, node.lineno, [node.name]))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                for call in ast.walk(node.value):
+                    if not (isinstance(call, ast.Call) and _name_of(call.func) == "LruCache"):
+                        continue
+                    if not isinstance(_argument(call, "max_entries"), ast.Attribute):
+                        sites.append((where, call.lineno, _assigned_names(node)))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
+                if _name_of(node.value.func) == "WeakKeyDictionary":
+                    sites.append((where, node.lineno, _assigned_names(node)))
+    return sorted(sites)
+
+
+def listed_names(root: Path) -> set[str]:
+    """Every identifier in backticks in the first column of the memo table."""
+    lines = (root / MEMO_TABLE).read_text().splitlines()
+    if MEMO_TABLE_HEADER not in lines:
+        raise SystemExit(f"{MEMO_TABLE}: no memo table (header {MEMO_TABLE_HEADER!r})")
+    names: set[str] = set()
+    for line in lines[lines.index(MEMO_TABLE_HEADER) + 2 :]:
+        if not line.startswith("|"):
+            break
+        for quoted in re.findall(r"`([^`]*)`", line.split("|")[1]):
+            names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", quoted))
+    return names
+
+
+def unlisted(root: Path) -> list[str]:
+    """``path:line: message`` for every memo site the table does not name."""
+    listed = listed_names(root)
+    return [
+        f"{path}:{line}: memo {' / '.join(names) or '(unnamed)'} is not in the memo table "
+        f"of {MEMO_TABLE}; add a row (key, bound, invalidation)"
+        for path, line, names in memo_sites(root)
+        if not listed.intersection(names)
+    ]
+
+
 def main() -> int:
-    failures = findings(REPO_ROOT)
+    failures = findings(REPO_ROOT) + unlisted(REPO_ROOT)
     if failures:
         for failure in failures:
             print(failure)
-        print(f"{len(failures)} unbounded memo(s) in src/repro/")
+        print(f"{len(failures)} unbounded or unlisted memo(s) in src/repro/")
         return 1
-    print("memo bounds OK (src/repro/)")
+    print("memo bounds OK, every memo site listed (src/repro/)")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.churn.failover import SELECTION_MODES, WEIGHTED
@@ -117,13 +118,23 @@ class FederationConfig:
                 f"registration_covering.min_level ({covering.min_level}): coarse "
                 "registrations would never be found; raise discovery_ancestor_levels"
             )
-        if self.device_discovery_cache_ttl_seconds < 0.0:
-            raise ValueError("device_discovery_cache_ttl_seconds cannot be negative")
+        # ``nan < 0`` is false, so a plain sign check lets NaN through — and a
+        # NaN TTL silently disables the cache while a NaN gap bound stitches
+        # legs a continent apart (``gap > nan`` is false too).
+        for name in (
+            "device_discovery_cache_ttl_seconds",
+            "stale_serve_max_ms",
+            "route_stitch_max_gap_meters",
+        ):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.discovery_cache_max_entries < 1:
             raise ValueError("discovery_cache_max_entries must be >= 1")
+        if self.client_tile_cache_entries < 0:
+            raise ValueError(
+                f"client_tile_cache_entries cannot be negative, got {self.client_tile_cache_entries}"
+            )
         if self.shared_health_ttl_seconds <= 0.0:
             raise ValueError("shared_health_ttl_seconds must be positive")
-        if self.stale_serve_max_ms < 0.0:
-            raise ValueError("stale_serve_max_ms cannot be negative")
         if self.max_retransmits is not None and self.max_retransmits < 0:
             raise ValueError("max_retransmits cannot be negative")

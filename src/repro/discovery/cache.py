@@ -15,6 +15,7 @@ never outlive the records it was derived from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.simulation.clock import SimulatedClock
@@ -44,6 +45,10 @@ class DiscoveryCache:
     _lru: LruCache = field(init=False)
 
     def __post_init__(self) -> None:
+        if not (0.0 <= self.stale_grace_seconds < math.inf):
+            raise ValueError(
+                f"stale_grace_seconds must be finite and >= 0, got {self.stale_grace_seconds}"
+            )
         self._lru = LruCache(max_entries=self.max_entries)
 
     @property
@@ -55,24 +60,40 @@ class DiscoveryCache:
         return self.default_ttl_seconds > 0.0
 
     def get(self, cell_token: str) -> tuple[str, ...] | None:
-        """The cached *fresh* server list for a cell, or None on a miss."""
-        if not self.enabled:
+        """The cached *fresh* server list for a cell, or None on a miss.
+
+        Nine probes in ten hit, and a fleet makes tens of thousands, so the
+        probe is :meth:`LruCache.lookup` written out in this one frame: the
+        same dict probe, expiry compare, recency refresh and stat bumps, in
+        the same order (``tests/test_client_half.py`` holds ``lookup`` with
+        an ``is_live`` predicate as the ``==`` oracle).
+        """
+        if not self.default_ttl_seconds > 0.0:
             return None
+        entries = self._lru._entries
+        stats = self._lru.stats
+        entry = entries.get(cell_token)
+        if entry is None:
+            stats.misses += 1
+            return None
+        expires_at = entry[0]
         now = self.clock.now()
-        if self.stale_grace_seconds <= 0.0:
-            entry = self._lru.lookup(cell_token, is_live=lambda value: value[0] > now)
-            return entry[1] if entry is not None else None
-        # With a stale grace window, entries must survive their expiry so a
-        # later get_stale can find them: is_live retains within-grace entries,
-        # and the expired-but-retained case is re-accounted as a miss (a stale
-        # entry does not answer a normal lookup — resolution is still tried).
-        grace = self.stale_grace_seconds
-        entry = self._lru.lookup(cell_token, is_live=lambda value: value[0] + grace > now)
-        if entry is not None and entry[0] <= now:
-            self._lru.stats.hits -= 1
-            self._lru.stats.misses += 1
+        if expires_at > now:
+            entries.move_to_end(cell_token)
+            stats.hits += 1
+            return entry[1]
+        if expires_at + self.stale_grace_seconds > now:
+            # Inside the stale grace window the entry must survive its expiry
+            # so a later get_stale can find it, and it is still *used* (its
+            # recency is refreshed), but it does not answer a normal lookup —
+            # resolution is still tried — so it counts as a miss.
+            entries.move_to_end(cell_token)
+            stats.misses += 1
             return None
-        return entry[1] if entry is not None else None
+        del entries[cell_token]
+        stats.expirations += 1
+        stats.misses += 1
+        return None
 
     def get_stale(self, cell_token: str) -> tuple[str, ...] | None:
         """An *expired* entry still inside the stale grace window, else None.

@@ -9,6 +9,7 @@ containment decisions when answering queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from repro.geometry.bbox import BoundingBox
@@ -69,7 +70,15 @@ class Polygon:
         return LatLng(lat, lng)
 
     def area_square_meters(self) -> float:
-        """Approximate area via the shoelace formula on a local projection."""
+        """Approximate area via the shoelace formula on a local projection.
+
+        The vertices never change, so the pass over them runs once per
+        polygon (tile compositing orders servers by it on every viewport).
+        """
+        return self._area
+
+    @cached_property
+    def _area(self) -> float:
         origin = self.centroid
         lat_scale = meters_per_degree_latitude()
         lng_scale = meters_per_degree_longitude(origin.latitude)

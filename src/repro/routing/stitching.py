@@ -14,7 +14,9 @@ over to the grocery store map).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.geometry.point import LatLng
 
@@ -65,6 +67,35 @@ class StitchError(Exception):
     """Raised when legs cannot be combined into a continuous route."""
 
 
+class EndpointGaps:
+    """Great-circle gaps between the endpoints of one route's legs.
+
+    Stitching only ever measures between the origin, the destination and the
+    legs' two ends, so one table serves every subset of the legs that is
+    tried: point 0 is the origin, point 1 the destination, and points
+    ``2 + 2i`` / ``3 + 2i`` are leg ``i``'s start and end.  A pair is measured
+    on first use and kept, whichever way round it is asked for — the
+    haversine is symmetric to the bit (the differences negate exactly, the
+    sines of them are squared, the cosines commute).
+    """
+
+    __slots__ = ("legs", "points", "_known")
+
+    def __init__(self, origin: LatLng, destination: LatLng, legs: Sequence[RouteLeg]) -> None:
+        self.legs = legs
+        self.points = [origin, destination]
+        for leg in legs:
+            self.points += (leg.points[0], leg.points[-1])
+        self._known: dict[tuple[int, int], float] = {}
+
+    def between(self, a: int, b: int) -> float:
+        pair = (a, b) if a < b else (b, a)
+        gap = self._known.get(pair)
+        if gap is None:
+            gap = self._known[pair] = self.points[a].distance_to(self.points[b])
+        return gap
+
+
 @dataclass
 class RouteStitcher:
     """Greedy nearest-endpoint stitcher.
@@ -76,6 +107,11 @@ class RouteStitcher:
 
     max_gap_meters: float = 150.0
 
+    def __post_init__(self) -> None:
+        # ``gap > nan`` is false: a NaN bound would join legs a continent apart.
+        if not (0.0 <= self.max_gap_meters < math.inf):
+            raise ValueError(f"max_gap_meters must be finite and >= 0, got {self.max_gap_meters}")
+
     def stitch(
         self,
         origin: LatLng,
@@ -83,28 +119,56 @@ class RouteStitcher:
         legs: list[RouteLeg],
     ) -> StitchedRoute:
         """Order and join ``legs`` into a continuous origin→destination route."""
-        if not legs:
+        return self.join(EndpointGaps(origin, destination, legs), range(len(legs)))[0]
+
+    def join(self, gaps: EndpointGaps, subset: Sequence[int]) -> tuple[StitchedRoute, int, int]:
+        """Stitch the legs of ``gaps`` picked by ``subset`` (leg indices, in
+        the order they would be handed to :meth:`stitch`).
+
+        Also returns the points (indices into ``gaps.points``) the stitched
+        route's first leg starts at and its last leg ends at, so a caller
+        ranking several subsets can read their gaps to the requested
+        endpoints off the same table.
+        """
+        if not subset:
             raise StitchError("no route legs to stitch")
 
-        remaining = list(legs)
+        between = gaps.between
+        remaining = list(subset)
         ordered: list[RouteLeg] = []
-        current_point = origin
+        first_point = current = 0
         connector = 0.0
 
         while remaining:
-            leg, reversed_leg, gap = self._closest_leg(current_point, remaining)
-            if gap > self.max_gap_meters:
+            # The leg whose start (or end, if reversed) is nearest to the
+            # current point; the first one tried wins a tie.
+            best, best_reversed, best_gap = remaining[0], False, math.inf
+            for index in remaining:
+                start = 2 + 2 * index
+                gap_forward = between(current, start)
+                gap_backward = between(current, start + 1)
+                if gap_forward < best_gap:
+                    best, best_reversed, best_gap = index, False, gap_forward
+                if gap_backward < best_gap:
+                    best, best_reversed, best_gap = index, True, gap_backward
+            if best_gap > self.max_gap_meters:
                 raise StitchError(
-                    f"gap of {gap:.1f} m to the nearest remaining leg exceeds "
+                    f"gap of {best_gap:.1f} m to the nearest remaining leg exceeds "
                     f"max_gap_meters={self.max_gap_meters}"
                 )
-            remaining.remove(leg)
-            chosen = self._maybe_reverse(leg, reversed_leg)
-            ordered.append(chosen)
-            connector += gap
-            current_point = chosen.end
+            remaining.remove(best)
+            leg = gaps.legs[best]
+            entered, left = 2 + 2 * best, 3 + 2 * best
+            if best_reversed:
+                leg = RouteLeg(leg.server_id, tuple(reversed(leg.points)), leg.cost, leg.metric)
+                entered, left = left, entered
+            if not ordered:
+                first_point = entered
+            ordered.append(leg)
+            connector += best_gap
+            current = left
 
-        final_gap = current_point.distance_to(destination)
+        final_gap = between(current, 1)
         if final_gap > self.max_gap_meters:
             raise StitchError(
                 f"stitched route ends {final_gap:.1f} m from the destination "
@@ -112,6 +176,7 @@ class RouteStitcher:
             )
         connector += final_gap
 
+        origin, destination = gaps.points[0], gaps.points[1]
         points: list[LatLng] = [origin]
         for leg in ordered:
             if points[-1] != leg.start:
@@ -121,33 +186,7 @@ class RouteStitcher:
             points.append(destination)
 
         total_cost = sum(leg.cost for leg in ordered) + connector
-        return StitchedRoute(tuple(points), tuple(ordered), connector, total_cost)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _closest_leg(
-        point: LatLng, legs: list[RouteLeg]
-    ) -> tuple[RouteLeg, bool, float]:
-        """The leg whose start (or end, if reversed) is nearest to ``point``."""
-        best_leg = legs[0]
-        best_reversed = False
-        best_gap = float("inf")
-        for leg in legs:
-            gap_forward = point.distance_to(leg.start)
-            gap_backward = point.distance_to(leg.end)
-            if gap_forward < best_gap:
-                best_leg, best_reversed, best_gap = leg, False, gap_forward
-            if gap_backward < best_gap:
-                best_leg, best_reversed, best_gap = leg, True, gap_backward
-        return best_leg, best_reversed, best_gap
-
-    @staticmethod
-    def _maybe_reverse(leg: RouteLeg, reverse: bool) -> RouteLeg:
-        if not reverse:
-            return leg
-        return RouteLeg(leg.server_id, tuple(reversed(leg.points)), leg.cost, leg.metric)
+        return StitchedRoute(tuple(points), tuple(ordered), connector, total_cost), first_point, current
 
 
 def route_stretch(stitched: StitchedRoute, optimal_meters: float) -> float:

@@ -12,12 +12,34 @@ of interest."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 from repro.churn.failover import RequestTarget, TargetUnavailableError
 from repro.geometry.point import LatLng
 from repro.mapserver.server import MapServer
-from repro.routing.stitching import RouteLeg, RouteStitcher, StitchedRoute, StitchError
+from repro.osm.mapdata import MapData
+from repro.routing.stitching import (
+    EndpointGaps,
+    RouteLeg,
+    RouteStitcher,
+    StitchedRoute,
+    StitchError,
+)
 from repro.services.context import FederationContext
+
+
+_entrance_memo: "WeakKeyDictionary[MapData, tuple[int, tuple[LatLng, ...]]]" = WeakKeyDictionary()
+"""Where each map's ``entrance`` nodes are, per map (weakly) and per map
+*version*: every leg request clamps both endpoints to the serving map, and
+finding the entrances is a scan of all its nodes."""
+
+
+def _entrances_of(map_data: MapData) -> tuple[LatLng, ...]:
+    held = _entrance_memo.get(map_data)
+    if held is None or held[0] != map_data.version:
+        locations = tuple(node.location for node in map_data.find_nodes_by_tag("entrance"))
+        held = _entrance_memo[map_data] = (map_data.version, locations)
+    return held[1]
 
 
 class FederatedRoutingError(Exception):
@@ -135,10 +157,9 @@ class FederatedRouter:
         """
         if server.map_data.covers_point(point):
             return point
-        entrances = server.map_data.find_nodes_by_tag("entrance")
+        entrances = _entrances_of(server.map_data)
         if entrances:
-            nearest_entrance = min(entrances, key=lambda n: point.distance_to(n.location))
-            return nearest_entrance.location
+            return min(entrances, key=point.distance_to)
         nearest = server.map_data.nearest_nodes(point, count=1)
         return nearest[0].location if nearest else point
 
@@ -154,21 +175,26 @@ class FederatedRouter:
         same stretch); when stitching the full set fails or is clearly
         suboptimal, subsets ordered by leg cost are tried.
         """
-        candidates: list[StitchedRoute] = []
-        subsets: list[list[RouteLeg]] = []
-        if len(legs) <= 5:
+        gaps = EndpointGaps(origin, destination, legs)
+        count = len(legs)
+        if count <= 5:
             # Overlap between maps keeps the leg count small, so the subset
             # space can be searched exhaustively.
-            for mask in range(1, 1 << len(legs)):
-                subsets.append([leg for index, leg in enumerate(legs) if mask & (1 << index)])
+            subsets = [
+                [index for index in range(count) if mask & (1 << index)]
+                for mask in range(1, 1 << count)
+            ]
         else:
-            subsets.append(list(legs))
-            by_cost = sorted(legs, key=lambda leg: leg.cost)
-            subsets.extend(by_cost[:size] for size in range(1, len(by_cost) + 1))
+            by_cost = sorted(range(count), key=lambda index: legs[index].cost)
+            subsets = [list(range(count))]
+            subsets.extend(by_cost[:size] for size in range(1, count + 1))
 
+        # Every subset joins the same few endpoints, so all of them — and the
+        # scoring below — read one table in which each gap is measured once.
+        candidates: list[tuple[StitchedRoute, int, int]] = []
         for subset in subsets:
             try:
-                candidates.append(self.stitcher.stitch(origin, destination, subset))
+                candidates.append(self.stitcher.join(gaps, subset))
             except StitchError:
                 continue
 
@@ -181,9 +207,10 @@ class FederatedRouter:
         # last leg ends at the storefront but not at the shelf is worse than a
         # slightly longer route that reaches the shelf, so the gap between the
         # stitched legs and the requested endpoints is penalised heavily.
-        def score(route: StitchedRoute) -> float:
-            start_gap = origin.distance_to(route.legs[0].start) if route.legs else 0.0
-            end_gap = destination.distance_to(route.legs[-1].end) if route.legs else 0.0
+        def score(candidate: tuple[StitchedRoute, int, int]) -> float:
+            route, first_point, last_point = candidate
+            start_gap = gaps.between(0, first_point)
+            end_gap = gaps.between(1, last_point)
             return route.total_cost + 10.0 * (start_gap + end_gap)
 
-        return min(candidates, key=score)
+        return min(candidates, key=score)[0]

@@ -55,11 +55,18 @@ class LruCache:
     stats: LruStats = field(default_factory=LruStats)
     _entries: OrderedDict = field(default_factory=OrderedDict)
 
+    def __post_init__(self) -> None:
+        if self.max_entries < 1:
+            # A table that can hold nothing would evict from an empty dict.
+            raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
+
     def lookup(self, key: Any, is_live: Callable[[Any], bool] | None = None) -> Any | None:
         """The live value for ``key`` (None on miss), refreshing its recency.
 
         ``is_live`` lets a TTL-aware wrapper reject a stored entry: a stale
         entry is dropped, counted as an expiration, and reported as a miss.
+        (:meth:`repro.discovery.cache.DiscoveryCache.get` is this method with
+        its expiry rule written out in one frame; a test holds the two equal.)
         """
         value = self._entries.get(key, _MISSING)
         if value is _MISSING:

@@ -195,18 +195,23 @@ def normalize_covering(cells: list[CellId]) -> list[CellId]:
     every pair (quadratic in the covering size) each cell checks its ancestor
     prefixes — one per coarser level already kept — against a set.
     """
-    unique = sorted(set(cells), key=lambda c: (c.level, c.token))
+    by_token = {cell.token: cell for cell in cells}
+    # (level, token) order: a stable sort on length of the token-sorted list.
+    tokens = sorted(sorted(by_token), key=len)
+    if not tokens or len(tokens[0]) == len(tokens[-1]):
+        # One level (every covering a route discovers along): no cell can
+        # contain another, so the distinct cells in token order are the answer.
+        return [by_token[token] for token in tokens]
     kept: list[CellId] = []
     kept_tokens: set[str] = set()
     kept_levels: list[int] = []
-    for cell in unique:
-        token = cell.token
+    for token in tokens:
         if any(token[:level] in kept_tokens for level in kept_levels):
             continue
-        kept.append(cell)
+        kept.append(by_token[token])
         kept_tokens.add(token)
-        if not kept_levels or kept_levels[-1] != cell.level:
-            kept_levels.append(cell.level)
+        if not kept_levels or kept_levels[-1] != len(token):
+            kept_levels.append(len(token))
     return kept
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,23 @@ from repro.worldgen.products import Product, generate_catalog
 
 IMAGE_DESCRIPTOR_DIMENSIONS = 16
 """Length of the synthetic visual descriptors."""
+
+
+@lru_cache(maxsize=64)
+def _descriptor_basis(seed: int) -> tuple[tuple[float, float, float], ...]:
+    """The ``(x frequency, y frequency, phase)`` of each descriptor dimension.
+
+    Fixed per store (its ``descriptor_seed``), so the generator is seeded and
+    the 48 uniforms drawn once, not on every surveyed reference and every
+    sensed cue; held as Python floats, the same doubles the arrays held.
+    """
+    generator = np.random.default_rng(seed)
+    frequencies = generator.uniform(0.05, 0.4, size=(IMAGE_DESCRIPTOR_DIMENSIONS, 2))
+    phases = generator.uniform(0.0, 2.0 * math.pi, size=IMAGE_DESCRIPTOR_DIMENSIONS)
+    return tuple(
+        (along_x, along_y, phase)
+        for (along_x, along_y), phase in zip(frequencies.tolist(), phases.tolist())
+    )
 
 
 @dataclass
@@ -107,12 +125,10 @@ class IndoorWorld:
         coordinates, so nearby positions have similar descriptors — the
         property image-retrieval localization relies on.
         """
-        generator = np.random.default_rng(self.descriptor_seed)
-        frequencies = generator.uniform(0.05, 0.4, size=(IMAGE_DESCRIPTOR_DIMENSIONS, 2))
-        phases = generator.uniform(0.0, 2.0 * math.pi, size=IMAGE_DESCRIPTOR_DIMENSIONS)
+        x, y = point.x, point.y
         values = [
-            math.sin(frequencies[d, 0] * point.x + frequencies[d, 1] * point.y + phases[d])
-            for d in range(IMAGE_DESCRIPTOR_DIMENSIONS)
+            math.sin(along_x * x + along_y * y + phase)
+            for along_x, along_y, phase in _descriptor_basis(self.descriptor_seed)
         ]
         if noise > 0.0:
             noise_rng = rng or random.Random(0)
