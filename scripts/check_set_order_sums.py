@@ -19,8 +19,9 @@ whose argument is a generator or comprehension iterating over
 * a local name assigned from one of those in the same function.
 
 ``len(s)``, ``sorted(s)``, membership tests and integer counts over a set do
-not depend on its order; iterate ``sorted(s)`` (or an ordered container) when
-summing floats.
+not depend on its order, so a comprehension whose element is a ``len(...)``
+call, an integer literal or a comparison (a bool) is not flagged; iterate
+``sorted(s)`` (or an ordered container) when summing floats.
 
 Standalone use: ``python scripts/check_set_order_sums.py`` (exit 0 clean,
 exit 1 with one ``path:line`` per finding otherwise).
@@ -64,6 +65,16 @@ def _own_nodes(scope: ast.AST):
             yield from _own_nodes(child)
 
 
+def _is_integer_count(element: ast.expr) -> bool:
+    """True if every term is an int on its face: ``len(...)``, an integer
+    literal or a comparison — integer addition is associative."""
+    if isinstance(element, ast.Call):
+        return isinstance(element.func, ast.Name) and element.func.id == "len"
+    if isinstance(element, ast.Constant):
+        return type(element.value) is int
+    return isinstance(element, ast.Compare)
+
+
 def _findings_in(scope: ast.AST) -> list[int]:
     """Line numbers of order-dependent sums written directly in ``scope``."""
     set_names: set[str] = set()
@@ -75,8 +86,10 @@ def _findings_in(scope: ast.AST) -> list[int]:
                 set_names.update(target.id for target in targets if isinstance(target, ast.Name))
         elif isinstance(node, ast.Call) and _is_sum(node) and node.args:
             argument = node.args[0]
-            if isinstance(argument, _COMPREHENSIONS) and any(
-                _is_set(generator.iter, set_names) for generator in argument.generators
+            if (
+                isinstance(argument, _COMPREHENSIONS)
+                and not _is_integer_count(argument.elt)
+                and any(_is_set(generator.iter, set_names) for generator in argument.generators)
             ):
                 lines.append(node.lineno)
     return lines

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from repro.discovery.cache import DiscoveryCache
 from repro.discovery.naming import SpatialNaming
@@ -33,7 +34,7 @@ from repro.dns.resolver import StubResolver
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
-from repro.spatialindex.cellid import CellId
+from repro.spatialindex.cellid import MAX_LEVEL, CellId
 from repro.spatialindex.covering import cells_at_level, normalize_covering
 
 
@@ -41,6 +42,9 @@ _NOERROR = ResponseCode.NOERROR
 _NXDOMAIN = ResponseCode.NXDOMAIN
 
 _WALK_TABLE_MAX_TOKENS = 65536
+_WALK_PLAN_ENTRIES = 512
+
+_token_of = attrgetter("token")
 
 
 @lru_cache(maxsize=64)
@@ -50,9 +54,63 @@ def _walk_table(suffix: str, ancestor_levels: int) -> dict[str, tuple[str, ...]]
     Every client in a fleet walks the same city cells, and a cell's names
     (itself first, then coarser) are pure in its token, so every
     :class:`Discoverer` naming the same way shares one table —
-    :meth:`Discoverer._names_for_cell` fills it and keeps it bounded.
+    :func:`_names_for_token` fills it and keeps it bounded.
     """
     return {}
+
+
+def _names_for_token(
+    token: str, suffix: str, ancestor_levels: int, names_by_token: dict[str, tuple[str, ...]]
+) -> tuple[str, ...]:
+    """Names to query for a cell new to ``names_by_token``: the cell
+    itself plus a few ancestors.
+
+    Registrations may live at coarser cells than the query level (large
+    providers cover whole districts with one record), so each query also
+    walks up the hierarchy, bounded by ``ancestor_levels``.
+    """
+    if len(names_by_token) >= _WALK_TABLE_MAX_TOKENS:
+        names_by_token.clear()
+    walk = names_by_token[token] = tuple(
+        SpatialNaming(suffix).ancestor_names(CellId(token))[: ancestor_levels + 1]
+    )
+    return walk
+
+
+@lru_cache(maxsize=_WALK_PLAN_ENTRIES)
+def _walk_plan(
+    tokens: tuple[str, ...], suffix: str, ancestor_levels: int
+) -> tuple[tuple[str, ...], int]:
+    """The names a walk of ``tokens`` resolves, in resolve order, and the
+    lookups it coalesces.
+
+    The walk's single-flight rules, run without a resolver: a cell already
+    walked in this query coalesces whole, and a cell's walk stops at the
+    first name an earlier walk resolved, coalescing the rest.  Which names
+    came earlier depends on the tokens only, never on an answer, so the plan
+    is pure in its key and holds names, never answers.
+    """
+    names_by_token = _walk_table(suffix, ancestor_levels)
+    names: list[str] = []
+    resolved: set[str] = set()
+    walked: set[str] = set()
+    coalesced = 0
+    for token in tokens:
+        if token in walked:
+            coalesced += 1
+            continue
+        walked.add(token)
+        walk = names_by_token.get(token) or _names_for_token(
+            token, suffix, ancestor_levels, names_by_token
+        )
+        before = len(names)
+        for name in walk:
+            if name in resolved:
+                break
+            resolved.add(name)
+            names.append(name)
+        coalesced += len(walk) - (len(names) - before)
+    return tuple(names), coalesced
 
 
 _NOTHING_WALKED: tuple[tuple[str, ...], float, bool] = ((), math.inf, False)
@@ -98,8 +156,18 @@ class Discoverer:
     default) disables stale serving entirely."""
 
     def __post_init__(self) -> None:
-        if self.ancestor_levels < 0:
-            raise ValueError("ancestor_levels cannot be negative")
+        # ``FederationConfig`` checks its copies of these fields, but a
+        # discoverer can be built directly, and a bad value would otherwise
+        # surface mid-walk (or, for a NaN TTL, silently disable the cache).
+        if not (isinstance(self.query_level, int) and 0 <= self.query_level <= MAX_LEVEL):
+            raise ValueError(
+                f"query_level must be an int in [0, {MAX_LEVEL}], got {self.query_level!r}"
+            )
+        if not (isinstance(self.ancestor_levels, int) and self.ancestor_levels >= 0):
+            raise ValueError(f"ancestor_levels must be an int >= 0, got {self.ancestor_levels!r}")
+        for name in ("device_cache_ttl_seconds", "stale_serve_max_ms"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.max_query_cells < 1:
             raise ValueError("max_query_cells must be >= 1")
         if self.naming is None:
@@ -168,7 +236,14 @@ class Discoverer:
     # ------------------------------------------------------------------
     def _discover_cells(self, cells: list[CellId]) -> DiscoveryResult:
         """Walk ``cells`` (all at ``query_level``, so all walks are equally
-        long) and merge what their names resolve to."""
+        long) and merge what their names resolve to.
+
+        Each new name costs the two calls a stub resolution is, made here
+        without the stub's frame: one client→resolver exchange on the stub's
+        network, then the stub's recursive resolver.
+        """
+        if not self.cache.enabled:
+            return self._walk_from_plan(cells)
         servers: list[str] = []
         seen: set[str] = set()
         # Single-flight tables for this query batch: duplicate queries for a
@@ -182,12 +257,13 @@ class Discoverer:
         cell_results: dict[str, tuple[str, ...]] = {}
         lookups = 0
         coalesced = 0
-        clock = self.resolver.network.clock
-        resolve = self.resolver.resolve
-        names_by_token = _walk_table(self.naming.suffix, self.ancestor_levels)
-        # With the device cache off (the default) every probe of it misses
-        # and every store is dropped, so the walk does not make them.
-        caching = self.cache.enabled
+        network = self.resolver.network
+        clock = network.clock
+        exchange = network.round_trip
+        hop_ms = network.latency.client_to_resolver_ms
+        resolve = self.resolver.recursive.resolve
+        suffix, ancestor_levels = self.naming.suffix, self.ancestor_levels
+        names_by_token = _walk_table(suffix, ancestor_levels)
 
         for cell in cells:
             token = cell.token
@@ -195,9 +271,11 @@ class Discoverer:
             if cell_servers is not None:
                 coalesced += 1
             else:
-                cell_servers = self.cache.get(token) if caching else None
+                cell_servers = self.cache.get(token)
                 if cell_servers is None:
-                    walk = names_by_token.get(token) or self._names_for_cell(cell, names_by_token)
+                    walk = names_by_token.get(token) or _names_for_token(
+                        token, suffix, ancestor_levels, names_by_token
+                    )
                     names: list[str] = []
                     outcomes: list[tuple[tuple[str, ...], float, bool]] = []
                     rest = _NOTHING_WALKED
@@ -207,6 +285,7 @@ class Discoverer:
                             rest = known
                             break
                         # Deepest name first, one exchange each, in walk order.
+                        exchange("dns.client_resolver", hop_ms)
                         response = resolve(name, MAP_SERVER_RECORD_TYPE)
                         now = clock.now()
                         expires_at = response.expires_at
@@ -232,25 +311,22 @@ class Discoverer:
                         if failed:
                             resolution_failed = True
                         walked[name] = (cell_servers, cell_expires_at, resolution_failed)
-                    if caching:
-                        # The expiry is absolute: the clock advances while the
-                        # walk resolves, and an entry derived from an answer
-                        # expiring at T must itself expire at T no matter when
-                        # it is stored.
-                        self.cache.put(
-                            token, cell_servers, ttl_seconds=cell_expires_at - clock.now()
-                        )
-                        if not cell_servers and resolution_failed:
-                            # Graceful degradation: live resolution failed (not
-                            # "nobody covers this cell" — the authority could
-                            # not answer at all).  Serve a just-expired cached
-                            # view if one is still inside the stale window; the
-                            # entry is NOT re-cached, so the window stays
-                            # anchored to the moment the data went stale.
-                            stale = self.cache.get_stale(token)
-                            if stale is not None:
-                                cell_servers = stale
-                                self.stale_serves += 1
+                    # The expiry is absolute: the clock advances while the
+                    # walk resolves, and an entry derived from an answer
+                    # expiring at T must itself expire at T no matter when
+                    # it is stored.
+                    self.cache.put(token, cell_servers, ttl_seconds=cell_expires_at - clock.now())
+                    if not cell_servers and resolution_failed:
+                        # Graceful degradation: live resolution failed (not
+                        # "nobody covers this cell" — the authority could
+                        # not answer at all).  Serve a just-expired cached
+                        # view if one is still inside the stale window; the
+                        # entry is NOT re-cached, so the window stays
+                        # anchored to the moment the data went stale.
+                        stale = self.cache.get_stale(token)
+                        if stale is not None:
+                            cell_servers = stale
+                            self.stale_serves += 1
                 cell_results[token] = cell_servers
 
             for server_id in cell_servers:
@@ -259,6 +335,34 @@ class Discoverer:
                     servers.append(server_id)
 
         return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced)
+
+    def _walk_from_plan(self, cells: list[CellId]) -> DiscoveryResult:
+        """The walk with the device cache off: the same names, exchanges and
+        answers as the loop above, with nothing merged per cell.
+
+        Nothing is stored per cell, so only the server list is needed, and it
+        is the ordered union of the answers' targets in resolve order: a
+        cell's merged list is its own new names' targets (deepest first,
+        which is resolve order) followed by the merged list of the first name
+        an earlier cell walked — servers that earlier cell already emitted.
+        """
+        names, coalesced = _walk_plan(
+            tuple(map(_token_of, cells)), self.naming.suffix, self.ancestor_levels
+        )
+        network = self.resolver.network
+        clock = network.clock
+        exchange = network.round_trip
+        hop_ms = network.latency.client_to_resolver_ms
+        resolve = self.resolver.recursive.resolve
+        found: list[str] = []
+        for name in names:
+            exchange("dns.client_resolver", hop_ms)
+            response = resolve(name, MAP_SERVER_RECORD_TYPE)
+            # Only records name a server: decoding a negative answer or a
+            # failure would return no targets and write no ``srv_view``.
+            if response.answers:
+                found += self._decode(response, clock.now())[0]
+        return DiscoveryResult(tuple(dict.fromkeys(found)), tuple(cells), len(names), coalesced)
 
     def _decode(self, response: DnsResponse, now: float) -> tuple[tuple[str, ...], float, bool]:
         """Decode one spatial name's answer to ``(targets, absolute expiry, failed)``.
@@ -300,20 +404,3 @@ class Discoverer:
             if remaining < ttl:
                 ttl = remaining
         return targets, now + ttl, False
-
-    def _names_for_cell(
-        self, cell: CellId, names_by_token: dict[str, tuple[str, ...]]
-    ) -> tuple[str, ...]:
-        """Names to query for a cell new to ``names_by_token``: the cell
-        itself plus a few ancestors.
-
-        Registrations may live at coarser cells than the query level (large
-        providers cover whole districts with one record), so each query also
-        walks up the hierarchy, bounded by ``ancestor_levels``.
-        """
-        if len(names_by_token) >= _WALK_TABLE_MAX_TOKENS:
-            names_by_token.clear()
-        walk = names_by_token[cell.token] = tuple(
-            self.naming.ancestor_names(cell)[: self.ancestor_levels + 1]
-        )
-        return walk

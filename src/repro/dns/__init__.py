@@ -17,7 +17,6 @@ from repro.dns.resolver import (
     ResolutionError,
     ResolverStats,
     StubResolver,
-    build_namespace,
 )
 from repro.dns.server import NameServer
 from repro.dns.zone import Zone, ZoneError
@@ -38,7 +37,6 @@ __all__ = [
     "StubResolver",
     "Zone",
     "ZoneError",
-    "build_namespace",
     "is_subdomain",
     "name_labels",
     "normalize_name",

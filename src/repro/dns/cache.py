@@ -4,9 +4,9 @@ The paper's case for DNS-based discovery leans heavily on caching: "the
 address of the map servers are not expected to change frequently so the
 system would benefit from a ubiquitous caching mechanism" (Section 5.1).  The
 cache honours per-record TTLs against a simulated clock and also performs
-negative caching of NXDOMAIN answers — important because most spatial cells
-have no map server registered and repeated discovery of empty cells must stay
-cheap.
+negative caching of NXDOMAIN and NODATA answers — important because most
+spatial cells have no map server registered and repeated discovery of empty
+cells must stay cheap.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ class DnsCache:
     def lookup(self, name: str, record_type: RecordType) -> DnsResponse | None:
         """The live cached answer for ``name``/``record_type``, or None on a miss.
 
-        A negative-cache hit is an NXDOMAIN answer with no records (distinct
-        from None).  Every hit on a key returns the same object: read it, do
-        not mutate it.
+        A negative-cache hit is an answer with no records (distinct from
+        None), NXDOMAIN or NODATA as it was stored.  Every hit on a key
+        returns the same object: read it, do not mutate it.
         """
         key = (normalize_name(name), record_type)
         entry = self._entries.get(key)
@@ -89,18 +89,38 @@ class DnsCache:
         """
         if not records:
             return self.put_negative(name, record_type)
-        return self._store(name, record_type, list(records), min(r.ttl_seconds for r in records))
+        return self._store(
+            name,
+            record_type,
+            list(records),
+            min(r.ttl_seconds for r in records),
+            ResponseCode.NOERROR,
+        )
 
     def put_negative(
-        self, name: str, record_type: RecordType, ttl: float | None = None
+        self,
+        name: str,
+        record_type: RecordType,
+        ttl: float | None = None,
+        code: ResponseCode = ResponseCode.NXDOMAIN,
     ) -> DnsResponse | None:
-        """Cache the absence of records at ``name``/``record_type``."""
+        """Cache the absence of records at ``name``/``record_type``.
+
+        ``code`` is what the upstream said: NXDOMAIN (no such name) or
+        NOERROR (NODATA — the name exists without records of this type).
+        The cache answers with it, as RFC 2308 §5 keeps the two apart.
+        """
         return self._store(
-            name, record_type, [], self.negative_ttl_seconds if ttl is None else ttl
+            name, record_type, [], self.negative_ttl_seconds if ttl is None else ttl, code
         )
 
     def _store(
-        self, name: str, record_type: RecordType, records: list[ResourceRecord], ttl: float
+        self,
+        name: str,
+        record_type: RecordType,
+        records: list[ResourceRecord],
+        ttl: float,
+        code: ResponseCode,
     ) -> DnsResponse | None:
         if ttl <= 0:
             return None
@@ -108,7 +128,7 @@ class DnsCache:
         question = Question(name, record_type)
         entry = self._entries[(question.name, record_type)] = DnsResponse(
             question,
-            code=ResponseCode.NOERROR if records else ResponseCode.NXDOMAIN,
+            code=code,
             answers=records,
             from_cache=True,
             expires_at=self.clock.now() + ttl,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.dns.cache import DnsCache
 from repro.dns.message import DnsResponse, Question, ResponseCode
-from repro.dns.records import RecordType, ResourceRecord, normalize_name
+from repro.dns.records import RecordType, normalize_name
 from repro.dns.server import NameServer
 from repro.simulation.network import SimulatedNetwork
 
@@ -66,30 +66,33 @@ class RecursiveResolver:
         (``expires_at``), whether it came out of the cache or was cached
         just now.
         """
-        self.stats.queries += 1
-        cached = self.cache.lookup(name, record_type)
-        if cached is not None:
-            self.stats.cache_answers += 1
-            return cached
+        stats = self.stats
+        stats.queries += 1
+        cache = self.cache
+        # A live hit is answered in this frame — every discovery name lands
+        # here — with ``DnsCache.lookup``'s probe, compare and counters.
+        entry = cache._entries.get((normalize_name(name), record_type))
+        if entry is not None and entry.expires_at > cache.clock.now():
+            if entry.answers:
+                cache.stats.hits += 1
+            else:
+                cache.stats.negative_hits += 1
+            stats.cache_answers += 1
+            return entry
+        # No live entry: ``lookup`` drops a lapsed one and counts the miss.
+        cache.lookup(name, record_type)
 
         response = self._resolve_iteratively(Question(name, record_type))
         stored = None
         if response.code == ResponseCode.NOERROR and response.answers:
-            stored = self.cache.put(name, record_type, response.answers)
+            stored = cache.put(name, record_type, response.answers)
         elif response.code in (ResponseCode.NXDOMAIN, ResponseCode.NOERROR):
-            stored = self.cache.put_negative(name, record_type)
+            stored = cache.put_negative(name, record_type, code=response.code)
             if response.code == ResponseCode.NXDOMAIN:
-                self.stats.nxdomain += 1
+                stats.nxdomain += 1
         if stored is not None:
             response.expires_at = stored.expires_at
         return response
-
-    def resolve_data(self, name: str, record_type: RecordType) -> list[str]:
-        """Resolve and return just the answer data strings (empty on NXDOMAIN)."""
-        response = self.resolve(name, record_type)
-        if response.code != ResponseCode.NOERROR:
-            return []
-        return [r.data for r in response.answers if r.record_type == record_type]
 
     def _resolve_iteratively(self, question: Question) -> DnsResponse:
         server = self.root
@@ -155,7 +158,9 @@ class StubResolver:
 
     The stub charges the client→resolver hop so that end-to-end discovery
     latency seen by a client includes both the access hop and whatever the
-    recursive resolver had to do upstream.
+    recursive resolver had to do upstream.  The discovery walk makes the
+    same two calls itself, per name, on the stub's ``network`` and
+    ``recursive``.
     """
 
     recursive: RecursiveResolver
@@ -164,28 +169,3 @@ class StubResolver:
     def resolve(self, name: str, record_type: RecordType) -> DnsResponse:
         self.network.client_resolver_exchange()
         return self.recursive.resolve(name, record_type)
-
-    def resolve_data(self, name: str, record_type: RecordType) -> list[str]:
-        response = self.resolve(name, record_type)
-        if response.code != ResponseCode.NOERROR:
-            return []
-        return [r.data for r in response.answers if r.record_type == record_type]
-
-
-def build_namespace(
-    network: SimulatedNetwork,
-    zones: dict[str, list[ResourceRecord]] | None = None,
-) -> tuple[NameServer, RecursiveResolver]:
-    """Convenience helper: build a root server plus resolver in one call."""
-    from repro.dns.zone import Zone
-
-    root_zone = Zone(origin="")
-    root = NameServer(server_id="root", zones={"": root_zone})
-    resolver = RecursiveResolver(root=root, servers={"root": root}, network=network)
-    if zones:
-        for origin, records in zones.items():
-            zone = Zone(origin=origin)
-            for record in records:
-                zone.add_record(record)
-            root.host_zone(zone)
-    return root, resolver

@@ -337,6 +337,22 @@ class TestSetOrderSums:
             "src/repro/sums.py:9",
         ]
 
+    def test_checker_lets_integer_counts_over_sets_pass(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "counts.py").write_text(
+            "def names(walks):\n"
+            "    distinct = set(walks)\n"
+            "    total = sum(len(walk) for walk in distinct)\n"
+            "    return total + sum(1 for walk in set(walks) if walk)\n"
+            "def hits(walks, known):\n"
+            "    return sum(walk in known for walk in frozenset(walks))\n"
+            "def lengths(walks):\n"
+            "    return sum(len(walk) * 0.5 for walk in set(walks))\n"  # line 8
+        )
+        failures = self._checker().findings(tmp_path)
+        assert [failure.split(": ")[0] for failure in failures] == ["src/repro/counts.py:8"]
+
 
 class TestMemoBounds:
     """The memo bound checker the lint stage runs: clean on the real tree,

@@ -148,6 +148,33 @@ class TestDiscoverer:
         with pytest.raises(ValueError, match=next(iter(bad))):
             Discoverer(resolver=stub, naming=registry.naming, **bad)
 
+    def _rejects(self, registry: DiscoveryRegistry, field: str, value) -> None:
+        """``field=value`` fails at construction, naming the field itself."""
+        stub = _wire_discovery(registry, SimulatedNetwork()).resolver
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Discoverer(resolver=stub, naming=registry.naming, **{field: value})
+
+    @pytest.mark.parametrize("level", [31, -1, 17.0])
+    def test_query_level_outside_the_cell_levels_rejected(self, registry, level):
+        """It used to construct, and the first query raised from ``CellId``."""
+        self._rejects(registry, "query_level", level)
+
+    @pytest.mark.parametrize("levels", [2.5, -1])
+    def test_ancestor_levels_must_be_a_whole_number(self, registry, levels):
+        """2.5 used to raise ``TypeError: slice indices…`` mid-walk."""
+        self._rejects(registry, "ancestor_levels", levels)
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), -1.0])
+    def test_device_cache_ttl_must_be_finite_and_non_negative(self, registry, ttl):
+        """NaN used to disable the device cache silently."""
+        self._rejects(registry, "device_cache_ttl_seconds", ttl)
+
+    @pytest.mark.parametrize("grace_ms", [-5.0, float("nan"), float("inf")])
+    def test_stale_serve_bound_is_rejected_under_its_own_name(self, registry, grace_ms):
+        """-5 used to be rejected as ``stale_grace_seconds``, a field the
+        caller never set."""
+        self._rejects(registry, "stale_serve_max_ms", grace_ms)
+
     def test_discovers_registered_server(self, registry: DiscoveryRegistry):
         network = SimulatedNetwork()
         registry.register_region("store.example", Polygon.regular(CENTER, 200.0))

@@ -6,6 +6,10 @@ scan that built two ``LatLng`` corners and tested every cell's bounds against
 the box — live on here as test-only references the new code must equal with
 ``==``.  ``SimulatedNetwork.round_trip`` keeps its own counters; the
 reference is the same exchanges accounted through ``NetworkStats.record``.
+The walk itself resolves the names of a memoised plan when the device cache
+is off; the one loop it had for both modes, every name through
+``StubResolver.resolve`` and every cache probe through ``DnsCache.lookup``,
+is the reference for both modes.
 
 The frame budget counts Python ``call`` events with ``sys.setprofile`` — a
 count, so it repeats exactly and cannot be noisy — and is the tripwire the
@@ -22,8 +26,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.discovery import discoverer as discoverer_module
+from repro.discovery.discoverer import Discoverer, DiscoveryResult
+from repro.discovery.registry import MAP_SERVER_RECORD_TYPE, DiscoveryRegistry
+from repro.dns.message import DnsResponse, Question, ResponseCode
+from repro.dns.records import RecordType
+from repro.dns.resolver import RecursiveResolver, StubResolver
+from repro.dns.server import NameServer
+from repro.dns.zone import Zone
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
+from repro.geometry.polygon import Polygon
 from repro.simulation.network import (
     GrayFailure,
     LatencyModel,
@@ -32,7 +45,7 @@ from repro.simulation.network import (
     SimulatedNetwork,
 )
 from repro.spatialindex.cellid import MAX_LEVEL, CellId, _grid_position
-from repro.spatialindex.covering import cells_at_level
+from repro.spatialindex.covering import CoveringOptions, cells_at_level, normalize_covering
 from repro.worldgen import build_scenario
 
 
@@ -284,6 +297,255 @@ class TestRoundTripAccounting:
 
 
 # ----------------------------------------------------------------------
+# The walk: the one loop it had for both device-cache modes
+# ----------------------------------------------------------------------
+_NOTHING_WALKED: tuple[tuple[str, ...], float, bool] = ((), math.inf, False)
+
+
+def oracle_resolve(stub: StubResolver, name: str, record_type: RecordType) -> DnsResponse:
+    """``StubResolver.resolve`` → ``RecursiveResolver.resolve`` before the
+    resolver answered live hits in its own frame: the exchange, then every
+    probe through ``DnsCache.lookup``."""
+    stub.network.client_resolver_exchange()
+    recursive = stub.recursive
+    recursive.stats.queries += 1
+    cached = recursive.cache.lookup(name, record_type)
+    if cached is not None:
+        recursive.stats.cache_answers += 1
+        return cached
+    response = recursive._resolve_iteratively(Question(name, record_type))
+    stored = None
+    if response.code == ResponseCode.NOERROR and response.answers:
+        stored = recursive.cache.put(name, record_type, response.answers)
+    elif response.code in (ResponseCode.NXDOMAIN, ResponseCode.NOERROR):
+        stored = recursive.cache.put_negative(name, record_type, code=response.code)
+        if response.code == ResponseCode.NXDOMAIN:
+            recursive.stats.nxdomain += 1
+    if stored is not None:
+        response.expires_at = stored.expires_at
+    return response
+
+
+def oracle_discover_cells(self: Discoverer, cells: list[CellId]) -> DiscoveryResult:
+    """``Discoverer._discover_cells`` before walk plans: one loop for both
+    device-cache modes, merging a ``walked`` outcome per name."""
+    servers: list[str] = []
+    seen: set[str] = set()
+    walked: dict[str, tuple[tuple[str, ...], float, bool]] = {}
+    cell_results: dict[str, tuple[str, ...]] = {}
+    lookups = 0
+    coalesced = 0
+    clock = self.resolver.network.clock
+    caching = self.cache.enabled
+
+    for cell in cells:
+        token = cell.token
+        cell_servers = cell_results.get(token)
+        if cell_servers is not None:
+            coalesced += 1
+        else:
+            cell_servers = self.cache.get(token) if caching else None
+            if cell_servers is None:
+                walk = self.naming.ancestor_names(cell)[: self.ancestor_levels + 1]
+                names: list[str] = []
+                outcomes: list[tuple[tuple[str, ...], float, bool]] = []
+                rest = _NOTHING_WALKED
+                for name in walk:
+                    known = walked.get(name)
+                    if known is not None:
+                        rest = known
+                        break
+                    response = oracle_resolve(self.resolver, name, MAP_SERVER_RECORD_TYPE)
+                    now = clock.now()
+                    expires_at = response.expires_at
+                    names.append(name)
+                    if expires_at is None or response.answers:
+                        outcomes.append(self._decode(response, now))
+                    else:
+                        outcomes.append(((), now + (expires_at - now), False))
+                lookups += len(names)
+                coalesced += len(walk) - len(names)
+                cell_servers, cell_expires_at, resolution_failed = rest
+                for name, (name_servers, expires_at, failed) in zip(
+                    reversed(names), reversed(outcomes)
+                ):
+                    if name_servers:
+                        cell_servers = name_servers + cell_servers
+                    if expires_at < cell_expires_at:
+                        cell_expires_at = expires_at
+                    if failed:
+                        resolution_failed = True
+                    walked[name] = (cell_servers, cell_expires_at, resolution_failed)
+                if caching:
+                    self.cache.put(token, cell_servers, ttl_seconds=cell_expires_at - clock.now())
+                    if not cell_servers and resolution_failed:
+                        stale = self.cache.get_stale(token)
+                        if stale is not None:
+                            cell_servers = stale
+                            self.stale_serves += 1
+            cell_results[token] = cell_servers
+
+        for server_id in cell_servers:
+            if server_id not in seen:
+                seen.add(server_id)
+                servers.append(server_id)
+
+    return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced)
+
+
+CENTER = LatLng(40.44, -79.95)
+WALK_LEVEL = 14
+
+
+def _wired_discoverer(device_ttl: float, stale_ms: float) -> tuple[Discoverer, DiscoveryRegistry]:
+    """Registrations at levels 10–14 (a district, a shop with two replicas, a
+    campus) behind one authority, with TTLs short enough to lapse mid-run."""
+    network = SimulatedNetwork()
+    registry = DiscoveryRegistry(
+        covering_options=CoveringOptions(min_level=10, max_level=14, max_cells=32)
+    )
+    registry.ttl_seconds = 40.0
+    registry.register_region("city.example", Polygon.regular(CENTER, 2500.0))
+    registry.ttl_seconds = 25.0
+    shop = Polygon.regular(CENTER.destination(120.0, 150.0), 220.0)
+    registry.register_region("r0.shop.example", shop, priority=0, weight=3)
+    registry.register_region("r1.shop.example", shop, priority=1, weight=1)
+    registry.register_region(
+        "campus.example", Polygon.regular(CENTER.destination(45.0, 900.0), 400.0), weight=2
+    )
+    root_zone = Zone(origin="")
+    root_zone.add(registry.naming.suffix, RecordType.NS, registry.authority.server_id)
+    root = NameServer(server_id="root", zones={"": root_zone})
+    resolver = RecursiveResolver(
+        root=root,
+        servers={"root": root, registry.authority.server_id: registry.authority},
+        network=network,
+    )
+    discoverer = Discoverer(
+        resolver=StubResolver(recursive=resolver, network=network),
+        naming=registry.naming,
+        query_level=WALK_LEVEL,
+        ancestor_levels=6,
+        device_cache_ttl_seconds=device_ttl,
+        stale_serve_max_ms=stale_ms,
+    )
+    return discoverer, registry
+
+
+def _observed(discoverer: Discoverer) -> tuple:
+    """Everything a walk can touch, in a form ``==`` compares exactly."""
+    network = discoverer.resolver.network
+    recursive = discoverer.resolver.recursive
+    return (
+        network.stats,
+        list(network.stats.messages_by_kind),
+        recursive.stats,
+        recursive.cache.stats,
+        list(recursive.cache._entries),
+        float.hex(network.clock.now()),
+        network.clock.advance_count,
+        list(discoverer.srv_view.items()),
+        discoverer.cache.stats,
+        list(discoverer.cache._lru._entries.items()),
+        discoverer.stale_serves,
+    )
+
+
+_WALK_POINTS = [
+    CENTER.destination(bearing, distance)
+    for bearing in (0.0, 120.0, 250.0)
+    for distance in (0.0, 200.0, 900.0, 3000.0)
+]
+_CELL_POOL = sorted(
+    {
+        cell
+        for point in _WALK_POINTS[:6]
+        for cell in cells_at_level(BoundingBox.around(point, 120.0), WALK_LEVEL, 24)
+    },
+    key=lambda cell: cell.token,
+)
+_radii = st.sampled_from([0.0, 40.0, 250.0, 600.0])
+
+
+def _covering(point: LatLng, radius: float) -> list[CellId]:
+    return cells_at_level(BoundingBox.around(point, radius), WALK_LEVEL, 24)
+
+
+cell_lists = st.one_of(
+    st.just([]),
+    st.builds(_covering, st.sampled_from(_WALK_POINTS), _radii),
+    # discover_along: the normalized union of several coverings.
+    st.builds(
+        lambda points, radius: normalize_covering(
+            [cell for point in points for cell in _covering(point, radius)]
+        ),
+        st.lists(st.sampled_from(_WALK_POINTS), min_size=1, max_size=3),
+        _radii,
+    ),
+    # Duplicates and siblings in any order; a few cells one level coarser.
+    st.lists(
+        st.one_of(
+            st.sampled_from(_CELL_POOL),
+            st.sampled_from(_CELL_POOL).map(lambda cell: cell.parent(WALK_LEVEL - 1)),
+        ),
+        max_size=14,
+    ),
+)
+walk_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 3.0, 20.0, 70.0]),  # clock advance before the walk (s)
+        st.sampled_from([None, None, "down", "up"]),  # authority outage toggle
+        cell_lists,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestWalkOracle:
+    """Twin worlds, one walked by ``_discover_cells`` and one by the oracle,
+    stay equal after every walk — results and every counter, clock bit and
+    cache order."""
+
+    @pytest.mark.parametrize(
+        "device_ttl, stale_ms", [(0.0, 0.0), (30.0, 0.0), (30.0, 90_000.0)], ids=["off", "on", "grace"]
+    )
+    @given(steps=walk_steps)
+    @settings(max_examples=50, deadline=None)
+    def test_walk_equals_the_one_loop(self, device_ttl, stale_ms, steps):
+        subject, subject_registry = _wired_discoverer(device_ttl, stale_ms)
+        oracle, oracle_registry = _wired_discoverer(device_ttl, stale_ms)
+        for advance, outage, cells in steps:
+            for discoverer, registry in ((subject, subject_registry), (oracle, oracle_registry)):
+                discoverer.resolver.network.clock.advance(advance)
+                faults = discoverer.resolver.network.fault_state()
+                if outage == "down":
+                    faults.authority_down(registry.authority.server_id)
+                elif outage == "up":
+                    faults.authority_up(registry.authority.server_id)
+            assert subject._discover_cells(list(cells)) == oracle_discover_cells(oracle, list(cells))
+            assert _observed(subject) == _observed(oracle)
+
+    def test_a_registration_between_two_identical_walks_is_found(self):
+        """Plans hold names, never answers: the second walk reuses the plan
+        and still sees the record added after the first."""
+        discoverer, registry = _wired_discoverer(0.0, 0.0)
+        cells = _covering(CENTER.destination(300.0, 1800.0), 250.0)
+        first = discoverer._discover_cells(cells)
+        assert "kiosk.example" not in first
+        builds = discoverer_module._walk_plan.cache_info().misses
+        registry.register_region(
+            "kiosk.example", Polygon.regular(CENTER.destination(300.0, 1800.0), 80.0)
+        )
+        # Past the resolver's negative TTL, so its cache does not hide the record.
+        discoverer.resolver.network.clock.advance(61.0)
+        second = discoverer._discover_cells(cells)
+        assert discoverer_module._walk_plan.cache_info().misses == builds
+        assert "kiosk.example" in second
+        assert second.dns_lookups == first.dns_lookups
+
+
+# ----------------------------------------------------------------------
 # Frame budget
 # ----------------------------------------------------------------------
 def _python_calls(run) -> int:
@@ -306,7 +568,8 @@ def _python_calls(run) -> int:
 
 class TestFrameBudget:
     """On the perfbench world, caches warm: what one resolved name and one
-    enumeration cost in Python frames (parent commit: 13.58 and 26.5)."""
+    enumeration cost in Python frames (before walk plans: 9.02 per name with
+    the device cache off, 18.31 with it on; before that 13.58 and 26.5)."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -324,6 +587,7 @@ class TestFrameBudget:
     def test_frames_per_resolved_name(self, world):
         scenario, positions = world
         discoverer = scenario.federation.client().context.discoverer
+        assert not discoverer.cache.enabled
         for position in positions:
             discoverer.discover_at(position, 150.0)
         results = []
@@ -332,7 +596,46 @@ class TestFrameBudget:
         )
         names = sum(result.dns_lookups for result in results)
         assert names > 500
-        assert calls / names <= 10.5
+        assert calls / names <= 6.0
+
+    def test_frames_per_resolved_name_with_the_device_cache_on(self, world):
+        """A device cache cold, the resolver's warm: every cell is probed,
+        walked and stored, and names shared between positions are walked
+        once (measured 15.31)."""
+        scenario, positions = world
+        uncached = scenario.federation.client().context.discoverer
+        for position in positions:
+            uncached.discover_at(position, 150.0)
+        discoverer = Discoverer(
+            resolver=uncached.resolver,
+            naming=uncached.naming,
+            query_level=uncached.query_level,
+            ancestor_levels=uncached.ancestor_levels,
+            device_cache_ttl_seconds=120.0,
+        )
+        results = []
+        calls = _python_calls(
+            lambda: results.extend(discoverer.discover_at(p, 150.0) for p in positions)
+        )
+        names = sum(result.dns_lookups for result in results)
+        assert names > 100
+        assert calls / names <= 15.8
+
+    def test_one_plan_build_per_distinct_cell_list(self, world):
+        scenario, positions = world
+        discoverer = scenario.federation.client().context.discoverer
+        distinct = {
+            tuple(cell.token for cell in cells_at_level(BoundingBox.around(p, 150.0), 17, 24))
+            for p in positions
+        }
+        plans = discoverer_module._walk_plan
+        plans.cache_clear()
+        for position in positions:
+            discoverer.discover_at(position, 150.0)
+        assert plans.cache_info().misses == len(distinct) < len(positions)
+        for position in positions:
+            discoverer.discover_at(position, 150.0)
+        assert plans.cache_info().misses == len(distinct)
 
     def test_frames_per_enumeration(self, world):
         _, positions = world

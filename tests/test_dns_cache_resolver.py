@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.dns.cache import CacheStats, DnsCache
+from repro.dns.message import ResponseCode
 from repro.dns.records import RecordType, ResourceRecord, normalize_name
 from repro.dns.resolver import RecursiveResolver, StubResolver
 from repro.dns.server import NameServer
@@ -430,14 +431,44 @@ class TestRecursiveResolver:
         refreshed = resolver.resolve("late.maps.example", RecordType.A)
         assert refreshed.answers and refreshed.answers[0].data == "10.0.9.9"
 
-    def test_resolve_data_returns_strings(self, resolver: RecursiveResolver):
-        data = resolver.resolve_data("city.maps.example", RecordType.SRV)
-        assert data == ["0 0 443 city-server"]
-        assert resolver.resolve_data("ghost.maps.example", RecordType.SRV) == []
-
     def test_cname_chase_across_names(self, resolver: RecursiveResolver):
-        data = resolver.resolve_data("alias.example", RecordType.A)
-        assert "10.0.0.80" in data
+        response = resolver.resolve("alias.example", RecordType.A)
+        assert "10.0.0.80" in response.answer_data()
+
+    def test_cached_nodata_stays_nodata(self, resolver: RecursiveResolver):
+        """Regression: a name that exists without records of the asked type
+        answered NOERROR the first time and NXDOMAIN from the cache (RFC 2308
+        §5 keeps NODATA and NXDOMAIN apart)."""
+        first = resolver.resolve("www.example", RecordType.SRV)  # www has an A record only
+        second = resolver.resolve("www.example", RecordType.SRV)
+        assert second.from_cache and not first.from_cache
+        assert first.code == second.code == ResponseCode.NOERROR
+        assert first.answers == second.answers == []
+        assert second.expires_at == first.expires_at
+        assert resolver.stats.nxdomain == 0
+        ghost = resolver.resolve("ghost.maps.example", RecordType.SRV)
+        assert ghost.is_nxdomain and resolver.resolve("ghost.maps.example", RecordType.SRV).is_nxdomain
+
+    def test_cache_hits_count_as_lookup_counts_them(
+        self, resolver: RecursiveResolver, network: SimulatedNetwork
+    ):
+        """``resolve`` answers a live hit itself; a twin cache driven through
+        ``DnsCache.lookup`` with the same calls must keep the same books."""
+        twin = DnsCache(clock=network.clock)
+        names = ["city.maps.example", "ghost.maps.example", "www.example", "CITY.maps.example."]
+        for step in range(48):
+            name = names[step % len(names)]
+            response = resolver.resolve(name, RecordType.A)
+            if twin.lookup(name, RecordType.A) is None:
+                if response.answers:
+                    twin.put(name, RecordType.A, response.answers)
+                else:
+                    twin.put_negative(name, RecordType.A, code=response.code)
+            network.clock.advance(10.0)
+        assert resolver.cache.stats == twin.stats
+        assert resolver.cache.stats.hits and resolver.cache.stats.negative_hits
+        assert resolver.cache.stats.misses and resolver.cache.stats.evictions
+        assert resolver.stats.cache_answers == twin.stats.hits + twin.stats.negative_hits
 
     def test_missing_glue_is_servfail(self, network: SimulatedNetwork):
         root_zone = Zone(origin="")
