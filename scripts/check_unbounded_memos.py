@@ -1,6 +1,7 @@
 #!/usr/bin/env python
-"""Fail the lint stage on a host-side memo with no stated bound, or one the
-memo table in ``docs/ARCHITECTURE.md`` does not name.
+"""Fail the lint stage on a host-side memo with no stated bound, one kept
+beside its source instead of on it, or one the memo table in
+``docs/ARCHITECTURE.md`` does not name.
 
 The library remembers pure results in many places (extracted graphs, cell
 enumerations, rendered composites, per-map answers — the table is in
@@ -18,16 +19,18 @@ check names the three shapes an unbounded memo takes, anywhere under
   caches pass the bound their config gave them).
 
 A decorated function that takes no argument at all holds at most one value
-and is exempt from the first two.  ``WeakKeyDictionary`` memos are bounded by
-the lifetime of their keys and pass the bound rules as they are.
+and is exempt from the first two.  A module-level ``WeakKeyDictionary()`` is
+a finding too: a memo keyed on a mutable object must be held *on* it
+(``MutableSource.derive``), where its mutations drop it, not beside it with
+an invalidation rule of its own.
 
 The second rule keeps the table honest: every memo *site* — an
 ``lru_cache``-decorated function that takes arguments, an ``LruCache(...)``
-given a literal or named bound (by the name it is assigned to), a
-module-level ``WeakKeyDictionary()`` — must appear, by name and in
-backticks, in the first column of the table under "Every host-side memo in
-``src/repro/``".  An ``LruCache`` sized by an attribute of its owner is one
-of the client-side model caches, which the table deliberately leaves out.
+given a literal or named bound (by the name it is assigned to) — must
+appear, by name and in backticks, in the first column of the table under
+"Every host-side memo in ``src/repro/``".  An ``LruCache`` sized by an
+attribute of its owner is one of the client-side model caches, which the
+table deliberately leaves out.
 
 Standalone use: ``python scripts/check_unbounded_memos.py`` (exit 0 clean,
 exit 1 with one ``path:line`` per finding otherwise).
@@ -76,22 +79,27 @@ def _takes_arguments(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return bool(args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg)
 
 
+_UNBOUNDED = "; give it an integer literal or a named constant"
+
+
 def _decorator_finding(decorator: ast.expr) -> str | None:
     call = decorator if isinstance(decorator, ast.Call) else None
     name = _name_of(call.func if call is not None else decorator)
     if name == "cache":
-        return "functools.cache never evicts"
+        return "unbounded memo: functools.cache never evicts" + _UNBOUNDED
     if name == "lru_cache" and (call is None or not _is_bound(_argument(call, "maxsize"))):
-        return "lru_cache without a stated maxsize"
+        return "unbounded memo: lru_cache without a stated maxsize" + _UNBOUNDED
     return None
 
 
 def findings(root: Path) -> list[str]:
-    """``path:line: message`` for every unbounded memo under ``root/src/repro``."""
+    """``path:line: message`` for every unbounded memo, and every module-level
+    ``WeakKeyDictionary``, under ``root/src/repro``."""
     failures: list[str] = []
     for path in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
         found: list[tuple[int, str]] = []
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, _FUNCTIONS) and _takes_arguments(node):
                 for decorator in node.decorator_list:
                     message = _decorator_finding(decorator)
@@ -99,17 +107,19 @@ def findings(root: Path) -> list[str]:
                         found.append((decorator.lineno, message))
             elif isinstance(node, ast.Call) and _name_of(node.func) == "LruCache":
                 if not _is_bound(_argument(node, "max_entries"), allow_attribute=True):
-                    found.append((node.lineno, "LruCache without a stated max_entries"))
-        for line, message in sorted(found):
-            failures.append(
-                f"{path.relative_to(root)}:{line}: unbounded memo: {message}; "
-                "give it an integer literal or a named constant"
-            )
+                    found.append((node.lineno, "unbounded memo: LruCache without a stated max_entries" + _UNBOUNDED))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
+                if _name_of(node.value.func) == "WeakKeyDictionary":
+                    found.append(
+                        (node.lineno, "memo beside its source: derive it on its source (MutableSource.derive)")
+                    )
+        failures.extend(f"{path.relative_to(root)}:{line}: {message}" for line, message in sorted(found))
     return failures
 
 
 def _assigned_names(statement: ast.Assign | ast.AnnAssign) -> list[str]:
-    """``_paths`` and ``_path_memo`` for ``self._paths = _path_memo[graph] = …``."""
+    """``_answers`` and ``table`` for ``self._answers = self.table[key] = …``."""
     targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
     names = []
     for target in targets:
@@ -141,10 +151,6 @@ def memo_sites(root: Path) -> list[tuple[str, int, list[str]]]:
                         continue
                     if not isinstance(_argument(call, "max_entries"), ast.Attribute):
                         sites.append((where, call.lineno, _assigned_names(node)))
-        for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
-                if _name_of(node.value.func) == "WeakKeyDictionary":
-                    sites.append((where, node.lineno, _assigned_names(node)))
     return sorted(sites)
 
 

@@ -18,7 +18,7 @@ from repro.mapserver.geocode import GeocodeIndex
 from repro.mapserver.search import SearchIndex
 from repro.osm.mapdata import MapData
 from repro.routing.contraction import ContractionHierarchy, build_contraction_hierarchy
-from repro.routing.graph import RoutingGraph, graph_from_map
+from repro.routing.graph import RoutingGraph, extract_graph
 from repro.tiles.renderer import TileRenderer
 from repro.tiles.tile_math import tiles_for_box
 
@@ -62,8 +62,8 @@ def preprocess_world_map(
 
     start = time.perf_counter()
     # The point of this pipeline is to *measure* the Figure-1 preprocessing
-    # cost, so the extraction must actually run — never serve the memo.
-    graph = graph_from_map(world_map, use_cache=False)
+    # cost, so every stage builds afresh rather than reading the map's own.
+    graph = extract_graph(world_map)
     report.stage_seconds["graph_build"] = time.perf_counter() - start
     report.graph_vertices = graph.vertex_count
     report.graph_edges = graph.edge_count

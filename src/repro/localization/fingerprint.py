@@ -35,9 +35,11 @@ column order against cue order), and the margins absorb that:
   beacon with the cue, non-finite survey data, a descriptor shape no stack
   holds.
 
-The stacks are derived data beside the reference: built on the first
-``localize`` after the reference list changed length, bounded by the
-database they mirror.
+The stacks are derived from the references and held on the database
+(:meth:`repro.simulation.lru.MutableSource.derive`): built on the first
+``localize`` after the references changed, bounded by the database they
+mirror.  ``fingerprints`` is a tuple and :meth:`add` the one way to change
+it, so no edit can leave a stack behind.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import numpy as np
 
 from repro.geometry.point import LatLng
 from repro.localization.cues import BeaconCue, CueType, ImageCue, LocalizationResult
+from repro.simulation.lru import MutableSource
 
 # Log-distance path-loss model parameters shared by the signal simulator in
 # worldgen and the matcher here (they only need to be mutually consistent).
@@ -123,7 +126,8 @@ class _BeaconStack:
     finite: bool
 
     @classmethod
-    def build(cls, fingerprints: list[BeaconFingerprint]) -> _BeaconStack:
+    def build(cls, database: BeaconFingerprintDatabase) -> _BeaconStack:
+        fingerprints = database.fingerprints
         columns: dict[str, int] = {}
         for fingerprint in fingerprints:
             for beacon in fingerprint.rssi_by_beacon:
@@ -165,29 +169,27 @@ class _BeaconStack:
 
 
 @dataclass
-class BeaconFingerprintDatabase:
+class BeaconFingerprintDatabase(MutableSource):
     """Matches beacon cues against surveyed beacon signatures."""
 
-    fingerprints: list[BeaconFingerprint] = field(default_factory=list)
+    fingerprints: tuple[BeaconFingerprint, ...] = ()
+    """The surveyed references (any iterable is taken as a tuple)."""
     k_neighbors: int = 3
-    _stack: _BeaconStack | None = field(default=None, init=False, repr=False, compare=False)
-    """Rebuilt when ``fingerprints`` has changed length since it was built."""
 
     def __post_init__(self) -> None:
         _positive_int("k_neighbors", self.k_neighbors)
+        self.fingerprints = tuple(self.fingerprints)
 
     def add(self, fingerprint: BeaconFingerprint) -> None:
-        self.fingerprints.append(fingerprint)
+        self.fingerprints += (fingerprint,)
+        self._changed()
 
     def __len__(self) -> int:
         return len(self.fingerprints)
 
     def _approximate(self, readings: list[tuple[str, float]]) -> np.ndarray | None:
-        """:meth:`_BeaconStack.approximate` on a stack that is current."""
-        stack = self._stack
-        if stack is None or len(stack.surveyed) != len(self.fingerprints):
-            stack = self._stack = _BeaconStack.build(self.fingerprints)
-        return stack.approximate(readings)
+        """:meth:`_BeaconStack.approximate` on the current references."""
+        return self.derive("stack", _BeaconStack.build).approximate(readings)
 
     def _nominate(self, readings: list[tuple[str, float]]) -> Iterable[int]:
         """Positions of every fingerprint that may be among the ``k_neighbors``
@@ -262,6 +264,14 @@ def _image_similarity(query: np.ndarray, query_norm: float, reference: _ImageRef
     return float(query @ descriptor / denom)
 
 
+def _image_references(database: ImageFingerprintDatabase) -> list[_ImageReference]:
+    references = []
+    for fingerprint in database.fingerprints:
+        descriptor = np.asarray(fingerprint.descriptor, dtype=float)
+        references.append((descriptor, descriptor.shape, float(np.linalg.norm(descriptor))))
+    return references
+
+
 _NORM_PRODUCT_CEILING = 1e300
 """Below this no partial sum of ``query @ reference`` overflows."""
 
@@ -271,15 +281,15 @@ class _ImageStack:
     """The references of a database as unit rows, one matrix per descriptor
     length."""
 
-    count: int
     groups: dict[tuple[int, ...], tuple[list[int], np.ndarray, float, float, float]]
     """Shape -> the positions of its references, their negated unit
     descriptors as rows, their smallest and largest norm, and the margin."""
 
     @classmethod
-    def build(cls, references: list[_ImageReference]) -> _ImageStack:
+    def build(cls, database: ImageFingerprintDatabase) -> _ImageStack:
         """A zero norm is under the ``denom`` floor for every query and is
         left out; a length with a non-finite norm gets no group."""
+        references = database._references
         positions_by_shape: dict[tuple[int, ...], list[int]] = {}
         for position, (_, shape, norm) in enumerate(references):
             if len(shape) == 1 and norm != 0.0:
@@ -292,7 +302,7 @@ class _ImageStack:
             descriptors = np.array([references[position][0] for position in positions])
             margin = _IMAGE_MARGIN * max(1.0, shape[0] / 1000.0)
             groups[shape] = (positions, -descriptors / norms[:, None], float(norms.min()), float(norms.max()), margin)
-        return cls(len(references), groups)
+        return cls(groups)
 
     def approximate(self, query: np.ndarray, query_norm: float) -> tuple[list[int], np.ndarray, float] | None:
         """``(positions, -similarity * query_norm to within rounding, margin)``
@@ -310,42 +320,36 @@ class _ImageStack:
 
 
 @dataclass
-class ImageFingerprintDatabase:
+class ImageFingerprintDatabase(MutableSource):
     """Matches image cues against surveyed visual descriptors (cosine similarity)."""
 
-    fingerprints: list[ImageFingerprint] = field(default_factory=list)
+    fingerprints: tuple[ImageFingerprint, ...] = ()
+    """The surveyed references (any iterable is taken as a tuple)."""
     k_neighbors: int = 3
     min_similarity: float = 0.2
-    _references: list[_ImageReference] = field(init=False, repr=False, compare=False)
-    """Derived once when a fingerprint is registered; index-aligned with
-    ``fingerprints``."""
-    _stack: _ImageStack | None = field(default=None, init=False, repr=False, compare=False)
-    """Rebuilt when ``_references`` has changed length since it was built."""
 
     def __post_init__(self) -> None:
         _positive_int("k_neighbors", self.k_neighbors)
         if not math.isfinite(self.min_similarity):
             raise ValueError(f"min_similarity must be finite, got {self.min_similarity!r}")
-        self._references = [self._reference(fingerprint) for fingerprint in self.fingerprints]
+        self.fingerprints = tuple(self.fingerprints)
 
-    @staticmethod
-    def _reference(fingerprint: ImageFingerprint) -> _ImageReference:
-        descriptor = np.asarray(fingerprint.descriptor, dtype=float)
-        return descriptor, descriptor.shape, float(np.linalg.norm(descriptor))
+    @property
+    def _references(self) -> list[_ImageReference]:
+        """Each descriptor as an array with its shape and norm, index-aligned
+        with ``fingerprints``."""
+        return self.derive("references", _image_references)
 
     def add(self, fingerprint: ImageFingerprint) -> None:
-        self.fingerprints.append(fingerprint)
-        self._references.append(self._reference(fingerprint))
+        self.fingerprints += (fingerprint,)
+        self._changed()
 
     def __len__(self) -> int:
         return len(self.fingerprints)
 
     def _approximate(self, query: np.ndarray, query_norm: float) -> tuple[list[int], np.ndarray, float] | None:
-        """:meth:`_ImageStack.approximate` on a stack that is current."""
-        stack = self._stack
-        if stack is None or stack.count != len(self._references):
-            stack = self._stack = _ImageStack.build(self._references)
-        return stack.approximate(query, query_norm)
+        """:meth:`_ImageStack.approximate` on the current references."""
+        return self.derive("stack", _ImageStack.build).approximate(query, query_norm)
 
     def _nominate(self, query: np.ndarray, query_norm: float) -> Iterable[int]:
         """Positions of every reference that may be among the ``k_neighbors``

@@ -23,7 +23,7 @@ from repro.osm.elements import (
     Node,
 )
 from repro.osm.mapdata import MapData
-from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache
+from repro.simulation.lru import answer_memo
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,23 +103,14 @@ def _tokenise(text: str) -> set[str]:
 
 @dataclass
 class GeocodeIndex:
-    """Token index over a map's addressable nodes.
-
-    Derived from the map, so it follows :attr:`MapData.version`: a read after
-    the map has changed rebuilds first.
-    """
+    """Token index over a map's addressable nodes, as the map was when built
+    (:class:`GeocodeService` holds it on the map, so a changed map gets a new
+    one)."""
 
     map_data: MapData
     _entries: list[tuple[int, set[str], str]] = field(default_factory=list, init=False)
-    _version: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        """(Re)build the index from the map's current nodes."""
-        self._version = self.map_data.version
-        self._entries.clear()
         for node in self.map_data.nodes():
             label = self._label_for(node)
             if not label:
@@ -149,13 +140,8 @@ class GeocodeIndex:
             parts.append(city)
         return ", ".join(parts)
 
-    def _refresh(self) -> None:
-        if self._version != self.map_data.version:
-            self.rebuild()
-
     @property
     def entry_count(self) -> int:
-        self._refresh()
         return len(self._entries)
 
     def lookup(
@@ -174,7 +160,6 @@ class GeocodeIndex:
         before the ``limit`` cut, so a restricted caller still gets up to
         ``limit`` results.
         """
-        self._refresh()
         query_tokens = _tokenise(address.as_query())
         if not query_tokens:
             return []
@@ -206,20 +191,18 @@ class GeocodeIndex:
 class GeocodeService:
     """Forward and reverse geocode over one map.
 
-    A forward geocode is a pure function of the request and the map, so each
-    distinct request is scanned once per :attr:`MapData.version` and repeats
-    are served from ``_answers``; ``queries_served`` counts every request
-    either way.
+    A forward geocode is a pure function of the request and the map, so the
+    map holds its index and an answer memo (:meth:`MapData.derive`): each
+    distinct request is scanned once per state of the map, and
+    ``queries_served`` counts every request either way.
     """
 
     map_data: MapData
-    index: GeocodeIndex = field(init=False)
     queries_served: int = field(default=0, init=False)
-    _answers: LruCache = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.index = GeocodeIndex(self.map_data)
-        self._answers = LruCache(max_entries=ANSWER_MEMO_ENTRIES)
+    @property
+    def index(self) -> GeocodeIndex:
+        return self.map_data.derive("geocode index", GeocodeIndex)
 
     def geocode(
         self,
@@ -231,11 +214,12 @@ class GeocodeService:
         self.queries_served += 1
         # ``visible`` is in the key: callers with different views of the map
         # never share an answer.
-        key = (self.map_data.version, address, limit, visible)
-        answer = self._answers.lookup(key)
+        key = (address, limit, visible)
+        answers = self.map_data.derive("geocode answers", answer_memo)
+        answer = answers.lookup(key)
         if answer is None:
             answer = tuple(self.index.lookup(address, limit, visible=visible))
-            self._answers.store(key, answer)
+            answers.store(key, answer)
         return list(answer)
 
     def reverse_geocode(self, location: LatLng, max_distance_meters: float = 250.0) -> ReverseGeocodeResult | None:

@@ -16,7 +16,7 @@ from typing import Callable
 from repro.geometry.point import LatLng
 from repro.osm.elements import Node
 from repro.osm.mapdata import MapData
-from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache
+from repro.simulation.lru import answer_memo
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,25 +41,16 @@ def _tokenise(text: str) -> list[str]:
 
 @dataclass
 class SearchIndex:
-    """An inverted index from keyword tokens to node ids.
-
-    Derived from the map, so it follows :attr:`MapData.version`: a read after
-    the map has changed rebuilds first.
-    """
+    """An inverted index from keyword tokens to node ids, over the map as it
+    was when built (:class:`SearchService` holds it on the map, so a changed
+    map gets a new one)."""
 
     map_data: MapData
     _postings: dict[str, set[int]] = field(default_factory=dict, init=False)
     _document_tokens: dict[int, set[str]] = field(default_factory=dict, init=False)
-    _version: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.rebuild()
-
-    def rebuild(self) -> None:
         """Index every node's name, tag keys and tag values."""
-        self._version = self.map_data.version
-        self._postings.clear()
-        self._document_tokens.clear()
         for node in self.map_data.nodes():
             tokens: set[str] = set()
             for key, value in node.tags.items():
@@ -71,18 +62,12 @@ class SearchIndex:
             for token in tokens:
                 self._postings.setdefault(token, set()).add(node.node_id)
 
-    def _refresh(self) -> None:
-        if self._version != self.map_data.version:
-            self.rebuild()
-
     @property
     def indexed_nodes(self) -> int:
-        self._refresh()
         return len(self._document_tokens)
 
     def candidates(self, query: str) -> dict[int, float]:
         """Node ids matching any query token, scored by token overlap."""
-        self._refresh()
         query_tokens = _tokenise(query)
         if not query_tokens:
             return {}
@@ -100,19 +85,18 @@ class SearchIndex:
 class SearchService:
     """Keyword + proximity search over one map.
 
-    A search is a pure function of the request and the map, so each distinct
-    request is ranked once per :attr:`MapData.version` and repeats are served
-    from ``_answers``; ``queries_served`` counts every request either way.
+    A search is a pure function of the request and the map, so the map holds
+    its index and an answer memo (:meth:`MapData.derive`): each distinct
+    request is ranked once per state of the map, by whichever service over
+    it asks first, and ``queries_served`` counts every request either way.
     """
 
     map_data: MapData
-    index: SearchIndex = field(init=False)
     queries_served: int = field(default=0, init=False)
-    _answers: LruCache = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.index = SearchIndex(self.map_data)
-        self._answers = LruCache(max_entries=ANSWER_MEMO_ENTRIES)
+    @property
+    def index(self) -> SearchIndex:
+        return self.map_data.derive("search index", SearchIndex)
 
     def search(
         self,
@@ -132,11 +116,12 @@ class SearchService:
         self.queries_served += 1
         # ``visible`` is in the key: callers with different views of the map
         # never share an answer.
-        key = (self.map_data.version, query, near, radius_meters, limit, visible)
-        answer = self._answers.lookup(key)
+        key = (query, near, radius_meters, limit, visible)
+        answers = self.map_data.derive("search answers", answer_memo)
+        answer = answers.lookup(key)
         if answer is None:
             answer = self._rank(query, near, radius_meters, limit, visible)
-            self._answers.store(key, answer)
+            answers.store(key, answer)
         return list(answer)
 
     def _rank(

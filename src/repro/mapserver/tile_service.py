@@ -12,18 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.osm.mapdata import MapData
-from repro.simulation.lru import LruCache
 from repro.tiles.renderer import Tile, TileRenderer
 from repro.tiles.tile_math import TileCoordinate, tiles_for_box
-
-_renderer_memo: LruCache = LruCache(max_entries=32)
-"""Renderers (and their tile caches) shared per map version + thickness.
-
-Fleet sweeps stand up many federations over the same generated worlds; with
-one renderer per (unchanged) map the tiles themselves are rasterised once
-per process instead of once per scenario.  A bounded LRU rather than a weak
-map: a renderer necessarily holds its map, so weak keying could never
-collect entries, while LRU eviction caps retention at the last 32 worlds."""
 
 
 @dataclass
@@ -32,19 +22,17 @@ class TileService:
 
     map_data: MapData
     line_thickness: int = 1
-    renderer: TileRenderer = field(init=False)
     tiles_served: int = field(default=0, init=False)
 
-    def __post_init__(self) -> None:
-        key = (self.map_data, self.line_thickness)
-        cached = _renderer_memo.lookup(key)
-        if cached is not None:
-            version, renderer = cached
-            if version == self.map_data.version:
-                self.renderer = renderer
-                return
-        self.renderer = TileRenderer(self.map_data, line_thickness=self.line_thickness)
-        _renderer_memo.store(key, (self.map_data.version, self.renderer))
+    @property
+    def renderer(self) -> TileRenderer:
+        """The renderer of the map as it is now, held on the map: every
+        service over an unchanged map (and every federation a sweep stands up
+        over one world) shares its rendered tiles."""
+        thickness = self.line_thickness
+        return self.map_data.derive(
+            ("tile renderer", thickness), lambda source: TileRenderer(source, line_thickness=thickness)
+        )
 
     def get_tile(self, coordinate: TileCoordinate) -> Tile:
         """Return the tile at ``coordinate`` (rendered on demand or cached)."""

@@ -23,6 +23,7 @@ from repro.osm.elements import (
     Relation,
     Way,
 )
+from repro.simulation.lru import MutableSource
 from repro.spatialindex.quadtree import QuadTree
 
 
@@ -41,8 +42,17 @@ class MapMetadata:
     description: str = ""
 
 
-class MapData:
-    """A mutable collection of OSM-style elements with spatial indexing."""
+class MapData(MutableSource):
+    """A mutable collection of OSM-style elements with spatial indexing.
+
+    Everything derived from a map — its extent and node index here, and the
+    routing graph, search and geocode indexes, answer memos, tile renderer
+    and client-side constants elsewhere — is held through :meth:`derive`,
+    and every element addition or removal drops all of it.  A map changes
+    through these methods (a tag edit is ``remove_node`` + ``add_node``); a
+    ``Node`` edited in place is seen by nothing derived.  The coverage
+    polygon is read live, so :meth:`set_coverage` drops nothing.
+    """
 
     def __init__(
         self,
@@ -50,16 +60,13 @@ class MapData:
         coverage: Polygon | None = None,
         projection: LocalProjection | None = None,
     ) -> None:
+        super().__init__()
         self.metadata = metadata or MapMetadata(name="unnamed")
         self._nodes: dict[int, Node] = {}
         self._ways: dict[int, Way] = {}
         self._relations: dict[int, Relation] = {}
         self._coverage = coverage
         self.projection = projection
-        self._index: QuadTree[int] | None = None
-        self._index_dirty = True
-        self._bbox: BoundingBox | None = None
-        self._version = 0
 
     # ------------------------------------------------------------------
     # Element management
@@ -68,9 +75,7 @@ class MapData:
         if node.node_id in self._nodes:
             raise MapDataError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
-        self._index_dirty = True
-        self._bbox = None
-        self._version += 1
+        self._changed()
         return node
 
     def add_way(self, way: Way) -> Way:
@@ -80,7 +85,7 @@ class MapData:
         if missing:
             raise MapDataError(f"way {way.way_id} references missing nodes {missing}")
         self._ways[way.way_id] = way
-        self._version += 1
+        self._changed()
         return way
 
     def add_relation(self, relation: Relation) -> Relation:
@@ -93,7 +98,7 @@ class MapData:
                     f"{member.element_type.value} {member.element_id}"
                 )
         self._relations[relation.relation_id] = relation
-        self._version += 1
+        self._changed()
         return relation
 
     def remove_node(self, node_id: int) -> None:
@@ -104,9 +109,7 @@ class MapData:
         if referencing:
             raise MapDataError(f"node {node_id} still referenced by ways {referencing}")
         del self._nodes[node_id]
-        self._index_dirty = True
-        self._bbox = None
-        self._version += 1
+        self._changed()
 
     def has_element(self, element_type: ElementType, element_id: int) -> bool:
         if element_type == ElementType.NODE:
@@ -189,35 +192,13 @@ class MapData:
     def bounding_box(self) -> BoundingBox:
         if not self._nodes:
             raise MapDataError("map has no nodes")
-        # Every tile/search request consults the map's extent; recomputing it
-        # is O(nodes), so the box is cached and rebuilt alongside the spatial
-        # index (``_index_dirty`` flips on any node mutation).
-        if self._bbox is None:
-            self._bbox = BoundingBox.from_points(n.location for n in self._nodes.values())
-        return self._bbox
+        return self.derive("extent", _extent)
 
     def covers_point(self, point: LatLng) -> bool:
         return self.coverage.contains(point)
 
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter.
-
-        Increments on every element addition/removal, so derived structures
-        (routing graphs, rendered tiles) can be memoized against a map and
-        invalidated precisely when it actually changed.
-        """
-        return self._version
-
     def _ensure_index(self) -> QuadTree[int]:
-        if self._index is None or self._index_dirty:
-            bounds = self.bounding_box().expanded(100.0)
-            index: QuadTree[int] = QuadTree(bounds)
-            for node in self._nodes.values():
-                index.insert(node.location, node.node_id)
-            self._index = index
-            self._index_dirty = False
-        return self._index
+        return self.derive("node index", _node_index)
 
     def nodes_in_box(self, box: BoundingBox) -> list[Node]:
         index = self._ensure_index()
@@ -289,3 +270,15 @@ class MapData:
             f"MapData(name={self.metadata.name!r}, nodes={self.node_count}, "
             f"ways={self.way_count}, relations={self.relation_count})"
         )
+
+
+def _extent(map_data: MapData) -> BoundingBox:
+    """The box around a map's nodes (its default coverage, its tile extent)."""
+    return BoundingBox.from_points(node.location for node in map_data.nodes())
+
+
+def _node_index(map_data: MapData) -> QuadTree[int]:
+    index: QuadTree[int] = QuadTree(map_data.bounding_box().expanded(100.0))
+    for node in map_data.nodes():
+        index.insert(node.location, node.node_id)
+    return index

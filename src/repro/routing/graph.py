@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-from weakref import WeakKeyDictionary
 
+from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.osm.elements import TAG_HIGHWAY, Node, Way
 from repro.osm.mapdata import MapData
-from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache
+from repro.simulation.lru import MutableSource, answer_memo
 from repro.spatialindex.quadtree import QuadTree
 
 ROUTABLE_TAGS = (TAG_HIGHWAY, "indoor_path", "corridor", "aisle_path")
@@ -50,22 +50,19 @@ class Edge:
 
 
 @dataclass(eq=False)
-class RoutingGraph:
+class RoutingGraph(MutableSource):
     """A directed graph whose vertices are map node ids.
 
-    ``eq=False`` keeps identity semantics (and hashability), which the
-    preprocessing memos key on; structural comparison of whole graphs was
-    never meaningful.
+    What is derived from a graph — its vertex index, the point → nearest
+    vertex memo, and the contraction hierarchy and path memo a routing
+    service keeps — is held through :meth:`derive` and dropped by
+    :meth:`add_vertex` / :meth:`add_edge`.  ``eq=False`` keeps identity
+    semantics; structural comparison of whole graphs was never meaningful.
     """
 
     _locations: dict[int, LatLng] = field(default_factory=dict)
     _adjacency: dict[int, list[Edge]] = field(default_factory=dict)
     _reverse: dict[int, list[Edge]] = field(default_factory=dict)
-    _index: QuadTree[int] | None = field(default=None, repr=False)
-    _snaps: LruCache = field(
-        default_factory=lambda: LruCache(max_entries=ANSWER_MEMO_ENTRIES), repr=False
-    )
-    """Point → nearest vertex, valid for as long as ``_index`` is."""
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,8 +72,7 @@ class RoutingGraph:
             self._locations[node_id] = location
             self._adjacency[node_id] = []
             self._reverse[node_id] = []
-            self._index = None
-            self._snaps.flush()
+            self._changed()
 
     def add_edge(self, edge: Edge, bidirectional: bool = True) -> None:
         if edge.source not in self._locations or edge.target not in self._locations:
@@ -87,6 +83,7 @@ class RoutingGraph:
             mirrored = Edge(edge.target, edge.source, edge.length_meters, edge.way_id, edge.travel_seconds)
             self._adjacency[edge.target].append(mirrored)
             self._reverse[edge.source].append(mirrored)
+        self._changed()
 
     def connect(self, source: int, target: int, bidirectional: bool = True, way_id: int | None = None) -> Edge:
         """Add an edge whose length is the great-circle distance between endpoints."""
@@ -134,25 +131,15 @@ class RoutingGraph:
     # ------------------------------------------------------------------
     # Spatial helpers
     # ------------------------------------------------------------------
-    def _ensure_index(self) -> QuadTree[int]:
-        if self._index is None:
-            from repro.geometry.bbox import BoundingBox
-
-            bounds = BoundingBox.from_points(self._locations.values()).expanded(200.0)
-            index: QuadTree[int] = QuadTree(bounds)
-            for node_id, location in self._locations.items():
-                index.insert(location, node_id)
-            self._index = index
-        return self._index
-
     def nearest_vertex(self, point: LatLng) -> int:
         """The graph vertex closest to ``point`` (snapping for route endpoints)."""
         if not self._locations:
             raise GraphError("graph has no vertices")
-        vertex = self._snaps.lookup(point)
+        snaps = self.derive("snaps", answer_memo)
+        vertex = snaps.lookup(point)
         if vertex is None:
-            vertex = self._ensure_index().nearest(point, count=1)[0][1]
-            self._snaps.store(point, vertex)
+            vertex = self.derive("vertex index", _vertex_index).nearest(point, count=1)[0][1]
+            snaps.store(point, vertex)
         return vertex
 
     def path_length_meters(self, path: list[int]) -> float:
@@ -170,50 +157,40 @@ class RoutingGraph:
         return [self.location(node_id) for node_id in path]
 
 
-_graph_memo: "WeakKeyDictionary[MapData, tuple[int, tuple[str, ...], RoutingGraph]]" = (
-    WeakKeyDictionary()
-)
-"""Extracted graphs memoized per map (weakly) and per map *version*.
-
-Benchmarks and fleet sweeps build many federations over the same generated
-worlds; re-extracting an identical graph per federation is pure waste.  The
-entry is keyed on :attr:`MapData.version`, so any mutation of the map
-invalidates it, and the weak reference lets worlds be garbage collected.
-"""
-
-
-def graph_from_map(
-    map_data: MapData,
-    routable_tags: Iterable[str] = ROUTABLE_TAGS,
-    use_cache: bool = True,
-) -> RoutingGraph:
-    """Build a routing graph from a map's routable ways (memoized per map).
+def extract_graph(map_data: MapData, routable_tags: Iterable[str] = ROUTABLE_TAGS) -> RoutingGraph:
+    """A new routing graph of a map's routable ways.
 
     Every way tagged with one of ``routable_tags`` contributes a chain of
-    bidirectional edges between consecutive nodes.  ``use_cache=False``
-    forces a fresh extraction — callers that *measure* extraction cost (the
-    centralized preprocessing benchmarks) must not time a memo lookup.
+    bidirectional edges between consecutive nodes.
     """
     tag_set = tuple(routable_tags)
-    if use_cache:
-        cached = _graph_memo.get(map_data)
-        if cached is not None:
-            version, cached_tags, cached_graph = cached
-            if version == map_data.version and cached_tags == tag_set:
-                return cached_graph
     graph = RoutingGraph()
     for way in map_data.ways():
         if not _is_routable(way, tag_set):
             continue
         nodes = map_data.way_nodes(way.way_id)
         _add_way_edges(graph, way, nodes)
-    if use_cache:
-        _graph_memo[map_data] = (map_data.version, tag_set, graph)
     return graph
+
+
+def graph_from_map(map_data: MapData, routable_tags: Iterable[str] = ROUTABLE_TAGS) -> RoutingGraph:
+    """:func:`extract_graph`, held on the map until it changes: every service
+    over an unchanged map (the replicas of one map, the federations a sweep
+    stands up over one world) shares one graph and what is derived from it."""
+    tag_set = tuple(routable_tags)
+    return map_data.derive(("routing graph", tag_set), lambda source: extract_graph(source, tag_set))
 
 
 def _is_routable(way: Way, routable_tags: tuple[str, ...]) -> bool:
     return any(key in way.tags for key in routable_tags)
+
+
+def _vertex_index(graph: RoutingGraph) -> QuadTree[int]:
+    bounds = BoundingBox.from_points(graph._locations.values()).expanded(200.0)
+    index: QuadTree[int] = QuadTree(bounds)
+    for node_id, location in graph._locations.items():
+        index.insert(location, node_id)
+    return index
 
 
 def _add_way_edges(graph: RoutingGraph, way: Way, nodes: list[Node]) -> None:

@@ -12,7 +12,6 @@ of interest."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 from repro.churn.failover import RequestTarget, TargetUnavailableError
 from repro.geometry.point import LatLng
@@ -28,18 +27,10 @@ from repro.routing.stitching import (
 from repro.services.context import FederationContext
 
 
-_entrance_memo: "WeakKeyDictionary[MapData, tuple[int, tuple[LatLng, ...]]]" = WeakKeyDictionary()
-"""Where each map's ``entrance`` nodes are, per map (weakly) and per map
-*version*: every leg request clamps both endpoints to the serving map, and
-finding the entrances is a scan of all its nodes."""
-
-
 def _entrances_of(map_data: MapData) -> tuple[LatLng, ...]:
-    held = _entrance_memo.get(map_data)
-    if held is None or held[0] != map_data.version:
-        locations = tuple(node.location for node in map_data.find_nodes_by_tag("entrance"))
-        held = _entrance_memo[map_data] = (map_data.version, locations)
-    return held[1]
+    """Where a map's ``entrance`` nodes are: every leg request clamps both
+    endpoints to the serving map, and finding them is a scan of its nodes."""
+    return tuple(node.location for node in map_data.find_nodes_by_tag("entrance"))
 
 
 class FederatedRoutingError(Exception):
@@ -157,7 +148,7 @@ class FederatedRouter:
         """
         if server.map_data.covers_point(point):
             return point
-        entrances = _entrances_of(server.map_data)
+        entrances = server.map_data.derive("entrances", _entrances_of)
         if entrances:
             return min(entrances, key=point.distance_to)
         nearest = server.map_data.nearest_nodes(point, count=1)

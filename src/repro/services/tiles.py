@@ -8,7 +8,6 @@ before showing them to the user."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 from repro.churn.failover import TargetUnavailableError
 from repro.geometry.bbox import BoundingBox
@@ -38,19 +37,10 @@ class FederatedViewport:
         return sum(tile.coverage_fraction for tile in self.composites.values()) / len(self.composites)
 
 
-_padded_box_memo: "WeakKeyDictionary[MapData, tuple[int, BoundingBox]]" = WeakKeyDictionary()
-"""Each map's extent padded by 20 m, per map (weakly) and per map *version*:
-every viewport tests its tiles against it, and padding a box is trigonometry."""
-
-
 def _padded_box_of(map_data: MapData) -> BoundingBox:
-    held = _padded_box_memo.get(map_data)
-    if held is None or held[0] != map_data.version:
-        held = _padded_box_memo[map_data] = (
-            map_data.version,
-            map_data.bounding_box().expanded(20.0),
-        )
-    return held[1]
+    """A map's extent padded by 20 m: every viewport tests its tiles against
+    it, and padding a box is trigonometry."""
+    return map_data.bounding_box().expanded(20.0)
 
 
 def _target_coverage_area(target) -> float:
@@ -96,7 +86,7 @@ class FederatedTileClient:
             """The viewport's tiles that touch ``server``'s map (once per server)."""
             relevant = relevant_by_server.get(server.server_id)
             if relevant is None:
-                server_box = _padded_box_of(server.map_data)
+                server_box = server.map_data.derive("padded extent", _padded_box_of)
                 relevant = [c for c in coordinates if tile_bounds(c).intersects(server_box)]
                 relevant_by_server[server.server_id] = relevant
             return relevant

@@ -1,29 +1,78 @@
-"""A small LRU cache primitive shared by the client-side caches.
+"""A small LRU cache primitive, and the one rule for state derived from a
+mutable source.
 
 :class:`repro.discovery.cache.DiscoveryCache` (TTL-aware) and
 :class:`repro.tiles.cache.TileCache` (immutable entries) are both bounded
 LRU maps with the same hit/miss/eviction accounting; this module holds the
 one copy of that machinery so the eviction and stats semantics cannot drift
 apart.  The host-side memos (``docs/ARCHITECTURE.md`` § Answer reuse) are
-bounded by the same class.
+bounded by the same class, and held by :class:`MutableSource`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Hashable, TypeVar
 
 _MISSING = object()
 """Sentinel distinguishing "no entry" from a stored ``None`` value."""
 
 ANSWER_MEMO_ENTRIES = 2048
 """Bound of each per-map answer memo (search, geocode and path answers per
-service, vertex snaps per routing graph).  The committed workloads ask at
-most ≈1.2k distinct questions *summed over every server*, so no memo evicts
-on any of them, while a stream of never-repeating requests is held to
+map, vertex snaps per routing graph).  The committed workloads ask at most
+≈1.2k distinct questions *summed over every server*, so no memo evicts on
+any of them, while a stream of never-repeating requests is held to
 ≈2.5 MiB per map (measured full: 1.5 MiB of ten-result search answers,
 0.6 MiB of geocode answers, 0.2 MiB of snaps)."""
+
+_Derived = TypeVar("_Derived")
+
+
+@dataclass(eq=False)
+class MutableSource:
+    """Something mutable that other state is derived from: a map, a routing
+    graph, a fingerprint database.
+
+    One rule keeps all of that state current.  What is derived is held *in*
+    the source, through :meth:`derive`, and every mutation of the source
+    calls :meth:`_changed`, which drops all of it.  Nothing compares
+    versions, so no reader can compare the wrong one; a value lives as long
+    as the source and the state it was derived from.  ``eq=False``: a source
+    keeps its own equality (identity, unless a subclass defines fields).
+    """
+
+    _version: int = field(default=0, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: moves on every change of the source.
+
+        The library never compares it — :meth:`derive` is how anything
+        follows a change — it tells a caller whether a source changed.
+        """
+        return self._version
+
+    def _changed(self) -> None:
+        """Record a mutation: bump :attr:`version`, drop everything derived."""
+        self._version += 1
+        self._derived.clear()
+
+    def derive(self, key: Hashable, build: Callable[[Any], _Derived]) -> _Derived:
+        """The value held under ``key``, else ``build(self)``, held until the
+        source next changes.  ``key`` names what is derived, and every site
+        that passes it must derive the same thing."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
+
+
+def answer_memo(_source: object) -> LruCache:
+    """A fresh answer memo: the ``build`` of every answer memo a source holds."""
+    return LruCache(max_entries=ANSWER_MEMO_ENTRIES)
 
 
 @dataclass

@@ -1,13 +1,13 @@
-"""Answer reuse in the map-server kernels, against a memo-free reference.
+"""Answer reuse in the map-server kernels: what the memos must leave alone.
 
 ``SearchService.search``, ``GeocodeService.geocode`` and the two pure steps of
 ``RoutingService.route`` (vertex snap, vertex-pair path) compute each distinct
-answer once per ``MapData.version`` and serve repeats from a bounded LRU.  A
-service built afresh for one request has nothing to reuse, so it *is* the
-oracle: a long-lived service must answer ``==`` to it after any sequence of
-requests and map mutations.  The plain tests pin what must not move: the
-memos sit below policy, admission and every counter, are bounded, never cross
-visibility predicates, and hand out lists a caller may mutate.
+answer once per state of the map and serve repeats from a bounded LRU held on
+the map or its graph.  That the memos never change an answer is
+``tests/test_memo_invisible.py``'s differential; the tests here pin what must
+not move: the memos sit below policy, admission and every counter, are
+bounded, never cross visibility predicates, and hand out lists a caller may
+mutate.
 
 The last test pins the gain as a count (no clock): on a seeded fleet run no
 kernel body executes more often than there are distinct requests.
@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import FederationConfig
 from repro.geometry.point import LatLng
@@ -47,74 +45,6 @@ def grid_point(east: int, north: int) -> LatLng:
     return CENTER.destination(90.0, 30.0 * east).destination(0.0, 30.0 * north)
 
 
-# ----------------------------------------------------------------------
-# Strategies: small pools, so requests repeat and scores tie
-# ----------------------------------------------------------------------
-WORDS = ["forbes", "fifth", "street", "cafe", "printer", "12"]
-phrases = st.lists(st.sampled_from(WORDS), min_size=0, max_size=2).map(" ".join)
-locations = st.builds(grid_point, st.integers(0, 3), st.integers(0, 3))
-tag_sets = st.fixed_dictionaries(
-    {}, optional={"name": phrases, "addr:street": phrases, "addr:city": phrases, "amenity": phrases}
-).map(lambda tags: {key: value for key, value in tags.items() if value})
-
-search_requests = st.tuples(
-    phrases, st.none() | locations, st.none() | st.sampled_from([45.0, 1000.0]), st.sampled_from([1, 3, 10])
-)
-geocode_requests = st.tuples(phrases, st.sampled_from([1, 5]))
-route_requests = st.tuples(locations, locations, st.sampled_from(["distance", "time"]))
-
-# A step either asks request ``n`` of the pool or mutates the map through its
-# versioned API.  A tag edit is remove + add: ``MapData`` has no other way to
-# change a node, and a change it cannot see is not a new version.
-mutations = st.one_of(
-    st.tuples(st.just("add"), locations, tag_sets),
-    st.tuples(st.just("remove"), st.integers(0, 30)),
-    st.tuples(st.just("retag"), st.integers(0, 30), tag_sets),
-)
-
-
-def steps(pool_size: int, mutation=mutations):
-    return st.lists(st.tuples(st.just("ask"), st.integers(0, pool_size - 1)) | mutation, max_size=30)
-
-
-def free_nodes(map_data: MapData) -> list[Node]:
-    """Nodes no way references (the ones ``remove_node`` accepts), by id."""
-    on_ways = {node_id for way in map_data.ways() for node_id in way.node_ids}
-    return sorted(
-        (node for node in map_data.nodes() if node.node_id not in on_ways), key=lambda node: node.node_id
-    )
-
-
-def mutate(map_data: MapData, step: tuple) -> None:
-    kind = step[0]
-    if kind == "add":
-        _, location, tags = step
-        map_data.add_node(Node(map_data.max_element_id() + 1, location, tags))
-    elif kind == "extend":
-        # A new vertex hung off an existing node: snaps and paths change.
-        _, location, pick = step
-        anchors = sorted(node.node_id for node in map_data.nodes())
-        new_id = map_data.max_element_id() + 1
-        map_data.add_node(Node(new_id, location))
-        map_data.add_way(Way(new_id + 1, [anchors[pick % len(anchors)], new_id], {"highway": "footway"}))
-    else:
-        removable = free_nodes(map_data)
-        if not removable:
-            return
-        node = removable[step[1] % len(removable)]
-        map_data.remove_node(node.node_id)
-        if kind == "retag":
-            map_data.add_node(Node(node.node_id, node.location, step[2]))
-
-
-@st.composite
-def tagged_maps(draw) -> MapData:
-    map_data = MapData(MapMetadata(name="reuse-map"))
-    for node_id in range(1, draw(st.integers(0, 8)) + 1):
-        map_data.add_node(Node(node_id, draw(locations), draw(tag_sets)))
-    return map_data
-
-
 def street_grid() -> MapData:
     """A 3 × 3 grid of footways, 30 m apart (node ids 1–9, way ids 101–106)."""
     map_data = MapData(MapMetadata(name="reuse-grid"))
@@ -125,68 +55,6 @@ def street_grid() -> MapData:
         map_data.add_way(Way(101 + line, [1 + 3 * line + east for east in range(3)], {"highway": "footway"}))
         map_data.add_way(Way(104 + line, [1 + line + 3 * north for north in range(3)], {"highway": "footway"}))
     return map_data
-
-
-def rebuilt(map_data: MapData) -> MapData:
-    """The same elements in a new ``MapData``: no process-wide memo (extracted
-    graph, hierarchy, vertex snaps) knows this object."""
-    copy = MapData(map_data.metadata)
-    for node in map_data.nodes():
-        copy.add_node(node)
-    for way in map_data.ways():
-        copy.add_way(way)
-    return copy
-
-
-# ----------------------------------------------------------------------
-# A long-lived service against a fresh one per request
-# ----------------------------------------------------------------------
-class TestAgainstFreshService:
-    @given(tagged_maps(), st.lists(search_requests, min_size=1, max_size=4), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_search(self, map_data, pool, data):
-        service = SearchService(map_data)
-        for step in data.draw(steps(len(pool))):
-            if step[0] == "ask":
-                assert service.search(*pool[step[1]]) == SearchService(map_data).search(*pool[step[1]])
-            else:
-                mutate(map_data, step)
-
-    @given(tagged_maps(), st.lists(geocode_requests, min_size=1, max_size=4), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_geocode(self, map_data, pool, data):
-        service = GeocodeService(map_data)
-        for step in data.draw(steps(len(pool))):
-            if step[0] == "ask":
-                query, limit = pool[step[1]]
-                address = Address(free_text=query)
-                assert service.geocode(address, limit) == GeocodeService(map_data).geocode(address, limit)
-            else:
-                mutate(map_data, step)
-
-    @given(st.lists(route_requests, min_size=1, max_size=4), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_route(self, pool, data):
-        map_data = street_grid()
-        service = RoutingService(map_data, "contraction")
-        extensions = st.tuples(st.just("extend"), locations, st.integers(0, 30))
-        for step in data.draw(steps(len(pool), mutations | extensions)):
-            if step[0] == "ask":
-                fresh = RoutingService(rebuilt(map_data), "contraction")
-                assert service.route(*pool[step[1]]) == fresh.route(*pool[step[1]])
-            else:
-                mutate(map_data, step)
-
-    def test_unreachable_pair_stays_unreachable(self):
-        map_data = street_grid()
-        map_data.add_node(Node(20, grid_point(6, 0)))
-        map_data.add_node(Node(21, grid_point(7, 0)))
-        map_data.add_way(Way(120, [20, 21], {"highway": "footway"}))
-        service = RoutingService(map_data, "contraction")
-        island, mainland = grid_point(7, 0), grid_point(0, 0)
-        assert [service.route(mainland, island) for _ in range(3)] == [None, None, None]
-        assert service.route(mainland, grid_point(2, 2)) is not None
-        assert service.queries_served == 4
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +87,8 @@ class TestBelowPolicyAdmissionAndCounters:
                 assert [r.node_id for r in found] == expected
                 found = server.geocode(Address.parse("printer"), credential, limit=3)
                 assert [r.node_id for r in found] == expected
-        assert server.search_service._answers.size == 2
-        assert server.geocode_service._answers.size == 2
+        assert server.map_data._derived["search answers"].size == 2
+        assert server.map_data._derived["geocode answers"].size == 2
 
     def test_a_returned_list_is_the_callers_to_mutate(self):
         server = print_server()
@@ -279,7 +147,19 @@ class TestBelowPolicyAdmissionAndCounters:
         for _ in range(2):
             with pytest.raises(GraphError, match="unknown routing metric"):
                 service.route(grid_point(0, 0), grid_point(2, 2), metric="scenic")
-        assert service._paths.size == 0
+        assert service.graph._derived["paths"].size == 0
+
+    def test_no_route_is_an_answer(self):
+        map_data = street_grid()
+        map_data.add_node(Node(20, grid_point(6, 0)))
+        map_data.add_node(Node(21, grid_point(7, 0)))
+        map_data.add_way(Way(120, [20, 21], {"highway": "footway"}))
+        service = RoutingService(map_data, "contraction")
+        island, mainland = grid_point(7, 0), grid_point(0, 0)
+        assert [service.route(mainland, island) for _ in range(3)] == [None, None, None]
+        assert service.graph._derived["paths"].stats.hits == 2
+        assert service.route(mainland, grid_point(2, 2)) is not None
+        assert service.queries_served == 4
 
     def test_entry_counts_never_exceed_the_constant(self):
         map_data = street_grid()
@@ -290,11 +170,14 @@ class TestBelowPolicyAdmissionAndCounters:
             search.search("footway", point)
             geocode.geocode(Address(free_text=f"footway {index}"))
             routing.route(point, grid_point(index % 3, index % 2), metric="time" if index % 2 else "distance")
-            for memo in (search._answers, geocode._answers, routing._paths, routing.graph._snaps):
+            memos = (map_data._derived["search answers"], map_data._derived["geocode answers"])
+            memos += (routing.graph._derived["paths"], routing.graph._derived["snaps"])
+            for memo in memos:
                 assert memo.size <= ANSWER_MEMO_ENTRIES
-        assert search._answers.stats.evictions == geocode._answers.stats.evictions == 40
-        assert routing.graph._snaps.stats.evictions >= 40
-        assert routing.graph._snaps.size == ANSWER_MEMO_ENTRIES
+        search_answers, geocode_answers, _, snaps = memos
+        assert search_answers.stats.evictions == geocode_answers.stats.evictions == 40
+        assert snaps.stats.evictions >= 40
+        assert snaps.size == ANSWER_MEMO_ENTRIES
 
     def test_a_snap_is_not_served_from_before_add_vertex(self):
         graph = RoutingGraph()
@@ -306,15 +189,15 @@ class TestBelowPolicyAdmissionAndCounters:
         assert graph.nearest_vertex(probe) == 3
         graph.add_vertex(3, grid_point(9, 9))  # a known id: nothing changes, nothing to forget
         assert graph.nearest_vertex(probe) == 3
-        assert graph._snaps.stats.hits == 1
+        assert graph._derived["snaps"].stats.hits == 1
 
 
 # ----------------------------------------------------------------------
 # A mutated map under a running server
 # ----------------------------------------------------------------------
 class TestMutatedMapUnderALiveServer:
-    """Everything derived from a map follows ``MapData.version``: the indexes,
-    the extracted graph, the hierarchy and every remembered answer."""
+    """Everything derived from a map is dropped when the map changes: the
+    indexes, the extracted graph, the hierarchy and every remembered answer."""
 
     def test_search_follows_remove_and_add(self):
         scenario = build_scenario()

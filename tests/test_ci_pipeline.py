@@ -427,29 +427,39 @@ class TestMemoBounds:
         checker = self._checker()
         assert checker.unlisted(REPO_ROOT) == []
         names = {name for _, _, site in checker.memo_sites(REPO_ROOT) for name in site}
-        # The rule has something to check: all three shapes are in the tree.
-        assert {"_block", "_composite_memo", "_graph_memo", "_entrance_memo"} <= names
+        # The rule has something to check: both shapes are in the tree.
+        assert {"_block", "_composite_memo"} <= names
+
+    def test_checker_flags_a_module_level_weak_key_dictionary(self, tmp_path):
+        source = (
+            "import weakref\n"
+            "from weakref import WeakKeyDictionary\n"
+            "_per_map: 'WeakKeyDictionary[object, int]' = WeakKeyDictionary()\n"  # line 3
+            "_per_graph = weakref.WeakKeyDictionary()\n"  # line 4
+            "class Cache:\n"
+            "    def local(self):\n"
+            "        scratch = WeakKeyDictionary()\n"  # not module level
+        )
+        assert self._findings(tmp_path, source) == ["src/repro/memos.py:3", "src/repro/memos.py:4"]
+        assert "derive it on its source" in self._checker().findings(tmp_path)[0]
 
     def test_checker_flags_a_memo_the_table_does_not_name(self, tmp_path):
         source = (
             "from functools import lru_cache\n"
-            "from weakref import WeakKeyDictionary\n"
             "from repro.simulation.lru import LruCache\n"
             "_listed_memo = LruCache(max_entries=32)\n"
-            "_new_memo = LruCache(max_entries=32)\n"  # line 5
-            "_per_map: 'WeakKeyDictionary[object, int]' = WeakKeyDictionary()\n"  # line 6
+            "_new_memo = LruCache(max_entries=32)\n"  # line 4
+            "_after_table = LruCache(max_entries=32)\n"  # line 5
             "@lru_cache(maxsize=64)\n"
             "def listed(x): ...\n"
             "@lru_cache(maxsize=64)\n"
-            "def unlisted(x): ...\n"  # line 10
+            "def unlisted(x): ...\n"  # line 9
             "@lru_cache(maxsize=None)\n"
             "def one_value(): ...\n"
             "class Cache:\n"
             "    def __post_init__(self):\n"
             "        self._lru = LruCache(max_entries=self.max_entries)\n"  # a model cache
-            "        self._answers = self.table[self] = LruCache(max_entries=8)\n"  # line 16
-            "    def local(self):\n"
-            "        scratch = WeakKeyDictionary()\n"  # not module level
+            "        self._answers = self.table[self] = LruCache(max_entries=8)\n"  # line 15
         )
         docs = tmp_path / "docs"
         docs.mkdir()
@@ -460,11 +470,11 @@ class TestMemoBounds:
             "| `memos._listed_memo` | x | 32 LRU | pure |\n"
             "| `memos.listed`, `other` | `unlisted` | `lru_cache(64)` | pure |\n"
             "\n"
-            "| `_per_map` | after the table | | |\n"
+            "| `_after_table` | after the table | | |\n"
         )
         assert self._findings(tmp_path, source) == []
         found = [failure.split(": ")[0] for failure in self._checker().unlisted(tmp_path)]
-        assert found == [f"src/repro/memos.py:{line}" for line in (5, 6, 10, 16)]
+        assert found == [f"src/repro/memos.py:{line}" for line in (4, 5, 9, 15)]
         (docs / "ARCHITECTURE.md").write_text("no table here\n")
         with pytest.raises(SystemExit, match="no memo table"):
             self._checker().unlisted(tmp_path)

@@ -1,13 +1,14 @@
 """The client half of a federated request, against the bodies it replaced.
 
 Four things a client used to re-derive per request are now derived once —
-per device-cache probe, per ``MapData.version``, per store, per route
+per device-cache probe, per map, per store, per route
 (``docs/ARCHITECTURE.md`` § The client half of a request).  The bodies they
 replaced live on here as test-only references the new code must equal with
 ``==``: ``DiscoveryCache.get`` through ``LruCache.lookup(is_live=…)``, a
 fresh ``RouteStitcher.stitch`` per subset of legs, the sort-by-lambda
-``normalize_covering``.  Map mutations under a live client check that what is
-held per map follows ``MapData.version``, and the last class pins the gain as
+``normalize_covering``.  Map and coverage edits under a live client check
+that what is held per map follows the map (the general differential is
+``tests/test_memo_invisible.py``), and the last class pins the gain as
 counts (``sys.setprofile`` call events and wrapped callables — no clock), so
 dropping the reuse fails on any machine.
 """
@@ -30,8 +31,8 @@ from repro.discovery.cache import DiscoveryCache
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng, haversine_distance
 from repro.geometry.polygon import Polygon
-from repro.osm.elements import Node
 from repro.mapserver.server import MapServer
+from repro.osm.elements import Node
 from repro.osm.mapdata import MapData, MapMetadata
 from repro.routing.stitching import RouteLeg, RouteStitcher, StitchedRoute, StitchError
 from repro.services.routing import FederatedRouter, FederatedRoutingError

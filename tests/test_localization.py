@@ -206,6 +206,39 @@ class TestImageFingerprinting:
         assert ImageFingerprintDatabase().localize(ImageCue((1.0,)), "s") is None
 
 
+class TestReferencesChangeOnlyThroughAdd:
+    """The stacked pass nominates the references the per-row expressions
+    score, so a reference replaced behind a database's back went unscored: a
+    ``k_neighbors=1`` localize kept answering the old best match while a
+    fresh database over the same references answered the exact one.
+    ``fingerprints`` is a tuple, and ``add`` the one way to change it."""
+
+    @pytest.mark.parametrize("kind", ["beacon", "image"])
+    def test_a_database_answers_from_the_references_it_holds(self, kind):
+        spots = [ANCHOR.destination(0.0, 10.0 * index) for index in range(10)]
+        exact_spot = LatLng(41.0, -81.0)
+        if kind == "beacon":
+            database = BeaconFingerprintDatabase(
+                [BeaconFingerprint(spot, {"b0": -40.0 - 5.0 * index}) for index, spot in enumerate(spots)],
+                k_neighbors=1,
+            )
+            cue, exact = BeaconCue((BeaconReading("b0", -90.0),)), BeaconFingerprint(exact_spot, {"b0": -90.0})
+        else:
+            database = ImageFingerprintDatabase(
+                [ImageFingerprint(spot, (1.0, 0.1 * index)) for index, spot in enumerate(spots)], k_neighbors=1
+            )
+            cue, exact = ImageCue((0.0, 1.0)), ImageFingerprint(exact_spot, (0.0, 1.0))
+        assert database.localize(cue, "s").location == spots[-1]
+        try:
+            database.fingerprints[0] = exact
+        except TypeError:
+            pass
+        fresh = type(database)(list(database.fingerprints), k_neighbors=1)
+        assert database.localize(cue, "s") == fresh.localize(cue, "s")
+        database.add(exact)
+        assert database.localize(cue, "s").location == exact_spot
+
+
 class TestFiducials:
     def test_known_tag_localizes_precisely(self):
         registry = FiducialRegistry()

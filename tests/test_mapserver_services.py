@@ -172,14 +172,20 @@ class TestRoutingService:
             r2 = fast.route(a, b)
             assert r1.cost == pytest.approx(r2.cost, rel=1e-9)
 
-    def test_contraction_hierarchy_is_built_lazily(self, city):
-        service = RoutingService(city.map_data, algorithm="contraction")
-        assert service._hierarchy is None  # nothing preprocessed at startup
-        response = service.route(
-            city.intersections[0][0].location, city.intersections[1][1].location
-        )
-        assert response is not None
-        assert service._hierarchy is not None  # first query built it
+    def test_contraction_hierarchy_is_built_lazily(self, monkeypatch):
+        from repro.mapserver import routing_service
+        from repro.worldgen.outdoor import generate_city
+
+        builds = []
+        build = routing_service.build_contraction_hierarchy
+        monkeypatch.setattr(routing_service, "build_contraction_hierarchy", lambda graph: builds.append(1) or build(graph))
+        city = generate_city(rows=3, cols=3, seed=3)  # a map no other test has routed on
+        services = [RoutingService(city.map_data, algorithm="contraction") for _ in range(2)]
+        assert builds == []  # nothing preprocessed at startup
+        for service in services:
+            response = service.route(city.intersections[0][0].location, city.intersections[1][1].location)
+            assert response is not None
+        assert builds == [1]  # the first query built it, for every service over the map
 
     def test_contraction_falls_back_to_dijkstra_for_other_metrics(self, city):
         fast = RoutingService(city.map_data, algorithm="contraction")
