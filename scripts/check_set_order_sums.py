@@ -23,6 +23,14 @@ not depend on its order, so a comprehension whose element is a ``len(...)``
 call, an integer literal or a comparison (a bool) is not flagged; iterate
 ``sorted(s)`` (or an ordered container) when summing floats.
 
+A second rule covers the simulation layer, whose accumulators feed the
+byte-gated stats: under ``src/repro/simulation/`` any reassociating float
+reduction is flagged — ``np.sum`` / ``numpy.sum`` and every other ``.sum()``
+method call, ``np.add.reduce`` and ``math.fsum``.  Each may round
+differently from the left-to-right sum a per-item loop makes (numpy sums
+pairwise, ``fsum`` exactly); fold left to right instead, with a loop or
+``np.add.accumulate`` / ``np.cumsum``.
+
 Standalone use: ``python scripts/check_set_order_sums.py`` (exit 0 clean,
 exit 1 with one ``path:line`` per finding otherwise).
 """
@@ -95,17 +103,38 @@ def _findings_in(scope: ast.AST) -> list[int]:
     return lines
 
 
+_SET_ORDER = "sum over a set: its float rounding follows PYTHONHASHSEED; iterate an ordered container"
+_REASSOCIATING = (
+    "reassociating float reduction in the simulation layer: "
+    "fold left to right (a loop, np.add.accumulate or np.cumsum)"
+)
+
+
+def _is_reassociating(node: ast.Call) -> bool:
+    """``x.sum(...)`` (``np.sum`` included), ``np.add.reduce(...)`` or ``fsum(...)``."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "fsum"
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr in ("sum", "fsum"):
+        return True
+    return func.attr == "reduce" and isinstance(func.value, ast.Attribute) and func.value.attr == "add"
+
+
 def findings(root: Path) -> list[str]:
     """``path:line: message`` for every flagged sum under ``root/src/repro``."""
     failures: list[str] = []
-    for path in sorted((root / "src" / "repro").rglob("*.py")):
+    package = root / "src" / "repro"
+    for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)]
-        for line in sorted(line for scope in scopes for line in _findings_in(scope)):
-            failures.append(
-                f"{path.relative_to(root)}:{line}: sum over a set: "
-                "its float rounding follows PYTHONHASHSEED; iterate an ordered container"
-            )
+        flagged = {line: _SET_ORDER for scope in scopes for line in _findings_in(scope)}
+        if path.is_relative_to(package / "simulation"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and _is_reassociating(node):
+                    flagged.setdefault(node.lineno, _REASSOCIATING)
+        failures.extend(f"{path.relative_to(root)}:{line}: {flagged[line]}" for line in sorted(flagged))
     return failures
 
 
@@ -114,9 +143,9 @@ def main() -> int:
     if failures:
         for failure in failures:
             print(failure)
-        print(f"{len(failures)} hash-order-dependent sum(s) in src/repro/")
+        print(f"{len(failures)} order-dependent sum(s) in src/repro/")
         return 1
-    print("set-order sums OK (src/repro/)")
+    print("order-dependent sums OK (src/repro/)")
     return 0
 
 

@@ -9,7 +9,7 @@ from repro.churn.failover import SELECTION_MODES, WEIGHTED
 from repro.churn.retry import RetryPolicy
 from repro.discovery.naming import DEFAULT_DISCOVERY_SUFFIX
 from repro.simulation.network import LatencyModel
-from repro.simulation.queueing import ServiceTimeModel
+from repro.simulation.queueing import ServiceTimeModel, check_count
 from repro.spatialindex.cellid import MAX_LEVEL
 from repro.spatialindex.covering import CoveringOptions
 
@@ -136,5 +136,7 @@ class FederationConfig:
             )
         if self.shared_health_ttl_seconds <= 0.0:
             raise ValueError("shared_health_ttl_seconds must be positive")
+        check_count("server_queue_capacity", self.server_queue_capacity)
+        check_count("server_workers", self.server_workers)
         if self.max_retransmits is not None and self.max_retransmits < 0:
             raise ValueError("max_retransmits cannot be negative")

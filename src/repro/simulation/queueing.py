@@ -39,10 +39,13 @@ at a cost per run rather than per job.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports nothing here)
     from repro.simulation.network import SimulatedNetwork
@@ -69,6 +72,12 @@ def load_cv(values: Sequence[float]) -> float:
     return math.sqrt(variance) / mean
 
 
+def check_count(name: str, value: object) -> None:
+    """Reject ``value`` unless it is an ``int`` >= 1 (``bool`` and ``2.5`` are not)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ServiceTimeModel:
     """Deterministic service times per request kind, in milliseconds.
@@ -82,10 +91,14 @@ class ServiceTimeModel:
     per_kind_ms: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.default_ms < 0.0:
-            raise ValueError("service time cannot be negative")
-        if any(ms < 0.0 for ms in self.per_kind_ms.values()):
-            raise ValueError("service time cannot be negative")
+        # ``nan < 0`` is false, so a sign check alone lets NaN through; the
+        # queue's gap index compares service times with ``>=``, which NaN
+        # silently fails, and the clock refuses to advance by one.
+        fields = {"default_ms": self.default_ms}
+        fields.update((f"per_kind_ms[{kind!r}]", ms) for kind, ms in self.per_kind_ms.items())
+        for name, ms in fields.items():
+            if not 0.0 <= ms < math.inf:
+                raise ValueError(f"ServiceTimeModel.{name} must be finite and >= 0, got {ms!r}")
 
     def service_ms(self, kind: str) -> float:
         return self.per_kind_ms.get(kind, self.default_ms)
@@ -145,6 +158,12 @@ class QueueStats:
         return data
 
 
+@lru_cache(maxsize=255)
+def _stop_table(rank: int) -> bytes:
+    """The ``translate`` table sending a mark above ``rank`` to 1, any other to 0."""
+    return bytes(rank + 1) + b"\x01" * (255 - rank)
+
+
 @dataclass
 class _WorkerSchedule:
     """One worker's committed jobs as sorted, non-overlapping busy spans.
@@ -157,17 +176,41 @@ class _WorkerSchedule:
     3 ulp from tying), so above 4 ulp nothing fits between two of them and
     each is one more to queue behind.  It is infinite for a run whose own
     service time is that small; such runs are walked job by job.
+
+    Admission reads two indexes kept beside the spans instead of walking
+    them.  ``counts[i]`` is span ``i``'s job count (``jobs`` their total),
+    so a backlog is the first live span's own live jobs plus a C-level sum
+    — a subtraction while no run is stored.  ``marks`` is the gap index:
+    byte ``i`` counts the service times in ``levels`` (every service time
+    this worker has been asked to place, ascending) that the walk cannot
+    pass over span ``i`` in one step (:meth:`_stop_at`), so the next span a
+    placement must look at is one ``translate`` + ``find`` away.
     """
 
     starts: list[float] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
     runs: list[tuple[float, float, int, int, float] | None] = field(default_factory=list)
+    counts: list[int] = field(default_factory=list)
+    jobs: int = 0
+    marks: bytearray = field(default_factory=bytearray)
+    levels: list[float] = field(default_factory=list)
+    _stops: dict[float, bytes] = field(default_factory=dict, repr=False)
+    """Per level, the :func:`_stop_table` of its rank."""
+
+    _MAX_LEVELS = 255
+    """A mark is one byte.  A queue asks for one level per distinct service
+    time of its model; a 256th level re-indexes from that level alone."""
 
     def prune(self, cutoff: float) -> int:
         """Drop the spans that completed by ``cutoff``; returns how many."""
         cut = bisect_right(self.ends, cutoff)
-        del self.starts[:cut], self.ends[:cut], self.runs[:cut]
+        self.jobs -= self._jobs(0, cut)
+        del self.starts[:cut], self.ends[:cut], self.runs[:cut], self.counts[:cut], self.marks[:cut]
         return cut
+
+    def _jobs(self, lo: int, hi: int) -> int:
+        """Jobs stored in spans ``lo`` up to (not including) ``hi``."""
+        return hi - lo if self.jobs == len(self.counts) else sum(self.counts[lo:hi])
 
     def _first_live(self, run: tuple[float, float, int, int, float], now: float) -> int:
         """First job of ``run`` (whose last job is live) ending after ``now``."""
@@ -182,85 +225,152 @@ class _WorkerSchedule:
         return job
 
     def live_count(self, now: float) -> int:
+        spans = len(self.ends)
         first = bisect_right(self.ends, now)
-        live = 0
-        for index in range(first, len(self.ends)):
-            run = self.runs[index]
-            if run is None:
-                live += 1
-            else:
-                live += run[3] - (run[2] if index > first else self._first_live(run, now))
+        live = self._jobs(first, spans)
+        if first < spans and (run := self.runs[first]) is not None:
+            live -= self._first_live(run, now) - run[2]  # the first run's completed jobs
         return live
+
+    def _stop_at(self, index: int) -> float:
+        """The largest service time the walk stops for at span ``index``.
+
+        Entering a span past the first live one, the walk's cursor is the
+        previous span's end.  It stops to place the request in the gap
+        before the span when the gap holds the service time, and to walk the
+        span job by job when it cannot step over it whole: a run it may not
+        jump (``service_s <= jump_above``) or a span whose first job does not
+        end after the cursor.  Any longer service time steps: it queues
+        behind every job of the span and the cursor moves to the span's end.
+        """
+        if index == 0:
+            return math.inf  # no previous span: always the walk's to resolve
+        previous_end = self.ends[index - 1]
+        start = self.starts[index]
+        gap = start - previous_end
+        run = self.runs[index]
+        if run is None:
+            return gap if self.ends[index] > previous_end else math.inf
+        return max(gap, run[4]) if start + run[1] > previous_end else math.inf
+
+    def _index_level(self, service_s: float) -> bytes:
+        """Add ``service_s`` to the levels, re-mark every span, return its table."""
+        if len(self.levels) == self._MAX_LEVELS:
+            self.levels.clear()
+        insort(self.levels, service_s)
+        self.marks = bytearray(bisect_right(self.levels, self._stop_at(index)) for index in range(len(self.ends)))
+        self._stops = {level: _stop_table(rank) for rank, level in enumerate(self.levels)}
+        return self._stops[service_s]
+
+    def _pass(
+        self, first: int, index: int, now: float, cursor: float, queued_behind: int, service_s: float, capacity: int
+    ) -> tuple[float, int, int, int] | None:
+        """The walk over span ``index``, job by job from ``cursor``.
+
+        The walk jumps over each live job until a gap fits the service time;
+        ``(span, job)`` is the job the gap precedes, for :meth:`insert`.  The
+        jobs jumped are the requests this one sits behind, and their count
+        is what the bounded buffer limits: returns ``None`` once it reaches
+        ``capacity``.  A run is jumped in one step whenever its
+        ``jump_above`` allows.  Passing the span returns ``(cursor,
+        queued_behind, index + 1, 0)``.
+        """
+        run = self.runs[index]
+        if run is None:
+            if self.starts[index] - cursor >= service_s:
+                return cursor, queued_behind, index, 0
+            if self.ends[index] > cursor:
+                cursor = self.ends[index]
+                queued_behind += 1
+        else:
+            base, run_service_s, lo, hi, jump_above = run
+            job = lo if index > first else self._first_live(run, now)
+            start = base + job * run_service_s
+            if service_s > jump_above and start - cursor < service_s and start + run_service_s > cursor:
+                cursor = self.ends[index]  # behind this job and all the run's later ones
+                queued_behind += hi - job
+                job = hi
+            while job < hi and queued_behind < capacity:
+                start = base + job * run_service_s
+                if start - cursor >= service_s:
+                    return cursor, queued_behind, index, job
+                if start + run_service_s > cursor:
+                    cursor = start + run_service_s
+                    queued_behind += 1
+                job += 1
+        if queued_behind >= capacity:
+            return None
+        return cursor, queued_behind, index + 1, 0
 
     def place(self, now: float, service_s: float, capacity: int) -> tuple[float, int, int, int] | None:
         """Earliest feasible ``(start, queued_behind, span, job)`` at or after ``now``.
 
-        Walks the live jobs (those ending after ``now``), jumping over each
-        until a gap fits the service time; ``(span, job)`` is the job the gap
-        precedes, for :meth:`insert`.  The jobs jumped are the requests this
-        one actually sits behind — the queue it joins — and their count is
-        what the bounded buffer limits: returns ``None`` once it reaches
-        ``capacity``.  A run is jumped in one step whenever its
-        ``jump_above`` allows, so admission cost grows with the spans still
-        live, never with the length of a run.
+        What walking every live span with :meth:`_pass` returns, found by
+        lookup: the walk proper resolves the first live span (whose live jobs
+        depend on ``now``) and each span the gap index says it stops at;
+        every span in between it would step over whole, so those are
+        counted, not walked.  ``None`` once the request would queue behind
+        ``capacity``.
         """
-        starts, ends, runs = self.starts, self.ends, self.runs
-        first = bisect_right(ends, now)
-        cursor = now
-        queued_behind = 0
-        for index in range(first, len(ends)):
-            run = runs[index]
-            if run is None:
-                if starts[index] - cursor >= service_s:
-                    return cursor, queued_behind, index, 0
-                if ends[index] > cursor:
-                    cursor = ends[index]
-                    queued_behind += 1
-            else:
-                base, run_service_s, lo, hi, jump_above = run
-                job = lo if index > first else self._first_live(run, now)
-                start = base + job * run_service_s
-                if service_s > jump_above and start - cursor < service_s and start + run_service_s > cursor:
-                    cursor = ends[index]  # behind this job and all the run's later ones
-                    queued_behind += hi - job
-                    job = hi
-                while job < hi and queued_behind < capacity:
-                    start = base + job * run_service_s
-                    if start - cursor >= service_s:
-                        return cursor, queued_behind, index, job
-                    if start + run_service_s > cursor:
-                        cursor = start + run_service_s
-                        queued_behind += 1
-                    job += 1
-            if queued_behind >= capacity:
-                return None
-        return cursor, queued_behind, len(ends), 0
+        ends = self.ends
+        spans = len(ends)
+        first = index = bisect_right(ends, now)
+        cursor, queued_behind = now, 0
+        stops = self._stops.get(service_s) or self._index_level(service_s)
+        while index < spans:
+            placed = self._pass(first, index, now, cursor, queued_behind, service_s, capacity)
+            if placed is None or placed[2] == index:
+                return placed
+            cursor, queued_behind, index = placed[0], placed[1], index + 1
+            # Every span passed holds a job or more, so the buffer fills by `stop`.
+            stop = min(spans, index + capacity - queued_behind)
+            hit = self.marks[index:stop].translate(stops).find(1)
+            after = stop if hit < 0 else index + hit
+            if after > index:
+                queued_behind += self._jobs(index, after)
+                if queued_behind >= capacity:
+                    return None
+                cursor = ends[after - 1]
+                index = after
+        return cursor, queued_behind, spans, 0
 
     def insert(self, index: int, job: int, base: float, service_s: float, count: int) -> int:
         """Commit ``count`` back-to-back jobs before ``job`` of span ``index``.
 
         Splits a run when ``job`` is interior to it: both halves keep the
         run's ``base``, so their jobs keep their exact instants.  Returns
-        the number of spans added.
+        the number of spans added.  The new span and the one after it get
+        fresh marks; a split's first half keeps the run's start and
+        predecessor, so it keeps the run's mark too.
         """
+        starts, ends, runs, counts, marks = self.starts, self.ends, self.runs, self.counts, self.marks
         added = 1
-        run = self.runs[index] if index < len(self.runs) else None
+        run = runs[index] if index < len(runs) else None
         if run is not None and job > run[2]:
             old_base, old_service_s, lo, hi, jump_above = run
-            self.starts.insert(index, self.starts[index])
-            self.ends.insert(index, (old_base + (job - 1) * old_service_s) + old_service_s)
-            self.runs.insert(index, (old_base, old_service_s, lo, job, jump_above))
+            starts.insert(index, starts[index])
+            ends.insert(index, (old_base + (job - 1) * old_service_s) + old_service_s)
+            runs.insert(index, (old_base, old_service_s, lo, job, jump_above))
+            counts.insert(index, job - lo)
+            marks.insert(index, marks[index])
             index += 1
-            self.starts[index] = old_base + job * old_service_s
-            self.runs[index] = (old_base, old_service_s, job, hi, jump_above)
+            starts[index] = old_base + job * old_service_s
+            runs[index] = (old_base, old_service_s, job, hi, jump_above)
+            counts[index] = hi - job
             added = 2
         last_end = (base + (count - 1) * service_s) + service_s
         slack = 4.0 * math.ulp(last_end)
-        self.starts.insert(index, base)
-        self.ends.insert(index, last_end)
-        self.runs.insert(
+        starts.insert(index, base)
+        ends.insert(index, last_end)
+        runs.insert(
             index, None if count == 1 else (base, service_s, 0, count, slack if service_s > slack else math.inf)
         )
+        counts.insert(index, count)
+        self.jobs += count
+        levels = self.levels
+        marks.insert(index, bisect_right(levels, self._stop_at(index)))
+        if index + 1 < len(starts):
+            marks[index + 1] = bisect_right(levels, self._stop_at(index + 1))
         return added
 
 
@@ -301,10 +411,8 @@ class ServerQueue:
     _prune_above: int = field(default=1024, repr=False)
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+        check_count("ServerQueue.capacity", self.capacity)
+        check_count("ServerQueue.workers", self.workers)
         self._schedules = [_WorkerSchedule() for _ in range(self.workers)]
 
     @property
@@ -446,8 +554,8 @@ class ServerQueue:
         Phantoms charge no network latency and never advance the clock —
         only real requests drive time.  Returns ``(admitted, dropped)``.
         """
-        if count < 0:
-            raise ValueError("phantom arrival count cannot be negative")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"phantom_arrivals count must be an int >= 0, got {count!r}")
         if count == 0:
             return (0, 0)
         now = self.network.clock.now()
@@ -461,9 +569,14 @@ class ServerQueue:
         tails: list[float] = []
         lives: list[int] = []
         caps: list[int] = []
-        for schedule in self._schedules:
-            tails.append(max(now, schedule.ends[-1] if schedule.ends else 0.0))
-            live = schedule.live_count(now)
+        for schedule in self._schedules:  # live_count, read straight off the counts
+            ends = schedule.ends
+            spans = len(ends)
+            first = bisect_right(ends, now)
+            live = spans - first if schedule.jobs == spans else sum(schedule.counts[first:])
+            if first < spans and (run := schedule.runs[first]) is not None:
+                live -= schedule._first_live(run, now) - run[2]
+            tails.append(max(now, ends[-1] if ends else 0.0))
             lives.append(live)
             caps.append(max(0, self.capacity - live))
         admitted = min(count, sum(caps))
@@ -496,22 +609,24 @@ class ServerQueue:
                 else:
                     heappop(heap)
 
-        # One run per worker; waits accumulate job by job, in the order and
-        # with the expressions of per-job admission, so the float sum is the
-        # same.  Job `position` queues behind `live + position` others.
+        # The waits fold left to right, job by job in worker order, with the
+        # expression of per-job admission, so the float sum is the one
+        # `process` calls would reach: np.add.accumulate is that sequential
+        # fold (np.sum and math.fsum reassociate it).
         stats = self.stats
-        wait_ms_total = stats.wait_ms_total
+        jobs_per_worker = np.array(assigned)
+        positions = np.arange(admitted) - np.repeat(np.cumsum(jobs_per_worker) - jobs_per_worker, jobs_per_worker)
+        waits = ((np.repeat(tails, jobs_per_worker) + positions * service_s) - now) * 1000.0
+        stats.wait_ms_total = float(np.add.accumulate(np.concatenate(([stats.wait_ms_total], waits)))[-1])
+
+        # One run per worker.  Job `position` queues behind `live + position` others.
         for index, jobs in enumerate(assigned):
             if not jobs:
                 continue
             schedule = self._schedules[index]
-            tail = tails[index]
-            self._commit(schedule, len(schedule.ends), 0, tail, service_s, jobs)
-            for position in range(jobs):
-                wait_ms_total += ((tail + position * service_s) - now) * 1000.0
+            self._commit(schedule, len(schedule.ends), 0, tails[index], service_s, jobs)
             stats.depth_total += jobs * lives[index] + jobs * (jobs - 1) // 2
             stats.max_depth = max(stats.max_depth, lives[index] + jobs - 1)
             stats.served += jobs
             stats.busy_ms += jobs * service_ms
-        stats.wait_ms_total = wait_ms_total
         return (admitted, dropped)

@@ -353,6 +353,24 @@ class TestSetOrderSums:
         failures = self._checker().findings(tmp_path)
         assert [failure.split(": ")[0] for failure in failures] == ["src/repro/counts.py:8"]
 
+    def test_checker_flags_reassociating_reductions_in_the_simulation_layer(self, tmp_path):
+        """The queue's batch waits feed byte-gated stats: they must fold left
+        to right, which np.cumsum does and np.sum (pairwise) does not."""
+        source = (
+            "import numpy as np\n"
+            "def waits(terms, total):\n"
+            "    return float(np.cumsum(np.concatenate(([total], terms)))[-1])\n"
+            "def pairwise(terms, total):\n"
+            "    return total + np.sum(terms)\n"  # line 5
+        )
+        for layer in ("simulation", "services"):
+            package = tmp_path / layer / "src" / "repro" / layer
+            package.mkdir(parents=True)
+            (package / "fold.py").write_text(source)
+        flagged = [failure.split(": ")[0] for failure in self._checker().findings(tmp_path / "simulation")]
+        assert flagged == ["src/repro/simulation/fold.py:5"]
+        assert self._checker().findings(tmp_path / "services") == []
+
 
 class TestMemoBounds:
     """The memo bound checker the lint stage runs: clean on the real tree,

@@ -9,6 +9,8 @@ on the same fleet experiments.
 from __future__ import annotations
 
 import math
+import random
+import sys
 from bisect import bisect_right, insort
 
 import pytest
@@ -23,6 +25,7 @@ from repro.simulation.queueing import (
     ServerOverloadedError,
     ServerQueue,
     ServiceTimeModel,
+    _WorkerSchedule,
 )
 from repro.worldgen.scenario import build_scenario
 
@@ -472,6 +475,117 @@ class OracleQueue:
         return (admitted, dropped)
 
 
+# --------------------------------------------------------------------------
+# Reference walk: the per-span admission the counts and the gap index replaced.
+#
+# ``_WorkerSchedule.place`` and ``live_count`` answer by lookup.  The bodies
+# below are the walks they replaced, verbatim: ``walk_place`` visits every
+# live job (a run in one step where its ``jump_above`` allows) and
+# ``walk_live_count`` counts them one span at a time.  ``CheckedSchedule``
+# asks both on every call a queue makes and requires ``==``.
+# --------------------------------------------------------------------------
+
+
+def walk_first_live(run: tuple[float, float, int, int, float], now: float) -> int:
+    base, service_s, lo, hi, _ = run
+    job = lo
+    if service_s > 0.0 and now > base:
+        job = int(max(lo, min(hi - 1, (now - base) / service_s - 1.0)))
+    while (base + job * service_s) + service_s <= now:
+        job += 1
+    while job > lo and (base + (job - 1) * service_s) + service_s > now:
+        job -= 1
+    return job
+
+
+def walk_live_count(schedule: _WorkerSchedule, now: float) -> int:
+    first = bisect_right(schedule.ends, now)
+    live = 0
+    for index in range(first, len(schedule.ends)):
+        run = schedule.runs[index]
+        if run is None:
+            live += 1
+        else:
+            live += run[3] - (run[2] if index > first else walk_first_live(run, now))
+    return live
+
+
+def walk_place(
+    schedule: _WorkerSchedule, now: float, service_s: float, capacity: int
+) -> tuple[float, int, int, int] | None:
+    starts, ends, runs = schedule.starts, schedule.ends, schedule.runs
+    first = bisect_right(ends, now)
+    cursor = now
+    queued_behind = 0
+    for index in range(first, len(ends)):
+        run = runs[index]
+        if run is None:
+            if starts[index] - cursor >= service_s:
+                return cursor, queued_behind, index, 0
+            if ends[index] > cursor:
+                cursor = ends[index]
+                queued_behind += 1
+        else:
+            base, run_service_s, lo, hi, jump_above = run
+            job = lo if index > first else walk_first_live(run, now)
+            start = base + job * run_service_s
+            if service_s > jump_above and start - cursor < service_s and start + run_service_s > cursor:
+                cursor = ends[index]
+                queued_behind += hi - job
+                job = hi
+            while job < hi and queued_behind < capacity:
+                start = base + job * run_service_s
+                if start - cursor >= service_s:
+                    return cursor, queued_behind, index, job
+                if start + run_service_s > cursor:
+                    cursor = start + run_service_s
+                    queued_behind += 1
+                job += 1
+        if queued_behind >= capacity:
+            return None
+    return cursor, queued_behind, len(ends), 0
+
+
+class CheckedSchedule(_WorkerSchedule):
+    """A schedule whose every ``place`` / ``live_count`` answer is the walk's."""
+
+    def place(self, now, service_s, capacity):
+        placed = super().place(now, service_s, capacity)
+        assert placed == walk_place(self, now, service_s, capacity)
+        return placed
+
+    def live_count(self, now):
+        live = super().live_count(now)
+        assert live == walk_live_count(self, now)
+        return live
+
+
+def checked(queue: ServerQueue) -> ServerQueue:
+    """``queue`` with walk-checked schedules; a batch's inlined live counts
+    are checked against the walk before each ``phantom_arrivals``."""
+    queue._schedules = [CheckedSchedule() for _ in range(queue.workers)]
+    admit = queue.phantom_arrivals
+
+    def phantom_arrivals(kind, count):
+        for schedule in queue._schedules:
+            schedule.live_count(queue.network.clock.now())
+        return admit(kind, count)
+
+    queue.phantom_arrivals = phantom_arrivals
+    return queue
+
+
+def assert_indexes_consistent(schedule: _WorkerSchedule) -> None:
+    """Counts, job total and marks agree with the spans they index."""
+    assert len(schedule.counts) == len(schedule.marks) == len(schedule.ends)
+    assert schedule.counts == [1 if run is None else run[3] - run[2] for run in schedule.runs]
+    assert schedule.jobs == sum(schedule.counts)
+    # Mark 0 is never read (the walk resolves the first live span) and goes
+    # stale when a prune removes its predecessor.
+    marks = [bisect_right(schedule.levels, schedule._stop_at(index)) for index in range(1, len(schedule.ends))]
+    assert list(schedule.marks[1:]) == marks
+
+
 KINDS = ("search", "routing", "tiles")
 
 # Any non-negative service time, weighted toward round configured values and
@@ -503,7 +617,7 @@ queue_ops = st.one_of(
 
 def make_pair(workers: int, capacity: int, kind_ms: tuple[float, ...]) -> tuple[ServerQueue, OracleQueue]:
     model = ServiceTimeModel(per_kind_ms=dict(zip(KINDS, kind_ms)))
-    queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
+    queue = checked(ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers))
     oracle = OracleQueue(SimulatedNetwork(), model, capacity, workers)
     return queue, oracle
 
@@ -661,7 +775,9 @@ class QueueMachine(RuleBasedStateMachine):
     def build(self, shape):
         workers, capacity, kind_ms = shape
         model = ServiceTimeModel(per_kind_ms=dict(zip(KINDS, kind_ms)))
-        self.queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
+        self.queue = checked(
+            ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
+        )
         self.unpruned = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
         self.unpruned._prune_above = 10**9
         self.high_water = 0.0
@@ -689,6 +805,8 @@ class QueueMachine(RuleBasedStateMachine):
         assert self.queue.depth == self.unpruned.depth
         assert self.queue.busy_until == self.unpruned.busy_until
         assert self.queue._stored_spans == sum(len(s.runs) for s in self.queue._schedules)
+        for schedule in self.queue._schedules:
+            assert_indexes_consistent(schedule)
 
     @invariant()
     def worker_runs_never_overlap(self):
@@ -703,3 +821,197 @@ class QueueMachine(RuleBasedStateMachine):
 
 QueueMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 TestQueueMachine = QueueMachine.TestCase
+
+
+# Service times (seconds) a schedule is probed with: configured-looking values,
+# zero, and one below an ulp of the clock that fits between a run's jobs.
+SCHEDULE_SERVICES = (0.0, 1e-15, 1e-4, 0.0005, 0.0015, 0.004)
+
+
+class ScheduleMachine(RuleBasedStateMachine):
+    """One worker schedule driven as a queue drives it — placements committed
+    where ``place`` puts them, batches appended at the tail, prunes — and
+    probed between moves, at instants on its own span boundaries and at
+    service times tied to its own gaps: exactly a gap, and one ulp either
+    side.  Every ``place`` / ``live_count`` answer is the walk's."""
+
+    @initialize(capacity=st.integers(min_value=1, max_value=12))
+    def build(self, capacity):
+        self.schedule = CheckedSchedule()
+        self.capacity = capacity
+
+    def _instant(self, data) -> float:
+        bounds = self.schedule.starts + self.schedule.ends
+        drawn = st.floats(min_value=0.0, max_value=0.02, allow_nan=False)
+        return data.draw(st.sampled_from(bounds) | drawn if bounds else drawn)
+
+    def _tied(self, data) -> list[float]:
+        """A stored gap and its two float neighbours (the non-negative ones)."""
+        schedule = self.schedule
+        if len(schedule.ends) < 2:
+            return []
+        index = data.draw(st.integers(min_value=1, max_value=len(schedule.ends) - 1))
+        gap = schedule.starts[index] - schedule.ends[index - 1]
+        return [s for s in (gap, math.nextafter(gap, -math.inf), math.nextafter(gap, math.inf)) if s >= 0.0]
+
+    @rule(data=st.data(), tied=st.booleans())
+    def admit(self, data, tied):
+        choices = (self._tied(data) if tied else []) or list(SCHEDULE_SERVICES)
+        service_s = data.draw(st.sampled_from(choices))
+        placed = self.schedule.place(self._instant(data), service_s, self.capacity)
+        if placed is not None:
+            start, _, span, job = placed
+            self.schedule.insert(span, job, start, service_s, 1)
+
+    @rule(data=st.data(), service_s=st.sampled_from(SCHEDULE_SERVICES), jobs=st.integers(min_value=1, max_value=9))
+    def batch(self, data, service_s, jobs):
+        ends = self.schedule.ends
+        tail = max(self._instant(data), ends[-1] if ends else 0.0)
+        self.schedule.insert(len(ends), 0, tail, service_s, jobs)
+
+    @rule(data=st.data())
+    def prune(self, data):
+        self.schedule.prune(self._instant(data))
+
+    @rule(data=st.data(), capacity=st.integers(min_value=1, max_value=12))
+    def probe(self, data, capacity):
+        now = self._instant(data)
+        for service_s in self._tied(data) + list(SCHEDULE_SERVICES):
+            self.schedule.place(now, service_s, capacity)
+        self.schedule.live_count(now)
+
+    @invariant()
+    def indexes_agree_with_the_spans(self):
+        assert_indexes_consistent(self.schedule)
+
+
+ScheduleMachine.TestCase.settings = settings(max_examples=80, stateful_step_count=30, deadline=None)
+TestScheduleMachine = ScheduleMachine.TestCase
+
+
+class TestAdmissionByLookup:
+    """``place`` / ``live_count`` answer by lookup, the walk's answers exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workers=st.integers(min_value=1, max_value=3),
+        capacity=st.integers(min_value=1, max_value=4),
+        kind_ms=st.tuples(*[st.sampled_from([0.5, 1.5, 2.5, 4.0, 1000.0 / 3.0])] * 3),
+        bursts=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=0.05, allow_nan=False), st.lists(st.sampled_from(KINDS))),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_saturated_bursts_match_the_oracle(self, workers, capacity, kind_ms, bursts):
+        """Saturated workers: every burst ends with twice as many same-kind
+        requests at one instant as all workers together may hold, so at
+        least half of those are shed."""
+        queue, oracle = make_pair(workers, capacity, kind_ms)
+        for instant, kinds in bursts:
+            for kind in kinds + ["search"] * (2 * workers * capacity):
+                for side in (queue, oracle):
+                    side.network.clock.rewind_to(min(instant, side.network.clock.now()))
+                    side.network.clock.advance_to(instant)
+                assert apply_op(queue, ("process", kind), 0.0) == apply_op(oracle, ("process", kind), 0.0)
+            assert queue.stats == oracle.stats
+        assert queue.stats.dropped >= workers * capacity * len(bursts)
+
+    def test_count_budget_on_a_saturated_worker(self):
+        """Python lines run per ``place`` on one worker at capacity 512
+        holding 400+ live single jobs separated by mixed gaps stay within
+        ``C * log2(spans) + K`` — the walk ran several lines per live span."""
+        C, K = 2, 36
+        schedule = CheckedSchedule()
+        rng = random.Random(12)
+        services = (0.0005, 0.0015, 0.0025, 0.004)
+        # 300 arrivals 4 ms apart leave gaps of 0-3.5 ms; then a burst at one
+        # instant packs the worker back to back until its buffer is full.
+        arrivals = [0.2 + 0.004 * k for k in range(300)] + [1.5] * 600
+        for arrival in arrivals:
+            service_s = rng.choice(services)
+            placed = schedule.place(arrival, service_s, 512)
+            if placed is not None:
+                start, _, span, job = placed
+                schedule.insert(span, job, start, service_s, 1)
+        probes = [(rng.uniform(0.0, 1.6), rng.choice(services)) for _ in range(200)]
+        for now, service_s in probes:  # every level indexed, answers checked against the walk
+            schedule.place(now, service_s, 512)
+        assert all(run is None for run in schedule.runs)
+        assert schedule.live_count(0.0) >= 800 and schedule.live_count(1.5) >= 400
+
+        lines = 0
+        outcomes = set()
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if frame.f_code.co_filename.endswith("queueing.py"):
+                if event == "line":
+                    lines += 1
+                return count_lines
+            return None
+
+        for now, service_s in probes:
+            spans = len(schedule.ends) - bisect_right(schedule.ends, now)
+            lines = 0
+            sys.settrace(count_lines)
+            try:
+                placed = _WorkerSchedule.place(schedule, now, service_s, 512)
+            finally:
+                sys.settrace(None)
+            outcomes.add("rejected" if placed is None else "tail" if placed[2] == len(schedule.ends) else "gap")
+            assert lines <= C * math.log2(spans) + K, (lines, spans)
+        assert {"rejected", "gap"} <= outcomes
+
+
+    def test_a_256th_service_time_starts_the_levels_over(self):
+        """A mark is one byte, so a worker indexes at most 255 service times;
+        the next one re-indexes it from that level alone."""
+        schedule = CheckedSchedule()
+        for k in range(40):  # gaps from 2 ms down to 1.6 ms
+            schedule.insert(len(schedule.ends), 0, 0.003 * k, 0.001 + 0.00001 * k, 1)
+        for k in range(300):
+            schedule.place(0.0, k * 1e-5, 64)
+        assert len(schedule.levels) == 300 - 255
+        assert_indexes_consistent(schedule)
+
+
+class TestQueueConfigValidation:
+    """Bad queue configs fail at construction, and the message names the field."""
+
+    @pytest.mark.parametrize("ms", [math.nan, math.inf, -1.0])
+    def test_default_ms(self, ms):
+        with pytest.raises(ValueError, match=r"ServiceTimeModel\.default_ms"):
+            ServiceTimeModel(default_ms=ms)
+
+    @pytest.mark.parametrize("ms", [math.nan, math.inf, -0.5])
+    def test_per_kind_ms(self, ms):
+        with pytest.raises(ValueError, match=r"ServiceTimeModel\.per_kind_ms\['search'\]"):
+            ServiceTimeModel(per_kind_ms={"tiles": 0.5, "search": ms})
+
+    @pytest.mark.parametrize("capacity", [2.5, True, math.inf, 0])
+    def test_queue_capacity(self, capacity):
+        with pytest.raises(ValueError, match=r"ServerQueue\.capacity"):
+            ServerQueue(network=SimulatedNetwork(), capacity=capacity)
+
+    @pytest.mark.parametrize("workers", [1.0, True, 0])
+    def test_queue_workers(self, workers):
+        with pytest.raises(ValueError, match=r"ServerQueue\.workers"):
+            ServerQueue(network=SimulatedNetwork(), workers=workers)
+
+    @pytest.mark.parametrize("capacity", [2.5, math.inf, 0])
+    def test_federation_server_queue_capacity(self, capacity):
+        with pytest.raises(ValueError, match="server_queue_capacity"):
+            FederationConfig(server_queue_capacity=capacity)
+
+    @pytest.mark.parametrize("workers", [2.0, False, -1])
+    def test_federation_server_workers(self, workers):
+        with pytest.raises(ValueError, match="server_workers"):
+            FederationConfig(server_workers=workers)
+
+    @pytest.mark.parametrize("count", [2.5, True, -1])
+    def test_phantom_count(self, count):
+        queue = ServerQueue(network=SimulatedNetwork())
+        with pytest.raises(ValueError, match="phantom_arrivals count"):
+            queue.phantom_arrivals("search", count)
+        assert queue.stats == QueueStats()
