@@ -2,7 +2,7 @@
 
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache, LruStats
-from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, percentile
+from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
 from repro.simulation.network import (
     LatencyModel,
     NetworkStats,
@@ -30,5 +30,6 @@ __all__ = [
     "SimulatedClock",
     "SimulatedNetwork",
     "Summary",
+    "float_sum",
     "percentile",
 ]

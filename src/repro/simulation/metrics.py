@@ -5,7 +5,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """``values`` summed left to right, one rounding per addition.
+
+    What builtin ``sum()`` returns on CPython up to 3.11; 3.12 compensates
+    the rounding error of a float sum, so the same vector can sum to a
+    different last bit there.  Sums that reach a byte-gated artifact use
+    this instead, so the artifact is the same on either interpreter.
+    """
+    return reduce(add, values, 0)
 
 
 @dataclass
@@ -131,8 +144,13 @@ class Histogram:
     _maximum: float = field(default=-math.inf, repr=False, compare=False)
 
     def observe(self, value: float, weight: float = 1.0) -> None:
-        if weight < 0.0:
-            raise ValueError("observation weight cannot be negative")
+        # A NaN value lands in no bucket in order and a NaN or infinite
+        # weight poisons every total, so both fail here; an infinite value
+        # is an observation (it lands in the overflow bucket).
+        if value != value:
+            raise ValueError(f"histogram {self.name!r} cannot observe value {value!r}")
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"histogram {self.name!r} weight must be finite and >= 0, got {weight!r}")
         if self.streaming:
             if weight == 0.0:
                 return
@@ -152,6 +170,9 @@ class Histogram:
         self._sorted = None
 
     def observe_many(self, values: Iterable[float]) -> None:
+        values = list(values)
+        if any(value != value for value in values):  # before any is observed
+            raise ValueError(f"histogram {self.name!r} cannot observe value nan")
         if self.streaming:
             for value in values:
                 self.observe(value)
@@ -169,7 +190,7 @@ class Histogram:
     def mean(self) -> float:
         if self.streaming:
             return self._weighted_sum / self._total_weight if self._total_weight else 0.0
-        return sum(self.values) / len(self.values) if self.values else 0.0
+        return float_sum(self.values) / len(self.values) if self.values else 0.0
 
     def quantile(self, fraction: float) -> float:
         """The ``fraction`` percentile of the observations (0.0 when empty).

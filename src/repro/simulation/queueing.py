@@ -47,6 +47,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.simulation.metrics import float_sum
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports nothing here)
     from repro.simulation.network import SimulatedNetwork
 
@@ -65,10 +67,10 @@ def load_cv(values: Sequence[float]) -> float:
     """
     if len(values) < 2:
         return 0.0
-    mean = sum(values) / len(values)
+    mean = float_sum(values) / len(values)
     if mean <= 0.0:
         return 0.0
-    variance = sum((value - mean) ** 2 for value in values) / len(values)
+    variance = float_sum((value - mean) ** 2 for value in values) / len(values)
     return math.sqrt(variance) / mean
 
 
@@ -185,6 +187,8 @@ class _WorkerSchedule:
     this worker has been asked to place, ascending) that the walk cannot
     pass over span ``i`` in one step (:meth:`_stop_at`), so the next span a
     placement must look at is one ``translate`` + ``find`` away.
+    ``last_stop`` is the index of the last span with a nonzero mark (-1 when
+    none is), which is what :meth:`bound` reads.
     """
 
     starts: list[float] = field(default_factory=list)
@@ -194,6 +198,7 @@ class _WorkerSchedule:
     jobs: int = 0
     marks: bytearray = field(default_factory=bytearray)
     levels: list[float] = field(default_factory=list)
+    last_stop: int = -1
     _stops: dict[float, bytes] = field(default_factory=dict, repr=False)
     """Per level, the :func:`_stop_table` of its rank."""
 
@@ -206,6 +211,7 @@ class _WorkerSchedule:
         cut = bisect_right(self.ends, cutoff)
         self.jobs -= self._jobs(0, cut)
         del self.starts[:cut], self.ends[:cut], self.runs[:cut], self.counts[:cut], self.marks[:cut]
+        self.last_stop = max(-1, self.last_stop - cut)
         return cut
 
     def _jobs(self, lo: int, hi: int) -> int:
@@ -259,6 +265,7 @@ class _WorkerSchedule:
             self.levels.clear()
         insort(self.levels, service_s)
         self.marks = bytearray(bisect_right(self.levels, self._stop_at(index)) for index in range(len(self.ends)))
+        self.last_stop = len(self.marks.rstrip(b"\0")) - 1
         self._stops = {level: _stop_table(rank) for rank, level in enumerate(self.levels)}
         return self._stops[service_s]
 
@@ -334,6 +341,35 @@ class _WorkerSchedule:
                 index = after
         return cursor, queued_behind, spans, 0
 
+    def bound(self, now: float, service_s: float) -> float | None:
+        """The start :meth:`place` would return, when it is known without a walk.
+
+        ``now`` for an idle worker.  Otherwise the tail, when the walk is
+        certain to step over every live span: no span after ``L = max(0,
+        last_stop)`` stops it for any indexed level, and span ``L`` has
+        either completed by ``now`` or is the first live span and the walk
+        steps over it from ``now`` — the gap before it cannot hold
+        ``service_s`` and it is not a run ``service_s`` may not jump.  Then
+        :meth:`place` answers the tail, or ``None`` when the worker is full.
+        ``None`` means only :meth:`place` can say: the first live span may
+        hold a gap, or ``service_s`` is not indexed yet, and indexing it may
+        raise marks this reads as zero.
+        """
+        ends = self.ends
+        if not ends or ends[-1] <= now:
+            return now
+        if service_s not in self._stops:
+            return None
+        last = self.last_stop if self.last_stop > 0 else 0
+        if ends[last] <= now:
+            return ends[-1]
+        if last and ends[last - 1] > now:
+            return None
+        run = self.runs[last]
+        if self.starts[last] - now < service_s and (run is None or service_s > run[4]):
+            return ends[-1]
+        return None
+
     def insert(self, index: int, job: int, base: float, service_s: float, count: int) -> int:
         """Commit ``count`` back-to-back jobs before ``job`` of span ``index``.
 
@@ -344,6 +380,7 @@ class _WorkerSchedule:
         predecessor, so it keeps the run's mark too.
         """
         starts, ends, runs, counts, marks = self.starts, self.ends, self.runs, self.counts, self.marks
+        last_stop, at = self.last_stop, index
         added = 1
         run = runs[index] if index < len(runs) else None
         if run is not None and job > run[2]:
@@ -371,6 +408,15 @@ class _WorkerSchedule:
         marks.insert(index, bisect_right(levels, self._stop_at(index)))
         if index + 1 < len(starts):
             marks[index + 1] = bisect_right(levels, self._stop_at(index + 1))
+        # Only the marks of the new span and the one after it changed.
+        if last_stop > at:  # a later stop, shifted
+            self.last_stop = last_stop + added
+        elif index + 1 < len(starts) and marks[index + 1]:
+            self.last_stop = index + 1
+        elif marks[index]:
+            self.last_stop = index
+        elif last_stop == at and added == 1:  # the stop was re-marked to zero
+            self.last_stop = len(marks[:index].rstrip(b"\0")) - 1
         return added
 
 
@@ -482,6 +528,41 @@ class ServerQueue:
             "kinds": {kind: float(count) for kind, count in self.kind_totals.items()},
         }
 
+    def _choose(self, now: float, service_s: float) -> tuple[tuple[float, int, int, int] | None, int]:
+        """The placement ``process`` commits and its worker's index.
+
+        The lowest ``(start, index)`` over the workers that admit the
+        request, asking few of them: worker 0 first, then (unless it starts
+        at ``now``, which nothing beats) each worker whose
+        :meth:`_WorkerSchedule.bound` is unknown or idle, in index order,
+        and last the rest — whose start is their tail — in ``(tail,
+        index)`` order, until the next cannot beat the best so far.  Those
+        are asked only whether they have room.
+        """
+        schedules, capacity = self._schedules, self.capacity
+        best, chosen = schedules[0].place(now, service_s, capacity), 0
+        if self.workers == 1 or (best is not None and best[0] <= now):
+            return best, chosen
+        tails = []
+        for index in range(1, self.workers):
+            schedule = schedules[index]
+            bound = schedule.bound(now, service_s)
+            if bound is not None and bound > now:
+                tails.append((bound, index))
+                continue
+            placed = schedule.place(now, service_s, capacity)
+            if placed is not None and (best is None or placed[0] < best[0]):
+                best, chosen = placed, index
+                if placed[0] <= now:
+                    return best, chosen
+        heapify(tails)
+        while tails and (best is None or tails[0] < (best[0], chosen)):
+            index = heappop(tails)[1]
+            placed = schedules[index].place(now, service_s, capacity)
+            if placed is not None:
+                return placed, index
+        return best, chosen
+
     def process(self, kind: str) -> float:
         """Admit one request, wait out the backlog, and serve it.
 
@@ -499,13 +580,7 @@ class ServerQueue:
         service_ms = self.service_times.service_ms(kind)
         service_s = service_ms / 1000.0
 
-        best: tuple[float, int, int, int] | None = None
-        for schedule in self._schedules:
-            placed = schedule.place(now, service_s, self.capacity)
-            if placed is not None and (best is None or placed[0] < best[0]):
-                best, best_schedule = placed, schedule
-                if placed[0] <= now:
-                    break  # an idle worker cannot be beaten
+        best, chosen = self._choose(now, service_s)
         if best is None:
             self.stats.dropped += 1
             raise ServerOverloadedError(
@@ -519,7 +594,7 @@ class ServerQueue:
             self.stats.max_depth = queued_behind
 
         wait_ms = (start - now) * 1000.0
-        self._commit(best_schedule, span, job, start, service_s, 1)
+        self._commit(self._schedules[chosen], span, job, start, service_s, 1)
 
         self.stats.served += 1
         self.stats.busy_ms += service_ms

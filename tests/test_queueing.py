@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from bisect import bisect_right, insort
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -547,7 +548,14 @@ def walk_place(
 
 
 class CheckedSchedule(_WorkerSchedule):
-    """A schedule whose every ``place`` / ``live_count`` answer is the walk's."""
+    """A schedule whose every ``place`` / ``live_count`` answer is the walk's,
+    and whose every known ``bound`` is the start of a walk that cannot fill."""
+
+    def bound(self, now, service_s):
+        bound = super().bound(now, service_s)
+        if bound is not None:
+            assert bound == walk_place(self, now, service_s, self.jobs + 1)[0]
+        return bound
 
     def place(self, now, service_s, capacity):
         placed = super().place(now, service_s, capacity)
@@ -584,6 +592,7 @@ def assert_indexes_consistent(schedule: _WorkerSchedule) -> None:
     # stale when a prune removes its predecessor.
     marks = [bisect_right(schedule.levels, schedule._stop_at(index)) for index in range(1, len(schedule.ends))]
     assert list(schedule.marks[1:]) == marks
+    assert schedule.last_stop == max([index for index, mark in enumerate(schedule.marks) if mark], default=-1)
 
 
 KINDS = ("search", "routing", "tiles")
@@ -877,7 +886,9 @@ class ScheduleMachine(RuleBasedStateMachine):
     def probe(self, data, capacity):
         now = self._instant(data)
         for service_s in self._tied(data) + list(SCHEDULE_SERVICES):
+            self.schedule.bound(now, service_s)
             self.schedule.place(now, service_s, capacity)
+            self.schedule.bound(now, service_s)
         self.schedule.live_count(now)
 
     @invariant()
@@ -974,6 +985,62 @@ class TestAdmissionByLookup:
             schedule.place(0.0, k * 1e-5, 64)
         assert len(schedule.levels) == 300 - 255
         assert_indexes_consistent(schedule)
+
+
+@dataclass
+class CountingSchedule(CheckedSchedule):
+    """A checked schedule that counts the ``place`` calls made on it."""
+
+    calls: int = 0
+
+    def place(self, now, service_s, capacity):
+        self.calls += 1
+        return super().place(now, service_s, capacity)
+
+
+class TestProbeBudget:
+    """``process`` asks few workers' ``place``: the ones whose ``bound`` is
+    unknown, and the ones ordered by tail that can still win."""
+
+    def test_fleet_shaped_rounds_probe_few_workers(self):
+        """The cohort path's shape at its worker count: 100 workers at
+        capacity 512; each tracer arrives a client's round trip after the
+        round starts, and its batch of the same kind lands back at the round
+        start, behind everything queued (the engine rewinds to charge it).
+        Scanning the workers until one is idle asked ≈ 96 per arrival here."""
+        model = ServiceTimeModel(per_kind_ms={"search": 1.5, "routing": 4.0, "tiles": 0.5})
+        queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=512, workers=100)
+        queue._schedules = [CountingSchedule() for _ in range(queue.workers)]
+        clock = queue.network.clock
+        for step in range(3):
+            round_start = step * 2.0
+            for tracer in range(64):
+                clock.rewind_to(min(clock.now(), round_start))
+                clock.advance_to(round_start + 0.05 + 0.0003 * tracer)
+                kind = KINDS[tracer % 3]
+                apply_op(queue, ("process", kind), 0.0)
+                clock.rewind_to(round_start)
+                queue.phantom_arrivals(kind, 900)
+            clock.advance_to(round_start + 2.0)
+        arrivals = sum(queue.kind_arrivals.values())
+        assert arrivals == 192 and queue.stats.dropped > 0
+        assert sum(schedule.calls for schedule in queue._schedules) / arrivals <= 4.0
+
+    def test_equal_tails_go_to_the_lower_index(self):
+        """Workers 1 and 2 both start the request at their common tail.
+        Worker 2 has never placed this service time, so its bound is unknown
+        and it is asked first; worker 1 is known to start at its tail and is
+        asked after it.  The lower index still wins the tie."""
+        queue = checked(ServerQueue(network=SimulatedNetwork(), capacity=4, workers=3))
+        service_s = queue.service_times.service_ms("search") / 1000.0
+        worker_0, worker_1, worker_2 = queue._schedules
+        worker_0.insert(0, 0, 0.0, 0.005, 1)
+        for schedule in (worker_1, worker_2):
+            schedule.insert(0, 0, 0.0, 0.003, 1)
+        worker_1.place(0.0, service_s, queue.capacity)  # indexes the level
+        assert worker_1.bound(0.0, service_s) == 0.003 and worker_2.bound(0.0, service_s) is None
+        assert queue.process("search") == 3.0 + 2.0
+        assert [schedule.jobs for schedule in queue._schedules] == [1, 2, 1]
 
 
 class TestQueueConfigValidation:

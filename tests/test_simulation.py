@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import builtins
 import math
+import sys
 
 import pytest
 
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache
-from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, percentile
+from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
 from repro.simulation.network import LatencyModel, SimulatedNetwork
+from repro.simulation.queueing import load_cv
 
 
 class TestClock:
@@ -329,6 +332,95 @@ class TestStreamingHistogram:
         registry = MetricsRegistry(streaming_histograms=True)
         assert registry.histogram("lat").streaming is True
         assert MetricsRegistry().histogram("lat").streaming is False
+
+
+class TestHistogramRejectsPoison:
+    """A value or weight that would poison every later statistic fails at
+    ``observe``, naming what was passed, in both storage modes."""
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_nan_value(self, streaming):
+        histogram = Histogram("x", streaming=streaming)
+        with pytest.raises(ValueError, match="value nan"):
+            histogram.observe(math.nan)
+        with pytest.raises(ValueError, match="value nan"):
+            histogram.observe_many([1.0, math.nan])
+        histogram.observe(7.0)
+        assert (histogram.count, histogram.p50) == (1, 7.0)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_nan_weight(self, streaming):
+        histogram = Histogram("x", streaming=streaming)
+        with pytest.raises(ValueError, match="weight .*nan"):
+            histogram.observe(7.0, weight=math.nan)
+        assert histogram.count == 0 and histogram.mean == 0.0
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_infinite_weight(self, streaming):
+        histogram = Histogram("x", streaming=streaming)
+        with pytest.raises(ValueError, match="weight .*inf"):
+            histogram.observe(7.0, weight=math.inf)
+        assert histogram.count == 0 and histogram.mean == 0.0
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_negative_weight(self, streaming):
+        histogram = Histogram("x", streaming=streaming)
+        with pytest.raises(ValueError, match="weight .*-1"):
+            histogram.observe(7.0, weight=-1)
+        assert histogram.count == 0
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_infinite_value_is_still_observed(self, streaming):
+        histogram = Histogram("x", streaming=streaming)
+        histogram.observe(1.0)
+        histogram.observe(math.inf)
+        assert histogram.count == 2 and histogram.mean == math.inf
+
+
+def neumaier_sum(values):
+    """CPython 3.12's builtin ``sum()`` over floats: a Neumaier-compensated
+    fold whose accumulated error is added back once, at the end."""
+    total, compensation = 0.0, 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+class TestFloatSum:
+    """``float_sum`` folds left to right on every interpreter, so sums that
+    reach an artifact do not move with 3.12's compensated ``sum()``."""
+
+    VECTOR = [0.1] * 10 + [1e16, 1.0, 1.0]
+
+    def test_differs_from_the_compensated_sum(self):
+        folded = 0.0
+        for value in self.VECTOR:
+            folded += value
+        assert float_sum(self.VECTOR) == folded == 1e16
+        assert neumaier_sum(self.VECTOR) == 1e16 + 4.0
+        # The emulation is what this interpreter's sum() does, or the fold.
+        expected = neumaier_sum if sys.version_info >= (3, 12) else float_sum
+        assert sum(self.VECTOR) == expected(self.VECTOR)
+
+    def test_sites_that_reach_artifacts_fold(self, monkeypatch):
+        """``load_cv`` (the replica-balance metric in workload snapshots) and
+        an exact histogram's mean, with ``sum()`` behaving as on 3.12."""
+        values = [0.1] * 9 + [0.7]
+        mean = float_sum(values) / len(values)
+        spread = float_sum((value - mean) ** 2 for value in values) / len(values)
+        histogram = Histogram("x")
+        histogram.observe_many(values)
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        assert sum(values) / len(values) != mean
+        assert load_cv(values) == math.sqrt(spread) / mean == 1.1250000000000002
+        assert histogram.mean == mean
 
 
 class TestLruCache:
