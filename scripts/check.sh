@@ -14,9 +14,12 @@
 #             ruff — the docs link checker (a dead relative link in
 #             README.md or docs/ fails), the set-order sum checker (a
 #             float sum iterating a set in src/repro/ fails: its rounding
-#             would follow the process's string-hash seed) and the memo
+#             would follow the process's string-hash seed), the memo
 #             bound checker (functools.cache, lru_cache or LruCache with no
-#             stated bound in src/repro/ fails)
+#             stated bound in src/repro/ fails) and the module reachability
+#             checker (a module under src/repro/ that no entry point in
+#             benchmarks/, perfbench/, scripts/ or examples/ imports, other
+#             than through its own package __init__, fails)
 #
 # With no stage flag every stage runs in order — the local one-command check.
 # Usage: scripts/check.sh [--tier1|--smoke|--lint]...
@@ -104,6 +107,10 @@ if $run_lint; then
   echo
   echo "== lint: memo bounds =="
   python scripts/check_unbounded_memos.py
+
+  echo
+  echo "== lint: module reachability =="
+  python scripts/check_reachable.py
 fi
 
 echo

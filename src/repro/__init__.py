@@ -21,7 +21,7 @@ Quickstart::
     scenario = build_scenario(store_count=1)
     client = scenario.federation.client()
     hits = client.search("seaweed", near=scenario.stores[0].entrance)
-    print(hits.labels())
+    print([hit.label for hit in hits.results])
 """
 
 from repro.core import (
@@ -30,7 +30,6 @@ from repro.core import (
     FederationConfigError,
     OpenFlameClient,
     OpenFlameError,
-    ServiceUnavailableError,
 )
 
 __version__ = "0.1.0"
@@ -41,6 +40,5 @@ __all__ = [
     "FederationConfigError",
     "OpenFlameClient",
     "OpenFlameError",
-    "ServiceUnavailableError",
     "__version__",
 ]

@@ -35,10 +35,6 @@ class PreprocessingReport:
     tiles_prerendered: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
-
 
 @dataclass
 class PreprocessedData:

@@ -95,11 +95,6 @@ class SharedHealthBoard:
     def epoch(self, server_id: str) -> int:
         return self._epochs.get(server_id, 0)
 
-    @property
-    def suspect_count(self) -> int:
-        now = self.clock.now()
-        return sum(1 for until in self._suspect_until.values() if until > now)
-
 
 @dataclass
 class ReplicaHealth:

@@ -78,15 +78,8 @@ class ReplicaGroup:
     def __contains__(self, server_id: str) -> bool:
         return server_id in self._membership
 
-    @property
-    def replica_count(self) -> int:
-        return len(self.server_ids)
-
     def weight_of(self, server_id: str) -> int:
         return self.weights[self.server_ids.index(server_id)]
-
-    def priority_of(self, server_id: str) -> int:
-        return self.priorities[self.server_ids.index(server_id)]
 
     # ------------------------------------------------------------------
     # Live mutation (operator control plane)

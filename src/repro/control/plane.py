@@ -134,9 +134,6 @@ class ControlPlane:
         """Move a server to a (usually lower-numbered) priority tier."""
         return self.federation.set_srv(server_id, priority=priority)
 
-    def is_drained(self, server_id: str) -> bool:
-        return self.federation.srv_of(server_id)[1] == 0
-
     @property
     def pending_events(self) -> int:
         return self._cursor.remaining

@@ -2,11 +2,7 @@
 
 from repro.core.client import OpenFlameClient
 from repro.core.config import FederationConfig
-from repro.core.errors import (
-    FederationConfigError,
-    OpenFlameError,
-    ServiceUnavailableError,
-)
+from repro.core.errors import FederationConfigError, OpenFlameError
 from repro.core.federation import Federation
 
 __all__ = [
@@ -15,5 +11,4 @@ __all__ = [
     "FederationConfigError",
     "OpenFlameClient",
     "OpenFlameError",
-    "ServiceUnavailableError",
 ]

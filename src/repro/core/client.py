@@ -152,19 +152,3 @@ class OpenFlameClient:
             "tiles.misses": float(tile_cache.stats.misses) if tile_cache else 0.0,
             "tiles.hit_rate": tile_cache.stats.hit_rate if tile_cache else 0.0,
         }
-
-    def availability_stats(self) -> dict[str, float]:
-        """This device's failover counters (replica retries under churn)."""
-        recorder = self.context.failover
-        return {
-            "chains": float(recorder.chains),
-            "chains_failed": float(recorder.chains_failed),
-            "failed_chain_rate": recorder.failed_chain_rate,
-            "stale_attempts": float(recorder.stale_attempts),
-            "stale_attempt_rate": recorder.stale_attempt_rate,
-            "failovers": float(recorder.failovers),
-            "backoff_ms_total": recorder.backoff_ms_total,
-            "dead_detections_own": float(recorder.dead_detections_own),
-            "dead_detections_shared": float(recorder.dead_detections_shared),
-            "detect_mean_ms": recorder.detect_mean_ms,
-        }

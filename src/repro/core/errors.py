@@ -9,7 +9,3 @@ class OpenFlameError(Exception):
 
 class FederationConfigError(OpenFlameError):
     """Raised for invalid federation configuration (duplicate servers, bad suffix)."""
-
-
-class ServiceUnavailableError(OpenFlameError):
-    """Raised when no map server can provide a requested service for a region."""

@@ -163,24 +163,6 @@ class Federation:
             self.world_provider_id = server_id
         return server
 
-    def remove_map_server(self, server_id: str) -> None:
-        """Tear down a map server permanently and withdraw its records."""
-        if server_id not in self.servers:
-            raise FederationConfigError(f"map server {server_id!r} is not deployed")
-        del self.servers[server_id]
-        self.registry.deregister(server_id)
-        self._srv_of.pop(server_id, None)
-        self._parked.discard(server_id)
-        if self.world_provider_id == server_id:
-            self.world_provider_id = None
-        group_id = self._group_of.pop(server_id, None)
-        if group_id is not None:
-            group = self.replica_groups.get(group_id)
-            if group is not None and all(
-                sid == server_id or sid not in self._group_of for sid in group.server_ids
-            ):
-                del self.replica_groups[group_id]
-
     def registration_for(self, server_id: str) -> Registration | None:
         return self.registry.registrations.get(server_id)
 

@@ -195,10 +195,6 @@ class Discoverer:
     def device_cache_hits(self) -> int:
         return self.cache.stats.hits
 
-    @property
-    def device_cache_misses(self) -> int:
-        return self.cache.stats.misses
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------

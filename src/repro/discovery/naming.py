@@ -53,11 +53,6 @@ class SpatialNaming:
         token = "".join(reversed(labels))
         return CellId(token)
 
-    def is_spatial_name(self, name: str) -> bool:
-        """True if ``name`` lies under the discovery suffix."""
-        normalized = normalize_name(name)
-        return normalized == self.suffix or normalized.endswith("." + self.suffix)
-
     def ancestor_names(self, cell: CellId) -> list[str]:
         """Domain names of the cell and all of its ancestors, deepest first."""
         names = []

@@ -138,27 +138,6 @@ class DiscoveryRegistry:
             server_id, cells, priority=priority, weight=weight, port=port, target=target
         )
 
-    def update_region(self, server_id: str, region: Polygon) -> Registration:
-        """Re-register a map server for a new coverage region.
-
-        Maps evolve — a store is extended, a campus adds a building.  The
-        update withdraws the old covering records and publishes the new ones;
-        clients keep working throughout because stale cached records only
-        over-approximate coverage until their TTL lapses.
-        """
-        registration = self.registrations.get(server_id)
-        if registration is None:
-            raise ValueError(f"map server {server_id!r} is not registered")
-        self.deregister(server_id)
-        return self.register_region(
-            server_id,
-            region,
-            priority=registration.priority,
-            weight=registration.weight,
-            port=registration.port,
-            target=registration.target,
-        )
-
     def reweight(
         self, server_id: str, priority: int | None = None, weight: int | None = None
     ) -> Registration:

@@ -7,9 +7,7 @@ from repro.dns.records import (
     ResourceRecord,
     SrvData,
     is_subdomain,
-    name_labels,
     normalize_name,
-    parent_name,
     validate_name,
 )
 from repro.dns.resolver import (
@@ -38,8 +36,6 @@ __all__ = [
     "Zone",
     "ZoneError",
     "is_subdomain",
-    "name_labels",
     "normalize_name",
-    "parent_name",
     "validate_name",
 ]

@@ -56,12 +56,6 @@ def validate_name(name: str) -> None:
             raise ValueError(f"invalid DNS label {label!r} in {name!r}")
 
 
-def name_labels(name: str) -> list[str]:
-    """Split a name into labels, least significant (leftmost) first."""
-    normalized = normalize_name(name)
-    return normalized.split(".") if normalized else []
-
-
 def is_subdomain(name: str, zone: str) -> bool:
     """True if ``name`` is within ``zone`` (inclusive)."""
     name_n = normalize_name(name)
@@ -69,14 +63,6 @@ def is_subdomain(name: str, zone: str) -> bool:
     if not zone_n:
         return True
     return name_n == zone_n or name_n.endswith("." + zone_n)
-
-
-def parent_name(name: str) -> str:
-    """The name with its leftmost label removed (empty string for a TLD)."""
-    labels = name_labels(name)
-    if len(labels) <= 1:
-        return ""
-    return ".".join(labels[1:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,9 +78,6 @@ class ResourceRecord:
         object.__setattr__(self, "name", normalize_name(self.name))
         if self.ttl_seconds < 0:
             raise ValueError("TTL must be non-negative")
-
-    def matches(self, name: str, record_type: RecordType) -> bool:
-        return self.name == normalize_name(name) and self.record_type == record_type
 
 
 @dataclass(frozen=True, slots=True)

@@ -52,10 +52,6 @@ class RecursiveResolver:
         if self.cache is None:
             self.cache = DnsCache(clock=self.network.clock)
 
-    def register_server(self, server: NameServer) -> None:
-        """Make an authoritative server reachable by its identifier."""
-        self.servers[server.server_id] = server
-
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------

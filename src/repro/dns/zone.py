@@ -102,22 +102,6 @@ class Zone:
             self._drop_bucket(record.name, record.record_type)
         return True
 
-    def remove_records(self, name: str, record_type: RecordType | None = None) -> int:
-        """Remove records at ``name`` (optionally only of one type); returns count."""
-        name_n = normalize_name(name)
-        types = self._name_index.get(name_n)
-        if not types:
-            return 0
-        doomed = [record_type] if record_type is not None else list(types)
-        removed = 0
-        for key_type in doomed:
-            bucket = self._records.pop((name_n, key_type), None)
-            if bucket is None:
-                continue
-            removed += len(bucket)
-            self._drop_bucket(name_n, key_type)
-        return removed
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

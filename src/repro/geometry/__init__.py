@@ -9,7 +9,6 @@ from repro.geometry.point import (
     EARTH_RADIUS_METERS,
     LatLng,
     LocalPoint,
-    euclidean_distance,
     haversine_distance,
     meters_per_degree_latitude,
     meters_per_degree_longitude,
@@ -32,7 +31,6 @@ __all__ = [
     "SimilarityTransform",
     "alignment_residual_meters",
     "estimate_similarity",
-    "euclidean_distance",
     "haversine_distance",
     "meters_per_degree_latitude",
     "meters_per_degree_longitude",

@@ -124,17 +124,6 @@ class BoundingBox:
             or other.north < self.south
         )
 
-    # ------------------------------------------------------------------
-    # Combinators
-    # ------------------------------------------------------------------
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        return BoundingBox(
-            min(self.south, other.south),
-            min(self.west, other.west),
-            max(self.north, other.north),
-            max(self.east, other.east),
-        )
-
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
         if not self.intersects(other):
             return None

@@ -94,23 +94,6 @@ class LatLng:
         )
         return LatLng.normalized(math.degrees(lat2), math.degrees(lon2))
 
-    def midpoint(self, other: "LatLng") -> "LatLng":
-        """Geographic midpoint between this point and ``other``."""
-        lat1, lon1 = self.latitude_radians, self.longitude_radians
-        lat2, lon2 = other.latitude_radians, other.longitude_radians
-        dlon = lon2 - lon1
-        bx = math.cos(lat2) * math.cos(dlon)
-        by = math.cos(lat2) * math.sin(dlon)
-        lat3 = math.atan2(
-            math.sin(lat1) + math.sin(lat2),
-            math.sqrt((math.cos(lat1) + bx) ** 2 + by**2),
-        )
-        lon3 = lon1 + math.atan2(by, math.cos(lat1) + bx)
-        return LatLng.normalized(math.degrees(lat3), math.degrees(lon3))
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.latitude, self.longitude)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.latitude:.6f}, {self.longitude:.6f})"
 
@@ -137,12 +120,6 @@ class LocalPoint:
             )
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def translated(self, dx: float, dy: float) -> "LocalPoint":
-        return LocalPoint(self.x + dx, self.y + dy, self.frame)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 def haversine_distance(a: LatLng, b: LatLng) -> float:
     """Great-circle distance between two points in meters."""
@@ -155,11 +132,6 @@ def haversine_distance(a: LatLng, b: LatLng) -> float:
     sin_dlon = sin(radians(b.longitude - a.longitude) / 2.0)
     h = sin_dlat * sin_dlat + cos(lat1) * cos(lat2) * sin_dlon * sin_dlon
     return 2.0 * EARTH_RADIUS_METERS * math.asin(min(1.0, math.sqrt(h)))
-
-
-def euclidean_distance(a: LocalPoint, b: LocalPoint) -> float:
-    """Planar distance between two local-frame points in meters."""
-    return a.distance_to(b)
 
 
 def meters_per_degree_latitude() -> float:

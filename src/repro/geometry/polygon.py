@@ -94,13 +94,6 @@ class Polygon:
             total += x1 * y2 - x2 * y1
         return abs(total) / 2.0
 
-    def perimeter_meters(self) -> float:
-        total = 0.0
-        n = len(self.vertices)
-        for i in range(n):
-            total += self.vertices[i].distance_to(self.vertices[(i + 1) % n])
-        return total
-
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------

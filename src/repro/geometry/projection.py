@@ -57,6 +57,3 @@ class LocalProjection:
         lat = self.anchor.latitude + north / meters_per_degree_latitude()
         lng = self.anchor.longitude + east / meters_per_degree_longitude(self.anchor.latitude)
         return LatLng(lat, lng)
-
-    def with_rotation(self, rotation_degrees: float) -> "LocalProjection":
-        return LocalProjection(self.anchor, rotation_degrees, self.frame)

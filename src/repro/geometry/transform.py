@@ -66,21 +66,6 @@ class SimilarityTransform:
             destination_frame=self.source_frame,
         )
 
-    def compose(self, inner: "SimilarityTransform") -> "SimilarityTransform":
-        """The transform equivalent to applying ``inner`` first, then ``self``."""
-        if inner.destination_frame != self.source_frame:
-            raise ValueError(
-                "inner transform destination frame must match outer source frame"
-            )
-        scale = self.scale * inner.scale
-        rotation = self.rotation_radians + inner.rotation_radians
-        tx, ty = self.apply_xy(inner.translation_x, inner.translation_y)
-        return SimilarityTransform(
-            scale, rotation, tx, ty,
-            source_frame=inner.source_frame,
-            destination_frame=self.destination_frame,
-        )
-
     @classmethod
     def identity(cls, frame: str = "local") -> "SimilarityTransform":
         return cls(1.0, 0.0, 0.0, 0.0, source_frame=frame, destination_frame=frame)

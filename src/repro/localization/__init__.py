@@ -24,7 +24,6 @@ from repro.localization.fingerprint import (
 )
 from repro.localization.fusion import LocalizationSelector, ScoredResult
 from repro.localization.imu import DeadReckoningTracker, MotionUpdate, consistency_score
-from repro.localization.particle_filter import ParticleFilter
 
 __all__ = [
     "BEACON_MIN_RSSI_DBM",
@@ -47,7 +46,6 @@ __all__ = [
     "LocalizationSelector",
     "LocationCue",
     "MotionUpdate",
-    "ParticleFilter",
     "ScoredResult",
     "consistency_score",
     "rssi_at_distance",

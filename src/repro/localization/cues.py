@@ -154,15 +154,3 @@ class CueBundle:
         if self.fiducials:
             types.add(CueType.FIDUCIAL)
         return types
-
-    def cue_for(self, cue_type: CueType) -> LocationCue | None:
-        """The cue of the requested type, if the bundle contains one."""
-        if cue_type == CueType.GNSS:
-            return self.gnss
-        if cue_type == CueType.BEACON:
-            return self.beacons
-        if cue_type == CueType.IMAGE:
-            return self.image
-        if cue_type == CueType.FIDUCIAL:
-            return self.fiducials[0] if self.fiducials else None
-        raise ValueError(f"unknown cue type {cue_type}")

@@ -78,17 +78,3 @@ class LocalizationSelector:
         scored = [ScoredResult(r, self.score(r, tracker)) for r in results]
         scored.sort(key=lambda item: item.plausibility, reverse=True)
         return scored
-
-    def select(
-        self,
-        results: list[LocalizationResult],
-        tracker: DeadReckoningTracker | None = None,
-    ) -> ScoredResult | None:
-        """The most plausible result, or None if nothing clears the threshold."""
-        ranked = self.rank(results, tracker)
-        if not ranked:
-            return None
-        best = ranked[0]
-        if best.plausibility < self.min_plausibility:
-            return None
-        return best

@@ -55,10 +55,6 @@ class LocalizationService:
             technologies.add(CueType.GNSS)
         return technologies
 
-    @property
-    def can_localize(self) -> bool:
-        return bool(self.advertised_technologies())
-
     # ------------------------------------------------------------------
     # Localization
     # ------------------------------------------------------------------

@@ -86,12 +86,6 @@ class AccessPolicy:
     private_data_tokens: set[str] = field(default_factory=set)
     checks_performed: int = field(default=0, init=False)
 
-    # ------------------------------------------------------------------
-    # Configuration helpers
-    # ------------------------------------------------------------------
-    def set_rule(self, service: ServiceName, rule: ServiceRule) -> None:
-        self.rules[service] = rule
-
     def restrict_to_domain(self, service: ServiceName, domain: str) -> None:
         """User-level control: only users from ``domain`` may use ``service``."""
         rule = self.rules.setdefault(service, ServiceRule(allow_anonymous=False))

@@ -73,10 +73,6 @@ class RoutingService:
         """The routing graph of the map as it is now."""
         return graph_from_map(self.map_data)
 
-    @property
-    def is_routable(self) -> bool:
-        return self.graph.vertex_count >= 2
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -120,11 +116,6 @@ class RoutingService:
             settled_vertices=settled_vertices,
             map_name=self.map_data.metadata.name,
         )
-
-    def route_between_nodes(self, source: int, target: int, metric: str = "distance") -> Route:
-        """Route between two existing graph vertices (used by tests and benches)."""
-        self.queries_served += 1
-        return self._compute(self.graph, source, target, metric)
 
     def _compute(self, graph: RoutingGraph, source: int, target: int, metric: str) -> Route:
         if self.algorithm == "contraction" and graph.vertex_count > 0:

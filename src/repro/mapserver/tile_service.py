@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.osm.mapdata import MapData
 from repro.tiles.renderer import Tile, TileRenderer
-from repro.tiles.tile_math import TileCoordinate, tiles_for_box
+from repro.tiles.tile_math import TileCoordinate
 
 
 @dataclass
@@ -38,21 +38,3 @@ class TileService:
         """Return the tile at ``coordinate`` (rendered on demand or cached)."""
         self.tiles_served += 1
         return self.renderer.render(coordinate)
-
-    def prerender_coverage(self, zoom: int) -> int:
-        """Pre-render all tiles covering the map at ``zoom``; returns the count."""
-        try:
-            box = self.map_data.bounding_box()
-        except Exception:
-            return 0
-        coordinates = tiles_for_box(box, zoom)
-        self.renderer.prerender(coordinates)
-        return len(coordinates)
-
-    def coverage_tiles(self, zoom: int) -> list[TileCoordinate]:
-        """The tile coordinates needed to cover this map at ``zoom``."""
-        return tiles_for_box(self.map_data.bounding_box(), zoom)
-
-    @property
-    def cache_size(self) -> int:
-        return self.renderer.cache_size

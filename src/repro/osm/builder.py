@@ -78,16 +78,6 @@ class MapBuilder:
         self._next_way_id += 1
         return self._map.add_way(way)
 
-    def add_path(
-        self,
-        locations: list[LatLng],
-        tags: dict[str, str] | None = None,
-        node_tags: dict[str, str] | None = None,
-    ) -> Way:
-        """Create nodes along ``locations`` and join them with a way."""
-        nodes = [self.add_node(loc, node_tags) for loc in locations]
-        return self.add_way(nodes, tags)
-
     def add_relation(
         self,
         members: list[tuple[ElementType, int, str]],

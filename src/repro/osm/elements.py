@@ -51,9 +51,6 @@ class Node:
     tags: dict[str, str] = field(default_factory=dict)
     local_position: LocalPoint | None = None
 
-    def tag(self, key: str, default: str | None = None) -> str | None:
-        return self.tags.get(key, default)
-
     def has_tag(self, key: str, value: str | None = None) -> bool:
         if key not in self.tags:
             return False
@@ -72,18 +69,10 @@ class Way:
     node_ids: list[int] = field(default_factory=list)
     tags: dict[str, str] = field(default_factory=dict)
 
-    def tag(self, key: str, default: str | None = None) -> str | None:
-        return self.tags.get(key, default)
-
     def has_tag(self, key: str, value: str | None = None) -> bool:
         if key not in self.tags:
             return False
         return value is None or self.tags[key] == value
-
-    @property
-    def is_closed(self) -> bool:
-        """True if the way forms a ring (first node equals last node)."""
-        return len(self.node_ids) >= 3 and self.node_ids[0] == self.node_ids[-1]
 
     @property
     def name(self) -> str | None:
@@ -98,16 +87,10 @@ class Relation:
     members: list[ElementRef] = field(default_factory=list)
     tags: dict[str, str] = field(default_factory=dict)
 
-    def tag(self, key: str, default: str | None = None) -> str | None:
-        return self.tags.get(key, default)
-
     def has_tag(self, key: str, value: str | None = None) -> bool:
         if key not in self.tags:
             return False
         return value is None or self.tags[key] == value
-
-    def members_of_type(self, element_type: ElementType) -> list[ElementRef]:
-        return [m for m in self.members if m.element_type == element_type]
 
     @property
     def name(self) -> str | None:

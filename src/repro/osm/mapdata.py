@@ -164,11 +164,6 @@ class MapData(MutableSource):
         """Resolve a way's node references to Node objects, in order."""
         return [self.node(nid) for nid in self.way(way_id).node_ids]
 
-    def way_length_meters(self, way_id: int) -> float:
-        """Length of a way's polyline in meters."""
-        nodes = self.way_nodes(way_id)
-        return sum(a.location.distance_to(b.location) for a, b in zip(nodes, nodes[1:]))
-
     # ------------------------------------------------------------------
     # Coverage and spatial queries
     # ------------------------------------------------------------------
@@ -217,13 +212,6 @@ class MapData(MutableSource):
     # ------------------------------------------------------------------
     def find_nodes_by_tag(self, key: str, value: str | None = None) -> list[Node]:
         return [n for n in self._nodes.values() if n.has_tag(key, value)]
-
-    def find_ways_by_tag(self, key: str, value: str | None = None) -> list[Way]:
-        return [w for w in self._ways.values() if w.has_tag(key, value)]
-
-    def find_nodes_by_name(self, name: str) -> list[Node]:
-        lowered = name.lower()
-        return [n for n in self._nodes.values() if (n.name or "").lower() == lowered]
 
     # ------------------------------------------------------------------
     # Bulk operations

@@ -14,14 +14,12 @@ from repro.routing.shortest_path import (
     astar,
     bidirectional_dijkstra,
     dijkstra,
-    dijkstra_all,
 )
 from repro.routing.stitching import (
     RouteLeg,
     RouteStitcher,
     StitchError,
     StitchedRoute,
-    route_stretch,
 )
 
 __all__ = [
@@ -40,7 +38,5 @@ __all__ = [
     "bidirectional_dijkstra",
     "build_contraction_hierarchy",
     "dijkstra",
-    "dijkstra_all",
     "graph_from_map",
-    "route_stretch",
 ]

@@ -142,17 +142,6 @@ class RoutingGraph(MutableSource):
             snaps.store(point, vertex)
         return vertex
 
-    def path_length_meters(self, path: list[int]) -> float:
-        """Total length of a vertex path using stored edge lengths when available."""
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            edge = next((e for e in self.out_edges(a) if e.target == b), None)
-            if edge is not None:
-                total += edge.length_meters
-            else:
-                total += self.location(a).distance_to(self.location(b))
-        return total
-
     def path_locations(self, path: list[int]) -> list[LatLng]:
         return [self.location(node_id) for node_id in path]
 

@@ -82,26 +82,6 @@ def dijkstra(graph: RoutingGraph, source: int, target: int, metric: str = "dista
     raise NoRouteError(f"no route from {source} to {target}")
 
 
-def dijkstra_all(graph: RoutingGraph, source: int, metric: str = "distance") -> dict[int, float]:
-    """Distances from ``source`` to every reachable vertex (used in tests/benches)."""
-    if not graph.has_vertex(source):
-        raise GraphError(f"unknown vertex {source}")
-    distances = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    settled: set[int] = set()
-    while heap:
-        distance, vertex = heapq.heappop(heap)
-        if vertex in settled:
-            continue
-        settled.add(vertex)
-        for edge in graph.out_edges(vertex):
-            new_distance = distance + edge.cost(metric)
-            if new_distance < distances.get(edge.target, float("inf")):
-                distances[edge.target] = new_distance
-                heapq.heappush(heap, (new_distance, edge.target))
-    return distances
-
-
 def astar(graph: RoutingGraph, source: int, target: int, metric: str = "distance") -> Route:
     """A* search using great-circle distance as an admissible heuristic.
 

@@ -187,14 +187,3 @@ class RouteStitcher:
 
         total_cost = sum(leg.cost for leg in ordered) + connector
         return StitchedRoute(tuple(points), tuple(ordered), connector, total_cost), first_point, current
-
-
-def route_stretch(stitched: StitchedRoute, optimal_meters: float) -> float:
-    """Stretch factor of a stitched route relative to the optimal route length.
-
-    A stretch of 1.0 means the federated route matched the centralized
-    optimum; experiment E5 reports this distribution.
-    """
-    if optimal_meters <= 0:
-        raise ValueError("optimal route length must be positive")
-    return stitched.length_meters() / optimal_meters

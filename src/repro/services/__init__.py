@@ -7,11 +7,6 @@ from repro.services.geocode import (
     FederatedReverseGeocodeResult,
 )
 from repro.services.localization import FederatedLocalizationResult, FederatedLocalizer
-from repro.services.navigation import (
-    NavigationSession,
-    NavigationState,
-    NavigationUpdate,
-)
 from repro.services.routing import (
     FederatedRouteResult,
     FederatedRouter,
@@ -34,8 +29,5 @@ __all__ = [
     "FederatedTileClient",
     "FederatedViewport",
     "FederationContext",
-    "NavigationSession",
-    "NavigationState",
-    "NavigationUpdate",
     "UnknownServerError",
 ]

@@ -30,9 +30,6 @@ class FederatedSearchResult:
     def __len__(self) -> int:
         return len(self.results)
 
-    def labels(self) -> list[str]:
-        return [result.label for result in self.results]
-
 
 @dataclass
 class FederatedSearch:

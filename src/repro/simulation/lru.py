@@ -36,27 +36,15 @@ class MutableSource:
 
     One rule keeps all of that state current.  What is derived is held *in*
     the source, through :meth:`derive`, and every mutation of the source
-    calls :meth:`_changed`, which drops all of it.  Nothing compares
-    versions, so no reader can compare the wrong one; a value lives as long
-    as the source and the state it was derived from.  ``eq=False``: a source
+    calls :meth:`_changed`, which drops all of it.  A value lives as long as
+    the source and the state it was derived from.  ``eq=False``: a source
     keeps its own equality (identity, unless a subclass defines fields).
     """
 
-    _version: int = field(default=0, init=False, repr=False, compare=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def version(self) -> int:
-        """Mutation counter: moves on every change of the source.
-
-        The library never compares it — :meth:`derive` is how anything
-        follows a change — it tells a caller whether a source changed.
-        """
-        return self._version
-
     def _changed(self) -> None:
-        """Record a mutation: bump :attr:`version`, drop everything derived."""
-        self._version += 1
+        """Record a mutation: drop everything derived."""
         self._derived.clear()
 
     def derive(self, key: Hashable, build: Callable[[Any], _Derived]) -> _Derived:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from repro.simulation.clock import SimulatedClock
 
-DEFAULT_LOCAL_LATENCY_MS = 0.1
 DEFAULT_LAN_LATENCY_MS = 1.0
 DEFAULT_WAN_LATENCY_MS = 25.0
 
@@ -72,7 +71,6 @@ class LatencyModel:
     resolver_to_authority_ms: float = DEFAULT_WAN_LATENCY_MS
     client_to_map_server_ms: float = DEFAULT_WAN_LATENCY_MS
     client_to_central_ms: float = DEFAULT_WAN_LATENCY_MS
-    local_compute_ms: float = DEFAULT_LOCAL_LATENCY_MS
     jitter_sigma: float = 0.0
     loss_probability: float = 0.0
     max_retransmits: int = DEFAULT_MAX_RETRANSMITS
@@ -200,15 +198,6 @@ class NetworkFaultState:
 
     def authority_is_down(self, server_id: str) -> bool:
         return server_id in self._authorities_down
-
-    @property
-    def any_active(self) -> bool:
-        return bool(
-            self._blocked_all
-            or self._blocked_regions
-            or self._gray
-            or self._authorities_down
-        )
 
     def active_fault_kinds(self) -> tuple[str, ...]:
         """Fault families currently in force at the network layer, sorted.
@@ -423,11 +412,6 @@ class SimulatedNetwork:
         self.clock.advance_ms(timeout_ms)
         self.stats.record("control.timeout", timeout_ms)
         return timeout_ms
-
-    def local_compute(self) -> float:
-        """Charge a small local computation (no message is counted)."""
-        self.clock.advance_ms(self.latency.local_compute_ms)
-        return self.latency.local_compute_ms
 
     def client_backoff(self, delay_ms: float) -> float:
         """Charge a client-side retry backoff wait (no message is counted).

@@ -52,9 +52,6 @@ class Tape(Generic[E]):
     def servers(self) -> tuple[str, ...]:
         return tuple(sorted({sid for event in self.events for sid in self._servers_of(event)}))
 
-    def events_for(self, server_id: str) -> tuple[E, ...]:
-        return tuple(e for e in self.events if server_id in self._servers_of(e))
-
     @classmethod
     def from_events(cls, events: Iterable[E]):
         """A trace-driven tape from an explicit event list."""

@@ -1,4 +1,4 @@
-"""Hierarchical spatial indexing (S2/H3-like cells, geohash, quadtree, R-tree)."""
+"""Hierarchical spatial indexing (S2-like cells, region coverings, quadtree)."""
 
 from repro.spatialindex.cellid import MAX_LEVEL, CellId
 from repro.spatialindex.covering import (
@@ -9,33 +9,16 @@ from repro.spatialindex.covering import (
     covering_contains_point,
     normalize_covering,
 )
-from repro.spatialindex.geohash import decode, decode_bounds, encode, neighbors
-from repro.spatialindex.hexgrid import (
-    HexCell,
-    edge_length_meters,
-    hex_for_point,
-    hexes_covering_box,
-)
 from repro.spatialindex.quadtree import QuadTree
-from repro.spatialindex.rtree import RTree
 
 __all__ = [
     "MAX_LEVEL",
     "CellId",
     "CoveringOptions",
-    "HexCell",
     "QuadTree",
-    "RTree",
     "RegionCoverer",
     "cells_at_level",
     "covering_area_square_meters",
     "covering_contains_point",
-    "decode",
-    "decode_bounds",
-    "edge_length_meters",
-    "encode",
-    "hex_for_point",
-    "hexes_covering_box",
-    "neighbors",
     "normalize_covering",
 ]

@@ -182,10 +182,6 @@ class CellId:
         """True if ``other`` is this cell or one of its descendants."""
         return other.token.startswith(self.token)
 
-    def intersects_cell(self, other: "CellId") -> bool:
-        """True if the two cells share area (one contains the other)."""
-        return self.contains(other) or other.contains(self)
-
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
@@ -198,46 +194,6 @@ class CellId:
 
     def contains_point(self, point: LatLng) -> bool:
         return self.bounds().contains(point)
-
-    def approximate_size_meters(self) -> float:
-        """The cell diagonal in meters, a convenient scale measure."""
-        return self.bounds().diagonal_meters()
-
-    def neighbors(self) -> list["CellId"]:
-        """The up-to-eight edge/corner adjacent cells at the same level.
-
-        Neighbours are computed by sampling points just outside each edge and
-        corner of the cell; cells falling outside the world rectangle are
-        dropped, so border cells have fewer neighbours.
-        """
-        if self.is_root:
-            return []
-        box = self.bounds()
-        d_lat = box.height_degrees * 0.5
-        d_lng = box.width_degrees * 0.5
-        center = box.center
-        offsets = [
-            (d_lat + box.height_degrees * 0.01, 0.0),
-            (-(d_lat + box.height_degrees * 0.01), 0.0),
-            (0.0, d_lng + box.width_degrees * 0.01),
-            (0.0, -(d_lng + box.width_degrees * 0.01)),
-            (d_lat + box.height_degrees * 0.01, d_lng + box.width_degrees * 0.01),
-            (d_lat + box.height_degrees * 0.01, -(d_lng + box.width_degrees * 0.01)),
-            (-(d_lat + box.height_degrees * 0.01), d_lng + box.width_degrees * 0.01),
-            (-(d_lat + box.height_degrees * 0.01), -(d_lng + box.width_degrees * 0.01)),
-        ]
-        found: list[CellId] = []
-        seen: set[str] = {self.token}
-        for dlat, dlng in offsets:
-            lat = center.latitude + dlat
-            lng = center.longitude + dlng
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lng <= 180.0):
-                continue
-            neighbor = CellId.from_point(LatLng(lat, lng), self.level)
-            if neighbor.token not in seen:
-                seen.add(neighbor.token)
-                found.append(neighbor)
-        return found
 
     # ------------------------------------------------------------------
     # Ordering / representation

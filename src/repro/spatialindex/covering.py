@@ -80,19 +80,6 @@ class RegionCoverer:
             _polygon_covering_memo.store(key, cached)
         return list(cached)
 
-    def cover_disc(self, center: LatLng, radius_meters: float) -> list[CellId]:
-        """Covering of a disc, via its bounding box.
-
-        Discs are what discovery queries use: a coarse device location plus an
-        uncertainty radius.
-        """
-        return self.cover_box(BoundingBox.around(center, radius_meters))
-
-    def cover_point(self, point: LatLng, level: int | None = None) -> list[CellId]:
-        """The single cell containing ``point`` at the covering level."""
-        chosen = self.options.max_level if level is None else level
-        return [CellId.from_point(point, chosen)]
-
     # ------------------------------------------------------------------
     # Core recursive covering
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ production controller only ever sees what the monitoring system emitted.
 questions a controller actually asks, all computed from *sealed* windows:
 
 * supply side: zonal queue-wait / shed-rate / utilization maps over the
-  trailing windows (:meth:`zonal`, :meth:`zone_stats`);
+  trailing windows (:meth:`zonal`);
 * demand side: per-cell demand and its slope between the last two
   windows (:meth:`demand`, :meth:`demand_slope`);
 * SLO side: trailing burn rate per region and across regions
@@ -84,25 +84,6 @@ class TelemetryReader:
         return server_zonal(
             self.last_windows(last), self.pipeline.server_cells, level
         )
-
-    def zone_stats(self, zone: str, level: int, last: int = 1) -> dict[str, float]:
-        """One zone's trailing stats; an all-zero dict when the zone was
-        quiet (no server window landed in it), so callers can threshold
-        without key checks."""
-        stats = self.zonal(level, last).get(zone)
-        if stats is None:
-            return {
-                "arrivals": 0.0,
-                "served": 0.0,
-                "dropped": 0.0,
-                "wait_ms": 0.0,
-                "busy_ms": 0.0,
-                "capacity_ms": 0.0,
-                "shed_rate": 0.0,
-                "mean_wait_ms": 0.0,
-                "utilization": 0.0,
-            }
-        return stats
 
     def server_rollup(self, last: int = 1) -> dict[str, dict[str, float]]:
         """Per-server trailing window deltas (mean wait, shed rate) —

@@ -8,7 +8,6 @@ from repro.tiles.tile_math import (
     MAX_ZOOM,
     TILE_SIZE_PIXELS,
     TileCoordinate,
-    meters_per_pixel,
     pixel_in_tile,
     tile_bounds,
     tile_for_point,
@@ -30,7 +29,6 @@ __all__ = [
     "TileRenderer",
     "TileStitcher",
     "composite_coverage",
-    "meters_per_pixel",
     "pixel_in_tile",
     "tile_bounds",
     "tile_for_point",

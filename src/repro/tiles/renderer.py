@@ -106,10 +106,6 @@ class TileRenderer:
         """Render a batch of tiles ahead of any request (Figure 1 pipeline)."""
         return [self.render(coordinate) for coordinate in coordinates]
 
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
     # ------------------------------------------------------------------
     # Rasterisation helpers
     # ------------------------------------------------------------------

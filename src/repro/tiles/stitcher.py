@@ -97,14 +97,6 @@ class TileStitcher:
         _composite_memo.store(memo_key, result)
         return result
 
-    def stitch_grid(self, tiles_by_coordinate: dict[TileCoordinate, list[Tile]]) -> dict[TileCoordinate, CompositeTile]:
-        """Stitch a whole viewport of tiles at once."""
-        return {
-            coordinate: self.stitch(tiles)
-            for coordinate, tiles in tiles_by_coordinate.items()
-            if tiles
-        }
-
 
 def composite_coverage(composites: dict[TileCoordinate, CompositeTile]) -> float:
     """Mean coverage fraction across a stitched viewport."""

@@ -117,12 +117,3 @@ def pixel_in_tile(point: LatLng, tile: TileCoordinate) -> tuple[int, int]:
     column = int(min(max(fx, 0.0), 0.999999) * TILE_SIZE_PIXELS)
     row = int(min(max(fy, 0.0), 0.999999) * TILE_SIZE_PIXELS)
     return (column, row)
-
-
-def meters_per_pixel(tile: TileCoordinate) -> float:
-    """Approximate ground resolution of a tile at its centre latitude."""
-    bounds = tile_bounds(tile)
-    width_meters = LatLng(bounds.center.latitude, bounds.west).distance_to(
-        LatLng(bounds.center.latitude, bounds.east)
-    )
-    return width_meters / TILE_SIZE_PIXELS

@@ -30,17 +30,6 @@ class MobilityModel(Protocol):
         """Advance one step and return the new position."""
         ...
 
-    def cohort_key(self) -> tuple:
-        """Hashable statistical-identity key of this trajectory family.
-
-        Two models with equal keys produce trajectories drawn from the
-        same distribution (they differ only in their RNG streams), which
-        is the property the workload engine's cohort fast path relies on
-        to batch devices: same key + same resolver pool + no individual
-        state ⇒ one tracer can stand in for many phantoms.
-        """
-        ...
-
 
 def _toward(current: LatLng, target: LatLng, step_meters: float) -> LatLng:
     """Move up to ``step_meters`` from ``current`` toward ``target``."""
@@ -80,17 +69,6 @@ class RandomWaypoint:
             rng.uniform(self.bounds.west, self.bounds.east),
         )
 
-    def cohort_key(self) -> tuple:
-        bounds = self.bounds
-        return (
-            "waypoint",
-            bounds.south,
-            bounds.west,
-            bounds.north,
-            bounds.east,
-            self.step_meters,
-        )
-
 
 @dataclass
 class AisleWalk:
@@ -127,10 +105,6 @@ class AisleWalk:
         if not self._shelves:
             return self.store.entrance
         return self._shelves[rng.randrange(len(self._shelves))]
-
-    def cohort_key(self) -> tuple:
-        entrance = self.store.entrance
-        return ("aisle", entrance.latitude, entrance.longitude, self.step_meters)
 
 
 @dataclass
@@ -180,10 +154,6 @@ class CommuterTrace:
             self._dwell_remaining = self.dwell_steps
         return self.position
 
-    def cohort_key(self) -> tuple:
-        stops = tuple((stop.latitude, stop.longitude) for stop in self.stops)
-        return ("trace", stops, self.dwell_steps, self.step_meters)
-
 
 @dataclass
 class CommuterHandoff:
@@ -214,7 +184,3 @@ class CommuterHandoff:
         if self.position.distance_to(target) < 1.0:
             self._next_stop = (self._next_stop + 1) % len(self.stops)
         return self.position
-
-    def cohort_key(self) -> tuple:
-        stops = tuple((stop.latitude, stop.longitude) for stop in self.stops)
-        return ("commute", stops, self.step_meters)

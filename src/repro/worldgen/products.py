@@ -34,10 +34,6 @@ class Product:
     category: str
     keywords: tuple[str, ...]
 
-    @property
-    def search_text(self) -> str:
-        return " ".join((self.name, self.category) + self.keywords)
-
 
 def category_names() -> list[str]:
     """All product categories, in a stable order (used to name aisles)."""

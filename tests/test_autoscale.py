@@ -182,19 +182,6 @@ class TestTelemetryReader:
         with pytest.raises(ValueError):
             reader.last_windows(0)
 
-    def test_zonal_matches_zone_stats(self):
-        reader = self._reader()
-        zonal = reader.zonal(level=12, last=1)
-        assert zonal
-        zone, stats = sorted(zonal.items())[0]
-        assert reader.zone_stats(zone, level=12, last=1) == stats
-
-    def test_quiet_zone_reads_all_zero(self):
-        reader = self._reader()
-        stats = reader.zone_stats("nosuchzone", level=12)
-        assert set(stats) >= {"mean_wait_ms", "shed_rate", "utilization"}
-        assert all(value == 0.0 for value in stats.values())
-
     def test_server_rollup_derives_rates(self):
         reader = self._reader()
         rollup = reader.server_rollup(last=reader.window_count)
@@ -269,10 +256,6 @@ class TestReaderEmptyWindow:
 
     def test_zonal_is_empty(self):
         assert self._empty_reader().zonal(level=12) == {}
-
-    def test_zone_stats_reads_all_zero(self):
-        stats = self._empty_reader().zone_stats("anyzone", level=12)
-        assert all(value == 0.0 for value in stats.values())
 
     def test_server_rollup_is_empty(self):
         assert self._empty_reader().server_rollup() == {}

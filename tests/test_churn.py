@@ -494,10 +494,6 @@ class TestClientFailover:
         assert len(recorder.failover_ms) == recorder.failovers
         # The dead attempt cost a full timeout message.
         assert federation.network.stats.messages_by_kind.get("mapserver.timeout", 0) >= 1
-        # The client façade mirrors the recorder.
-        stats = client.availability_stats()
-        assert stats["failovers"] == float(recorder.failovers)
-        assert stats["stale_attempts"] == float(recorder.stale_attempts)
 
     def test_health_tracker_avoids_known_dead_replica(self):
         federation, store = replicated_federation(replicas=2)
@@ -732,3 +728,53 @@ class TestCacheExpiryUnderRewindingClock:
         assert "churnstore.example" in probe()
         # One TTL of waiting plus the discovery walk itself.
         assert clock.now() - rejoined_at <= 65.0
+
+class TestFailoverRecorder:
+    def test_rates_are_zero_before_any_chain(self):
+        from repro.churn.failover import FailoverRecorder
+
+        recorder = FailoverRecorder()
+        assert recorder.failed_chain_rate == 0.0
+        assert recorder.stale_attempt_rate == 0.0
+        assert recorder.detect_mean_ms == 0.0
+
+    def test_failed_chain_rate_leaves_policy_denials_out(self):
+        from repro.churn.failover import FailoverRecorder
+
+        recorder = FailoverRecorder(chains=10, chains_ok=6, chains_failed=2, chains_denied=2)
+        assert recorder.failed_chain_rate == pytest.approx(2 / 8)
+        all_denied = FailoverRecorder(chains=3, chains_denied=3)
+        assert all_denied.failed_chain_rate == 0.0
+
+    def test_stale_rate_and_mean_detection_cost(self):
+        from repro.churn.failover import FailoverRecorder
+
+        recorder = FailoverRecorder(attempts=8, stale_attempts=2, detect_ms=[300.0, 0.0, 0.0])
+        assert recorder.stale_attempt_rate == pytest.approx(0.25)
+        assert recorder.detect_mean_ms == pytest.approx(100.0)
+
+    def test_merge_from_folds_every_field(self):
+        """A per-device recorder folds into the run total field by field: a
+        field added to the recorder and forgotten in ``merge_from`` fails here."""
+        import dataclasses
+
+        from repro.churn.failover import FailoverRecorder
+
+        def filled(base: int) -> FailoverRecorder:
+            recorder = FailoverRecorder()
+            for index, spec in enumerate(dataclasses.fields(FailoverRecorder)):
+                value = getattr(recorder, spec.name)
+                if isinstance(value, list):
+                    setattr(recorder, spec.name, [float(base + index)])
+                else:
+                    setattr(recorder, spec.name, type(value)(base + index))
+            return recorder
+
+        total, other = filled(1), filled(100)
+        total.merge_from(other)
+        for index, spec in enumerate(dataclasses.fields(FailoverRecorder)):
+            merged = getattr(total, spec.name)
+            if isinstance(merged, list):
+                assert merged == [float(1 + index), float(100 + index)], spec.name
+            else:
+                assert merged == (1 + index) + (100 + index), spec.name

@@ -208,6 +208,12 @@ class TestCheckShStages:
         end_of_ruff_branch = lint_stage.index("python scripts/lint_fallback.py\n  fi\n")
         assert lint_stage.index("python scripts/check_unbounded_memos.py") > end_of_ruff_branch
 
+    def test_lint_stage_runs_the_reachability_checker_without_ruff_too(self):
+        script = CHECK_SH.read_text()
+        lint_stage = script[script.index("if $run_lint; then") :]
+        end_of_ruff_branch = lint_stage.index("python scripts/lint_fallback.py\n  fi\n")
+        assert lint_stage.index("python scripts/check_reachable.py") > end_of_ruff_branch
+
     def test_nothing_pins_the_hash_seed(self):
         """The byte gate and the tier-1 goldens catch a result that follows
         set iteration order only because every CI process draws a fresh
@@ -496,3 +502,106 @@ class TestMemoBounds:
         (docs / "ARCHITECTURE.md").write_text("no table here\n")
         with pytest.raises(SystemExit, match="no memo table"):
             self._checker().unlisted(tmp_path)
+
+
+class TestReachability:
+    """The module reachability checker the lint stage runs: clean on the real
+    tree, and a package ``__init__``'s re-export does not count as a use."""
+
+    def _checker(self):
+        return load(REPO_ROOT / "scripts" / "check_reachable.py")
+
+    def test_repo_sources_are_clean(self):
+        assert self._checker().findings(REPO_ROOT) == []
+
+    def test_a_module_only_its_package_init_imports_is_flagged(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "pkg"
+        package.mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        (package / "__init__.py").write_text(
+            "from repro.pkg.orphan import Orphan\n"
+            "from repro.pkg.live import Live\n"
+            "from repro.pkg.sibling import Sibling\n"
+        )
+        (package / "orphan.py").write_text("class Orphan: ...\n")
+        (package / "live.py").write_text("class Live: ...\n")
+        (package / "sibling.py").write_text(
+            "class Sibling:\n"
+            "    def run(self):\n"
+            "        from .live import Live\n"  # a relative import inside a function counts
+            "        return Live()\n"
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text("from repro.pkg import Sibling\n")
+        checker = self._checker()
+        assert checker.unreached(tmp_path) == ["src/repro/pkg/orphan.py"]
+        assert [failure.split(": ")[0] for failure in checker.findings(tmp_path)] == ["src/repro/pkg/orphan.py"]
+
+    @staticmethod
+    def _tree(root: Path, files: dict[str, str]) -> Path:
+        for relative, text in files.items():
+            path = root / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return root
+
+    def test_from_import_follows_re_exports_through_nested_inits(self, tmp_path):
+        root = self._tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "from repro.pkg import Thing\n",
+                "src/repro/pkg/__init__.py": "from repro.pkg.deep import Thing\nfrom repro.pkg.other import Other\n",
+                "src/repro/pkg/deep.py": "class Thing: ...\n",
+                "src/repro/pkg/other.py": "class Other: ...\n",
+                "scripts/tool.py": "from repro import Thing\n",
+            },
+        )
+        assert self._checker().unreached(root) == ["src/repro/pkg/other.py"]
+
+    def test_imports_from_test_directories_do_not_count(self, tmp_path):
+        root = self._tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/used.py": "",
+                "src/repro/tested_only.py": "",
+                "benchmarks/run.py": "import repro.used\n",
+                "benchmarks/tests/test_run.py": "import repro.tested_only\n",
+                "tests/test_all.py": "import repro.tested_only\n",
+            },
+        )
+        assert self._checker().unreached(root) == ["src/repro/tested_only.py"]
+
+    def test_package_main_is_an_entry_point(self, tmp_path):
+        root = self._tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/tool/__init__.py": "",
+                "src/repro/tool/__main__.py": "from repro.tool import core\n",
+                "src/repro/tool/core.py": "",
+            },
+        )
+        assert self._checker().unreached(root) == []
+
+    def test_reaching_a_module_runs_its_parent_package_imports(self, tmp_path):
+        """Importing ``repro.pkg.leaf`` runs ``repro/pkg/__init__``, so what
+        that ``__init__`` imports from *outside* its own package is reached."""
+        root = self._tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/util.py": "",
+                "src/repro/pkg/__init__.py": "import repro.util\n",
+                "src/repro/pkg/leaf.py": "",
+                "examples/demo.py": "import repro.pkg.leaf\n",
+            },
+        )
+        assert self._checker().unreached(root) == []
+
+    def test_an_allowlisted_module_is_unreached_but_not_a_finding(self, tmp_path):
+        checker = self._checker()
+        (allowed,) = checker.ALLOWED
+        root = self._tree(tmp_path, {"src/repro/__init__.py": "", allowed: "", "examples/demo.py": "import repro\n"})
+        assert checker.unreached(root) == [allowed]
+        assert checker.findings(root) == []

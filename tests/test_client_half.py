@@ -593,7 +593,7 @@ class TestCountBudget:
 
     def test_per_map_constants_are_derived_once_per_map(self, tally):
         counts, _, maps, _ = tally
-        # No map changes during the run, so (map, version) pairs == maps.
+        # No map changes during the run, so each constant is derived once per map.
         assert 0 < counts["entrance scans"] <= maps
         assert 0 < counts["area passes"] <= maps
         assert 0 < counts["padded boxes"] <= maps

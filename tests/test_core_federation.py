@@ -40,28 +40,6 @@ class TestFederationLifecycle:
         with pytest.raises(FederationConfigError):
             federation.add_map_server("dup.example", other.map_data)
 
-    def test_remove_map_server_withdraws_records(self, federation: Federation):
-        store = generate_store("leaving.example", ANCHOR, seed=4)
-        federation.add_map_server("leaving.example", store.map_data)
-        assert federation.registry.total_records > 0
-        federation.remove_map_server("leaving.example")
-        assert federation.server_count == 0
-        assert federation.registry.total_records == 0
-        # Once deregistered, discovery no longer returns the server.
-        client = federation.client()
-        result = client.discover(store.entrance, uncertainty_meters=50.0)
-        assert "leaving.example" not in result.server_ids
-
-    def test_remove_unknown_server_rejected(self, federation: Federation):
-        with pytest.raises(FederationConfigError):
-            federation.remove_map_server("ghost.example")
-
-    def test_remove_world_provider_clears_pointer(self, federation: Federation):
-        city = generate_city(rows=3, cols=3, seed=1)
-        federation.add_map_server("city.example", city.map_data, is_world_provider=True)
-        federation.remove_map_server("city.example")
-        assert federation.world_provider is None
-
     def test_custom_policy_attached(self, federation: Federation):
         store = generate_store("locked.example", ANCHOR, seed=5)
         policy = AccessPolicy()

@@ -46,11 +46,6 @@ class TestSpatialNaming:
         with pytest.raises(ValueError):
             naming.name_to_cell("1.2.other.example")
 
-    def test_is_spatial_name(self):
-        naming = SpatialNaming("loc.test.example")
-        assert naming.is_spatial_name("0.1.loc.test.example")
-        assert not naming.is_spatial_name("www.example")
-
     def test_ancestor_names(self):
         naming = SpatialNaming()
         cell = CellId.from_point(CENTER, 4)

@@ -10,9 +10,7 @@ from repro.dns.records import (
     ResourceRecord,
     SrvData,
     is_subdomain,
-    name_labels,
     normalize_name,
-    parent_name,
     validate_name,
 )
 
@@ -42,20 +40,12 @@ class TestNames:
         with pytest.raises(ValueError):
             validate_name(".".join(["a" * 60] * 5))
 
-    def test_labels(self):
-        assert name_labels("a.b.c") == ["a", "b", "c"]
-        assert name_labels("") == []
-
     def test_is_subdomain(self):
         assert is_subdomain("x.maps.example", "maps.example")
         assert is_subdomain("maps.example", "maps.example")
         assert not is_subdomain("maps.example", "x.maps.example")
         assert not is_subdomain("ymaps.example", "maps.example")
         assert is_subdomain("anything.at.all", "")
-
-    def test_parent_name(self):
-        assert parent_name("a.b.c") == "b.c"
-        assert parent_name("c") == ""
 
 
 class TestResourceRecord:
@@ -66,11 +56,6 @@ class TestResourceRecord:
     def test_negative_ttl_rejected(self):
         with pytest.raises(ValueError):
             ResourceRecord("a.b", RecordType.A, "1.2.3.4", ttl_seconds=-1)
-
-    def test_matches(self):
-        record = ResourceRecord("a.b", RecordType.TXT, "hello")
-        assert record.matches("A.B", RecordType.TXT)
-        assert not record.matches("a.b", RecordType.A)
 
 
 class TestSrvData:

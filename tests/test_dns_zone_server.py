@@ -42,11 +42,6 @@ class TestZone:
         zone.add("city.maps.example", RecordType.A, "10.0.0.1")
         assert zone.record_count == before
 
-    def test_remove_records(self, zone: Zone):
-        removed = zone.remove_records("city.maps.example", RecordType.TXT)
-        assert removed == 1
-        assert zone.records_at("city.maps.example", RecordType.TXT) == []
-
     def test_covering_delegation(self, zone: Zone):
         assert zone.covering_delegation("a.stores.maps.example") == "stores.maps.example"
         assert zone.covering_delegation("city.maps.example") is None
@@ -57,6 +52,50 @@ class TestZone:
 
     def test_names(self, zone: Zone):
         assert "city.maps.example" in zone.names()
+
+
+class TestZoneMembership:
+    @pytest.mark.parametrize(
+        "name, inside",
+        [
+            ("maps.example", True),
+            ("MAPS.Example.", True),
+            ("city.maps.example", True),
+            ("a.b.stores.maps.example", True),
+            ("example", False),
+            ("othermaps.example", False),
+            ("maps.example.org", False),
+        ],
+    )
+    def test_in_zone_is_label_suffix_match(self, zone: Zone, name: str, inside: bool):
+        assert zone.in_zone(name) is inside
+
+    def test_add_record_stores_the_record_as_given(self, zone: Zone):
+        record = ResourceRecord("shop.maps.example", RecordType.A, "10.0.0.9", 42.0)
+        zone.add_record(record)
+        assert zone.records_at("shop.maps.example") == [record]
+        assert zone.records_at("shop.maps.example")[0].ttl_seconds == 42.0
+
+    def test_add_uses_the_zone_default_ttl(self):
+        zone = Zone(origin="maps.example", default_ttl=17.0)
+        assert zone.add("x.maps.example", RecordType.A, "10.0.0.2").ttl_seconds == 17.0
+        assert zone.add("y.maps.example", RecordType.A, "10.0.0.3", ttl=5.0).ttl_seconds == 5.0
+
+    def test_delegation_records_are_the_child_ns_set(self, zone: Zone):
+        zone.add("stores.maps.example", RecordType.NS, "ns2.stores.maps.example")
+        records = zone.delegation_records("stores.maps.example")
+        assert {r.data for r in records} == {"ns.stores.maps.example", "ns2.stores.maps.example"}
+        assert zone.delegation_records("city.maps.example") == []
+
+    def test_apex_ns_is_not_a_delegation(self, zone: Zone):
+        zone.add("maps.example", RecordType.NS, "ns.maps.example")
+        assert zone.covering_delegation("city.maps.example") is None
+        assert zone.covering_delegation("x.stores.maps.example") == "stores.maps.example"
+
+    def test_record_count_counts_every_record(self, zone: Zone):
+        before = zone.record_count
+        zone.add("city.maps.example", RecordType.A, "10.0.0.2")
+        assert zone.record_count == before + 1
 
 
 class TestZoneSurgicalRemoval:
@@ -99,14 +138,6 @@ class TestZoneSurgicalRemoval:
         zone = Zone(origin="maps.example")
         ghost = ResourceRecord("cell.maps.example", RecordType.SRV, "0 0 443 nobody")
         assert not zone.remove_record(ghost)
-
-    def test_remove_records_by_name_only(self):
-        zone = Zone(origin="maps.example")
-        zone.add("cell.maps.example", RecordType.SRV, "0 0 443 r0.shop")
-        zone.add("cell.maps.example", RecordType.TXT, "note")
-        assert zone.remove_records("cell.maps.example") == 2
-        assert not zone.contains_name("cell.maps.example")
-        assert zone.record_count == 0
 
 
 class TestNameServer:
@@ -162,3 +193,20 @@ class TestNameServer:
         server.host_zone(child)
         response = server.handle(Question("a.stores.maps.example", RecordType.A))
         assert response.answers and response.answers[0].data == "10.1.1.1"
+
+    def test_zone_for_picks_the_longest_hosted_origin(self, zone: Zone):
+        child = Zone(origin="stores.maps.example")
+        server = NameServer(server_id="ns")
+        server.host_zone(zone)
+        server.host_zone(child)
+        assert server.zone_for("a.stores.maps.example") is child
+        assert server.zone_for("stores.maps.example") is child
+        assert server.zone_for("city.maps.example") is zone
+        assert server.zone_for("elsewhere.org") is None
+
+    def test_host_zone_replaces_the_same_origin(self, server: NameServer):
+        fresh = Zone(origin="maps.example")
+        fresh.add("city.maps.example", RecordType.A, "10.9.9.9")
+        server.host_zone(fresh)
+        response = server.handle(Question("city.maps.example", RecordType.A))
+        assert [r.data for r in response.answers] == ["10.9.9.9"]

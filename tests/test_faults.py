@@ -201,14 +201,6 @@ class TestNetworkFaultState:
         assert state.authority_up("auth")
         assert not state.authority_up("auth")
 
-    def test_any_active(self):
-        state = NetworkFaultState()
-        assert not state.any_active
-        state.block("a")
-        assert state.any_active
-        state.unblock("a")
-        assert not state.any_active
-
     def test_gray_validation(self):
         with pytest.raises(ValueError):
             GrayFailure()  # must degrade something
@@ -281,7 +273,6 @@ class TestFaultPlan:
         ]
         assert plan.horizon_seconds == 50.0
         assert plan.servers == ("a", "b")
-        assert len(plan.events_for("a")) == 2
 
     def test_plans_compose(self):
         merged = FaultPlan.partition(("a",), 10.0, 20.0) + FaultPlan.gray(

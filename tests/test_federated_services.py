@@ -9,8 +9,10 @@ import pytest
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.localization.cues import CueBundle, GnssCue
+from repro.localization.fusion import LocalizationSelector
 from repro.localization.imu import DeadReckoningTracker
 from repro.mapserver.auth import Credential
+from repro.services.localization import FederatedLocalizer
 from repro.services.routing import FederatedRoutingError
 from repro.worldgen.scenario import outdoor_point_near
 
@@ -196,6 +198,14 @@ class TestFederatedLocalization:
         assert result.best is not None
         assert result.location.distance_to(true_geo) < 2.0
 
+
+    def test_results_below_the_plausibility_floor_leave_no_fix(self, scenario, client):
+        corner = scenario.city.intersections[0][0].location
+        cues = CueBundle(gnss=GnssCue(corner.destination(45.0, 8.0), accuracy_meters=10.0))
+        strict = FederatedLocalizer(context=client.context, selector=LocalizationSelector(min_plausibility=2.0))
+        result = strict.localize(corner, cues)
+        assert result.candidates
+        assert result.best is None
 
 class TestFederatedTiles:
     def test_viewport_near_store_composites_both_maps(self, scenario, client):

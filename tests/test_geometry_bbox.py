@@ -70,12 +70,6 @@ class TestPredicates:
 
 
 class TestCombinators:
-    def test_union(self):
-        a = BoundingBox(40.0, -80.0, 41.0, -79.0)
-        b = BoundingBox(41.0, -79.0, 42.0, -78.0)
-        union = a.union(b)
-        assert union.contains_box(a)
-        assert union.contains_box(b)
 
     def test_intersection_of_overlapping(self):
         a = BoundingBox(40.0, -80.0, 41.0, -79.0)

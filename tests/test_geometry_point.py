@@ -10,7 +10,6 @@ from repro.geometry.point import (
     EARTH_RADIUS_METERS,
     LatLng,
     LocalPoint,
-    euclidean_distance,
     haversine_distance,
     meters_per_degree_latitude,
     meters_per_degree_longitude,
@@ -49,9 +48,6 @@ class TestLatLng:
         point = LatLng(45.0, 90.0)
         assert point.latitude_radians == pytest.approx(math.pi / 4)
         assert point.longitude_radians == pytest.approx(math.pi / 2)
-
-    def test_as_tuple(self):
-        assert LatLng(3.0, 4.0).as_tuple() == (3.0, 4.0)
 
 
 class TestDistances:
@@ -107,32 +103,15 @@ class TestBearingsAndDestinations:
         assert origin.initial_bearing_to(LatLng(40.0, -79.0)) == pytest.approx(90.0, abs=1.0)
         assert origin.initial_bearing_to(LatLng(39.0, -80.0)) == pytest.approx(180.0, abs=0.5)
 
-    def test_midpoint_lies_between(self):
-        a = LatLng(40.0, -80.0)
-        b = LatLng(40.0, -79.0)
-        mid = a.midpoint(b)
-        assert a.distance_to(mid) == pytest.approx(b.distance_to(mid), rel=1e-3)
-
 
 class TestLocalPoint:
     def test_distance_same_frame(self):
         a = LocalPoint(0.0, 0.0, "store")
         b = LocalPoint(3.0, 4.0, "store")
         assert a.distance_to(b) == pytest.approx(5.0)
-        assert euclidean_distance(a, b) == pytest.approx(5.0)
 
     def test_distance_across_frames_rejected(self):
         a = LocalPoint(0.0, 0.0, "store-a")
         b = LocalPoint(1.0, 1.0, "store-b")
         with pytest.raises(ValueError):
             a.distance_to(b)
-
-    def test_translated_preserves_frame(self):
-        point = LocalPoint(1.0, 2.0, "lab")
-        moved = point.translated(1.0, -1.0)
-        assert moved.x == 2.0
-        assert moved.y == 1.0
-        assert moved.frame == "lab"
-
-    def test_as_tuple(self):
-        assert LocalPoint(5.0, 6.0).as_tuple() == (5.0, 6.0)

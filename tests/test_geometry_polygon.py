@@ -79,9 +79,6 @@ class TestMeasurements:
         area = square.area_square_meters()
         assert 8.0e9 < area < 1.1e10
 
-    def test_perimeter_positive(self, square: Polygon):
-        assert square.perimeter_meters() > 0
-
     def test_centroid_inside_convex(self, square: Polygon):
         assert square.contains(square.centroid)
 

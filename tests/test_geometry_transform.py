@@ -91,22 +91,6 @@ class TestSimilarityTransform:
         with pytest.raises(ValueError):
             transform.inverse()
 
-    def test_compose(self):
-        first = SimilarityTransform(2.0, 0.0, 1.0, 0.0, "a", "b")
-        second = SimilarityTransform(1.0, math.pi / 2, 0.0, 0.0, "b", "c")
-        combined = second.compose(first)
-        point = LocalPoint(1.0, 0.0, "a")
-        expected = second.apply(first.apply(point))
-        got = combined.apply(point)
-        assert got.x == pytest.approx(expected.x, abs=1e-9)
-        assert got.y == pytest.approx(expected.y, abs=1e-9)
-
-    def test_compose_frame_mismatch(self):
-        first = SimilarityTransform(1.0, 0.0, 0.0, 0.0, "a", "b")
-        third = SimilarityTransform(1.0, 0.0, 0.0, 0.0, "x", "y")
-        with pytest.raises(ValueError):
-            third.compose(first)
-
 
 class TestEstimation:
     def test_recovers_known_transform(self):

@@ -101,12 +101,11 @@ class TestReplicaGroupWeights:
         with pytest.raises(ValueError):
             ReplicaGroup(group_id="g", server_ids=("r0.g", "r0.g"))
 
-    def test_weight_and_priority_lookup(self):
+    def test_weight_lookup(self):
         group = ReplicaGroup(
             group_id="g", server_ids=("r0.g", "r1.g"), weights=(3, 1), priorities=(0, 1)
         )
         assert group.weight_of("r1.g") == 1
-        assert group.priority_of("r1.g") == 1
 
 
 # ----------------------------------------------------------------------

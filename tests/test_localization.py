@@ -27,7 +27,6 @@ from repro.localization.fingerprint import (
 )
 from repro.localization.fusion import LocalizationSelector
 from repro.localization.imu import DeadReckoningTracker, MotionUpdate, consistency_score
-from repro.localization.particle_filter import ParticleFilter
 
 ANCHOR = LatLng(40.44, -79.95)
 
@@ -42,8 +41,6 @@ class TestCues:
     def test_bundle_available_types(self):
         bundle = CueBundle(gnss=GnssCue(ANCHOR), image=ImageCue((0.1, 0.2)))
         assert bundle.available_types() == {CueType.GNSS, CueType.IMAGE}
-        assert bundle.cue_for(CueType.IMAGE) is bundle.image
-        assert bundle.cue_for(CueType.BEACON) is None
 
     def test_empty_beacon_cue_not_available(self):
         bundle = CueBundle(beacons=BeaconCue(()))
@@ -291,38 +288,6 @@ class TestDeadReckoning:
         assert very_far == pytest.approx(0.0, abs=1e-6)
 
 
-class TestParticleFilter:
-    def test_requires_initialization(self):
-        particle_filter = ParticleFilter()
-        with pytest.raises(RuntimeError):
-            particle_filter.predict(MotionUpdate(0.0, 1.0))
-
-    def test_converges_to_fixes(self):
-        particle_filter = ParticleFilter(particle_count=400, seed=3)
-        particle_filter.initialize(ANCHOR, spread_meters=8.0)
-        true_position = ANCHOR
-        for step in range(15):
-            true_position = true_position.destination(90.0, 1.0)
-            particle_filter.predict(MotionUpdate(90.0, 1.0))
-            particle_filter.update(true_position, accuracy_meters=2.0)
-        estimate, dispersion = particle_filter.estimate()
-        assert estimate.distance_to(true_position) < 3.0
-        assert dispersion < 5.0
-
-    def test_dispersion_grows_without_fixes(self):
-        particle_filter = ParticleFilter(particle_count=200, motion_noise_meters=0.5, seed=4)
-        particle_filter.initialize(ANCHOR, spread_meters=1.0)
-        _, initial_dispersion = particle_filter.estimate()
-        for _ in range(20):
-            particle_filter.predict(MotionUpdate(0.0, 1.0))
-        _, later_dispersion = particle_filter.estimate()
-        assert later_dispersion > initial_dispersion
-
-    def test_minimum_particles(self):
-        with pytest.raises(ValueError):
-            ParticleFilter(particle_count=5)
-
-
 class TestSelector:
     def _result(self, server: str, location: LatLng, cue_type: CueType, confidence: float = 0.9) -> LocalizationResult:
         return LocalizationResult(server, location, accuracy_meters=2.0, confidence=confidence, cue_type=cue_type)
@@ -331,8 +296,7 @@ class TestSelector:
         selector = LocalizationSelector()
         gnss = self._result("a", ANCHOR, CueType.GNSS)
         image = self._result("b", ANCHOR.destination(0.0, 5.0), CueType.IMAGE)
-        best = selector.select([gnss, image])
-        assert best is not None
+        best = selector.rank([gnss, image])[0]
         assert best.result.server_id == "b"
 
     def test_tracker_rejects_implausible_result(self):
@@ -340,17 +304,8 @@ class TestSelector:
         tracker = DeadReckoningTracker(anchor=ANCHOR)
         plausible = self._result("near", ANCHOR.destination(0.0, 2.0), CueType.BEACON, 0.7)
         implausible = self._result("far", ANCHOR.destination(0.0, 500.0), CueType.IMAGE, 0.95)
-        best = selector.select([implausible, plausible], tracker)
-        assert best is not None
+        best = selector.rank([implausible, plausible], tracker)[0]
         assert best.result.server_id == "near"
-
-    def test_empty_candidates(self):
-        assert LocalizationSelector().select([]) is None
-
-    def test_threshold_filters_weak_results(self):
-        selector = LocalizationSelector(min_plausibility=0.5)
-        weak = self._result("weak", ANCHOR, CueType.GNSS, confidence=0.1)
-        assert selector.select([weak]) is None
 
     def test_rank_is_sorted(self):
         selector = LocalizationSelector()

@@ -148,3 +148,27 @@ class TestPrivateDataFiltering:
         policy.private_data_tokens.add("staff")
         assert len(policy.filter_nodes(self._nodes(), ANONYMOUS.with_token("staff"))) == 2
         assert len(policy.filter_nodes(self._nodes(), ANONYMOUS)) == 1
+
+    @pytest.mark.parametrize(
+        "domains, tokens, credential, sees_private",
+        [
+            (set(), set(), ANONYMOUS, True),
+            ({"campus.edu"}, set(), ANONYMOUS, False),
+            ({"campus.edu"}, set(), Credential(email="a@campus.edu"), True),
+            ({"campus.edu"}, set(), Credential(email="a@elsewhere.edu"), False),
+            (set(), {"staff"}, ANONYMOUS.with_token("staff"), True),
+            (set(), {"staff"}, ANONYMOUS.with_token("guest"), False),
+            ({"campus.edu"}, {"staff"}, Credential(email="a@elsewhere.edu").with_token("staff"), True),
+        ],
+    )
+    def test_node_filter_is_none_exactly_for_principals_who_see_private_data(
+        self, domains, tokens, credential, sees_private
+    ):
+        policy = AccessPolicy(private_data_domains=set(domains), private_data_tokens=set(tokens))
+        assert policy.can_see_private_data(credential) is sees_private
+        visible = policy.node_filter(credential)
+        if sees_private:
+            assert visible is None
+        else:
+            public, private = self._nodes()
+            assert visible(public) and not visible(private)

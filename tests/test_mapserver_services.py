@@ -212,7 +212,6 @@ class TestRoutingService:
         builder = MapBuilder(name="norouting")
         builder.add_node(LatLng(40.0, -80.0), {"name": "isolated"})
         service = RoutingService(builder.build())
-        assert not service.is_routable
         assert service.route(LatLng(40.0, -80.0), LatLng(40.001, -80.0)) is None
 
 
@@ -223,13 +222,6 @@ class TestTileService:
         service.get_tile(coordinate)
         service.get_tile(coordinate)
         assert service.tiles_served == 2
-        assert service.cache_size >= 1
-
-    def test_prerender_coverage(self, store):
-        service = TileService(store.map_data)
-        count = service.prerender_coverage(zoom=19)
-        assert count >= 1
-        assert service.cache_size >= count
 
 
 class TestMapServerFacade:

@@ -31,7 +31,8 @@ from repro.operator import (
     replay_audit,
     state_digest,
 )
-from repro.operator.permissions import ALL_PERMISSIONS, CONTROL_WRITE, HEALTH_REPORT
+from repro.operator.errors import UnauthorizedError
+from repro.operator.permissions import ACTION_PERMISSIONS, ALL_PERMISSIONS, CONTROL_WRITE, HEALTH_REPORT
 from repro.simulation.network import GrayFailure
 from repro.simulation.queueing import ServerOverloadedError, ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
@@ -565,3 +566,46 @@ class TestEngineIntegration(_EngineScenarios):
         _, report = self._run(operator=None)
         assert report.operator_stats == {}
         assert not any(key.startswith("operator.") for key in report.snapshot())
+
+
+class TestPrincipalRegistry:
+    def test_authenticate_returns_the_registered_principal(self):
+        registry = PrincipalRegistry()
+        registered = registry.register("ops", (CONTROL_WRITE,))
+        assert registry.authenticate("ops") is registered
+        assert registered.can(CONTROL_WRITE)
+        assert not registered.can(HEALTH_REPORT)
+
+    def test_authenticate_unknown_name_is_unauthorized(self):
+        with pytest.raises(UnauthorizedError, match="mallory"):
+            PrincipalRegistry().authenticate("mallory")
+
+    def test_register_replaces_and_rejects_empty_names(self):
+        registry = PrincipalRegistry()
+        registry.register("ops", (CONTROL_WRITE,))
+        registry.register("ops", (HEALTH_REPORT,))
+        assert registry.authenticate("ops").permissions == (HEALTH_REPORT,)
+        with pytest.raises(ValueError):
+            registry.register("", ALL_PERMISSIONS)
+
+    def test_unknown_action_is_refused_even_with_every_permission(self):
+        registry = PrincipalRegistry()
+        root = registry.register("root", ALL_PERMISSIONS)
+        with pytest.raises(UnauthorizedError, match="no route"):
+            registry.authorize(root, "reboot")
+
+    @pytest.mark.parametrize("action", sorted(ACTION_PERMISSIONS))
+    def test_one_permission_opens_exactly_its_routes(self, action: str):
+        """A principal holding only the permission ``action`` needs may call
+        every route that permission guards and no other; the refusal names
+        the grant to request."""
+        registry = PrincipalRegistry()
+        granted = ACTION_PERMISSIONS[action]
+        principal = registry.register("p", (granted,))
+        registry.authorize(principal, action)
+        for other, required in ACTION_PERMISSIONS.items():
+            if required == granted:
+                registry.authorize(principal, other)
+            else:
+                with pytest.raises(UnauthorizedError, match=required):
+                    registry.authorize(principal, other)

@@ -31,28 +31,9 @@ class TestElements:
     def test_node_tag_helpers(self):
         node = Node(1, LatLng(0.0, 0.0), {"name": "X", "amenity": "cafe"})
         assert node.name == "X"
-        assert node.tag("amenity") == "cafe"
-        assert node.tag("missing", "default") == "default"
         assert node.has_tag("amenity")
         assert node.has_tag("amenity", "cafe")
         assert not node.has_tag("amenity", "bar")
-
-    def test_way_is_closed(self):
-        assert Way(1, [1, 2, 3, 1]).is_closed
-        assert not Way(2, [1, 2, 3]).is_closed
-        assert not Way(3, [1, 1]).is_closed
-
-    def test_relation_members_of_type(self):
-        relation = Relation(
-            1,
-            [
-                ElementRef(ElementType.NODE, 1),
-                ElementRef(ElementType.WAY, 2, "outer"),
-                ElementRef(ElementType.NODE, 3),
-            ],
-        )
-        assert len(relation.members_of_type(ElementType.NODE)) == 2
-        assert len(relation.members_of_type(ElementType.WAY)) == 1
 
 
 class TestStructuralIntegrity:
@@ -85,6 +66,28 @@ class TestStructuralIntegrity:
             simple_map.relation(999)
 
 
+    @pytest.mark.parametrize(
+        "element_type, element_id, present",
+        [
+            (ElementType.NODE, 1, True),
+            (ElementType.NODE, 10, False),
+            (ElementType.WAY, 10, True),
+            (ElementType.WAY, 1, False),
+            (ElementType.RELATION, 100, True),
+            (ElementType.RELATION, 10, False),
+        ],
+    )
+    def test_has_element_checks_the_typed_id_space(
+        self, simple_map: MapData, element_type: ElementType, element_id: int, present: bool
+    ):
+        assert simple_map.has_element(element_type, element_id) is present
+
+    def test_has_element_follows_removal(self, simple_map: MapData):
+        simple_map.remove_node(4)
+        assert not simple_map.has_element(ElementType.NODE, 4)
+        assert simple_map.has_element(ElementType.NODE, 3)
+
+
 class TestQueries:
     def test_counts(self, simple_map: MapData):
         assert simple_map.node_count == 4
@@ -95,17 +98,9 @@ class TestQueries:
         nodes = simple_map.way_nodes(10)
         assert [n.node_id for n in nodes] == [1, 2, 3]
 
-    def test_way_length(self, simple_map: MapData):
-        length = simple_map.way_length_meters(10)
-        assert length == pytest.approx(2 * 111.19, rel=0.05)  # ~0.002 deg of latitude
-
     def test_find_by_tag(self, simple_map: MapData):
         cafes = simple_map.find_nodes_by_tag("amenity", "cafe")
         assert [n.node_id for n in cafes] == [4]
-        assert simple_map.find_ways_by_tag("highway") != []
-
-    def test_find_by_name_case_insensitive(self, simple_map: MapData):
-        assert simple_map.find_nodes_by_name("cafe x")[0].node_id == 4
 
     def test_nodes_near(self, simple_map: MapData):
         near = simple_map.nodes_near(LatLng(40.0, -80.0), 80.0)
@@ -125,6 +120,12 @@ class TestQueries:
         simple_map.add_node(Node(50, LatLng(40.0001, -80.0), {"name": "new"}))
         near = simple_map.nodes_near(LatLng(40.0001, -80.0), 5.0)
         assert any(n.node_id == 50 for n in near)
+
+
+    def test_relations_iterates_in_insertion_order(self, simple_map: MapData):
+        simple_map.add_relation(Relation(101, [ElementRef(ElementType.NODE, 1)], {"type": "site"}))
+        assert [relation.relation_id for relation in simple_map.relations()] == [100, 101]
+        assert [ref.element_id for ref in next(simple_map.relations()).members] == [10, 4]
 
 
 class TestCoverage:
@@ -177,14 +178,6 @@ class TestBuilder:
         built = builder.build()
         assert a.node_id != b.node_id
         assert built.way(way.way_id).node_ids == [a.node_id, b.node_id]
-
-    def test_builder_add_path(self):
-        builder = MapBuilder(name="built")
-        way = builder.add_path(
-            [LatLng(40.0, -80.0), LatLng(40.001, -80.0), LatLng(40.002, -80.0)],
-            {"highway": "footway"},
-        )
-        assert len(way.node_ids) == 3
 
     def test_add_local_node_requires_projection(self):
         from repro.geometry.point import LocalPoint

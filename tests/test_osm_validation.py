@@ -1,4 +1,4 @@
-"""Unit tests for map serialisation and validation."""
+"""Unit tests for map validation."""
 
 from __future__ import annotations
 
@@ -7,12 +7,6 @@ from repro.geometry.projection import LocalProjection
 from repro.osm.builder import MapBuilder
 from repro.osm.elements import ElementRef, ElementType, Node, Relation, Way
 from repro.osm.mapdata import MapData, MapMetadata
-from repro.osm.serialization import (
-    map_from_document,
-    map_from_json,
-    map_to_document,
-    map_to_json,
-)
 from repro.osm.validation import Severity, has_errors, validate_map
 
 
@@ -24,49 +18,6 @@ def _sample_map() -> MapData:
     builder.add_way([a, b], {"indoor_path": "yes"})
     builder.add_relation([(ElementType.NODE, a.node_id, "door")], {"type": "entrances"})
     return builder.build()
-
-
-class TestSerialization:
-    def test_round_trip_document(self):
-        original = _sample_map()
-        document = map_to_document(original)
-        restored = map_from_document(document)
-        assert restored.node_count == original.node_count
-        assert restored.way_count == original.way_count
-        assert restored.relation_count == original.relation_count
-        assert restored.metadata.name == "sample"
-        assert restored.metadata.operator == "org"
-        assert restored.projection is not None
-        assert restored.projection.frame == "store"
-
-    def test_round_trip_preserves_tags_and_locations(self):
-        original = _sample_map()
-        restored = map_from_document(map_to_document(original))
-        for node in original.nodes():
-            copy = restored.node(node.node_id)
-            assert copy.tags == node.tags
-            assert copy.location.distance_to(node.location) < 0.01
-            if node.local_position is not None:
-                assert copy.local_position is not None
-                assert copy.local_position.frame == node.local_position.frame
-
-    def test_round_trip_json(self):
-        original = _sample_map()
-        text = map_to_json(original, indent=2)
-        restored = map_from_json(text)
-        assert restored.node_count == original.node_count
-        assert "entrance" in text
-
-    def test_coverage_round_trip(self):
-        original = _sample_map()
-        document = map_to_document(original)
-        assert "coverage" in document
-        restored = map_from_document(document)
-        assert restored.coverage.contains(next(original.nodes()).location)
-
-    def test_empty_document(self):
-        restored = map_from_document({"metadata": {"name": "empty"}})
-        assert restored.node_count == 0
 
 
 class TestValidation:

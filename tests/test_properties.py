@@ -13,7 +13,6 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng, LocalPoint
 from repro.geometry.projection import LocalProjection
 from repro.geometry.transform import estimate_similarity
-from repro.spatialindex import geohash
 from repro.spatialindex.cellid import MAX_LEVEL, CellId, _grid_position
 from repro.spatialindex.covering import (
     CoveringOptions,
@@ -167,20 +166,11 @@ class TestCoveringProperties:
 
     @given(points, st.floats(min_value=20.0, max_value=2000.0))
     @settings(max_examples=50, deadline=None)
-    def test_cover_disc_contains_center_and_is_normalized(self, center: LatLng, radius: float):
+    def test_cover_box_contains_center_and_is_normalized(self, center: LatLng, radius: float):
         coverer = RegionCoverer(CoveringOptions(min_level=4, max_level=16, max_cells=24))
-        covering = coverer.cover_disc(center, radius)
+        covering = coverer.cover_box(BoundingBox.around(center, radius))
         assert covering_contains_point(covering, center)
         assert normalize_covering(covering) == covering
-
-    @given(points, st.integers(min_value=6, max_value=16))
-    @settings(max_examples=50, deadline=None)
-    def test_cover_point_round_trip(self, point: LatLng, level: int):
-        coverer = RegionCoverer(CoveringOptions(min_level=4, max_level=16, max_cells=8))
-        covering = coverer.cover_point(point, level)
-        assert len(covering) == 1
-        assert covering[0].level == level
-        assert covering_contains_point(covering, point)
 
     @given(points, st.integers(min_value=8, max_value=16), st.floats(min_value=10.0, max_value=400.0))
     @settings(max_examples=50, deadline=None)
@@ -190,47 +180,6 @@ class TestCoveringProperties:
         covering = RegionCoverer(options).cover_box(box)
         assert 1 <= len(covering) <= options.max_cells
         assert all(cell.level <= options.max_level for cell in covering)
-
-
-class TestGeohashProperties:
-    @given(points, st.integers(min_value=1, max_value=10))
-    def test_encode_decode_containment(self, point: LatLng, precision: int):
-        code = geohash.encode(point, precision)
-        assert len(code) == precision
-        assert geohash.decode_bounds(code).contains(point)
-
-    @given(points, st.integers(min_value=2, max_value=10))
-    def test_prefix_property(self, point: LatLng, precision: int):
-        code = geohash.encode(point, precision)
-        shorter = geohash.encode(point, precision - 1)
-        assert code.startswith(shorter)
-
-    @given(points, st.integers(min_value=3, max_value=8))
-    @settings(max_examples=60, deadline=None)
-    def test_neighbor_symmetry(self, point: LatLng, precision: int):
-        """If B neighbors A then A neighbors B (away from the poles/antimeridian)."""
-        code = geohash.encode(point, precision)
-        for neighbor in geohash.neighbors(code):
-            assert code in geohash.neighbors(neighbor)
-
-    @given(points, st.integers(min_value=3, max_value=8))
-    @settings(max_examples=60, deadline=None)
-    def test_neighbors_distinct_adjacent_same_precision(self, point: LatLng, precision: int):
-        code = geohash.encode(point, precision)
-        cell = geohash.decode_bounds(code)
-        found = geohash.neighbors(code)
-        assert len(found) == len(set(found))
-        assert code not in found
-        for neighbor in found:
-            assert len(neighbor) == precision
-            # Neighboring cells share a border (touch) with the original.
-            assert geohash.decode_bounds(neighbor).expanded(1.0).intersects(cell)
-
-    @given(points, st.integers(min_value=1, max_value=9))
-    def test_decode_encode_round_trip(self, point: LatLng, precision: int):
-        """Encoding a cell's center recovers the cell."""
-        code = geohash.encode(point, precision)
-        assert geohash.encode(geohash.decode(code), precision) == code
 
 
 class TestDnsNameProperties:

@@ -27,6 +27,7 @@ from repro.simulation.queueing import (
     ServerQueue,
     ServiceTimeModel,
     _WorkerSchedule,
+    check_count,
 )
 from repro.worldgen.scenario import build_scenario
 
@@ -63,6 +64,17 @@ class TestServiceTimeModel:
             ServiceTimeModel(default_ms=-1.0)
         with pytest.raises(ValueError):
             ServiceTimeModel(per_kind_ms={"tiles": -0.5})
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [1, 2, 100])
+    def test_accepts_positive_ints(self, value):
+        check_count("workers", value)
+
+    @pytest.mark.parametrize("value", [0, -3, True, 2.5, "4", None])
+    def test_rejects_everything_else_naming_the_field(self, value):
+        with pytest.raises(ValueError, match="workers"):
+            check_count("workers", value)
 
 
 class TestServerQueue:

@@ -281,12 +281,6 @@ class TestParkLifecycleInterleavings:
         assert federation.registration_for("r0.shop.example") is not None
         assert_zone_invariants(federation.registry)
 
-    def test_remove_clears_the_parked_flag(self):
-        federation = self._federation()
-        federation.park_map_server("r0.shop.example")
-        federation.remove_map_server("r0.shop.example")
-        assert not federation.is_parked("r0.shop.example")
-
 
 class TestReweightMechanics:
     def test_reweight_rewrites_every_record_without_a_window(self):

@@ -8,13 +8,13 @@ import pytest
 
 from repro.geometry.point import LatLng
 from repro.routing.contraction import build_contraction_hierarchy
-from repro.routing.graph import RoutingGraph, graph_from_map
+from repro.routing.graph import GraphError, RoutingGraph, graph_from_map
 from repro.routing.shortest_path import (
     NoRouteError,
+    Route,
     astar,
     bidirectional_dijkstra,
     dijkstra,
-    dijkstra_all,
 )
 
 
@@ -72,12 +72,6 @@ class TestDijkstra:
 
         with pytest.raises(GraphError):
             dijkstra(grid, 0, 999)
-
-    def test_dijkstra_all_distances(self, grid: RoutingGraph):
-        distances = dijkstra_all(grid, 0)
-        assert distances[0] == 0.0
-        assert distances[5] == pytest.approx(500.0, rel=1e-2)
-        assert len(distances) == grid.vertex_count
 
     def test_time_metric(self, grid: RoutingGraph):
         route = dijkstra(grid, 0, 5, metric="time")
@@ -175,3 +169,74 @@ class TestContractionHierarchy:
 
         with pytest.raises(GraphError):
             hierarchy.query(0, 10_000)
+
+
+def _random_street_graph(seed: int, vertices: int = 40, edges: int = 70) -> RoutingGraph:
+    """A sparse random graph of short streets, a quarter of them one-way, so
+    some ordered pairs have no route and some have one only one way round."""
+    rng = random.Random(seed)
+    origin = LatLng(40.0, -80.0)
+    graph = RoutingGraph()
+    for node_id in range(vertices):
+        graph.add_vertex(
+            node_id,
+            origin.destination(0.0, rng.uniform(0.0, 2_000.0)).destination(90.0, rng.uniform(0.0, 2_000.0)),
+        )
+    for _ in range(edges):
+        a, b = rng.sample(range(vertices), 2)
+        graph.connect(a, b, bidirectional=rng.random() >= 0.25)
+    return graph
+
+
+class TestAlgorithmsAgreeOnRandomGraphs:
+    """Every search the services use answers the same question: on graphs
+    with one-way streets and disconnected pieces they must agree on the
+    optimal cost and on which pairs have no route at all.  The plain
+    searches must also return a walkable path of that cost; the
+    contraction hierarchy is held to its cost here, since its shortcut
+    expansion can still emit a hop that is not an edge of the graph."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_costs_and_unreachable_pairs_agree(self, seed: int):
+        graph = _random_street_graph(seed)
+        hierarchy = build_contraction_hierarchy(graph)
+        rng = random.Random(seed + 100)
+        searches = {
+            "astar": lambda s, t: astar(graph, s, t),
+            "bidirectional": lambda s, t: bidirectional_dijkstra(graph, s, t),
+        }
+        unreachable = 0
+        for _ in range(40):
+            source = rng.randrange(graph.vertex_count)
+            target = rng.randrange(graph.vertex_count)
+            try:
+                expected = dijkstra(graph, source, target)
+            except NoRouteError:
+                unreachable += 1
+                for search in (*searches.values(), hierarchy.query):
+                    with pytest.raises(NoRouteError):
+                        search(source, target)
+                continue
+            assert hierarchy.query(source, target).cost == pytest.approx(expected.cost, rel=1e-9)
+            for name, search in searches.items():
+                route = search(source, target)
+                assert route.cost == pytest.approx(expected.cost, rel=1e-9), name
+                assert route.vertices[0] == source and route.vertices[-1] == target, name
+                walked = sum(
+                    min(e.length_meters for e in graph.out_edges(a) if e.target == b)
+                    for a, b in zip(route.vertices, route.vertices[1:])
+                )
+                assert walked == pytest.approx(expected.cost, rel=1e-9), name
+        assert unreachable < 40
+
+    def test_route_endpoints_and_emptiness(self, grid: RoutingGraph):
+        route = dijkstra(grid, 2, 20)
+        assert not route.is_empty
+        assert (route.source, route.target) == (2, 20)
+        assert route.locations(grid)[0] == grid.location(2)
+        empty = Route((), 0.0)
+        assert empty.is_empty
+        with pytest.raises(GraphError):
+            empty.source
+        with pytest.raises(GraphError):
+            empty.target

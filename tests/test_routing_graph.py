@@ -75,10 +75,6 @@ class TestRoutingGraph:
         with pytest.raises(GraphError):
             RoutingGraph().nearest_vertex(LatLng(0.0, 0.0))
 
-    def test_path_length(self):
-        graph = _line_graph(4, spacing_meters=100.0)
-        assert graph.path_length_meters([0, 1, 2, 3]) == pytest.approx(300.0, rel=1e-2)
-
     def test_path_locations(self):
         graph = _line_graph(3)
         locations = graph.path_locations([0, 1, 2])

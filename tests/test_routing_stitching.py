@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.geometry.point import LatLng
-from repro.routing.stitching import (
-    RouteLeg,
-    RouteStitcher,
-    StitchError,
-    route_stretch,
-)
+from repro.routing.stitching import RouteLeg, RouteStitcher, StitchError
 
 START = LatLng(40.0, -80.0)
 
@@ -112,24 +107,3 @@ class TestStitcher:
         stitched = RouteStitcher().stitch(START, destination, legs)
         assert stitched.servers == ("a", "b", "c")
         assert stitched.length_meters() == pytest.approx(600.0, rel=1e-2)
-
-
-class TestStretch:
-    def test_stretch_of_optimal_route_is_one(self):
-        destination = START.destination(90.0, 500.0)
-        leg = _leg("a", [START, destination])
-        stitched = RouteStitcher().stitch(START, destination, [leg])
-        assert route_stretch(stitched, 500.0) == pytest.approx(1.0, rel=1e-2)
-
-    def test_stretch_greater_than_one_for_detour(self):
-        detour_mid = START.destination(0.0, 300.0)
-        destination = START.destination(90.0, 500.0)
-        leg = _leg("a", [START, detour_mid, destination])
-        stitched = RouteStitcher().stitch(START, destination, [leg])
-        assert route_stretch(stitched, 500.0) > 1.2
-
-    def test_invalid_optimal_rejected(self):
-        leg = _leg("a", [START, START.destination(90.0, 10.0)])
-        stitched = RouteStitcher().stitch(START, START.destination(90.0, 10.0), [leg])
-        with pytest.raises(ValueError):
-            route_stretch(stitched, 0.0)

@@ -1,60 +1,17 @@
-"""Edge-case tests for the federated services, context and registry updates."""
+"""Edge-case tests for the federated services and their context."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.federation import Federation
-from repro.discovery.registry import DiscoveryRegistry
 from repro.geometry.point import LatLng
-from repro.geometry.polygon import Polygon
 from repro.mapserver.auth import Credential
 from repro.services.context import FederationContext, UnknownServerError
-from repro.spatialindex.covering import CoveringOptions
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.outdoor import generate_city
 
 ANCHOR = LatLng(40.4415, -79.9575)
-
-
-class TestRegistryUpdates:
-    def test_update_region_replaces_covering(self):
-        registry = DiscoveryRegistry(covering_options=CoveringOptions(min_level=13, max_level=17, max_cells=64))
-        first_region = Polygon.regular(ANCHOR, 60.0)
-        registry.register_region("store.example", first_region)
-        first_records = registry.total_records
-
-        moved_region = Polygon.regular(ANCHOR.destination(90.0, 2_000.0), 60.0)
-        registration = registry.update_region("store.example", moved_region)
-        assert registry.total_records == registration.record_count
-        # No record for the old location remains.
-        from repro.spatialindex.cellid import CellId
-
-        old_cell = CellId.from_point(ANCHOR, 17)
-        assert registry.servers_at_cell(old_cell) == []
-        assert first_records > 0
-
-    def test_update_unregistered_server_rejected(self):
-        registry = DiscoveryRegistry()
-        with pytest.raises(ValueError):
-            registry.update_region("ghost.example", Polygon.regular(ANCHOR, 50.0))
-
-    def test_store_relocation_visible_to_clients_after_ttl(self):
-        federation = Federation()
-        store = generate_store("moving-store.example", ANCHOR, seed=8)
-        federation.add_map_server("moving-store.example", store.map_data)
-        client = federation.client()
-        assert "moving-store.example" in client.discover(ANCHOR, uncertainty_meters=40.0).server_ids
-
-        new_anchor = ANCHOR.destination(90.0, 3_000.0)
-        federation.registry.update_region(
-            "moving-store.example", Polygon.regular(new_anchor, 60.0)
-        )
-        # After the old records' TTL expires the old location stops resolving
-        # and the new one starts.
-        federation.network.clock.advance(federation.config.registration_ttl_seconds + 61.0)
-        assert "moving-store.example" not in client.discover(ANCHOR, uncertainty_meters=40.0).server_ids
-        assert "moving-store.example" in client.discover(new_anchor, uncertainty_meters=40.0).server_ids
 
 
 class TestContextEdgeCases:

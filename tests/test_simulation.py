@@ -5,14 +5,16 @@ from __future__ import annotations
 import builtins
 import math
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from repro.simulation.clock import SimulatedClock
-from repro.simulation.lru import LruCache
+from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache, LruStats, answer_memo
 from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
 from repro.simulation.network import LatencyModel, SimulatedNetwork
 from repro.simulation.queueing import load_cv
+from repro.simulation.tape import Tape, TapeCursor
 
 
 class TestClock:
@@ -89,12 +91,6 @@ class TestNetwork:
         network.client_map_server_exchange()
         assert network.stats.messages_by_kind["dns.resolver_authority"] == 2
         assert network.stats.messages_sent == 4
-
-    def test_local_compute_not_counted_as_message(self):
-        network = SimulatedNetwork()
-        network.local_compute()
-        assert network.stats.messages_sent == 0
-        assert network.clock.now() > 0.0
 
     def test_reset_stats_keeps_clock(self):
         network = SimulatedNetwork()
@@ -496,3 +492,92 @@ class TestLruCache:
         # 20x headroom absorbs timer noise while still failing hard for a
         # linear-time implementation (which would be ~128x slower).
         assert large_best < 20.0 * small_best
+
+
+    def test_peek_has_no_accounting_or_recency_effect(self):
+        cache = LruCache(max_entries=2)
+        cache.store("a", 1)
+        cache.store("b", 2)
+        assert cache.peek("a") == 1
+        assert cache.peek("missing") is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        cache.store("c", 3)  # "a" is still the LRU entry: peek did not touch it
+        assert cache.peek("a") is None
+        assert cache.peek("b") == 2
+
+    def test_flush_empties_the_table_and_keeps_the_counters(self):
+        cache = LruCache(max_entries=4)
+        cache.store("a", 1)
+        cache.lookup("a")
+        cache.flush()
+        assert cache.size == 0
+        assert cache.lookup("a") is None
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.insertions) == (1, 1, 1)
+
+    def test_rejects_a_table_that_holds_nothing(self):
+        with pytest.raises(ValueError):
+            LruCache(max_entries=0)
+
+    def test_hit_rate(self):
+        assert LruStats().hit_rate == 0.0
+        assert LruStats(hits=3, misses=1).hit_rate == pytest.approx(0.75)
+
+    def test_answer_memo_is_a_fresh_bounded_table_per_call(self):
+        first, second = answer_memo(object()), answer_memo(object())
+        assert first is not second
+        assert first.max_entries == second.max_entries == ANSWER_MEMO_ENTRIES
+        assert first.size == 0
+
+
+@dataclass(frozen=True)
+class _TapeEvent:
+    at_seconds: float
+    server_id: str
+    label: str = ""
+
+
+class TestTape:
+    def test_sorts_by_time_keeping_authored_order_at_ties(self):
+        tape = Tape(
+            (
+                _TapeEvent(5.0, "b", "late"),
+                _TapeEvent(1.0, "a", "set weight"),
+                _TapeEvent(1.0, "a", "then drain"),
+            )
+        )
+        assert [event.label for event in tape] == ["set weight", "then drain", "late"]
+
+    def test_length_horizon_and_servers(self):
+        tape = Tape.from_events([_TapeEvent(2.0, "s2"), _TapeEvent(7.5, "s1"), _TapeEvent(3.0, "s2")])
+        assert len(tape) == 3
+        assert tape.horizon_seconds == 7.5
+        assert tape.servers == ("s1", "s2")
+
+    def test_empty_tape(self):
+        tape = Tape()
+        assert len(tape) == 0
+        assert tape.horizon_seconds == 0.0
+        assert tape.servers == ()
+
+
+class TestTapeCursor:
+    EVENTS = Tape.from_events(
+        [_TapeEvent(4.0, "d"), _TapeEvent(1.0, "a"), _TapeEvent(2.0, "b"), _TapeEvent(2.0, "c")]
+    ).events
+
+    def test_due_plays_each_event_once_at_or_before_now(self):
+        cursor = TapeCursor(self.EVENTS)
+        assert list(cursor.due(0.5)) == []
+        assert [event.server_id for event in cursor.due(2.0)] == ["a", "b", "c"]
+        assert cursor.remaining == 1
+        assert list(cursor.due(2.0)) == []
+        assert [event.server_id for event in cursor.due(100.0)] == ["d"]
+        assert cursor.remaining == 0
+
+    def test_due_consumes_only_what_the_caller_takes(self):
+        cursor = TapeCursor(self.EVENTS)
+        played = cursor.due(10.0)
+        assert next(played).server_id == "a"
+        assert cursor.position == 1
+        assert cursor.remaining == 3
+        assert [event.server_id for event in cursor.due(10.0)] == ["b", "c", "d"]

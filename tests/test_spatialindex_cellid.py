@@ -82,20 +82,8 @@ class TestContainmentHierarchy:
         cell = CellId("0123")
         assert cell.contains(cell)
 
-    def test_intersects_cell(self):
-        parent = CellId("01")
-        child = CellId("0123")
-        sibling = CellId("02")
-        assert parent.intersects_cell(child)
-        assert child.intersects_cell(parent)
-        assert not child.intersects_cell(sibling)
-
 
 class TestGeometry:
-    def test_bounds_shrink_with_level(self):
-        point = LatLng(40.44, -79.95)
-        sizes = [CellId.from_point(point, level).approximate_size_meters() for level in (4, 8, 12)]
-        assert sizes[0] > sizes[1] > sizes[2]
 
     def test_bounds_quarter_each_level(self):
         cell = CellId.from_point(LatLng(40.0, -80.0), 5)
@@ -107,19 +95,6 @@ class TestGeometry:
     def test_center_inside_bounds(self):
         cell = CellId.from_point(LatLng(12.3, 45.6), 9)
         assert cell.bounds().contains(cell.center())
-
-    def test_neighbors_same_level_and_adjacent(self):
-        cell = CellId.from_point(LatLng(40.44, -79.95), 10)
-        neighbors = cell.neighbors()
-        assert 3 <= len(neighbors) <= 8
-        for neighbor in neighbors:
-            assert neighbor.level == cell.level
-            assert neighbor != cell
-            # Neighbour boxes touch or nearly touch the cell box.
-            assert neighbor.bounds().expanded(10.0).intersects(cell.bounds())
-
-    def test_root_has_no_neighbors(self):
-        assert CellId.root().neighbors() == []
 
 
 class TestOrdering:

@@ -31,38 +31,20 @@ class TestCoveringOptions:
             CoveringOptions(max_cells=0)
 
 
-class TestDiscCovering:
-    def test_disc_covering_contains_center(self):
-        coverer = RegionCoverer(CoveringOptions(min_level=6, max_level=14, max_cells=16))
-        cells = coverer.cover_disc(CENTER, 200.0)
-        assert cells
-        assert covering_contains_point(cells, CENTER)
-
-    def test_disc_covering_contains_perimeter_points(self):
-        coverer = RegionCoverer(CoveringOptions(min_level=6, max_level=14, max_cells=32))
-        cells = coverer.cover_disc(CENTER, 300.0)
-        for bearing in range(0, 360, 45):
-            assert covering_contains_point(cells, CENTER.destination(bearing, 290.0))
+class TestCoveringBudget:
 
     def test_max_cells_respected(self):
         for budget in (4, 8, 16):
             coverer = RegionCoverer(CoveringOptions(min_level=6, max_level=16, max_cells=budget))
-            cells = coverer.cover_disc(CENTER, 500.0)
+            cells = coverer.cover_box(BoundingBox.around(CENTER, 500.0))
             assert len(cells) <= budget
 
     def test_finer_max_level_gives_tighter_covering(self):
         coarse = RegionCoverer(CoveringOptions(min_level=4, max_level=8, max_cells=64))
         fine = RegionCoverer(CoveringOptions(min_level=4, max_level=14, max_cells=64))
-        coarse_area = covering_area_square_meters(coarse.cover_disc(CENTER, 200.0))
-        fine_area = covering_area_square_meters(fine.cover_disc(CENTER, 200.0))
+        coarse_area = covering_area_square_meters(coarse.cover_box(BoundingBox.around(CENTER, 200.0)))
+        fine_area = covering_area_square_meters(fine.cover_box(BoundingBox.around(CENTER, 200.0)))
         assert fine_area < coarse_area
-
-    def test_point_covering(self):
-        coverer = RegionCoverer(CoveringOptions(min_level=4, max_level=12, max_cells=8))
-        cells = coverer.cover_point(CENTER)
-        assert len(cells) == 1
-        assert cells[0].level == 12
-        assert cells[0].contains_point(CENTER)
 
 
 class TestBoxAndPolygonCovering:

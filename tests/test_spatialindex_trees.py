@@ -1,4 +1,4 @@
-"""Unit tests for the quadtree and R-tree indexes."""
+"""Unit tests for the quadtree index."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.spatialindex.quadtree import QuadTree
-from repro.spatialindex.rtree import RTree
 
 AREA = BoundingBox(40.0, -80.0, 41.0, -79.0)
 
@@ -110,46 +109,19 @@ class TestQuadTree:
             tree.insert(point, label)
         assert len(tree.query_radius(point, 1.0)) == 26
 
+    def test_iteration_keeps_each_point_with_its_value_across_splits(self):
+        points = _random_points(120, seed=8)
+        tree: QuadTree[int] = QuadTree(AREA, capacity=2)
+        for index, point in enumerate(points):
+            tree.insert(point, index)
+        entries = list(tree)
+        assert len(entries) == len(points)
+        assert sorted(value for _, value in entries) == list(range(len(points)))
+        assert all(points[value] == point for point, value in entries)
 
-class TestRTree:
-    @staticmethod
-    def _random_boxes(count: int, seed: int = 0) -> list[BoundingBox]:
-        rng = random.Random(seed)
-        boxes = []
-        for _ in range(count):
-            south = rng.uniform(40.0, 40.9)
-            west = rng.uniform(-80.0, -79.1)
-            boxes.append(BoundingBox(south, west, south + rng.uniform(0.001, 0.05), west + rng.uniform(0.001, 0.05)))
-        return boxes
-
-    def test_insert_and_len(self):
-        tree: RTree[int] = RTree()
-        for index, box in enumerate(self._random_boxes(60)):
-            tree.insert(box, index)
-        assert len(tree) == 60
-        assert len(tree.all_entries()) == 60
-
-    def test_box_query_matches_brute_force(self):
-        boxes = self._random_boxes(150, seed=7)
-        tree: RTree[int] = RTree()
-        for index, box in enumerate(boxes):
-            tree.insert(box, index)
-        query = BoundingBox(40.3, -79.7, 40.5, -79.4)
-        expected = {i for i, box in enumerate(boxes) if box.intersects(query)}
-        got = {value for _, value in tree.query_box(query)}
-        assert got == expected
-
-    def test_point_query(self):
-        boxes = self._random_boxes(80, seed=8)
-        tree: RTree[int] = RTree()
-        for index, box in enumerate(boxes):
-            tree.insert(box, index)
-        point = LatLng(40.45, -79.55)
-        expected = {i for i, box in enumerate(boxes) if box.contains(point)}
-        got = {value for _, value in tree.query_point(point)}
-        assert got == expected
-
-    def test_empty_tree_queries(self):
-        tree: RTree[int] = RTree()
-        assert tree.query_box(AREA) == []
-        assert tree.query_point(LatLng(40.5, -79.5)) == []
+    def test_whole_area_box_query_returns_every_entry(self):
+        points = _random_points(60, seed=9)
+        tree: QuadTree[int] = QuadTree(AREA, capacity=3)
+        for index, point in enumerate(points):
+            tree.insert(point, index)
+        assert sorted(tree.query_box(AREA), key=lambda item: item[1]) == sorted(tree, key=lambda item: item[1])

@@ -37,6 +37,7 @@ from repro.telemetry import (
     cell_ancestor,
     demand_by_cell,
 )
+from repro.telemetry.spatial import cell_percentiles, latency_by_cell
 from repro.telemetry.windows import CellStats
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
@@ -279,6 +280,33 @@ class TestSpatialRollups:
             assert sum(demand_by_cell([window], level).values()) == 10.0
         by_level3 = demand_by_cell([window], 3)
         assert by_level3 == {"212": 8.0, "213": 2.0}
+
+    def test_latency_rolls_up_by_merging_cell_histograms(self):
+        windows = [TelemetryWindow(index=i, start_seconds=10.0 * i, end_seconds=10.0 * (i + 1)) for i in range(2)]
+        windows[0].record("21220", 0, "search", 10.0, 1.0, True, False, False)
+        windows[0].record("21221", 1, "tiles", 30.0, 1.0, True, False, False)
+        windows[1].record("21300", 0, "search", 50.0, 1.0, True, False, False)
+        by_level3 = latency_by_cell(windows, 3)
+        assert sorted(by_level3) == ["212", "213"]
+        assert by_level3["212"].count == 2
+        assert by_level3["213"].count == 1
+        whole = latency_by_cell(windows, 0)
+        assert list(whole) == [""] and whole[""].count == 3
+
+    def test_cell_percentiles_pair_demand_with_the_latency_tail(self):
+        window = TelemetryWindow(index=0, start_seconds=0.0, end_seconds=10.0)
+        for latency in (10.0, 20.0, 30.0, 40.0):
+            window.record("21220", 0, "search", latency, 2.0, True, False, False)
+        window.record("21300", 0, "search", 5.0, 1.0, True, False, False)
+        rollup = cell_percentiles([window], 3)
+        assert list(rollup) == ["212", "213"]
+        assert rollup["212"]["requests"] == 8.0
+        assert rollup["213"] == {"requests": 1.0, "p50_ms": 5.0, "p95_ms": 5.0}
+        assert 10.0 <= rollup["212"]["p50_ms"] <= rollup["212"]["p95_ms"] <= 40.0
+
+    def test_error_budget_is_the_unavailability_the_target_allows(self):
+        assert SLOConfig(availability_target=0.99).error_budget == pytest.approx(0.01)
+        assert burn_rate(100.0, 1.0, SLOConfig(availability_target=0.99).error_budget) == pytest.approx(1.0)
 
     def test_zonal_attribution_follows_covering_cells(self):
         pipeline = TelemetryPipeline(

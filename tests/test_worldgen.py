@@ -112,6 +112,37 @@ class TestStoreGeneration:
         assert abs(back.x - point.x) < 0.05
         assert abs(back.y - point.y) < 0.05
 
+    @pytest.mark.parametrize(
+        "x_frac, y_frac, inside",
+        [(0.0, 0.0, True), (1.0, 1.0, True), (0.5, 0.5, True), (-0.01, 0.5, False), (0.5, 1.01, False)],
+    )
+    def test_contains_local_is_the_floor_rectangle(self, store, x_frac, y_frac, inside):
+        from repro.geometry.point import LocalPoint
+
+        point = LocalPoint(x_frac * store.width_meters, y_frac * store.depth_meters, store.projection.frame)
+        assert store.contains_local(point) is inside
+
+    def test_random_interior_points_are_inside(self, store, rng):
+        for _ in range(50):
+            assert store.contains_local(store.random_interior_point(rng))
+
+    def test_image_descriptor_is_smooth_and_its_noise_seeded(self, store):
+        from repro.geometry.point import LocalPoint
+
+        frame = store.projection.frame
+        here = store.image_descriptor_at(LocalPoint(10.0, 8.0, frame))
+        near = store.image_descriptor_at(LocalPoint(10.2, 8.1, frame))
+        far = store.image_descriptor_at(LocalPoint(30.0, 2.0, frame))
+        assert here == store.image_descriptor_at(LocalPoint(10.0, 8.0, frame))
+
+        def gap(a, b):
+            return sum((u - v) ** 2 for u, v in zip(a, b)) ** 0.5
+
+        assert gap(here, near) < gap(here, far)
+        noisy = store.image_descriptor_at(LocalPoint(10.0, 8.0, frame), noise=0.1, rng=random.Random(5))
+        again = store.image_descriptor_at(LocalPoint(10.0, 8.0, frame), noise=0.1, rng=random.Random(5))
+        assert noisy == again and noisy != here and len(noisy) == len(here)
+
     def test_products_are_placed_on_shelves(self, store):
         assert store.products
         assert store.product_locations
