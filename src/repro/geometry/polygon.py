@@ -18,6 +18,7 @@ from repro.geometry.point import (
     meters_per_degree_latitude,
     meters_per_degree_longitude,
 )
+from repro.simulation.metrics import float_sum
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class Polygon:
     @property
     def centroid(self) -> LatLng:
         """Planar centroid of the vertices (adequate for small regions)."""
-        lat = sum(v.latitude for v in self.vertices) / len(self.vertices)
-        lng = sum(v.longitude for v in self.vertices) / len(self.vertices)
+        lat = float_sum(v.latitude for v in self.vertices) / len(self.vertices)
+        lng = float_sum(v.longitude for v in self.vertices) / len(self.vertices)
         return LatLng(lat, lng)
 
     def area_square_meters(self) -> float:

@@ -39,10 +39,11 @@ at a cost per run rather than per job.
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from heapq import heapify, heappop, heapreplace
+from heapq import heapify, heappop
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -420,6 +421,113 @@ class _WorkerSchedule:
         return added
 
 
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<q")
+
+
+def _bits(value: float) -> int:
+    """The bit pattern of ``value``; for non-negative floats it orders them."""
+    return _BITS.unpack(_DOUBLE.pack(value))[0]
+
+
+def _level(bits: int) -> float:
+    """The float whose bit pattern is ``bits`` (>= 0); -1 stands for just below 0.0."""
+    return _DOUBLE.unpack(_BITS.pack(bits))[0] if bits >= 0 else -math.ulp(0.0)
+
+
+def water_fill(tails: Sequence[float], caps: Sequence[int], admitted: int, service_s: float) -> list[int]:
+    """How many of ``admitted`` same-instant jobs each worker takes.
+
+    Each job goes to the worker that would finish it first, lowest index on
+    ties: worker ``i``'s ``k``-th job (``k < caps[i]``) finishes at ``v_i(k)
+    = tails[i] + k * service_s`` in float, and ``v_i`` never falls as ``k``
+    rises, so the greedy order is the k-way merge of the workers' sequences
+    and the split is the ``admitted`` smallest pairs in ``(v, i, k)`` order.
+    They are found by selection, not by merging them one by one.
+
+    Write ``s = service_s > 0``, ``t_i = tails[i]`` (>= 0, the clock never
+    reads below zero; a negative tail raises ``ValueError``) and ``c_i =
+    min(caps[i], admitted)`` (no worker takes more than ``admitted``).
+
+    1. *Level.*  ``a_i(L) = clip(floor((L - t_i) / s) + 1, 0, c_i)`` in float
+       approximates how many of worker ``i``'s pairs lie at or below ``L``,
+       and ``N(L) = Σ a_i(L)`` never falls as ``L`` rises.  A bisection over
+       the bit patterns of the non-negative floats (which they order) keeps
+       ``N(L_lo) < admitted <= N(L_hi)``, from a level below every tail
+       (``N = 0``) and ``top = max_i (t_i + c_i * s)`` or ``inf``, until
+       ``L_hi - L_lo < s/2`` or the patterns are adjacent: ≤ 64 passes.
+    2. *Band.*  With ``n_i = a_i(L_hi)``, pairs ``k < n_i - m`` are certain,
+       pairs ``k >= n_i + m`` are out, and the rest of ``admitted`` is taken
+       from the band between them by a stable sort of the heap's own float
+       ``v_i(k)`` — the band is laid out in ``(i, k)`` order, so ties keep the
+       heap's tie-break.
+
+    The margin ``m`` is proven.  Let ``U = ulp(max(top, L_hi))``: every float
+    the argument rounds to (``k * s``, ``v_i(k)``, ``L - t_i``) is at most
+    that large, so each rounding errs by at most ``U/2``.  Hence ``|v_i(k) -
+    (t_i + k s)| <= U``, and ``a_i(L)`` lies between the exact counts
+    ``ρ_i(L ∓ 2U)``, ``ρ_i(x) = clip(floor((x - t_i)/s) + 1, 0, c_i)``
+    (the quotient's own rounding is ≤ ``U/s`` below the subnormal range, and
+    ≤ 2^-1075 in it).  Let ``V`` be the ``admitted``-th smallest value; the
+    heap's count ``x_i`` lies between ``#{k: v_i(k) < V}`` and ``#{k:
+    v_i(k) <= V}``.  ``N(L_lo) < admitted <= Σ #{v <= V}`` forces ``V > L_lo
+    - 3U`` and ``N(L_hi) >= admitted > Σ #{v < V}`` forces ``V <= L_hi +
+    3U``, so ``n_i - x_i <= ρ_i(L_hi + 2U) - ρ_i(L_lo - 4U) <= ⌈(L_hi - L_lo
+    + 6U)/s⌉`` and ``x_i - n_i <= ρ_i(L_hi + 4U) - ρ_i(L_hi - 2U) <=
+    ⌈6U/s⌉``.  ``m = ⌈(L_hi - L_lo + 7U)/s⌉ + 1`` in float covers that: the
+    extra ``U/2`` the float difference may lose, the two roundings of the
+    bound itself (below 1/2 while it is under ``admitted``) and the
+    subnormal quotient term.  ``m`` is capped at ``max c_i``, which bounds
+    any ``|x_i - n_i|``: a tiny ``s`` (where ``U/s`` would overflow) puts
+    every worker's whole room in the band, and is still exact.
+    """
+    t = np.array(tails, dtype=float)
+    lowest = float(t.min())
+    if not lowest >= 0.0:
+        raise ValueError(f"water_fill tails must be >= 0, got {lowest!r}")
+    room_counts = np.minimum(np.array(caps), admitted)
+    room = room_counts.astype(float)
+    largest = int(room_counts.max())
+
+    def taken(level: float) -> np.ndarray:
+        return np.minimum(np.maximum(np.floor((level - t) / service_s) + 1.0, 0.0), room)
+
+    with np.errstate(over="ignore"):  # past the float range a count saturates to the room
+        top = float((t + room * service_s).max())
+        low = _bits(abs(lowest)) - 1  # abs: a tail may be -0.0
+        low_level = _level(low)
+        high, high_level, high_taken = _bits(top), top, taken(top)
+        if np.cumsum(high_taken)[-1] < admitted:
+            high, high_level, high_taken = _bits(math.inf), math.inf, room
+        while high - low > 1 and high_level - low_level >= service_s / 2:
+            mid = (low + high) // 2
+            mid_level = _level(mid)
+            mid_taken = taken(mid_level)
+            if np.cumsum(mid_taken)[-1] >= admitted:
+                high, high_level, high_taken = mid, mid_level, mid_taken
+            else:
+                low, low_level = mid, mid_level
+
+        bound = (high_level - low_level) + 7.0 * math.ulp(max(top, high_level))
+        margin = largest if bound >= largest * service_s else min(largest, math.ceil(bound / service_s) + 1)
+        approx = high_taken.astype(np.int64)
+        certain = np.maximum(approx - margin, 0)
+        width = np.minimum(approx + margin, room_counts) - certain
+        band_ends = np.cumsum(width)
+        band = int(band_ends[-1])
+        rest = admitted - int(np.cumsum(certain)[-1])
+        if not 0 <= rest <= band:
+            raise RuntimeError(f"water_fill band of {band} cannot hold the {rest} jobs left")
+        owner = np.repeat(np.arange(len(width)), width)
+        jobs = np.arange(band) + np.repeat(certain - (band_ends - width), width)
+        finishes = np.repeat(t, width) + jobs * service_s
+    picked = np.argsort(finishes, kind="stable")[:rest]
+    assigned = (certain + np.bincount(owner[picked], minlength=len(width))).tolist()
+    if sum(assigned) != admitted:
+        raise RuntimeError(f"water_fill assigned {sum(assigned)} of {admitted} jobs")
+    return assigned
+
+
 @dataclass
 class ServerQueue:
     """A bounded queue in front of one map server's worker pool.
@@ -662,9 +770,8 @@ class ServerQueue:
 
         # Greedy earliest-finish water-fill, bounded by per-worker caps: each
         # job goes to the worker that would finish it first (lowest index on
-        # ties).  A worker's finish times only rise, so the greedy order is a
-        # k-way merge over a heap: O(admitted × log workers), and `admitted`
-        # is at most capacity × workers, never `count`.
+        # ties).  `water_fill` finds that split by selection, at a cost per
+        # worker rather than per job.
         if service_s <= 0.0:
             # Zero service time: every job starts at its worker's tail and
             # nothing levels — fill the workers with room in index order.
@@ -673,16 +780,7 @@ class ServerQueue:
                 assigned.append(min(cap, remaining))
                 remaining -= assigned[-1]
         else:
-            assigned = [0] * self.workers
-            heap = [(tails[index], index) for index in range(self.workers) if caps[index]]
-            heapify(heap)
-            for _ in range(admitted):
-                index = heap[0][1]
-                assigned[index] = taken = assigned[index] + 1
-                if taken < caps[index]:
-                    heapreplace(heap, (tails[index] + taken * service_s, index))
-                else:
-                    heappop(heap)
+            assigned = water_fill(tails, caps, admitted, service_s)
 
         # The waits fold left to right, job by job in worker order, with the
         # expression of per-job admission, so the float sum is the one

@@ -16,6 +16,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import Generic, Sequence, TypeVar
 
+from repro.simulation.metrics import float_sum
+
 T = TypeVar("T")
 
 
@@ -35,7 +37,7 @@ def zipf_weights(count: int, exponent: float = 1.0) -> list[float]:
     if exponent < 0.0:
         raise ValueError("exponent must be >= 0")
     raw = [1.0 / float(rank + 1) ** exponent for rank in range(count)]
-    total = sum(raw)
+    total = float_sum(raw)
     return [weight / total for weight in raw]
 
 

@@ -13,6 +13,7 @@ import random
 import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from repro.simulation.queueing import (
     ServiceTimeModel,
     _WorkerSchedule,
     check_count,
+    water_fill,
 )
 from repro.worldgen.scenario import build_scenario
 
@@ -338,11 +340,12 @@ class TestPhantomArrivals:
 # Reference model: the per-interval queue the run-length-encoded one replaced.
 #
 # ``ServerQueue`` stores each worker's schedule as runs and water-fills a
-# phantom batch with a heap merge.  The oracle below is the implementation
-# it replaced, kept verbatim in its arithmetic: one ``(start, end)`` pair per
-# job, a per-interval placement walk, and the O(admitted × workers) greedy
-# loop.  It never prunes — pruning must not be observable — and it must agree
-# with ``ServerQueue`` bit for bit, so every comparison below is ``==``.
+# phantom batch by selection (``water_fill``).  The oracle below is the
+# implementation it replaced, kept verbatim in its arithmetic: one ``(start,
+# end)`` pair per job, a per-interval placement walk, and the O(admitted ×
+# workers) greedy loop.  It never prunes — pruning must not be observable —
+# and it must agree with ``ServerQueue`` bit for bit, so every comparison
+# below is ``==``.
 # --------------------------------------------------------------------------
 
 
@@ -1053,6 +1056,88 @@ class TestProbeBudget:
         assert worker_1.bound(0.0, service_s) == 0.003 and worker_2.bound(0.0, service_s) is None
         assert queue.process("search") == 3.0 + 2.0
         assert [schedule.jobs for schedule in queue._schedules] == [1, 2, 1]
+
+
+# --------------------------------------------------------------------------
+# Reference water-fill: the heap merge ``water_fill`` replaced.
+#
+# ``water_fill`` picks the ``admitted`` earliest finishes by a bisected level
+# and a proven band.  ``heap_water_fill`` below is the loop it replaced,
+# verbatim: one heap step per admitted job.  Inputs are drawn at fleet scale
+# (up to 128 workers, 512 slots each) and aimed at the band's edges: ties,
+# ulp-adjacent tails, tails near 1e9, a tail one service time late, and
+# service times from subnormal up, where the margin must cap at the room.
+# --------------------------------------------------------------------------
+
+
+def heap_water_fill(tails: list[float], caps: list[int], admitted: int, service_s: float) -> list[int]:
+    workers = len(tails)
+    assigned = [0] * workers
+    heap = [(tails[index], index) for index in range(workers) if caps[index]]
+    heapify(heap)
+    for _ in range(admitted):
+        index = heap[0][1]
+        assigned[index] = taken = assigned[index] + 1
+        if taken < caps[index]:
+            heapreplace(heap, (tails[index] + taken * service_s, index))
+        else:
+            heappop(heap)
+    return assigned
+
+
+fill_service_s = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1.5e-265, 1e-15, 1e-13, 1e-9, 0.0005, 0.0015, 0.002, 0.004, 0.012, 1 / 3]),
+    st.floats(min_value=5e-324, max_value=1 / 3),
+)
+
+
+@st.composite
+def water_fill_inputs(draw) -> tuple[list[float], list[int], int, float]:
+    """``(tails, caps, admitted, service_s)`` as ``phantom_arrivals`` passes them.
+
+    Each worker's tail is coded by one integer (integer lists draw fast):
+    negative is that many ulps above ``now``, 0 is ``now`` itself (idle
+    workers tie), 1–40 is that many service times late, and 41–44 picks one
+    of four free offsets of up to 2 s.
+    """
+    service_s = draw(fill_service_s)
+    now = draw(st.sampled_from([0.0, 0.1, 2.0, 1e9 - 3.0, 1e9]) | st.floats(min_value=0.0, max_value=1e9))
+    free = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=4, max_size=4))
+    workers = draw(st.integers(min_value=1, max_value=128))
+    tails = []
+    for code in draw(st.lists(st.integers(min_value=-4, max_value=44), min_size=workers, max_size=workers)):
+        tail = now
+        for _ in range(-code):
+            tail = math.nextafter(tail, math.inf)
+        if 0 < code <= 40:
+            tail = now + code * service_s
+        elif code > 40:
+            tail = now + free[code - 41]
+        tails.append(tail)
+    caps = draw(st.lists(st.integers(min_value=0, max_value=512), min_size=workers, max_size=workers))
+    caps[draw(st.integers(min_value=0, max_value=workers - 1))] |= 1  # some worker has room
+    admitted = draw(st.integers(min_value=1, max_value=sum(caps)))
+    return tails, caps, admitted, service_s
+
+
+class TestWaterFillMatchesHeap:
+    """``water_fill`` vs the heap merge it replaced: equal, worker by worker."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=water_fill_inputs())
+    # A service time so small that U/s is ~1e249 jobs: the margin caps at the
+    # room and the whole room is the band (an uncapped margin overflowed here).
+    @example(inputs=([1.0, 1.0, math.nextafter(1.0, math.inf)], [5, 3, 4], 7, 1.5e-265))
+    # A tail one service time late ties with the others' second jobs.
+    @example(inputs=([0.1, 0.1 + 0.002, 0.1], [3, 3, 3], 5, 0.002))
+    # Every slot admitted.
+    @example(inputs=([0.5, 0.25], [2, 0], 2, 1 / 3))
+    def test_selection_equals_the_heap(self, inputs):
+        assert water_fill(*inputs) == heap_water_fill(*inputs)
+
+    def test_rejects_a_negative_tail(self):
+        with pytest.raises(ValueError, match="tails must be >= 0"):
+            water_fill([0.5, -1.0], [2, 2], 3, 0.002)
 
 
 class TestQueueConfigValidation:

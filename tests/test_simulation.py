@@ -9,12 +9,15 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.geometry.point import LatLng
+from repro.geometry.polygon import Polygon
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache, LruStats, answer_memo
 from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
 from repro.simulation.network import LatencyModel, SimulatedNetwork
 from repro.simulation.queueing import load_cv
 from repro.simulation.tape import Tape, TapeCursor
+from repro.workload.traffic import zipf_weights
 
 
 class TestClock:
@@ -417,6 +420,17 @@ class TestFloatSum:
         assert sum(values) / len(values) != mean
         assert load_cv(values) == math.sqrt(spread) / mean == 1.1250000000000002
         assert histogram.mean == mean
+
+    def test_centroid_and_zipf_weights_fold(self, monkeypatch):
+        """A polygon's centroid and the Zipf popularity weights, with
+        ``sum()`` behaving as on 3.12: both vectors sum differently there."""
+        latitudes = [0.1] * 9 + [0.7]
+        polygon = Polygon([LatLng(latitude, 0.01 * index) for index, latitude in enumerate(latitudes)])
+        raw = [1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0]
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        assert sum(latitudes) != float_sum(latitudes) and sum(raw) != float_sum(raw)
+        assert polygon.centroid.latitude == float_sum(latitudes) / len(latitudes)
+        assert zipf_weights(4) == [weight / float_sum(raw) for weight in raw]
 
 
 class TestLruCache:
