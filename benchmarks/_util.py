@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.config import FederationConfig
-from repro.faults.scenarios import RETRY_POLICY, SERVER_QUEUE_CAPACITY, SERVICE_TIMES, WORLD_SEED
+from repro.workload.scenarios import RETRY_POLICY, SERVER_QUEUE_CAPACITY, SERVICE_TIMES, WORLD_SEED
 from repro.worldgen.scenario import FederatedScenario, build_scenario
 
 

@@ -39,8 +39,10 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from harness import Experiment, digest, main  # first: finds src/ when run standalone
-from repro.churn import FIRST_HEALTHY, WEIGHTED, ChurnSchedule, RetryPolicy
+from repro.churn import ChurnSchedule
 from repro.core.config import FederationConfig
+from repro.services.failover import FIRST_HEALTHY, WEIGHTED
+from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario

@@ -31,10 +31,10 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from harness import Experiment, digest, main  # first: finds src/ when run standalone
-from repro.churn import RetryPolicy
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.control import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
+from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario

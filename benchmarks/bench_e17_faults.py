@@ -4,7 +4,7 @@ E14 measures availability under *independent* churn (one server crashes,
 one lease expires).  Production federations are judged on the *correlated*
 failures: a region loses its uplink, a DNS authority goes dark, a stadium
 fills, a bad kernel rolls across a replica fleet.  This experiment runs
-the named disaster library (:mod:`repro.faults.scenarios`) — each scenario
+the named disaster library (:mod:`repro.workload.scenarios`) — each scenario
 twice, fault-free baseline and faulted — and checks every scenario's
 measured availability/latency/degradation metrics against its acceptance
 bands:
@@ -33,7 +33,8 @@ from __future__ import annotations
 import dataclasses
 
 from harness import Experiment, digest, main  # first: finds src/ when run standalone
-from repro.faults.scenarios import (
+from repro.workload import WorkloadEngine
+from repro.workload.scenarios import (
     SCENARIOS,
     WORKLOAD_SEED,
     WORLD_SEED,
@@ -41,7 +42,6 @@ from repro.faults.scenarios import (
     check_bands,
     scenario_metrics,
 )
-from repro.workload import WorkloadEngine
 
 FULL_CLIENTS = 60
 """Fleet size of the full sweep (the smoke sweep uses each scenario's own

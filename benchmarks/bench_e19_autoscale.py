@@ -3,7 +3,7 @@
 E18 gave the federation eyes (windowed telemetry, zonal roll-ups, SLO
 burn); this experiment closes the loop.  A per-region
 :class:`~repro.autoscale.scaler.Autoscaler` reads *only* telemetry
-roll-ups and drives a :class:`~repro.autoscale.warmpool.WarmPool` of
+roll-ups and drives a :class:`~repro.core.warmpool.WarmPool` of
 pre-registered zero-weight standbys through the control plane: promote
 when the zone pressures, ramp 4→2→1→0 and park when it ebbs.  Three
 claims are pinned:

@@ -55,7 +55,6 @@ from bench_e19_autoscale import (
 )
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
-from repro.faults.scenarios import RETRY_POLICY, SERVICE_TIMES
 from repro.operator import (
     AuditLog,
     OperatorApi,
@@ -68,6 +67,7 @@ from repro.operator import (
 from repro.operator.permissions import ALL_PERMISSIONS
 from repro.simulation.network import GrayFailure
 from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.scenarios import RETRY_POLICY, SERVICE_TIMES
 from repro.worldgen.scenario import build_scenario
 
 WORLD_SEED = 33

@@ -31,9 +31,9 @@ from __future__ import annotations
 import argparse
 
 from repro.autoscale import AutoscalerConfig
-from repro.churn.retry import RetryPolicy
 from repro.core.config import FederationConfig
 from repro.faults.schedule import FaultPlan
+from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.telemetry import SLOConfig, TelemetryConfig
 from repro.telemetry.spatial import server_zonal

@@ -15,8 +15,9 @@ latency.
 
 from __future__ import annotations
 
-from repro.churn import ChurnSchedule, RetryPolicy
+from repro.churn import ChurnSchedule
 from repro.core.config import FederationConfig
+from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario

@@ -17,9 +17,11 @@
 #             would follow the process's string-hash seed), the memo
 #             bound checker (functools.cache, lru_cache or LruCache with no
 #             stated bound in src/repro/ fails) and the module reachability
-#             checker (a module under src/repro/ that no entry point in
-#             benchmarks/, perfbench/, scripts/ or examples/ imports, other
-#             than through its own package __init__, fails)
+#             and layering checker (a module under src/repro/ that no entry
+#             point in benchmarks/, perfbench/, scripts/ or examples/
+#             imports, other than through its own package __init__, fails;
+#             so does an import of a package at or above the importer's own
+#             in check_reachable.py's LAYERS, and a package LAYERS omits)
 #
 # With no stage flag every stage runs in order — the local one-command check.
 # Usage: scripts/check.sh [--tier1|--smoke|--lint]...
@@ -109,7 +111,7 @@ if $run_lint; then
   python scripts/check_unbounded_memos.py
 
   echo
-  echo "== lint: module reachability =="
+  echo "== lint: module reachability and layering =="
   python scripts/check_reachable.py
 fi
 

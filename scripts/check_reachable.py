@@ -1,12 +1,14 @@
 #!/usr/bin/env python
-"""Fail the lint stage on a module under ``src/repro/`` that nothing runs.
+"""Fail the lint stage on a module under ``src/repro/`` that nothing runs,
+or on an import that reaches *up* the layer map.
 
-A package ``__init__`` that re-exports a module keeps it importable and
-tested, but does not make anything *use* it: six such modules (a geohash,
-a hex grid, an R-tree, a particle filter, an OSM serializer, a navigation
-session) once sat in the tree, imported on every start, with no service,
-experiment or workload calling them.  This check walks the import graph
-from every entry point and names each module the walk never reaches.
+Reachability.  A package ``__init__`` that re-exports a module keeps it
+importable and tested, but does not make anything *use* it: six such
+modules (a geohash, a hex grid, an R-tree, a particle filter, an OSM
+serializer, a navigation session) once sat in the tree, imported on every
+start, with no service, experiment or workload calling them.  This check
+walks the import graph from every entry point and names each module the
+walk never reaches.
 
 The entry points are every ``.py`` file under ``benchmarks/``,
 ``perfbench/``, ``scripts/`` and ``examples/`` (test directories left out)
@@ -18,6 +20,15 @@ runs its parent packages' ``__init__``, so those are reached with it.
 
 ``ALLOWED`` names the modules kept on purpose although nothing reaches them,
 each with its reason.
+
+Layering.  ``LAYERS`` lists the packages of ``src/repro/`` top first; a
+module of one package may import another package only if that package
+comes later in ``LAYERS``.  An import is charged to the package its
+statement names, because that is the ``__init__`` Python runs: ``from
+repro.churn import RetryPolicy`` reaches ``churn`` wherever ``RetryPolicy``
+is defined.  Imports under ``if TYPE_CHECKING:`` and inside functions
+count, relative ones resolve first, a package missing from ``LAYERS`` is a
+finding, and only the root ``repro/__init__`` is exempt.
 
 Standalone use: ``python scripts/check_reachable.py`` (exit 0 clean, exit 1
 with one ``path: reason`` per finding otherwise).
@@ -35,6 +46,32 @@ ENTRY_DIRECTORIES = ("benchmarks", "perfbench", "scripts", "examples")
 ALLOWED = {
     "src/repro/osm/validation.py": "the structural check tests/test_worldgen.py runs on every generated world",
 }
+
+LAYERS = (
+    "workload",
+    "autoscale",
+    "operator",
+    "faults",
+    "churn",
+    "control",
+    "telemetry",
+    "worldgen",
+    "core",
+    "centralized",
+    "services",
+    "discovery",
+    "mapserver",
+    "dns",
+    "routing",
+    "localization",
+    "tiles",
+    "osm",
+    "spatialindex",
+    "geometry",
+    "simulation",
+)
+"""The packages of ``src/repro/``, top first (``docs/ARCHITECTURE.md`` §
+Layer map draws the same order)."""
 
 _UNREACHED = "no entry point reaches it (only its package __init__ or nothing imports it)"
 
@@ -133,14 +170,50 @@ def findings(root: Path) -> list[str]:
     return [f"{path}: {_UNREACHED}" for path in unreached(root) if path not in ALLOWED]
 
 
+def _named_packages(graph: _Graph, module: str, names: list[str]) -> list[str]:
+    """The top-level packages an import of ``names`` from ``module`` names;
+    ``"repro"`` for the root package itself."""
+    parts = module.split(".")
+    if parts[0] != "repro":
+        return []
+    if len(parts) > 1:
+        return [parts[1]]
+    return [name if f"repro.{name}" in graph.modules else "repro" for name in names] or ["repro"]
+
+
+def layer_findings(root: Path) -> list[str]:
+    """``path: reason`` for every package of ``root/src/repro`` missing from
+    ``LAYERS`` and every import statement that names a package at or above
+    the importer's own."""
+    graph = _Graph(root)
+    rank = {package: index for index, package in enumerate(LAYERS)}
+    rank["repro"] = -1
+    packages = {name.split(".")[1] for name in graph.modules if name != "repro"}
+    failures = [f"src/repro/{package}: package missing from LAYERS" for package in sorted(packages - rank.keys())]
+    for module, imports in sorted(graph.imports.items()):
+        package = module.partition(".")[2].partition(".")[0]
+        if package not in rank:  # the root __init__, or a package reported above
+            continue
+        for target, names in imports:
+            for named in _named_packages(graph, target, names):
+                if named != package and rank.get(named, len(LAYERS)) < rank[package]:
+                    path = graph.modules[module].relative_to(root)
+                    failures.append(f"{path}: imports {target}, and {named} is not below {package} in LAYERS")
+    return failures
+
+
 def main() -> int:
-    failures = findings(REPO_ROOT)
-    if failures:
-        for failure in failures:
-            print(failure)
-        print(f"{len(failures)} unreached module(s) in src/repro/")
+    unreached_failures = findings(REPO_ROOT)
+    layer_failures = layer_findings(REPO_ROOT)
+    for failure in unreached_failures + layer_failures:
+        print(failure)
+    if unreached_failures:
+        print(f"{len(unreached_failures)} unreached module(s) in src/repro/")
+    if layer_failures:
+        print(f"{len(layer_failures)} layering finding(s) in src/repro/")
+    if unreached_failures or layer_failures:
         return 1
-    print(f"module reachability OK (src/repro/; {len(ALLOWED)} allowlisted)")
+    print(f"module reachability and layering OK (src/repro/; {len(ALLOWED)} allowlisted, {len(LAYERS)} layers)")
     return 0
 
 

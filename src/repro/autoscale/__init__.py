@@ -17,14 +17,15 @@ production controller only sees its monitoring system.
   convergence (22–67 s measured in E15) from turning the loop into a
   weight oscillator: the controller must *not* react to the lag between
   issuing a weight change and clients converging to it.
-* :mod:`repro.autoscale.warmpool` — :class:`WarmPool`: pre-registered
-  zero-weight standby replicas attached to one replica group
-  (``Federation.attach_warm_pool``), promoted by a pure weight change and
-  retired by drain → deregister (``park``) back into the pool.
 * :mod:`repro.autoscale.scaler` — :class:`Autoscaler`: the per-region
   control loop run at round seal via the engine's ``RoundObserver`` hook,
   issuing batched :class:`repro.control.ControlPlane` ops and accounting
   cost as replica-seconds.
+
+The standbys it scales with are a :class:`repro.core.warmpool.WarmPool`:
+pre-registered zero-weight replicas attached to one replica group
+(``Federation.attach_warm_pool``), promoted by a pure weight change and
+retired by drain → deregister (``park``) back into the pool.
 
 Autoscaling is **off by default**: a
 :class:`repro.workload.WorkloadConfig` without an ``autoscale`` config
@@ -34,12 +35,10 @@ transparency discipline telemetry, faults, churn, and control follow).
 
 from repro.autoscale.policy import AutoscalerConfig, Cooldown, HysteresisGate
 from repro.autoscale.scaler import Autoscaler
-from repro.autoscale.warmpool import WarmPool
 
 __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
     "Cooldown",
     "HysteresisGate",
-    "WarmPool",
 ]

@@ -37,17 +37,14 @@ so a fixed seed yields a byte-identical decision tape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.autoscale.policy import AutoscalerConfig, Cooldown, HysteresisGate
-from repro.autoscale.warmpool import WarmPool
 from repro.control.plane import ControlOp, ControlPlane
 from repro.control.schedule import ControlEventKind
+from repro.core.federation import Federation
+from repro.core.warmpool import WarmPool
 from repro.telemetry.reader import TelemetryReader
 from repro.telemetry.spatial import cell_ancestor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.federation import Federation
 
 
 @dataclass
@@ -85,7 +82,7 @@ class Autoscaler:
 
     def __init__(
         self,
-        federation: "Federation",
+        federation: Federation,
         reader: TelemetryReader,
         config: AutoscalerConfig | None = None,
         control: ControlPlane | None = None,

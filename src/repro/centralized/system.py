@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.geometry.point import LatLng
 from repro.localization.cues import CueBundle, CueType, LocalizationResult
-from repro.mapserver.geocode import Address, GeocodeResult, ReverseGeocodeResult
+from repro.mapserver.geocode import Address, GeocodeIndex, GeocodeResult, ReverseGeocodeResult
 from repro.mapserver.search import SearchResult
 from repro.osm.mapdata import MapData, MapMetadata
 from repro.centralized.preprocess import PreprocessedData, preprocess_world_map
@@ -99,10 +99,8 @@ class CentralizedMapSystem:
         self.stats.record("reverse_geocode")
         candidates = self.world_map.nodes_near(location, max_distance_meters)
         best: ReverseGeocodeResult | None = None
-        from repro.mapserver.geocode import GeocodeIndex as _GI
-
         for node in candidates:
-            label = _GI._label_for(node)
+            label = GeocodeIndex._label_for(node)
             if not label:
                 continue
             distance = location.distance_to(node.location)

@@ -1,4 +1,4 @@
-"""Dynamic federation membership: churn, replication and failover.
+"""Dynamic federation membership: join, leave, crash and lease expiry.
 
 The paper treats map servers as long-lived DNS registrants; a production
 federation churns.  Operators deploy new servers, crash, and re-register
@@ -11,34 +11,20 @@ churn a first-class, measurable part of the simulation:
   :class:`repro.core.federation.Federation` mid-run, with real record
   removal at the authority and lease (registration-TTL) expiry for
   crashed servers that stop refreshing.
-* :mod:`repro.churn.replicas` — replica groups: several map servers
-  advertising the same coverage under shared spatial names, each with an
-  RFC 2782 priority/weight for load sharing.
-* :mod:`repro.churn.retry` — client retry/backoff policies for failing
-  over between replicas (immediate / exponential / utilization-aware).
-* :mod:`repro.churn.health` — the client-side replica health tracker and
-  the per-resolver-pool :class:`SharedHealthBoard` gossip view.
-* :mod:`repro.churn.failover` — request-target planning over discovered
-  server ids (RFC 2782 weighted selection or legacy first-healthy) plus
-  the per-device failover/availability accounting the workload engine
-  aggregates.
+
+What churn is survived *with* lives lower down: replica groups in
+:mod:`repro.core.replicas`, and the client's retry policies, replica
+health and failover planning in :mod:`repro.services.retry`,
+:mod:`repro.services.health` and :mod:`repro.services.failover`.
 """
 
 from repro.churn.controller import AppliedChurnEvent, ChurnController
-from repro.churn.failover import (
-    FIRST_HEALTHY,
-    SELECTION_MODES,
-    WEIGHTED,
-    FailoverRecorder,
-    RequestTarget,
-    TargetUnavailableError,
-    plan_targets,
-    rfc2782_order,
-)
-from repro.churn.health import ReplicaHealth, SharedHealthBoard
-from repro.churn.replicas import ReplicaGroup, replica_server_id
-from repro.churn.retry import RetryPolicy
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
+
+# Kept for perfbench/workloads.py, which imports RetryPolicy from here and
+# is frozen as the benchmark's own code; every other caller imports it from
+# repro.services.retry.
+from repro.services.retry import RetryPolicy
 
 __all__ = [
     "AppliedChurnEvent",
@@ -46,17 +32,5 @@ __all__ = [
     "ChurnEvent",
     "ChurnEventKind",
     "ChurnSchedule",
-    "FIRST_HEALTHY",
-    "FailoverRecorder",
-    "ReplicaGroup",
-    "ReplicaHealth",
-    "RequestTarget",
     "RetryPolicy",
-    "SELECTION_MODES",
-    "SharedHealthBoard",
-    "TargetUnavailableError",
-    "WEIGHTED",
-    "plan_targets",
-    "replica_server_id",
-    "rfc2782_order",
 ]

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
+from repro.core.federation import Federation
 from repro.simulation.tape import TapeCursor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.federation import Federation
 
 LEASE_EXPIRED = "lease-expired"
 """Pseudo-event kind recorded when a crashed server's registration lapses."""
@@ -41,7 +38,7 @@ class AppliedChurnEvent:
 class ChurnController:
     """Drives scheduled membership changes through a federation mid-run."""
 
-    federation: "Federation"
+    federation: Federation
     schedule: ChurnSchedule
     lease_seconds: float | None = None
     """How long a crashed server's discovery records survive at the

@@ -12,15 +12,15 @@ clients are live:
 * :mod:`repro.control.schedule` — :class:`ControlSchedule`: deterministic
   operator-action tapes the workload engine applies at round boundaries,
   mirroring :class:`repro.churn.schedule.ChurnSchedule`.
-* :mod:`repro.control.view` — :class:`DeviceSrvView`: the client's
-  possibly-stale ``(priority, weight)`` view, refreshed only as its
-  discovery-cache/DNS-TTL entries expire — the convergence lag
-  ``WorkloadReport.control_stats`` measures.
+
+The client's possibly-stale ``(priority, weight)`` view, refreshed only as
+its discovery-cache/DNS-TTL entries expire, is
+:class:`repro.core.srv_view.DeviceSrvView`; the convergence lag it causes
+is what ``WorkloadReport.control_stats`` measures.
 """
 
 from repro.control.plane import AppliedControlEvent, ControlOp, ControlPlane
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
-from repro.control.view import DeviceSrvView
 
 __all__ = [
     "AppliedControlEvent",
@@ -29,5 +29,4 @@ __all__ = [
     "ControlOp",
     "ControlPlane",
     "ControlSchedule",
-    "DeviceSrvView",
 ]

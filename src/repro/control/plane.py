@@ -11,7 +11,7 @@ traffic *while clients are live*:
   registration-time weights do.
 * :meth:`ControlPlane.drain` / :meth:`ControlPlane.undrain` — the
   maintenance idiom: weight 0 makes a replica healthy-but-last-resort per
-  :func:`repro.churn.failover.rfc2782_order`, so its live traffic moves to
+  :func:`repro.services.failover.rfc2782_order`, so its live traffic moves to
   pool mates as client caches converge, with zero failed requests; undrain
   restores the remembered pre-drain weight.
 * :meth:`ControlPlane.promote` — move a server between strict priority
@@ -19,7 +19,7 @@ traffic *while clients are live*:
 
 Mutations are immediate at the authority; *clients* converge only as their
 discovery-cache and DNS-TTL entries expire (see
-:class:`repro.control.view.DeviceSrvView`), which is precisely the
+:class:`repro.core.srv_view.DeviceSrvView`), which is precisely the
 operational lag the workload engine's ``control_stats`` measure.
 
 With a :class:`~repro.control.schedule.ControlSchedule` attached the plane
@@ -38,15 +38,13 @@ lands as one audited batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from repro.churn.replicas import DEFAULT_REPLICA_WEIGHT
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.errors import FederationConfigError
+from repro.core.federation import Federation
+from repro.core.replicas import DEFAULT_REPLICA_WEIGHT
 from repro.simulation.tape import TapeCursor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.federation import Federation
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +79,7 @@ class AppliedControlEvent:
 class ControlPlane:
     """Drives deliberate SRV mutations through a live federation."""
 
-    federation: "Federation"
+    federation: Federation
     schedule: ControlSchedule | None = None
     applied: list[AppliedControlEvent] = field(default_factory=list)
     _cursor: TapeCursor[ControlEvent] = field(init=False, repr=False)
@@ -119,7 +117,7 @@ class ControlPlane:
         """Restore a drained server's pre-drain weight (or an explicit one).
 
         A server never drained through this plane (or drained from weight 0)
-        comes back at :data:`~repro.churn.replicas.DEFAULT_REPLICA_WEIGHT`.
+        comes back at :data:`~repro.core.replicas.DEFAULT_REPLICA_WEIGHT`.
         The remembered weight is consumed only once the restore actually
         lands — a rejected undrain (e.g. the server is gone right now) keeps
         the memory for a later retry.

@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.churn.failover import SELECTION_MODES, WEIGHTED
-from repro.churn.retry import RetryPolicy
 from repro.discovery.naming import DEFAULT_DISCOVERY_SUFFIX
+from repro.services.failover import SELECTION_MODES, WEIGHTED
+from repro.services.retry import RetryPolicy
 from repro.simulation.network import LatencyModel
 from repro.simulation.queueing import ServiceTimeModel, check_count
 from repro.spatialindex.cellid import MAX_LEVEL
@@ -75,7 +75,7 @@ class FederationConfig:
     shared_health: bool = False
     """Gossip dead-replica knowledge through each shared resolver pool: the
     first device to pay a dead-server timeout posts the replica to its
-    pool's :class:`repro.churn.health.SharedHealthBoard`, and pool mates
+    pool's :class:`repro.services.health.SharedHealthBoard`, and pool mates
     demote it without paying their own timeout.  Off (the default) keeps
     health strictly per-device — the byte-identical legacy behaviour."""
     shared_health_ttl_seconds: float = 30.0

@@ -13,12 +13,11 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 
-from repro.churn.failover import FailoverRecorder
-from repro.churn.health import ReplicaHealth, SharedHealthBoard
-from repro.churn.replicas import ReplicaGroup, replica_server_id
-from repro.control.view import DeviceSrvView
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
+from repro.core.replicas import ReplicaGroup, replica_server_id
+from repro.core.srv_view import DeviceSrvView
+from repro.core.warmpool import WarmPool
 from repro.discovery.discoverer import Discoverer
 from repro.discovery.naming import SpatialNaming
 from repro.discovery.registry import DiscoveryRegistry, Registration
@@ -32,6 +31,8 @@ from repro.mapserver.policy import AccessPolicy
 from repro.mapserver.server import MapServer
 from repro.osm.mapdata import MapData
 from repro.services.context import FederationContext
+from repro.services.failover import FailoverRecorder
+from repro.services.health import ReplicaHealth, SharedHealthBoard
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.network import SimulatedNetwork
 from repro.simulation.queueing import ServerQueue
@@ -65,8 +66,8 @@ class Federation:
     reachable).  Tracked explicitly so the parked state survives a
     crash/expire/revive interleaving: a revive must not resurrect a parked
     server's discovery records just because they happen to be absent."""
-    warm_pools: dict[str, "object"] = field(default_factory=dict)
-    """Replica group id → its attached :class:`repro.autoscale.WarmPool` of
+    warm_pools: dict[str, WarmPool] = field(default_factory=dict)
+    """Replica group id → its attached :class:`repro.core.warmpool.WarmPool` of
     standby replicas (empty unless :meth:`attach_warm_pool` was called).
     The autoscaler discovers its scaling domains here."""
 
@@ -334,13 +335,10 @@ class Federation:
                 server_id, server.coverage, priority=priority, weight=weight
             )
 
-    def attach_warm_pool(self, group_id: str, size: int) -> "object":
-        """Provision a :class:`repro.autoscale.WarmPool` of ``size``
+    def attach_warm_pool(self, group_id: str, size: int) -> WarmPool:
+        """Provision a :class:`repro.core.warmpool.WarmPool` of ``size``
         standby replicas for one group and remember it in
-        :attr:`warm_pools` (one pool per group).  Imported lazily so the
-        core federation stays importable without the autoscale package."""
-        from repro.autoscale.warmpool import WarmPool
-
+        :attr:`warm_pools` (one pool per group)."""
         if group_id in self.warm_pools:
             raise FederationConfigError(
                 f"replica group {group_id!r} already has a warm pool"
@@ -614,6 +612,7 @@ class Federation:
         backoff_seed: int | None = None,
     ):
         """Create an :class:`repro.core.client.OpenFlameClient` for this federation."""
+        # Deferred: repro.core.client imports this module (core.client <-> core.federation).
         from repro.core.client import OpenFlameClient
 
         return OpenFlameClient(

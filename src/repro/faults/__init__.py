@@ -15,11 +15,12 @@ makes those first-class:
   events to a running federation's
   :class:`~repro.simulation.network.NetworkFaultState` at round
   boundaries, exactly as the churn controller and control plane do.
-* :mod:`repro.faults.scenarios` — the named disaster library (regional
-  outage, stadium flash crowd, authority outage with cache coasting,
-  asymmetric partition with conflicting operator drains, rolling gray
-  failure), each with availability/latency acceptance bands checked by
-  ``benchmarks/bench_e17_faults.py``.
+
+The named disaster library built from these tapes (regional outage,
+stadium flash crowd, authority outage with cache coasting, asymmetric
+partition with conflicting operator drains, rolling gray failure) composes
+whole workloads, so it lives above them in :mod:`repro.workload.scenarios`,
+its acceptance bands checked by ``benchmarks/bench_e17_faults.py``.
 
 Tapes are plain data: the same plan replays byte for byte, and a run with
 no plan attaches no fault state at all — byte-identical to the fault-free
@@ -31,26 +32,8 @@ from repro.faults.schedule import FaultEvent, FaultEventKind, FaultPlan
 
 __all__ = [
     "AppliedFaultEvent",
-    "DisasterSpec",
     "FaultEvent",
     "FaultEventKind",
     "FaultInjector",
     "FaultPlan",
-    "SCENARIOS",
-    "check_bands",
-    "get_scenario",
-    "scenario_metrics",
 ]
-
-_SCENARIO_EXPORTS = ("SCENARIOS", "DisasterSpec", "get_scenario", "scenario_metrics", "check_bands")
-
-
-def __getattr__(name: str):
-    # The scenario library builds on the workload engine, which itself
-    # imports the injector from this package — so scenarios load lazily
-    # to keep the package importable from either direction.
-    if name in _SCENARIO_EXPORTS:
-        from repro.faults import scenarios
-
-        return getattr(scenarios, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

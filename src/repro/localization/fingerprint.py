@@ -53,6 +53,7 @@ import numpy as np
 from repro.geometry.point import LatLng
 from repro.localization.cues import BeaconCue, CueType, ImageCue, LocalizationResult
 from repro.simulation.lru import MutableSource
+from repro.simulation.metrics import float_sum
 
 # Log-distance path-loss model parameters shared by the signal simulator in
 # worldgen and the matcher here (they only need to be mutually consistent).
@@ -216,15 +217,15 @@ class BeaconFingerprintDatabase(MutableSource):
         best = [(distance, self.fingerprints[position]) for distance, position in scored[: self.k_neighbors]]
 
         weights = [1.0 / (distance + 1e-3) for distance, _ in best]
-        total_weight = sum(weights)
-        lat = sum(w * fp.location.latitude for w, (_, fp) in zip(weights, best)) / total_weight
-        lng = sum(w * fp.location.longitude for w, (_, fp) in zip(weights, best)) / total_weight
+        total_weight = float_sum(weights)
+        lat = float_sum(w * fp.location.latitude for w, (_, fp) in zip(weights, best)) / total_weight
+        lng = float_sum(w * fp.location.longitude for w, (_, fp) in zip(weights, best)) / total_weight
         estimate = LatLng(lat, lng)
 
         # Accuracy: spread of the matched fingerprints around the estimate.
         spread = max(estimate.distance_to(fp.location) for _, fp in best)
         accuracy = max(1.0, spread)
-        mean_distance = sum(d for d, _ in best) / len(best)
+        mean_distance = float_sum(d for d, _ in best) / len(best)
         confidence = 1.0 / (1.0 + mean_distance / 10.0)
         return LocalizationResult(
             server_id=server_id,
@@ -387,9 +388,9 @@ class ImageFingerprintDatabase(MutableSource):
             return None
 
         weights = [max(similarity, 1e-3) for similarity, _ in best]
-        total_weight = sum(weights)
-        lat = sum(w * fp.location.latitude for w, (_, fp) in zip(weights, best)) / total_weight
-        lng = sum(w * fp.location.longitude for w, (_, fp) in zip(weights, best)) / total_weight
+        total_weight = float_sum(weights)
+        lat = float_sum(w * fp.location.latitude for w, (_, fp) in zip(weights, best)) / total_weight
+        lng = float_sum(w * fp.location.longitude for w, (_, fp) in zip(weights, best)) / total_weight
         estimate = LatLng(lat, lng)
         spread = max(estimate.distance_to(fp.location) for _, fp in best)
         top_similarity = best[0][0]

@@ -38,10 +38,11 @@ came through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 from repro.control.plane import AppliedControlEvent, ControlPlane
 from repro.core.errors import FederationConfigError
+from repro.core.federation import Federation
 from repro.operator.audit import AuditLog
 from repro.operator.errors import (
     ApiError,
@@ -54,9 +55,6 @@ from repro.operator.permissions import PrincipalRegistry
 from repro.operator.schemas import ControlRequest, ControlResponse
 from repro.simulation.queueing import ServerOverloadedError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.federation import Federation
-
 _SRV_ACTIONS = frozenset({"set-weight", "drain", "undrain", "promote"})
 _POOL_ACTIONS = frozenset({"park", "unpark"})
 _CONTENDING_ACTIONS = _SRV_ACTIONS | _POOL_ACTIONS
@@ -66,7 +64,7 @@ _CONTENDING_ACTIONS = _SRV_ACTIONS | _POOL_ACTIONS
 class OperatorApi:
     """One federation's operator-facing control endpoint."""
 
-    federation: "Federation"
+    federation: Federation
     principals: PrincipalRegistry = field(default_factory=PrincipalRegistry)
     audit: AuditLog = field(default_factory=AuditLog)
     plane: ControlPlane | None = None

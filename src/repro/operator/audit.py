@@ -25,8 +25,9 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.federation import Federation
+from repro.core.federation import Federation
+
+if TYPE_CHECKING:  # pragma: no cover - cycle guard: operator.api imports this module
     from repro.operator.api import OperatorApi
 
 
@@ -130,7 +131,7 @@ class AuditLog:
         return iter(self.records)
 
 
-def state_digest(federation: "Federation") -> str:
+def state_digest(federation: Federation) -> str:
     """One hash over every server's operator-visible state.
 
     Folds ``(server_id, priority, weight, registered, parked, offline)``

@@ -29,18 +29,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.control.plane import AppliedControlEvent
+from repro.control.plane import AppliedControlEvent, ControlOp
 from repro.control.schedule import ControlEvent, ControlSchedule
 from repro.core.errors import FederationConfigError
 from repro.operator.api import OperatorApi
 from repro.operator.schemas import ControlResponse
 from repro.simulation.network import NetworkTimeoutError
 from repro.simulation.tape import TapeCursor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.control.plane import ControlOp
 
 
 @dataclass(frozen=True, slots=True)

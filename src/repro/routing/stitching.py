@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.geometry.point import LatLng
+from repro.simulation.metrics import float_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +44,7 @@ class RouteLeg:
         return self.points[-1]
 
     def length_meters(self) -> float:
-        return sum(a.distance_to(b) for a, b in zip(self.points, self.points[1:]))
+        return float_sum(a.distance_to(b) for a, b in zip(self.points, self.points[1:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +57,7 @@ class StitchedRoute:
     total_cost: float
 
     def length_meters(self) -> float:
-        return sum(a.distance_to(b) for a, b in zip(self.points, self.points[1:]))
+        return float_sum(a.distance_to(b) for a, b in zip(self.points, self.points[1:]))
 
     @property
     def servers(self) -> tuple[str, ...]:
@@ -185,5 +186,5 @@ class RouteStitcher:
         if points[-1] != destination:
             points.append(destination)
 
-        total_cost = sum(leg.cost for leg in ordered) + connector
+        total_cost = float_sum(leg.cost for leg in ordered) + connector
         return StitchedRoute(tuple(points), tuple(ordered), connector, total_cost), first_point, current

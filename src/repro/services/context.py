@@ -8,9 +8,9 @@ makes.  :class:`FederationContext` bundles them; it is constructed by
 
 With the churn subsystem the context also carries the client's failover
 machinery: the federation's replica-group membership map, the configured
-:class:`~repro.churn.retry.RetryPolicy`, a per-device
-:class:`~repro.churn.health.ReplicaHealth` tracker and a per-device
-:class:`~repro.churn.failover.FailoverRecorder`.  Services address *logical
+:class:`~repro.services.retry.RetryPolicy`, a per-device
+:class:`~repro.services.health.ReplicaHealth` tracker and a per-device
+:class:`~repro.services.failover.FailoverRecorder`.  Services address *logical
 targets* (:meth:`targets`) and execute requests through :meth:`request`,
 which fails over between replicas; with no retry policy configured both
 collapse to the historical skip-on-failure behaviour with identical message
@@ -23,7 +23,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from repro.churn.failover import (
+from repro.discovery.discoverer import Discoverer, DiscoveryResult
+from repro.geometry.point import LatLng
+from repro.mapserver.auth import ANONYMOUS, Credential
+from repro.mapserver.server import MapServer
+from repro.services.failover import (
     FIRST_HEALTHY,
     FailoverRecorder,
     RequestTarget,
@@ -31,12 +35,8 @@ from repro.churn.failover import (
     execute_with_failover,
     plan_targets,
 )
-from repro.churn.health import ReplicaHealth
-from repro.churn.retry import RetryPolicy
-from repro.discovery.discoverer import Discoverer, DiscoveryResult
-from repro.geometry.point import LatLng
-from repro.mapserver.auth import ANONYMOUS, Credential
-from repro.mapserver.server import MapServer
+from repro.services.health import ReplicaHealth
+from repro.services.retry import RetryPolicy
 from repro.simulation.network import SimulatedNetwork
 
 T = TypeVar("T")
@@ -59,7 +59,7 @@ class FederationContext:
     health: ReplicaHealth | None = None
     failover: FailoverRecorder = field(default_factory=FailoverRecorder)
     replica_selection: str = FIRST_HEALTHY
-    """How replica chains are ordered (see :mod:`repro.churn.failover`);
+    """How replica chains are ordered (see :mod:`repro.services.failover`);
     the federation injects its configured mode — the bare-context default
     keeps the legacy first-healthy ordering."""
     srv_of: Mapping[str, tuple[int, int]] = field(default_factory=dict)
@@ -124,7 +124,7 @@ class FederationContext:
     ) -> T:
         """Execute ``operation`` against ``target`` with replica failover.
 
-        Raises :class:`~repro.churn.failover.TargetUnavailableError` when
+        Raises :class:`~repro.services.failover.TargetUnavailableError` when
         the whole chain fails (callers usually skip the target, exactly as
         they always skipped one failed server).  ``charge_exchange=False``
         leaves the per-message accounting to the operation itself (the tile

@@ -6,7 +6,7 @@ collapses the flat list into *logical request targets* (one per group, one
 per standalone server) and executes a request against a target with
 failover: on a shed request
 (:class:`~repro.simulation.queueing.ServerOverloadedError`) or a dead-server
-timeout, back off per the :class:`~repro.churn.retry.RetryPolicy` and try
+timeout, back off per the :class:`~repro.services.retry.RetryPolicy` and try
 the next candidate.  Every attempt, failure, stale-cache hit and failover
 latency is recorded in the device's :class:`FailoverRecorder`, which the
 workload engine aggregates into the run's availability metrics.
@@ -29,17 +29,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
-from repro.churn.health import SHARED_NEWS, ReplicaHealth
-from repro.churn.retry import RetryPolicy
 from repro.mapserver.policy import AccessDenied
-from repro.simulation.network import NetworkTimeoutError
+from repro.mapserver.server import MapServer
+from repro.services.health import SHARED_NEWS, ReplicaHealth
+from repro.services.retry import RetryPolicy
+from repro.simulation.network import NetworkTimeoutError, SimulatedNetwork
 from repro.simulation.queueing import ServerOverloadedError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mapserver.server import MapServer
-    from repro.simulation.network import SimulatedNetwork
 
 T = TypeVar("T")
 
@@ -188,7 +185,7 @@ def rfc2782_order(
 
 def plan_targets(
     server_ids: Sequence[str],
-    directory: Mapping[str, "MapServer"],
+    directory: Mapping[str, MapServer],
     group_of: Mapping[str, str],
     health: ReplicaHealth | None = None,
     include_dead: bool = False,
@@ -257,7 +254,7 @@ def plan_targets(
     return targets
 
 
-def _instantaneous_load(server: "MapServer | None") -> float:
+def _instantaneous_load(server: MapServer | None) -> float:
     """A server's load in [0, 1] for the utilization-aware retry policy."""
     if server is None:
         return 1.0
@@ -270,8 +267,8 @@ def _instantaneous_load(server: "MapServer | None") -> float:
 
 def execute_with_failover(
     target: RequestTarget,
-    operation: Callable[["MapServer"], T],
-    network: "SimulatedNetwork",
+    operation: Callable[[MapServer], T],
+    network: SimulatedNetwork,
     policy: RetryPolicy | None,
     health: ReplicaHealth | None,
     recorder: FailoverRecorder,

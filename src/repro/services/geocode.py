@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.churn.failover import TargetUnavailableError
 from repro.geometry.point import LatLng
 from repro.mapserver.geocode import Address, GeocodeResult, ReverseGeocodeResult
 from repro.mapserver.policy import AccessDenied
-from repro.simulation.queueing import ServerOverloadedError
 from repro.mapserver.server import MapServer
 from repro.services.context import FederationContext
+from repro.services.failover import TargetUnavailableError
+from repro.simulation.queueing import ServerOverloadedError
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.churn.failover import TargetUnavailableError
 from repro.geometry.point import LatLng
 from repro.localization.cues import CueBundle, LocalizationResult
 from repro.localization.fusion import LocalizationSelector, ScoredResult
 from repro.localization.imu import DeadReckoningTracker
 from repro.services.context import FederationContext
+from repro.services.failover import TargetUnavailableError
 
 
 @dataclass(frozen=True, slots=True)

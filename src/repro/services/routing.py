@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.churn.failover import RequestTarget, TargetUnavailableError
 from repro.geometry.point import LatLng
 from repro.mapserver.server import MapServer
 from repro.osm.mapdata import MapData
@@ -25,6 +24,7 @@ from repro.routing.stitching import (
     StitchError,
 )
 from repro.services.context import FederationContext
+from repro.services.failover import RequestTarget, TargetUnavailableError
 
 
 def _entrances_of(map_data: MapData) -> tuple[LatLng, ...]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.churn.failover import TargetUnavailableError
 from repro.geometry.point import LatLng
 from repro.mapserver.search import SearchResult
 from repro.services.context import FederationContext
+from repro.services.failover import TargetUnavailableError
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.churn.failover import TargetUnavailableError
 from repro.geometry.bbox import BoundingBox
 from repro.mapserver.policy import ServiceName
 from repro.osm.mapdata import MapData
 from repro.services.context import FederationContext
+from repro.services.failover import TargetUnavailableError
 from repro.tiles.cache import TileCache
 from repro.tiles.renderer import Tile
 from repro.tiles.stitcher import CompositeTile, TileStitcher

@@ -44,14 +44,12 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.simulation.metrics import float_sum
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports nothing here)
-    from repro.simulation.network import SimulatedNetwork
+from repro.simulation.network import SimulatedNetwork
 
 
 class ServerOverloadedError(Exception):
@@ -542,7 +540,7 @@ class ServerQueue:
     queue.
     """
 
-    network: "SimulatedNetwork"
+    network: SimulatedNetwork
     service_times: ServiceTimeModel = field(default_factory=ServiceTimeModel)
     capacity: int = 64
     workers: int = 1

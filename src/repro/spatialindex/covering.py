@@ -19,6 +19,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
 from repro.simulation.lru import LruCache
+from repro.simulation.metrics import float_sum
 from repro.spatialindex.cellid import MAX_LEVEL, CellId, _bounds_of, _grid_position
 
 
@@ -222,4 +223,4 @@ def covering_contains_point(cells: list[CellId], point: LatLng) -> bool:
 
 def covering_area_square_meters(cells: list[CellId]) -> float:
     """Total area of the covering (an upper bound on the region's area)."""
-    return sum(cell.bounds().area_square_meters() for cell in cells)
+    return float_sum(cell.bounds().area_square_meters() for cell in cells)

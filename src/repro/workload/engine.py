@@ -33,7 +33,6 @@ from typing import Callable
 
 from repro.autoscale.scaler import Autoscaler
 from repro.churn.controller import ChurnController
-from repro.churn.failover import FailoverRecorder
 from repro.control.plane import ControlPlane
 from repro.faults.injector import FaultInjector
 from repro.geometry.bbox import BoundingBox
@@ -46,10 +45,12 @@ from repro.operator.client import (
     OperatorControlAdapter,
 )
 from repro.operator.permissions import ALL_PERMISSIONS, PrincipalRegistry
+from repro.services.failover import FailoverRecorder
 from repro.services.routing import FederatedRoutingError
 from repro.simulation.metrics import MetricsRegistry
 from repro.spatialindex.cellid import CellId
 from repro.telemetry import TelemetryPipeline
+from repro.telemetry.reader import TelemetryReader
 from repro.workload.cohort import Cohort
 from repro.workload.config import (
     WorkloadConfig,
@@ -190,8 +191,6 @@ class WorkloadEngine:
         if self.config.autoscale is not None:
             # Registered after the telemetry flush observer, so each
             # evaluation sees the window that round just sealed.
-            from repro.telemetry.reader import TelemetryReader
-
             assert self.telemetry is not None  # enforced by WorkloadConfig
             scaler_control = None
             if self.operator_client is not None and self.config.operator.route_autoscaler:

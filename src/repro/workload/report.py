@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.churn.failover import FailoverRecorder
+from repro.services.failover import FailoverRecorder
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.queueing import load_cv
 from repro.telemetry import TelemetryPipeline

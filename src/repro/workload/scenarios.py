@@ -38,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.churn.retry import RetryPolicy
 from repro.control.schedule import ControlSchedule
 from repro.core.config import FederationConfig
 from repro.faults.schedule import FaultPlan
+from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload.config import WorkloadConfig
 from repro.workload.report import WorkloadReport

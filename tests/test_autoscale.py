@@ -18,12 +18,13 @@ import json
 
 import pytest
 
-from repro.autoscale import AutoscalerConfig, Cooldown, HysteresisGate, WarmPool
+from repro.autoscale import AutoscalerConfig, Cooldown, HysteresisGate
 from repro.autoscale.scaler import Autoscaler
-from repro.churn.retry import RetryPolicy
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
+from repro.core.warmpool import WarmPool
 from repro.faults.schedule import FaultPlan
+from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.telemetry import SLOConfig, TelemetryConfig
 from repro.telemetry.pipeline import TelemetryPipeline

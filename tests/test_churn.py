@@ -12,20 +12,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.churn import (
-    ChurnController,
-    ChurnEvent,
-    ChurnEventKind,
-    ChurnSchedule,
-    ReplicaHealth,
-    RetryPolicy,
-    replica_server_id,
-)
+from repro.churn import ChurnController, ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
 from repro.core.federation import Federation
+from repro.core.replicas import replica_server_id
 from repro.dns.records import SrvData
 from repro.geometry.point import LatLng
+from repro.services.health import ReplicaHealth
+from repro.services.retry import RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.network import SimulatedNetwork
 from repro.simulation.queueing import ServerOverloadedError, ServerQueue, ServiceTimeModel
@@ -541,7 +536,7 @@ class TestClientFailover:
     def test_utilization_backoff_paced_by_failed_server_load(self):
         """Regression: the retry delay is scaled by the *failed* server's
         load, not by whichever candidate is tried next."""
-        from repro.churn.failover import (
+        from repro.services.failover import (
             FailoverRecorder,
             RequestTarget,
             execute_with_failover,
@@ -731,7 +726,7 @@ class TestCacheExpiryUnderRewindingClock:
 
 class TestFailoverRecorder:
     def test_rates_are_zero_before_any_chain(self):
-        from repro.churn.failover import FailoverRecorder
+        from repro.services.failover import FailoverRecorder
 
         recorder = FailoverRecorder()
         assert recorder.failed_chain_rate == 0.0
@@ -739,7 +734,7 @@ class TestFailoverRecorder:
         assert recorder.detect_mean_ms == 0.0
 
     def test_failed_chain_rate_leaves_policy_denials_out(self):
-        from repro.churn.failover import FailoverRecorder
+        from repro.services.failover import FailoverRecorder
 
         recorder = FailoverRecorder(chains=10, chains_ok=6, chains_failed=2, chains_denied=2)
         assert recorder.failed_chain_rate == pytest.approx(2 / 8)
@@ -747,7 +742,7 @@ class TestFailoverRecorder:
         assert all_denied.failed_chain_rate == 0.0
 
     def test_stale_rate_and_mean_detection_cost(self):
-        from repro.churn.failover import FailoverRecorder
+        from repro.services.failover import FailoverRecorder
 
         recorder = FailoverRecorder(attempts=8, stale_attempts=2, detect_ms=[300.0, 0.0, 0.0])
         assert recorder.stale_attempt_rate == pytest.approx(0.25)
@@ -758,7 +753,7 @@ class TestFailoverRecorder:
         field added to the recorder and forgotten in ``merge_from`` fails here."""
         import dataclasses
 
-        from repro.churn.failover import FailoverRecorder
+        from repro.services.failover import FailoverRecorder
 
         def filled(base: int) -> FailoverRecorder:
             recorder = FailoverRecorder()

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import fnmatch
 import importlib.util
+import json
+import os
 import re
 import subprocess
 import sys
@@ -225,8 +227,6 @@ class TestCheckShStages:
         """A failing byte-gate must say *what* drifted: check.sh hands the
         artifact to scripts/artifact_drift.py, which prints one
         ``path: old -> new`` line per changed, added or removed leaf."""
-        import json
-
         script = CHECK_SH.read_text()
         assert 'python scripts/artifact_drift.py "$artifact"' in script
         helper = REPO_ROOT / "scripts" / "artifact_drift.py"
@@ -605,3 +605,147 @@ class TestReachability:
         root = self._tree(tmp_path, {"src/repro/__init__.py": "", allowed: "", "examples/demo.py": "import repro\n"})
         assert checker.unreached(root) == [allowed]
         assert checker.findings(root) == []
+
+
+class TestLayering:
+    """The layer rule the same checker enforces: clean on the real tree, and
+    an import that reaches a higher package is flagged however it is written."""
+
+    def _checker(self):
+        return load(REPO_ROOT / "scripts" / "check_reachable.py")
+
+    def _flagged(self, tmp_path, files: dict[str, str]) -> list[str]:
+        """Paths the checker flags in a tree of three listed packages
+        (``churn`` above ``core`` above ``services``) plus ``files``."""
+        root = TestReachability._tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "from repro.churn import ChurnSchedule\n",  # the root is exempt
+                "src/repro/churn/__init__.py": (
+                    "from repro.churn.schedule import ChurnSchedule\nfrom repro.services.retry import RetryPolicy\n"
+                ),
+                "src/repro/churn/schedule.py": "from repro.core.federation import Federation\n",
+                "src/repro/core/__init__.py": "",
+                "src/repro/core/federation.py": "from repro.services.retry import RetryPolicy\n",
+                "src/repro/services/__init__.py": "",
+                "src/repro/services/retry.py": "class RetryPolicy: ...\n",
+                **files,
+            },
+        )
+        return [failure.split(": ")[0] for failure in self._checker().layer_findings(root)]
+
+    def test_repo_sources_are_clean(self):
+        assert self._checker().layer_findings(REPO_ROOT) == []
+
+    def test_downward_imports_are_clean(self, tmp_path):
+        assert self._flagged(tmp_path, {}) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.churn.schedule import ChurnSchedule\n",
+            "from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n    from repro.churn.schedule import ChurnSchedule\n",
+            "def schedule():\n    from repro.churn.schedule import ChurnSchedule\n\n    return ChurnSchedule()\n",
+            "from ..churn.schedule import ChurnSchedule\n",
+            "import repro.churn\n",
+        ],
+        ids=["module-level", "type-checking", "in-function", "relative", "plain-import"],
+    )
+    def test_an_upward_import_is_flagged(self, tmp_path, source):
+        assert self._flagged(tmp_path, {"src/repro/core/client.py": source}) == ["src/repro/core/client.py"]
+
+    def test_an_import_is_charged_to_the_package_it_names(self, tmp_path):
+        """``RetryPolicy`` is defined in ``services``, below ``core``; but
+        the statement runs ``churn/__init__``, which is above."""
+        assert self._flagged(tmp_path, {"src/repro/core/client.py": "from repro.churn import RetryPolicy\n"}) == [
+            "src/repro/core/client.py"
+        ]
+
+    def test_importing_the_root_package_is_upward(self, tmp_path):
+        flagged = self._flagged(
+            tmp_path,
+            {
+                "src/repro/core/a.py": "from repro import ChurnSchedule\n",
+                "src/repro/core/b.py": "from repro import services\n",  # names repro.services: downward
+            },
+        )
+        assert flagged == ["src/repro/core/a.py"]
+
+    def test_a_package_missing_from_layers_is_flagged(self, tmp_path):
+        assert self._flagged(tmp_path, {"src/repro/extras/__init__.py": "import repro.churn\n"}) == ["src/repro/extras"]
+
+    def test_the_architecture_diagram_draws_layers_in_order(self):
+        """Every package in docs/ARCHITECTURE.md § Layer map, top to bottom
+        and left to right, is ``LAYERS`` exactly."""
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        section = architecture.split("## Layer map", 1)[1]
+        diagram = section.split("```text\n", 1)[1].split("```", 1)[0]
+        drawn = re.findall(r"(?<!\S)([a-z]+)/(?=\s|$)", diagram)
+        assert drawn == list(self._checker().LAYERS)
+
+    def test_each_package_imports_first_in_a_fresh_interpreter(self):
+        """A removed import guard can leave a cycle that only one entry
+        order trips, and pytest's collection order hides which.  One fresh
+        interpreter (numpy preloaded with one BLAS thread, so the fork is
+        single-threaded; nothing from ``repro``) forks a child per package
+        whose first ``repro`` import is that package.
+        ``import repro.<pkg>`` runs ``repro/__init__`` first, so the packages
+        a bare ``import repro`` loads are first-imported by that one child."""
+        layers = self._checker().LAYERS
+        result = subprocess.run(
+            [sys.executable, "-c", _FIRST_IMPORTS, *layers],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        reports = json.loads(result.stdout)
+        failures = {package: report for package, report in reports.items() if report.startswith("FAILED")}
+        assert failures == {}
+        loaded_by_root = set(reports["repro"].split())
+        assert set(reports) - {"repro"} | loaded_by_root == set(layers)
+
+
+_FIRST_IMPORTS = '''
+import json
+import os
+import sys
+import threading
+
+import numpy  # noqa: F401  (loaded once, before any fork)
+
+assert threading.active_count() == 1, "fork needs a single-threaded parent"
+
+
+def fork(module):
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        try:
+            __import__(module)
+            report = " ".join(sorted({name.split(".")[1] for name in sys.modules if name.startswith("repro.")}))
+        except Exception as error:
+            report = f"FAILED {error!r}"
+        os.write(write, report.encode())
+        os._exit(0)
+    os.close(write)
+    return pid, read
+
+
+def report(child):
+    pid, read = child
+    with os.fdopen(read) as stream:
+        text = stream.read()
+    os.waitpid(pid, 0)
+    return text
+
+
+reports = {"repro": report(fork("repro"))}
+children = {package: fork("repro." + package) for package in sys.argv[1:] if package not in reports["repro"].split()}
+reports.update((package, report(child)) for package, child in children.items())
+print(json.dumps(reports))
+'''
+"""The driver for the fresh-interpreter test: ``python -c _FIRST_IMPORTS
+<package>...`` prints ``{module: loaded packages or "FAILED ..."}``."""

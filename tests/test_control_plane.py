@@ -5,7 +5,7 @@ Covers the imperative :class:`~repro.control.plane.ControlPlane` API
 preservation across the churn lifecycle, the
 :class:`~repro.control.schedule.ControlSchedule` tape and its round-boundary
 application, the client-side staleness machinery
-(:class:`~repro.control.view.DeviceSrvView`, ``Discoverer.srv_view``), and
+(:class:`~repro.core.srv_view.DeviceSrvView`, ``Discoverer.srv_view``), and
 the end-to-end drain/standby experiments the E15 benchmark sweeps.
 """
 
@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.churn import RetryPolicy, rfc2782_order
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.control import (
     ControlEvent,
@@ -23,13 +22,15 @@ from repro.control import (
     ControlOp,
     ControlPlane,
     ControlSchedule,
-    DeviceSrvView,
 )
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
 from repro.core.federation import Federation
+from repro.core.srv_view import DeviceSrvView
 from repro.dns.records import SrvData
 from repro.geometry.point import LatLng
+from repro.services.failover import rfc2782_order
+from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.indoor import generate_store

@@ -18,7 +18,6 @@ import random
 
 import pytest
 
-from repro.churn.retry import RetryPolicy
 from repro.core.config import FederationConfig
 from repro.discovery.cache import DiscoveryCache
 from repro.faults import (
@@ -26,8 +25,8 @@ from repro.faults import (
     FaultEventKind,
     FaultInjector,
     FaultPlan,
-    get_scenario,
 )
+from repro.services.retry import RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache
 from repro.simulation.network import (
@@ -39,6 +38,7 @@ from repro.simulation.network import (
 )
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.scenarios import get_scenario
 from repro.worldgen.scenario import build_scenario
 
 WORLD_SEED = 33
@@ -457,7 +457,7 @@ class TestWorkloadUnderFaults:
 
 class TestScenarioLibrary:
     def test_every_scenario_is_registered_and_buildable(self):
-        from repro.faults import SCENARIOS
+        from repro.workload.scenarios import SCENARIOS
 
         names = [spec.name for spec in SCENARIOS]
         assert names == [

@@ -15,20 +15,15 @@ from collections import Counter
 
 import pytest
 
-from repro.churn import (
-    FIRST_HEALTHY,
-    WEIGHTED,
-    ReplicaGroup,
-    ReplicaHealth,
-    RetryPolicy,
-    SharedHealthBoard,
-    rfc2782_order,
-)
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
 from repro.core.federation import Federation
+from repro.core.replicas import ReplicaGroup
 from repro.dns.records import SrvData
 from repro.geometry.point import LatLng
+from repro.services.failover import FIRST_HEALTHY, WEIGHTED, rfc2782_order
+from repro.services.health import ReplicaHealth, SharedHealthBoard
+from repro.services.retry import RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.queueing import ServiceTimeModel, load_cv
 from repro.workload import CommuterTrace, WorkloadConfig, WorkloadEngine
@@ -303,7 +298,7 @@ class TestSharedHealthBoard:
         # The listener never saw r0 fail, yet holds it unhealthy via gossip.
         assert not listener.is_healthy("r0")
         # The gossip win is classified exactly once per outage epoch.
-        from repro.churn.health import KNOWN_DEAD, SHARED_NEWS
+        from repro.services.health import KNOWN_DEAD, SHARED_NEWS
 
         assert listener.consult("r0") == SHARED_NEWS
         assert listener.consult("r0") == KNOWN_DEAD
@@ -352,7 +347,7 @@ class TestOwnSuccessOverridesStaleSuspicion:
         """An override must not acknowledge the epoch: when the entry is
         re-posted *after* the success, it is genuine news — and counts as a
         zero-cost shared detection exactly once."""
-        from repro.churn.health import KNOWN_DEAD, SHARED_NEWS
+        from repro.services.health import KNOWN_DEAD, SHARED_NEWS
 
         clock, board, device, mate = self._pair()
         clock.advance(5.0)

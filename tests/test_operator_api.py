@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.churn.retry import RetryPolicy
 from repro.control.plane import ControlPlane
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
@@ -33,6 +32,7 @@ from repro.operator import (
 )
 from repro.operator.errors import UnauthorizedError
 from repro.operator.permissions import ACTION_PERMISSIONS, ALL_PERMISSIONS, CONTROL_WRITE, HEALTH_REPORT
+from repro.services.retry import RetryPolicy
 from repro.simulation.network import GrayFailure
 from repro.simulation.queueing import ServerOverloadedError, ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine

@@ -3,8 +3,8 @@
 The control plane makes SRV priority/weight *mutable at runtime*, so the
 ordering invariants that used to hold by construction now have to hold for
 every state an operator can reach.  This suite drives
-:func:`repro.churn.failover.rfc2782_order` (and the health-aware
-:func:`~repro.churn.failover.plan_targets` split) through ~10k seeded random
+:func:`repro.services.failover.rfc2782_order` (and the health-aware
+:func:`~repro.services.failover.plan_targets` split) through ~10k seeded random
 configurations — weights, priorities, tier sizes, health states — and checks
 the invariants the rest of the system leans on:
 
@@ -31,8 +31,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.churn import ReplicaHealth, plan_targets, rfc2782_order
-from repro.churn.failover import WEIGHTED
+from repro.services.failover import WEIGHTED, plan_targets, rfc2782_order
+from repro.services.health import ReplicaHealth
 from repro.simulation.clock import SimulatedClock
 
 CASES = 2500

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import random
 import sys
 from dataclasses import dataclass
 
@@ -11,12 +12,22 @@ import pytest
 
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
+from repro.localization.cues import BeaconCue, BeaconReading, ImageCue
+from repro.localization.fingerprint import (
+    BeaconFingerprint,
+    BeaconFingerprintDatabase,
+    ImageFingerprint,
+    ImageFingerprintDatabase,
+)
+from repro.routing.stitching import RouteLeg, RouteStitcher
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache, LruStats, answer_memo
 from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
 from repro.simulation.network import LatencyModel, SimulatedNetwork
 from repro.simulation.queueing import load_cv
 from repro.simulation.tape import Tape, TapeCursor
+from repro.spatialindex.cellid import CellId
+from repro.spatialindex.covering import covering_area_square_meters
 from repro.workload.traffic import zipf_weights
 
 
@@ -431,6 +442,43 @@ class TestFloatSum:
         assert sum(latitudes) != float_sum(latitudes) and sum(raw) != float_sum(raw)
         assert polygon.centroid.latitude == float_sum(latitudes) / len(latitudes)
         assert zipf_weights(4) == [weight / float_sum(raw) for weight in raw]
+
+    def test_answer_path_sums_fold(self, monkeypatch):
+        """Fingerprint weighted means, route and stitched-route lengths, a
+        stitched route's cost and a covering's area give the same answer
+        with ``sum()`` as 3.11's fold and as 3.12's compensated sum.  At
+        this seed each of those eleven sums differs between the two."""
+
+        def answers():
+            rng = random.Random(30)
+            points = [LatLng(40.0 + 1e-3 * rng.random(), -79.9 + 1e-3 * rng.random()) for _ in range(40)]
+            beacons = [f"b{index}" for index in range(6)]
+            beacon_db = BeaconFingerprintDatabase(
+                [BeaconFingerprint(point, {beacon: -40.0 - 50.0 * rng.random() for beacon in beacons}) for point in points],
+                k_neighbors=len(points),
+            )
+            image_db = ImageFingerprintDatabase(
+                [ImageFingerprint(point, (1.0, rng.random(), rng.random())) for point in points],
+                k_neighbors=len(points),
+            )
+            legs = [RouteLeg(f"s{index}", tuple(points[index * 8 : index * 8 + 8]), 100.0 * rng.random()) for index in range(5)]
+            route = RouteStitcher(max_gap_meters=1e6).stitch(points[0], points[-1], legs)
+            cells = [CellId.from_point(point, 14 + index % 6) for index, point in enumerate(points)]
+            return (
+                beacon_db.localize(BeaconCue(tuple(BeaconReading(beacon, -65.0) for beacon in beacons)), "s"),
+                image_db.localize(ImageCue((1.0, 0.5, 0.5)), "s"),
+                [leg.length_meters() for leg in legs],
+                route,
+                route.length_meters(),
+                covering_area_square_meters(cells),
+            )
+
+        monkeypatch.setattr(builtins, "sum", float_sum)
+        folded = answers()
+        lengths = [a.distance_to(b) for a, b in zip(folded[3].points, folded[3].points[1:])]
+        assert neumaier_sum(lengths) != float_sum(lengths)
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        assert answers() == folded
 
 
 class TestLruCache:
