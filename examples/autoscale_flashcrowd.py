@@ -133,10 +133,10 @@ def _serving_counts(scaler) -> list[tuple[float, int]]:
     standbys = {
         standby for pool in scaler.pools.values() for standby in pool.standby_ids
     }
-    for event in scaler.control.applied:
-        if not event.applied or event.server_id not in standbys:
+    for event in scaler.control.timeline:
+        if event.source != "control" or not event.applied or event.subject not in standbys:
             continue
-        weights[event.server_id] = event.weight
+        weights[event.subject] = event.weight
         steps.append((event.at_seconds, sum(1 for w in weights.values() if w > 0)))
     return steps
 
@@ -152,9 +152,11 @@ def _serving_at(steps: list[tuple[float, int]], instant: float) -> int:
 
 def action_log(scaler) -> list[str]:
     lines = []
-    for event in scaler.control.applied:
+    for event in scaler.control.timeline:
+        if event.source != "control":
+            continue
         lines.append(
-            f"t={event.at_seconds:6.1f}s  {event.kind:<10s} {event.server_id:<28s} "
+            f"t={event.at_seconds:6.1f}s  {event.kind:<10s} {event.subject:<28s} "
             f"-> weight {event.weight}"
             + ("" if event.applied else "  [REJECTED]")
         )

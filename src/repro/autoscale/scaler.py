@@ -19,10 +19,11 @@ one batched control-plane action per group:
   ``park_delay_seconds`` — deregister it back into the pool.
 
 Every weight change travels through
-:meth:`repro.control.ControlPlane.apply_batch`, so the run's audit trail
-(``ControlPlane.applied``) shows each decision cycle as one batch, with
-rejected ops (e.g. the group-guard refusing to zero the last positive
-weight) recorded rather than raised.
+:meth:`repro.control.ControlPlane.apply_batch`, so the plane's ``timeline``
+(in a workload run, the run's one shared history) shows each decision
+cycle as one batch of control entries, with rejected ops (e.g. the
+group-guard refusing to zero the last positive weight) recorded rather
+than raised.
 
 Cost is accounted as **replica-seconds**: the integral over simulated
 time of replicas that are reachable, registered, and positively weighted
@@ -71,9 +72,10 @@ class Autoscaler:
             groups with a pool in ``federation.warm_pools``.
         reader: the telemetry query surface — the *only* signal source.
         config: thresholds, ramps, and stability tunables.
-        control: an optional shared control plane; by default the
-            autoscaler gets its own (schedule-free) plane so its audit
-            trail stays separate from any scripted operator tape.
+        control: an optional control plane; by default the autoscaler
+            gets its own (schedule-free) plane.  The workload engine passes
+            one that records onto the run's shared timeline, or an
+            operator-API adapter.
 
     The engine calls :meth:`begin` once at run start (cost-integral
     anchor) and :meth:`observe` at every round seal (the ``RoundObserver``

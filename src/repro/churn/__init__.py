@@ -18,7 +18,7 @@ health and failover planning in :mod:`repro.services.retry`,
 :mod:`repro.services.health` and :mod:`repro.services.failover`.
 """
 
-from repro.churn.controller import AppliedChurnEvent, ChurnController
+from repro.churn.controller import ChurnController
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 
 # Kept for perfbench/workloads.py, which imports RetryPolicy from here and
@@ -27,7 +27,6 @@ from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.services.retry import RetryPolicy
 
 __all__ = [
-    "AppliedChurnEvent",
     "ChurnController",
     "ChurnEvent",
     "ChurnEventKind",

@@ -18,20 +18,10 @@ from dataclasses import dataclass, field
 
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.core.federation import Federation
-from repro.simulation.tape import TapeCursor
+from repro.simulation.tape import TapeCursor, TimelineEntry
 
 LEASE_EXPIRED = "lease-expired"
 """Pseudo-event kind recorded when a crashed server's registration lapses."""
-
-
-@dataclass(frozen=True, slots=True)
-class AppliedChurnEvent:
-    """One event the controller performed (or skipped as inapplicable)."""
-
-    at_seconds: float
-    kind: str
-    server_id: str
-    applied: bool = True
 
 
 @dataclass
@@ -46,11 +36,8 @@ class ChurnController:
     ``registration_ttl_seconds`` — the paper's long-TTL registrants simply
     never expire within a short run."""
 
-    applied: list[AppliedChurnEvent] = field(default_factory=list)
-    rejoined_at: dict[str, float] = field(default_factory=dict)
-    """Most recent JOIN instant per server — the workload engine measures
-    time-to-rediscovery from these."""
-    crashed_at: dict[str, float] = field(default_factory=dict)
+    timeline: list[TimelineEntry] = field(default_factory=list)
+    """Where entries land; the workload engine passes its run's one list."""
     _cursor: TapeCursor[ChurnEvent] = field(init=False, repr=False)
     _lease_expiries: list[tuple[float, str]] = field(default_factory=list)
 
@@ -67,21 +54,21 @@ class ChurnController:
     def pending_events(self) -> int:
         return self._cursor.remaining + len(self._lease_expiries)
 
-    def apply_until(self, now: float) -> list[AppliedChurnEvent]:
+    def apply_until(self, now: float) -> list[TimelineEntry]:
         """Apply every event (and lease expiry) due at or before ``now``,
         in time order; a lease expiring at an event's instant goes first."""
-        performed: list[AppliedChurnEvent] = []
+        performed: list[TimelineEntry] = []
         for event in self._cursor.due(now):
             performed.extend(self._expire_leases(event.at_seconds))
             performed.append(self._apply(event.at_seconds, event.kind, event.server_id))
         performed.extend(self._expire_leases(now))
-        self.applied.extend(performed)
+        self.timeline.extend(performed)
         return performed
 
-    def _expire_leases(self, until: float) -> list[AppliedChurnEvent]:
+    def _expire_leases(self, until: float) -> list[TimelineEntry]:
         """Pop every lease expiry at or before ``until``.  Re-reads the list
         each step: applying a crash inserts an expiry, a join removes some."""
-        expired: list[AppliedChurnEvent] = []
+        expired: list[TimelineEntry] = []
         while self._lease_expiries and self._lease_expiries[0][0] <= until:
             expired.append(self._expire_lease(*self._lease_expiries.pop(0)))
         return expired
@@ -89,38 +76,30 @@ class ChurnController:
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
-    def _apply(self, at: float, kind: ChurnEventKind, server_id: str) -> AppliedChurnEvent:
+    def _apply(self, at: float, kind: ChurnEventKind, server_id: str) -> TimelineEntry:
         federation = self.federation
-        if kind == ChurnEventKind.CRASH:
-            if server_id not in federation.servers:
-                return AppliedChurnEvent(at, kind.value, server_id, applied=False)
-            federation.crash_map_server(server_id)
-            self.crashed_at[server_id] = at
-            insort(self._lease_expiries, (at + self.effective_lease_seconds, server_id))
-            return AppliedChurnEvent(at, kind.value, server_id)
-        if kind == ChurnEventKind.LEAVE:
-            if server_id not in federation.servers:
-                return AppliedChurnEvent(at, kind.value, server_id, applied=False)
-            federation.leave_map_server(server_id)
-            return AppliedChurnEvent(at, kind.value, server_id)
-        # JOIN: revive an offline server (no-op for one that never left).
-        if not federation.is_offline(server_id):
-            return AppliedChurnEvent(at, kind.value, server_id, applied=False)
-        federation.revive_map_server(server_id)
-        self.rejoined_at[server_id] = at
-        self.crashed_at.pop(server_id, None)
-        # Rejoining refreshes the registration lease: the old crash's
-        # pending expiry must not fire against a later crash's records.
-        self._lease_expiries = [
-            entry for entry in self._lease_expiries if entry[1] != server_id
-        ]
-        return AppliedChurnEvent(at, kind.value, server_id)
+        if kind == ChurnEventKind.JOIN:
+            # Revive an offline server (no-op for one that never left).
+            applied = federation.is_offline(server_id)
+            if applied:
+                federation.revive_map_server(server_id)
+                # Rejoining refreshes the registration lease: the old crash's
+                # pending expiry must not fire against a later crash's records.
+                self._lease_expiries = [entry for entry in self._lease_expiries if entry[1] != server_id]
+        else:
+            applied = server_id in federation.servers
+            if applied and kind == ChurnEventKind.CRASH:
+                federation.crash_map_server(server_id)
+                insort(self._lease_expiries, (at + self.effective_lease_seconds, server_id))
+            elif applied:
+                federation.leave_map_server(server_id)
+        return TimelineEntry(at, "churn", kind.value, server_id, applied)
 
-    def _expire_lease(self, at: float, server_id: str) -> AppliedChurnEvent:
+    def _expire_lease(self, at: float, server_id: str) -> TimelineEntry:
         federation = self.federation
         # Only expire if the server is still down and still registered: a
         # rejoin before the lease lapsed refreshed the registration.
-        if federation.is_offline(server_id) and federation.registration_for(server_id) is not None:
+        applied = federation.is_offline(server_id) and federation.registration_for(server_id) is not None
+        if applied:
             federation.expire_registration(server_id)
-            return AppliedChurnEvent(at, LEASE_EXPIRED, server_id)
-        return AppliedChurnEvent(at, LEASE_EXPIRED, server_id, applied=False)
+        return TimelineEntry(at, "churn", LEASE_EXPIRED, server_id, applied)

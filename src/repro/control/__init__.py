@@ -19,11 +19,10 @@ its discovery-cache/DNS-TTL entries expire, is
 is what ``WorkloadReport.control_stats`` measures.
 """
 
-from repro.control.plane import AppliedControlEvent, ControlOp, ControlPlane
+from repro.control.plane import ControlOp, ControlPlane
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 
 __all__ = [
-    "AppliedControlEvent",
     "ControlEvent",
     "ControlEventKind",
     "ControlOp",

@@ -25,9 +25,12 @@ operational lag the workload engine's ``control_stats`` measure.
 With a :class:`~repro.control.schedule.ControlSchedule` attached the plane
 doubles as the scripted-incident player, mirroring
 :class:`repro.churn.controller.ChurnController`: :meth:`apply_until` applies
-every due event, recording an :class:`AppliedControlEvent` per action
-(``applied=False`` for actions the federation rejected, e.g. an unknown
-server or draining a group's last positive weight).
+every due event, appending one control
+:class:`~repro.simulation.tape.TimelineEntry` per action to the plane's
+``timeline`` (``applied=False`` for actions the federation rejected, e.g.
+an unknown server or draining a group's last positive weight).
+:meth:`record` is the one place a control entry is built: the operator
+API's SRV routes record through it too.
 
 Programmatic controllers (the autoscaler) use :meth:`apply_batch` instead
 of a schedule: a list of :class:`ControlOp` values applied together at one
@@ -44,7 +47,7 @@ from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedu
 from repro.core.errors import FederationConfigError
 from repro.core.federation import Federation
 from repro.core.replicas import DEFAULT_REPLICA_WEIGHT
-from repro.simulation.tape import TapeCursor
+from repro.simulation.tape import TapeCursor, TimelineEntry
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,27 +64,14 @@ class ControlOp:
     value: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AppliedControlEvent:
-    """One operator action the plane performed (or had rejected)."""
-
-    at_seconds: float
-    kind: str
-    server_id: str
-    applied: bool = True
-    priority: int = 0
-    weight: int = 0
-    """The server's SRV ``(priority, weight)`` *after* the action — the
-    convergence target the workload engine tracks each device against."""
-
-
 @dataclass
 class ControlPlane:
     """Drives deliberate SRV mutations through a live federation."""
 
     federation: Federation
     schedule: ControlSchedule | None = None
-    applied: list[AppliedControlEvent] = field(default_factory=list)
+    timeline: list[TimelineEntry] = field(default_factory=list)
+    """Where entries land; the workload engine passes its run's one list."""
     _cursor: TapeCursor[ControlEvent] = field(init=False, repr=False)
     _predrain_weights: dict[str, int] = field(default_factory=dict)
     """Weight each drained server carried before its drain, so
@@ -139,14 +129,47 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Shared application core
     # ------------------------------------------------------------------
+    def live_srv(self, server_id: str | None) -> tuple[int, int]:
+        """A server's live SRV ``(priority, weight)``; ``(0, 0)`` for an
+        unknown or undeployed one, which has no live state."""
+        if not server_id:
+            return 0, 0
+        try:
+            return self.federation.srv_of(server_id)
+        except FederationConfigError:
+            return 0, 0
+
+    def record(
+        self,
+        at_seconds: float,
+        kind: str,
+        server_id: str,
+        *,
+        applied: bool = True,
+        priority: int | None = None,
+        weight: int | None = None,
+    ) -> TimelineEntry:
+        """Append one control entry to :attr:`timeline` and return it.
+
+        Without an explicit ``(priority, weight)`` the entry carries the
+        target's *live* SRV state, not a fabricated (0, 0): a later op in
+        the same batch (or a replaying audit consumer) must see the true
+        convergence target even for a rejected op.
+        """
+        if priority is None or weight is None:
+            priority, weight = self.live_srv(server_id)
+        entry = TimelineEntry(at_seconds, "control", kind, server_id, applied, priority, weight)
+        self.timeline.append(entry)
+        return entry
+
     def _perform(
         self,
         at_seconds: float,
         kind: ControlEventKind,
         server_id: str,
         value: int | None,
-    ) -> AppliedControlEvent:
-        """Apply one action, returning its audit record.
+    ) -> TimelineEntry:
+        """Apply one action and record it.
 
         An action the live federation rejects (unknown server, draining a
         group's last positive weight) is recorded with ``applied=False``,
@@ -163,47 +186,26 @@ class ControlPlane:
             else:
                 priority, weight = self.promote(server_id, value)
         except (FederationConfigError, ValueError):
-            # Record the server's *live* SRV state, not a fabricated (0, 0):
-            # a later op in the same batch (or a replaying audit consumer)
-            # must see the true convergence target even for rejected ops.
-            # Unknown / undeployed servers have no live state — keep (0, 0).
-            try:
-                priority, weight = self.federation.srv_of(server_id)
-            except FederationConfigError:
-                priority, weight = 0, 0
-            return AppliedControlEvent(
-                at_seconds,
-                kind.value,
-                server_id,
-                applied=False,
-                priority=priority,
-                weight=weight,
-            )
-        return AppliedControlEvent(
-            at_seconds, kind.value, server_id, priority=priority, weight=weight
-        )
+            return self.record(at_seconds, kind.value, server_id, applied=False)
+        return self.record(at_seconds, kind.value, server_id, priority=priority, weight=weight)
 
-    def apply_batch(self, now: float, ops: Sequence[ControlOp]) -> list[AppliedControlEvent]:
+    def apply_batch(self, now: float, ops: Sequence[ControlOp]) -> list[TimelineEntry]:
         """Apply a batch of imperative ops at one instant, in order.
 
         The batch is a controller's one decision cycle (e.g. two ramp
         steps plus a promotion): every op is attempted — a rejected op is
-        recorded ``applied=False`` and does not stop the rest — and all
-        records land in :attr:`applied` together, so the audit trail shows
-        which cycle issued what.  Returns the batch's records.
+        recorded ``applied=False`` and does not stop the rest — and the
+        batch's entries land on :attr:`timeline` consecutively, so the
+        history shows which cycle issued what.  Returns the batch's entries.
         """
-        performed = [self._perform(now, op.kind, op.server_id, op.value) for op in ops]
-        self.applied.extend(performed)
-        return performed
+        return [self._perform(now, op.kind, op.server_id, op.value) for op in ops]
 
     # ------------------------------------------------------------------
     # Scheduled application (round boundaries, via the workload engine)
     # ------------------------------------------------------------------
-    def apply_until(self, now: float) -> list[AppliedControlEvent]:
+    def apply_until(self, now: float) -> list[TimelineEntry]:
         """Apply every scheduled action due at or before ``now``."""
-        performed = [
+        return [
             self._perform(event.at_seconds, event.kind, event.server_id, event.value)
             for event in self._cursor.due(now)
         ]
-        self.applied.extend(performed)
-        return performed

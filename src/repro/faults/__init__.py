@@ -27,11 +27,10 @@ no plan attaches no fault state at all — byte-identical to the fault-free
 engine.
 """
 
-from repro.faults.injector import AppliedFaultEvent, FaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultEvent, FaultEventKind, FaultPlan
 
 __all__ = [
-    "AppliedFaultEvent",
     "FaultEvent",
     "FaultEventKind",
     "FaultInjector",

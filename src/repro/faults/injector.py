@@ -22,19 +22,7 @@ from dataclasses import dataclass, field
 from repro.core.federation import Federation
 from repro.faults.schedule import FaultEvent, FaultEventKind, FaultPlan
 from repro.simulation.network import GrayFailure, NetworkFaultState
-from repro.simulation.tape import TapeCursor
-
-
-@dataclass(frozen=True, slots=True)
-class AppliedFaultEvent:
-    """One tape event after the injector processed it."""
-
-    at_seconds: float
-    kind: str
-    detail: str
-    applied: bool = True
-    """False when the event was a no-op against current state (healing a
-    partition that was never cut, ending a crowd that never formed)."""
+from repro.simulation.tape import TapeCursor, TimelineEntry
 
 
 @dataclass
@@ -46,7 +34,8 @@ class FaultInjector:
     dns_timeout_ms: float = 300.0
     """What one query against a dark authority costs the resolver before it
     gives up with SERVFAIL."""
-    applied: list[AppliedFaultEvent] = field(default_factory=list)
+    timeline: list[TimelineEntry] = field(default_factory=list)
+    """Where entries land; the workload engine passes its run's one list."""
     _cursor: TapeCursor[FaultEvent] = field(init=False, repr=False)
     _active_crowds: dict[tuple[tuple[str, ...], str], int] = field(default_factory=dict)
 
@@ -67,10 +56,10 @@ class FaultInjector:
             kinds.add("flash-crowd")
         return tuple(sorted(kinds))
 
-    def apply_until(self, now_seconds: float) -> list[AppliedFaultEvent]:
+    def apply_until(self, now_seconds: float) -> list[TimelineEntry]:
         """Apply every tape event due at or before ``now_seconds``."""
         performed = [self._apply(event) for event in self._cursor.due(now_seconds)]
-        self.applied.extend(performed)
+        self.timeline.extend(performed)
         return performed
 
     @property
@@ -96,7 +85,7 @@ class FaultInjector:
             return event.server_ids
         return (self.federation.discovery_authority_id,)
 
-    def _apply(self, event: FaultEvent) -> AppliedFaultEvent:
+    def _apply(self, event: FaultEvent) -> TimelineEntry:
         state = self.state
         kind = event.kind
         applied = False
@@ -133,9 +122,4 @@ class FaultInjector:
         detail = ",".join(event.server_ids) or "discovery-authority"
         if event.regions:
             detail += f"@regions={','.join(map(str, event.regions))}"
-        return AppliedFaultEvent(
-            at_seconds=event.at_seconds,
-            kind=kind.value,
-            detail=detail,
-            applied=applied,
-        )
+        return TimelineEntry(event.at_seconds, "faults", kind.value, detail, applied)

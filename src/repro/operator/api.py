@@ -28,11 +28,13 @@ offline target) becomes ``unavailable``; a ``ValueError`` (a federation
 guard like "last positive weight in the group") becomes ``conflict``.
 Conflicts are terminal and cached; unavailable is retryable and not.
 
-SRV routes also append an :class:`~repro.control.plane.AppliedControlEvent`
-to the API's plane — rejected ops record the target's *live* SRV state,
-the same record-don't-raise contract :meth:`ControlPlane._perform` keeps —
-so engine convergence tracking works identically whichever door an op
-came through.
+Each SRV route that reaches dispatch records exactly one control
+:class:`~repro.simulation.tape.TimelineEntry` through its plane's
+:meth:`~repro.control.plane.ControlPlane.record` — a rejected op records
+the target's *live* SRV state, the same record-don't-raise contract a tape
+op keeps — so engine convergence tracking works identically whichever
+door an op came through.  Replays and pre-dispatch rejections record
+nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.control.plane import AppliedControlEvent, ControlPlane
+from repro.control.plane import ControlPlane
 from repro.core.errors import FederationConfigError
 from repro.core.federation import Federation
 from repro.operator.audit import AuditLog
@@ -72,11 +74,6 @@ class OperatorApi:
     health_board: dict[str, tuple[float, int]] = field(default_factory=dict)
     """Latest ``(at_seconds, value)`` gossip per server from the
     ``health`` route — observability state, never consulted by routing."""
-    last_record: AppliedControlEvent | None = field(default=None, repr=False)
-    """The SRV convergence record produced by the most recent ``handle``
-    call (``None`` for non-SRV routes and pre-dispatch rejections) — how
-    clients hand the engine its device-convergence target without parsing
-    the response."""
     _responses: dict[tuple[str, str], ControlResponse] = field(
         default_factory=dict, repr=False
     )
@@ -93,7 +90,6 @@ class OperatorApi:
     ) -> ControlResponse:
         """Walk one request through the middleware chain; always returns
         a response (errors become ``status="error"``, never raises)."""
-        self.last_record = None
         try:
             request = ControlRequest.from_payload(payload)
         except MalformedError as exc:
@@ -177,35 +173,13 @@ class OperatorApi:
             else:
                 priority, weight = plane.promote(server_id, request.value or 0)
         except FederationConfigError as exc:
-            self._record_srv(now, request, applied=False)
+            plane.record(now, request.action, server_id, applied=False)
             raise UnavailableError(str(exc)) from exc
         except ValueError as exc:
-            self._record_srv(now, request, applied=False)
+            plane.record(now, request.action, server_id, applied=False)
             raise ConflictError(str(exc)) from exc
-        record = AppliedControlEvent(
-            now, request.action, server_id, priority=priority, weight=weight
-        )
-        plane.applied.append(record)
-        self.last_record = record
+        plane.record(now, request.action, server_id, priority=priority, weight=weight)
         return priority, weight
-
-    def _record_srv(
-        self, now: float, request: ControlRequest, *, applied: bool
-    ) -> None:
-        """Append a rejected SRV record at the target's live state (the
-        same contract as ``ControlPlane._perform``)."""
-        priority, weight = self._live_srv(request.server_id)
-        record = AppliedControlEvent(
-            now,
-            request.action,
-            request.server_id or "",
-            applied=applied,
-            priority=priority,
-            weight=weight,
-        )
-        assert self.plane is not None
-        self.plane.applied.append(record)
-        self.last_record = record
 
     def _pool_op(self, request: ControlRequest) -> tuple[int, int]:
         federation = self.federation
@@ -238,19 +212,11 @@ class OperatorApi:
     def _health(self, request: ControlRequest, now: float) -> tuple[int, int]:
         server_id = request.server_id or ""
         self.health_board[server_id] = (now, request.value or 0)
-        return self._live_srv(server_id)
+        return self.plane.live_srv(server_id)
 
     # ------------------------------------------------------------------
     # Response/audit assembly
     # ------------------------------------------------------------------
-    def _live_srv(self, server_id: str | None) -> tuple[int, int]:
-        if not server_id:
-            return 0, 0
-        try:
-            return self.federation.srv_of(server_id)
-        except FederationConfigError:
-            return 0, 0
-
     def _finish(
         self,
         request: ControlRequest,
@@ -263,7 +229,7 @@ class OperatorApi:
         events: tuple[dict[str, Any], ...] | None = None,
     ) -> ControlResponse:
         if priority is None or weight is None:
-            priority, weight = self._live_srv(request.server_id)
+            priority, weight = self.plane.live_srv(request.server_id)
         record = self.audit.append(
             at_seconds=now,
             principal=request.principal,

@@ -39,7 +39,7 @@ class AuditRecord:
     :class:`~repro.operator.errors.ApiError` family, named by ``error``),
     or ``replayed`` (idempotency-cache hit echoing an earlier record).
     ``priority``/``weight`` are the target's live SRV state after the
-    request, mirroring :class:`~repro.control.plane.AppliedControlEvent`.
+    request, mirroring a control :class:`~repro.simulation.tape.TimelineEntry`.
     """
 
     seq: int

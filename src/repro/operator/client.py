@@ -8,7 +8,7 @@ Three callers share :class:`OperatorClient`:
   :class:`~repro.control.schedule.ControlSchedule` tape through the API —
   the drop-in replacement for :class:`~repro.control.plane.ControlPlane`
   inside the workload engine when an operator config is attached (same
-  ``apply_until`` / ``applied`` / ``pending_events`` surface);
+  ``apply_until`` / ``timeline`` / ``pending_events`` surface);
 * :class:`OperatorControlAdapter` gives the autoscaler the
   ``apply_batch`` surface it expects, routed through the same API.
 
@@ -30,13 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.control.plane import AppliedControlEvent, ControlOp
+from repro.control.plane import ControlOp
 from repro.control.schedule import ControlEvent, ControlSchedule
-from repro.core.errors import FederationConfigError
 from repro.operator.api import OperatorApi
 from repro.operator.schemas import ControlResponse
+from repro.simulation.metrics import float_sum
 from repro.simulation.network import NetworkTimeoutError
-from repro.simulation.tape import TapeCursor
+from repro.simulation.tape import TapeCursor, TimelineEntry
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,12 +45,13 @@ class OperatorResult:
 
     ``arrived`` distinguishes "the API answered" (even with an error) from
     "the network ate it" — only non-arrivals are worth retrying with the
-    same token.  ``record`` is the SRV convergence record the API produced
-    (``None`` for non-SRV routes and for non-arrivals).
+    same token.  ``record`` is the control entry the API's plane appended
+    while handling the request (``None`` for non-SRV routes, replays,
+    pre-dispatch rejections and non-arrivals).
     """
 
     response: ControlResponse
-    record: AppliedControlEvent | None
+    record: TimelineEntry | None
     arrived: bool
     latency_ms: float
 
@@ -126,16 +127,19 @@ class OperatorClient:
                     False,
                     latency_ms,
                 )
+        timeline = self.api.plane.timeline
+        appended_from = len(timeline)
         response = self.api.handle(
             payload, now=network.clock.now(), transport=self.transport
         )
+        record = timeline[-1] if len(timeline) > appended_from else None
         self.counters["delivered"] += 1
         if response.replayed:
             self.counters["replayed"] += 1
         elif response.error in ("conflict", "unauthorized", "malformed", "unavailable"):
             key = "conflicts" if response.error == "conflict" else response.error
             self.counters[key] += 1
-        return OperatorResult(response, self.api.last_record, True, latency_ms)
+        return OperatorResult(response, record, True, latency_ms)
 
     def _exchange(self, network) -> tuple[bool, float]:
         """Charge the operator→control round trip; ``(delivered, ms)``."""
@@ -186,19 +190,19 @@ class NetworkedControlPlayer:
 
     Duck-type compatible with :class:`~repro.control.plane.ControlPlane`
     where the workload engine touches it: ``apply_until(now)`` returning
-    the round's :class:`AppliedControlEvent` records, an ``applied`` list,
-    and ``pending_events``.  The difference is delivery: an event whose
-    request the network drops stays *pending* and is retried each
-    subsequent round (same token — the API dedupes if the original
-    actually landed), so the tape's intent eventually converges and the
-    measured ``delivery_lags`` quantify how much later than scripted each
-    op took effect.  An event the API *rejects* (conflict, unavailable
-    target) is terminal, exactly like a plane-rejected tape event.
+    the round's control entries, a ``timeline`` (the API plane's, where
+    every entry lands once), and ``pending_events``.  The difference is
+    delivery: an event whose request the network drops stays *pending* and
+    is retried each subsequent round (same token — the API dedupes if the
+    original actually landed), so the tape's intent eventually converges
+    and the measured ``delivery_lags`` quantify how much later than
+    scripted each op took effect.  An event the API *rejects* (conflict,
+    unavailable target) is terminal, exactly like a plane-rejected tape
+    event.
     """
 
     schedule: ControlSchedule
     client: OperatorClient
-    applied: list[AppliedControlEvent] = field(default_factory=list)
     delivery_lags: list[float] = field(default_factory=list)
     retries: int = 0
     _cursor: TapeCursor[ControlEvent] = field(init=False, repr=False)
@@ -208,12 +212,16 @@ class NetworkedControlPlayer:
         self._cursor = TapeCursor(self.schedule.events)
 
     @property
+    def timeline(self) -> list[TimelineEntry]:
+        return self.client.api.plane.timeline
+
+    @property
     def pending_events(self) -> int:
         return self._cursor.remaining + len(self._pending)
 
-    def apply_until(self, now: float) -> list[AppliedControlEvent]:
+    def apply_until(self, now: float) -> list[TimelineEntry]:
         """Issue every due event (and retry every lost one) at ``now``."""
-        performed: list[AppliedControlEvent] = []
+        performed: list[TimelineEntry] = []
         still_pending: list[_PendingRequest] = []
         for pending in self._pending:
             self.retries += 1
@@ -225,11 +233,10 @@ class NetworkedControlPlayer:
             token = self.client.next_token()
             if not self._issue(event, token, performed):
                 self._pending.append(_PendingRequest(event=event, token=token))
-        self.applied.extend(performed)
         return performed
 
     def _issue(
-        self, event: ControlEvent, token: str, performed: list[AppliedControlEvent]
+        self, event: ControlEvent, token: str, performed: list[TimelineEntry]
     ) -> bool:
         """One attempt; ``True`` when terminal (arrived), ``False`` to retry."""
         result = self.client.request(
@@ -239,11 +246,12 @@ class NetworkedControlPlayer:
             return False
         record = result.record
         if record is None:
-            # Arrived but produced no SRV record (e.g. rejected before
-            # dispatch); synthesize the rejection at live state so the
-            # tape's audit trail stays complete.
-            record = AppliedControlEvent(
-                self.client.api.federation.network.clock.now(),
+            # Arrived but recorded nothing (e.g. rejected before dispatch);
+            # record the rejection at the state the API answered with so
+            # the tape's history stays complete.
+            api = self.client.api
+            record = api.plane.record(
+                api.federation.network.clock.now(),
                 event.kind.value,
                 event.server_id,
                 applied=False,
@@ -267,7 +275,7 @@ class NetworkedControlPlayer:
 
         return {
             "count": float(len(lags)),
-            "mean": sum(lags) / len(lags),
+            "mean": float_sum(lags) / len(lags),
             "p50": pct(0.50),
             "p95": pct(0.95),
             "max": lags[-1],
@@ -285,29 +293,18 @@ class OperatorControlAdapter:
     """
 
     client: OperatorClient
-    applied: list[AppliedControlEvent] = field(default_factory=list)
+
+    @property
+    def timeline(self) -> list[TimelineEntry]:
+        return self.client.api.plane.timeline
 
     def apply_batch(
         self, now: float, ops: "list[ControlOp] | tuple[ControlOp, ...]"
-    ) -> list[AppliedControlEvent]:
-        performed: list[AppliedControlEvent] = []
+    ) -> list[TimelineEntry]:
+        performed: list[TimelineEntry] = []
         for op in ops:
-            result = self.client.request(op.kind.value, op.server_id, op.value)
-            record = result.record
+            record = self.client.request(op.kind.value, op.server_id, op.value).record
             if record is None:
-                federation = self.client.api.federation
-                try:
-                    priority, weight = federation.srv_of(op.server_id)
-                except FederationConfigError:
-                    priority, weight = 0, 0
-                record = AppliedControlEvent(
-                    now,
-                    op.kind.value,
-                    op.server_id,
-                    applied=False,
-                    priority=priority,
-                    weight=weight,
-                )
+                record = self.client.api.plane.record(now, op.kind.value, op.server_id, applied=False)
             performed.append(record)
-        self.applied.extend(performed)
         return performed

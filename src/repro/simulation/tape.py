@@ -6,6 +6,12 @@ deployment-side actor plays forward as simulated time passes.
 :class:`Tape` is that container; :class:`TapeCursor` is the "everything due
 at or before ``now``" walk each actor's ``apply_until`` used to hand-roll.
 Event types need only an ``at_seconds`` attribute.
+
+What playing a tape did is a :class:`TimelineEntry`: one record type for
+every actor that changes a run's state (the fault injector, the churn
+controller, the control plane and the operator-API paths in front of it),
+appended once, by the code that made the change, to the one list a run
+shares.
 """
 
 from __future__ import annotations
@@ -14,6 +20,29 @@ from dataclasses import dataclass
 from typing import Generic, Iterable, Iterator, TypeVar
 
 E = TypeVar("E")
+
+
+@dataclass(frozen=True, slots=True)
+class TimelineEntry:
+    """One state change an actor made, or refused, at one instant.
+
+    ``source`` is ``"faults"``, ``"churn"`` or ``"control"``; ``subject`` is
+    a server id, or a fault's targets (``"a,b"``, ``"discovery-authority"``,
+    with any ``@regions=`` scope).  ``applied`` is False for a no-op against
+    current state (healing a partition never cut) or an action the
+    federation rejected.  A control entry's ``(priority, weight)`` is the
+    server's SRV state *after* the action — the convergence target the
+    workload engine tracks devices against — and the live state when
+    rejected.
+    """
+
+    at_seconds: float
+    source: str
+    kind: str
+    subject: str
+    applied: bool = True
+    priority: int = 0
+    weight: int = 0
 
 
 @dataclass(frozen=True)

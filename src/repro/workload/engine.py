@@ -28,6 +28,7 @@ produce byte-identical :meth:`WorkloadReport.snapshot` dictionaries.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +49,7 @@ from repro.operator.permissions import ALL_PERMISSIONS, PrincipalRegistry
 from repro.services.failover import FailoverRecorder
 from repro.services.routing import FederatedRoutingError
 from repro.simulation.metrics import MetricsRegistry
+from repro.simulation.tape import TimelineEntry
 from repro.spatialindex.cellid import CellId
 from repro.telemetry import TelemetryPipeline
 from repro.telemetry.reader import TelemetryReader
@@ -77,6 +79,9 @@ __all__ = [
 
 RoundObserver = Callable[[int, float], None]
 """A round-boundary hook: ``observer(round_index, now_seconds)``."""
+
+_NOOP_COUNTERS = {"faults": "faults.skipped", "churn": None, "control": "control.rejected"}
+"""The counter a not-applied tape entry bumps, per source (churn: none)."""
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,14 @@ class WorkloadEngine:
         # Multiplier applied to every metric a request records; 1 except
         # while a cohort tracer answers for its phantoms.
         self._active_weight = 1
+        # The run's one history, shared by every actor below; _tallies counts
+        # only the tape step's entries, per (source, applied).
+        self.timeline: list[TimelineEntry] = []
+        self._tallies: Counter[tuple[str, bool]] = Counter()
         self.fault_injector: FaultInjector | None = None
         if self.config.faults is not None:
             self.fault_injector = FaultInjector(
-                federation=scenario.federation, plan=self.config.faults
+                federation=scenario.federation, plan=self.config.faults, timeline=self.timeline
             )
         self.churn_controller: ChurnController | None = None
         if self.config.churn is not None:
@@ -126,6 +135,7 @@ class WorkloadEngine:
                 federation=scenario.federation,
                 schedule=self.config.churn,
                 lease_seconds=self.config.churn_lease_seconds,
+                timeline=self.timeline,
             )
         # Rejoined servers whose return traffic has not been seen yet:
         # server_id -> (rejoin instant, served-requests baseline).
@@ -139,6 +149,7 @@ class WorkloadEngine:
             self.operator_api = OperatorApi(
                 federation=scenario.federation,
                 principals=principals,
+                plane=ControlPlane(federation=scenario.federation, timeline=self.timeline),
                 contend_for_queue=op_config.contend_for_queue,
             )
             endpoint_id = op_config.endpoint_id
@@ -167,7 +178,7 @@ class WorkloadEngine:
                 )
             else:
                 self.control_plane = ControlPlane(
-                    federation=scenario.federation, schedule=self.config.control
+                    federation=scenario.federation, schedule=self.config.control, timeline=self.timeline
                 )
         # Devices holding a stale SRV view of a re-weighted server:
         # (device index, server_id) -> (event instant, target (prio, weight)).
@@ -192,12 +203,13 @@ class WorkloadEngine:
             # Registered after the telemetry flush observer, so each
             # evaluation sees the window that round just sealed.
             assert self.telemetry is not None  # enforced by WorkloadConfig
-            scaler_control = None
             if self.operator_client is not None and self.config.operator.route_autoscaler:
                 # The autoscaler's batches travel the operator API like any
                 # console's: authenticated, audited, and (over the network
                 # transport) paying the same control-hop latency and loss.
                 scaler_control = OperatorControlAdapter(client=self.operator_client)
+            else:
+                scaler_control = ControlPlane(federation=scenario.federation, timeline=self.timeline)
             self.autoscaler = Autoscaler(
                 federation=scenario.federation,
                 reader=TelemetryReader(pipeline=self.telemetry),
@@ -263,9 +275,7 @@ class WorkloadEngine:
         self._telemetry_begin(started_at)
         try:
             for round_index in range(self.config.steps):
-                self._apply_faults(clock.now())
-                self._apply_churn(clock.now())
-                self._apply_control(clock.now())
+                self._apply_tapes()
                 round_start = clock.now()
                 self._round_slowest = 0.0
                 if self._cohort_mode:
@@ -373,45 +383,46 @@ class WorkloadEngine:
         return CellId.from_point(device.position, self.telemetry.config.cell_level).token
 
     # ------------------------------------------------------------------
-    # Faults
+    # Tapes
     # ------------------------------------------------------------------
-    def _apply_faults(self, now: float) -> None:
-        """Apply due fault-tape events at a round boundary, then charge any
-        active flash crowd's load for the round about to run.
+    def _apply_tapes(self) -> None:
+        """Play every tape due at this round boundary, in effect order.
 
-        Like churn, disasters land *between* concurrent rounds: a partition
-        is open or healed for a whole round, never half of one.
+        Fault events land first, then any active flash crowd's load for
+        the round about to run is charged; churn next; control last.  Each
+        actor plays up to the clock at its turn (only a networked control
+        hop advances it).  Like the round clock, tape events land *between*
+        concurrent rounds: a partition is open, or a server up, for a whole
+        round, never half of one.
+
+        Each entry is tallied per (source, applied) for the report and
+        counted as ``<source>.<kind>`` or under its source's no-op counter.
+        An applied join starts the rediscovery watch; an applied control
+        entry starts the convergence watch from ``now``, the instant
+        *before* any control hop.
         """
-        if self.fault_injector is None:
-            return
-        for event in self.fault_injector.apply_until(now):
-            if event.applied:
-                self.metrics.counter(f"faults.{event.kind}").increment()
-            else:
-                self.metrics.counter("faults.skipped").increment()
-        self.fault_injector.inject_round_load()
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-    def _apply_churn(self, now: float) -> None:
-        """Apply due membership events at a round boundary.
-
-        Events land *between* concurrent rounds — the same granularity at
-        which the round clock advances — so a server is either up or down
-        for a whole round, never half of one.
-        """
-        if self.churn_controller is None:
-            return
         federation = self.scenario.federation
-        for event in self.churn_controller.apply_until(now):
-            if not event.applied:
+        clock = federation.network.clock
+        for actor in (self.fault_injector, self.churn_controller, self.control_plane):
+            if actor is None:
                 continue
-            self.metrics.counter(f"churn.{event.kind}").increment()
-            if event.kind == "join":
-                server = federation.servers.get(event.server_id)
-                baseline = server.stats.total_requests if server is not None else 0
-                self._pending_rediscovery[event.server_id] = (event.at_seconds, baseline)
+            now = clock.now()
+            for entry in actor.apply_until(now):
+                self._tallies[entry.source, entry.applied] += 1
+                if not entry.applied:
+                    noop = _NOOP_COUNTERS[entry.source]
+                    if noop is not None:
+                        self.metrics.counter(noop).increment()
+                    continue
+                self.metrics.counter(f"{entry.source}.{entry.kind}").increment()
+                if entry.source == "churn" and entry.kind == "join":
+                    server = federation.servers.get(entry.subject)
+                    baseline = server.stats.total_requests if server is not None else 0
+                    self._pending_rediscovery[entry.subject] = (entry.at_seconds, baseline)
+                elif entry.source == "control":
+                    self._watch_convergence(entry, now)
+            if actor is self.fault_injector:
+                actor.inject_round_load()
 
     def _observe_rediscoveries(self, now: float) -> None:
         """Check whether rejoined servers have been found by clients again.
@@ -438,42 +449,35 @@ class WorkloadEngine:
     # ------------------------------------------------------------------
     # Operator control plane
     # ------------------------------------------------------------------
-    def _apply_control(self, now: float) -> None:
-        """Apply due operator actions at a round boundary, then start the
-        convergence stopwatch for every device holding a stale view.
+    def _watch_convergence(self, entry: TimelineEntry, now: float) -> None:
+        """Start the convergence stopwatch at ``now`` for every device
+        holding a stale view of an applied control entry's server.
 
         A device is *tracked* only if it actually holds cached SRV data for
         the re-weighted server that disagrees with the new advertisement —
         devices that never resolved the server bootstrap straight onto the
         live values and have nothing to converge."""
-        if self.control_plane is None:
-            return
-        for event in self.control_plane.apply_until(now):
-            if not event.applied:
-                self.metrics.counter("control.rejected").increment()
+        target = (entry.priority, entry.weight)
+        for device in self.fleet:
+            held = device.client.context.discoverer.srv_view.get(entry.subject)
+            if held is None:
                 continue
-            self.metrics.counter(f"control.{event.kind}").increment()
-            target = (event.priority, event.weight)
-            for device in self.fleet:
-                held = device.client.context.discoverer.srv_view.get(event.server_id)
-                if held is None:
-                    continue
-                key = (device.index, event.server_id)
-                if held == target:
-                    # The newest advertisement matches what the device
-                    # already holds (e.g. an undrain restored the weight
-                    # before this device ever saw the drain): the change is
-                    # invisible to it, so any stopwatch still running toward
-                    # the now-obsolete value is voided, not left to report
-                    # phantom non-convergence.
-                    if self._pending_convergence.pop(key, None) is not None:
-                        self._devices_tracked -= 1
-                    continue
-                if key not in self._pending_convergence:
-                    self._devices_tracked += 1
-                # A second event against the same server restarts the
-                # stopwatch toward the *newest* advertisement.
-                self._pending_convergence[key] = (now, target)
+            key = (device.index, entry.subject)
+            if held == target:
+                # The newest advertisement matches what the device
+                # already holds (e.g. an undrain restored the weight
+                # before this device ever saw the drain): the change is
+                # invisible to it, so any stopwatch still running toward
+                # the now-obsolete value is voided, not left to report
+                # phantom non-convergence.
+                if self._pending_convergence.pop(key, None) is not None:
+                    self._devices_tracked -= 1
+                continue
+            if key not in self._pending_convergence:
+                self._devices_tracked += 1
+            # A second event against the same server restarts the
+            # stopwatch toward the *newest* advertisement.
+            self._pending_convergence[key] = (now, target)
 
     def _observe_convergence(self, now: float) -> None:
         """Check tracked devices' SRV views against their targets.
@@ -698,18 +702,14 @@ class WorkloadEngine:
             answered += stats.hits + stats.negative_hits
             total += stats.hits + stats.negative_hits + stats.misses
         failed_counter = self.metrics.counters.get("availability.failed_requests")
-        churn_applied = 0
-        if self.churn_controller is not None:
-            churn_applied = sum(1 for event in self.churn_controller.applied if event.applied)
+        tallies = self._tallies
         rediscovery = self.metrics.summaries.get("availability.rediscovery_seconds")
         control_stats: dict[str, float] = {}
         if self.control_plane is not None:
             converge = self.metrics.histograms.get("control.converge_seconds")
-            applied = sum(1 for event in self.control_plane.applied if event.applied)
-            rejected = sum(1 for event in self.control_plane.applied if not event.applied)
             control_stats = {
-                "events_applied": float(applied),
-                "events_rejected": float(rejected),
+                "events_applied": float(tallies["control", True]),
+                "events_rejected": float(tallies["control", False]),
                 "devices_tracked": float(self._devices_tracked),
                 "devices_converged": float(converge.count if converge is not None else 0),
                 "devices_unconverged": float(len(self._pending_convergence)),
@@ -721,15 +721,13 @@ class WorkloadEngine:
         degraded = degraded_counter.value if degraded_counter is not None else 0
         fault_stats: dict[str, float] = {}
         if self.fault_injector is not None:
-            applied = sum(1 for event in self.fault_injector.applied if event.applied)
-            skipped = sum(1 for event in self.fault_injector.applied if not event.applied)
             stale_serves = sum(
                 device.client.context.discoverer.stale_serves * device.weight
                 for device in self.fleet
             )
             fault_stats = {
-                "events_applied": float(applied),
-                "events_skipped": float(skipped),
+                "events_applied": float(tallies["faults", True]),
+                "events_skipped": float(tallies["faults", False]),
                 "degraded_requests": float(degraded),
                 "stale_serves": float(stale_serves),
             }
@@ -769,7 +767,7 @@ class WorkloadEngine:
             dns_pool_hit_rates=pool_hit_rates,
             failover=fleet_failover,
             failed_requests=failed_counter.value if failed_counter is not None else 0,
-            churn_events_applied=churn_applied,
+            churn_events_applied=tallies["churn", True],
             rediscoveries=rediscovery.count if rediscovery is not None else 0,
             rejoins_unseen=len(self._pending_rediscovery),
             replica_groups={

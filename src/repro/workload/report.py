@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.services.failover import FailoverRecorder
-from repro.simulation.metrics import MetricsRegistry
+from repro.simulation.metrics import MetricsRegistry, float_sum
 from repro.simulation.queueing import load_cv
 from repro.telemetry import TelemetryPipeline
 
@@ -126,7 +126,7 @@ class WorkloadReport:
     def replica_load_cv(self) -> float:
         """The run's balance headline: mean utilization CV over replica groups."""
         cvs = self.group_load_cvs()
-        return sum(cvs.values()) / len(cvs) if cvs else 0.0
+        return float_sum(cvs.values()) / len(cvs) if cvs else 0.0
 
     @property
     def failed_request_rate(self) -> float:

@@ -458,8 +458,8 @@ class TestAutoscalerEndToEnd:
         # audited on the scaler's own control plane.
         promoted = [
             event
-            for event in scaler.control.applied
-            if event.weight == scaler.config.promote_weight
+            for event in scaler.control.timeline
+            if event.source == "control" and event.weight == scaler.config.promote_weight
         ]
         assert promoted and all(45.0 <= event.at_seconds <= 250.0 for event in promoted)
         # Ramps are gradual: each standby steps down the ladder, never a
@@ -467,8 +467,8 @@ class TestAutoscalerEndToEnd:
         for standby in scaler.pools[sorted(scaler.pools)[0]].standby_ids:
             weights = [
                 event.weight
-                for event in scaler.control.applied
-                if event.server_id == standby and event.applied
+                for event in scaler.control.timeline
+                if event.source == "control" and event.subject == standby and event.applied
             ]
             for before, after in zip(weights, weights[1:]):
                 assert not (before == scaler.config.promote_weight and after == 0)
@@ -505,13 +505,13 @@ class TestAutoscalerEndToEnd:
         scaler = engine.autoscaler
         assert scaler is not None
         last_action: dict[str, float] = {}
-        for event in scaler.control.applied:
-            if not event.applied:
+        for event in scaler.control.timeline:
+            if event.source != "control" or not event.applied:
                 continue
-            previous = last_action.get(event.server_id)
+            previous = last_action.get(event.subject)
             if previous is not None:
                 assert event.at_seconds - previous >= 30.0
-            last_action[event.server_id] = event.at_seconds
+            last_action[event.subject] = event.at_seconds
 
     def test_off_by_default_builds_nothing(self):
         scenario = _scenario()
@@ -535,8 +535,9 @@ class TestAutoscalerEndToEnd:
             scaler = engine.autoscaler
             assert scaler is not None
             return [
-                (event.at_seconds, event.kind, event.server_id, event.applied)
-                for event in scaler.control.applied
+                (event.at_seconds, event.kind, event.subject, event.applied)
+                for event in scaler.control.timeline
+                if event.source == "control"
             ]
 
         first = tape()

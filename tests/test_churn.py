@@ -297,7 +297,8 @@ class TestChurnController:
         applied = controller.apply_until(60.0)
         assert [e.kind for e in applied] == ["join"]
         assert "churnstore.example" in federation.servers
-        assert controller.rejoined_at["churnstore.example"] == 50.0
+        join = controller.timeline[-1]
+        assert (join.kind, join.subject, join.at_seconds) == ("join", "churnstore.example", 50.0)
 
     def test_lease_expiry_withdraws_records_of_crashed_server(self, federation: Federation):
         deploy_store(federation)

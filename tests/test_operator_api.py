@@ -124,7 +124,7 @@ class TestAuthz:
         response = _request(api, "drain", server_id, principal="mallory")
         assert response.error == "unauthorized"
         assert scenario.federation.srv_of(server_id) == before
-        assert api.plane.applied == []
+        assert api.plane.timeline == []
 
     def test_permission_checked_per_route(self):
         scenario = _scenario()
@@ -161,9 +161,9 @@ class TestRoutes:
         assert reweighted.ok and reweighted.weight == 3
         promoted = _request(api, "promote", server_id, value=1, token="t-4")
         assert promoted.ok and promoted.priority == 1
-        kinds = [event.kind for event in api.plane.applied]
+        kinds = [event.kind for event in api.plane.timeline]
         assert kinds == ["drain", "undrain", "set-weight", "promote"]
-        assert all(event.applied for event in api.plane.applied)
+        assert all(event.applied for event in api.plane.timeline)
 
     def test_group_guard_is_a_conflict_recording_live_state(self):
         scenario = _scenario(replicas=2)
@@ -173,7 +173,7 @@ class TestRoutes:
         response = _request(api, "drain", second, token="t-2")
         assert response.error == "conflict"
         # The rejected record carries the live SRV state, not (0, 0).
-        record = api.plane.applied[-1]
+        record = api.plane.timeline[-1]
         assert not record.applied
         assert (record.priority, record.weight) == scenario.federation.srv_of(second)
 
@@ -254,7 +254,7 @@ class TestIdempotency:
         assert replay.replayed and not first.replayed
         assert replay.seq == first.seq
         # Applied exactly once; the replay is audited separately.
-        assert len(api.plane.applied) == 1
+        assert len(api.plane.timeline) == 1
         assert [r.outcome for r in api.audit.records] == ["applied", "replayed"]
 
     def test_conflicts_are_terminal_and_replayed(self):
@@ -424,6 +424,30 @@ class TestNetworkedClient:
         assert landed.arrived and landed.response.ok
         assert [r.outcome for r in client.api.audit.records] == ["applied"]
         assert client.counters["unreachable"] == 1
+
+    def test_a_networked_tape_op_is_one_entry_and_a_lost_one_none_until_it_lands(self):
+        scenario = _scenario()
+        server_id = scenario.store_replica_ids(0)[0]
+        client = self._client(scenario)
+        player = NetworkedControlPlayer(
+            schedule=ControlSchedule.from_events([ControlEvent(0.0, ControlEventKind.DRAIN, server_id)]),
+            client=client,
+        )
+        timeline = client.api.plane.timeline
+        assert player.timeline is timeline
+        faults = scenario.federation.network.fault_state()
+        faults.block(client.endpoint_id)
+        assert player.apply_until(0.0) == []
+        assert timeline == [] and player.pending_events == 1
+        faults.unblock(client.endpoint_id)
+        [entry] = player.apply_until(10.0)
+        assert len(timeline) == 1 and timeline[0] is entry
+        assert (entry.source, entry.kind, entry.subject, entry.applied) == ("control", "drain", server_id, True)
+        assert player.retries == 1 and player.pending_events == 0
+        # A replay of the landed token records nothing more.
+        replay = client.request("drain", server_id, token="ops-1")
+        assert replay.response.replayed and replay.record is None
+        assert len(timeline) == 1
 
     def test_partition_is_evaluated_from_the_operators_region(self):
         scenario = _scenario()

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.control.schedule import ControlSchedule
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
 from repro.localization.cues import BeaconCue, BeaconReading, ImageCue
@@ -19,6 +20,7 @@ from repro.localization.fingerprint import (
     ImageFingerprint,
     ImageFingerprintDatabase,
 )
+from repro.operator.client import NetworkedControlPlayer
 from repro.routing.stitching import RouteLeg, RouteStitcher
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache, LruStats, answer_memo
@@ -28,6 +30,7 @@ from repro.simulation.queueing import load_cv
 from repro.simulation.tape import Tape, TapeCursor
 from repro.spatialindex.cellid import CellId
 from repro.spatialindex.covering import covering_area_square_meters
+from repro.workload.report import WorkloadReport
 from repro.workload.traffic import zipf_weights
 
 
@@ -431,6 +434,20 @@ class TestFloatSum:
         assert sum(values) / len(values) != mean
         assert load_cv(values) == math.sqrt(spread) / mean == 1.1250000000000002
         assert histogram.mean == mean
+
+    def test_delivery_lag_mean_and_replica_load_cv_fold(self, monkeypatch):
+        """The networked tape's mean delivery lag (E20's
+        ``delivery_lag_mean_s``) and a report's mean group CV (E14's
+        ``replica_load_cv``), with ``sum()`` behaving as on 3.12."""
+        values = [0.1] * 9 + [0.7]
+        player = NetworkedControlPlayer(schedule=ControlSchedule(), client=None, delivery_lags=list(values))
+        report = WorkloadReport(MetricsRegistry(), 0, 0, 0, 0, 0, 0, 0.0, 0.0)
+        monkeypatch.setattr(report, "group_load_cvs", lambda: {f"g{index}": cv for index, cv in enumerate(values)})
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        mean = float_sum(values) / len(values)
+        assert sum(values) / len(values) != mean
+        assert player.lag_stats()["mean"] == mean
+        assert report.replica_load_cv == mean
 
     def test_centroid_and_zipf_weights_fold(self, monkeypatch):
         """A polygon's centroid and the Zipf popularity weights, with

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.autoscale import AutoscalerConfig
+from repro.churn import ChurnEvent, ChurnEventKind, ChurnSchedule
+from repro.control import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
+from repro.faults import FaultEvent, FaultEventKind, FaultPlan
 from repro.geometry.bbox import BoundingBox
+from repro.operator import OperatorConfig
+from repro.services.retry import RetryPolicy
 from repro.simulation.network import LatencyModel
+from repro.simulation.queueing import ServiceTimeModel
+from repro.telemetry import SLOConfig, TelemetryConfig
 from repro.workload import (
     AisleWalk,
     CommuterHandoff,
@@ -258,3 +267,101 @@ class TestJitteredFleet:
         assert jittered == run(0.4)  # same seed, same draws
         fixed = run(0.0)
         assert jittered["latency_ms.all.p99"] != fixed["latency_ms.all.p99"]
+
+
+class TestRunTimeline:
+    """Every actor of one composed run appends to one shared timeline, each
+    entry once, and the report's tape counts agree with it."""
+
+    @staticmethod
+    def _run(route_autoscaler: bool):
+        scenario = build_scenario(
+            store_count=2,
+            city_rows=5,
+            city_cols=5,
+            config=FederationConfig(
+                device_discovery_cache_ttl_seconds=30.0,
+                registration_ttl_seconds=60.0,
+                service_times=ServiceTimeModel(default_ms=2.0),
+                server_queue_capacity=256,
+                retry_policy=RetryPolicy.full_jitter(),
+            ),
+            seed=33,
+            reuse_worlds=True,
+            store_replicas=2,
+        )
+        store0 = scenario.store_replica_ids(0)
+        first, second = scenario.store_replica_ids(1)
+        scenario.federation.attach_warm_pool(sorted(scenario.federation.replica_groups)[0], 2)
+        never_cut = FaultPlan.from_events([FaultEvent(30.0, FaultEventKind.HEAL_PARTITION, ("ghost.example",))])
+        faults = FaultPlan.flash_crowd(store0, 20.0, 150.0, extra_load=300) + never_cut
+        churn = ChurnSchedule.from_events(
+            [
+                ChurnEvent(40.0, ChurnEventKind.CRASH, first),
+                ChurnEvent(90.0, ChurnEventKind.JOIN, first),
+                ChurnEvent(100.0, ChurnEventKind.JOIN, second),  # never left: a no-op
+            ]
+        )
+        control = ControlSchedule.from_events(
+            [
+                ControlEvent(50.0, ControlEventKind.DRAIN, second),
+                ControlEvent(60.0, ControlEventKind.DRAIN, "ghost.example"),  # rejected
+                ControlEvent(120.0, ControlEventKind.UNDRAIN, second),
+            ]
+        )
+        config = WorkloadConfig(
+            clients=32,
+            steps=20,
+            seed=7,
+            step_seconds=10.0,
+            resolver_pools=2,
+            faults=faults,
+            churn=churn,
+            control=control,
+            telemetry=TelemetryConfig(window_seconds=40.0, slo=SLOConfig(latency_ms=250.0)),
+            autoscale=AutoscalerConfig(
+                wait_high_ms=25.0,
+                wait_low_ms=8.0,
+                burn_high=0.0,
+                breach_evals=1,
+                recover_evals=2,
+                cooldown_seconds=60.0,
+                ramp_cooldown_seconds=30.0,
+                park_delay_seconds=40.0,
+            ),
+            operator=OperatorConfig(transport="network", timeout_ms=400.0, route_autoscaler=route_autoscaler),
+        )
+        engine = WorkloadEngine(scenario, config)
+        return engine, engine.run()
+
+    @pytest.mark.parametrize("route_autoscaler", [True, False])
+    def test_one_timeline_each_entry_once(self, route_autoscaler: bool):
+        engine, report = self._run(route_autoscaler)
+        timeline = engine.timeline
+        actors = (
+            engine.fault_injector,
+            engine.churn_controller,
+            engine.control_plane,
+            engine.operator_api.plane,
+            engine.autoscaler.control,
+        )
+        assert all(actor.timeline is timeline for actor in actors)
+        assert len({id(entry) for entry in timeline}) == len(timeline)
+
+        standbys = {sid for pool in engine.autoscaler.pools.values() for sid in pool.standby_ids}
+        scaler = [e for e in timeline if e.source == "control" and e.subject in standbys]
+        stats = report.autoscale_stats
+        assert len(scaler) == stats["ops_applied"] + stats["ops_rejected"] > 0
+        assert sum(entry.applied for entry in scaler) == stats["ops_applied"]
+
+        tallies = Counter((e.source, e.applied) for e in timeline if e.subject not in standbys)
+        assert tallies["faults", True] == report.fault_stats["events_applied"] == 2
+        assert tallies["faults", False] == report.fault_stats["events_skipped"] == 1
+        assert tallies["churn", True] == report.churn_events_applied == 2
+        assert tallies["churn", False] == 1
+        assert tallies["control", True] == report.control_stats["events_applied"] == 2
+        assert tallies["control", False] == report.control_stats["events_rejected"] == 1
+        # A skipped fault and a rejected op are counted; a no-op join is not.
+        counters = report.metrics.counters
+        assert counters["faults.skipped"].value == counters["control.rejected"].value == 1
+        assert counters["churn.join"].value == 1
