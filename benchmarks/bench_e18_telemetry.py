@@ -13,8 +13,8 @@ burn.  This experiment pins the three claims that justify it:
   cell: the roll-up sees what the global histogram hides.
 * **SLO burn alerting** — a regional uplink cut partitions region-1
   clients from every map server.  Region 1's error-budget burn crosses
-  the fast *and* slow multi-window thresholds exactly during the fault
-  windows; region 0 and the fault-free baseline never alert.
+  the alert threshold exactly during the fault windows; region 0 and
+  the fault-free baseline never alert.
 * **bounded, transparent overhead** — the pipeline rides the cohort fast
   path at 100,000 clients.  With telemetry disabled the snapshot is
   byte-identical to a run without the subsystem (the E13–E17 artifacts
@@ -40,6 +40,7 @@ import bench_e16_scale
 from _util import disaster_world
 from repro.faults.schedule import FaultPlan
 from repro.telemetry import SLOConfig, TelemetryConfig
+from repro.telemetry.slo import ALERT_BURN_THRESHOLD
 from repro.workload import WorkloadConfig, WorkloadEngine
 
 WORLD_SEED = 33
@@ -126,8 +127,8 @@ def run_hotspot() -> dict[str, object]:
 
 
 def run_slo_burn() -> dict[str, object]:
-    """Region-1 uplink cut: burn crosses both multi-window thresholds in
-    exactly the fault windows; region 0 and the baseline never alert."""
+    """Region-1 uplink cut: burn crosses the alert threshold in exactly
+    the fault windows; region 0 and the baseline never alert."""
     baseline = run_probe_workload()
     all_servers = tuple(sorted(build_world().federation.registry.registrations))
     faulted = run_probe_workload(
@@ -298,10 +299,10 @@ def verify(
     # SLO burn: the hit region alerts during the fault, nobody else does.
     if burn["alerts"] < 1:
         failures.append("regional partition fired no burn alerts")
-    if burn["max_burn"] < TELEMETRY.slo.fast_burn_threshold:
+    if burn["max_burn"] < ALERT_BURN_THRESHOLD:
         failures.append(
-            f"max burn {burn['max_burn']:.1f}x never crossed the fast "
-            f"threshold {TELEMETRY.slo.fast_burn_threshold:.0f}x"
+            f"max burn {burn['max_burn']:.1f}x never crossed the alert "
+            f"threshold {ALERT_BURN_THRESHOLD:.0f}x"
         )
     if not set(burn["_alert_windows"]) <= set(burn["_fault_windows"]):
         failures.append("burn alerts fired outside the partition's windows")
@@ -309,10 +310,10 @@ def verify(
         failures.append("the unpartitioned region raised burn alerts")
     if burn["_baseline_alerts"]:
         failures.append("the fault-free baseline raised burn alerts")
-    if burn["base_max"] >= TELEMETRY.slo.fast_burn_threshold:
+    if burn["base_max"] >= ALERT_BURN_THRESHOLD:
         failures.append(
             f"baseline burn {burn['base_max']:.1f}x already crosses the "
-            "fast threshold; the alert has no headroom"
+            "alert threshold; the alert has no headroom"
         )
 
     # Overhead: telemetry must be transparent when off and cheap when on.

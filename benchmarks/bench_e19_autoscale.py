@@ -35,6 +35,7 @@ from types import SimpleNamespace
 from harness import Experiment, digest, main  # first: finds src/ when run standalone
 from _util import disaster_world
 from repro.autoscale import AutoscalerConfig
+from repro.autoscale.scaler import PROMOTE_WEIGHT
 from repro.faults.schedule import FaultPlan
 from repro.telemetry import SLOConfig, TelemetryConfig
 from repro.telemetry.reader import TelemetryReader
@@ -168,7 +169,7 @@ def run_cell(
         federation.attach_warm_pool(group_id, POOL_SIZE)
     if mode == "static-over":
         for standby in federation.warm_pools[group_id].standby_ids:
-            federation.set_srv(standby, weight=autoscale.promote_weight)
+            federation.set_srv(standby, weight=PROMOTE_WEIGHT)
     config = WorkloadConfig(
         clients=clients,
         steps=steps,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 
 from repro.autoscale import AutoscalerConfig
+from repro.autoscale.scaler import ZONE_LEVEL
 from repro.core.config import FederationConfig
 from repro.faults.schedule import FaultPlan
 from repro.services.retry import RetryPolicy
@@ -112,7 +113,7 @@ def pressure_timeline(engine, width: int = 24) -> list[str]:
     ]
     base_serving = BASE_REPLICAS
     for window in pipeline.windows:
-        zonal = server_zonal((window,), pipeline.server_cells, scaler.config.zone_level)
+        zonal = server_zonal((window,), pipeline.server_cells, ZONE_LEVEL)
         wait = max((zone["mean_wait_ms"] for zone in zonal.values()), default=0.0)
         shed = max((zone["shed_rate"] for zone in zonal.values()), default=0.0)
         in_crowd = window.start_seconds < CROWD_END_S and window.end_seconds > CROWD_START_S

@@ -17,38 +17,25 @@ recover thresholds *and* requires consecutive confirmations, while
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+BURN_LOW = 0.25
+"""SLO burn at or below which the burn trigger counts as relaxed."""
 
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
     """Tunables of one closed-loop autoscaler run.
 
-    Signal inputs (all read from telemetry roll-ups over the trailing
-    ``signal_windows`` sealed windows):
+    Signal inputs (read from telemetry roll-ups over the last sealed
+    window):
 
     * ``wait_high_ms`` / ``wait_low_ms`` — zonal mean queue-wait
       hysteresis band (breach above high, recover below low);
-    * ``shed_high`` — zonal shed rate that counts as pressure on its own;
-    * ``burn_high`` / ``burn_low`` — per-window SLO error-budget burn
-      band (0 disables the burn trigger);
-    * ``p95_high_ms`` — global latency p95 that counts as pressure
-      (``None`` disables the trigger).
-
-    Actuation:
-
-    * ``promote_weight`` — the SRV weight a promoted standby serves at;
-    * ``ramp_weights`` — the gradual drain ladder a retiring standby
-      steps down (must be strictly decreasing and end at 0; the classic
-      4→2→1→0 default sheds load in halves instead of a step drain);
-    * ``slope_fast_per_s`` — when the zone's demand slope (requests/s per
-      window, from the telemetry reader) is at or below this, a retiring
-      standby takes two ramp steps per evaluation instead of one (load is
-      ebbing fast, drain fast);
-    * ``outlier_wait_ratio`` — protective drain: inside a pressured zone,
-      a member whose own telemetry mean wait exceeds this multiple of the
-      zone mean is drained (0 disables), and undrained once the zone
-      recovers.
+    * ``burn_high`` — per-window SLO error-budget burn that counts as
+      pressure, recovering at or below :data:`BURN_LOW` (0 disables the
+      burn trigger).
 
     Stability:
 
@@ -64,58 +51,42 @@ class AutoscalerConfig:
       registered (at weight 0) before being deregistered back into the
       pool, giving stale clients time to converge off it.
 
+    The zone level, shed-rate trigger, promotion weight and drain ladder
+    are constants of :mod:`repro.autoscale.scaler`.
+
     Determinism: the config is frozen and every threshold comparison in
     the scaler is pure arithmetic over telemetry floats, so identical
     runs make identical decisions.
     """
 
-    zone_level: int = 12
-    signal_windows: int = 1
     wait_high_ms: float = 25.0
     wait_low_ms: float = 5.0
-    shed_high: float = 0.2
     burn_high: float = 1.0
-    burn_low: float = 0.25
-    p95_high_ms: float | None = None
     breach_evals: int = 2
     recover_evals: int = 3
-    promote_weight: int = 4
-    ramp_weights: tuple[int, ...] = (4, 2, 1, 0)
-    slope_fast_per_s: float = -0.5
-    outlier_wait_ratio: float = 0.0
     cooldown_seconds: float = 90.0
     ramp_cooldown_seconds: float = 40.0
     park_delay_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.zone_level <= 30):
-            raise ValueError("zone level must be in [0, 30]")
-        if self.signal_windows < 1:
-            raise ValueError("signals need at least one trailing window")
-        if self.wait_low_ms < 0.0 or self.wait_high_ms <= self.wait_low_ms:
+        # ``nan < 0`` is false, so a sign check alone lets NaN through; a
+        # NaN cooldown never expires and a NaN threshold never trips.
+        for name in (
+            "wait_high_ms",
+            "wait_low_ms",
+            "burn_high",
+            "cooldown_seconds",
+            "ramp_cooldown_seconds",
+            "park_delay_seconds",
+        ):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.wait_high_ms <= self.wait_low_ms:
             raise ValueError("need 0 <= wait_low_ms < wait_high_ms (hysteresis band)")
-        if self.burn_high > 0.0 and not (0.0 <= self.burn_low < self.burn_high):
-            raise ValueError("need 0 <= burn_low < burn_high (hysteresis band)")
-        if not (0.0 <= self.shed_high <= 1.0):
-            raise ValueError("shed_high is a rate in [0, 1]")
-        if self.p95_high_ms is not None and self.p95_high_ms <= 0.0:
-            raise ValueError("p95_high_ms must be positive (or None to disable)")
+        if 0.0 < self.burn_high <= BURN_LOW:
+            raise ValueError(f"burn_high must be 0 or above BURN_LOW = {BURN_LOW} (hysteresis band)")
         if self.breach_evals < 1 or self.recover_evals < 1:
             raise ValueError("gate streaks need at least one evaluation")
-        if self.promote_weight < 1:
-            raise ValueError("promoted standbys need a positive weight")
-        if len(self.ramp_weights) < 2 or self.ramp_weights[-1] != 0:
-            raise ValueError("ramp_weights must end at 0 (a completed drain)")
-        if any(b >= a for a, b in zip(self.ramp_weights, self.ramp_weights[1:])):
-            raise ValueError("ramp_weights must be strictly decreasing")
-        if any(weight < 0 for weight in self.ramp_weights):
-            raise ValueError("ramp weights cannot be negative")
-        if self.outlier_wait_ratio < 0.0:
-            raise ValueError("outlier_wait_ratio cannot be negative")
-        if self.cooldown_seconds < 0.0 or self.ramp_cooldown_seconds < 0.0:
-            raise ValueError("cooldowns cannot be negative")
-        if self.park_delay_seconds < 0.0:
-            raise ValueError("park delay cannot be negative")
 
 
 @dataclass

@@ -8,15 +8,12 @@ one batched control-plane action per group:
 * **breach** (pressure sustained ``breach_evals`` evaluations):
   first restore any standby caught mid-drain back to full weight
   (undrain on load recovery), else promote one pooled standby
-  (unpark → ``set_weight(promote_weight)``), else — with
-  ``outlier_wait_ratio`` set — protectively drain a member replica whose
-  own telemetry wait is an outlier against its zone;
-* **recover** (quiet sustained ``recover_evals`` evaluations):
-  first undrain any protectively drained member, else step the
-  most-recently promoted standby down the ``ramp_weights`` ladder
-  (4→2→1→0 by default; two steps per evaluation when the zone's demand
-  slope says load is ebbing fast), and once drained — after
-  ``park_delay_seconds`` — deregister it back into the pool.
+  (unpark → ``set_weight(PROMOTE_WEIGHT)``);
+* **recover** (quiet sustained ``recover_evals`` evaluations): step the
+  most-recently promoted standby down the :data:`RAMP_WEIGHTS` ladder
+  (two steps per evaluation when the zone's demand slope says load is
+  ebbing fast), and once drained — after ``park_delay_seconds`` —
+  deregister it back into the pool.
 
 Every weight change travels through
 :meth:`repro.control.ControlPlane.apply_batch`, so the plane's ``timeline``
@@ -39,13 +36,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.autoscale.policy import AutoscalerConfig, Cooldown, HysteresisGate
+from repro.autoscale.policy import BURN_LOW, AutoscalerConfig, Cooldown, HysteresisGate
 from repro.control.plane import ControlOp, ControlPlane
 from repro.control.schedule import ControlEventKind
 from repro.core.federation import Federation
 from repro.core.warmpool import WarmPool
 from repro.telemetry.reader import TelemetryReader
 from repro.telemetry.spatial import cell_ancestor
+
+ZONE_LEVEL = 12
+"""Cell level of the zones a group's pressure is read over."""
+
+SIGNAL_WINDOWS = 1
+"""Trailing sealed windows every pressure signal folds."""
+
+SHED_HIGH = 0.2
+"""Zonal shed rate that counts as pressure on its own."""
+
+PROMOTE_WEIGHT = 4
+"""The SRV weight a promoted (or undrained) standby serves at."""
+
+RAMP_WEIGHTS = (4, 2, 1, 0)
+"""The drain ladder a retiring standby steps down: load sheds in halves
+instead of one step drain."""
+
+SLOPE_FAST_PER_S = -0.5
+"""Zone demand slope (requests/s per window) at or below which a retiring
+standby takes two ramp steps per evaluation instead of one."""
 
 
 @dataclass
@@ -59,9 +76,6 @@ class _GroupState:
     drained_at: dict[str, float] = field(default_factory=dict)
     """Fully drained standby → the instant it reached weight 0 (awaiting
     its park delay)."""
-    protected: dict[str, bool] = field(default_factory=dict)
-    """Members this loop protectively drained (awaiting zone recovery)."""
-    member_cooldowns: dict[str, Cooldown] = field(default_factory=dict)
 
 
 class Autoscaler:
@@ -71,7 +85,7 @@ class Autoscaler:
         federation: the live federation; scaling domains are the replica
             groups with a pool in ``federation.warm_pools``.
         reader: the telemetry query surface — the *only* signal source.
-        config: thresholds, ramps, and stability tunables.
+        config: thresholds and stability tunables.
         control: an optional control plane; by default the autoscaler
             gets its own (schedule-free) plane.  The workload engine passes
             one that records onto the run's shared timeline, or an
@@ -86,12 +100,12 @@ class Autoscaler:
         self,
         federation: Federation,
         reader: TelemetryReader,
-        config: AutoscalerConfig | None = None,
+        config: AutoscalerConfig,
         control: ControlPlane | None = None,
     ) -> None:
         self.federation = federation
         self.reader = reader
-        self.config = config or AutoscalerConfig()
+        self.config = config
         self.control = control or ControlPlane(federation=federation)
         self.pools: dict[str, WarmPool] = {
             group_id: pool  # type: ignore[misc]
@@ -124,6 +138,8 @@ class Autoscaler:
             "promotions": 0,
             "undrains": 0,
             "ramp_steps": 0,
+            # Always 0: the outlier drain they counted is gone, but both
+            # stay ``autoscale.*`` snapshot keys that goldens pin.
             "protect_drains": 0,
             "protect_undrains": 0,
             "parks": 0,
@@ -188,14 +204,13 @@ class Autoscaler:
         tokens: set[str] = set()
         for server_id in group.server_ids:
             for token in self.reader.pipeline.server_cells.get(server_id, ()):
-                tokens.add(cell_ancestor(token, self.config.zone_level))
+                tokens.add(cell_ancestor(token, ZONE_LEVEL))
         return tuple(sorted(tokens))
 
     def _group_pressure(self, group_id: str) -> tuple[float, float, float]:
         """(worst mean wait, worst shed rate, most negative demand slope)
-        across the group's zones over the trailing signal windows."""
-        config = self.config
-        zonal = self.reader.zonal(config.zone_level, last=config.signal_windows)
+        across the group's zones over the last sealed window."""
+        zonal = self.reader.zonal(ZONE_LEVEL, last=SIGNAL_WINDOWS)
         wait = shed = 0.0
         slope = 0.0
         for index, zone in enumerate(self._zones[group_id]):
@@ -203,7 +218,7 @@ class Autoscaler:
             if stats is not None:
                 wait = max(wait, stats["mean_wait_ms"])
                 shed = max(shed, stats["shed_rate"])
-            zone_slope = self.reader.demand_slope(zone, config.zone_level)
+            zone_slope = self.reader.demand_slope(zone, ZONE_LEVEL)
             slope = zone_slope if index == 0 else min(slope, zone_slope)
         return wait, shed, slope
 
@@ -213,7 +228,7 @@ class Autoscaler:
     def _evaluate(self, group_id: str, now: float) -> None:
         config = self.config
         state = self._states[group_id]
-        if not self.reader.has_signal(last=config.signal_windows):
+        if not self.reader.has_signal(last=SIGNAL_WINDOWS):
             # Zero-sample window(s): missing telemetry is "no signal", not
             # pressure 0.0.  Hold the gate in its dead band — this resets
             # both streaks, so an empty window can neither advance a breach
@@ -222,19 +237,16 @@ class Autoscaler:
             self.counters["evals"] += 1
             return
         wait, shed, slope = self._group_pressure(group_id)
-        burn = self.reader.max_burn(last=config.signal_windows)
-        p95 = self.reader.p95_ms(last=config.signal_windows)
+        burn = self.reader.max_burn(last=SIGNAL_WINDOWS)
         pressed = (
             wait >= config.wait_high_ms
-            or shed >= config.shed_high
+            or shed >= SHED_HIGH
             or (config.burn_high > 0.0 and burn >= config.burn_high)
-            or (config.p95_high_ms is not None and p95 >= config.p95_high_ms)
         )
         relaxed = (
             wait <= config.wait_low_ms
-            and shed < config.shed_high
-            and (config.burn_high <= 0.0 or burn <= config.burn_low)
-            and (config.p95_high_ms is None or p95 < config.p95_high_ms)
+            and shed < SHED_HIGH
+            and (config.burn_high <= 0.0 or burn <= BURN_LOW)
         )
         decision = state.gate.update(pressed, relaxed and not pressed)
         self.counters["evals"] += 1
@@ -244,18 +256,12 @@ class Autoscaler:
             self._scale_down(group_id, state, now, slope)
 
     def _scale_up(self, group_id: str, state: _GroupState, now: float) -> None:
-        config = self.config
         pool = self.pools[group_id]
         # 1) Load came back while a standby was mid-drain: cancel the
         # retirement, restoring full weight in one batch.
-        ramping = [
-            sid for sid in pool.serving_ids() if pool.weight_of(sid) < config.promote_weight
-        ]
+        ramping = [sid for sid in pool.serving_ids() if pool.weight_of(sid) < PROMOTE_WEIGHT]
         if ramping and state.up_cooldown.ready(now) and state.down_cooldown.ready(now):
-            ops = [
-                ControlOp(ControlEventKind.SET_WEIGHT, sid, config.promote_weight)
-                for sid in ramping
-            ]
+            ops = [ControlOp(ControlEventKind.SET_WEIGHT, sid, PROMOTE_WEIGHT) for sid in ramping]
             applied = self._apply(ops, now)
             if applied:
                 for sid in ramping:
@@ -272,7 +278,7 @@ class Autoscaler:
             candidate = pooled[0]
             pool.ensure_registered(candidate)
             applied = self._apply(
-                [ControlOp(ControlEventKind.SET_WEIGHT, candidate, config.promote_weight)],
+                [ControlOp(ControlEventKind.SET_WEIGHT, candidate, PROMOTE_WEIGHT)],
                 now,
             )
             if applied:
@@ -280,62 +286,12 @@ class Autoscaler:
                 self._note_direction(candidate, +1, now)
                 self.counters["promotions"] += 1
                 state.up_cooldown.stamp(now)
-            return
-        # 3) Pool exhausted: protect an outlier member (its own telemetry
-        # wait far above the zone mean — a sick replica dragging the tail).
-        if config.outlier_wait_ratio > 0.0:
-            self._protect_outlier(group_id, state, now)
-
-    def _protect_outlier(self, group_id: str, state: _GroupState, now: float) -> None:
-        config = self.config
-        pool = self.pools[group_id]
-        group = self.federation.replica_groups[group_id]
-        wait, _shed, _slope = self._group_pressure(group_id)
-        if wait <= 0.0:
-            return
-        rollup = self.reader.server_rollup(last=config.signal_windows)
-        for server_id in group.server_ids:
-            if server_id in pool.standby_ids or server_id in state.protected:
-                continue
-            member = rollup.get(server_id)
-            if member is None:
-                continue
-            if member["mean_wait_ms"] < config.outlier_wait_ratio * wait:
-                continue
-            cooldown = state.member_cooldowns.setdefault(
-                server_id, Cooldown(config.cooldown_seconds)
-            )
-            if not cooldown.ready(now):
-                continue
-            applied = self._apply([ControlOp(ControlEventKind.DRAIN, server_id)], now)
-            if applied:
-                state.protected[server_id] = True
-                self._note_direction(server_id, -1, now)
-                self.counters["protect_drains"] += 1
-                cooldown.stamp(now)
-            return
 
     def _scale_down(
         self, group_id: str, state: _GroupState, now: float, slope: float
     ) -> None:
-        config = self.config
         pool = self.pools[group_id]
-        # 1) Zone recovered: restore any protectively drained member first
-        # (its pre-drain weight is remembered by the plane).
-        for server_id in sorted(state.protected):
-            cooldown = state.member_cooldowns.setdefault(
-                server_id, Cooldown(config.cooldown_seconds)
-            )
-            if not cooldown.ready(now):
-                continue
-            applied = self._apply([ControlOp(ControlEventKind.UNDRAIN, server_id)], now)
-            if applied:
-                del state.protected[server_id]
-                self._note_direction(server_id, +1, now)
-                self.counters["protect_undrains"] += 1
-                cooldown.stamp(now)
-            return
-        # 2) Ramp the most recently promoted serving standby down the
+        # Ramp the most recently promoted serving standby down the
         # ladder — gradually, and faster when demand is ebbing steeply.
         serving = pool.serving_ids()
         if not serving:
@@ -348,10 +304,10 @@ class Autoscaler:
             return
         candidate = serving[-1]
         weight = pool.weight_of(candidate)
-        ladder = [w for w in config.ramp_weights if w < weight]
+        ladder = [w for w in RAMP_WEIGHTS if w < weight]
         if not ladder:
             ladder = [0]
-        steps = 2 if slope <= config.slope_fast_per_s else 1
+        steps = 2 if slope <= SLOPE_FAST_PER_S else 1
         targets = ladder[:steps]
         ops = [
             ControlOp(ControlEventKind.SET_WEIGHT, candidate, target)

@@ -30,12 +30,6 @@ class ChurnController:
 
     federation: Federation
     schedule: ChurnSchedule
-    lease_seconds: float | None = None
-    """How long a crashed server's discovery records survive at the
-    authority (its registration lease).  ``None`` uses the federation's
-    ``registration_ttl_seconds`` — the paper's long-TTL registrants simply
-    never expire within a short run."""
-
     timeline: list[TimelineEntry] = field(default_factory=list)
     """Where entries land; the workload engine passes its run's one list."""
     _cursor: TapeCursor[ChurnEvent] = field(init=False, repr=False)
@@ -43,12 +37,6 @@ class ChurnController:
 
     def __post_init__(self) -> None:
         self._cursor = TapeCursor(self.schedule.events)
-
-    @property
-    def effective_lease_seconds(self) -> float:
-        if self.lease_seconds is not None:
-            return self.lease_seconds
-        return self.federation.config.registration_ttl_seconds
 
     @property
     def pending_events(self) -> int:
@@ -90,7 +78,11 @@ class ChurnController:
             applied = server_id in federation.servers
             if applied and kind == ChurnEventKind.CRASH:
                 federation.crash_map_server(server_id)
-                insort(self._lease_expiries, (at + self.effective_lease_seconds, server_id))
+                # A crashed server's records survive at the authority for
+                # its registration lease: the federation's record TTL (the
+                # paper's long-TTL registrants never expire in a short run).
+                lease = federation.config.registration_ttl_seconds
+                insort(self._lease_expiries, (at + lease, server_id))
             elif applied:
                 federation.leave_map_server(server_id)
         return TimelineEntry(at, "churn", kind.value, server_id, applied)

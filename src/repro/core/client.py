@@ -19,7 +19,6 @@ from repro.localization.cues import CueBundle
 from repro.localization.imu import DeadReckoningTracker
 from repro.mapserver.auth import ANONYMOUS, Credential
 from repro.mapserver.geocode import Address
-from repro.routing.stitching import RouteStitcher
 from repro.services.context import FederationContext
 from repro.services.geocode import (
     FederatedGeocodeResult,
@@ -66,10 +65,7 @@ class OpenFlameClient:
             context=self.context, world_provider=self.federation.world_provider
         )
         self.searcher = FederatedSearch(context=self.context)
-        self.router = FederatedRouter(
-            context=self.context,
-            stitcher=RouteStitcher(max_gap_meters=self.federation.config.route_stitch_max_gap_meters),
-        )
+        self.router = FederatedRouter(context=self.context)
         self.localizer = FederatedLocalizer(context=self.context)
         tile_cache_entries = self.federation.config.client_tile_cache_entries
         self.tile_client = FederatedTileClient(

@@ -38,14 +38,8 @@ class FederationConfig:
     )
     registration_ttl_seconds: float = 3600.0
     device_discovery_cache_ttl_seconds: float = 0.0
-    discovery_cache_max_entries: int = 4096
     client_tile_cache_entries: int = 0
     latency: LatencyModel = field(default_factory=LatencyModel)
-    default_routing_algorithm: str = "contraction"
-    """Map servers preprocess with contraction hierarchies and answer routing
-    queries with the fast bidirectional upward search (falling back to
-    Dijkstra for metrics the hierarchy was not built for)."""
-    route_stitch_max_gap_meters: float = 250.0
     service_times: ServiceTimeModel | None = None
     """Per-request-kind service times for the server-side queueing model;
     ``None`` (the default) keeps every map server infinitely fast, preserving
@@ -78,10 +72,6 @@ class FederationConfig:
     pool's :class:`repro.services.health.SharedHealthBoard`, and pool mates
     demote it without paying their own timeout.  Off (the default) keeps
     health strictly per-device — the byte-identical legacy behaviour."""
-    shared_health_ttl_seconds: float = 30.0
-    """Lifetime of a shared-health board entry.  Entries must expire so a
-    revived replica is re-tried (and wins traffic back) even if the whole
-    pool once saw it dead."""
     stale_serve_max_ms: float = 0.0
     """Graceful-degradation bound: how long past expiry a device may keep
     serving a *stale* cached discovery result when live resolution fails
@@ -89,10 +79,6 @@ class FederationConfig:
     failure exactly as before; disaster scenarios set it so warm-cache
     devices coast through authority outages, with degraded requests counted
     separately in :class:`repro.workload.engine.WorkloadReport`."""
-    max_retransmits: int | None = None
-    """Per-exchange retransmit budget under ``latency.loss_probability`` /
-    gray-failure loss.  ``None`` keeps :class:`LatencyModel`'s own default;
-    setting it overrides the latency model's cap at federation build time."""
 
     def __post_init__(self) -> None:
         if self.replica_selection not in SELECTION_MODES:
@@ -119,24 +105,13 @@ class FederationConfig:
                 "registrations would never be found; raise discovery_ancestor_levels"
             )
         # ``nan < 0`` is false, so a plain sign check lets NaN through — and a
-        # NaN TTL silently disables the cache while a NaN gap bound stitches
-        # legs a continent apart (``gap > nan`` is false too).
-        for name in (
-            "device_discovery_cache_ttl_seconds",
-            "stale_serve_max_ms",
-            "route_stitch_max_gap_meters",
-        ):
+        # NaN TTL silently disables the cache.
+        for name in ("device_discovery_cache_ttl_seconds", "stale_serve_max_ms"):
             if not (0.0 <= getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.discovery_cache_max_entries < 1:
-            raise ValueError("discovery_cache_max_entries must be >= 1")
         if self.client_tile_cache_entries < 0:
             raise ValueError(
                 f"client_tile_cache_entries cannot be negative, got {self.client_tile_cache_entries}"
             )
-        if self.shared_health_ttl_seconds <= 0.0:
-            raise ValueError("shared_health_ttl_seconds must be positive")
         check_count("server_queue_capacity", self.server_queue_capacity)
         check_count("server_workers", self.server_workers)
-        if self.max_retransmits is not None and self.max_retransmits < 0:
-            raise ValueError("max_retransmits cannot be negative")

@@ -9,7 +9,6 @@ directory of reachable map servers.  Applications then obtain an
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 
@@ -36,6 +35,12 @@ from repro.services.health import ReplicaHealth, SharedHealthBoard
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.network import SimulatedNetwork
 from repro.simulation.queueing import ServerQueue
+
+ROUTING_ALGORITHM = "contraction"
+"""How a map server deployed without an explicit ``routing_algorithm``
+answers routing queries: contraction-hierarchy preprocessing and the fast
+bidirectional upward search (Dijkstra for metrics the hierarchy was not
+built for)."""
 
 
 @dataclass
@@ -72,16 +77,7 @@ class Federation:
     The autoscaler discovers its scaling domains here."""
 
     def __post_init__(self) -> None:
-        clock = SimulatedClock()
-        latency = self.config.latency
-        if (
-            self.config.max_retransmits is not None
-            and self.config.max_retransmits != latency.max_retransmits
-        ):
-            latency = dataclasses.replace(
-                latency, max_retransmits=self.config.max_retransmits
-            )
-        self.network = SimulatedNetwork(clock=clock, latency=latency)
+        self.network = SimulatedNetwork(clock=SimulatedClock(), latency=self.config.latency)
         self.naming = SpatialNaming(self.config.discovery_suffix)
         self.registry = DiscoveryRegistry(
             naming=self.naming,
@@ -152,7 +148,7 @@ class Federation:
             server_id=server_id,
             map_data=map_data,
             policy=policy or AccessPolicy(),
-            routing_algorithm=routing_algorithm or self.config.default_routing_algorithm,
+            routing_algorithm=routing_algorithm or ROUTING_ALGORITHM,
             queue=queue,
         )
         self.servers[server_id] = server
@@ -528,10 +524,7 @@ class Federation:
         if entry is None or entry[0] is not resolver:
             entry = (
                 resolver,
-                SharedHealthBoard(
-                    clock=self.network.clock,
-                    ttl_seconds=self.config.shared_health_ttl_seconds,
-                ),
+                SharedHealthBoard(clock=self.network.clock),
             )
             self._health_boards[id(resolver)] = entry
         return entry[1]
@@ -561,7 +554,6 @@ class Federation:
             query_level=self.config.discovery_level,
             ancestor_levels=self.config.discovery_ancestor_levels,
             device_cache_ttl_seconds=self.config.device_discovery_cache_ttl_seconds,
-            cache_max_entries=self.config.discovery_cache_max_entries,
             stale_serve_max_ms=self.config.stale_serve_max_ms,
         )
         retry_policy = self.config.retry_policy

@@ -4,7 +4,7 @@ Elastic capacity without cold starts: a :class:`WarmPool` deploys extra
 replicas into an existing replica group *at SRV weight 0* — registered in
 discovery (every answer carries them) but last-resort for RFC 2782
 selection, so they serve (almost) no traffic while pooled.  Promotion is
-then a pure weight change (``set_weight(promote_weight)``) that clients
+then a pure weight change (``set_weight(PROMOTE_WEIGHT)``) that clients
 converge to as their TTLs lapse; no registration race, no NXDOMAIN
 window, no cache-fill stampede.
 

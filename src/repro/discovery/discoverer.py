@@ -44,6 +44,9 @@ _NXDOMAIN = ResponseCode.NXDOMAIN
 _WALK_TABLE_MAX_TOKENS = 65536
 _WALK_PLAN_ENTRIES = 512
 
+DISCOVERY_CACHE_MAX_ENTRIES = 4096
+"""Cells one device's discovery cache holds before evicting the oldest."""
+
 _token_of = attrgetter("token")
 
 
@@ -148,7 +151,6 @@ class Discoverer:
     ancestor_levels: int = 9
     max_query_cells: int = 24
     device_cache_ttl_seconds: float = 0.0
-    cache_max_entries: int = 4096
     stale_serve_max_ms: float = 0.0
     """Graceful degradation bound: when live resolution *fails* (SERVFAIL —
     authority dark or unreachable), an expired device-cache entry younger
@@ -174,7 +176,7 @@ class Discoverer:
             self.naming = SpatialNaming()
         self.cache = DiscoveryCache(
             clock=self.resolver.network.clock,
-            max_entries=self.cache_max_entries,
+            max_entries=DISCOVERY_CACHE_MAX_ENTRIES,
             default_ttl_seconds=self.device_cache_ttl_seconds,
             stale_grace_seconds=self.stale_serve_max_ms / 1000.0,
         )

@@ -5,9 +5,9 @@ The packages below this one *are* the control plane's mechanics
 when).  This package is the **door**: every operator action becomes an
 authenticated, schema-validated :class:`~repro.operator.schemas.ControlRequest`
 that walks a middleware chain (validate → authenticate/authorize →
-idempotency → optional queue contention → dispatch → audit) and comes
-back as a :class:`~repro.operator.schemas.ControlResponse` — optionally
-paying real (simulated) network latency, loss, and partitions on the way.
+idempotency → dispatch → audit) and comes back as a
+:class:`~repro.operator.schemas.ControlResponse` — optionally paying real
+(simulated) network latency, loss, and partitions on the way.
 
 See :mod:`repro.operator.api` for the middleware walk,
 :mod:`repro.operator.audit` for the total-order audit log and

@@ -10,15 +10,10 @@ middleware walk, in a fixed order any web framework would recognize:
 3. **idempotency** — a ``(principal, token)`` cache of terminal responses;
    a hit replays the original outcome with ``replayed=True`` and applies
    nothing twice;
-4. **queue contention** (optional) — when ``contend_for_queue`` is set and
-   the target server carries a :class:`~repro.simulation.queueing.ServerQueue`,
-   the request occupies one ``"control"`` slot like any data request; a
-   full queue is an ``unavailable`` rejection, *not* cached, so the retry
-   genuinely re-contends;
-5. **dispatch** — the route itself (SRV mutation through a
+4. **dispatch** — the route itself (SRV mutation through a
    :class:`~repro.control.plane.ControlPlane`, warm-pool park/unpark,
    health ingest, audit tail);
-6. **audit** — every outcome appends one
+5. **audit** — every outcome appends one
    :class:`~repro.operator.audit.AuditRecord`; the assigned ``seq`` rides
    back in the response.
 
@@ -55,11 +50,9 @@ from repro.operator.errors import (
 )
 from repro.operator.permissions import PrincipalRegistry
 from repro.operator.schemas import ControlRequest, ControlResponse
-from repro.simulation.queueing import ServerOverloadedError
 
 _SRV_ACTIONS = frozenset({"set-weight", "drain", "undrain", "promote"})
 _POOL_ACTIONS = frozenset({"park", "unpark"})
-_CONTENDING_ACTIONS = _SRV_ACTIONS | _POOL_ACTIONS
 
 
 @dataclass
@@ -70,7 +63,6 @@ class OperatorApi:
     principals: PrincipalRegistry = field(default_factory=PrincipalRegistry)
     audit: AuditLog = field(default_factory=AuditLog)
     plane: ControlPlane | None = None
-    contend_for_queue: bool = False
     health_board: dict[str, tuple[float, int]] = field(default_factory=dict)
     """Latest ``(at_seconds, value)`` gossip per server from the
     ``health`` route — observability state, never consulted by routing."""
@@ -119,7 +111,6 @@ class OperatorApi:
             return replayed
 
         try:
-            self._contend(request)
             priority, weight, events = self._dispatch(request, now)
         except ApiError as exc:
             return self._finish(request, now, transport, error=exc)
@@ -130,20 +121,6 @@ class OperatorApi:
     # ------------------------------------------------------------------
     # Middleware pieces
     # ------------------------------------------------------------------
-    def _contend(self, request: ControlRequest) -> None:
-        """Charge the request one ``"control"`` queue slot on its target."""
-        if not self.contend_for_queue or request.action not in _CONTENDING_ACTIONS:
-            return
-        server = self.federation.servers.get(request.server_id or "")
-        if server is None or server.queue is None:
-            return
-        try:
-            server.queue.process("control")
-        except ServerOverloadedError as exc:
-            raise UnavailableError(
-                f"control queue full on {request.server_id!r}"
-            ) from exc
-
     def _dispatch(
         self, request: ControlRequest, now: float
     ) -> tuple[int, int, tuple[dict[str, Any], ...] | None]:

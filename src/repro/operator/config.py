@@ -2,7 +2,7 @@
 
 :class:`OperatorConfig` is the engine-facing switch: attach one to
 :class:`~repro.workload.engine.WorkloadConfig` and the run's control
-tape (and optionally its autoscaler) stops calling
+tape (and its autoscaler, if any) stops calling
 :class:`~repro.control.plane.ControlPlane` methods directly and instead
 issues authenticated :class:`~repro.operator.schemas.ControlRequest`
 messages through an :class:`~repro.operator.api.OperatorApi`.
@@ -18,6 +18,7 @@ jitter, loss, gray failures, and region partitions as data traffic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _TRANSPORTS = ("direct", "network")
@@ -32,10 +33,8 @@ class OperatorConfig:
     the federation's discovery authority.  ``region`` is where the
     operator's console sits — region-scoped partitions are evaluated from
     there.  ``timeout_ms`` is the patience charged when the endpoint is
-    unreachable or a response is lost.  ``route_autoscaler`` sends the
-    autoscaler's batches through the same API (as the same principal);
-    ``contend_for_queue`` makes control requests occupy a ``"control"``
-    slot on the target server's bounded queue.
+    unreachable or a response is lost.  The run's autoscaler, if any,
+    sends its batches through the same API as the same principal.
     """
 
     transport: str = "network"
@@ -43,13 +42,11 @@ class OperatorConfig:
     endpoint_id: str | None = None
     region: int | None = None
     timeout_ms: float = 300.0
-    route_autoscaler: bool = True
-    contend_for_queue: bool = False
 
     def __post_init__(self) -> None:
         if self.transport not in _TRANSPORTS:
             raise ValueError(f"transport must be one of {_TRANSPORTS}")
         if not self.principal:
             raise ValueError("operator runs need a principal name")
-        if self.timeout_ms < 0.0:
-            raise ValueError("timeout_ms cannot be negative")
+        if not (0.0 <= self.timeout_ms < math.inf):
+            raise ValueError(f"timeout_ms must be finite and >= 0, got {self.timeout_ms}")

@@ -30,6 +30,11 @@ SHARED_NEWS = "shared-news"
 """Consult verdict: the pool board just told this device the replica is
 suspect — the detection the device did NOT have to pay a timeout for."""
 
+SHARED_HEALTH_TTL_SECONDS = 30.0
+"""Lifetime of a federation's shared-health board entries.  Entries must
+expire so a revived replica is re-tried (and wins traffic back) even if the
+whole pool once saw it dead."""
+
 
 @dataclass
 class SharedHealthBoard:
@@ -41,7 +46,7 @@ class SharedHealthBoard:
     """
 
     clock: SimulatedClock
-    ttl_seconds: float = 30.0
+    ttl_seconds: float = SHARED_HEALTH_TTL_SECONDS
     _suspect_until: dict[str, float] = field(default_factory=dict)
     _suspected_at: dict[str, float] = field(default_factory=dict)
     """When each live entry was last (re)posted — devices compare their own

@@ -26,6 +26,10 @@ from repro.routing.stitching import (
 from repro.services.context import FederationContext
 from repro.services.failover import RequestTarget, TargetUnavailableError
 
+ROUTE_STITCH_MAX_GAP_METERS = 250.0
+"""How far apart two legs' endpoints may be for a federated route to join
+them (an entrance a few steps off a street node, not a jump across town)."""
+
 
 def _entrances_of(map_data: MapData) -> tuple[LatLng, ...]:
     """Where a map's ``entrance`` nodes are: every leg request clamps both
@@ -60,7 +64,7 @@ class FederatedRouter:
     """Plans multi-map routes by delegating legs to map servers and stitching."""
 
     context: FederationContext
-    stitcher: RouteStitcher = field(default_factory=lambda: RouteStitcher(max_gap_meters=200.0))
+    stitcher: RouteStitcher = field(default_factory=lambda: RouteStitcher(max_gap_meters=ROUTE_STITCH_MAX_GAP_METERS))
     corridor_meters: float = 250.0
     queries: int = field(default=0, init=False)
 

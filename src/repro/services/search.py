@@ -36,20 +36,18 @@ class FederatedSearch:
     """Fan-out search across discovered map servers with client-side ranking."""
 
     context: FederationContext
-    search_radius_meters: float = 500.0
     queries: int = field(default=0, init=False)
 
     def search(
         self,
         query: str,
         near: LatLng,
-        radius_meters: float | None = None,
+        radius_meters: float,
         limit: int = 10,
     ) -> FederatedSearchResult:
         """Search for ``query`` around ``near`` across every discovered server."""
         self.queries += 1
-        radius = radius_meters if radius_meters is not None else self.search_radius_meters
-        discovery = self.context.discover_at(near, radius)
+        discovery = self.context.discover_at(near, radius_meters)
 
         all_results: list[SearchResult] = []
         servers_consulted = 0
@@ -62,7 +60,7 @@ class FederatedSearch:
                     lambda server: server.search(
                         query,
                         near=near,
-                        radius_meters=radius,
+                        radius_meters=radius_meters,
                         credential=self.context.credential,
                         limit=limit,
                     ),

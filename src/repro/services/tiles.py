@@ -14,6 +14,7 @@ from repro.mapserver.policy import ServiceName
 from repro.osm.mapdata import MapData
 from repro.services.context import FederationContext
 from repro.services.failover import TargetUnavailableError
+from repro.simulation.metrics import float_sum
 from repro.tiles.cache import TileCache
 from repro.tiles.renderer import Tile
 from repro.tiles.stitcher import CompositeTile, TileStitcher
@@ -34,7 +35,8 @@ class FederatedViewport:
     def coverage_fraction(self) -> float:
         if not self.composites:
             return 0.0
-        return sum(tile.coverage_fraction for tile in self.composites.values()) / len(self.composites)
+        total = float_sum(tile.coverage_fraction for tile in self.composites.values())
+        return total / len(self.composites)
 
 
 def _padded_box_of(map_data: MapData) -> BoundingBox:

@@ -14,7 +14,7 @@ fixes that:
   percentiles, queue-wait and shed-rate maps over servers' covering cells.
 * :mod:`repro.telemetry.slo` — per-region SLO burn: error-budget
   consumption against configurable latency/availability SLOs, with
-  multi-window burn-rate alerting.
+  per-window burn-rate alerting.
 * :mod:`repro.telemetry.pipeline` — the :class:`TelemetryPipeline` tying
   it together: round-boundary flushes seal windows, temporal downsampling
   keeps retention bounded (a million-client run produces bounded output),
@@ -22,9 +22,9 @@ fixes that:
   ``WorkloadReport.telemetry``.
 * :mod:`repro.telemetry.reader` — the :class:`TelemetryReader` query
   surface closed-loop controllers consume *during* a run: trailing-window
-  zonal stats, demand slopes, burn rates, latency tails, and SLO
-  attainment, all computed from sealed windows only (a controller sees
-  what monitoring emitted, never the raw simulation state).
+  zonal stats, demand slopes, burn rates, and SLO attainment, all
+  computed from sealed windows only (a controller sees what monitoring
+  emitted, never the raw simulation state).
 
 Telemetry is **off by default**: a :class:`repro.workload.WorkloadConfig`
 without a ``telemetry`` config runs byte-identically to a build without

@@ -17,9 +17,9 @@ control, and faults land):
   first round boundary at or after ``window_seconds`` — the engine's
   round-granularity semantic, same as every other tape.
 
-Retention is bounded: once more than ``max_windows`` windows are held,
+Retention is bounded: once more than :data:`MAX_WINDOWS` windows are held,
 adjacent pairs are merged (halving the count, doubling each survivor's
-span) — a million-client, thousand-round run keeps O(max_windows × keys)
+span) — a million-client, thousand-round run keeps O(MAX_WINDOWS × keys)
 memory and produces bounded output, at coarser temporal resolution for the
 oldest data.  All queries (heatmaps, per-cell percentiles, zonal maps,
 SLO burn) run over whatever windows survived.
@@ -27,6 +27,7 @@ SLO burn) run over whatever windows survived.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -38,6 +39,17 @@ from repro.telemetry.spatial import (
 )
 from repro.telemetry.windows import ServerWindowStats, TelemetryWindow
 
+CELL_LEVEL = 18
+"""Cell level request records are keyed at (the finest level any query can
+roll up from; ~75 m of latitude — sub-building at city scale)."""
+
+HEATMAP_LEVELS = (14, 16, 18)
+"""Cell levels :meth:`TelemetryPipeline.demand_heatmap` reports."""
+
+MAX_WINDOWS = 64
+"""Retention bound: beyond this many sealed windows, adjacent ones merge
+pairwise."""
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -46,24 +58,13 @@ class TelemetryConfig:
     window_seconds: float = 60.0
     """Target emission-window width (simulated seconds).  Windows seal at
     the first round boundary at or after this much time has accumulated."""
-    cell_level: int = 18
-    """Cell level request records are keyed at (the finest level any query
-    can roll up from; ~75 m of latitude — sub-building at city scale)."""
-    heatmap_levels: tuple[int, ...] = (14, 16, 18)
-    """Cell levels :meth:`TelemetryPipeline.demand_heatmap` reports."""
-    max_windows: int = 64
-    """Retention bound: beyond this, adjacent windows merge pairwise."""
     slo: SLOConfig = field(default_factory=SLOConfig)
 
     def __post_init__(self) -> None:
-        if self.window_seconds <= 0.0:
-            raise ValueError("telemetry window width must be positive")
-        if not (0 <= self.cell_level <= 30):
-            raise ValueError("cell level must be in [0, 30]")
-        if any(level < 0 or level > 30 for level in self.heatmap_levels):
-            raise ValueError("heatmap levels must be in [0, 30]")
-        if self.max_windows < 2:
-            raise ValueError("retention needs at least two windows")
+        # ``nan <= 0`` is false: a NaN width would pass a sign check and
+        # leave one window open for the whole run.
+        if not (0.0 < self.window_seconds < math.inf):
+            raise ValueError(f"window_seconds must be finite and > 0, got {self.window_seconds}")
 
 
 _FRAME_FIELDS = ("arrivals", "served", "dropped", "wait_ms", "busy_ms")
@@ -194,7 +195,7 @@ class TelemetryPipeline:
             index=self._next_index, start_seconds=now_seconds, end_seconds=now_seconds
         )
         self._next_index += 1
-        while len(self.windows) > self.config.max_windows:
+        while len(self.windows) > MAX_WINDOWS:
             merged: list[TelemetryWindow] = []
             for position in range(0, len(self.windows) - 1, 2):
                 first, second = self.windows[position], self.windows[position + 1]
@@ -208,21 +209,17 @@ class TelemetryPipeline:
     # ------------------------------------------------------------------
     # Queries (post-run)
     # ------------------------------------------------------------------
-    def demand_heatmap(self, levels: tuple[int, ...] | None = None) -> dict[int, dict[str, float]]:
-        """Weighted demand per cell per level (default: configured levels)."""
-        return demand_heatmap(self.windows, levels or self.config.heatmap_levels)
+    def demand_heatmap(self, levels: tuple[int, ...] = HEATMAP_LEVELS) -> dict[int, dict[str, float]]:
+        """Weighted demand per cell per level."""
+        return demand_heatmap(self.windows, levels)
 
-    def cell_rollup(self, level: int | None = None) -> dict[str, dict[str, float]]:
+    def cell_rollup(self, level: int = CELL_LEVEL) -> dict[str, dict[str, float]]:
         """Per-cell demand + p50/p95 at one level (default: finest)."""
-        return cell_percentiles(self.windows, self.config.cell_level if level is None else level)
+        return cell_percentiles(self.windows, level)
 
-    def server_zonal(self, level: int | None = None) -> dict[str, dict[str, float]]:
+    def server_zonal(self, level: int = CELL_LEVEL) -> dict[str, dict[str, float]]:
         """Queue-wait/shed-rate zonal map over servers' covering cells."""
-        return server_zonal(
-            self.windows,
-            self.server_cells,
-            self.config.cell_level if level is None else level,
-        )
+        return server_zonal(self.windows, self.server_cells, level)
 
     def regions(self) -> tuple[int, ...]:
         return tuple(sorted({region for w in self.windows for region in w.regions}))
@@ -232,7 +229,7 @@ class TelemetryPipeline:
         return burn_series(self.windows, region, self.config.slo)
 
     def alert_windows(self, region: int) -> list[int]:
-        """Window indices whose multi-window burn crossed both thresholds."""
+        """Window indices whose burn reached the alert threshold."""
         return alert_windows(self.windows, region, self.config.slo)
 
     def region_degraded(self) -> dict[int, float]:

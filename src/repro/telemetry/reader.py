@@ -12,8 +12,8 @@ questions a controller actually asks, all computed from *sealed* windows:
 * demand side: per-cell demand and its slope between the last two
   windows (:meth:`demand`, :meth:`demand_slope`);
 * SLO side: trailing burn rate per region and across regions
-  (:meth:`burn`, :meth:`max_burn`), the global latency tail
-  (:meth:`p95_ms`), and whole-run SLO attainment (:meth:`attainment`).
+  (:meth:`burn`, :meth:`max_burn`) and whole-run SLO attainment
+  (:meth:`attainment`).
 
 Determinism: every query is a pure fold over the pipeline's sealed
 windows — no clocks, no randomness — so identical runs read identical
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simulation.metrics import Histogram
 from repro.telemetry.pipeline import TelemetryPipeline
 from repro.telemetry.spatial import cell_ancestor, demand_by_cell, server_zonal
 from repro.telemetry.windows import TelemetryWindow
@@ -85,27 +84,6 @@ class TelemetryReader:
             self.last_windows(last), self.pipeline.server_cells, level
         )
 
-    def server_rollup(self, last: int = 1) -> dict[str, dict[str, float]]:
-        """Per-server trailing window deltas (mean wait, shed rate) —
-        still telemetry (the pipeline's windowed emission), *not* the raw
-        queue objects.  Lets a controller spot an outlier replica inside
-        a pressured zone."""
-        merged: dict[str, dict[str, float]] = {}
-        for window in self.last_windows(last):
-            for server_id, stats in window.servers.items():
-                entry = merged.setdefault(
-                    server_id,
-                    {"arrivals": 0.0, "served": 0.0, "dropped": 0.0, "wait_ms": 0.0},
-                )
-                entry["arrivals"] += stats.arrivals
-                entry["served"] += stats.served
-                entry["dropped"] += stats.dropped
-                entry["wait_ms"] += stats.wait_ms
-        for entry in merged.values():
-            entry["shed_rate"] = entry["dropped"] / entry["arrivals"] if entry["arrivals"] else 0.0
-            entry["mean_wait_ms"] = entry["wait_ms"] / entry["served"] if entry["served"] else 0.0
-        return merged
-
     # ------------------------------------------------------------------
     # Demand side
     # ------------------------------------------------------------------
@@ -152,16 +130,6 @@ class TelemetryReader:
         """Worst trailing burn across every region seen so far."""
         regions = self.pipeline.regions()
         return max((self.burn(region, last) for region in regions), default=0.0)
-
-    def p95_ms(self, last: int = 1) -> float:
-        """Global p95 latency over the trailing windows, from the merged
-        per-key streaming histograms (exact within the shared log-bucket
-        family)."""
-        histogram = Histogram("latency_ms", streaming=True)
-        for window in self.last_windows(last):
-            for stats in window.cells.values():
-                histogram.merge(stats.latency)
-        return histogram.p95 if histogram.count else 0.0
 
     def attainment(self) -> float:
         """Whole-run SLO attainment: the weighted fraction of requests

@@ -9,44 +9,36 @@ that were bad, divided by the budget — burn 1.0 means the region is
 consuming budget exactly as fast as the SLO allows, burn 10 means ten
 times too fast.
 
-Alerting follows the multi-window pattern (a fast window to catch spikes
-quickly, a slow window to suppress blips): a window alerts when the
-trailing mean burn over the last ``fast_windows`` windows crosses
-``fast_burn_threshold`` *and* the trailing mean over ``slow_windows``
-crosses ``slow_burn_threshold``.
+A window alerts when its own burn reaches :data:`ALERT_BURN_THRESHOLD`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.telemetry.windows import TelemetryWindow
 
+ALERT_BURN_THRESHOLD = 10.0
+"""Window burn at or above which the window alerts."""
+
 
 @dataclass(frozen=True)
 class SLOConfig:
-    """One latency/availability SLO plus its burn-rate alert policy."""
+    """One latency/availability SLO (the alert policy is module constants)."""
 
     latency_ms: float = 250.0
     """A request served above this is slow — it spends error budget."""
     availability_target: float = 0.99
     """Fraction of requests that must be good (served, under the latency
     threshold); the error budget is ``1 − availability_target``."""
-    fast_windows: int = 1
-    slow_windows: int = 3
-    fast_burn_threshold: float = 10.0
-    slow_burn_threshold: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.latency_ms <= 0.0:
-            raise ValueError("latency SLO threshold must be positive")
+        if not (0.0 < self.latency_ms < math.inf):
+            raise ValueError(f"latency_ms must be finite and > 0, got {self.latency_ms}")
         if not (0.0 < self.availability_target < 1.0):
             raise ValueError("availability target must be in (0, 1)")
-        if self.fast_windows < 1 or self.slow_windows < 1:
-            raise ValueError("burn windows must span at least one window")
-        if self.fast_burn_threshold <= 0.0 or self.slow_burn_threshold <= 0.0:
-            raise ValueError("burn thresholds must be positive")
 
     @property
     def error_budget(self) -> float:
@@ -72,22 +64,10 @@ def burn_series(
     return series
 
 
-def _trailing_mean(series: Sequence[float], end: int, span: int) -> float:
-    start = max(0, end - span + 1)
-    chunk = series[start : end + 1]
-    return sum(chunk) / len(chunk) if chunk else 0.0
-
-
 def alert_windows(
     windows: Sequence[TelemetryWindow], region: int, config: SLOConfig
 ) -> list[int]:
-    """Indices (``TelemetryWindow.index``) of windows whose multi-window
-    burn crossed both thresholds for ``region``."""
+    """Indices (``TelemetryWindow.index``) of windows whose burn for
+    ``region`` reached :data:`ALERT_BURN_THRESHOLD`."""
     series = burn_series(windows, region, config)
-    alerting: list[int] = []
-    for position, window in enumerate(windows):
-        fast = _trailing_mean(series, position, config.fast_windows)
-        slow = _trailing_mean(series, position, config.slow_windows)
-        if fast >= config.fast_burn_threshold and slow >= config.slow_burn_threshold:
-            alerting.append(window.index)
-    return alerting
+    return [window.index for window, burn in zip(windows, series) if burn >= ALERT_BURN_THRESHOLD]

@@ -23,6 +23,7 @@ from repro.geometry.transform import (
     alignment_residual_meters,
     estimate_similarity,
 )
+from repro.simulation.metrics import float_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,8 +82,8 @@ class CorrespondenceSet:
         if len(self.correspondences) < 2:
             raise ValueError("at least two correspondences are required to estimate an alignment")
 
-        anchor_lat = sum(c.geographic_point.latitude for c in self.correspondences) / len(self)
-        anchor_lng = sum(c.geographic_point.longitude for c in self.correspondences) / len(self)
+        anchor_lat = float_sum(c.geographic_point.latitude for c in self.correspondences) / len(self)
+        anchor_lng = float_sum(c.geographic_point.longitude for c in self.correspondences) / len(self)
         projection = LocalProjection(LatLng(anchor_lat, anchor_lng), frame="aligned")
 
         source = [(c.local_point.x, c.local_point.y) for c in self.correspondences]

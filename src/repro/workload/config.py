@@ -8,7 +8,8 @@ each device's independent RNG streams from the run seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.autoscale.policy import AutoscalerConfig
 from repro.churn.schedule import ChurnSchedule
@@ -16,7 +17,6 @@ from repro.control.schedule import ControlSchedule
 from repro.faults.schedule import FaultPlan
 from repro.operator.config import OperatorConfig
 from repro.telemetry import TelemetryConfig
-from repro.workload.traffic import RequestMix
 
 _CLIENT_SEED_STRIDE = 1_000_003
 """Prime stride separating per-client RNG streams derived from one seed."""
@@ -79,12 +79,6 @@ class WorkloadConfig:
     clients: int = 25
     steps: int = 8
     seed: int = 0
-    mix: RequestMix = field(default_factory=RequestMix)
-    zipf_exponent: float = 1.0
-    search_radius_meters: float = 350.0
-    viewport_meters: float = 120.0
-    tile_zoom: int = 17
-    gnss_error_meters: float = 12.0
     step_seconds: float = 2.0
     """Wall-clock pacing between fleet rounds (thinking/walking time)."""
     resolver_pools: int = 1
@@ -105,9 +99,6 @@ class WorkloadConfig:
     schedule through a :class:`~repro.churn.controller.ChurnController` at
     round boundaries, so crashes/leaves/rejoins land between concurrent
     rounds exactly as TTL expiry does."""
-    churn_lease_seconds: float | None = None
-    """Registration-lease override for crashed servers (``None`` uses the
-    federation's ``registration_ttl_seconds``)."""
     control: ControlSchedule | None = None
     """Operator actions applied while the fleet runs: the engine plays the
     tape through a :class:`~repro.control.plane.ControlPlane` at round
@@ -138,8 +129,8 @@ class WorkloadConfig:
     """Route the run's control traffic through the operator API layer
     (:mod:`repro.operator`): the control tape is replayed as authenticated
     ``ControlRequest`` messages by a
-    :class:`~repro.operator.client.NetworkedControlPlayer`, and (by
-    default) the autoscaler's batches travel the same door.  With
+    :class:`~repro.operator.client.NetworkedControlPlayer`, and the
+    autoscaler's batches (if any) travel the same door.  With
     ``transport="network"`` every request pays simulated control-hop
     latency/loss/partitions; ``"direct"`` keeps the exchange in-process.
     ``None`` (default) builds no API, charges nothing, and adds no
@@ -150,37 +141,25 @@ class WorkloadConfig:
     every device and switches to the cohort fast path (tracers + phantom
     batch load).  Fleets below the threshold — including every committed
     byte-gated benchmark — run the exact per-device path."""
-    tracers_per_cohort: int = 16
-    """Fully simulated devices per cohort on the fast path.  Tracers keep
-    their true index-derived RNG streams and all individual state (caches,
-    replica-health memories, SRV views) — they are the slow-path escape
-    hatch — so more tracers buys fidelity at the cost of scale."""
 
     def __post_init__(self) -> None:
         if self.clients < 1:
             raise ValueError("a workload needs at least one client")
         if self.steps < 1:
             raise ValueError("a workload needs at least one step")
-        if self.step_seconds < 0.0:
-            raise ValueError("step pacing cannot be negative")
+        if not (0.0 <= self.step_seconds < math.inf):
+            raise ValueError(f"step_seconds must be finite and >= 0, got {self.step_seconds}")
         if self.resolver_pools < 1:
             raise ValueError("a workload needs at least one resolver pool")
         if self.trace_dwell_steps < 0:
             raise ValueError("trace dwell steps cannot be negative")
         if self.cohort_min_clients < 1:
             raise ValueError("cohort threshold must be positive")
-        if self.tracers_per_cohort < 1:
-            raise ValueError("a cohort needs at least one tracer")
         if self.autoscale is not None and self.telemetry is None:
             raise ValueError(
                 "the autoscaler reads only telemetry roll-ups; "
                 "set WorkloadConfig.telemetry alongside autoscale"
             )
-        if self.churn_lease_seconds is not None:
-            if self.churn is None:
-                raise ValueError("churn_lease_seconds is set but there is no churn tape to apply it to")
-            if self.churn_lease_seconds <= 0.0:
-                raise ValueError("churn_lease_seconds must be positive")
         # A device's client region is its resolver-pool index, so a region
         # outside [0, resolver_pools) names no device: a partition scoped to
         # it would be recorded as applied yet cut nobody.

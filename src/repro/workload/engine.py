@@ -52,6 +52,7 @@ from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.tape import TimelineEntry
 from repro.spatialindex.cellid import CellId
 from repro.telemetry import TelemetryPipeline
+from repro.telemetry.pipeline import CELL_LEVEL
 from repro.telemetry.reader import TelemetryReader
 from repro.workload.cohort import Cohort
 from repro.workload.config import (
@@ -63,7 +64,7 @@ from repro.workload.config import (
 from repro.workload.fleet import FleetBuilder, FleetClient
 from repro.workload.mobility import AisleWalk
 from repro.workload.report import WorkloadReport
-from repro.workload.traffic import RequestKind, ZipfSampler
+from repro.workload.traffic import RequestKind, RequestMix, ZipfSampler
 from repro.worldgen.scenario import FederatedScenario
 
 __all__ = [
@@ -82,6 +83,24 @@ RoundObserver = Callable[[int, float], None]
 
 _NOOP_COUNTERS = {"faults": "faults.skipped", "churn": None, "control": "control.rejected"}
 """The counter a not-applied tape entry bumps, per source (churn: none)."""
+
+REQUEST_MIX = RequestMix()
+"""Relative weights of the four request kinds every device draws from."""
+
+ZIPF_EXPONENT = 1.0
+"""Skew of POI popularity: weight(rank) ∝ 1 / (rank + 1) ** exponent."""
+
+SEARCH_RADIUS_METERS = 350.0
+"""Radius of a device's location-based search around its target POI."""
+
+VIEWPORT_METERS = 120.0
+"""Half-width of the map viewport a device renders around itself."""
+
+TILE_ZOOM = 17
+"""Zoom level of the tiles a viewport render fetches."""
+
+GNSS_ERROR_METERS = 12.0
+"""Satellite-fix noise (sigma and reported accuracy) outside a store."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +129,7 @@ class WorkloadEngine:
         # explicitly supplied registry always wins.
         self.metrics = metrics or MetricsRegistry(streaming_histograms=self._cohort_mode)
         self.pois = self._build_poi_pool()
-        self._poi_sampler: ZipfSampler[PointOfInterest] = ZipfSampler(
-            self.pois, self.config.zipf_exponent
-        )
+        self._poi_sampler: ZipfSampler[PointOfInterest] = ZipfSampler(self.pois, ZIPF_EXPONENT)
         builder = FleetBuilder(scenario, self.config)
         self.fleet = builder.build_fleet(self._cohort_mode)
         self.cohorts: list[Cohort] = builder.cohorts
@@ -134,7 +151,6 @@ class WorkloadEngine:
             self.churn_controller = ChurnController(
                 federation=scenario.federation,
                 schedule=self.config.churn,
-                lease_seconds=self.config.churn_lease_seconds,
                 timeline=self.timeline,
             )
         # Rejoined servers whose return traffic has not been seen yet:
@@ -150,7 +166,6 @@ class WorkloadEngine:
                 federation=scenario.federation,
                 principals=principals,
                 plane=ControlPlane(federation=scenario.federation, timeline=self.timeline),
-                contend_for_queue=op_config.contend_for_queue,
             )
             endpoint_id = op_config.endpoint_id
             if endpoint_id is None:
@@ -203,7 +218,7 @@ class WorkloadEngine:
             # Registered after the telemetry flush observer, so each
             # evaluation sees the window that round just sealed.
             assert self.telemetry is not None  # enforced by WorkloadConfig
-            if self.operator_client is not None and self.config.operator.route_autoscaler:
+            if self.operator_client is not None:
                 # The autoscaler's batches travel the operator API like any
                 # console's: authenticated, audited, and (over the network
                 # transport) paying the same control-hop latency and loss.
@@ -299,7 +314,7 @@ class WorkloadEngine:
         """One device's round: advance, issue, track the slowest, rewind."""
         clock = self.scenario.federation.network.clock
         device.advance()
-        kind = self.config.mix.sample(device.rng)
+        kind = REQUEST_MIX.sample(device.rng)
         self._issue(device, kind)
         self._round_slowest = max(self._round_slowest, clock.now() - round_start)
         clock.rewind_to(round_start)
@@ -378,9 +393,8 @@ class WorkloadEngine:
 
     def _device_cell(self, device: FleetClient) -> str:
         """The covering-cell token request records key on: the device's
-        current position at the pipeline's configured (finest) level."""
-        assert self.telemetry is not None
-        return CellId.from_point(device.position, self.telemetry.config.cell_level).token
+        current position at the finest telemetry level, ``CELL_LEVEL``."""
+        return CellId.from_point(device.position, CELL_LEVEL).token
 
     # ------------------------------------------------------------------
     # Tapes
@@ -583,9 +597,7 @@ class WorkloadEngine:
     def _do_search(self, device: FleetClient) -> None:
         weight = self._active_weight
         poi = self._poi_sampler.sample(device.rng)
-        result = device.client.search(
-            poi.name, near=poi.location, radius_meters=self.config.search_radius_meters
-        )
+        result = device.client.search(poi.name, near=poi.location, radius_meters=SEARCH_RADIUS_METERS)
         self.metrics.counter("search.results").increment(len(result) * weight)
         self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
 
@@ -610,8 +622,8 @@ class WorkloadEngine:
 
     def _do_tiles(self, device: FleetClient) -> None:
         weight = self._active_weight
-        viewport = BoundingBox.around(device.position, self.config.viewport_meters)
-        result = device.client.render_viewport(viewport, zoom=self.config.tile_zoom)
+        viewport = BoundingBox.around(device.position, VIEWPORT_METERS)
+        result = device.client.render_viewport(viewport, zoom=TILE_ZOOM)
         self.metrics.counter("tiles.downloaded").increment(result.tiles_downloaded * weight)
         self.metrics.counter("tiles.from_cache").increment(result.tiles_from_cache * weight)
         self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
@@ -636,11 +648,11 @@ class WorkloadEngine:
             if store.contains_local(local):
                 return store.sense_cues(local, device.rng)
         bearing = device.rng.uniform(0.0, 360.0)
-        offset = abs(device.rng.gauss(0.0, self.config.gnss_error_meters))
+        offset = abs(device.rng.gauss(0.0, GNSS_ERROR_METERS))
         return CueBundle(
             gnss=GnssCue(
                 device.position.destination(bearing, offset),
-                accuracy_meters=self.config.gnss_error_meters,
+                accuracy_meters=GNSS_ERROR_METERS,
             )
         )
 

@@ -24,6 +24,12 @@ from repro.workload.mobility import (
 )
 from repro.worldgen.scenario import FederatedScenario
 
+TRACERS_PER_COHORT = 16
+"""Fully simulated devices per cohort on the fast path.  Tracers keep their
+true index-derived RNG streams and all individual state (caches,
+replica-health memories, SRV views) — they are the slow-path escape hatch —
+so more tracers buys fidelity at the cost of scale."""
+
 
 @dataclass
 class FleetClient:
@@ -175,7 +181,7 @@ class FleetBuilder:
                 label = f"{spec[0]}{spec[1]}-pool{pool_index}"
                 yield index, (spec, pool_index), label
 
-        self.cohorts = plan_cohorts(assignments(), self.config.tracers_per_cohort)
+        self.cohorts = plan_cohorts(assignments(), TRACERS_PER_COHORT)
         fleet: list[FleetClient] = []
         for cohort in self.cohorts:
             spec, _pool_index = cohort.key

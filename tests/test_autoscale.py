@@ -19,7 +19,8 @@ import json
 import pytest
 
 from repro.autoscale import AutoscalerConfig, Cooldown, HysteresisGate
-from repro.autoscale.scaler import Autoscaler
+from repro.autoscale.policy import BURN_LOW
+from repro.autoscale.scaler import PROMOTE_WEIGHT, RAMP_WEIGHTS, Autoscaler
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
 from repro.core.warmpool import WarmPool
@@ -63,25 +64,19 @@ def _scenario(**config_overrides):
 
 class TestAutoscalerConfig:
     def test_defaults_are_valid(self):
-        config = AutoscalerConfig()
-        assert config.ramp_weights == (4, 2, 1, 0)
+        AutoscalerConfig()
+
+    def test_drain_ladder_steps_down_from_the_promote_weight_to_zero(self):
+        assert RAMP_WEIGHTS[0] == PROMOTE_WEIGHT and RAMP_WEIGHTS[-1] == 0
+        assert all(b < a for a, b in zip(RAMP_WEIGHTS, RAMP_WEIGHTS[1:]))
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"zone_level": 31},
-            {"signal_windows": 0},
             {"wait_high_ms": 5.0, "wait_low_ms": 5.0},
-            {"burn_high": 1.0, "burn_low": 1.0},
-            {"shed_high": 1.5},
-            {"p95_high_ms": 0.0},
+            {"burn_high": BURN_LOW},
             {"breach_evals": 0},
             {"recover_evals": 0},
-            {"promote_weight": 0},
-            {"ramp_weights": (4, 2)},
-            {"ramp_weights": (2, 4, 0)},
-            {"ramp_weights": (0,)},
-            {"outlier_wait_ratio": -1.0},
             {"cooldown_seconds": -1.0},
             {"park_delay_seconds": -1.0},
         ],
@@ -89,6 +84,21 @@ class TestAutoscalerConfig:
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
             AutoscalerConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("wait_high_ms", float("nan")),
+            ("wait_low_ms", float("nan")),
+            ("burn_high", float("nan")),
+            ("cooldown_seconds", float("nan")),
+            ("ramp_cooldown_seconds", float("inf")),
+            ("park_delay_seconds", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_floats_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AutoscalerConfig(**{name: value})
 
 
 class TestHysteresisGate:
@@ -183,14 +193,6 @@ class TestTelemetryReader:
         with pytest.raises(ValueError):
             reader.last_windows(0)
 
-    def test_server_rollup_derives_rates(self):
-        reader = self._reader()
-        rollup = reader.server_rollup(last=reader.window_count)
-        assert rollup
-        for stats in rollup.values():
-            assert stats["shed_rate"] <= 1.0
-            assert stats["mean_wait_ms"] >= 0.0
-
     def test_zonal_capacity_and_utilization(self):
         """The workers gauge threads through to a zonal capacity integral
         and a utilization in [0, 1] for single-worker servers."""
@@ -223,10 +225,6 @@ class TestTelemetryReader:
         assert reader.max_burn() >= 0.0
         assert 0.0 <= reader.attainment() <= 1.0
 
-    def test_p95_reads_from_windows(self):
-        reader = self._reader()
-        assert reader.p95_ms(last=reader.window_count) > 0.0
-
 
 class TestReaderEmptyWindow:
     """Every accessor on a sealed window holding *zero* samples (empty
@@ -258,9 +256,6 @@ class TestReaderEmptyWindow:
     def test_zonal_is_empty(self):
         assert self._empty_reader().zonal(level=12) == {}
 
-    def test_server_rollup_is_empty(self):
-        assert self._empty_reader().server_rollup() == {}
-
     def test_demand_is_empty_and_rate_zero(self):
         reader = self._empty_reader()
         assert reader.demand(level=12) == {}
@@ -273,9 +268,6 @@ class TestReaderEmptyWindow:
         reader = self._empty_reader()
         assert reader.burn(region=0) == 0.0
         assert reader.max_burn() == 0.0
-
-    def test_p95_is_zero(self):
-        assert self._empty_reader().p95_ms() == 0.0
 
     def test_attainment_is_one(self):
         assert self._empty_reader().attainment() == 1.0
@@ -459,7 +451,7 @@ class TestAutoscalerEndToEnd:
         promoted = [
             event
             for event in scaler.control.timeline
-            if event.source == "control" and event.weight == scaler.config.promote_weight
+            if event.source == "control" and event.weight == PROMOTE_WEIGHT
         ]
         assert promoted and all(45.0 <= event.at_seconds <= 250.0 for event in promoted)
         # Ramps are gradual: each standby steps down the ladder, never a
@@ -471,7 +463,7 @@ class TestAutoscalerEndToEnd:
                 if event.source == "control" and event.subject == standby and event.applied
             ]
             for before, after in zip(weights, weights[1:]):
-                assert not (before == scaler.config.promote_weight and after == 0)
+                assert not (before == PROMOTE_WEIGHT and after == 0)
 
     def test_snapshot_gains_autoscale_keys(self):
         _scenario_, _engine, report = _flash_crowd_run(steps=8, autoscale=_E2E_AUTOSCALE)

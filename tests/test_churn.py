@@ -276,13 +276,15 @@ class TestReplicaGroups:
 # ----------------------------------------------------------------------
 # Controller
 # ----------------------------------------------------------------------
+def leased_federation(registration_ttl_seconds: float) -> Federation:
+    """A federation whose registration lease (its record TTL) is short
+    enough to lapse inside a test's few simulated seconds."""
+    return Federation(config=FederationConfig(registration_ttl_seconds=registration_ttl_seconds))
+
+
 class TestChurnController:
-    def make(self, federation: Federation, events, lease: float | None = None):
-        return ChurnController(
-            federation=federation,
-            schedule=ChurnSchedule.from_events(events),
-            lease_seconds=lease,
-        )
+    def make(self, federation: Federation, events):
+        return ChurnController(federation=federation, schedule=ChurnSchedule.from_events(events))
 
     def test_applies_due_events_in_order(self, federation: Federation):
         deploy_store(federation)
@@ -300,12 +302,11 @@ class TestChurnController:
         join = controller.timeline[-1]
         assert (join.kind, join.subject, join.at_seconds) == ("join", "churnstore.example", 50.0)
 
-    def test_lease_expiry_withdraws_records_of_crashed_server(self, federation: Federation):
+    def test_lease_expiry_withdraws_records_of_crashed_server(self):
+        federation = leased_federation(30.0)
         deploy_store(federation)
         controller = self.make(
-            federation,
-            [ChurnEvent(10.0, ChurnEventKind.CRASH, "churnstore.example")],
-            lease=30.0,
+            federation, [ChurnEvent(10.0, ChurnEventKind.CRASH, "churnstore.example")]
         )
         controller.apply_until(15.0)
         assert federation.registry.total_records > 0  # lease still running
@@ -313,7 +314,8 @@ class TestChurnController:
         assert [e.kind for e in applied] == ["lease-expired"]
         assert federation.registry.total_records == 0
 
-    def test_rejoin_before_lease_keeps_registration(self, federation: Federation):
+    def test_rejoin_before_lease_keeps_registration(self):
+        federation = leased_federation(30.0)
         deploy_store(federation)
         controller = self.make(
             federation,
@@ -321,7 +323,6 @@ class TestChurnController:
                 ChurnEvent(10.0, ChurnEventKind.CRASH, "churnstore.example"),
                 ChurnEvent(20.0, ChurnEventKind.JOIN, "churnstore.example"),
             ],
-            lease=30.0,
         )
         applied = controller.apply_until(100.0)
         kinds = [(e.kind, e.applied) for e in applied]
@@ -332,9 +333,10 @@ class TestChurnController:
         assert controller.pending_events == 0
         assert federation.registry.total_records > 0
 
-    def test_rejoin_cancels_stale_lease_expiry(self, federation: Federation):
+    def test_rejoin_cancels_stale_lease_expiry(self):
         """Regression: a crash→rejoin→crash sequence must not have the first
         crash's lease expiry withdraw the second crash's records early."""
+        federation = leased_federation(100.0)
         deploy_store(federation)
         controller = self.make(
             federation,
@@ -343,7 +345,6 @@ class TestChurnController:
                 ChurnEvent(10.0, ChurnEventKind.JOIN, "churnstore.example"),
                 ChurnEvent(50.0, ChurnEventKind.CRASH, "churnstore.example"),
             ],
-            lease=100.0,
         )
         # At t=120 only the second crash's lease (ends t=150) is running:
         # the records must still be there.
@@ -363,8 +364,18 @@ class TestChurnController:
         assert all(not event.applied for event in applied)
 
     def test_default_lease_is_registration_ttl(self, federation: Federation):
-        controller = self.make(federation, [])
-        assert controller.effective_lease_seconds == federation.config.registration_ttl_seconds
+        """At the default record TTL (an hour) a crashed server's records
+        outlive any short run, and lapse exactly one TTL after the crash."""
+        deploy_store(federation)
+        ttl = federation.config.registration_ttl_seconds
+        controller = self.make(
+            federation, [ChurnEvent(10.0, ChurnEventKind.CRASH, "churnstore.example")]
+        )
+        controller.apply_until(10.0 + ttl - 1.0)
+        assert federation.registry.total_records > 0
+        applied = controller.apply_until(10.0 + ttl)
+        assert [(e.kind, e.at_seconds) for e in applied] == [("lease-expired", 10.0 + ttl)]
+        assert federation.registry.total_records == 0
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,10 @@ present in ``pyproject.toml``.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import fnmatch
+import importlib
 import importlib.util
 import json
 import os
@@ -749,3 +752,165 @@ print(json.dumps(reports))
 '''
 """The driver for the fresh-interpreter test: ``python -c _FIRST_IMPORTS
 <package>...`` prints ``{module: loaded packages or "FAILED ..."}``."""
+
+
+CONFIG_CLASSES = {
+    "FederationConfig": "repro.core.config",
+    "WorkloadConfig": "repro.workload.config",
+    "TelemetryConfig": "repro.telemetry.pipeline",
+    "SLOConfig": "repro.telemetry.slo",
+    "OperatorConfig": "repro.operator.config",
+    "AutoscalerConfig": "repro.autoscale.policy",
+}
+"""The run-config classes whose fields the options census covers, by the
+module that defines each."""
+
+CENSUS_DIRECTORIES = ("src", "benchmarks", "perfbench", "scripts")
+
+KEPT_FIELDS = {
+    "FederationConfig.discovery_suffix": "deployment setting: the DNS zone a federation registers under",
+    "FederationConfig.latency": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
+    "WorkloadConfig.long_traces": "non-default value pinned only by sha256 goldens (ROADMAP item 5)",
+    "WorkloadConfig.trace_dwell_steps": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
+    "OperatorConfig.principal": "deployment setting: the operator's credential",
+    "OperatorConfig.endpoint_id": "deployment setting: the control endpoint's address",
+    "OperatorConfig.region": "deployment setting: where the operator's console sits",
+    "OperatorConfig.timeout_ms": "one value (400 ms), but perfbench/workloads.py passes it by keyword",
+    "SLOConfig.availability_target": "one value (0.99), but perfbench/workloads.py passes it by keyword",
+    "AutoscalerConfig.wait_high_ms": "one value (25 ms), but perfbench/workloads.py passes it by keyword",
+    "AutoscalerConfig.wait_low_ms": "one value (8 ms), but perfbench/workloads.py passes it by keyword",
+    "AutoscalerConfig.burn_high": "one value (0: trigger off), but perfbench/workloads.py passes it by keyword",
+}
+"""Fields with fewer than two values in use that stay fields anyway, with
+the reason."""
+
+
+def _literal(node: ast.expr) -> object:
+    """The hashable literal ``node`` spells; ``ValueError`` if none."""
+    try:
+        value = ast.literal_eval(node)
+        hash(value)
+    except TypeError as error:
+        raise ValueError(node) from error
+    return value
+
+
+def _module_constants(tree: ast.Module) -> dict[str, object]:
+    """Module-level names bound once, to a literal."""
+    bound: dict[str, list[ast.expr]] = {}
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            for target in statement.targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, []).append(statement.value)
+    constants = {}
+    for name, values in bound.items():
+        try:
+            (constants[name],) = (_literal(value) for value in values)
+        except ValueError:
+            pass
+    return constants
+
+
+def _census_value(node: ast.expr, constants: dict[str, object]) -> object:
+    """A passed value as the census compares it: the literal it spells or
+    names through a module constant, else its source text."""
+    if isinstance(node, ast.Name) and node.id in constants:
+        return constants[node.id]
+    try:
+        return _literal(node)
+    except ValueError:
+        return ("source", ast.unparse(node))
+
+
+def _default(field: dataclasses.Field) -> object:
+    value = field.default if field.default is not dataclasses.MISSING else field.default_factory()
+    try:
+        hash(value)
+    except TypeError:
+        return repr(value)
+    return value
+
+
+def config_values(root: Path) -> dict[str, set[object]]:
+    """The values each ``Class.field`` of ``CONFIG_CLASSES`` takes at the
+    calls under ``CENSUS_DIRECTORIES``, not counting calls in the module
+    that defines the class.  A ``Class(...)`` call contributes its keyword
+    and positional arguments and, unless it splats ``*`` or ``**``, the
+    default of every field it leaves out; a ``Class.ctor(...)`` call only
+    its keywords.  A name counts as the literal a module-level constant of
+    the same file binds it to, any other expression as its source text."""
+    classes = {name: getattr(importlib.import_module(module), name) for name, module in CONFIG_CLASSES.items()}
+    own = {name: root / "src" / Path(*module.split(".")).with_suffix(".py") for name, module in CONFIG_CLASSES.items()}
+    fields = {name: [field for field in dataclasses.fields(cls) if field.init] for name, cls in classes.items()}
+    values: dict[str, set[object]] = {f"{name}.{field.name}": set() for name in classes for field in fields[name]}
+    for directory in CENSUS_DIRECTORIES:
+        for path in sorted((root / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            constants = _module_constants(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name) and callee.value.id in classes:
+                    name, direct = callee.value.id, False
+                elif isinstance(callee, (ast.Name, ast.Attribute)):
+                    name, direct = callee.id if isinstance(callee, ast.Name) else callee.attr, True
+                else:
+                    continue
+                if name not in classes or path == own[name]:
+                    continue
+                passed = {keyword.arg: keyword.value for keyword in node.keywords if keyword.arg}
+                splat = len(passed) < len(node.keywords) or any(isinstance(arg, ast.Starred) for arg in node.args)
+                if direct and not splat:
+                    passed.update((field.name, arg) for field, arg in zip(fields[name], node.args))
+                for field in fields[name]:
+                    if field.name in passed:
+                        values[f"{name}.{field.name}"].add(_census_value(passed[field.name], constants))
+                    elif direct and not splat:
+                        values[f"{name}.{field.name}"].add(_default(field))
+    return values
+
+
+class TestConfigOptions:
+    """A config field needs two different values in use outside tests and
+    examples, or it is a module constant.  ``KEPT_FIELDS`` names the
+    exceptions, and an entry that stops being one fails too."""
+
+    @staticmethod
+    def _single_valued() -> set[str]:
+        return {field for field, values in config_values(REPO_ROOT).items() if len(values) < 2}
+
+    def test_every_field_has_two_values_in_use_or_is_kept_for_a_reason(self):
+        assert sorted(self._single_valued() - KEPT_FIELDS.keys()) == []
+
+    def test_no_kept_field_is_stale(self):
+        assert sorted(KEPT_FIELDS.keys() - self._single_valued()) == []
+
+    def test_the_architecture_options_section_lists_the_kept_fields(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        section = architecture.split("## Options", 1)[1].split("\n## ", 1)[0]
+        assert [kept for kept in KEPT_FIELDS if f"`{kept}`" not in section] == []
+
+    def test_the_census_reads_call_forms_defaults_positions_and_constants_not_the_own_module(self, tmp_path):
+        root = TestReachability._tree(
+            tmp_path,
+            {
+                "src/repro/telemetry/slo.py": "SLOConfig(latency_ms=1.0)\n",
+                "src/repro/workload/engine.py": "slo.SLOConfig(availability_target=0.9)\n",
+                "scripts/tool.py": (
+                    "LIMIT = 3.0\n"
+                    "SLOConfig.ctor(latency_ms=2.0, **extra)\n"
+                    "Other(latency_ms=4.0)\n"
+                    "SLOConfig(LIMIT, 0.9)\n"
+                    "SLOConfig(latency_ms=limit, availability_target=0.9)\n"
+                    "SLOConfig(**settings)\n"
+                ),
+                "benchmarks/.keep.py": "",
+                "perfbench/.keep.py": "",
+            },
+        )
+        values = config_values(root)
+        assert values["SLOConfig.latency_ms"] == {250.0, 2.0, 3.0, ("source", "limit")}
+        assert values["SLOConfig.availability_target"] == {0.9}
+        assert values["TelemetryConfig.window_seconds"] == set()

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.config import FederationConfig
+from repro.core.federation import Federation
 from repro.discovery.cache import DiscoveryCache
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng, haversine_distance
@@ -35,7 +36,11 @@ from repro.mapserver.server import MapServer
 from repro.osm.elements import Node
 from repro.osm.mapdata import MapData, MapMetadata
 from repro.routing.stitching import RouteLeg, RouteStitcher, StitchedRoute, StitchError
-from repro.services.routing import FederatedRouter, FederatedRoutingError
+from repro.services.routing import (
+    ROUTE_STITCH_MAX_GAP_METERS,
+    FederatedRouter,
+    FederatedRoutingError,
+)
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache
 from repro.spatialindex.cellid import CellId
@@ -504,10 +509,7 @@ class TestRejectedAtConstruction:
             DiscoveryCache(clock=SimulatedClock(), stale_grace_seconds=grace)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize(
-        "name",
-        ["device_discovery_cache_ttl_seconds", "stale_serve_max_ms", "route_stitch_max_gap_meters"],
-    )
+    @pytest.mark.parametrize("name", ["device_discovery_cache_ttl_seconds", "stale_serve_max_ms"])
     def test_config_floats_must_be_finite_and_non_negative(self, name, bad):
         with pytest.raises(ValueError, match=name):
             FederationConfig(**{name: bad})
@@ -522,6 +524,10 @@ class TestRejectedAtConstruction:
         with pytest.raises(ValueError, match="max_gap_meters must be finite and >= 0"):
             RouteStitcher(max_gap_meters=bad)
         assert RouteStitcher(max_gap_meters=0.0).max_gap_meters == 0.0
+
+    def test_a_client_and_a_bare_router_stitch_with_the_same_gap(self):
+        assert FederatedRouter(context=None).stitcher.max_gap_meters == ROUTE_STITCH_MAX_GAP_METERS
+        assert Federation().client().router.stitcher.max_gap_meters == ROUTE_STITCH_MAX_GAP_METERS
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.churn.schedule import ChurnSchedule
 from repro.core.config import FederationConfig
 from repro.faults.schedule import FaultPlan
 from repro.operator.config import OperatorConfig
@@ -73,8 +72,6 @@ class TestConfigValidation:
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
             WorkloadConfig(cohort_min_clients=0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(tracers_per_cohort=0)
 
     def test_rejects_fault_region_no_device_lives_in(self):
         """A device's region is ``index % resolver_pools``; a partition
@@ -88,15 +85,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="operator region 1"):
             WorkloadConfig(operator=OperatorConfig(region=1))
         WorkloadConfig(resolver_pools=2, operator=OperatorConfig(region=1))
-
-    def test_rejects_non_positive_churn_lease(self):
-        for lease in (0.0, -5.0):
-            with pytest.raises(ValueError, match="must be positive"):
-                WorkloadConfig(churn=ChurnSchedule(), churn_lease_seconds=lease)
-
-    def test_rejects_churn_lease_without_churn(self):
-        with pytest.raises(ValueError, match="no churn tape"):
-            WorkloadConfig(churn_lease_seconds=30.0)
 
 
 class TestCohortFastPath:

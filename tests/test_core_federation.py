@@ -69,7 +69,6 @@ class TestFederationLifecycle:
             ({"discovery_level": 16}, "finer than"),
             # The walk would stop at level 15, above min_level=13 registrations.
             ({"discovery_ancestor_levels": 2}, "stops at level 15"),
-            ({"discovery_cache_max_entries": 0}, "discovery_cache_max_entries"),
             ({"device_discovery_cache_ttl_seconds": -1.0}, "device_discovery_cache_ttl_seconds"),
         ],
     )

@@ -254,7 +254,7 @@ class TestDiscoverer:
     )
     def test_search_discovery_does_not_depend_on_compass_direction(self):
         """The same store, mirrored north and south of the user, at the
-        federation's defaults and ``FederatedSearch``'s default 500 m radius."""
+        federation's defaults and ``OpenFlameClient.search``'s default 500 m radius."""
         found = {}
         for side, bearing in (("north", 0.0), ("south", 180.0)):
             registry = DiscoveryRegistry(

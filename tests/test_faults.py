@@ -117,8 +117,6 @@ class TestBoundedRetransmits:
     def test_max_retransmits_validated(self):
         with pytest.raises(ValueError):
             LatencyModel(max_retransmits=-1)
-        with pytest.raises(ValueError):
-            FederationConfig(max_retransmits=-1)
 
 
 class TestRetryPolicyJitter:

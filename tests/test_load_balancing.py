@@ -22,7 +22,7 @@ from repro.core.replicas import ReplicaGroup
 from repro.dns.records import SrvData
 from repro.geometry.point import LatLng
 from repro.services.failover import FIRST_HEALTHY, WEIGHTED, rfc2782_order
-from repro.services.health import ReplicaHealth, SharedHealthBoard
+from repro.services.health import SHARED_HEALTH_TTL_SECONDS, ReplicaHealth, SharedHealthBoard
 from repro.services.retry import RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.queueing import ServiceTimeModel, load_cv
@@ -375,7 +375,6 @@ class TestSharedHealthEndToEnd:
         config = FederationConfig(
             retry_policy=RetryPolicy.exponential(base_delay_ms=5.0, dead_server_timeout_ms=150.0),
             shared_health=shared,
-            shared_health_ttl_seconds=45.0,
         )
         federation = Federation(config=config)
         store = generate_store("shop.example", ANCHOR, seed=4)
@@ -426,7 +425,9 @@ class TestSharedHealthEndToEnd:
         board = federation.shared_health_board()
         assert board.is_suspect(victim)
         federation.revive_map_server(victim)
-        federation.network.clock.advance(46.0)  # past the 45s entry TTL
+        federation.network.clock.advance(SHARED_HEALTH_TTL_SECONDS - 1.0)
+        assert board.is_suspect(victim)
+        federation.network.clock.advance(2.0)  # past the 30 s entry TTL
         assert not board.is_suspect(victim)
         late = federation.client(selection_seed=99)
         result = late.search("milk", near=store.entrance, radius_meters=150.0)

@@ -34,8 +34,9 @@ from repro.operator.errors import UnauthorizedError
 from repro.operator.permissions import ACTION_PERMISSIONS, ALL_PERMISSIONS, CONTROL_WRITE, HEALTH_REPORT
 from repro.services.retry import RetryPolicy
 from repro.simulation.network import GrayFailure
-from repro.simulation.queueing import ServerOverloadedError, ServiceTimeModel
+from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.worldgen.indoor import generate_store
 from repro.worldgen.scenario import build_scenario
 
 
@@ -228,21 +229,6 @@ class TestRoutes:
         assert [event["seq"] for event in response.events] == [1, 2]
 
 
-class _FlakyQueue:
-    """Stub ServerQueue: overloads for the first N admissions."""
-
-    def __init__(self, reject_first: int):
-        self.reject_first = reject_first
-        self.admitted: list[str] = []
-
-    def process(self, kind: str) -> float:
-        if self.reject_first > 0:
-            self.reject_first -= 1
-            raise ServerOverloadedError("full")
-        self.admitted.append(kind)
-        return 0.0
-
-
 class TestIdempotency:
     def test_replay_does_not_double_apply(self):
         scenario = _scenario()
@@ -271,18 +257,21 @@ class TestIdempotency:
         assert retried.error == "conflict"
         assert retried.replayed
 
-    def test_queue_overload_is_unavailable_and_not_cached(self):
+    def test_unavailable_is_retryable_and_not_cached(self):
+        """A target not (yet) deployed is ``unavailable``; the retry under
+        the same token reaches dispatch again once the server is up."""
         scenario = _scenario()
-        server_id = scenario.store_replica_ids(0)[0]
-        api = _api(scenario, contend_for_queue=True)
-        queue = _FlakyQueue(reject_first=1)
-        scenario.federation.servers[server_id].queue = queue
-        busy = _request(api, "drain", server_id, token="tok")
-        assert busy.error == "unavailable"
-        retried = _request(api, "drain", server_id, token="tok")
+        federation = scenario.federation
+        api = _api(scenario)
+        down = _request(api, "set-weight", "popup.example", value=3, token="tok")
+        assert down.error == "unavailable"
+        store = generate_store("popup.example", scenario.stores[0].entrance, seed=6)
+        federation.add_map_server("popup.example", store.map_data)
+        retried = _request(api, "set-weight", "popup.example", value=3, token="tok")
         assert retried.ok
         assert not retried.replayed
-        assert queue.admitted == ["control"]
+        assert federation.srv_of("popup.example")[1] == 3
+        assert [r.outcome for r in api.audit.records] == ["rejected", "applied"]
 
 
 class TestAuditArbitration:

@@ -7,11 +7,12 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
 from repro.control.schedule import ControlSchedule
-from repro.geometry.point import LatLng
+from repro.geometry.point import LatLng, LocalPoint
 from repro.geometry.polygon import Polygon
 from repro.localization.cues import BeaconCue, BeaconReading, ImageCue
 from repro.localization.fingerprint import (
@@ -22,6 +23,7 @@ from repro.localization.fingerprint import (
 )
 from repro.operator.client import NetworkedControlPlayer
 from repro.routing.stitching import RouteLeg, RouteStitcher
+from repro.services.tiles import FederatedViewport
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache, LruStats, answer_memo
 from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
@@ -30,6 +32,7 @@ from repro.simulation.queueing import load_cv
 from repro.simulation.tape import Tape, TapeCursor
 from repro.spatialindex.cellid import CellId
 from repro.spatialindex.covering import covering_area_square_meters
+from repro.tiles.correspondence import CorrespondenceSet
 from repro.workload.report import WorkloadReport
 from repro.workload.traffic import zipf_weights
 
@@ -496,6 +499,31 @@ class TestFloatSum:
         assert neumaier_sum(lengths) != float_sum(lengths)
         monkeypatch.setattr(builtins, "sum", neumaier_sum)
         assert answers() == folded
+
+    def test_viewport_coverage_and_alignment_anchor_fold(self, monkeypatch):
+        """A viewport's coverage fraction (E11's ``mean_coverage``) and the
+        anchor of a map alignment (E11's alignment error), with ``sum()``
+        behaving as on 3.12: each vector below sums differently there."""
+        values = [0.1] * 9 + [0.7]
+        rng = random.Random(1)
+        latitudes = [40.0 + 1e-3 * rng.random() for _ in values]
+        longitudes = [-79.9 + 1e-3 * rng.random() for _ in values]
+        viewport = FederatedViewport(
+            composites={index: SimpleNamespace(coverage_fraction=value) for index, value in enumerate(values)},
+            servers_consulted=0,
+            tiles_downloaded=0,
+            dns_lookups=0,
+        )
+        correspondences = CorrespondenceSet("store")
+        for index, (latitude, longitude) in enumerate(zip(latitudes, longitudes)):
+            correspondences.add(LocalPoint(index * 10.0, index % 3 * 10.0, "store"), LatLng(latitude, longitude))
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        for vector in (values, latitudes, longitudes):
+            assert sum(vector) / len(vector) != float_sum(vector) / len(vector)
+        mean = float_sum(values) / len(values)
+        assert viewport.coverage_fraction == mean
+        anchor = correspondences.estimate_alignment().projection.anchor
+        assert anchor == LatLng(float_sum(latitudes) / len(values), float_sum(longitudes) / len(values))
 
 
 class TestLruCache:

@@ -13,7 +13,7 @@ from repro.control import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
 from repro.faults import FaultEvent, FaultEventKind, FaultPlan
 from repro.geometry.bbox import BoundingBox
-from repro.operator import OperatorConfig
+from repro.operator import NetworkedControlPlayer, OperatorConfig, OperatorControlAdapter
 from repro.services.retry import RetryPolicy
 from repro.simulation.network import LatencyModel
 from repro.simulation.queueing import ServiceTimeModel
@@ -212,6 +212,25 @@ class TestWorkloadEngine:
         with pytest.raises(ValueError):
             WorkloadConfig(resolver_pools=0)
 
+    @pytest.mark.parametrize(
+        "config_class, name, value",
+        [
+            (WorkloadConfig, "step_seconds", float("nan")),
+            (WorkloadConfig, "step_seconds", float("inf")),
+            (TelemetryConfig, "window_seconds", float("nan")),
+            (TelemetryConfig, "window_seconds", float("inf")),
+            (SLOConfig, "latency_ms", float("nan")),
+            (SLOConfig, "latency_ms", float("inf")),
+            (OperatorConfig, "timeout_ms", float("nan")),
+            (OperatorConfig, "timeout_ms", float("inf")),
+        ],
+    )
+    def test_non_finite_run_config_rejected_by_name(self, config_class, name, value):
+        """A NaN width never seals a telemetry window and a NaN pacing only
+        fails mid-run, in the clock; both must fail at construction."""
+        with pytest.raises(ValueError, match=name):
+            config_class(**{name: value})
+
 
 class TestResolverPools:
     def test_fleet_shards_across_pools_and_reports_hit_rates(self):
@@ -274,7 +293,7 @@ class TestRunTimeline:
     entry once, and the report's tape counts agree with it."""
 
     @staticmethod
-    def _run(route_autoscaler: bool):
+    def _run(operator: bool):
         scenario = build_scenario(
             store_count=2,
             city_rows=5,
@@ -329,22 +348,29 @@ class TestRunTimeline:
                 ramp_cooldown_seconds=30.0,
                 park_delay_seconds=40.0,
             ),
-            operator=OperatorConfig(transport="network", timeout_ms=400.0, route_autoscaler=route_autoscaler),
+            operator=OperatorConfig(transport="network", timeout_ms=400.0) if operator else None,
         )
         engine = WorkloadEngine(scenario, config)
         return engine, engine.run()
 
-    @pytest.mark.parametrize("route_autoscaler", [True, False])
-    def test_one_timeline_each_entry_once(self, route_autoscaler: bool):
-        engine, report = self._run(route_autoscaler)
+    @pytest.mark.parametrize("operator", [True, False])
+    def test_one_timeline_each_entry_once(self, operator: bool):
+        engine, report = self._run(operator)
         timeline = engine.timeline
-        actors = (
+        actors = [
             engine.fault_injector,
             engine.churn_controller,
             engine.control_plane,
-            engine.operator_api.plane,
             engine.autoscaler.control,
-        )
+        ]
+        if operator:
+            # With an operator configured the scaler's batches always
+            # travel the API, beside the control tape.
+            assert isinstance(engine.autoscaler.control, OperatorControlAdapter)
+            assert isinstance(engine.control_plane, NetworkedControlPlayer)
+            actors.append(engine.operator_api.plane)
+        else:
+            assert engine.operator_api is None
         assert all(actor.timeline is timeline for actor in actors)
         assert len({id(entry) for entry in timeline}) == len(timeline)
 
