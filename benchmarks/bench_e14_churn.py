@@ -41,8 +41,8 @@ from types import SimpleNamespace
 from harness import Experiment, digest, main  # first: finds src/ when run standalone
 from repro.churn import ChurnSchedule
 from repro.core.config import FederationConfig
-from repro.services.failover import FIRST_HEALTHY, WEIGHTED
-from repro.services.retry import RetryPolicy
+from repro.services.failover import FIRST_HEALTHY, MAX_ATTEMPTS, WEIGHTED
+from repro.services.retry import BASE_DELAY_MS, DEAD_SERVER_TIMEOUT_MS, RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
@@ -215,9 +215,9 @@ def payload(rows: list[dict[str, object]], clients: int, steps: int) -> dict[str
         "downtime_seconds": DOWNTIME_SECONDS,
         "retry_policy": {
             "kind": RETRY_POLICY.kind,
-            "base_delay_ms": RETRY_POLICY.base_delay_ms,
-            "max_attempts": RETRY_POLICY.max_attempts,
-            "dead_server_timeout_ms": RETRY_POLICY.dead_server_timeout_ms,
+            "base_delay_ms": BASE_DELAY_MS,
+            "max_attempts": MAX_ATTEMPTS,
+            "dead_server_timeout_ms": DEAD_SERVER_TIMEOUT_MS,
         },
         "rows": [
             {
@@ -309,7 +309,7 @@ def verify(rows: list[dict[str, object]], churn_rates: list[float]) -> list[str]
     solo = detection.get(False)
     pooled = detection.get(True)
     if pooled is not None:
-        timeout_ms = RETRY_POLICY.dead_server_timeout_ms
+        timeout_ms = DEAD_SERVER_TIMEOUT_MS
         if pooled["detect_ms"] >= timeout_ms:
             failures.append(
                 f"shared health did not cut mean time-to-detect below one "

@@ -34,7 +34,8 @@ from harness import Experiment, digest, main  # first: finds src/ when run stand
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.control import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
-from repro.services.retry import RetryPolicy
+from repro.services.failover import MAX_ATTEMPTS
+from repro.services.retry import BASE_DELAY_MS, DEAD_SERVER_TIMEOUT_MS, RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
@@ -315,9 +316,9 @@ def payload(rows: list[dict[str, object]], clients: int, steps: int) -> dict[str
         "standby_crash_at_seconds": STANDBY_CRASH_AT_SECONDS,
         "retry_policy": {
             "kind": RETRY_POLICY.kind,
-            "base_delay_ms": RETRY_POLICY.base_delay_ms,
-            "max_attempts": RETRY_POLICY.max_attempts,
-            "dead_server_timeout_ms": RETRY_POLICY.dead_server_timeout_ms,
+            "base_delay_ms": BASE_DELAY_MS,
+            "max_attempts": MAX_ATTEMPTS,
+            "dead_server_timeout_ms": DEAD_SERVER_TIMEOUT_MS,
         },
         "rows": [
             {

@@ -561,7 +561,6 @@ class Federation:
         if retry_policy is not None:
             health = ReplicaHealth(
                 clock=self.network.clock,
-                cooldown_seconds=retry_policy.health_cooldown_seconds,
                 board=self.shared_health_board(stub_resolver)
                 if self.config.shared_health
                 else None,

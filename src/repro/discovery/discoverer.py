@@ -34,6 +34,7 @@ from repro.dns.resolver import StubResolver
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.geometry.polygon import Polygon
+from repro.simulation.network import CLIENT_TO_RESOLVER_MS
 from repro.spatialindex.cellid import MAX_LEVEL, CellId
 from repro.spatialindex.covering import cells_at_level, normalize_covering
 
@@ -217,7 +218,7 @@ class Discoverer:
         cells = cells_at_level(box, self.query_level, self.max_query_cells)
         return self._discover_cells(cells)
 
-    def discover_along(self, waypoints: list[LatLng], corridor_meters: float = 200.0) -> DiscoveryResult:
+    def discover_along(self, waypoints: list[LatLng], corridor_meters: float) -> DiscoveryResult:
         """Discover every map server along a path of waypoints (for routing)."""
         if not waypoints:
             raise ValueError("waypoints must be non-empty")
@@ -258,7 +259,6 @@ class Discoverer:
         network = self.resolver.network
         clock = network.clock
         exchange = network.round_trip
-        hop_ms = network.latency.client_to_resolver_ms
         resolve = self.resolver.recursive.resolve
         suffix, ancestor_levels = self.naming.suffix, self.ancestor_levels
         names_by_token = _walk_table(suffix, ancestor_levels)
@@ -283,7 +283,7 @@ class Discoverer:
                             rest = known
                             break
                         # Deepest name first, one exchange each, in walk order.
-                        exchange("dns.client_resolver", hop_ms)
+                        exchange("dns.client_resolver", CLIENT_TO_RESOLVER_MS)
                         response = resolve(name, MAP_SERVER_RECORD_TYPE)
                         now = clock.now()
                         expires_at = response.expires_at
@@ -350,11 +350,10 @@ class Discoverer:
         network = self.resolver.network
         clock = network.clock
         exchange = network.round_trip
-        hop_ms = network.latency.client_to_resolver_ms
         resolve = self.resolver.recursive.resolve
         found: list[str] = []
         for name in names:
-            exchange("dns.client_resolver", hop_ms)
+            exchange("dns.client_resolver", CLIENT_TO_RESOLVER_MS)
             response = resolve(name, MAP_SERVER_RECORD_TYPE)
             # Only records name a server: decoding a negative answer or a
             # failure would return no targets and write no ``srv_view``.

@@ -17,7 +17,9 @@ from repro.dns.message import DnsResponse, Question, ResponseCode
 from repro.dns.records import RecordType, ResourceRecord, normalize_name
 from repro.simulation.clock import SimulatedClock
 
-DEFAULT_NEGATIVE_TTL_SECONDS = 60.0
+NEGATIVE_TTL_SECONDS = 60.0
+"""How long an NXDOMAIN / NODATA answer is cached when the caller names no
+TTL."""
 
 
 @dataclass
@@ -49,7 +51,6 @@ class DnsCache:
 
     clock: SimulatedClock
     max_entries: int = 10_000
-    negative_ttl_seconds: float = DEFAULT_NEGATIVE_TTL_SECONDS
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: dict[tuple[str, RecordType], DnsResponse] = field(default_factory=dict)
 
@@ -111,7 +112,7 @@ class DnsCache:
         The cache answers with it, as RFC 2308 §5 keeps the two apart.
         """
         return self._store(
-            name, record_type, [], self.negative_ttl_seconds if ttl is None else ttl, code
+            name, record_type, [], NEGATIVE_TTL_SECONDS if ttl is None else ttl, code
         )
 
     def _store(

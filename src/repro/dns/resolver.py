@@ -16,6 +16,14 @@ from repro.dns.records import RecordType, normalize_name
 from repro.dns.server import NameServer
 from repro.simulation.network import SimulatedNetwork
 
+MAX_REFERRALS = 16
+"""Name-server exchanges one resolution may make before it raises
+:class:`ResolutionError` (a referral loop)."""
+
+DNS_TIMEOUT_MS = 300.0
+"""What one query against a dark authority costs the resolver before it
+gives up with SERVFAIL."""
+
 
 class ResolutionError(Exception):
     """Raised when a name cannot be resolved (loop, missing glue, depth limit)."""
@@ -45,7 +53,6 @@ class RecursiveResolver:
     servers: dict[str, NameServer]
     network: SimulatedNetwork
     cache: DnsCache = field(default=None)  # type: ignore[assignment]
-    max_referrals: int = 16
     stats: ResolverStats = field(default_factory=ResolverStats)
 
     def __post_init__(self) -> None:
@@ -92,14 +99,14 @@ class RecursiveResolver:
 
     def _resolve_iteratively(self, question: Question) -> DnsResponse:
         server = self.root
-        for _ in range(self.max_referrals):
+        for _ in range(MAX_REFERRALS):
             faults = self.network.faults
             if faults is not None and faults.authority_is_down(server.server_id):
                 # The authority is dark: the query goes unanswered, the
                 # resolver pays its full patience and gives up with SERVFAIL.
                 # SERVFAIL is deliberately never cached (see resolve), so
                 # recovery is visible on the very next uncached query.
-                self.network.dns_timeout(faults.dns_timeout_ms)
+                self.network.dns_timeout(DNS_TIMEOUT_MS)
                 self.stats.timeouts += 1
                 return DnsResponse(question, code=ResponseCode.SERVFAIL)
             self.network.resolver_authority_exchange()

@@ -31,9 +31,6 @@ class FaultInjector:
 
     federation: Federation
     plan: FaultPlan
-    dns_timeout_ms: float = 300.0
-    """What one query against a dark authority costs the resolver before it
-    gives up with SERVFAIL."""
     timeline: list[TimelineEntry] = field(default_factory=list)
     """Where entries land; the workload engine passes its run's one list."""
     _cursor: TapeCursor[FaultEvent] = field(init=False, repr=False)
@@ -41,8 +38,9 @@ class FaultInjector:
 
     def __post_init__(self) -> None:
         self._cursor = TapeCursor(self.plan.events)
-        state = self.federation.network.fault_state()
-        state.dns_timeout_ms = self.dns_timeout_ms
+        # Attach the fault state now: from here on every map-server exchange
+        # consults it, whether or not an event is ever due.
+        self.federation.network.fault_state()
 
     @property
     def state(self) -> NetworkFaultState:

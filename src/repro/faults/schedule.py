@@ -28,6 +28,7 @@ the next).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,13 +94,19 @@ class FaultEvent:
     load_kind: str = "search"
 
     def __post_init__(self) -> None:
-        if self.at_seconds < 0.0:
-            raise ValueError("fault events cannot predate the run")
+        if not (0.0 <= self.at_seconds < math.inf):
+            raise ValueError(
+                f"at_seconds must be finite and >= 0 (fault events cannot predate the run), "
+                f"got {self.at_seconds}"
+            )
         if self.kind in _NEEDS_SERVERS and not self.server_ids:
             raise ValueError(f"{self.kind.value} events need server ids")
         if self.kind == FaultEventKind.GRAY:
-            if self.latency_multiplier < 1.0:
-                raise ValueError("a gray failure cannot speed a server up")
+            if not (1.0 <= self.latency_multiplier < math.inf):
+                raise ValueError(
+                    f"latency_multiplier must be finite and >= 1 (a gray failure cannot speed a "
+                    f"server up), got {self.latency_multiplier}"
+                )
             if not (0.0 <= self.loss_probability < 1.0):
                 raise ValueError("gray loss probability must be in [0, 1)")
             if self.latency_multiplier == 1.0 and self.loss_probability == 0.0:

@@ -147,7 +147,7 @@ class FederationContext:
     def discover_at(self, location: LatLng, uncertainty_meters: float = 0.0) -> DiscoveryResult:
         return self.discoverer.discover_at(location, uncertainty_meters)
 
-    def discover_along(self, waypoints: list[LatLng], corridor_meters: float = 200.0) -> DiscoveryResult:
+    def discover_along(self, waypoints: list[LatLng], corridor_meters: float) -> DiscoveryResult:
         return self.discoverer.discover_along(waypoints, corridor_meters)
 
     def charge_map_server_request(self) -> None:

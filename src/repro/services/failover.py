@@ -44,6 +44,10 @@ WEIGHTED = "weighted"
 FIRST_HEALTHY = "first-healthy"
 SELECTION_MODES = (WEIGHTED, FIRST_HEALTHY)
 
+MAX_ATTEMPTS = 4
+"""Upper bound on candidate attempts per logical target (first try
+included), however many replicas are advertised."""
+
 SrvInfo = Mapping[str, tuple[int, int]]
 """Per-server ``(priority, weight)`` decoded from the SRV registrations."""
 
@@ -286,7 +290,7 @@ def execute_with_failover(
     """
     recorder.chains += 1
     clock = network.clock
-    max_attempts = policy.max_attempts if policy is not None else 1
+    max_attempts = MAX_ATTEMPTS if policy is not None else 1
     failed = 0
     failed_load = 0.0
     """Instantaneous load of the most recently *failed* server — what the

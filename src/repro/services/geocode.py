@@ -22,6 +22,10 @@ from repro.services.context import FederationContext
 from repro.services.failover import TargetUnavailableError
 from repro.simulation.queueing import ServerOverloadedError
 
+GEOCODE_DISCOVERY_RADIUS_METERS = 300.0
+"""How far around the coarse world-map fix discovery looks for the maps
+that refine it."""
+
 
 @dataclass(frozen=True, slots=True)
 class FederatedGeocodeResult:
@@ -50,7 +54,6 @@ class FederatedGeocoder:
 
     context: FederationContext
     world_provider: MapServer | None = None
-    discovery_radius_meters: float = 300.0
     queries: int = field(default=0, init=False)
 
     # ------------------------------------------------------------------
@@ -65,7 +68,7 @@ class FederatedGeocoder:
         servers_consulted = 0
 
         if coarse is not None:
-            discovery = self.context.discover_at(coarse, self.discovery_radius_meters)
+            discovery = self.context.discover_at(coarse, GEOCODE_DISCOVERY_RADIUS_METERS)
             dns_lookups = discovery.dns_lookups
             for target in self.context.targets(discovery.server_ids):
                 servers_consulted += 1

@@ -35,6 +35,10 @@ SHARED_HEALTH_TTL_SECONDS = 30.0
 expire so a revived replica is re-tried (and wins traffic back) even if the
 whole pool once saw it dead."""
 
+HEALTH_COOLDOWN_SECONDS = 30.0
+"""How long a replica stays demoted in a device's tracker after a failed
+attempt."""
+
 
 @dataclass
 class SharedHealthBoard:
@@ -46,7 +50,6 @@ class SharedHealthBoard:
     """
 
     clock: SimulatedClock
-    ttl_seconds: float = SHARED_HEALTH_TTL_SECONDS
     _suspect_until: dict[str, float] = field(default_factory=dict)
     _suspected_at: dict[str, float] = field(default_factory=dict)
     """When each live entry was last (re)posted — devices compare their own
@@ -55,10 +58,6 @@ class SharedHealthBoard:
     reports: int = 0
     recoveries: int = 0
 
-    def __post_init__(self) -> None:
-        if self.ttl_seconds <= 0.0:
-            raise ValueError("shared-health entry TTL must be positive")
-
     def report_failure(self, server_id: str) -> None:
         """A device failed against ``server_id``: (re)post it to the board."""
         now = self.clock.now()
@@ -66,7 +65,7 @@ class SharedHealthBoard:
         if self._suspect_until.get(server_id, 0.0) <= now:
             # Clean (or lapsed) -> suspect: a new outage epoch begins.
             self._epochs[server_id] = self._epochs.get(server_id, 0) + 1
-        self._suspect_until[server_id] = now + self.ttl_seconds
+        self._suspect_until[server_id] = now + SHARED_HEALTH_TTL_SECONDS
         self._suspected_at[server_id] = now
 
     def report_recovery(self, server_id: str) -> None:
@@ -106,7 +105,6 @@ class ReplicaHealth:
     """Per-device failure memory with a cooldown window (and optional gossip)."""
 
     clock: SimulatedClock
-    cooldown_seconds: float = 30.0
     board: SharedHealthBoard | None = None
     """The device's resolver pool's shared board; ``None`` keeps the tracker
     purely per-device (the legacy behaviour, byte-identical)."""
@@ -133,8 +131,7 @@ class ReplicaHealth:
         """
         self._failures[server_id] = self._failures.get(server_id, 0) + 1
         self._last_success.pop(server_id, None)
-        if self.cooldown_seconds > 0.0:
-            self._demoted_until[server_id] = self.clock.now() + self.cooldown_seconds
+        self._demoted_until[server_id] = self.clock.now() + HEALTH_COOLDOWN_SECONDS
         if dead and self.board is not None:
             self.board.report_failure(server_id)
             self._acknowledged_epoch[server_id] = self.board.epoch(server_id)

@@ -17,6 +17,10 @@ from repro.localization.imu import DeadReckoningTracker
 from repro.services.context import FederationContext
 from repro.services.failover import TargetUnavailableError
 
+LOCALIZE_DISCOVERY_UNCERTAINTY_METERS = 150.0
+"""The uncertainty of the coarse (GPS-grade) fix discovery searches
+around."""
+
 
 @dataclass(frozen=True, slots=True)
 class FederatedLocalizationResult:
@@ -43,7 +47,6 @@ class FederatedLocalizer:
 
     context: FederationContext
     selector: LocalizationSelector = field(default_factory=LocalizationSelector)
-    discovery_uncertainty_meters: float = 150.0
     queries: int = field(default=0, init=False)
 
     def localize(
@@ -59,7 +62,7 @@ class FederatedLocalizer:
         server produced the most plausible result.
         """
         self.queries += 1
-        discovery = self.context.discover_at(coarse_location, self.discovery_uncertainty_meters)
+        discovery = self.context.discover_at(coarse_location, LOCALIZE_DISCOVERY_UNCERTAINTY_METERS)
 
         available = cues.available_types()
         candidates: list[LocalizationResult] = []

@@ -1,29 +1,29 @@
-"""Client retry/backoff policies for replica failover.
+"""Client retry pacing for replica failover.
 
-When a map-server request fails — the bounded queue shed it, or the server
-is dead and the attempt timed out — the client may retry against the next
-replica of the same coverage group.  How long it waits before that retry is
-the :class:`RetryPolicy`:
+When a map-server request fails — the bounded queue shed it, the server is
+dead or partitioned away and the attempt timed out, or a lossy exchange ran
+out of retransmits — the client may retry against the next replica of the
+same coverage group (:mod:`repro.services.failover`).  A
+:class:`RetryPolicy` says how long the client waits before that retry and
+what an unresponsive server costs it.  There are two kinds:
 
-* ``immediate`` — retry the next replica with no delay (fastest failover,
-  but a hot group sees synchronized retry storms);
-* ``backoff`` — classic capped exponential backoff per failed attempt;
-* ``utilization`` — exponential backoff scaled by how loaded the *failed*
-  server was (its queue depth relative to capacity), so retries against a
-  saturated group spread out while retries after a one-off blip stay fast.
+* ``backoff`` (:meth:`RetryPolicy.full_jitter`) — capped exponential
+  backoff with full jitter: the delay is drawn ``Uniform(0, computed)``
+  (AWS-style) from the *seeded per-device* stream the caller provides, so a
+  replica group's clients desynchronize their retry storms without losing
+  reproducibility.  Patience escalates: an unresponsive server costs
+  ``ATTEMPT_TIMEOUT_MS`` on the first attempt, doubling per prior failure
+  up to ``DEAD_SERVER_TIMEOUT_MS``, so the first failover is cheap and later
+  attempts (fewer replicas left) wait longer.
+* ``utilization`` (:meth:`RetryPolicy.utilization_aware`) — deterministic
+  exponential backoff divided by ``1 - load`` of the *failed* server (its
+  queue depth over capacity, clamped to 0.95; a dead server reads as fully
+  loaded), so retries against a saturated group spread out while a retry
+  after a one-off blip stays fast.  Every unresponsive server costs the
+  constant ``DEAD_SERVER_TIMEOUT_MS``.
 
-Delays are deterministic by default; ``jitter="full"`` draws a full-jitter
-delay (``Uniform(0, computed)``, AWS-style) from a *seeded per-device* RNG
-stream the caller provides, so a replica group's clients desynchronize
-their retry storms without losing reproducibility.  Either way delays are
-charged against the simulated clock by the caller, so backoff shows up in
-client-observed latency percentiles.
-
-``attempt_timeout_ms`` replaces the single constant ``dead_server_timeout``
-cost with an escalating per-attempt patience: early attempts give up
-quickly (fast failover), later attempts wait longer (the client is running
-out of replicas), capped at ``dead_server_timeout_ms``.  ``None`` — the
-default — keeps the historical constant-cost behaviour byte-identical.
+Delays are charged against the simulated clock by the caller, so backoff
+shows up in client-observed latency percentiles.
 """
 
 from __future__ import annotations
@@ -31,92 +31,46 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-IMMEDIATE = "immediate"
 BACKOFF = "backoff"
 UTILIZATION = "utilization"
 
-_KINDS = (IMMEDIATE, BACKOFF, UTILIZATION)
+_KINDS = (BACKOFF, UTILIZATION)
 
-NO_JITTER = "none"
-FULL_JITTER = "full"
+BASE_DELAY_MS = 10.0
+"""The backoff before the first retry; each further failure doubles it."""
 
-_JITTER_MODES = (NO_JITTER, FULL_JITTER)
+BACKOFF_MULTIPLIER = 2.0
+
+MAX_DELAY_MS = 2_000.0
+
+DEAD_SERVER_TIMEOUT_MS = 200.0
+"""What waiting out an unresponsive server costs the client at most."""
+
+ATTEMPT_TIMEOUT_MS = 50.0
+"""A ``backoff`` client's patience on its first attempt."""
 
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """How a client paces failover attempts across a replica group."""
 
-    kind: str = BACKOFF
-    base_delay_ms: float = 10.0
-    multiplier: float = 2.0
-    max_delay_ms: float = 2_000.0
-    max_attempts: int = 4
-    """Upper bound on candidate attempts per logical target (first try
-    included), regardless of how many replicas are advertised."""
-    dead_server_timeout_ms: float = 200.0
-    """What an attempt against a dead (unreachable) server costs the client
-    before it gives up and fails over."""
-    health_cooldown_seconds: float = 30.0
-    """How long a replica stays demoted in the client's health tracker after
-    a failed attempt."""
-    jitter: str = NO_JITTER
-    """``"none"`` (default) keeps fully deterministic delays; ``"full"``
-    draws ``Uniform(0, computed_delay)`` from the caller-provided per-device
-    RNG stream (AWS full jitter), desynchronizing retry storms."""
-    attempt_timeout_ms: float | None = None
-    """Per-attempt patience before abandoning an unresponsive server,
-    escalating by ``multiplier`` per prior failure and capped at
-    ``dead_server_timeout_ms``.  ``None`` (default) charges the constant
-    ``dead_server_timeout_ms`` on every attempt — the legacy cost model."""
+    kind: str
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown retry policy kind {self.kind!r}; expected one of {_KINDS}")
-        if self.base_delay_ms < 0.0 or self.max_delay_ms < 0.0:
-            raise ValueError("retry delays cannot be negative")
-        if self.multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("at least one attempt per target is required")
-        if self.dead_server_timeout_ms < 0.0:
-            raise ValueError("dead-server timeout cannot be negative")
-        if self.health_cooldown_seconds < 0.0:
-            raise ValueError("health cooldown cannot be negative")
-        if self.jitter not in _JITTER_MODES:
-            raise ValueError(
-                f"unknown jitter mode {self.jitter!r}; expected one of {_JITTER_MODES}"
-            )
-        if self.attempt_timeout_ms is not None and self.attempt_timeout_ms <= 0.0:
-            raise ValueError("attempt timeout must be positive when set")
-
-    # ------------------------------------------------------------------
-    # Constructors for the three canonical policies
-    # ------------------------------------------------------------------
-    @classmethod
-    def immediate(cls, **overrides) -> "RetryPolicy":
-        return cls(kind=IMMEDIATE, **overrides)
 
     @classmethod
-    def exponential(cls, **overrides) -> "RetryPolicy":
-        return cls(kind=BACKOFF, **overrides)
+    def utilization_aware(cls) -> "RetryPolicy":
+        return cls(UTILIZATION)
 
     @classmethod
-    def utilization_aware(cls, **overrides) -> "RetryPolicy":
-        return cls(kind=UTILIZATION, **overrides)
-
-    @classmethod
-    def full_jitter(cls, **overrides) -> "RetryPolicy":
+    def full_jitter(cls) -> "RetryPolicy":
         """Exponential backoff with full jitter and escalating timeouts —
-        the recommended policy under correlated failures, where the
-        deterministic policies synchronize a whole region's retries."""
-        overrides.setdefault("jitter", FULL_JITTER)
-        overrides.setdefault("attempt_timeout_ms", 50.0)
-        return cls(kind=BACKOFF, **overrides)
+        the recommended policy under correlated failures, where a
+        deterministic policy synchronizes a whole region's retries."""
+        return cls(BACKOFF)
 
-    # ------------------------------------------------------------------
-    # Delay computation
-    # ------------------------------------------------------------------
     def delay_ms(
         self,
         failed_attempts: int,
@@ -127,37 +81,22 @@ class RetryPolicy:
 
         ``failed_attempts`` counts the attempts that have already failed for
         this logical request (>= 1 when a retry is being considered);
-        ``utilization`` is the failed server's instantaneous load in [0, 1]
-        (queue depth over capacity; 1.0 for a dead server), consulted only by
-        the utilization-aware policy.  ``rng`` is the caller's seeded
-        per-device stream, consulted only when ``jitter="full"`` — a no-jitter
-        policy never draws from it, so legacy runs stay byte-identical.
+        ``utilization`` is the failed server's instantaneous load in [0, 1],
+        consulted only by the ``utilization`` kind.  ``rng`` is the caller's
+        seeded per-device stream, drawn from only by the ``backoff`` kind;
+        without one that kind returns the un-jittered ceiling.
         """
         if failed_attempts < 1:
             return 0.0
-        if self.kind == IMMEDIATE:
-            return 0.0
-        delay = self.base_delay_ms * self.multiplier ** (failed_attempts - 1)
+        delay = BASE_DELAY_MS * BACKOFF_MULTIPLIER ** (failed_attempts - 1)
         if self.kind == UTILIZATION:
-            # A server shedding load at rho -> 1 needs the group's retries
-            # spread out; a barely-loaded blip barely changes the pacing.
             load = min(max(utilization, 0.0), 0.95)
-            delay = delay / (1.0 - load)
-        delay = min(delay, self.max_delay_ms)
-        if self.jitter == FULL_JITTER and rng is not None and delay > 0.0:
-            delay = rng.uniform(0.0, delay)
-        return delay
+            return min(delay / (1.0 - load), MAX_DELAY_MS)
+        delay = min(delay, MAX_DELAY_MS)
+        return rng.uniform(0.0, delay) if rng is not None else delay
 
-    def timeout_ms(self, failed_attempts: int = 0) -> float:
-        """What waiting out an unresponsive server costs on this attempt.
-
-        With no ``attempt_timeout_ms`` the cost is the constant
-        ``dead_server_timeout_ms`` (legacy).  With one, patience escalates —
-        ``attempt_timeout_ms * multiplier ** failed_attempts`` — so the first
-        failover is cheap and later attempts (fewer replicas left) wait
-        longer, capped at ``dead_server_timeout_ms``.
-        """
-        if self.attempt_timeout_ms is None:
-            return self.dead_server_timeout_ms
-        timeout = self.attempt_timeout_ms * self.multiplier ** max(failed_attempts, 0)
-        return min(timeout, self.dead_server_timeout_ms)
+    def timeout_ms(self, failed_attempts: int) -> float:
+        """What waiting out an unresponsive server costs on this attempt."""
+        if self.kind == UTILIZATION:
+            return DEAD_SERVER_TIMEOUT_MS
+        return min(ATTEMPT_TIMEOUT_MS * BACKOFF_MULTIPLIER**failed_attempts, DEAD_SERVER_TIMEOUT_MS)

@@ -30,6 +30,10 @@ ROUTE_STITCH_MAX_GAP_METERS = 250.0
 """How far apart two legs' endpoints may be for a federated route to join
 them (an entrance a few steps off a street node, not a jump across town)."""
 
+ROUTE_CORRIDOR_METERS = 250.0
+"""How far either side of the route's probe points discovery looks for map
+servers."""
+
 
 def _entrances_of(map_data: MapData) -> tuple[LatLng, ...]:
     """Where a map's ``entrance`` nodes are: every leg request clamps both
@@ -65,7 +69,6 @@ class FederatedRouter:
 
     context: FederationContext
     stitcher: RouteStitcher = field(default_factory=lambda: RouteStitcher(max_gap_meters=ROUTE_STITCH_MAX_GAP_METERS))
-    corridor_meters: float = 250.0
     queries: int = field(default=0, init=False)
 
     def route(
@@ -83,7 +86,7 @@ class FederatedRouter:
         """
         self.queries += 1
         probe_points = [origin, destination] + list(waypoints or [])
-        discovery = self.context.discover_along(probe_points, self.corridor_meters)
+        discovery = self.context.discover_along(probe_points, ROUTE_CORRIDOR_METERS)
         targets = self.context.targets(discovery.server_ids)
         if not targets:
             raise FederatedRoutingError("discovery found no map servers along the route")

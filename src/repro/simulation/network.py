@@ -28,16 +28,24 @@ to the fault-free implementation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from repro.simulation.clock import SimulatedClock
 
-DEFAULT_LAN_LATENCY_MS = 1.0
-DEFAULT_WAN_LATENCY_MS = 25.0
+# One-way latency per hop: a device's resolver sits on its LAN, every other
+# hop crosses the WAN.  The operator console → control endpoint hop is used
+# only by the operator API's ``transport="network"`` path.
+CLIENT_TO_RESOLVER_MS = 1.0
+RESOLVER_TO_AUTHORITY_MS = 25.0
+CLIENT_TO_MAP_SERVER_MS = 25.0
+CLIENT_TO_CENTRAL_MS = 25.0
+OPERATOR_TO_CONTROL_MS = 25.0
 
-DEFAULT_MAX_RETRANSMITS = 8
-"""Retry bound per exchange so a high loss probability cannot loop forever."""
+MAX_RETRANSMITS = 8
+"""Retry bound per exchange so a high (base or gray) loss probability cannot
+loop forever."""
 
 
 class NetworkTimeoutError(Exception):
@@ -57,35 +65,25 @@ class NetworkTimeoutError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class LatencyModel:
-    """Per-hop one-way latencies between classes of endpoints (milliseconds).
+    """The stochastic part of every exchange (the per-hop one-way latencies
+    are the module constants above).
 
     ``jitter_sigma`` > 0 turns every exchange's latency into
     ``base * Lognormal(0, sigma)``; ``loss_probability`` > 0 makes each
     exchange independently lose its datagram with that probability and pay a
     full extra (jittered) round trip per retransmission, bounded by
-    ``max_retransmits``.  Both default to off, keeping the historical
+    ``MAX_RETRANSMITS``.  Both default to off, keeping the historical
     fixed-latency behaviour bit-for-bit.
     """
 
-    client_to_resolver_ms: float = DEFAULT_LAN_LATENCY_MS
-    resolver_to_authority_ms: float = DEFAULT_WAN_LATENCY_MS
-    client_to_map_server_ms: float = DEFAULT_WAN_LATENCY_MS
-    client_to_central_ms: float = DEFAULT_WAN_LATENCY_MS
     jitter_sigma: float = 0.0
     loss_probability: float = 0.0
-    max_retransmits: int = DEFAULT_MAX_RETRANSMITS
-    operator_to_control_ms: float = DEFAULT_WAN_LATENCY_MS
-    """Operator console → control endpoint hop, used only by the operator
-    API's ``transport="network"`` path.  Appended last so existing
-    positional constructions keep their meaning."""
 
     def __post_init__(self) -> None:
-        if self.jitter_sigma < 0.0:
-            raise ValueError("jitter sigma cannot be negative")
+        if not (0.0 <= self.jitter_sigma < math.inf):
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
         if not (0.0 <= self.loss_probability < 1.0):
             raise ValueError("loss probability must be in [0, 1)")
-        if self.max_retransmits < 0:
-            raise ValueError("max retransmits cannot be negative")
 
     @property
     def is_stochastic(self) -> bool:
@@ -106,8 +104,11 @@ class GrayFailure:
     loss_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency_multiplier < 1.0:
-            raise ValueError("a gray failure cannot speed a server up")
+        if not (1.0 <= self.latency_multiplier < math.inf):
+            raise ValueError(
+                f"latency_multiplier must be finite and >= 1 (a gray failure cannot speed a "
+                f"server up), got {self.latency_multiplier}"
+            )
         if not (0.0 <= self.loss_probability < 1.0):
             raise ValueError("gray loss probability must be in [0, 1)")
         if self.latency_multiplier == 1.0 and self.loss_probability == 0.0:
@@ -127,7 +128,6 @@ class NetworkFaultState:
     """
 
     active_region: int | None = None
-    dns_timeout_ms: float = 300.0
     _blocked_all: set[str] = field(default_factory=set)
     _blocked_regions: dict[str, set[int]] = field(default_factory=dict)
     _gray: dict[str, GrayFailure] = field(default_factory=dict)
@@ -326,14 +326,13 @@ class SimulatedNetwork:
         if self._jitter_rng is None:
             self._jitter_rng = random.Random(self.jitter_seed)
         rng = self._jitter_rng
-        cap = self.latency.max_retransmits
         total = latency_ms * (rng.lognormvariate(0.0, sigma) if sigma > 0.0 else 1.0)
         retries = 0
-        while loss > 0.0 and retries < cap and rng.random() < loss:
+        while loss > 0.0 and retries < MAX_RETRANSMITS and rng.random() < loss:
             retries += 1
             total += latency_ms * (rng.lognormvariate(0.0, sigma) if sigma > 0.0 else 1.0)
         self.stats.retransmissions += retries
-        if fail_on_exhaustion and loss > 0.0 and retries >= cap and rng.random() < loss:
+        if fail_on_exhaustion and loss > 0.0 and retries >= MAX_RETRANSMITS and rng.random() < loss:
             raise NetworkTimeoutError(server_id)
         return total
 
@@ -369,23 +368,23 @@ class SimulatedNetwork:
 
     # Convenience wrappers for the hop classes used throughout the library.
     def client_resolver_exchange(self) -> float:
-        return self.round_trip("dns.client_resolver", self.latency.client_to_resolver_ms)
+        return self.round_trip("dns.client_resolver", CLIENT_TO_RESOLVER_MS)
 
     def resolver_authority_exchange(self) -> float:
-        return self.round_trip("dns.resolver_authority", self.latency.resolver_to_authority_ms)
+        return self.round_trip("dns.resolver_authority", RESOLVER_TO_AUTHORITY_MS)
 
     def client_map_server_exchange(
         self, server_id: str | None = None, fail_on_exhaustion: bool = False
     ) -> float:
         return self.round_trip(
             "mapserver.request",
-            self.latency.client_to_map_server_ms,
+            CLIENT_TO_MAP_SERVER_MS,
             server_id=server_id,
             fail_on_exhaustion=fail_on_exhaustion,
         )
 
     def client_central_exchange(self) -> float:
-        return self.round_trip("central.request", self.latency.client_to_central_ms)
+        return self.round_trip("central.request", CLIENT_TO_CENTRAL_MS)
 
     def operator_control_exchange(
         self, endpoint_id: str | None = None, fail_on_exhaustion: bool = False
@@ -397,7 +396,7 @@ class SimulatedNetwork:
         """
         return self.round_trip(
             "control.request",
-            self.latency.operator_to_control_ms,
+            OPERATOR_TO_CONTROL_MS,
             server_id=endpoint_id,
             fail_on_exhaustion=fail_on_exhaustion,
         )

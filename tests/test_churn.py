@@ -110,19 +110,8 @@ class TestChurnSchedule:
 # Retry policies and health
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
-    def test_immediate_never_waits(self):
-        policy = RetryPolicy.immediate()
-        assert policy.delay_ms(1) == 0.0
-        assert policy.delay_ms(3, utilization=0.9) == 0.0
-
-    def test_exponential_grows_and_caps(self):
-        policy = RetryPolicy.exponential(base_delay_ms=10.0, multiplier=2.0, max_delay_ms=35.0)
-        assert policy.delay_ms(1) == 10.0
-        assert policy.delay_ms(2) == 20.0
-        assert policy.delay_ms(3) == 35.0  # capped
-
     def test_utilization_scales_backoff(self):
-        policy = RetryPolicy.utilization_aware(base_delay_ms=10.0, max_delay_ms=10_000.0)
+        policy = RetryPolicy.utilization_aware()
         calm = policy.delay_ms(1, utilization=0.0)
         hot = policy.delay_ms(1, utilization=0.9)
         assert hot > calm
@@ -130,24 +119,41 @@ class TestRetryPolicy:
         # Dead server (utilization 1.0) is clamped, not infinite.
         assert policy.delay_ms(1, utilization=1.0) == pytest.approx(10.0 / 0.05)
 
-    def test_no_delay_before_first_failure(self):
-        assert RetryPolicy.exponential().delay_ms(0) == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(kind="bogus")
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_ms=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+
+
+class TestRetryPresets:
+    """Both presets' pacing after n = 0..5 failed attempts, at load 0, 0.5
+    and 1 (a dead server reads as load 1, clamped to 0.95).  With no RNG
+    stream ``full_jitter`` returns the ceiling its jitter draws below."""
+
+    DELAYS = {
+        "utilization_aware": {
+            0.0: [0.0, 10.0, 20.0, 40.0, 80.0, 160.0],
+            0.5: [0.0, 20.0, 40.0, 80.0, 160.0, 320.0],
+            1.0: [0.0, 199.99999999999983, 399.99999999999966, 799.9999999999993, 1599.9999999999986, 2000.0],
+        },
+        "full_jitter": {load: [0.0, 10.0, 20.0, 40.0, 80.0, 160.0] for load in (0.0, 0.5, 1.0)},
+    }
+    TIMEOUTS = {
+        "utilization_aware": [200.0, 200.0, 200.0, 200.0, 200.0, 200.0],
+        "full_jitter": [50.0, 100.0, 200.0, 200.0, 200.0, 200.0],
+    }
+
+    @pytest.mark.parametrize("preset", sorted(DELAYS))
+    def test_delay_and_timeout_tables(self, preset):
+        policy = getattr(RetryPolicy, preset)()
+        delays = {load: [policy.delay_ms(n, load) for n in range(6)] for load in self.DELAYS[preset]}
+        assert delays == self.DELAYS[preset]
+        assert [policy.timeout_ms(n) for n in range(6)] == self.TIMEOUTS[preset]
 
 
 class TestReplicaHealth:
     def test_failure_demotes_until_cooldown(self):
         clock = SimulatedClock()
-        health = ReplicaHealth(clock=clock, cooldown_seconds=30.0)
+        health = ReplicaHealth(clock=clock)
         assert health.is_healthy("r0")
         health.record_failure("r0")
         assert not health.is_healthy("r0")
@@ -159,7 +165,7 @@ class TestReplicaHealth:
 
     def test_success_rehabilitates_immediately(self):
         clock = SimulatedClock()
-        health = ReplicaHealth(clock=clock, cooldown_seconds=30.0)
+        health = ReplicaHealth(clock=clock)
         health.record_failure("r0")
         health.record_success("r0")
         assert health.is_healthy("r0")
@@ -167,7 +173,7 @@ class TestReplicaHealth:
 
     def test_sort_key_prefers_healthy_then_fewest_failures(self):
         clock = SimulatedClock()
-        health = ReplicaHealth(clock=clock, cooldown_seconds=30.0)
+        health = ReplicaHealth(clock=clock)
         health.record_failure("r0")
         order = sorted(["r0", "r1"], key=health.sort_key)
         assert order == ["r1", "r0"]
@@ -463,7 +469,7 @@ class TestMultiWorkerQueue:
 # ----------------------------------------------------------------------
 def replicated_federation(replicas: int = 2, **config_kwargs) -> tuple[Federation, object]:
     config = FederationConfig(
-        retry_policy=RetryPolicy.exponential(base_delay_ms=5.0, dead_server_timeout_ms=100.0),
+        retry_policy=RetryPolicy.utilization_aware(),
         **config_kwargs,
     )
     federation = Federation(config=config)
@@ -563,7 +569,7 @@ class TestClientFailover:
             queue = None
 
         network = SimulatedNetwork()
-        policy = RetryPolicy.utilization_aware(base_delay_ms=10.0, max_delay_ms=10_000.0)
+        policy = RetryPolicy.utilization_aware()
         # Dead first candidate (load 1.0) then a live one: the backoff before
         # the live attempt must be paced by the dead server's load (1.0,
         # clamped to 0.95 -> 10/0.05 = 200ms), not the live server's 0.0.
@@ -679,7 +685,7 @@ class TestCacheExpiryUnderRewindingClock:
         config = FederationConfig(
             registration_ttl_seconds=60.0,
             device_discovery_cache_ttl_seconds=120.0,
-            retry_policy=RetryPolicy.exponential(),
+            retry_policy=RetryPolicy.utilization_aware(),
         )
         federation = Federation(config=config)
         store = generate_store("churnstore.example", ANCHOR, seed=4)

@@ -761,6 +761,8 @@ CONFIG_CLASSES = {
     "SLOConfig": "repro.telemetry.slo",
     "OperatorConfig": "repro.operator.config",
     "AutoscalerConfig": "repro.autoscale.policy",
+    "RetryPolicy": "repro.services.retry",
+    "LatencyModel": "repro.simulation.network",
 }
 """The run-config classes whose fields the options census covers, by the
 module that defines each."""
@@ -780,6 +782,9 @@ KEPT_FIELDS = {
     "AutoscalerConfig.wait_high_ms": "one value (25 ms), but perfbench/workloads.py passes it by keyword",
     "AutoscalerConfig.wait_low_ms": "one value (8 ms), but perfbench/workloads.py passes it by keyword",
     "AutoscalerConfig.burn_high": "one value (0: trigger off), but perfbench/workloads.py passes it by keyword",
+    "RetryPolicy.kind": "two values, set only through the no-keyword constructors the census cannot read",
+    "LatencyModel.jitter_sigma": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
+    "LatencyModel.loss_probability": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
 }
 """Fields with fewer than two values in use that stay fields anyway, with
 the reason."""

@@ -221,7 +221,7 @@ class TestDiscoverer:
         network = SimulatedNetwork()
         discoverer = _wire_discovery(registry, network)
         with pytest.raises(ValueError):
-            discoverer.discover_along([])
+            discoverer.discover_along([], 200.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
     def test_uncertainty_must_be_finite_and_non_negative(self, registry: DiscoveryRegistry, bad):

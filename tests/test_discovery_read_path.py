@@ -267,13 +267,13 @@ class TestRoundTripAccounting:
         "latency",
         [
             LatencyModel(),
-            LatencyModel(jitter_sigma=0.4, loss_probability=0.3, max_retransmits=2),
+            LatencyModel(jitter_sigma=0.4, loss_probability=0.3),
         ],
         ids=["fixed", "jitter+loss"],
     )
     def test_stats_equal_the_same_exchanges_through_record(self, latency):
         network = SimulatedNetwork(latency=latency, jitter_seed=9)
-        network.fault_state().set_gray("gray", GrayFailure(latency_multiplier=3.0, loss_probability=0.5))
+        network.fault_state().set_gray("gray", GrayFailure(latency_multiplier=3.0, loss_probability=0.9))
         charged = _seeded_exchanges(network, random.Random(200), 200)
 
         reference = NetworkStats()

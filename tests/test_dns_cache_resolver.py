@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.dns.cache import CacheStats, DnsCache
+from repro.dns.cache import NEGATIVE_TTL_SECONDS, CacheStats, DnsCache
 from repro.dns.message import ResponseCode
 from repro.dns.records import RecordType, ResourceRecord, normalize_name
 from repro.dns.resolver import RecursiveResolver, StubResolver
@@ -56,7 +56,7 @@ class TestDnsCache:
         cache.put_negative("missing.example", RecordType.SRV)
         assert cache.lookup("missing.example", RecordType.SRV).answers == []
         assert cache.stats.negative_hits == 1
-        clock.advance(cache.negative_ttl_seconds + 1.0)
+        clock.advance(NEGATIVE_TTL_SECONDS + 1.0)
         assert cache.lookup("missing.example", RecordType.SRV) is None
 
     def test_empty_answer_becomes_negative_entry(self, cache: DnsCache):
@@ -91,7 +91,7 @@ class TestDnsCache:
     def test_negative_entry_carries_its_expiry(self, cache: DnsCache):
         cache.put_negative("ghost.example", RecordType.SRV)
         entry = cache.lookup("ghost.example", RecordType.SRV)
-        assert entry.answers == [] and entry.expires_at == cache.negative_ttl_seconds
+        assert entry.answers == [] and entry.expires_at == NEGATIVE_TTL_SECONDS
 
     def test_a_key_holds_one_entry_whichever_kind_came_last(
         self, cache: DnsCache, clock: SimulatedClock
@@ -108,7 +108,7 @@ class TestDnsCache:
         clock.advance(1.0)
         cache.put_negative("k.example", RecordType.A)
         entry = cache.lookup("k.example", RecordType.A)
-        assert entry.answers == [] and entry.expires_at == 1.0 + cache.negative_ttl_seconds
+        assert entry.answers == [] and entry.expires_at == 1.0 + NEGATIVE_TTL_SECONDS
         assert cache.size == 1
         assert (cache.stats.hits, cache.stats.negative_hits, cache.stats.misses) == (1, 1, 0)
 
@@ -411,7 +411,7 @@ class TestRecursiveResolver:
         """After the negative TTL lapses the resolver must go upstream again."""
         resolver.resolve("ghost.maps.example", RecordType.A)
         exchanges_after_first = resolver.stats.authoritative_exchanges
-        network.clock.advance(resolver.cache.negative_ttl_seconds + 1.0)
+        network.clock.advance(NEGATIVE_TTL_SECONDS + 1.0)
         response = resolver.resolve("ghost.maps.example", RecordType.A)
         assert not response.from_cache
         assert response.is_nxdomain
@@ -426,7 +426,7 @@ class TestRecursiveResolver:
         maps_server.zones["maps.example"].add("late.maps.example", RecordType.A, "10.0.9.9")
         # Still negative while the NXDOMAIN entry lives...
         assert resolver.resolve("late.maps.example", RecordType.A).is_nxdomain
-        network.clock.advance(resolver.cache.negative_ttl_seconds + 1.0)
+        network.clock.advance(NEGATIVE_TTL_SECONDS + 1.0)
         # ...and resolvable after it expires.
         refreshed = resolver.resolve("late.maps.example", RecordType.A)
         assert refreshed.answers and refreshed.answers[0].data == "10.0.9.9"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -26,10 +27,11 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.services.retry import RetryPolicy
+from repro.services.retry import DEAD_SERVER_TIMEOUT_MS, RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache
 from repro.simulation.network import (
+    MAX_RETRANSMITS,
     GrayFailure,
     LatencyModel,
     NetworkFaultState,
@@ -70,17 +72,23 @@ def _scenario(stale_serve_max_ms: float = 0.0, ttl: float = 120.0, reg_ttl: floa
 class TestBoundedRetransmits:
     """The bugfix: loss can no longer retry transparently forever."""
 
-    def test_transparent_retries_are_capped(self):
-        network = SimulatedNetwork(
-            latency=LatencyModel(loss_probability=0.9, max_retransmits=3)
-        )
-        network.client_map_server_exchange()
-        assert network.stats.retransmissions <= 3
+    @pytest.mark.parametrize("gray", [False, True])
+    def test_transparent_retries_are_capped(self, gray):
+        """Base loss and a gray failure's loss stop at the same cap."""
+        if gray:
+            network = SimulatedNetwork()
+            network.fault_state().set_gray("s", GrayFailure(loss_probability=0.9))
+        else:
+            network = SimulatedNetwork(latency=LatencyModel(loss_probability=0.9))
+        retries = []
+        for _ in range(50):
+            before = network.stats.retransmissions
+            network.client_map_server_exchange(server_id="s")
+            retries.append(network.stats.retransmissions - before)
+        assert max(retries) == MAX_RETRANSMITS
 
     def test_exhaustion_raises_on_opt_in(self):
-        network = SimulatedNetwork(
-            latency=LatencyModel(loss_probability=0.9, max_retransmits=2)
-        )
+        network = SimulatedNetwork(latency=LatencyModel(loss_probability=0.9))
         with pytest.raises(NetworkTimeoutError) as excinfo:
             for _ in range(50):  # deterministic under jitter_seed=0
                 network.client_map_server_exchange(
@@ -89,11 +97,8 @@ class TestBoundedRetransmits:
         assert excinfo.value.server_id == "s-1"
 
     def test_exhaustion_charges_nothing(self):
-        network = SimulatedNetwork(
-            latency=LatencyModel(loss_probability=0.9, max_retransmits=0)
-        )
-        # With a zero budget every lossy exchange is immediately at the cap;
-        # find a raising draw and check the clock/stats were untouched by it.
+        network = SimulatedNetwork(latency=LatencyModel(loss_probability=0.9))
+        # Find a raising draw and check the clock/stats were untouched by it.
         for _ in range(50):
             before_ms = network.stats.total_latency_ms
             before_clock = network.clock.now()
@@ -103,7 +108,7 @@ class TestBoundedRetransmits:
                 assert network.stats.total_latency_ms == before_ms
                 assert network.clock.now() == before_clock
                 return
-        pytest.fail("loss=0.9 never exhausted a zero retransmit budget")
+        pytest.fail("loss=0.9 never exhausted the retransmit budget")
 
     def test_legacy_callers_keep_draw_for_draw_behaviour(self):
         """Same seed, same draws: opting out is byte-identical to before."""
@@ -114,46 +119,33 @@ class TestBoundedRetransmits:
                 server_id="s"  # naming the server must not change the draws
             )
 
-    def test_max_retransmits_validated(self):
-        with pytest.raises(ValueError):
-            LatencyModel(max_retransmits=-1)
-
 
 class TestRetryPolicyJitter:
     def test_full_jitter_bounded_by_deterministic_delay(self):
         policy = RetryPolicy.full_jitter()
-        legacy = RetryPolicy.exponential()
         rng = random.Random(7)
         for failed in (1, 2, 3):
-            ceiling = legacy.delay_ms(failed)
+            ceiling = policy.delay_ms(failed)
             for _ in range(20):
                 delay = policy.delay_ms(failed, rng=rng)
                 assert 0.0 <= delay <= ceiling
 
-    def test_no_rng_means_no_jitter(self):
-        policy = RetryPolicy.full_jitter()
-        assert policy.delay_ms(2) == RetryPolicy.exponential().delay_ms(2)
-
-    def test_legacy_policies_never_draw(self):
+    def test_utilization_policy_never_draws(self):
         rng = random.Random(3)
         state = rng.getstate()
-        RetryPolicy.exponential().delay_ms(3, rng=rng)
+        RetryPolicy.utilization_aware().delay_ms(3, rng=rng)
         assert rng.getstate() == state
 
     def test_attempt_timeout_escalates_and_caps(self):
-        policy = RetryPolicy.full_jitter(attempt_timeout_ms=50.0, multiplier=2.0)
+        policy = RetryPolicy.full_jitter()
         assert policy.timeout_ms(0) == 50.0
         assert policy.timeout_ms(1) == 100.0
-        assert policy.timeout_ms(5) == policy.dead_server_timeout_ms
+        assert policy.timeout_ms(5) == DEAD_SERVER_TIMEOUT_MS
 
-    def test_legacy_timeout_is_the_constant(self):
-        policy = RetryPolicy.exponential()
-        assert policy.timeout_ms(0) == policy.dead_server_timeout_ms
-        assert policy.timeout_ms(7) == policy.dead_server_timeout_ms
-
-    def test_jitter_mode_validated(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter="half")
+    def test_utilization_timeout_is_the_constant(self):
+        policy = RetryPolicy.utilization_aware()
+        assert policy.timeout_ms(0) == DEAD_SERVER_TIMEOUT_MS
+        assert policy.timeout_ms(7) == DEAD_SERVER_TIMEOUT_MS
 
 
 class TestNetworkFaultState:
@@ -199,11 +191,18 @@ class TestNetworkFaultState:
         assert state.authority_up("auth")
         assert not state.authority_up("auth")
 
-    def test_gray_validation(self):
-        with pytest.raises(ValueError):
-            GrayFailure()  # must degrade something
-        with pytest.raises(ValueError):
-            GrayFailure(latency_multiplier=0.5)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({}, "must degrade something"),
+            ({"latency_multiplier": 0.5}, "latency_multiplier"),
+            ({"latency_multiplier": math.nan}, "latency_multiplier"),
+            ({"latency_multiplier": math.inf}, "latency_multiplier"),
+        ],
+    )
+    def test_gray_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GrayFailure(**kwargs)
 
 
 class TestStaleServing:
@@ -278,17 +277,24 @@ class TestFaultPlan:
         )
         assert [e.at_seconds for e in merged] == [5.0, 10.0, 20.0]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan.partition(("a",), 50.0, 10.0)
-        with pytest.raises(ValueError):
-            FaultPlan.gray(("a",), 0.0)  # degrades nothing
-        with pytest.raises(ValueError):
-            FaultPlan.flash_crowd(("a",), 0.0, 10.0, extra_load=0)
-        with pytest.raises(ValueError):
-            FaultEvent(10.0, FaultEventKind.PARTITION)  # needs server ids
-        with pytest.raises(ValueError):
-            FaultEvent(-1.0, FaultEventKind.AUTHORITY_DOWN)
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FaultPlan.partition(("a",), 50.0, 10.0), "heal after"),
+            (lambda: FaultPlan.gray(("a",), 0.0), "degrade something"),
+            (lambda: FaultPlan.flash_crowd(("a",), 0.0, 10.0, extra_load=0), "extra load"),
+            (lambda: FaultEvent(10.0, FaultEventKind.PARTITION), "need server ids"),
+            (lambda: FaultEvent(-1.0, FaultEventKind.AUTHORITY_DOWN), "at_seconds"),
+            (lambda: FaultEvent(math.nan, FaultEventKind.AUTHORITY_DOWN), "at_seconds"),
+            (lambda: FaultEvent(math.inf, FaultEventKind.AUTHORITY_DOWN), "at_seconds"),
+            (lambda: FaultEvent(0.0, FaultEventKind.GRAY, ("a",), latency_multiplier=0.5), "latency_multiplier"),
+            (lambda: FaultEvent(0.0, FaultEventKind.GRAY, ("a",), latency_multiplier=math.nan), "latency_multiplier"),
+            (lambda: FaultEvent(0.0, FaultEventKind.GRAY, ("a",), latency_multiplier=math.inf), "latency_multiplier"),
+        ],
+    )
+    def test_validation(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestFaultInjector:

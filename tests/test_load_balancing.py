@@ -23,7 +23,7 @@ from repro.dns.records import SrvData
 from repro.geometry.point import LatLng
 from repro.services.failover import FIRST_HEALTHY, WEIGHTED, rfc2782_order
 from repro.services.health import SHARED_HEALTH_TTL_SECONDS, ReplicaHealth, SharedHealthBoard
-from repro.services.retry import RetryPolicy
+from repro.services.retry import DEAD_SERVER_TIMEOUT_MS, RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.queueing import ServiceTimeModel, load_cv
 from repro.workload import CommuterTrace, WorkloadConfig, WorkloadEngine
@@ -180,15 +180,16 @@ class TestSrvEmission:
 class TestSharedHealthBoard:
     def test_entry_expires_after_ttl(self):
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=10.0)
+        board = SharedHealthBoard(clock=clock)
         board.report_failure("r0")
+        clock.advance(SHARED_HEALTH_TTL_SECONDS - 1.0)
         assert board.is_suspect("r0")
-        clock.advance(11.0)
+        clock.advance(2.0)
         assert not board.is_suspect("r0")
 
     def test_recovery_clears_entry_for_whole_pool(self):
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=60.0)
+        board = SharedHealthBoard(clock=clock)
         board.report_failure("r0")
         board.report_recovery("r0")
         assert not board.is_suspect("r0")
@@ -196,12 +197,12 @@ class TestSharedHealthBoard:
 
     def test_epoch_increments_per_outage(self):
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=5.0)
+        board = SharedHealthBoard(clock=clock)
         board.report_failure("r0")
         assert board.epoch("r0") == 1
         board.report_failure("r0")  # same outage: refreshes, same epoch
         assert board.epoch("r0") == 1
-        clock.advance(6.0)
+        clock.advance(SHARED_HEALTH_TTL_SECONDS + 1.0)
         board.report_failure("r0")  # new outage after expiry
         assert board.epoch("r0") == 2
 
@@ -211,8 +212,8 @@ class TestSharedHealthBoard:
         so backpressure never reads as pool-wide death (or pollutes the
         time-to-detect accounting)."""
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=30.0)
-        health = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=board)
+        board = SharedHealthBoard(clock=clock)
+        health = ReplicaHealth(clock=clock, board=board)
         health.record_failure("busy")  # overload shed: dead=False default
         assert not health.is_healthy("busy")  # own demotion holds
         assert not board.is_suspect("busy")  # but no gossip
@@ -224,13 +225,13 @@ class TestSharedHealthBoard:
         reported after the entry already lapsed must not — the entry expired
         on its own and there is nothing left to recover."""
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=10.0)
+        board = SharedHealthBoard(clock=clock)
         board.report_failure("r0")
-        clock.advance(9.9)
+        clock.advance(SHARED_HEALTH_TTL_SECONDS - 0.1)
         board.report_recovery("r0")  # races the expiry, wins
         assert board.recoveries == 1
         board.report_failure("r0")
-        clock.advance(10.1)  # entry lapses silently (nobody consulted it)
+        clock.advance(SHARED_HEALTH_TTL_SECONDS + 0.1)  # entry lapses silently (nobody consulted it)
         board.report_recovery("r0")  # loses the race: no recovery happened
         assert board.recoveries == 1
         assert not board.is_suspect("r0")
@@ -239,7 +240,7 @@ class TestSharedHealthBoard:
         """Epochs only ever grow, through any sequence of outage / recovery /
         expiry cycles — a device can always order two pieces of news."""
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=5.0)
+        board = SharedHealthBoard(clock=clock)
         observed = []
         for cycle in range(4):
             board.report_failure("r0")
@@ -247,7 +248,7 @@ class TestSharedHealthBoard:
             if cycle % 2 == 0:
                 board.report_recovery("r0")  # explicit recovery
             else:
-                clock.advance(6.0)  # silent TTL expiry
+                clock.advance(SHARED_HEALTH_TTL_SECONDS + 1.0)  # silent TTL expiry
                 assert not board.is_suspect("r0")
         assert observed == sorted(observed)
         assert len(set(observed)) == len(observed)
@@ -255,14 +256,14 @@ class TestSharedHealthBoard:
 
     def test_suspected_at_tracks_the_live_entry_only(self):
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=10.0)
+        board = SharedHealthBoard(clock=clock)
         assert board.suspected_at("r0") is None
         board.report_failure("r0")
         assert board.suspected_at("r0") == clock.now()
         clock.advance(4.0)
         board.report_failure("r0")  # renewal re-stamps the entry
         assert board.suspected_at("r0") == clock.now()
-        clock.advance(11.0)
+        clock.advance(SHARED_HEALTH_TTL_SECONDS + 1.0)
         assert board.suspected_at("r0") is None  # lapsed with the entry
 
     def test_shared_health_toggling_mid_run_splits_cleanly(self):
@@ -270,9 +271,9 @@ class TestSharedHealthBoard:
         board; devices built without it neither read nor write it — a
         mid-run mix of both configurations never cross-contaminates."""
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=30.0)
-        gossiping = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=board)
-        solo = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=None)
+        board = SharedHealthBoard(clock=clock)
+        gossiping = ReplicaHealth(clock=clock, board=board)
+        solo = ReplicaHealth(clock=clock, board=None)
         gossiping.record_failure("r0", dead=True)
         assert board.is_suspect("r0")
         # The solo device is deaf to the board...
@@ -286,14 +287,14 @@ class TestSharedHealthBoard:
         solo.record_success("r0")
         assert board.is_suspect("r0")
         # A late joiner attached to the board inherits the pool view.
-        joiner = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=board)
+        joiner = ReplicaHealth(clock=clock, board=board)
         assert not joiner.is_healthy("r0")
 
     def test_member_health_consults_board(self):
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=30.0)
-        reporter = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=board)
-        listener = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=board)
+        board = SharedHealthBoard(clock=clock)
+        reporter = ReplicaHealth(clock=clock, board=board)
+        listener = ReplicaHealth(clock=clock, board=board)
         reporter.record_failure("r0", dead=True)
         # The listener never saw r0 fail, yet holds it unhealthy via gossip.
         assert not listener.is_healthy("r0")
@@ -315,11 +316,11 @@ class TestOwnSuccessOverridesStaleSuspicion:
     keeps trusting its own evidence.
     """
 
-    def _pair(self, ttl=30.0):
+    def _pair(self):
         clock = SimulatedClock()
-        board = SharedHealthBoard(clock=clock, ttl_seconds=ttl)
-        device = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=board)
-        mate = ReplicaHealth(clock=clock, cooldown_seconds=30.0, board=board)
+        board = SharedHealthBoard(clock=clock)
+        device = ReplicaHealth(clock=clock, board=board)
+        mate = ReplicaHealth(clock=clock, board=board)
         return clock, board, device, mate
 
     def test_fresh_success_overrides_equal_or_older_board_entry(self):
@@ -373,7 +374,7 @@ class TestOwnSuccessOverridesStaleSuspicion:
 class TestSharedHealthEndToEnd:
     def build(self, shared: bool) -> tuple[Federation, object]:
         config = FederationConfig(
-            retry_policy=RetryPolicy.exponential(base_delay_ms=5.0, dead_server_timeout_ms=150.0),
+            retry_policy=RetryPolicy.utilization_aware(),
             shared_health=shared,
         )
         federation = Federation(config=config)
@@ -416,7 +417,7 @@ class TestSharedHealthEndToEnd:
         detections = [
             ms for c in shared_clients for ms in c.context.failover.detect_ms
         ]
-        assert sum(detections) / len(detections) < 150.0
+        assert sum(detections) / len(detections) < DEAD_SERVER_TIMEOUT_MS
 
     def test_board_ttl_lets_revived_replica_win_traffic_back(self):
         federation, store = self.build(shared=True)
@@ -511,7 +512,7 @@ class TestCommuterTrace:
         config = FederationConfig(
             registration_ttl_seconds=90.0,
             device_discovery_cache_ttl_seconds=90.0,
-            retry_policy=RetryPolicy.exponential(),
+            retry_policy=RetryPolicy.utilization_aware(),
         )
         scenario = build_scenario(
             store_count=2, city_rows=4, city_cols=4, config=config, seed=21,

@@ -33,7 +33,7 @@ from repro.operator import (
 from repro.operator.errors import UnauthorizedError
 from repro.operator.permissions import ACTION_PERMISSIONS, ALL_PERMISSIONS, CONTROL_WRITE, HEALTH_REPORT
 from repro.services.retry import RetryPolicy
-from repro.simulation.network import GrayFailure
+from repro.simulation.network import OPERATOR_TO_CONTROL_MS, GrayFailure
 from repro.simulation.queueing import ServiceTimeModel
 from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.indoor import generate_store
@@ -379,7 +379,7 @@ class TestNetworkedClient:
         result = client.request("drain", server_id)
         assert result.response.ok
         elapsed_ms = (network.clock.now() - before) * 1000.0
-        assert elapsed_ms == pytest.approx(2.0 * network.latency.operator_to_control_ms)
+        assert elapsed_ms == pytest.approx(2.0 * OPERATOR_TO_CONTROL_MS)
         assert network.stats.messages_by_kind["control.request"] == 1
         assert result.latency_ms == pytest.approx(elapsed_ms)
 

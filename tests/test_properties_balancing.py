@@ -171,7 +171,7 @@ class TestPlanTargetsHealthProperties:
             server_ids, srv_of = random_srv_config(rng)
             group_of = {sid: "grp" for sid in server_ids}
             directory = {sid: object() for sid in server_ids}
-            health = ReplicaHealth(clock=clock, cooldown_seconds=60.0)
+            health = ReplicaHealth(clock=clock)
             sick = {sid for sid in server_ids if rng.random() < 0.4}
             for sid in sick:
                 health.record_failure(sid, dead=rng.random() < 0.5)

@@ -247,11 +247,18 @@ class TestJitteredLatency:
         expected = 50 * 50.0 + network.stats.retransmissions * 50.0
         assert total == pytest.approx(expected)
 
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(jitter_sigma=-0.1)
-        with pytest.raises(ValueError):
-            LatencyModel(loss_probability=1.0)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"jitter_sigma": -0.1}, "jitter_sigma"),
+            ({"jitter_sigma": math.nan}, "jitter_sigma"),
+            ({"jitter_sigma": math.inf}, "jitter_sigma"),
+            ({"loss_probability": 1.0}, "loss probability"),
+        ],
+    )
+    def test_invalid_knobs_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LatencyModel(**kwargs)
 
 
 class TestQueueStatsEdgeCases:

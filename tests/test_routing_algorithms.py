@@ -193,22 +193,28 @@ class TestAlgorithmsAgreeOnRandomGraphs:
     with one-way streets and disconnected pieces they must agree on the
     optimal cost and on which pairs have no route at all.  The plain
     searches must also return a walkable path of that cost; the
-    contraction hierarchy is held to its cost here, since its shortcut
+    contraction hierarchy is held to its cost in the first test and to the
+    walkable path only in the strict ``xfail`` below, since its shortcut
     expansion can still emit a hop that is not an edge of the graph."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    SEEDS = (1, 2, 3, 4, 5, 6)
+
+    @staticmethod
+    def _queries(graph: RoutingGraph, seed: int, count: int = 40):
+        rng = random.Random(seed + 100)
+        for _ in range(count):
+            yield rng.randrange(graph.vertex_count), rng.randrange(graph.vertex_count)
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_costs_and_unreachable_pairs_agree(self, seed: int):
         graph = _random_street_graph(seed)
         hierarchy = build_contraction_hierarchy(graph)
-        rng = random.Random(seed + 100)
         searches = {
             "astar": lambda s, t: astar(graph, s, t),
             "bidirectional": lambda s, t: bidirectional_dijkstra(graph, s, t),
         }
         unreachable = 0
-        for _ in range(40):
-            source = rng.randrange(graph.vertex_count)
-            target = rng.randrange(graph.vertex_count)
+        for source, target in self._queries(graph, seed):
             try:
                 expected = dijkstra(graph, source, target)
             except NoRouteError:
@@ -228,6 +234,34 @@ class TestAlgorithmsAgreeOnRandomGraphs:
                 )
                 assert walked == pytest.approx(expected.cost, rel=1e-9), name
         assert unreachable < 40
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 15: ContractionHierarchy._expand_path looks downward shortcuts up "
+        "the wrong way round and leaves them unexpanded; routed queries with a hop that is not "
+        "a graph edge, seeds 1-6: 19/39, 12/34, 23/40, 13/35, 8/39, 10/36",
+    )
+    def test_hierarchy_paths_are_walkable(self):
+        jumps = dict.fromkeys(self.SEEDS, 0)
+        for seed in self.SEEDS:
+            graph = _random_street_graph(seed)
+            hierarchy = build_contraction_hierarchy(graph)
+            for source, target in self._queries(graph, seed):
+                try:
+                    expected = dijkstra(graph, source, target)
+                except NoRouteError:
+                    continue
+                route = hierarchy.query(source, target)
+                hops = [
+                    [e.length_meters for e in graph.out_edges(a) if e.target == b]
+                    for a, b in zip(route.vertices, route.vertices[1:])
+                ]
+                if not all(hops):
+                    jumps[seed] += 1
+                    continue
+                assert route.vertices[0] == source and route.vertices[-1] == target
+                assert sum(min(hop) for hop in hops) == pytest.approx(expected.cost, rel=1e-9)
+        assert jumps == dict.fromkeys(self.SEEDS, 0)
 
     def test_route_endpoints_and_emptiness(self, grid: RoutingGraph):
         route = dijkstra(grid, 2, 20)

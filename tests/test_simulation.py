@@ -27,7 +27,7 @@ from repro.services.tiles import FederatedViewport
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache, LruStats, answer_memo
 from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
-from repro.simulation.network import LatencyModel, SimulatedNetwork
+from repro.simulation.network import CLIENT_TO_RESOLVER_MS, SimulatedNetwork
 from repro.simulation.queueing import load_cv
 from repro.simulation.tape import Tape, TapeCursor
 from repro.spatialindex.cellid import CellId
@@ -97,10 +97,10 @@ class TestClock:
 
 class TestNetwork:
     def test_round_trip_charges_twice_one_way(self):
-        network = SimulatedNetwork(latency=LatencyModel(client_to_resolver_ms=2.0))
+        network = SimulatedNetwork()
         latency = network.client_resolver_exchange()
-        assert latency == pytest.approx(4.0)
-        assert network.clock.now() == pytest.approx(0.004)
+        assert latency == 2.0 * CLIENT_TO_RESOLVER_MS
+        assert network.clock.now() == pytest.approx(0.002)
         assert network.stats.messages_sent == 1
 
     def test_message_kinds_tracked(self):
