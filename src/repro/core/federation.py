@@ -25,7 +25,7 @@ from repro.dns.resolver import RecursiveResolver, StubResolver
 from repro.dns.server import NameServer
 from repro.dns.zone import Zone
 from repro.geometry.polygon import Polygon
-from repro.mapserver.auth import Credential
+from repro.mapserver.auth import ANONYMOUS, Credential
 from repro.mapserver.policy import AccessPolicy
 from repro.mapserver.server import MapServer
 from repro.osm.mapdata import MapData
@@ -569,6 +569,7 @@ class Federation:
             discoverer=discoverer,
             directory=self.servers,
             network=self.network,
+            credential=credential if credential is not None else ANONYMOUS,
             retry_policy=retry_policy,
             group_of=self._group_of,
             health=health,
@@ -591,8 +592,6 @@ class Federation:
             ),
         )
         self._context_counter += 1
-        if credential is not None:
-            context.credential = credential
         return context
 
     def client(

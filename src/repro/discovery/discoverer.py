@@ -130,6 +130,9 @@ class DiscoveryResult:
     dns_lookups: int
     coalesced_lookups: int = 0
     """DNS lookups avoided because an identical query was already in flight."""
+    stale_cells: int = 0
+    """Cells answered from an expired device-cache entry because live
+    resolution failed: a request that saw any was served degraded."""
 
     def __contains__(self, server_id: str) -> bool:
         return server_id in self.server_ids
@@ -183,8 +186,8 @@ class Discoverer:
         )
         self.stale_serves: int = 0
         """Cells answered from an expired cache entry because live
-        resolution failed — the degraded-service counter the workload
-        engine reads to tell degraded requests from healthy ones."""
+        resolution failed, over this device's lifetime: the sum of every
+        result's ``stale_cells`` (the run reports it as ``stale_serves``)."""
         self.srv_view: dict[str, tuple[int, int]] = {}
         """Per-server ``(priority, weight)`` as this device last decoded it
         from an actual discovery answer.  Updated only on fresh name
@@ -256,6 +259,7 @@ class Discoverer:
         cell_results: dict[str, tuple[str, ...]] = {}
         lookups = 0
         coalesced = 0
+        stale_cells = 0
         network = self.resolver.network
         clock = network.clock
         exchange = network.round_trip
@@ -324,7 +328,7 @@ class Discoverer:
                         stale = self.cache.get_stale(token)
                         if stale is not None:
                             cell_servers = stale
-                            self.stale_serves += 1
+                            stale_cells += 1
                 cell_results[token] = cell_servers
 
             for server_id in cell_servers:
@@ -332,7 +336,8 @@ class Discoverer:
                     seen.add(server_id)
                     servers.append(server_id)
 
-        return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced)
+        self.stale_serves += stale_cells
+        return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced, stale_cells)
 
     def _walk_from_plan(self, cells: list[CellId]) -> DiscoveryResult:
         """The walk with the device cache off: the same names, exchanges and

@@ -1,6 +1,6 @@
 """Federated client-side location-based services (Section 5.2 of the paper)."""
 
-from repro.services.context import FederationContext, UnknownServerError
+from repro.services.context import FederationContext, RequestOutcome
 from repro.services.geocode import (
     FederatedGeocodeResult,
     FederatedGeocoder,
@@ -29,5 +29,5 @@ __all__ = [
     "FederatedTileClient",
     "FederatedViewport",
     "FederationContext",
-    "UnknownServerError",
+    "RequestOutcome",
 ]

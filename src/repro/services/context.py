@@ -11,24 +11,25 @@ machinery: the federation's replica-group membership map, the configured
 :class:`~repro.services.retry.RetryPolicy`, a per-device
 :class:`~repro.services.health.ReplicaHealth` tracker and a per-device
 :class:`~repro.services.failover.FailoverRecorder`.  Services address *logical
-targets* (:meth:`targets`) and execute requests through :meth:`request`,
-which fails over between replicas; with no retry policy configured both
-collapse to the historical skip-on-failure behaviour with identical message
-counts.
+targets* (:meth:`targets`) and execute requests through :meth:`fan_out`,
+the one loop over a request's targets, which fails over between replicas;
+with no retry policy configured both collapse to the historical
+skip-on-failure behaviour with identical message counts.  Each service
+returns a :class:`RequestOutcome` with its result, so no caller has to infer
+how a request was served from shared counters.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from repro.discovery.discoverer import Discoverer, DiscoveryResult
 from repro.geometry.point import LatLng
-from repro.mapserver.auth import ANONYMOUS, Credential
+from repro.mapserver.auth import Credential
 from repro.mapserver.server import MapServer
 from repro.services.failover import (
-    FIRST_HEALTHY,
     FailoverRecorder,
     RequestTarget,
     TargetUnavailableError,
@@ -42,8 +43,24 @@ from repro.simulation.network import SimulatedNetwork
 T = TypeVar("T")
 
 
-class UnknownServerError(KeyError):
-    """Raised when discovery returns a server id the directory cannot reach."""
+@dataclass(frozen=True, slots=True)
+class RequestOutcome:
+    """How one federated request was served, as the service saw it.
+
+    ``served`` is false exactly when some target's replica chain was
+    exhausted and no target answered: the user got nothing although
+    servers were found.  ``degraded`` is true when the request's discovery
+    answered a cell from a stale cache entry because live resolution failed.
+    Both can hold at once — a stale view that names only dead replicas.
+    """
+
+    served: bool
+    degraded: bool
+
+    @classmethod
+    def of(cls, served: bool, discovery: DiscoveryResult | None) -> "RequestOutcome":
+        """The outcome of a fan-out after ``discovery`` (``None``: none ran)."""
+        return cls(served, discovery is not None and discovery.stale_cells > 0)
 
 
 @dataclass
@@ -51,51 +68,26 @@ class FederationContext:
     """Everything a federated client-side service needs to operate."""
 
     discoverer: Discoverer
-    directory: dict[str, MapServer] = field(default_factory=dict)
-    network: SimulatedNetwork = field(default_factory=SimulatedNetwork)
-    credential: Credential = ANONYMOUS
-    retry_policy: RetryPolicy | None = None
-    group_of: Mapping[str, str] = field(default_factory=dict)
-    health: ReplicaHealth | None = None
-    failover: FailoverRecorder = field(default_factory=FailoverRecorder)
-    replica_selection: str = FIRST_HEALTHY
-    """How replica chains are ordered (see :mod:`repro.services.failover`);
-    the federation injects its configured mode — the bare-context default
-    keeps the legacy first-healthy ordering."""
-    srv_of: Mapping[str, tuple[int, int]] = field(default_factory=dict)
+    directory: dict[str, MapServer]
+    network: SimulatedNetwork
+    credential: Credential
+    retry_policy: RetryPolicy | None
+    group_of: Mapping[str, str]
+    health: ReplicaHealth | None
+    failover: FailoverRecorder
+    replica_selection: str
+    """How replica chains are ordered (see :mod:`repro.services.failover`)."""
+    srv_of: Mapping[str, tuple[int, int]]
     """Per-server (priority, weight) for RFC 2782 weighted selection."""
-    selection_rng: random.Random | None = None
+    selection_rng: random.Random
     """This device's seeded weighted-selection RNG stream."""
-    backoff_rng: random.Random | None = None
+    backoff_rng: random.Random
     """This device's seeded retry-backoff jitter stream, consulted only by
     full-jitter retry policies (no draws otherwise — byte-identity safe)."""
 
     # ------------------------------------------------------------------
-    # Directory
-    # ------------------------------------------------------------------
-    def server(self, server_id: str) -> MapServer:
-        """Resolve a discovered server id to a reachable map server."""
-        try:
-            return self.directory[server_id]
-        except KeyError:
-            raise UnknownServerError(server_id) from None
-
-    def servers(self, server_ids: tuple[str, ...] | list[str]) -> list[MapServer]:
-        """Resolve several ids, skipping any that are not reachable."""
-        found = []
-        for server_id in server_ids:
-            server = self.directory.get(server_id)
-            if server is not None:
-                found.append(server)
-        return found
-
-    # ------------------------------------------------------------------
     # Logical targets and failover execution
     # ------------------------------------------------------------------
-    @property
-    def failover_enabled(self) -> bool:
-        return self.retry_policy is not None
-
     def targets(self, server_ids: Sequence[str]) -> list[RequestTarget]:
         """Collapse discovered ids into logical request targets.
 
@@ -109,7 +101,7 @@ class FederationContext:
             directory=self.directory,
             group_of=self.group_of,
             health=self.health,
-            include_dead=self.failover_enabled,
+            include_dead=self.retry_policy is not None,
             selection=self.replica_selection,
             srv_of=self.srv_of,
             rng=self.selection_rng,
@@ -125,21 +117,43 @@ class FederationContext:
         """Execute ``operation`` against ``target`` with replica failover.
 
         Raises :class:`~repro.services.failover.TargetUnavailableError` when
-        the whole chain fails (callers usually skip the target, exactly as
-        they always skipped one failed server).  ``charge_exchange=False``
-        leaves the per-message accounting to the operation itself (the tile
-        service charges per tile, not per server).
+        the whole chain fails.  ``charge_exchange=False`` leaves the
+        per-message accounting to the operation itself (the tile service
+        charges per tile, not per server).
         """
-        network = self.network if charge_exchange else _NoExchangeNetwork(self.network)
         return execute_with_failover(
             target,
             operation,
-            network=network,
+            network=self.network,
             policy=self.retry_policy,
             health=self.health,
             recorder=self.failover,
             rng=self.backoff_rng,
+            charge_exchange=charge_exchange,
         )
+
+    def fan_out(
+        self,
+        targets: Sequence[RequestTarget],
+        operation: Callable[[MapServer], T],
+        charge_exchange: bool = True,
+    ) -> tuple[list[T], bool]:
+        """Request ``operation`` from every target, in order.
+
+        Returns the answers of the targets that answered, in target order,
+        and whether the fan-out served: false exactly when some chain was
+        exhausted and none answered.  A target whose chain fails is skipped;
+        a policy-denied chain counts as neither answered nor exhausted.
+        """
+        answers: list[T] = []
+        exhausted = 0
+        for target in targets:
+            try:
+                answers.append(self.request(target, operation, charge_exchange))
+            except TargetUnavailableError as error:
+                if not error.denied:
+                    exhausted += 1
+        return answers, bool(answers) or not exhausted
 
     # ------------------------------------------------------------------
     # Discovery helpers (charged against the network)
@@ -155,41 +169,9 @@ class FederationContext:
         self.network.client_map_server_exchange()
 
 
-class _NoExchangeNetwork:
-    """Network view whose per-attempt exchange charge is a no-op.
-
-    Timeouts, backoff and the clock still hit the real network; only the
-    one-exchange-per-attempt charge is suppressed, for operations that
-    account their own messages.
-    """
-
-    __slots__ = ("_network",)
-
-    def __init__(self, network: SimulatedNetwork) -> None:
-        self._network = network
-
-    @property
-    def clock(self):
-        return self._network.clock
-
-    def client_map_server_exchange(
-        self, server_id: str | None = None, fail_on_exhaustion: bool = False
-    ) -> float:
-        return 0.0
-
-    def server_reachable(self, server_id: str) -> bool:
-        return self._network.server_reachable(server_id)
-
-    def client_backoff(self, delay_ms: float) -> float:
-        return self._network.client_backoff(delay_ms)
-
-    def dead_server_timeout(self, timeout_ms: float) -> float:
-        return self._network.dead_server_timeout(timeout_ms)
-
-
 __all__ = [
     "FederationContext",
+    "RequestOutcome",
     "RequestTarget",
     "TargetUnavailableError",
-    "UnknownServerError",
 ]

@@ -80,6 +80,12 @@ class RequestTarget:
     def candidate_ids(self) -> tuple[str, ...]:
         return tuple(server_id for server_id, _ in self.candidates)
 
+    @property
+    def first_live(self) -> "MapServer | None":
+        """The first reachable candidate: replicas serve the same map, so
+        any live one stands for the whole group (``None`` if none is)."""
+        return next((server for _, server in self.candidates if server is not None), None)
+
 
 @dataclass
 class FailoverRecorder:
@@ -87,7 +93,6 @@ class FailoverRecorder:
 
     chains: int = 0
     """Logical target chains executed (one per target per request fan-out)."""
-    chains_ok: int = 0
     chains_failed: int = 0
     """Chains that exhausted every candidate (the availability failures)."""
     chains_denied: int = 0
@@ -129,7 +134,6 @@ class FailoverRecorder:
 
     def merge_from(self, other: "FailoverRecorder") -> None:
         self.chains += other.chains
-        self.chains_ok += other.chains_ok
         self.chains_failed += other.chains_failed
         self.chains_denied += other.chains_denied
         self.attempts += other.attempts
@@ -206,8 +210,8 @@ def plan_targets(
     candidates first, then known-unhealthy ones healthiest-first);
     :data:`FIRST_HEALTHY` keeps the legacy health sort.  Dead ids (absent
     from ``directory``) are kept as ``(id, None)`` candidates only when
-    ``include_dead`` is set — the legacy path drops them silently, exactly
-    as :meth:`FederationContext.servers` always has.
+    ``include_dead`` is set — with no retry policy there is no chain to
+    time out on, so an unreachable id is dropped silently.
 
     Planning is also where pool gossip pays off: with a ``recorder`` given,
     every candidate the device's health view first flags off the shared
@@ -277,6 +281,7 @@ def execute_with_failover(
     health: ReplicaHealth | None,
     recorder: FailoverRecorder,
     rng: random.Random | None = None,
+    charge_exchange: bool = True,
 ) -> T:
     """Run ``operation`` against ``target`` with replica failover.
 
@@ -286,7 +291,9 @@ def execute_with_failover(
     asks for them), and raises :class:`TargetUnavailableError` once the
     chain is exhausted.  With ``policy=None`` the chain is a single attempt
     — the legacy skip-on-failure behaviour, byte-identical in message
-    counts.
+    counts.  ``charge_exchange=False`` skips the per-attempt exchange for
+    operations that charge their own messages (the tile client charges one
+    per tile); timeouts and backoff are charged either way.
     """
     recorder.chains += 1
     clock = network.clock
@@ -332,9 +339,10 @@ def execute_with_failover(
             continue
 
         try:
-            network.client_map_server_exchange(
-                server_id=server_id, fail_on_exhaustion=policy is not None
-            )
+            if charge_exchange:
+                network.client_map_server_exchange(
+                    server_id=server_id, fail_on_exhaustion=policy is not None
+                )
         except NetworkTimeoutError:
             # The exchange burned its whole retransmit budget (loss burst /
             # gray failure) and was abandoned.  Flaky, not proven dead: the
@@ -363,7 +371,6 @@ def execute_with_failover(
                 first_failure_at = clock.now()
             continue
 
-        recorder.chains_ok += 1
         if health is not None:
             health.record_success(server_id)
         if failed > 0 and first_failure_at is not None:

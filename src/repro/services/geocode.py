@@ -18,8 +18,7 @@ from repro.geometry.point import LatLng
 from repro.mapserver.geocode import Address, GeocodeResult, ReverseGeocodeResult
 from repro.mapserver.policy import AccessDenied
 from repro.mapserver.server import MapServer
-from repro.services.context import FederationContext
-from repro.services.failover import TargetUnavailableError
+from repro.services.context import FederationContext, RequestOutcome
 from repro.simulation.queueing import ServerOverloadedError
 
 GEOCODE_DISCOVERY_RADIUS_METERS = 300.0
@@ -36,6 +35,7 @@ class FederatedGeocodeResult:
     coarse_location: LatLng | None
     servers_consulted: int
     dns_lookups: int
+    outcome: RequestOutcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +46,7 @@ class FederatedReverseGeocodeResult:
     candidates: tuple[ReverseGeocodeResult, ...]
     servers_consulted: int
     dns_lookups: int
+    outcome: RequestOutcome
 
 
 @dataclass
@@ -63,24 +64,19 @@ class FederatedGeocoder:
         """Resolve a textual address to precise candidates across the federation."""
         self.queries += 1
         coarse = self._coarse_location(address)
-        dns_lookups = 0
+        discovery = None
         candidates: list[GeocodeResult] = []
         servers_consulted = 0
+        served = True
 
         if coarse is not None:
             discovery = self.context.discover_at(coarse, GEOCODE_DISCOVERY_RADIUS_METERS)
-            dns_lookups = discovery.dns_lookups
-            for target in self.context.targets(discovery.server_ids):
-                servers_consulted += 1
-                try:
-                    candidates.extend(
-                        self.context.request(
-                            target,
-                            lambda server: server.geocode(address, self.context.credential, limit),
-                        )
-                    )
-                except TargetUnavailableError:
-                    continue
+            targets = self.context.targets(discovery.server_ids)
+            answers, served = self.context.fan_out(
+                targets, lambda server: server.geocode(address, self.context.credential, limit)
+            )
+            candidates = [result for results in answers for result in results]
+            servers_consulted = len(targets)
 
         # Fall back to (or augment with) the world provider's own answers.
         if self.world_provider is not None:
@@ -101,7 +97,8 @@ class FederatedGeocoder:
             candidates=tuple(deduped[:limit]),
             coarse_location=coarse,
             servers_consulted=servers_consulted,
-            dns_lookups=dns_lookups,
+            dns_lookups=discovery.dns_lookups if discovery is not None else 0,
+            outcome=RequestOutcome.of(served, discovery),
         )
 
     # ------------------------------------------------------------------
@@ -113,21 +110,15 @@ class FederatedGeocoder:
         """Snap a location to the most precise node any discovered map offers."""
         self.queries += 1
         discovery = self.context.discover_at(location, max_distance_meters)
-        candidates: list[ReverseGeocodeResult] = []
-        servers_consulted = 0
-        for target in self.context.targets(discovery.server_ids):
-            servers_consulted += 1
-            try:
-                result = self.context.request(
-                    target,
-                    lambda server: server.reverse_geocode(
-                        location, self.context.credential, max_distance_meters
-                    ),
-                )
-            except TargetUnavailableError:
-                continue
-            if result is not None:
-                candidates.append(result)
+        targets = self.context.targets(discovery.server_ids)
+        answers, served = self.context.fan_out(
+            targets,
+            lambda server: server.reverse_geocode(
+                location, self.context.credential, max_distance_meters
+            ),
+        )
+        candidates = [result for result in answers if result is not None]
+        servers_consulted = len(targets)
         if self.world_provider is not None:
             self.context.charge_map_server_request()
             servers_consulted += 1
@@ -146,6 +137,7 @@ class FederatedGeocoder:
             candidates=tuple(candidates),
             servers_consulted=servers_consulted,
             dns_lookups=discovery.dns_lookups,
+            outcome=RequestOutcome.of(served, discovery),
         )
 
     # ------------------------------------------------------------------

@@ -14,8 +14,7 @@ from repro.geometry.point import LatLng
 from repro.localization.cues import CueBundle, LocalizationResult
 from repro.localization.fusion import LocalizationSelector, ScoredResult
 from repro.localization.imu import DeadReckoningTracker
-from repro.services.context import FederationContext
-from repro.services.failover import TargetUnavailableError
+from repro.services.context import FederationContext, RequestOutcome
 
 LOCALIZE_DISCOVERY_UNCERTAINTY_METERS = 150.0
 """The uncertainty of the coarse (GPS-grade) fix discovery searches
@@ -29,8 +28,8 @@ class FederatedLocalizationResult:
     best: ScoredResult | None
     candidates: tuple[ScoredResult, ...]
     servers_consulted: int
-    servers_answering: int
     dns_lookups: int
+    outcome: RequestOutcome
 
     @property
     def location(self) -> LatLng | None:
@@ -65,28 +64,20 @@ class FederatedLocalizer:
         discovery = self.context.discover_at(coarse_location, LOCALIZE_DISCOVERY_UNCERTAINTY_METERS)
 
         available = cues.available_types()
-        candidates: list[LocalizationResult] = []
-        servers_consulted = 0
-        servers_answering = 0
-
-        for target in self.context.targets(discovery.server_ids):
-            # Replicas serve the same map, so any live one tells us whether
-            # the group can consume our cues; skip the request if not.  A
-            # target with no live replica cannot be pre-filtered — the
-            # device only finds out by paying the timeout.
-            live = next((server for _, server in target.candidates if server is not None), None)
-            if live is not None and not (live.advertised_localization_technologies() & available):
-                continue
-            servers_consulted += 1
-            try:
-                results = self.context.request(
-                    target, lambda server: server.localize(cues, self.context.credential)
-                )
-            except TargetUnavailableError:
-                continue
-            if results:
-                servers_answering += 1
-                candidates.extend(results)
+        # Replicas serve the same map, so any live one tells us whether the
+        # group can consume our cues; skip the request if not.  A target with
+        # no live replica cannot be pre-filtered — the device only finds out
+        # by paying the timeout.
+        targets = [
+            target
+            for target in self.context.targets(discovery.server_ids)
+            if (live := target.first_live) is None
+            or live.advertised_localization_technologies() & available
+        ]
+        answers, served = self.context.fan_out(
+            targets, lambda server: server.localize(cues, self.context.credential)
+        )
+        candidates: list[LocalizationResult] = [result for results in answers for result in results]
 
         # The coarse (GNSS-like) fix is always a candidate of last resort, so
         # the outdoor case degrades gracefully to plain GPS behaviour.
@@ -106,7 +97,7 @@ class FederatedLocalizer:
         return FederatedLocalizationResult(
             best=best,
             candidates=tuple(ranked),
-            servers_consulted=servers_consulted,
-            servers_answering=servers_answering,
+            servers_consulted=len(targets),
             dns_lookups=discovery.dns_lookups,
+            outcome=RequestOutcome.of(served, discovery),
         )

@@ -23,8 +23,7 @@ from repro.routing.stitching import (
     StitchedRoute,
     StitchError,
 )
-from repro.services.context import FederationContext
-from repro.services.failover import RequestTarget, TargetUnavailableError
+from repro.services.context import FederationContext, RequestOutcome
 
 ROUTE_STITCH_MAX_GAP_METERS = 250.0
 """How far apart two legs' endpoints may be for a federated route to join
@@ -42,7 +41,14 @@ def _entrances_of(map_data: MapData) -> tuple[LatLng, ...]:
 
 
 class FederatedRoutingError(Exception):
-    """Raised when no combination of discovered servers can serve the route."""
+    """Raised when no combination of discovered servers can serve the route.
+
+    ``outcome`` says how the failed request was served:
+    :meth:`FederatedRouter.route` attaches it to every error it raises."""
+
+    def __init__(self, message: str, outcome: RequestOutcome | None = None) -> None:
+        super().__init__(message)
+        self.outcome = outcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +59,7 @@ class FederatedRouteResult:
     servers_consulted: int
     legs_used: int
     dns_lookups: int
+    outcome: RequestOutcome
 
     @property
     def length_meters(self) -> float:
@@ -89,39 +96,16 @@ class FederatedRouter:
         discovery = self.context.discover_along(probe_points, ROUTE_CORRIDOR_METERS)
         targets = self.context.targets(discovery.server_ids)
         if not targets:
-            raise FederatedRoutingError("discovery found no map servers along the route")
+            raise FederatedRoutingError(
+                "discovery found no map servers along the route",
+                RequestOutcome.of(True, discovery),
+            )
 
-        legs, servers_consulted = self._collect_legs(targets, origin, destination, metric)
-        if not legs:
-            raise FederatedRoutingError("no discovered map server could compute a route leg")
-
-        stitched = self._stitch_best(origin, destination, legs)
-        return FederatedRouteResult(
-            route=stitched,
-            servers_consulted=servers_consulted,
-            legs_used=len(stitched.legs),
-            dns_lookups=discovery.dns_lookups,
-        )
-
-    # ------------------------------------------------------------------
-    # Leg collection
-    # ------------------------------------------------------------------
-    def _collect_legs(
-        self,
-        targets: list[RequestTarget],
-        origin: LatLng,
-        destination: LatLng,
-        metric: str,
-    ) -> tuple[list[RouteLeg], int]:
-        """Ask every relevant target for the part of the route it can serve.
-
-        Each server routes between the origin/destination clamped to its own
-        coverage (clamping happens per replica, inside the failover chain);
-        servers covering neither endpoint nor anything in between return
-        nothing useful and are dropped.
-        """
-
-        def route_leg(server: MapServer):
+        def route_leg(server: MapServer) -> RouteLeg | None:
+            # Each server routes between the origin/destination clamped to its
+            # own coverage (clamping happens per replica, inside the failover
+            # chain); one covering neither endpoint nor anything in between
+            # returns nothing useful and is dropped.
             leg_origin = self._clamp_to_coverage(server, origin)
             leg_destination = self._clamp_to_coverage(server, destination)
             response = server.route(leg_origin, leg_destination, self.context.credential, metric)
@@ -129,17 +113,23 @@ class FederatedRouter:
                 return None
             return response.as_leg(server.server_id)
 
-        legs: list[RouteLeg] = []
-        consulted = 0
-        for target in targets:
-            consulted += 1
-            try:
-                leg = self.context.request(target, route_leg)
-            except TargetUnavailableError:
-                continue
-            if leg is not None:
-                legs.append(leg)
-        return legs, consulted
+        answers, served = self.context.fan_out(targets, route_leg)
+        outcome = RequestOutcome.of(served, discovery)
+        legs = [leg for leg in answers if leg is not None]
+        if not legs:
+            raise FederatedRoutingError("no discovered map server could compute a route leg", outcome)
+        try:
+            stitched = self._stitch_best(origin, destination, legs)
+        except FederatedRoutingError as error:
+            error.outcome = outcome
+            raise
+        return FederatedRouteResult(
+            route=stitched,
+            servers_consulted=len(targets),
+            legs_used=len(stitched.legs),
+            dns_lookups=discovery.dns_lookups,
+            outcome=outcome,
+        )
 
     @staticmethod
     def _clamp_to_coverage(server: MapServer, point: LatLng) -> LatLng:

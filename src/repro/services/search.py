@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.geometry.point import LatLng
 from repro.mapserver.search import SearchResult
-from repro.services.context import FederationContext
-from repro.services.failover import TargetUnavailableError
+from repro.services.context import FederationContext, RequestOutcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,6 +25,7 @@ class FederatedSearchResult:
     servers_consulted: int
     servers_with_results: int
     dns_lookups: int
+    outcome: RequestOutcome
 
     def __len__(self) -> int:
         return len(self.results)
@@ -48,35 +48,25 @@ class FederatedSearch:
         """Search for ``query`` around ``near`` across every discovered server."""
         self.queries += 1
         discovery = self.context.discover_at(near, radius_meters)
-
-        all_results: list[SearchResult] = []
-        servers_consulted = 0
-        servers_with_results = 0
-        for target in self.context.targets(discovery.server_ids):
-            servers_consulted += 1
-            try:
-                results = self.context.request(
-                    target,
-                    lambda server: server.search(
-                        query,
-                        near=near,
-                        radius_meters=radius_meters,
-                        credential=self.context.credential,
-                        limit=limit,
-                    ),
-                )
-            except TargetUnavailableError:
-                continue
-            if results:
-                servers_with_results += 1
-                all_results.extend(results)
-
-        ranked = self._rank(all_results)
+        targets = self.context.targets(discovery.server_ids)
+        answers, served = self.context.fan_out(
+            targets,
+            lambda server: server.search(
+                query,
+                near=near,
+                radius_meters=radius_meters,
+                credential=self.context.credential,
+                limit=limit,
+            ),
+        )
+        answers = [results for results in answers if results]
+        ranked = self._rank([result for results in answers for result in results])
         return FederatedSearchResult(
             results=tuple(ranked[:limit]),
-            servers_consulted=servers_consulted,
-            servers_with_results=servers_with_results,
+            servers_consulted=len(targets),
+            servers_with_results=len(answers),
             dns_lookups=discovery.dns_lookups,
+            outcome=RequestOutcome.of(served, discovery),
         )
 
     @staticmethod

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from repro.geometry.bbox import BoundingBox
 from repro.mapserver.policy import ServiceName
 from repro.osm.mapdata import MapData
-from repro.services.context import FederationContext
-from repro.services.failover import TargetUnavailableError
+from repro.services.context import FederationContext, RequestOutcome
+from repro.services.failover import RequestTarget
 from repro.simulation.metrics import float_sum
 from repro.tiles.cache import TileCache
 from repro.tiles.renderer import Tile
@@ -29,6 +29,7 @@ class FederatedViewport:
     servers_consulted: int
     tiles_downloaded: int
     dns_lookups: int
+    outcome: RequestOutcome
     tiles_from_cache: int = 0
 
     @property
@@ -45,12 +46,10 @@ def _padded_box_of(map_data: MapData) -> BoundingBox:
     return map_data.bounding_box().expanded(20.0)
 
 
-def _target_coverage_area(target) -> float:
+def _target_coverage_area(target: RequestTarget) -> float:
     """Coverage area of a target's first live replica (0.0 if none)."""
-    for _, server in target.candidates:
-        if server is not None:
-            return server.coverage.area_square_meters()
-    return 0.0
+    live = target.first_live
+    return live.coverage.area_square_meters() if live is not None else 0.0
 
 
 @dataclass
@@ -79,7 +78,6 @@ class FederatedTileClient:
 
         coordinates = tiles_for_box(viewport, zoom)
         tiles_by_coordinate: dict[TileCoordinate, list[Tile]] = {c: [] for c in coordinates}
-        servers_consulted = 0
         tiles_downloaded = 0
         tiles_from_cache = 0
         relevant_by_server: dict[str, list[TileCoordinate]] = {}
@@ -93,51 +91,50 @@ class FederatedTileClient:
                 relevant_by_server[server.server_id] = relevant
             return relevant
 
-        for target in targets:
-            live = next((server for _, server in target.candidates if server is not None), None)
-            if live is not None and not relevant_to(live):
-                continue
-            servers_consulted += 1
-            # A failover retry must not re-download what an earlier replica
-            # already served before it keeled over.
-            done: set[TileCoordinate] = set()
+        # A target whose live replica's map touches no tile is not asked; one
+        # with no live replica is (the device only learns that by timing out).
+        targets = [
+            target
+            for target in targets
+            if (live := target.first_live) is None or relevant_to(live)
+        ]
+        # A failover retry must not re-download what an earlier replica of
+        # the same target already served before it keeled over.  Replicas of
+        # a group share its target key.
+        done: set[tuple[str, TileCoordinate]] = set()
+        group_of = self.context.group_of
 
-            def fetch_viewport(server) -> int:
-                # Cached tiles must not outlive the server's access policy: a
-                # credential that has since been denied re-fetches (and fails)
-                # rather than being served from its own cache.
-                use_cache = self.cache is not None and server.policy.allows(
-                    ServiceName.TILES, self.context.credential
-                )
-                fetched = 0
-                nonlocal tiles_downloaded, tiles_from_cache
-                for coordinate in relevant_to(server):
-                    if coordinate in done:
+        def fetch_viewport(server) -> None:
+            # Cached tiles must not outlive the server's access policy: a
+            # credential that has since been denied re-fetches (and fails)
+            # rather than being served from its own cache.
+            use_cache = self.cache is not None and server.policy.allows(
+                ServiceName.TILES, self.context.credential
+            )
+            nonlocal tiles_downloaded, tiles_from_cache
+            key = group_of.get(server.server_id, server.server_id)
+            for coordinate in relevant_to(server):
+                if (key, coordinate) in done:
+                    continue
+                if use_cache:
+                    cached = self.cache.get(server.server_id, coordinate)
+                    if cached is not None:
+                        tiles_by_coordinate[coordinate].append(cached)
+                        tiles_from_cache += 1
+                        done.add((key, coordinate))
                         continue
-                    if use_cache:
-                        cached = self.cache.get(server.server_id, coordinate)
-                        if cached is not None:
-                            tiles_by_coordinate[coordinate].append(cached)
-                            tiles_from_cache += 1
-                            done.add(coordinate)
-                            continue
-                    self.context.charge_map_server_request()
-                    tile = server.get_tile(coordinate, self.context.credential)
-                    if self.cache is not None:
-                        self.cache.put(server.server_id, coordinate, tile)
-                    tiles_by_coordinate[coordinate].append(tile)
-                    tiles_downloaded += 1
-                    done.add(coordinate)
-                    fetched += 1
-                return fetched
+                self.context.charge_map_server_request()
+                tile = server.get_tile(coordinate, self.context.credential)
+                if self.cache is not None:
+                    self.cache.put(server.server_id, coordinate, tile)
+                tiles_by_coordinate[coordinate].append(tile)
+                tiles_downloaded += 1
+                done.add((key, coordinate))
 
-            try:
-                self.context.request(target, fetch_viewport, charge_exchange=False)
-            except TargetUnavailableError:
-                # Tiles fetched before the chain died are kept (the old
-                # behaviour on an overloaded server was the same partial
-                # viewport); the stitcher composites what arrived.
-                continue
+        # Tiles fetched before a chain died are kept (the old behaviour on an
+        # overloaded server was the same partial viewport); the stitcher
+        # composites what arrived.
+        _, served = self.context.fan_out(targets, fetch_viewport, charge_exchange=False)
 
         composites = {
             coordinate: self.stitcher.stitch(tiles)
@@ -146,8 +143,9 @@ class FederatedTileClient:
         }
         return FederatedViewport(
             composites=composites,
-            servers_consulted=servers_consulted,
+            servers_consulted=len(targets),
             tiles_downloaded=tiles_downloaded,
             dns_lookups=discovery.dns_lookups,
+            outcome=RequestOutcome.of(served, discovery),
             tiles_from_cache=tiles_from_cache,
         )

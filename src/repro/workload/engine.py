@@ -47,7 +47,10 @@ from repro.operator.client import (
 )
 from repro.operator.permissions import ALL_PERMISSIONS, PrincipalRegistry
 from repro.services.failover import FailoverRecorder
-from repro.services.routing import FederatedRoutingError
+from repro.services.localization import FederatedLocalizationResult
+from repro.services.routing import FederatedRouteResult, FederatedRoutingError
+from repro.services.search import FederatedSearchResult
+from repro.services.tiles import FederatedViewport
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.tape import TimelineEntry
 from repro.spatialindex.cellid import CellId
@@ -518,123 +521,107 @@ class WorkloadEngine:
         # 1 everywhere except a cohort tracer's turn, where one request
         # records on behalf of the tracer's whole phantom share.
         weight = self._active_weight
+        # Latency accrues on the shared network across DNS, exchanges,
+        # backoff and timeouts, so the request's own is a stopwatch reading.
         latency_before = network.stats.total_latency_ms
-        recorder = device.client.context.failover
-        chains_ok_before = recorder.chains_ok
-        chains_failed_before = recorder.chains_failed
-        discoverer = device.client.context.discoverer
-        stale_before = discoverer.stale_serves
         faults = network.faults if self.fault_injector is not None else None
         if faults is not None:
             # Which side of a region-scoped partition this device's
             # exchanges see: its resolver-pool index is its client region.
             faults.active_region = device.index % self.config.resolver_pools
-        issued = True
         try:
             if kind == RequestKind.SEARCH:
-                self._do_search(device)
+                result = self._do_search(device)
             elif kind == RequestKind.ROUTE:
-                issued = self._do_route(device)
+                result = self._do_route(device)
             elif kind == RequestKind.TILES:
-                self._do_tiles(device)
+                result = self._do_tiles(device)
             else:
-                self._do_localize(device)
-        except FederatedRoutingError:
-            # Failed requests are counted separately; their (often short)
-            # abort latency must not dilute the success-path percentiles.
-            self.metrics.counter(f"errors.{kind.value}").increment(weight)
-            self.metrics.counter("availability.failed_requests").increment(weight)
-            if self.telemetry is not None:
-                self.telemetry.record_request(
-                    self._device_cell(device),
-                    device.index % self.config.resolver_pools,
-                    kind.value,
-                    network.stats.total_latency_ms - latency_before,
-                    float(weight),
-                    ok=False,
-                    degraded=discoverer.stale_serves > stale_before,
-                )
-            return
+                result = self._do_localize(device)
+        except FederatedRoutingError as error:
+            result = error
         finally:
             if faults is not None:
                 faults.active_region = None
-            if discoverer.stale_serves > stale_before:
-                # The request got *degraded* service: at least one cell was
-                # answered from a stale-while-unreachable cached SRV view.
-                self.metrics.counter("degraded.requests").increment(weight)
-        chains_all_failed = (
-            recorder.chains_failed > chains_failed_before
-            and recorder.chains_ok == chains_ok_before
-        )
-        if chains_all_failed:
-            # Every map server this request tried was unreachable or
-            # overloaded past its whole replica chain: the user got nothing.
-            self.metrics.counter("availability.failed_requests").increment(weight)
-        if not issued:
+        if result is None:
             # No traffic was generated; recording a request with 0 ms latency
             # would dilute the tail percentiles the benchmarks compare.  The
             # counter lives outside the "requests." namespace so _report's
             # prefix sum counts only real traffic.
             self.metrics.counter(f"skipped.{kind.value}").increment(weight)
             return
-        self.metrics.counter(f"requests.{kind.value}").increment(weight)
         latency_ms = network.stats.total_latency_ms - latency_before
-        self.metrics.histogram("latency_ms.all").observe(latency_ms, weight)
-        self.metrics.histogram(f"latency_ms.{kind.value}").observe(latency_ms, weight)
+        failed = isinstance(result, FederatedRoutingError)
+        if failed:
+            # Failed requests are counted separately; their (often short)
+            # abort latency must not dilute the success-path percentiles.
+            self.metrics.counter(f"errors.{kind.value}").increment(weight)
+            self.metrics.counter("availability.failed_requests").increment(weight)
+        else:
+            self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
+        outcome = result.outcome
+        if outcome.degraded:
+            # At least one cell was answered from a stale-while-unreachable
+            # cached SRV view.
+            self.metrics.counter("degraded.requests").increment(weight)
+        if not failed:
+            if not outcome.served:
+                # Every map server this request tried was unreachable or
+                # overloaded past its whole replica chain: the user got
+                # nothing, although the request was issued and its latency
+                # counts.
+                self.metrics.counter("availability.failed_requests").increment(weight)
+            self.metrics.counter(f"requests.{kind.value}").increment(weight)
+            self.metrics.histogram("latency_ms.all").observe(latency_ms, weight)
+            self.metrics.histogram(f"latency_ms.{kind.value}").observe(latency_ms, weight)
         if self.telemetry is not None:
-            # A request whose every chain failed was *issued* (its latency
-            # counts) but got no service — for SLO purposes it is bad.
             self.telemetry.record_request(
                 self._device_cell(device),
                 device.index % self.config.resolver_pools,
                 kind.value,
                 latency_ms,
                 float(weight),
-                ok=not chains_all_failed,
-                degraded=discoverer.stale_serves > stale_before,
+                ok=not failed and outcome.served,
+                degraded=outcome.degraded,
             )
 
-    def _do_search(self, device: FleetClient) -> None:
-        weight = self._active_weight
+    def _do_search(self, device: FleetClient) -> FederatedSearchResult:
         poi = self._poi_sampler.sample(device.rng)
         result = device.client.search(poi.name, near=poi.location, radius_meters=SEARCH_RADIUS_METERS)
-        self.metrics.counter("search.results").increment(len(result) * weight)
-        self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
+        self.metrics.counter("search.results").increment(len(result) * self._active_weight)
+        return result
 
-    def _do_route(self, device: FleetClient) -> bool:
-        """Route to a popular POI; returns False if no route was worth issuing.
+    def _do_route(self, device: FleetClient) -> FederatedRouteResult | None:
+        """Route to a popular POI; ``None`` if no route was worth issuing.
 
         A shopper standing on the very shelf it would route to resamples a
         few times before giving up, so zero-length "routes" never happen.
         """
-        weight = self._active_weight
         for _ in range(4):
             poi = self._poi_sampler.sample(device.rng)
             if device.position.distance_to(poi.location) < 1.0:
                 continue
             result = device.client.route(device.position, poi.location)
             self.metrics.histogram("route.length_meters").observe(
-                result.length_meters, weight
+                result.length_meters, self._active_weight
             )
-            self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
-            return True
-        return False
+            return result
+        return None
 
-    def _do_tiles(self, device: FleetClient) -> None:
+    def _do_tiles(self, device: FleetClient) -> FederatedViewport:
         weight = self._active_weight
         viewport = BoundingBox.around(device.position, VIEWPORT_METERS)
         result = device.client.render_viewport(viewport, zoom=TILE_ZOOM)
         self.metrics.counter("tiles.downloaded").increment(result.tiles_downloaded * weight)
         self.metrics.counter("tiles.from_cache").increment(result.tiles_from_cache * weight)
-        self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
+        return result
 
-    def _do_localize(self, device: FleetClient) -> None:
-        weight = self._active_weight
+    def _do_localize(self, device: FleetClient) -> FederatedLocalizationResult:
         cues = self._sense(device)
         result = device.client.localize(device.position, cues)
         if result.best is not None:
-            self.metrics.counter("localize.fixes").increment(weight)
-        self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
+            self.metrics.counter("localize.fixes").increment(self._active_weight)
+        return result
 
     def _sense(self, device: FleetClient) -> CueBundle:
         """What the device senses where it stands.

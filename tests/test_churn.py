@@ -19,6 +19,7 @@ from repro.core.federation import Federation
 from repro.core.replicas import replica_server_id
 from repro.dns.records import SrvData
 from repro.geometry.point import LatLng
+from repro.services.context import RequestOutcome
 from repro.services.health import ReplicaHealth
 from repro.services.retry import RetryPolicy
 from repro.simulation.clock import SimulatedClock
@@ -499,8 +500,8 @@ class TestClientFailover:
         client = federation.client(selection_seed=1)
         result = client.search("milk", near=store.entrance, radius_meters=150.0)
         assert len(result) > 0
+        assert result.outcome == RequestOutcome(served=True, degraded=False)
         recorder = client.context.failover
-        assert recorder.chains_ok >= 1
         assert recorder.chains_failed == 0
         assert recorder.stale_attempts >= 1
         assert recorder.failovers >= 1
@@ -526,9 +527,10 @@ class TestClientFailover:
         client = federation.client()
         result = client.search("milk", near=store.entrance, radius_meters=150.0)
         assert len(result) == 0
+        assert result.outcome == RequestOutcome(served=False, degraded=False)
         recorder = client.context.failover
         assert recorder.chains_failed >= 1
-        assert recorder.chains_ok == 0
+        assert recorder.chains_failed == recorder.chains
 
     def test_overloaded_replica_fails_over(self):
         federation, store = replicated_federation(
@@ -754,7 +756,7 @@ class TestFailoverRecorder:
     def test_failed_chain_rate_leaves_policy_denials_out(self):
         from repro.services.failover import FailoverRecorder
 
-        recorder = FailoverRecorder(chains=10, chains_ok=6, chains_failed=2, chains_denied=2)
+        recorder = FailoverRecorder(chains=10, chains_failed=2, chains_denied=2)
         assert recorder.failed_chain_rate == pytest.approx(2 / 8)
         all_denied = FailoverRecorder(chains=3, chains_denied=3)
         assert all_denied.failed_chain_rate == 0.0

@@ -335,6 +335,7 @@ def oracle_discover_cells(self: Discoverer, cells: list[CellId]) -> DiscoveryRes
     cell_results: dict[str, tuple[str, ...]] = {}
     lookups = 0
     coalesced = 0
+    stale_cells = 0
     clock = self.resolver.network.clock
     caching = self.cache.enabled
 
@@ -383,6 +384,7 @@ def oracle_discover_cells(self: Discoverer, cells: list[CellId]) -> DiscoveryRes
                         if stale is not None:
                             cell_servers = stale
                             self.stale_serves += 1
+                            stale_cells += 1
             cell_results[token] = cell_servers
 
         for server_id in cell_servers:
@@ -390,7 +392,7 @@ def oracle_discover_cells(self: Discoverer, cells: list[CellId]) -> DiscoveryRes
                 seen.add(server_id)
                 servers.append(server_id)
 
-    return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced)
+    return DiscoveryResult(tuple(servers), tuple(cells), lookups, coalesced, stale_cells)
 
 
 CENTER = LatLng(40.44, -79.95)

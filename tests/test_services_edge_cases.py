@@ -7,7 +7,7 @@ import pytest
 from repro.core.federation import Federation
 from repro.geometry.point import LatLng
 from repro.mapserver.auth import Credential
-from repro.services.context import FederationContext, UnknownServerError
+from repro.services.context import FederationContext
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.outdoor import generate_city
 
@@ -21,11 +21,6 @@ class TestContextEdgeCases:
         federation.add_map_server("city.example", city.map_data, is_world_provider=True)
         return federation, federation.build_context()
 
-    def test_unknown_server_lookup_raises(self):
-        _, context = self._context()
-        with pytest.raises(UnknownServerError):
-            context.server("not-deployed.example")
-
     def test_unreachable_discovered_servers_are_skipped(self):
         federation, context = self._context()
         # Simulate a stale DNS record: a server registered but no longer deployed.
@@ -33,8 +28,11 @@ class TestContextEdgeCases:
             "stale.example",
             [__import__("repro.spatialindex.cellid", fromlist=["CellId"]).CellId.from_point(ANCHOR, 17)],
         )
-        servers = context.servers(("city.example", "stale.example"))
-        assert [s.server_id for s in servers] == ["city.example"]
+        # With no retry policy there is no failover chain to time out on, so
+        # the unreachable id is dropped from the request targets.
+        assert context.retry_policy is None
+        targets = context.targets(["city.example", "stale.example"])
+        assert [target.candidate_ids for target in targets] == [("city.example",)]
 
     def test_context_credential_default_is_anonymous(self):
         _, context = self._context()

@@ -23,6 +23,7 @@ from repro.localization.fingerprint import (
 )
 from repro.operator.client import NetworkedControlPlayer
 from repro.routing.stitching import RouteLeg, RouteStitcher
+from repro.services.context import RequestOutcome
 from repro.services.tiles import FederatedViewport
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import ANSWER_MEMO_ENTRIES, LruCache, LruStats, answer_memo
@@ -513,6 +514,7 @@ class TestFloatSum:
             servers_consulted=0,
             tiles_downloaded=0,
             dns_lookups=0,
+            outcome=RequestOutcome(served=True, degraded=False),
         )
         correspondences = CorrespondenceSet("store")
         for index, (latitude, longitude) in enumerate(zip(latitudes, longitudes)):
