@@ -9,7 +9,7 @@ import json
 import subprocess
 import sys
 
-_ABSENT = "<absent>"
+_ABSENT = object()
 
 
 def flatten(node, prefix=""):
@@ -24,11 +24,16 @@ def flatten(node, prefix=""):
         yield prefix, node
 
 
+def _show(leaf) -> str:
+    return "<absent>" if leaf is _ABSENT else repr(leaf)
+
+
 def drift(old, new) -> list[str]:
-    """One ``path: old -> new`` line per leaf that differs, sorted by path."""
+    """One ``path: old -> new`` line per leaf that differs, sorted by path;
+    a leaf only one side has shows ``<absent>`` on the other."""
     a, b = dict(flatten(old)), dict(flatten(new))
     paths = sorted(p for p in a.keys() | b.keys() if a.get(p, _ABSENT) != b.get(p, _ABSENT))
-    return [f"{p}: {a.get(p, _ABSENT)!r} -> {b.get(p, _ABSENT)!r}" for p in paths]
+    return [f"{p}: {_show(a.get(p, _ABSENT))} -> {_show(b.get(p, _ABSENT))}" for p in paths]
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import golden
 import pytest
 
 yaml = pytest.importorskip("yaml")
@@ -255,14 +256,54 @@ class TestCheckShStages:
         )
         assert result.stdout.splitlines() == [
             "  BENCH_x.json  drain[1].lag: 5.3 -> 7.67",
-            "  BENCH_x.json  gone: 1 -> '<absent>'",
-            "  BENCH_x.json  new: '<absent>' -> True",
+            "  BENCH_x.json  gone: 1 -> <absent>",
+            "  BENCH_x.json  new: <absent> -> True",
         ]
 
     def test_requirements_file_exists_for_pip_cache(self):
         requirements = (REPO_ROOT / "requirements-dev.txt").read_text()
         for package in ("pytest", "hypothesis", "numpy", "ruff"):
             assert package in requirements
+
+
+class TestGoldens:
+    """One golden mechanism (``tests/golden.py``): payloads stored as JSON
+    under ``tests/goldens/``, one file per ``CASES`` key, re-derived only by
+    ``scripts/rebaseline.py --reason TEXT``; no digest literal in test code."""
+
+    def test_no_test_module_holds_a_digest_literal(self):
+        literal = re.compile(r"['\"][0-9a-f]{64}['\"]")
+        found = [
+            f"{path.relative_to(REPO_ROOT)}:{number}"
+            for path in sorted((REPO_ROOT / "tests").rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if literal.search(line)
+        ]
+        assert found == [], "store the payload as a golden case under tests/goldens/ instead"
+
+    def test_every_golden_file_has_a_case_and_every_case_a_file(self):
+        modules = golden.golden_modules()
+        assert modules, "no test module declares a CASES table"
+        declared = {f"{module}/{case}.json" for module in modules for case in importlib.import_module(module).CASES}
+        stored = {path.relative_to(golden.GOLDENS).as_posix() for path in golden.GOLDENS.rglob("*") if path.is_file()}
+        assert sorted(stored - declared) == [], "orphan golden files (no CASES key)"
+        assert sorted(declared - stored) == [], "CASES keys with no golden file"
+
+    def test_rebaseline_refuses_to_run_without_a_reason(self):
+        def written() -> dict[Path, int]:
+            paths = [*golden.GOLDENS.rglob("*"), *(REPO_ROOT / artifact for artifact in ARTIFACTS)]
+            return {path: path.stat().st_mtime_ns for path in paths}
+
+        before = written()
+        run = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "rebaseline.py")],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode != 0
+        assert "--reason" in run.stderr
+        assert written() == before
 
 
 class TestDocsLinks:
@@ -769,11 +810,16 @@ module that defines each."""
 
 CENSUS_DIRECTORIES = ("src", "benchmarks", "perfbench", "scripts")
 
+GOLDEN_CASES_ONLY = (
+    "non-default values only in golden cases, which re-derive with scripts/rebaseline.py; "
+    "folding it is the next slice of ROADMAP item 19"
+)
+
 KEPT_FIELDS = {
     "FederationConfig.discovery_suffix": "deployment setting: the DNS zone a federation registers under",
-    "FederationConfig.latency": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
-    "WorkloadConfig.long_traces": "non-default value pinned only by sha256 goldens (ROADMAP item 5)",
-    "WorkloadConfig.trace_dwell_steps": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
+    "FederationConfig.latency": GOLDEN_CASES_ONLY,
+    "WorkloadConfig.long_traces": GOLDEN_CASES_ONLY,
+    "WorkloadConfig.trace_dwell_steps": GOLDEN_CASES_ONLY,
     "OperatorConfig.principal": "deployment setting: the operator's credential",
     "OperatorConfig.endpoint_id": "deployment setting: the control endpoint's address",
     "OperatorConfig.region": "deployment setting: where the operator's console sits",
@@ -783,8 +829,8 @@ KEPT_FIELDS = {
     "AutoscalerConfig.wait_low_ms": "one value (8 ms), but perfbench/workloads.py passes it by keyword",
     "AutoscalerConfig.burn_high": "one value (0: trigger off), but perfbench/workloads.py passes it by keyword",
     "RetryPolicy.kind": "two values, set only through the no-keyword constructors the census cannot read",
-    "LatencyModel.jitter_sigma": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
-    "LatencyModel.loss_probability": "non-default values pinned only by sha256 goldens (ROADMAP item 5)",
+    "LatencyModel.jitter_sigma": GOLDEN_CASES_ONLY,
+    "LatencyModel.loss_probability": GOLDEN_CASES_ONLY,
 }
 """Fields with fewer than two values in use that stay fields anyway, with
 the reason."""

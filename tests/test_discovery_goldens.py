@@ -1,11 +1,12 @@
 """Differential goldens for the §5.1 discovery walk.
 
-Each scenario drives one :class:`Discoverer` through a seeded sequence of
-``discover_at`` / ``discover_region`` / ``discover_along`` calls and hashes
-everything the walk can observably touch after every call.  The digests were
-recorded on the commit *before* resolver answers carried their own expiry
-(two cache probes per name, SRV strings re-parsed per lookup, ``_jittered``
-on every exchange), so they hold the rewrite to that behaviour bit for bit:
+Each case drives one :class:`Discoverer` through a seeded sequence of
+``discover_at`` / ``discover_region`` / ``discover_along`` calls and records
+everything the walk can observably touch after every call, keyed by field
+name, under ``tests/goldens/test_discovery_goldens/`` (see ``golden.py``).
+The observations were recorded on the commit *before* resolver answers
+carried their own expiry (two cache probes per name, SRV strings re-parsed
+per lookup, ``_jittered`` on every exchange), so they hold the rewrite to that behaviour bit for bit:
 RNG draw order under jitter and loss, the SERVFAIL / stale-serve path, and
 the expiry arithmetic ``now + min(ttl, expires_at - now)`` — which is not
 ``expires_at`` in floating point.
@@ -14,10 +15,11 @@ the expiry arithmetic ``now + min(ttl, expires_at - now)`` — which is not
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import random
+from collections.abc import Callable
 
 import pytest
+from golden import assert_golden
 
 from repro.discovery.discoverer import Discoverer
 from repro.discovery.registry import DiscoveryRegistry
@@ -83,8 +85,8 @@ def _drive(
     seed: int,
     max_gap_seconds: float,
     before_step=lambda step: None,
-) -> str:
-    """Run the seeded call sequence; sha256 over the per-call observations."""
+) -> list[dict]:
+    """Run the seeded call sequence; return the per-call observations."""
     rng = random.Random(seed)
     network = discoverer.resolver.network
     resolver = discoverer.resolver.recursive
@@ -105,29 +107,32 @@ def _drive(
             ]
             result = discoverer.discover_along(waypoints, corridor_meters=rng.choice((60.0, 200.0)))
         observed.append(
-            (
-                result.server_ids,
-                result.dns_lookups,
-                result.coalesced_lookups,
-                network.clock.now(),
-                dataclasses.astuple(network.stats),
-                dataclasses.astuple(resolver.stats),
-                dataclasses.astuple(resolver.cache.stats),
-                dataclasses.astuple(discoverer.cache.stats),
-                discoverer.stale_serves,
-                sorted(discoverer.srv_view.items()),
-            )
+            {
+                "server_ids": result.server_ids,
+                "dns_lookups": result.dns_lookups,
+                "coalesced_lookups": result.coalesced_lookups,
+                "now": network.clock.now(),
+                "network": dataclasses.asdict(network.stats),
+                "resolver": dataclasses.asdict(resolver.stats),
+                "resolver_cache": dataclasses.asdict(resolver.cache.stats),
+                "device_cache": dataclasses.asdict(discoverer.cache.stats),
+                "stale_serves": discoverer.stale_serves,
+                "srv_view": {
+                    target: {"priority": priority, "weight": weight}
+                    for target, (priority, weight) in discoverer.srv_view.items()
+                },
+            }
         )
-    return hashlib.sha256(repr(observed).encode()).hexdigest()
+    return observed
 
 
-def _jitter_and_loss() -> str:
+def _jitter_and_loss() -> list[dict]:
     discoverer, _ = _wire(latency=LatencyModel(jitter_sigma=0.3, loss_probability=0.15))
     discoverer.resolver.network.reseed_jitter(5)
     return _drive(discoverer, seed=11, max_gap_seconds=45.0)
 
 
-def _authority_outage_with_stale_serve() -> str:
+def _authority_outage_with_stale_serve() -> list[dict]:
     discoverer, registry = _wire(ttls=(40.0, 25.0, 40.0), device_ttl=20.0, stale_ms=90_000.0)
     faults = discoverer.resolver.network.fault_state()
 
@@ -140,7 +145,7 @@ def _authority_outage_with_stale_serve() -> str:
     return _drive(discoverer, seed=12, max_gap_seconds=8.0, before_step=outage)
 
 
-def _ttl_lapses_mid_walk() -> str:
+def _ttl_lapses_mid_walk() -> list[dict]:
     # A cold name costs two 50 ms authority exchanges, so a 0.6 s record
     # cached early in a walk is gone before the walk ends; 0 s records are
     # never cached by the resolver at all.
@@ -148,24 +153,19 @@ def _ttl_lapses_mid_walk() -> str:
     return _drive(discoverer, seed=13, max_gap_seconds=0.4)
 
 
-def _device_cache_on() -> str:
+def _device_cache_on() -> list[dict]:
     discoverer, _ = _wire(ttls=(90.0, 90.0, 300.0), device_ttl=120.0)
     return _drive(discoverer, seed=14, max_gap_seconds=40.0)
 
 
-GOLDENS = {
-    _jitter_and_loss: "7f3cb6a4d415b707a84139ab005c86bf0f11c7920b9120ca12d08dfb368a2cdd",
-    _authority_outage_with_stale_serve: "cfc2808837a508f9851764eb0947812693847d2a82c93ffab94fec1aba1bec9f",
-    _ttl_lapses_mid_walk: "f6cb93258fc139d8573f7b1f4c8d30fa896e99d0dea195036ab8a1b317bd0dc0",
-    _device_cache_on: "804c81348228ff5d3988477b660fc2a85da77d0ef898e4bf21af9616fdc5db70",
+CASES: dict[str, Callable[[], object]] = {
+    "jitter_and_loss": _jitter_and_loss,
+    "authority_outage_with_stale_serve": _authority_outage_with_stale_serve,
+    "ttl_lapses_mid_walk": _ttl_lapses_mid_walk,
+    "device_cache_on": _device_cache_on,
 }
 
 
-@pytest.mark.parametrize("scenario", GOLDENS, ids=lambda scenario: scenario.__name__.lstrip("_"))
-def test_discovery_walk_matches_the_two_probe_implementation(scenario):
-    assert scenario() == GOLDENS[scenario]
-
-
-if __name__ == "__main__":
-    for scenario in GOLDENS:
-        print(f"    {scenario.__name__}: \"{scenario()}\",")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_discovery_walk_matches_the_two_probe_implementation(case):
+    assert_golden(__file__, case, CASES[case]())

@@ -5,15 +5,14 @@ infinite-transparent-retry bugfix), jittered/escalating retry policies,
 :class:`NetworkFaultState` primitives, stale-serving discovery caches,
 :class:`FaultPlan` tape semantics, the injector, and end-to-end workload
 runs under partitions / authority outages / gray failures — including the
-byte-identity guarantees: fault-free runs carry no fault keys, and the
-round loop reproduces the retired legacy loop's digest *with* a fault tape.
+byte-identity guarantee that fault-free runs carry no fault keys (the
+round loop's snapshot *with* a fault tape is the ``fault-tape`` golden in
+``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 import random
 
@@ -44,9 +43,6 @@ from repro.workload.scenarios import get_scenario
 from repro.worldgen.scenario import build_scenario
 
 WORLD_SEED = 33
-
-LEGACY_FAULT_RUN_SHA256 = "1a3bba1d0d0fec2957599197f93e54d38b043b6c91c8d0202a0015f3913c66a9"
-
 
 def _scenario(stale_serve_max_ms: float = 0.0, ttl: float = 120.0, reg_ttl: float = 3600.0):
     config = FederationConfig(
@@ -436,27 +432,6 @@ class TestWorkloadUnderFaults:
             key.startswith(("faults.", "degraded.")) for key in snapshot
         )
         assert scenario.federation.network.faults is None
-
-    def test_event_engine_equivalent_to_legacy_under_faults(self):
-        """The round loop reproduces, byte for byte, the snapshot the
-        retired legacy loop produced under this fault tape (sha256 of the
-        canonical JSON, recorded at the commit that deleted that loop and
-        confirmed identical on the event loop there)."""
-        scenario = _scenario()
-        victims = tuple(scenario.store_replica_ids(i)[0] for i in range(2))
-        plan = FaultPlan.partition(victims, 30.0, 90.0) + FaultPlan.gray(
-            (scenario.store_replica_ids(0)[1],),
-            50.0,
-            110.0,
-            latency_multiplier=6.0,
-            loss_probability=0.2,
-        )
-        engine = WorkloadEngine(
-            scenario,
-            WorkloadConfig(clients=10, steps=6, seed=7, step_seconds=20.0, faults=plan),
-        )
-        snapshot = json.dumps(engine.run().snapshot(), sort_keys=True)
-        assert hashlib.sha256(snapshot.encode()).hexdigest() == LEGACY_FAULT_RUN_SHA256
 
 
 class TestScenarioLibrary:

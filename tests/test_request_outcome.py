@@ -261,3 +261,28 @@ class TestCounterOracle:
         for device in engine.fleet:
             discoverer = device.client.context.discoverer
             assert discoverer.stale_serves == stale_cells.get(id(discoverer), 0)
+
+
+class TestWorldProvider:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FederatedGeocoder.world_provider is the MapServer captured when the client was "
+        "built, asked outside targets / fan_out: after crash_map_server(world_provider_id) on "
+        "build_scenario(store_count=1, city_rows=4, city_cols=4, seed=33), a client built before "
+        "the crash reverse-geocodes 100 Forbes Street to 'Simville city map' (servers_consulted 2, "
+        "outcome served) while one built after gets store-0's answer from 1 server",
+    )
+    def test_a_crashed_world_provider_contributes_no_candidate(self):
+        scenario = build_scenario(store_count=1, city_rows=4, city_cols=4, seed=33)
+        federation = scenario.federation
+        built_before = federation.client()
+        federation.crash_map_server(federation.world_provider_id)
+        built_after = federation.client()
+        point = scenario.city.building_addresses["100 Forbes Street"]
+
+        found = built_before.reverse_geocode(point)
+        expected = built_after.reverse_geocode(point)
+        assert found.servers_consulted == expected.servers_consulted == 1
+        assert [c.map_name for c in found.candidates] == [c.map_name for c in expected.candidates]
+        assert found.best.map_name != "Simville city map"

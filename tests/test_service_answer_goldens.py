@@ -3,14 +3,15 @@
 ``perfbench``'s ``request_direct`` digest covers simulated latencies and
 answer sizes, and the byte-gated ``BENCH_e*.json`` artifacts record counts
 and latencies — so a map-server kernel that returned the wrong node at the
-right speed would pass both.  Each golden here is a sha256 over the ordered
-answers to 40 seeded requests of one kind, issued through an
-:class:`OpenFlameClient` on the fixed perfbench world: node ids, labels and
-the ``float.hex()`` of every score, distance and coordinate.
+right speed would pass both.  Each golden here is the ordered answers to 40
+seeded requests of one kind, issued through an :class:`OpenFlameClient` on
+the fixed perfbench world: node ids, labels and the ``float.hex()`` of every
+score, distance and coordinate (a tile's raster as its sha256), stored under
+``tests/goldens/test_service_answer_goldens/`` (see ``golden.py``).
 
-The search, route, tiles and geocode digests were recorded on the commit
+The search, route, tiles and geocode answers were recorded on the commit
 *before* the kernels ranked on scalars and built results after the cut, and
-hold that rewrite to the old answers bit for bit.  The localize digest was
+hold that rewrite to the old answers bit for bit.  The localize answers were
 recorded *after* it: until beacon sums were taken in cue order the floats of
 a beacon fix followed ``PYTHONHASHSEED``
 (``tests/test_service_kernel_oracles.py::test_localization_answers_do_not_depend_on_hash_seed``),
@@ -19,25 +20,19 @@ so no earlier value was reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
 import random
 import sys
+from collections.abc import Callable
 
 import pytest
+from golden import assert_golden
 
 from repro.geometry import BoundingBox, LatLng
 from repro.worldgen import build_scenario
 
 REQUESTS_PER_KIND = 40
-
-GOLDENS = {
-    "search": "a0a3029a436276675cab3b3798002f3d2f6aa789c5016018b4e953b0b93c8cb9",
-    "route": "729eafcd903b08c4a10be7befc22c95f5382038d8c475ac480e20ea89842d467",
-    "tiles": "e19654c671f1aad91d93e3e471fa90b8d236d9a26dd51bed5f46b9c2695f7e45",
-    "geocode": "061d47591298f24ed1f54a36e2978d00218453448e2a79e870be743739864883",
-    "localize": "450291b2004a57de7e44ea4d60c07cc4e644207d04753f489289f8ceede8d33d",
-}
 
 
 def _point(point: LatLng | None) -> list[str] | None:
@@ -117,9 +112,13 @@ def _localize(client, rng: random.Random, scenario, store, position: LatLng) -> 
 ISSUERS = {"search": _search, "route": _route, "tiles": _tiles, "geocode": _geocode, "localize": _localize}
 
 
-def answers_digest(kind: str) -> str:
-    """sha256 over the ordered answers to ``REQUESTS_PER_KIND`` seeded
-    requests of ``kind`` on a freshly built perfbench world."""
+def answers(kind: str) -> list:
+    """The ordered answers to ``REQUESTS_PER_KIND`` seeded requests of
+    ``kind`` on a freshly built perfbench world."""
+    if kind == "localize" and sys.version_info >= (3, 12):
+        # A fix is a weighted mean taken with builtin sum(), which is a
+        # compensated sum from CPython 3.12: the last bits differ.
+        pytest.skip("the localize golden was recorded with the plain float sum() of CPython < 3.12")
     scenario = build_scenario(store_count=2, city_rows=5, city_cols=5, seed=33)
     client = scenario.federation.client()
     rng = random.Random(f"answers-{kind}")
@@ -127,22 +126,20 @@ def answers_digest(kind: str) -> str:
         set(scenario.city.building_addresses.values()) | set(scenario.city.poi_locations.values()),
         key=lambda point: (point.latitude, point.longitude),
     )
-    answers = []
+    found = []
     for _ in range(REQUESTS_PER_KIND):
         store = rng.choice(scenario.stores)
         # Points the street graph reaches, as in perfbench's request_direct.
         position = rng.choice(
             [point for point in mapped if 20.0 <= point.distance_to(store.entrance) <= 400.0]
         )
-        answers.append(ISSUERS[kind](client, rng, scenario, store, position))
-    blob = json.dumps(answers, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+        found.append(ISSUERS[kind](client, rng, scenario, store, position))
+    return found
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDENS))
-def test_answers_match_golden(kind: str) -> None:
-    if kind == "localize" and sys.version_info >= (3, 12):
-        # A fix is a weighted mean taken with builtin sum(), which is a
-        # compensated sum from CPython 3.12: the last bits differ.
-        pytest.skip("the localize golden was recorded with the plain float sum() of CPython < 3.12")
-    assert answers_digest(kind) == GOLDENS[kind]
+CASES: dict[str, Callable[[], object]] = {kind: functools.partial(answers, kind) for kind in ISSUERS}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_answers_match_golden(case: str) -> None:
+    assert_golden(__file__, case, CASES[case]())
