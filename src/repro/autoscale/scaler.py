@@ -138,10 +138,6 @@ class Autoscaler:
             "promotions": 0,
             "undrains": 0,
             "ramp_steps": 0,
-            # Always 0: the outlier drain they counted is gone, but both
-            # stay ``autoscale.*`` snapshot keys that goldens pin.
-            "protect_drains": 0,
-            "protect_undrains": 0,
             "parks": 0,
             "weight_changes": 0,
             "flaps": 0,
