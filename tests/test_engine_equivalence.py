@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
+from pathlib import Path
 
 import pytest
-from golden import GOLDENS, assert_golden
+from golden import assert_golden, golden_path
 
 from repro.autoscale import AutoscalerConfig
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
@@ -209,7 +210,7 @@ def test_snapshot_matches_golden(case):
 def test_golden_covers_its_subsystem(case, prefix):
     """The stored snapshot of a subsystem's case carries that subsystem's
     keys, so the golden above holds every one of them."""
-    stored = json.loads((GOLDENS / "test_engine_equivalence" / f"{case}.json").read_text())
+    stored = json.loads(golden_path(Path(__file__).stem, case).read_text())
     assert any(key.startswith(prefix) for key in stored)
 
 
