@@ -89,8 +89,10 @@ def run_fleet(clients: int, steps: int, seed: int = WORKLOAD_SEED) -> dict[str, 
     engine = WorkloadEngine(
         scenario, WorkloadConfig(clients=clients, steps=steps, seed=seed)
     )
+    built = time.perf_counter()
     report = engine.run()
-    wall_seconds = time.perf_counter() - started
+    finished = time.perf_counter()
+    wall_seconds = finished - started
     if not report.sampling:
         raise AssertionError(
             f"{clients} clients ran on the exact path; E16 measures the cohort fast path"
@@ -114,6 +116,10 @@ def run_fleet(clients: int, steps: int, seed: int = WORKLOAD_SEED) -> dict[str, 
         # Wall-clock fields stay out of the committed artifact; the
         # clients-per-second headline is printed, never written.
         "_wall_seconds": wall_seconds,
+        # World plus fleet build, then the rounds: an O(clients) set-up step
+        # shows in the first.
+        "_build_seconds": built - started,
+        "_run_seconds": finished - built,
         "_clients_per_second": clients * steps / wall_seconds if wall_seconds else 0.0,
         "_server_stats": report.server_stats,
         "_simulated_seconds": report.simulated_seconds,
@@ -202,7 +208,9 @@ def ok(rows: list[dict[str, object]]) -> str:
     return (
         f"{biggest['clients']:,} clients on {biggest['tracers']} tracers, "
         f"peak {headline:,.0f} simulated client-steps/s, "
-        f"max server utilization {biggest['util_max']:.2f}"
+        f"max server utilization {biggest['util_max']:.2f}; "
+        f"biggest row built in {biggest['_build_seconds']:.2f} s, "
+        f"ran in {biggest['_run_seconds']:.2f} s"
     )
 
 

@@ -75,9 +75,11 @@ def plan_cohorts(
 
     ``assignments`` yields ``(device index, cohort key, cohort label)`` in
     index order; the first ``tracers_per_cohort`` indices of each cohort
-    become its tracers.  One arithmetic pass — no device objects are
-    created here, so planning a million-device fleet costs a dict lookup
-    per index and nothing else.
+    become its tracers.  No device objects are created here: each
+    assignment costs a dict lookup.  The fleet builder feeds it only the
+    first ``period × tracers_per_cohort`` indices and extends the
+    populations by period (:meth:`repro.workload.fleet.FleetBuilder.plan`),
+    so a million-device fleet costs no more to plan than a thousand.
     """
     if tracers_per_cohort < 1:
         raise ValueError("a cohort needs at least one tracer")

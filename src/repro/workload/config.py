@@ -143,6 +143,12 @@ class WorkloadConfig:
     byte-gated benchmark — run the exact per-device path."""
 
     def __post_init__(self) -> None:
+        # NaN passes every ``< 1`` check below, and a float count only fails
+        # mid-build, in ``range`` or a slice; so counts must be true ints.
+        for name in ("clients", "steps", "resolver_pools", "trace_dwell_steps", "cohort_min_clients"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.clients < 1:
             raise ValueError("a workload needs at least one client")
         if self.steps < 1:

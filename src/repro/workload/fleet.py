@@ -8,6 +8,7 @@ on the exact path, only each cohort's tracers on the cohort fast path
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -75,6 +76,17 @@ class FleetBuilder:
         if index % 3 == 2:
             return ("trace" if self.config.long_traces else "commute", 0)
         return ("waypoint", 0)
+
+    def _cohort_period(self, pool_count: int) -> int:
+        """Index period of a device's cohort key ``(_mobility_spec(i), i % pool_count)``.
+
+        ``_mobility_spec`` depends on ``i % 3`` and, for aisle walks, on
+        ``(i // 3) % stores``, so it repeats every ``3 × stores`` indices
+        (every 3 with no stores); the pool index repeats every
+        ``pool_count``.  Kept beside ``_mobility_spec`` so the two change
+        together.
+        """
+        return math.lcm(3 * max(1, len(self.scenario.stores)), pool_count)
 
     def _commute_routes(self) -> tuple[list[LatLng], list[LatLng]]:
         stores = self.scenario.stores
@@ -157,6 +169,34 @@ class FleetBuilder:
             fleet.append(self._make_device(index, pools, stochastic, mobility))
         return fleet
 
+    def _cohort_assignment(self, index: int, pool_count: int) -> tuple[int, tuple, str]:
+        spec = self._mobility_spec(index)
+        pool_index = index % pool_count
+        return index, (spec, pool_index), f"{spec[0]}{spec[1]}-pool{pool_index}"
+
+    def plan(self, pool_count: int) -> list[Cohort]:
+        """The fleet's cohorts, in ``O(period × TRACERS_PER_COHORT)`` time.
+
+        A device's cohort key repeats with :meth:`_cohort_period` ``P``, so
+        the first ``P × TRACERS_PER_COHORT`` indices hold every cohort's
+        tracers and fix the cohorts' order and labels: ``plan_cohorts``
+        runs over that head only.  Each residue class past the head then
+        adds its remaining count to its cohort's population in one step.
+        The result equals ``plan_cohorts`` over every index.
+        """
+        clients = self.config.clients
+        period = self._cohort_period(pool_count)
+        head = min(clients, period * TRACERS_PER_COHORT)
+        cohorts = plan_cohorts(
+            (self._cohort_assignment(index, pool_count) for index in range(head)),
+            TRACERS_PER_COHORT,
+        )
+        by_key = {cohort.key: cohort for cohort in cohorts}
+        for first in range(head, min(clients, head + period)):
+            _, key, _ = self._cohort_assignment(first, pool_count)
+            by_key[key].population += (clients - 1 - first) // period + 1
+        return cohorts
+
     def _build_cohort_fleet(
         self,
         pools,
@@ -169,19 +209,11 @@ class FleetBuilder:
         A cohort is (mobility spec, resolver pool index): every device in it
         would be built from the same store/route/bounds and talk to the same
         shared resolver, so they differ only by RNG stream — exactly the
-        statistical identity tracer sampling needs.  Planning is one
-        arithmetic pass over the index range; device objects exist only for
-        tracers, which is what makes million-client fleets affordable.
+        statistical identity tracer sampling needs.  Device objects exist
+        only for tracers, which is what makes million-client fleets
+        affordable.
         """
-
-        def assignments():
-            for index in range(self.config.clients):
-                spec = self._mobility_spec(index)
-                pool_index = index % len(pools)
-                label = f"{spec[0]}{spec[1]}-pool{pool_index}"
-                yield index, (spec, pool_index), label
-
-        self.cohorts = plan_cohorts(assignments(), TRACERS_PER_COHORT)
+        self.cohorts = self.plan(len(pools))
         fleet: list[FleetClient] = []
         for cohort in self.cohorts:
             spec, _pool_index = cohort.key

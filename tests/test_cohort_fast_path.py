@@ -24,6 +24,7 @@ from repro.workload import (
     WorkloadEngine,
     plan_cohorts,
 )
+from repro.workload.fleet import TRACERS_PER_COHORT, FleetBuilder
 from repro.worldgen.scenario import build_scenario
 
 
@@ -66,6 +67,61 @@ class TestCohortPlanning:
     def test_rejects_zero_tracers(self):
         with pytest.raises(ValueError):
             plan_cohorts([], tracers_per_cohort=0)
+
+
+def per_index_cohorts(builder: FleetBuilder, pool_count: int) -> list[Cohort]:
+    """The oracle: ``plan_cohorts`` fed every device index, one by one."""
+
+    def assignments():
+        for index in range(builder.config.clients):
+            spec = builder._mobility_spec(index)
+            pool_index = index % pool_count
+            label = f"{spec[0]}{spec[1]}-pool{pool_index}"
+            yield index, (spec, pool_index), label
+
+    return plan_cohorts(assignments(), TRACERS_PER_COHORT)
+
+
+def cohort_rows(cohorts: list[Cohort]) -> list[tuple]:
+    return [(c.key, c.label, c.population, c.tracer_indices) for c in cohorts]
+
+
+class TestPeriodicPlanning:
+    """``FleetBuilder.plan`` walks one period per tracer, not every index;
+    it must still give exactly what the per-index pass gives."""
+
+    @pytest.mark.parametrize("long_traces", [False, True])
+    @pytest.mark.parametrize("resolver_pools", [1, 2, 3, 4])
+    @pytest.mark.parametrize("store_count", [1, 2, 3, 4])
+    def test_matches_per_index_pass(self, store_count, resolver_pools, long_traces):
+        scenario = small_scenario(store_count=store_count)
+        period = FleetBuilder(scenario, WorkloadConfig())._cohort_period(resolver_pools)
+        head = period * TRACERS_PER_COHORT
+        for clients in (1, period - 1, period, head - 1, head, head + 1, 12_345, 200_000):
+            config = WorkloadConfig(
+                clients=clients, resolver_pools=resolver_pools, long_traces=long_traces
+            )
+            builder = FleetBuilder(scenario, config)
+            assert cohort_rows(builder.plan(resolver_pools)) == cohort_rows(
+                per_index_cohorts(builder, resolver_pools)
+            ), clients
+
+    def test_million_client_build_walks_periods_not_indices(self, monkeypatch):
+        calls = 0
+        mobility_spec = FleetBuilder._mobility_spec
+
+        def counted(self, index):
+            nonlocal calls
+            calls += 1
+            return mobility_spec(self, index)
+
+        monkeypatch.setattr(FleetBuilder, "_mobility_spec", counted)
+        engine = WorkloadEngine(small_scenario(), WorkloadConfig(clients=1_000_000, seed=7))
+        assert engine._cohort_mode
+        assert sum(c.population for c in engine.cohorts) == 1_000_000
+        period = FleetBuilder(small_scenario(), WorkloadConfig())._cohort_period(1)
+        assert period == 6
+        assert calls <= period * (TRACERS_PER_COHORT + 1)
 
 
 class TestConfigValidation:

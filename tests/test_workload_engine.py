@@ -231,6 +231,24 @@ class TestWorkloadEngine:
         with pytest.raises(ValueError, match=name):
             config_class(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("clients", float("nan")),
+            ("clients", 2.5),
+            ("clients", True),
+            ("steps", float("nan")),
+            ("resolver_pools", 1.5),
+            ("cohort_min_clients", float("nan")),
+            ("trace_dwell_steps", float("nan")),
+        ],
+    )
+    def test_non_integer_count_rejected_by_name(self, name, value):
+        """NaN passes the ``< 1`` checks and a float count fails only
+        mid-build, in ``range`` or a slice; both must fail at construction."""
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            WorkloadConfig(**{name: value})
+
 
 class TestResolverPools:
     def test_fleet_shards_across_pools_and_reports_hit_rates(self):
