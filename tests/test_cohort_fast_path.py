@@ -116,10 +116,11 @@ class TestPeriodicPlanning:
             return mobility_spec(self, index)
 
         monkeypatch.setattr(FleetBuilder, "_mobility_spec", counted)
-        engine = WorkloadEngine(small_scenario(), WorkloadConfig(clients=1_000_000, seed=7))
+        scenario = small_scenario()
+        engine = WorkloadEngine(scenario, WorkloadConfig(clients=1_000_000, seed=7))
         assert engine._cohort_mode
         assert sum(c.population for c in engine.cohorts) == 1_000_000
-        period = FleetBuilder(small_scenario(), WorkloadConfig())._cohort_period(1)
+        period = FleetBuilder(scenario, engine.config)._cohort_period(1)
         assert period == 6
         assert calls <= period * (TRACERS_PER_COHORT + 1)
 
