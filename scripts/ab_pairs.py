@@ -1,15 +1,24 @@
 #!/usr/bin/env python
 """Alternated parent/change runs of one perfbench workload, and the verdict.
 
-Usage: ab_pairs.py --parent REV --workload W --seed N [--pairs 10] [--seconds 30]
+Usage: ab_pairs.py --parent REV [--aa] --workload W --seed N [--pairs 10] [--seconds 30]
 
-Unpacks ``REV`` (``git archive``) into a temporary directory, then runs
+Unpacks both sides with ``git archive`` into sibling temporary directories,
+``parent/`` and ``change/``, whose paths have the same length: the parent is
+``REV``, the change is this working tree as ``git add -A`` would stage it
+(uncommitted edits and new files count; nothing is staged).  Then it runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` from
-that tree and from this one, alternating which side goes first, and stops if
-the two sides' ``sim_digest``s differ (a performance change must not move a
-simulated number).  Prints per side the median [q1, q3] of every end-to-end
-metric ``BENCHMARK.json`` declares, wins / pairs, the verdict, and one
-markdown row per metric for ``docs/BENCHMARKS.md``.
+each tree, alternating which side goes first, and stops if the two sides'
+``sim_digest``s differ (a performance change must not move a simulated
+number).  Prints per side the median [q1, q3] of every end-to-end metric
+``BENCHMARK.json`` declares, wins / pairs, the verdict, and one markdown row
+per metric for ``docs/BENCHMARKS.md``.
+
+``--aa`` unpacks ``REV`` on both sides: an A/A run of one revision against
+itself.  Every metric should come out ``unresolved``; one that does not shows
+a bias of the instrument, not of the code.  Run it before trusting a new
+workload or metric.  It is not a gate: over 16 metric × workload cells a
+9-of-10 streak somewhere is a likely outcome of chance alone.
 
 The verdict is the rule for a small shared sandbox: ``gain`` only if the
 change wins at least nine tenths of the pairs (ties count for neither side)
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -87,13 +97,39 @@ def markdown_row(
     )
 
 
-def unpack(rev: str, into: Path) -> None:
-    """The committed files of ``rev``, under ``into``."""
-    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+def unpack(rev: str, into: Path, repo: Path = ROOT) -> None:
+    """The files of ``rev`` (a commit or tree of ``repo``), under ``into``."""
+    archive = subprocess.Popen(["git", "-C", str(repo), "archive", rev], stdout=subprocess.PIPE)
     with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
         tar.extractall(into)
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+
+
+def working_tree(repo: Path = ROOT) -> str:
+    """The tree ``git add -A`` would stage in ``repo``, built in a throwaway
+    index: uncommitted edits and untracked, unignored files are in it, and
+    the repository's own index is left alone."""
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_index_") as scratch:
+        git = ["git", "-C", str(repo)]
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(scratch) / "index")}
+        subprocess.run([*git, "add", "-A"], env=env, capture_output=True, check=True)
+        written = subprocess.run([*git, "write-tree"], env=env, capture_output=True, text=True, check=True)
+    return written.stdout.strip()
+
+
+def unpack_sides(parent: str, root: Path, aa: bool = False, repo: Path = ROOT) -> dict[str, Path]:
+    """``{"parent": root/parent, "change": root/change}``, unpacked.
+
+    Sibling directories whose paths have the same length, so nothing that
+    follows the path (its string in ``sys.path`` and in every module's
+    ``__file__``) differs between the sides.  The change is ``repo``'s
+    working tree, or ``parent`` again when ``aa``.
+    """
+    trees = {side: root / side for side in ("parent", "change")}
+    unpack(parent, trees["parent"], repo)
+    unpack(parent if aa else working_tree(repo), trees["change"], repo)
+    return trees
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[str, dict[str, float]]:
@@ -116,6 +152,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[str,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--aa", action="store_true", help="run --parent against itself (A/A)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
@@ -126,8 +163,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as scratch:
-        unpack(args.parent, Path(scratch))
-        trees = {"parent": Path(scratch), "change": ROOT}
+        trees = unpack_sides(args.parent, Path(scratch), aa=args.aa)
         for pair in range(args.pairs):
             digests = {}
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):

@@ -62,7 +62,7 @@ class OpenFlameClient:
             backoff_seed=self.backoff_seed,
         )
         self.geocoder = FederatedGeocoder(
-            context=self.context, world_provider=self.federation.world_provider
+            context=self.context, world_provider_id=self.federation.world_provider_id
         )
         self.searcher = FederatedSearch(context=self.context)
         self.router = FederatedRouter(context=self.context)

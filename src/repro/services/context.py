@@ -52,6 +52,14 @@ class RequestOutcome:
     servers were found.  ``degraded`` is true when the request's discovery
     answered a cell from a stale cache entry because live resolution failed.
     Both can hold at once — a stale view that names only dead replicas.
+
+    A geocode asks the world provider as one more target, so its asks count
+    like any other.  A lost coarse stage — the provider's chain exhausted —
+    leaves a forward geocode with no area to discover, and so unserved
+    unless its fallback ask to the same provider answers.  With no retry
+    policy a crashed provider is no target at all (nothing to time out on),
+    and the geocode reads served with no answer, as any request does whose
+    servers all vanished.
     """
 
     served: bool

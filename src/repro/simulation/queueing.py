@@ -561,6 +561,9 @@ class ServerQueue:
     _busy_until: float = field(default=0.0, repr=False)
     _stored_spans: int = field(default=0, repr=False)
     _prune_above: int = field(default=1024, repr=False)
+    _full_at: float | None = field(default=None, repr=False)
+    """The instant :meth:`_tail_state` last found no room on any worker at;
+    forgotten when a prune removes a span (see :meth:`phantom_arrivals`)."""
 
     def __post_init__(self) -> None:
         check_count("ServerQueue.capacity", self.capacity)
@@ -596,7 +599,10 @@ class ServerQueue:
         if self._stored_spans <= self._prune_above:
             return
         cutoff = now - self._PRUNE_LAG_SECONDS
-        self._stored_spans -= sum(schedule.prune(cutoff) for schedule in self._schedules)
+        removed = sum(schedule.prune(cutoff) for schedule in self._schedules)
+        self._stored_spans -= removed
+        if removed:
+            self._full_at = None
         self._prune_above = max(1024, 2 * self._stored_spans)
 
     def _commit(
@@ -732,6 +738,12 @@ class ServerQueue:
         * the per-worker drop check is the aggregate ``capacity − live``
           backlog bound rather than a per-job placement probe.
 
+        The worker scan (:meth:`_tail_state`) is the only thing that decides
+        room.  When it finds none, the instant is remembered (``_full_at``),
+        and a later batch at that same instant drops whole without a scan:
+        no insert lowers a live count at a fixed instant, so the queue stays
+        full there until a prune removes a span and forgets it.
+
         Phantoms charge no network latency and never advance the clock —
         only real requests drive time.  Returns ``(admitted, dropped)``.
         """
@@ -743,27 +755,18 @@ class ServerQueue:
         self.stats.arrivals += count
         self.kind_totals[kind] = self.kind_totals.get(kind, 0) + count
         self._prune(now)
+        if now == self._full_at:
+            self.stats.dropped += count
+            return (0, count)
         service_ms = self.service_times.service_ms(kind)
         service_s = service_ms / 1000.0
 
-        # Per-worker tail state: next-free instant, live backlog, cap left.
-        tails: list[float] = []
-        lives: list[int] = []
-        caps: list[int] = []
-        for schedule in self._schedules:  # live_count, read straight off the counts
-            ends = schedule.ends
-            spans = len(ends)
-            first = bisect_right(ends, now)
-            live = spans - first if schedule.jobs == spans else sum(schedule.counts[first:])
-            if first < spans and (run := schedule.runs[first]) is not None:
-                live -= schedule._first_live(run, now) - run[2]
-            tails.append(max(now, ends[-1] if ends else 0.0))
-            lives.append(live)
-            caps.append(max(0, self.capacity - live))
+        tails, lives, caps = self._tail_state(now)
         admitted = min(count, sum(caps))
         dropped = count - admitted
         self.stats.dropped += dropped
         if admitted == 0:
+            self._full_at = now
             return (0, dropped)
 
         # Greedy earliest-finish water-fill, bounded by per-worker caps: each
@@ -801,3 +804,20 @@ class ServerQueue:
             stats.served += jobs
             stats.busy_ms += jobs * service_ms
         return (admitted, dropped)
+
+    def _tail_state(self, now: float) -> tuple[list[float], list[int], list[int]]:
+        """Per worker: next-free instant, live backlog and slots left at ``now``."""
+        tails: list[float] = []
+        lives: list[int] = []
+        caps: list[int] = []
+        for schedule in self._schedules:  # live_count, read straight off the counts
+            ends = schedule.ends
+            spans = len(ends)
+            first = bisect_right(ends, now)
+            live = spans - first if schedule.jobs == spans else sum(schedule.counts[first:])
+            if first < spans and (run := schedule.runs[first]) is not None:
+                live -= schedule._first_live(run, now) - run[2]
+            tails.append(max(now, ends[-1] if ends else 0.0))
+            lives.append(live)
+            caps.append(max(0, self.capacity - live))
+        return tails, lives, caps

@@ -1,13 +1,15 @@
-"""The verdict arithmetic of ``scripts/ab_pairs.py`` on synthetic numbers.
+"""``scripts/ab_pairs.py``: its verdict arithmetic on synthetic numbers, and
+how it unpacks the two sides from a throwaway git repository.
 
-No subprocess and no perfbench run: only the rule that turns paired
-parent/change values into ``gain`` / ``unresolved`` / ``worse``.
+No perfbench run: only the rule that turns paired parent/change values into
+``gain`` / ``unresolved`` / ``worse``, and the trees the runs would start in.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import random
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,53 @@ class TestMarkdownRow:
         median = ab_pairs.quartiles(parent)[1]
         assert cells[5].endswith(f"× {median:.4g}")
         assert cells[6:] == ["10/10", "gain"]
+
+
+def _git(repo: Path, *args: str) -> None:
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=ab", "-c", "user.email=ab@example.invalid", *args],
+        check=True,
+        capture_output=True,
+    )
+
+
+class TestUnpackSides:
+    @pytest.fixture()
+    def repo(self, tmp_path: Path) -> Path:
+        """One commit, then an uncommitted edit, a new file and an ignored one."""
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        _git(repo, "init", "-q")
+        (repo / "module.py").write_text("VALUE = 1\n")
+        (repo / ".gitignore").write_text("*.log\n")
+        _git(repo, "add", "-A")
+        _git(repo, "commit", "-q", "-m", "parent")
+        (repo / "module.py").write_text("VALUE = 2\n")
+        (repo / "new.py").write_text("NEW = True\n")
+        (repo / "run.log").write_text("left behind\n")
+        return repo
+
+    def test_sides_are_equal_length_siblings_and_the_change_holds_the_edit(self, repo: Path, tmp_path: Path):
+        trees = ab_pairs.unpack_sides("HEAD", tmp_path / "sides", repo=repo)
+        parent, change = trees["parent"], trees["change"]
+        assert parent.parent == change.parent == tmp_path / "sides"
+        assert len(str(parent)) == len(str(change))
+        assert (parent / "module.py").read_text() == "VALUE = 1\n"
+        assert not (parent / "new.py").exists()
+        assert (change / "module.py").read_text() == "VALUE = 2\n"
+        assert (change / "new.py").read_text() == "NEW = True\n"
+        assert not (change / "run.log").exists()
+
+    def test_the_repositorys_own_index_is_left_alone(self, repo: Path, tmp_path: Path):
+        ab_pairs.unpack_sides("HEAD", tmp_path / "sides", repo=repo)
+        status = subprocess.run(
+            ["git", "-C", str(repo), "status", "--porcelain"], capture_output=True, text=True, check=True
+        )
+        assert sorted(status.stdout.splitlines()) == [" M module.py", "?? new.py"]
+
+    def test_aa_unpacks_the_same_revision_on_both_sides(self, repo: Path, tmp_path: Path):
+        trees = ab_pairs.unpack_sides("HEAD", tmp_path / "sides", aa=True, repo=repo)
+        for tree in trees.values():
+            assert sorted(path.name for path in tree.iterdir()) == [".gitignore", "module.py"]
+            assert (tree / "module.py").read_text() == "VALUE = 1\n"
+

@@ -111,10 +111,16 @@ class TestClientWiring:
         assert client.context.credential.user_id == "alice"
 
     def test_world_provider_used_by_geocoder(self, federation: Federation):
+        """The geocoder holds the provider's id and reaches it as a request
+        target: one more server consulted, charged as a map-server exchange."""
         city = generate_city(rows=3, cols=3, seed=1)
         federation.add_map_server("city.example", city.map_data, is_world_provider=True)
         client = federation.client()
-        assert client.geocoder.world_provider is federation.world_provider
+        assert client.geocoder.world_provider_id == federation.world_provider_id == "city.example"
+        before = federation.network.stats.messages_by_kind.get("mapserver.request", 0)
+        result = client.reverse_geocode(city.bounds.center)
+        assert result.servers_consulted == 2  # the discovered city map, then the provider by id
+        assert federation.network.stats.messages_by_kind["mapserver.request"] - before == 2
 
     def test_reset_network_stats(self, federation: Federation):
         city = generate_city(rows=3, cols=3, seed=1)

@@ -343,6 +343,69 @@ class TestPhantomArrivals:
         assert queue.stats.arrivals == 0
 
 
+class TestFullInstant:
+    """A batch that finds no room remembers its instant; a later batch at the
+    same instant drops whole without scanning the workers, until a prune
+    removes a span."""
+
+    def make_queue(self) -> tuple[ServerQueue, list[float]]:
+        """A checked 3-worker queue whose worker scans are logged by instant."""
+        queue = checked(
+            ServerQueue(
+                network=SimulatedNetwork(), service_times=ServiceTimeModel(default_ms=10.0), capacity=4, workers=3
+            )
+        )
+        scans: list[float] = []
+        scan = queue._tail_state
+
+        def logged(now):
+            scans.append(now)
+            return scan(now)
+
+        queue._tail_state = logged
+        return queue, scans
+
+    def test_a_second_batch_at_a_full_instant_drops_without_a_scan(self):
+        queue, scans = self.make_queue()
+        assert queue.phantom_arrivals("search", 20) == (12, 8)
+        assert queue.phantom_arrivals("search", 5) == (0, 5)
+        assert queue._full_at == 0.0 and scans == [0.0, 0.0]
+        assert queue.phantom_arrivals("search", 7) == (0, 7)
+        assert queue.phantom_arrivals("tiles", 2) == (0, 2)
+        assert scans == [0.0, 0.0]
+        assert (queue.stats.arrivals, queue.stats.served, queue.stats.dropped) == (34, 12, 22)
+        assert queue.kind_totals == {"search": 32, "tiles": 2}
+        with pytest.raises(ServerOverloadedError):  # the full instant is full for a real request too
+            queue.process("search")
+
+    def test_a_prune_that_removes_a_span_forgets_the_instant(self):
+        queue, scans = self.make_queue()
+        queue.phantom_arrivals("search", 20)
+        queue.phantom_arrivals("search", 1)
+        queue._prune_above = 0
+        queue._prune(0.0)  # nothing has completed: no span removed
+        assert queue._full_at == 0.0
+        queue._prune_above = 0
+        queue._prune(500.0)
+        assert queue._stored_spans == 0 and queue._full_at is None
+        assert queue.phantom_arrivals("search", 2) == (2, 0)
+        assert scans == [0.0, 0.0, 0.0]
+
+    def test_a_batch_after_the_clock_moves_rescans(self):
+        queue, scans = self.make_queue()
+        clock = queue.network.clock
+        queue.phantom_arrivals("search", 20)
+        queue.phantom_arrivals("search", 1)
+        clock.advance(0.015)  # each worker's first job has completed
+        assert queue.phantom_arrivals("search", 5) == (3, 2)
+        assert queue._full_at == 0.0 and scans == [0.0, 0.0, 0.015]
+        assert queue.phantom_arrivals("search", 1) == (0, 1)
+        assert queue._full_at == 0.015 and scans == [0.0, 0.0, 0.015, 0.015]
+        clock.rewind_to(0.0)  # one instant is remembered: the earlier one is scanned again
+        assert queue.phantom_arrivals("search", 1) == (0, 1)
+        assert queue._full_at == 0.0 and scans == [0.0, 0.0, 0.015, 0.015, 0.0]
+
+
 # --------------------------------------------------------------------------
 # Reference model: the per-interval queue the run-length-encoded one replaced.
 #
@@ -592,13 +655,16 @@ class CheckedSchedule(_WorkerSchedule):
 
 def checked(queue: ServerQueue) -> ServerQueue:
     """``queue`` with walk-checked schedules; a batch's inlined live counts
-    are checked against the walk before each ``phantom_arrivals``."""
+    are checked against the walk before each ``phantom_arrivals``, and so is
+    the full instant it remembers: no worker has room there."""
     queue._schedules = [CheckedSchedule() for _ in range(queue.workers)]
     admit = queue.phantom_arrivals
 
     def phantom_arrivals(kind, count):
         for schedule in queue._schedules:
             schedule.live_count(queue.network.clock.now())
+        if queue._full_at is not None:
+            assert all(schedule.live_count(queue._full_at) >= queue.capacity for schedule in queue._schedules)
         return admit(kind, count)
 
     queue.phantom_arrivals = phantom_arrivals

@@ -264,15 +264,9 @@ class TestCounterOracle:
 
 
 class TestWorldProvider:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="FederatedGeocoder.world_provider is the MapServer captured when the client was "
-        "built, asked outside targets / fan_out: after crash_map_server(world_provider_id) on "
-        "build_scenario(store_count=1, city_rows=4, city_cols=4, seed=33), a client built before "
-        "the crash reverse-geocodes 100 Forbes Street to 'Simville city map' (servers_consulted 2, "
-        "outcome served) while one built after gets store-0's answer from 1 server",
-    )
+    """The geocoder asks the world provider by id, through ``targets`` and
+    ``fan_out``, so a crash reaches it as it reaches any discovered server."""
+
     def test_a_crashed_world_provider_contributes_no_candidate(self):
         scenario = build_scenario(store_count=1, city_rows=4, city_cols=4, seed=33)
         federation = scenario.federation
@@ -286,3 +280,26 @@ class TestWorldProvider:
         assert found.servers_consulted == expected.servers_consulted == 1
         assert [c.map_name for c in found.candidates] == [c.map_name for c in expected.candidates]
         assert found.best.map_name != "Simville city map"
+
+    def test_a_lost_coarse_stage_leaves_a_geocode_unserved(self):
+        """With a retry policy the crashed provider stays a target and its
+        chain is exhausted: no coarse location, no fallback answer, and so
+        nothing served.  Back up, it serves the same address again."""
+        scenario = build_scenario(
+            store_count=1,
+            city_rows=4,
+            city_cols=4,
+            seed=33,
+            config=FederationConfig(retry_policy=RetryPolicy.utilization_aware()),
+        )
+        federation = scenario.federation
+        client = federation.client()
+        address = next(iter(scenario.city.building_addresses))
+        healthy = client.geocode(address)
+        assert healthy.outcome == HEALTHY and healthy.coarse_location is not None
+
+        federation.crash_map_server(federation.world_provider_id)
+        lost = client.geocode(address)
+        assert lost.outcome == UNSERVED
+        assert (lost.coarse_location, lost.best, lost.servers_consulted) == (None, None, 1)
+
