@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop
@@ -165,6 +166,11 @@ def _stop_table(rank: int) -> bytes:
     return bytes(rank + 1) + b"\x01" * (255 - rank)
 
 
+def _level_tables(levels: Sequence[float]) -> dict[float, bytes]:
+    """Per level of the ascending ``levels``, the :func:`_stop_table` of its rank."""
+    return {level: _stop_table(rank) for rank, level in enumerate(levels)}
+
+
 @dataclass
 class _WorkerSchedule:
     """One worker's committed jobs as sorted, non-overlapping busy spans.
@@ -182,12 +188,15 @@ class _WorkerSchedule:
     them.  ``counts[i]`` is span ``i``'s job count (``jobs`` their total),
     so a backlog is the first live span's own live jobs plus a C-level sum
     — a subtraction while no run is stored.  ``marks`` is the gap index:
-    byte ``i`` counts the service times in ``levels`` (every service time
-    this worker has been asked to place, ascending) that the walk cannot
-    pass over span ``i`` in one step (:meth:`_stop_at`), so the next span a
-    placement must look at is one ``translate`` + ``find`` away.
-    ``last_stop`` is the index of the last span with a nonzero mark (-1 when
-    none is), which is what :meth:`bound` reads.
+    byte ``i`` counts the service times in ``levels`` (ascending) that the
+    walk cannot pass over span ``i`` in one step (:meth:`_stop_at`), so the
+    next span a placement must look at is one ``translate`` + ``find`` away.
+    A queue's workers share one ``levels`` / ``_stops`` table, built from
+    its :class:`ServiceTimeModel` before any span is stored; a service time
+    outside it is learned by :meth:`_index_level`, which gives this worker
+    tables of its own and never edits the shared ones.  ``last_stop`` is the
+    index of the last span with a nonzero mark (-1 when none is), which is
+    what :meth:`bound` reads.
     """
 
     starts: list[float] = field(default_factory=list)
@@ -259,13 +268,17 @@ class _WorkerSchedule:
         return max(gap, run[4]) if start + run[1] > previous_end else math.inf
 
     def _index_level(self, service_s: float) -> bytes:
-        """Add ``service_s`` to the levels, re-mark every span, return its table."""
-        if len(self.levels) == self._MAX_LEVELS:
-            self.levels.clear()
-        insort(self.levels, service_s)
-        self.marks = bytearray(bisect_right(self.levels, self._stop_at(index)) for index in range(len(self.ends)))
+        """Add ``service_s`` to the levels, re-mark every span, return its table.
+
+        Builds new ``levels`` and ``_stops`` rather than editing them in
+        place, since they may be the queue's shared tables.
+        """
+        levels = [] if len(self.levels) == self._MAX_LEVELS else list(self.levels)
+        insort(levels, service_s)
+        self.levels = levels
+        self.marks = bytearray(bisect_right(levels, self._stop_at(index)) for index in range(len(self.ends)))
         self.last_stop = len(self.marks.rstrip(b"\0")) - 1
-        self._stops = {level: _stop_table(rank) for rank, level in enumerate(self.levels)}
+        self._stops = _level_tables(levels)
         return self._stops[service_s]
 
     def _pass(
@@ -433,6 +446,23 @@ def _level(bits: int) -> float:
     return _DOUBLE.unpack(_BITS.pack(bits))[0] if bits >= 0 else -math.ulp(0.0)
 
 
+def _taken(classes: list[tuple[float, int, int]], level: float, service_s: float) -> tuple[list[int], int]:
+    """Per class ``(tail, room, size)``, ``a(level)``, and ``N(level)``: their sum over workers.
+
+    ``a`` is ``clip(floor((level - tail) / service_s) + 1, 0, room)`` in
+    float, read off the quotient: it reaches ``room`` once the quotient
+    reaches ``room - 1`` (an overflow to ``inf`` included) and is 0 below 0.
+    """
+    counts = []
+    total = 0
+    for tail, room, size in classes:
+        quotient = (level - tail) / service_s
+        count = room if quotient >= room - 1 else 0 if quotient < 0.0 else int(quotient) + 1
+        counts.append(count)
+        total += size * count
+    return counts, total
+
+
 def water_fill(tails: Sequence[float], caps: Sequence[int], admitted: int, service_s: float) -> list[int]:
     """How many of ``admitted`` same-instant jobs each worker takes.
 
@@ -446,6 +476,9 @@ def water_fill(tails: Sequence[float], caps: Sequence[int], admitted: int, servi
     Write ``s = service_s > 0``, ``t_i = tails[i]`` (>= 0, the clock never
     reads below zero; a negative tail raises ``ValueError``) and ``c_i =
     min(caps[i], admitted)`` (no worker takes more than ``admitted``).
+    Workers with equal ``(t_i, c_i)`` have the same sequence ``v_i``, so
+    each step below runs once per such *class* of workers, weighted by its
+    size: a batch meets a few classes however many workers it spans.
 
     1. *Level.*  ``a_i(L) = clip(floor((L - t_i) / s) + 1, 0, c_i)`` in float
        approximates how many of worker ``i``'s pairs lie at or below ``L``,
@@ -456,9 +489,9 @@ def water_fill(tails: Sequence[float], caps: Sequence[int], admitted: int, servi
        ``L_hi - L_lo < s/2`` or the patterns are adjacent: ≤ 64 passes.
     2. *Band.*  With ``n_i = a_i(L_hi)``, pairs ``k < n_i - m`` are certain,
        pairs ``k >= n_i + m`` are out, and the rest of ``admitted`` is taken
-       from the band between them by a stable sort of the heap's own float
-       ``v_i(k)`` — the band is laid out in ``(i, k)`` order, so ties keep the
-       heap's tie-break.
+       from the band between them in ascending float ``v_i(k)`` — the heap's
+       own values — a group of equal values whole while it fits, and the
+       group it does not fit in by ``(i, k)``: the heap's tie-break.
 
     The margin ``m`` is proven.  Let ``U = ulp(max(top, L_hi))``: every float
     the argument rounds to (``k * s``, ``v_i(k)``, ``L - t_i``) is at most
@@ -477,50 +510,80 @@ def water_fill(tails: Sequence[float], caps: Sequence[int], admitted: int, servi
     bound itself (below 1/2 while it is under ``admitted``) and the
     subnormal quotient term.  ``m`` is capped at ``max c_i``, which bounds
     any ``|x_i - n_i|``: a tiny ``s`` (where ``U/s`` would overflow) puts
-    every worker's whole room in the band, and is still exact.
+    every worker's whole room in the band, and is still exact.  Nothing in
+    the argument tells two workers of one class apart, so it holds class by
+    class: the bounds on ``n_i - x_i`` are the same for every member.
     """
-    t = np.array(tails, dtype=float)
-    lowest = float(t.min())
-    if not lowest >= 0.0:
-        raise ValueError(f"water_fill tails must be >= 0, got {lowest!r}")
-    room_counts = np.minimum(np.array(caps), admitted)
-    room = room_counts.astype(float)
-    largest = int(room_counts.max())
+    numbers: dict[tuple[float, int], int] = {}  # a worker's (tail, cap) -> its class
+    found: dict[tuple[float, int], int] = {}  # a class's (tail, room) -> its number
+    sizes: list[int] = []  # per class, its workers
+    for pair, size in Counter(zip(tails, caps)).items():
+        if not pair[0] >= 0.0:
+            raise ValueError(f"water_fill tails must be >= 0, got {pair[0]!r}")
+        number = numbers[pair] = found.setdefault((pair[0], min(pair[1], admitted)), len(found))
+        if number < len(sizes):
+            sizes[number] += size
+        else:
+            sizes.append(size)
+    classes = [(tail, room, size) for (tail, room), size in zip(found, sizes)]
+    largest = max(room for _, room, _ in classes)
 
-    def taken(level: float) -> np.ndarray:
-        return np.minimum(np.maximum(np.floor((level - t) / service_s) + 1.0, 0.0), room)
+    top = max(tail + room * service_s for tail, room, _ in classes)  # inf past the float range
+    low = _bits(abs(min(tails))) - 1  # abs: a tail may be -0.0
+    low_level = _level(low)
+    high, high_level = _bits(top), top
+    high_taken, total = _taken(classes, top, service_s)
+    if total < admitted:
+        high, high_level, high_taken = _bits(math.inf), math.inf, [room for _, room, _ in classes]
+    while high - low > 1 and high_level - low_level >= service_s / 2:
+        mid = (low + high) // 2
+        mid_level = _level(mid)
+        mid_taken, total = _taken(classes, mid_level, service_s)
+        if total >= admitted:
+            high, high_level, high_taken = mid, mid_level, mid_taken
+        else:
+            low, low_level = mid, mid_level
 
-    with np.errstate(over="ignore"):  # past the float range a count saturates to the room
-        top = float((t + room * service_s).max())
-        low = _bits(abs(lowest)) - 1  # abs: a tail may be -0.0
-        low_level = _level(low)
-        high, high_level, high_taken = _bits(top), top, taken(top)
-        if np.cumsum(high_taken)[-1] < admitted:
-            high, high_level, high_taken = _bits(math.inf), math.inf, room
-        while high - low > 1 and high_level - low_level >= service_s / 2:
-            mid = (low + high) // 2
-            mid_level = _level(mid)
-            mid_taken = taken(mid_level)
-            if np.cumsum(mid_taken)[-1] >= admitted:
-                high, high_level, high_taken = mid, mid_level, mid_taken
-            else:
-                low, low_level = mid, mid_level
+    bound = (high_level - low_level) + 7.0 * math.ulp(max(top, high_level))
+    margin = largest if bound >= largest * service_s else min(largest, math.ceil(bound / service_s) + 1)
+    taken = []  # per class, the jobs each member takes
+    band: list[tuple[float, int]] = []  # (v, class) per band pair of one member
+    rest, width = admitted, 0
+    for number, ((tail, room, size), approx) in enumerate(zip(classes, high_taken)):
+        first, last = max(approx - margin, 0), min(approx + margin, room)
+        taken.append(first)
+        rest -= size * first
+        width += size * (last - first)
+        band.extend((tail + k * service_s, number) for k in range(first, last))
+    if not 0 <= rest <= width:
+        raise RuntimeError(f"water_fill band of {width} cannot hold the {rest} jobs left")
 
-        bound = (high_level - low_level) + 7.0 * math.ulp(max(top, high_level))
-        margin = largest if bound >= largest * service_s else min(largest, math.ceil(bound / service_s) + 1)
-        approx = high_taken.astype(np.int64)
-        certain = np.maximum(approx - margin, 0)
-        width = np.minimum(approx + margin, room_counts) - certain
-        band_ends = np.cumsum(width)
-        band = int(band_ends[-1])
-        rest = admitted - int(np.cumsum(certain)[-1])
-        if not 0 <= rest <= band:
-            raise RuntimeError(f"water_fill band of {band} cannot hold the {rest} jobs left")
-        owner = np.repeat(np.arange(len(width)), width)
-        jobs = np.arange(band) + np.repeat(certain - (band_ends - width), width)
-        finishes = np.repeat(t, width) + jobs * service_s
-    picked = np.argsort(finishes, kind="stable")[:rest]
-    assigned = (certain + np.bincount(owner[picked], minlength=len(width))).tolist()
+    band.sort()
+    group: dict[int, int] = {}  # per class, its members' pairs at one value of the band
+    position = 0
+    while rest:
+        value, group = band[position][0], {}
+        while position < len(band) and band[position][0] == value:
+            number = band[position][1]
+            group[number] = group.get(number, 0) + 1
+            position += 1
+        size = sum([sizes[number] * pairs for number, pairs in group.items()])
+        if size > rest:
+            break  # the group is taken in part, below
+        for number, pairs in group.items():
+            taken[number] += pairs
+        rest -= size
+    each = {pair: taken[number] for pair, number in numbers.items()}
+    assigned = [each[pair] for pair in zip(tails, caps)]
+    if rest:  # by (worker index, job) through the group until the rest is taken
+        tied = {pair: group[number] for pair, number in numbers.items() if number in group}
+        for index, pair in enumerate(zip(tails, caps)):
+            if pair in tied:
+                pairs = min(tied[pair], rest)
+                assigned[index] += pairs
+                rest -= pairs
+                if not rest:
+                    break
     if sum(assigned) != admitted:
         raise RuntimeError(f"water_fill assigned {sum(assigned)} of {admitted} jobs")
     return assigned
@@ -561,14 +624,22 @@ class ServerQueue:
     _busy_until: float = field(default=0.0, repr=False)
     _stored_spans: int = field(default=0, repr=False)
     _prune_above: int = field(default=1024, repr=False)
-    _full_at: float | None = field(default=None, repr=False)
-    """The instant :meth:`_tail_state` last found no room on any worker at;
-    forgotten when a prune removes a span (see :meth:`phantom_arrivals`)."""
+    _instant: tuple[float, list[float], list[int], list[int]] | None = field(default=None, repr=False)
+    """``(at, tails, lives, caps)``: what :meth:`_tail_state` last read at
+    ``at``, kept exact by every commit since and forgotten when a prune
+    removes a span (see :meth:`phantom_arrivals`)."""
 
     def __post_init__(self) -> None:
         check_count("ServerQueue.capacity", self.capacity)
         check_count("ServerQueue.workers", self.workers)
-        self._schedules = [_WorkerSchedule() for _ in range(self.workers)]
+        # Every worker shares one gap-index table of the model's service
+        # times, in seconds as `process` and `phantom_arrivals` compute them.
+        model = self.service_times
+        levels = sorted({ms / 1000.0 for ms in (model.default_ms, *model.per_kind_ms.values())})
+        if len(levels) > _WorkerSchedule._MAX_LEVELS:  # more than a mark counts: each learns its own
+            levels = []
+        stops = _level_tables(levels)
+        self._schedules = [_WorkerSchedule(levels=levels, _stops=stops) for _ in range(self.workers)]
 
     @property
     def busy_until(self) -> float:
@@ -602,14 +673,8 @@ class ServerQueue:
         removed = sum(schedule.prune(cutoff) for schedule in self._schedules)
         self._stored_spans -= removed
         if removed:
-            self._full_at = None
+            self._instant = None
         self._prune_above = max(1024, 2 * self._stored_spans)
-
-    def _commit(
-        self, schedule: _WorkerSchedule, span: int, job: int, start: float, service_s: float, jobs: int
-    ) -> None:
-        self._stored_spans += schedule.insert(span, job, start, service_s, jobs)
-        self._busy_until = max(self._busy_until, schedule.ends[-1])
 
     def snapshot(self, window_seconds: float | None = None) -> dict[str, float]:
         """The queue's stats snapshot, normalized for (and reporting) workers."""
@@ -706,7 +771,17 @@ class ServerQueue:
             self.stats.max_depth = queued_behind
 
         wait_ms = (start - now) * 1000.0
-        self._commit(self._schedules[chosen], span, job, start, service_s, 1)
+        schedule = self._schedules[chosen]
+        added = schedule.insert(span, job, start, service_s, 1)
+        self._stored_spans += added
+        tail = schedule.ends[-1]
+        self._busy_until = max(self._busy_until, tail)
+        if self._instant is not None:  # one more job ending after `at` is one more live there
+            at, tails, lives, caps = self._instant
+            tails[chosen] = max(at, tail)
+            if schedule.ends[span + added - 1] > at:
+                lives[chosen] += 1
+                caps[chosen] = max(0, self.capacity - lives[chosen])
 
         self.stats.served += 1
         self.stats.busy_ms += service_ms
@@ -738,11 +813,17 @@ class ServerQueue:
         * the per-worker drop check is the aggregate ``capacity − live``
           backlog bound rather than a per-job placement probe.
 
-        The worker scan (:meth:`_tail_state`) is the only thing that decides
-        room.  When it finds none, the instant is remembered (``_full_at``),
-        and a later batch at that same instant drops whole without a scan:
-        no insert lowers a live count at a fixed instant, so the queue stays
-        full there until a prune removes a span and forgets it.
+        Room is read off the instant's state ``(at, tails, lives, caps)``:
+        per worker its next-free instant, live backlog and slots left at
+        ``at``.  A batch at a new instant scans every worker for it
+        (:meth:`_tail_state`); a batch at the instant already scanned reads
+        it as it stands, so a full instant (no slot left) drops whole without
+        a scan.  It stays exact because the live count at a fixed instant is
+        the number of stored jobs ending after it: an insert adds jobs whose
+        ends are known, which this batch's commit loop and :meth:`process`
+        add to the worker they fill; a split keeps every job's instants; and
+        only a prune removes jobs, so a prune that removes a span forgets
+        the state.
 
         Phantoms charge no network latency and never advance the clock —
         only real requests drive time.  Returns ``(admitted, dropped)``.
@@ -752,27 +833,25 @@ class ServerQueue:
         if count == 0:
             return (0, 0)
         now = self.network.clock.now()
-        self.stats.arrivals += count
+        stats = self.stats
+        stats.arrivals += count
         self.kind_totals[kind] = self.kind_totals.get(kind, 0) + count
         self._prune(now)
-        if now == self._full_at:
-            self.stats.dropped += count
-            return (0, count)
-        service_ms = self.service_times.service_ms(kind)
-        service_s = service_ms / 1000.0
-
-        tails, lives, caps = self._tail_state(now)
+        if self._instant is None or self._instant[0] != now:
+            self._instant = (now, *self._tail_state(now))
+        _, tails, lives, caps = self._instant
         admitted = min(count, sum(caps))
         dropped = count - admitted
-        self.stats.dropped += dropped
+        stats.dropped += dropped
         if admitted == 0:
-            self._full_at = now
             return (0, dropped)
+        service_ms = self.service_times.service_ms(kind)
+        service_s = service_ms / 1000.0
 
         # Greedy earliest-finish water-fill, bounded by per-worker caps: each
         # job goes to the worker that would finish it first (lowest index on
         # ties).  `water_fill` finds that split by selection, at a cost per
-        # worker rather than per job.
+        # class of identical workers rather than per job.
         if service_s <= 0.0:
             # Zero service time: every job starts at its worker's tail and
             # nothing levels — fill the workers with room in index order.
@@ -787,26 +866,42 @@ class ServerQueue:
         # expression of per-job admission, so the float sum is the one
         # `process` calls would reach: np.add.accumulate is that sequential
         # fold (np.sum and math.fsum reassociate it).
-        stats = self.stats
         jobs_per_worker = np.array(assigned)
         positions = np.arange(admitted) - np.repeat(np.cumsum(jobs_per_worker) - jobs_per_worker, jobs_per_worker)
         waits = ((np.repeat(tails, jobs_per_worker) + positions * service_s) - now) * 1000.0
         stats.wait_ms_total = float(np.add.accumulate(np.concatenate(([stats.wait_ms_total], waits)))[-1])
 
-        # One run per worker.  Job `position` queues behind `live + position` others.
+        # One run per worker, appended at its tail.  Job `position` queues
+        # behind `live + position` others; the run's jobs that end after
+        # `now` are live there from now on.
+        capacity, schedules = self.capacity, self._schedules
+        depth_total, max_depth, busy_until, added = stats.depth_total, stats.max_depth, self._busy_until, 0
         for index, jobs in enumerate(assigned):
             if not jobs:
                 continue
-            schedule = self._schedules[index]
-            self._commit(schedule, len(schedule.ends), 0, tails[index], service_s, jobs)
-            stats.depth_total += jobs * lives[index] + jobs * (jobs - 1) // 2
-            stats.max_depth = max(stats.max_depth, lives[index] + jobs - 1)
-            stats.served += jobs
+            schedule, tail, live = schedules[index], tails[index], lives[index]
+            ends = schedule.ends
+            added += schedule.insert(len(ends), 0, tail, service_s, jobs)
+            depth_total += jobs * live + jobs * (jobs - 1) // 2
+            max_depth = max(max_depth, live + jobs - 1)
             stats.busy_ms += jobs * service_ms
+            end = tails[index] = ends[-1]
+            busy_until = max(busy_until, end)
+            if end > now:  # past a tail after `now` every job is live; at `now` all but a prefix
+                run = schedule.runs[-1]
+                live += jobs if tail > now or run is None else jobs - schedule._first_live(run, now)
+                lives[index], caps[index] = live, max(0, capacity - live)
+        stats.depth_total, stats.max_depth = depth_total, max_depth
+        stats.served += admitted
+        self._stored_spans += added
+        self._busy_until = busy_until
         return (admitted, dropped)
 
     def _tail_state(self, now: float) -> tuple[list[float], list[int], list[int]]:
-        """Per worker: next-free instant, live backlog and slots left at ``now``."""
+        """Per worker: next-free instant, live backlog and slots left at ``now``.
+
+        The scan :meth:`phantom_arrivals` keeps as its instant's state.
+        """
         tails: list[float] = []
         lives: list[int] = []
         caps: list[int] = []

@@ -343,10 +343,10 @@ class TestPhantomArrivals:
         assert queue.stats.arrivals == 0
 
 
-class TestFullInstant:
-    """A batch that finds no room remembers its instant; a later batch at the
-    same instant drops whole without scanning the workers, until a prune
-    removes a span."""
+class TestInstantState:
+    """A batch scans the workers at a new instant and keeps what it read;
+    a batch at that instant again reads the kept state, which every commit
+    since has kept exact, until a prune removes a span."""
 
     def make_queue(self) -> tuple[ServerQueue, list[float]]:
         """A checked 3-worker queue whose worker scans are logged by instant."""
@@ -365,45 +365,87 @@ class TestFullInstant:
         queue._tail_state = logged
         return queue, scans
 
-    def test_a_second_batch_at_a_full_instant_drops_without_a_scan(self):
-        queue, scans = self.make_queue()
-        assert queue.phantom_arrivals("search", 20) == (12, 8)
-        assert queue.phantom_arrivals("search", 5) == (0, 5)
-        assert queue._full_at == 0.0 and scans == [0.0, 0.0]
-        assert queue.phantom_arrivals("search", 7) == (0, 7)
-        assert queue.phantom_arrivals("tiles", 2) == (0, 2)
-        assert scans == [0.0, 0.0]
-        assert (queue.stats.arrivals, queue.stats.served, queue.stats.dropped) == (34, 12, 22)
-        assert queue.kind_totals == {"search": 32, "tiles": 2}
-        with pytest.raises(ServerOverloadedError):  # the full instant is full for a real request too
-            queue.process("search")
+    @staticmethod
+    def fresh(queue: ServerQueue) -> tuple:
+        """The state a new scan at the kept instant reads."""
+        at = queue._instant[0]
+        return (at, *ServerQueue._tail_state(queue, at))
 
-    def test_a_prune_that_removes_a_span_forgets_the_instant(self):
+    def test_a_second_batch_at_an_instant_reads_the_state(self):
+        queue, scans = self.make_queue()
+        assert queue.phantom_arrivals("search", 5) == (5, 0)  # workers take 2, 2, 1
+        assert queue._instant == (0.0, [0.02, 0.02, 0.01], [2, 2, 1], [2, 2, 3]) == self.fresh(queue)
+        assert queue.phantom_arrivals("tiles", 4) == (4, 0)  # worker 2 first, then the 0.02 tie by index
+        assert [schedule.jobs for schedule in queue._schedules] == [3, 3, 3]
+        assert queue._instant == self.fresh(queue) and queue._instant[2:] == ([3, 3, 3], [1, 1, 1])
+        assert scans == [0.0]
+
+    def test_a_process_between_batches_changes_exactly_the_chosen_worker(self):
+        queue, scans = self.make_queue()
+        clock = queue.network.clock
+        queue.phantom_arrivals("search", 5)
+        at = queue._instant[0]
+        tails, lives, caps = (list(part) for part in queue._instant[1:])
+        clock.advance(0.015)  # worker 2's job has completed: it is idle
+        assert queue.process("search") == 10.0
+        tails[2], lives[2], caps[2] = 0.025, 2, 2  # its new job ends after the kept instant
+        assert queue._instant == (at, tails, lives, caps) == self.fresh(queue)
+        clock.rewind_to(0.0)
+        assert queue.process("search") == 30.0  # 20 ms behind worker 0's two jobs, then served
+        tails[0], lives[0], caps[0] = 0.03, 3, 1
+        assert queue._instant == (at, tails, lives, caps) == self.fresh(queue)
+        clock.rewind_to(0.0)  # a request advances the clock; the batch lands back at the kept instant
+        assert queue.phantom_arrivals("search", 3) == (3, 0)
+        assert scans == [0.0]
+
+    def test_a_prune_that_removes_a_span_forgets_the_state(self):
         queue, scans = self.make_queue()
         queue.phantom_arrivals("search", 20)
-        queue.phantom_arrivals("search", 1)
+        kept = queue._instant
         queue._prune_above = 0
         queue._prune(0.0)  # nothing has completed: no span removed
-        assert queue._full_at == 0.0
+        assert queue._instant is kept
         queue._prune_above = 0
         queue._prune(500.0)
-        assert queue._stored_spans == 0 and queue._full_at is None
+        assert queue._stored_spans == 0 and queue._instant is None
         assert queue.phantom_arrivals("search", 2) == (2, 0)
-        assert scans == [0.0, 0.0, 0.0]
+        assert scans == [0.0, 0.0]
 
-    def test_a_batch_after_the_clock_moves_rescans(self):
+    def test_a_batch_after_the_clock_moves_or_a_rewind_rescans(self):
         queue, scans = self.make_queue()
         clock = queue.network.clock
         queue.phantom_arrivals("search", 20)
-        queue.phantom_arrivals("search", 1)
         clock.advance(0.015)  # each worker's first job has completed
         assert queue.phantom_arrivals("search", 5) == (3, 2)
-        assert queue._full_at == 0.0 and scans == [0.0, 0.0, 0.015]
+        assert queue._instant[0] == 0.015 and scans == [0.0, 0.015]
         assert queue.phantom_arrivals("search", 1) == (0, 1)
-        assert queue._full_at == 0.015 and scans == [0.0, 0.0, 0.015, 0.015]
-        clock.rewind_to(0.0)  # one instant is remembered: the earlier one is scanned again
+        assert scans == [0.0, 0.015]
+        clock.rewind_to(0.0)  # one instant is kept: the earlier one is scanned again
         assert queue.phantom_arrivals("search", 1) == (0, 1)
-        assert queue._full_at == 0.0 and scans == [0.0, 0.0, 0.015, 0.015, 0.0]
+        assert queue._instant == self.fresh(queue) and scans == [0.0, 0.015, 0.0]
+
+    def test_jobs_of_a_new_run_that_end_at_the_instant_are_not_live_there(self):
+        """A service time under half an ulp of the clock: an idle worker's
+        first jobs end at the instant itself, so only the rest are live."""
+        model = ServiceTimeModel(per_kind_ms={"tiles": 1e-13})
+        queue = checked(ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=8, workers=2))
+        queue.network.clock.advance(1.0)
+        assert queue.phantom_arrivals("tiles", 9) == (9, 0)  # workers take 5 and 4
+        assert queue._instant[2] == [3, 2] and queue._instant == self.fresh(queue)
+        assert queue.phantom_arrivals("tiles", 9) == (9, 0)  # read, not rescanned: `checked` holds it to a scan
+
+    def test_a_full_instant_drops_whole_and_a_process_there_raises(self):
+        queue, scans = self.make_queue()
+        assert queue.phantom_arrivals("search", 20) == (12, 8)
+        assert sum(queue._instant[3]) == 0
+        assert queue.phantom_arrivals("search", 7) == (0, 7)
+        assert queue.phantom_arrivals("tiles", 2) == (0, 2)
+        assert scans == [0.0]
+        assert (queue.stats.arrivals, queue.stats.served, queue.stats.dropped) == (29, 12, 17)
+        assert queue.kind_totals == {"search": 27, "tiles": 2}
+        with pytest.raises(ServerOverloadedError):  # the full instant is full for a real request too
+            queue.process("search")
+        assert queue._instant == self.fresh(queue)
 
 
 # --------------------------------------------------------------------------
@@ -654,17 +696,22 @@ class CheckedSchedule(_WorkerSchedule):
 
 
 def checked(queue: ServerQueue) -> ServerQueue:
-    """``queue`` with walk-checked schedules; a batch's inlined live counts
-    are checked against the walk before each ``phantom_arrivals``, and so is
-    the full instant it remembers: no worker has room there."""
-    queue._schedules = [CheckedSchedule() for _ in range(queue.workers)]
+    """``queue`` with walk-checked schedules sharing its level tables.  Before
+    each ``phantom_arrivals`` a batch's inlined live counts are checked
+    against the walk, and so is the instant state the queue keeps: it equals
+    a fresh ``_tail_state`` scan of its instant, whose live counts are the
+    walk's."""
+    shared = queue._schedules[0]
+    queue._schedules = [CheckedSchedule(levels=shared.levels, _stops=shared._stops) for _ in range(queue.workers)]
     admit = queue.phantom_arrivals
 
     def phantom_arrivals(kind, count):
         for schedule in queue._schedules:
             schedule.live_count(queue.network.clock.now())
-        if queue._full_at is not None:
-            assert all(schedule.live_count(queue._full_at) >= queue.capacity for schedule in queue._schedules)
+        if queue._instant is not None:
+            at, tails, lives, caps = queue._instant
+            assert (tails, lives, caps) == ServerQueue._tail_state(queue, at)
+            assert lives == [walk_live_count(schedule, at) for schedule in queue._schedules]
         return admit(kind, count)
 
     queue.phantom_arrivals = phantom_arrivals
@@ -1075,6 +1122,42 @@ class TestAdmissionByLookup:
         assert_indexes_consistent(schedule)
 
 
+class TestLevelsFromTheModel:
+    """A queue's workers share one gap-index table of its model's service
+    times, so ``bound`` answers for every kind from the first request on."""
+
+    def test_workers_share_one_table_and_learning_a_level_leaves_it(self):
+        model = ServiceTimeModel(default_ms=2.0, per_kind_ms={"routing": 4.0, "tiles": 0.5, "search": 2.0})
+        queue = ServerQueue(network=SimulatedNetwork(), service_times=model, workers=4)
+        shared = queue._schedules[0]
+        assert shared.levels == [0.0005, 0.002, 0.004]
+        assert all(s.levels is shared.levels and s._stops is shared._stops for s in queue._schedules)
+        levels, stops = list(shared.levels), dict(shared._stops)
+        worker = queue._schedules[1]
+        worker.insert(0, 0, 0.0, 0.002, 3)
+        for kind in ("routing", "tiles", "geocode"):
+            assert worker.bound(0.0, model.service_ms(kind) / 1000.0) == 0.006
+        worker.place(0.0, 0.003, queue.capacity)  # a level outside the model
+        assert worker.levels == [0.0005, 0.002, 0.003, 0.004] and 0.003 in worker._stops
+        assert (shared.levels, shared._stops) == (levels, stops) and 0.003 not in shared._stops
+        assert all(s.levels is shared.levels for s in queue._schedules if s is not worker)
+        assert_indexes_consistent(worker)
+
+    def test_a_model_with_more_times_than_a_mark_counts_shares_no_table(self):
+        """A mark is one byte: past 255 service times each worker learns its own."""
+        model = ServiceTimeModel(per_kind_ms={f"kind{k}": 1.0 + k / 100 for k in range(300)})
+        queue = checked(ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=4, workers=2))
+        assert queue._schedules[0].levels == []
+        for k in (0, 299, 0):
+            queue.network.clock.rewind_to(0.0)
+            queue.process(f"kind{k}")
+        first, second = queue._schedules
+        expected = sorted(model.service_ms(kind) / 1000.0 for kind in ("kind0", "kind299"))
+        assert first.levels == second.levels == expected and first.levels is not second.levels
+        for schedule in queue._schedules:
+            assert_indexes_consistent(schedule)
+
+
 @dataclass
 class CountingSchedule(CheckedSchedule):
     """A checked schedule that counts the ``place`` calls made on it."""
@@ -1098,7 +1181,8 @@ class TestProbeBudget:
         Scanning the workers until one is idle asked ≈ 96 per arrival here."""
         model = ServiceTimeModel(per_kind_ms={"search": 1.5, "routing": 4.0, "tiles": 0.5})
         queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=512, workers=100)
-        queue._schedules = [CountingSchedule() for _ in range(queue.workers)]
+        shared = queue._schedules[0]
+        queue._schedules = [CountingSchedule(levels=shared.levels, _stops=shared._stops) for _ in range(queue.workers)]
         clock = queue.network.clock
         for step in range(3):
             round_start = step * 2.0
@@ -1116,12 +1200,14 @@ class TestProbeBudget:
 
     def test_equal_tails_go_to_the_lower_index(self):
         """Workers 1 and 2 both start the request at their common tail.
-        Worker 2 has never placed this service time, so its bound is unknown
-        and it is asked first; worker 1 is known to start at its tail and is
-        asked after it.  The lower index still wins the tie."""
+        Worker 2 has not indexed this service time (it does not share the
+        queue's level tables), so its bound is unknown and it is asked first;
+        worker 1 is known to start at its tail and is asked after it.  The
+        lower index still wins the tie."""
         queue = checked(ServerQueue(network=SimulatedNetwork(), capacity=4, workers=3))
         service_s = queue.service_times.service_ms("search") / 1000.0
         worker_0, worker_1, worker_2 = queue._schedules
+        worker_2.levels, worker_2._stops = [], {}
         worker_0.insert(0, 0, 0.0, 0.005, 1)
         for schedule in (worker_1, worker_2):
             schedule.insert(0, 0, 0.0, 0.003, 1)
@@ -1194,7 +1280,9 @@ def water_fill_inputs(draw) -> tuple[list[float], list[int], int, float]:
 
 
 class TestWaterFillMatchesHeap:
-    """``water_fill`` vs the heap merge it replaced: equal, worker by worker."""
+    """``water_fill`` vs the heap merge it replaced: equal, worker by worker.
+    Hypothesis draws each worker's tail from a few codes, so most draws put
+    many workers in one class of equal ``(tail, room)``."""
 
     @settings(max_examples=150, deadline=None)
     @given(inputs=water_fill_inputs())
@@ -1205,6 +1293,17 @@ class TestWaterFillMatchesHeap:
     @example(inputs=([0.1, 0.1 + 0.002, 0.1], [3, 3, 3], 5, 0.002))
     # Every slot admitted.
     @example(inputs=([0.5, 0.25], [2, 0], 2, 1 / 3))
+    # 100 workers in three interleaved classes: the group tied at 0.002 (the
+    # idle class's second jobs and the late class's first) is taken in part,
+    # by worker index.
+    @example(
+        inputs=([(0.0, 0.002, 0.001)[i % 3] for i in range(100)], [(5, 5, 3)[i % 3] for i in range(100)], 87, 0.002)
+    )
+    # Below an ulp of the tails every job of a worker finishes at its tail, so
+    # the count at `top` falls short of `admitted` and the high level is inf.
+    @example(inputs=([1e9, 1e9, math.nextafter(1e9, math.inf)], [3, 4, 5], 10, 1e-9))
+    # All workers in one class.
+    @example(inputs=([0.5] * 10, [7] * 10, 33, 0.004))
     def test_selection_equals_the_heap(self, inputs):
         assert water_fill(*inputs) == heap_water_fill(*inputs)
 
