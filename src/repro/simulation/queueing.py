@@ -382,19 +382,57 @@ class _WorkerSchedule:
             return ends[-1]
         return None
 
+    @staticmethod
+    def span(base: float, service_s: float, count: int) -> tuple[float, tuple[float, float, int, int, float] | None]:
+        """``(end, run)`` of ``count`` back-to-back jobs from ``base``.
+
+        ``run`` is ``None`` for a single job.  It depends on nothing stored,
+        so workers committing equal jobs from an equal base share one.
+        """
+        end = (base + (count - 1) * service_s) + service_s
+        if count == 1:
+            return end, None
+        slack = 4.0 * math.ulp(end)
+        return end, (base, service_s, 0, count, slack if service_s > slack else math.inf)
+
+    def append(self, base: float, end: float, run: tuple[float, float, int, int, float] | None, count: int) -> None:
+        """Store the :meth:`span` ``(end, run)`` of ``count`` jobs from ``base`` last.
+
+        The one tail store: :meth:`insert` hands its tail case here and a
+        phantom batch calls it per worker.  The new span's mark is
+        :meth:`_stop_at` of it, read off the previous end; a nonzero one
+        makes it ``last_stop``.  No other span's mark changes.
+        """
+        index = len(self.ends)
+        self.starts.append(base)
+        self.ends.append(end)
+        self.runs.append(run)
+        self.counts.append(count)
+        self.jobs += count
+        mark = bisect_right(self.levels, self._stop_at(index))
+        self.marks.append(mark)
+        if mark:
+            self.last_stop = index
+
     def insert(self, index: int, job: int, base: float, service_s: float, count: int) -> int:
         """Commit ``count`` back-to-back jobs before ``job`` of span ``index``.
 
-        Splits a run when ``job`` is interior to it: both halves keep the
-        run's ``base``, so their jobs keep their exact instants.  Returns
-        the number of spans added.  The new span and the one after it get
-        fresh marks; a split's first half keeps the run's start and
-        predecessor, so it keeps the run's mark too.
+        At the tail (``index == len(ends)``) this is :meth:`append` of the
+        :meth:`span`.  Inside the schedule it splits a run when ``job`` is
+        interior to it: both halves keep the run's ``base``, so their jobs
+        keep their exact instants.  Returns the number of spans added.  The
+        new span and the one after it get fresh marks; a split's first half
+        keeps the run's start and predecessor, so it keeps the run's mark
+        too.
         """
+        last_end, new_run = self.span(base, service_s, count)
+        if index == len(self.ends):
+            self.append(base, last_end, new_run, count)
+            return 1
         starts, ends, runs, counts, marks = self.starts, self.ends, self.runs, self.counts, self.marks
         last_stop, at = self.last_stop, index
         added = 1
-        run = runs[index] if index < len(runs) else None
+        run = runs[index]
         if run is not None and job > run[2]:
             old_base, old_service_s, lo, hi, jump_above = run
             starts.insert(index, starts[index])
@@ -407,23 +445,18 @@ class _WorkerSchedule:
             runs[index] = (old_base, old_service_s, job, hi, jump_above)
             counts[index] = hi - job
             added = 2
-        last_end = (base + (count - 1) * service_s) + service_s
-        slack = 4.0 * math.ulp(last_end)
         starts.insert(index, base)
         ends.insert(index, last_end)
-        runs.insert(
-            index, None if count == 1 else (base, service_s, 0, count, slack if service_s > slack else math.inf)
-        )
+        runs.insert(index, new_run)
         counts.insert(index, count)
         self.jobs += count
         levels = self.levels
         marks.insert(index, bisect_right(levels, self._stop_at(index)))
-        if index + 1 < len(starts):
-            marks[index + 1] = bisect_right(levels, self._stop_at(index + 1))
+        marks[index + 1] = bisect_right(levels, self._stop_at(index + 1))
         # Only the marks of the new span and the one after it changed.
         if last_stop > at:  # a later stop, shifted
             self.last_stop = last_stop + added
-        elif index + 1 < len(starts) and marks[index + 1]:
+        elif marks[index + 1]:
             self.last_stop = index + 1
         elif marks[index]:
             self.last_stop = index
@@ -825,6 +858,16 @@ class ServerQueue:
         only a prune removes jobs, so a prune that removes a span forgets
         the state.
 
+        The commit works per class of workers with equal ``(tail, jobs,
+        live)``: they commit equal runs from equal backlogs, so the class
+        builds its :meth:`_WorkerSchedule.span` (one run tuple its members
+        share), its depths, ``jobs × service_ms`` and its live count and
+        room after the batch once.  Per worker the loop only stores the run
+        with :meth:`_WorkerSchedule.append`, which reads the worker's own
+        previous end for the gap mark, and writes the instant's state.
+        ``busy_ms`` still adds per worker in worker order, the float sum
+        per-job admission would reach.
+
         Phantoms charge no network latency and never advance the clock —
         only real requests drive time.  Returns ``(admitted, dropped)``.
         """
@@ -871,29 +914,36 @@ class ServerQueue:
         waits = ((np.repeat(tails, jobs_per_worker) + positions * service_s) - now) * 1000.0
         stats.wait_ms_total = float(np.add.accumulate(np.concatenate(([stats.wait_ms_total], waits)))[-1])
 
-        # One run per worker, appended at its tail.  Job `position` queues
-        # behind `live + position` others; the run's jobs that end after
-        # `now` are live there from now on.
-        capacity, schedules = self.capacity, self._schedules
-        depth_total, max_depth, busy_until, added = stats.depth_total, stats.max_depth, self._busy_until, 0
+        # One run per worker, appended at its tail.  Workers with equal
+        # `(tail, jobs, live)` commit equal runs, so each such class builds
+        # its span and instant state once.  Job `position` queues behind
+        # `live + position` others; the run's jobs that end after `now` are
+        # live there from now on.  `busy_ms` adds per worker, in worker order.
+        capacity, schedules, span = self.capacity, self._schedules, _WorkerSchedule.span
+        depth_total, max_depth, busy_until, busy_ms = stats.depth_total, stats.max_depth, self._busy_until, stats.busy_ms
+        commits: dict[tuple[float, int, int], tuple] = {}  # a class's (tail, jobs, live) -> what it commits
         for index, jobs in enumerate(assigned):
             if not jobs:
                 continue
-            schedule, tail, live = schedules[index], tails[index], lives[index]
-            ends = schedule.ends
-            added += schedule.insert(len(ends), 0, tail, service_s, jobs)
-            depth_total += jobs * live + jobs * (jobs - 1) // 2
-            max_depth = max(max_depth, live + jobs - 1)
-            stats.busy_ms += jobs * service_ms
-            end = tails[index] = ends[-1]
-            busy_until = max(busy_until, end)
-            if end > now:  # past a tail after `now` every job is live; at `now` all but a prefix
-                run = schedule.runs[-1]
-                live += jobs if tail > now or run is None else jobs - schedule._first_live(run, now)
-                lives[index], caps[index] = live, max(0, capacity - live)
-        stats.depth_total, stats.max_depth = depth_total, max_depth
+            tail, live = tails[index], lives[index]
+            key = (tail, jobs, live)
+            commit = commits.get(key)
+            if commit is None:
+                end, run = span(tail, service_s, jobs)
+                max_depth = max(max_depth, live + jobs - 1)
+                busy_until = max(busy_until, end)
+                depth = jobs * live + jobs * (jobs - 1) // 2
+                if end > now:  # past a tail after `now` every job is live; at `now` all but a prefix
+                    live += jobs if tail > now or run is None else jobs - schedules[index]._first_live(run, now)
+                commit = commits[key] = (end, run, jobs * service_ms, depth, live, max(0, capacity - live))
+            end, run, busy, depth, live, room = commit
+            schedules[index].append(tail, end, run, jobs)
+            tails[index], lives[index], caps[index] = end, live, room
+            busy_ms += busy
+            depth_total += depth
+        stats.depth_total, stats.max_depth, stats.busy_ms = depth_total, max_depth, busy_ms
         stats.served += admitted
-        self._stored_spans += added
+        self._stored_spans += len(assigned) - assigned.count(0)
         self._busy_until = busy_until
         return (admitted, dropped)
 

@@ -110,43 +110,39 @@ class TileRenderer:
     # Rasterisation helpers
     # ------------------------------------------------------------------
     def _paint_polyline(self, raster: np.ndarray, coordinate: TileCoordinate, nodes, feature: FeatureClass) -> None:
-        for a, b in zip(nodes, nodes[1:]):
-            start = pixel_in_tile(a.location, coordinate)
-            end = pixel_in_tile(b.location, coordinate)
-            self._paint_segment(raster, start, end, feature)
+        """Bresenham-style rasterisation of each segment, widened by ``line_thickness``.
 
-    def _paint_segment(
-        self,
-        raster: np.ndarray,
-        start: tuple[int, int],
-        end: tuple[int, int],
-        feature: FeatureClass,
-    ) -> None:
-        """Bresenham-style line rasterisation with optional thickness."""
-        x0, y0 = start
-        x1, y1 = end
-        dx = abs(x1 - x0)
-        dy = abs(y1 - y0)
-        step_x = 1 if x0 < x1 else -1
-        step_y = 1 if y0 < y1 else -1
-        error = dx - dy
-        x, y = x0, y0
-        while True:
-            self._paint_pixel(raster, x, y, feature)
-            if x == x1 and y == y1:
-                break
-            doubled = 2 * error
-            if doubled > -dy:
-                error -= dy
-                x += step_x
-            if doubled < dx:
-                error += dx
-                y += step_y
-
-    def _paint_pixel(self, raster: np.ndarray, column: int, row: int, feature: FeatureClass) -> None:
+        Every segment's pixels are collected first, then painted with their
+        thickness neighbours in one write.  ``pixel_in_tile`` keeps each
+        pixel on the tile, so clipping a neighbour to the tile lands on a
+        pixel the same square already covers.  A pixel listed twice is
+        written the same value twice, so the order of the pixels is moot.
+        """
+        columns: list[int] = []
+        rows: list[int] = []
+        pixels = [pixel_in_tile(node.location, coordinate) for node in nodes]
+        for (x, y), (x1, y1) in zip(pixels, pixels[1:]):
+            dx = abs(x1 - x)
+            dy = abs(y1 - y)
+            step_x = 1 if x < x1 else -1
+            step_y = 1 if y < y1 else -1
+            error = dx - dy
+            while True:
+                columns.append(x)
+                rows.append(y)
+                if x == x1 and y == y1:
+                    break
+                doubled = 2 * error
+                if doubled > -dy:
+                    error -= dy
+                    x += step_x
+                if doubled < dx:
+                    error += dx
+                    y += step_y
+        if not rows:
+            return
         thickness = max(0, self.line_thickness - 1)
-        for drow in range(-thickness, thickness + 1):
-            for dcol in range(-thickness, thickness + 1):
-                r, c = row + drow, column + dcol
-                if 0 <= r < TILE_SIZE_PIXELS and 0 <= c < TILE_SIZE_PIXELS:
-                    raster[r, c] = max(raster[r, c], int(feature))
+        offsets = np.arange(-thickness, thickness + 1)
+        row_index = np.clip(np.array(rows)[:, None, None] + offsets[:, None], 0, TILE_SIZE_PIXELS - 1)
+        column_index = np.clip(np.array(columns)[:, None, None] + offsets, 0, TILE_SIZE_PIXELS - 1)
+        raster[row_index, column_index] = np.maximum(raster[row_index, column_index], int(feature))

@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.config import FederationConfig
+from repro.simulation import queueing
 from repro.simulation.network import LatencyModel, SimulatedNetwork
 from repro.simulation.queueing import (
     QueueStats,
@@ -700,7 +702,7 @@ def checked(queue: ServerQueue) -> ServerQueue:
     each ``phantom_arrivals`` a batch's inlined live counts are checked
     against the walk, and so is the instant state the queue keeps: it equals
     a fresh ``_tail_state`` scan of its instant, whose live counts are the
-    walk's."""
+    walk's.  After each, every worker's indexes agree with its spans."""
     shared = queue._schedules[0]
     queue._schedules = [CheckedSchedule(levels=shared.levels, _stops=shared._stops) for _ in range(queue.workers)]
     admit = queue.phantom_arrivals
@@ -712,7 +714,10 @@ def checked(queue: ServerQueue) -> ServerQueue:
             at, tails, lives, caps = queue._instant
             assert (tails, lives, caps) == ServerQueue._tail_state(queue, at)
             assert lives == [walk_live_count(schedule, at) for schedule in queue._schedules]
-        return admit(kind, count)
+        result = admit(kind, count)
+        for schedule in queue._schedules:
+            assert_indexes_consistent(schedule)
+        return result
 
     queue.phantom_arrivals = phantom_arrivals
     return queue
@@ -850,6 +855,55 @@ class TestRunLengthQueueMatchesOracle:
             ("phantom", "tiles", 6),
             ("rewind", 0.001),
             ("process", "search"),
+        ],
+    )
+    # A batch on a worker idle at the instant: its run starts after a gap
+    # the other kinds fit in, so its mark is nonzero and it is `last_stop`;
+    # a request rewound into the gap is served there.
+    @example(
+        shape=(2, 8, (2.0, 2.0, 2.0)),
+        prune_always=False,
+        ops=[
+            ("phantom", "search", 2),
+            ("advance", 1.0),
+            ("phantom", "tiles", 3),
+            ("rewind", 0.5),
+            ("process", "routing"),
+        ],
+    )
+    # The first span on an empty worker, then a second batch behind it.
+    @example(
+        shape=(3, 4, (1.0, 1.0, 1.0)),
+        prune_always=False,
+        ops=[("phantom", "search", 5), ("phantom", "search", 4), ("process", "search")],
+    )
+    # One job per worker: every span stored is a single job (`run` is None).
+    @example(
+        shape=(3, 4, (2.0, 2.0, 2.0)),
+        prune_always=False,
+        ops=[("phantom", "search", 3), ("advance", 0.001), ("phantom", "routing", 3), ("process", "tiles")],
+    )
+    # A service time below a quarter ulp of the clock: the batch's runs may
+    # not be jumped whole (`jump_above` is inf), and a later request walks them.
+    @example(
+        shape=(2, 6, (1e-13, 2.0, 2.0)),
+        prune_always=False,
+        ops=[("advance", 1.0), ("phantom", "search", 5), ("process", "search"), ("phantom", "search", 7)],
+    )
+    # Workers 0 and 1 share a tail (0.004) and take one job each, but hold one
+    # and two live jobs: equal runs, different depths and rooms after.
+    @example(
+        shape=(2, 3, (2.0, 4.0, 2.0)),
+        prune_always=False,
+        ops=[
+            ("process", "routing"),
+            ("rewind", 0.004),
+            ("process", "search"),
+            ("rewind", 0.002),
+            ("process", "search"),
+            ("rewind", 0.004),
+            ("phantom", "search", 2),
+            ("phantom", "tiles", 4),
         ],
     )
     def test_every_observable_equals_the_oracle(self, shape, ops, prune_always):
@@ -1215,6 +1269,61 @@ class TestProbeBudget:
         assert worker_1.bound(0.0, service_s) == 0.003 and worker_2.bound(0.0, service_s) is None
         assert queue.process("search") == 3.0 + 2.0
         assert [schedule.jobs for schedule in queue._schedules] == [1, 2, 1]
+
+
+class TestBatchCommitBudget:
+    """A phantom batch stores each worker's run through ``append`` alone and
+    builds one span per class of workers with equal ``(tail, jobs, live)``.
+    Counts calls; times nothing."""
+
+    def test_fleet_shaped_batches_build_one_span_per_class(self, monkeypatch):
+        """The rounds of ``TestProbeBudget``'s fleet shape: 100 workers at
+        capacity 512, each tracer's batch landing at the round start."""
+        model = ServiceTimeModel(per_kind_ms={"search": 1.5, "routing": 4.0, "tiles": 0.5})
+        queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=512, workers=100)
+        calls = Counter()
+
+        def counting(name, method):
+            def count(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return count
+
+        monkeypatch.setattr(_WorkerSchedule, "span", staticmethod(counting("span", _WorkerSchedule.span)))
+        monkeypatch.setattr(_WorkerSchedule, "append", counting("append", _WorkerSchedule.append))
+        monkeypatch.setattr(_WorkerSchedule, "insert", counting("insert", _WorkerSchedule.insert))
+        fill = queueing.water_fill
+        split = {}  # the batch's committing workers and their classes
+
+        def spied_fill(tails, caps, admitted, service_s):
+            assigned = fill(tails, caps, admitted, service_s)
+            committing = [(tail, jobs, live) for tail, jobs, live in zip(tails, assigned, queue._instant[2]) if jobs]
+            split.update(workers=len(committing), classes=len(set(committing)))
+            return assigned
+
+        monkeypatch.setattr(queueing, "water_fill", spied_fill)
+        clock = queue.network.clock
+        totals = Counter()
+        for step in range(3):
+            round_start = step * 2.0
+            for tracer in range(64):
+                clock.rewind_to(min(clock.now(), round_start))
+                clock.advance_to(round_start + 0.05 + 0.0003 * tracer)
+                kind = KINDS[tracer % 3]
+                apply_op(queue, ("process", kind), 0.0)
+                clock.rewind_to(round_start)
+                before = calls.copy()
+                split.update(workers=0, classes=0)
+                queue.phantom_arrivals(kind, 900)
+                batch = calls - before
+                assert batch["insert"] == 0
+                assert batch["append"] == split["workers"]
+                assert batch["span"] <= split["classes"]
+                totals.update(batch)
+            clock.advance_to(round_start + 2.0)
+        assert queue.stats.dropped > 0
+        assert 0 < totals["span"] < totals["append"] / 5  # 2,510 spans for 17,091 workers
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng, LocalPoint
@@ -171,6 +175,119 @@ class TestRenderer:
     def test_invalid_raster_shape_rejected(self):
         with pytest.raises(ValueError):
             Tile(TileCoordinate(10, 0, 0), np.zeros((10, 10), dtype=np.uint8), "m")
+
+
+# The per-pixel painter ``TileRenderer._paint_polyline`` replaced, verbatim
+# but for its ``self``: one Bresenham walk per segment, each pixel and its
+# thickness square painted with scalar reads and writes, skipping off-tile
+# neighbours.
+def oracle_paint_polyline(raster, coordinate, nodes, feature, line_thickness):
+    for a, b in zip(nodes, nodes[1:]):
+        start = pixel_in_tile(a.location, coordinate)
+        end = pixel_in_tile(b.location, coordinate)
+        oracle_paint_segment(raster, start, end, feature, line_thickness)
+
+
+def oracle_paint_segment(raster, start, end, feature, line_thickness):
+    x0, y0 = start
+    x1, y1 = end
+    dx = abs(x1 - x0)
+    dy = abs(y1 - y0)
+    step_x = 1 if x0 < x1 else -1
+    step_y = 1 if y0 < y1 else -1
+    error = dx - dy
+    x, y = x0, y0
+    while True:
+        oracle_paint_pixel(raster, x, y, feature, line_thickness)
+        if x == x1 and y == y1:
+            break
+        doubled = 2 * error
+        if doubled > -dy:
+            error -= dy
+            x += step_x
+        if doubled < dx:
+            error += dx
+            y += step_y
+
+
+def oracle_paint_pixel(raster, column, row, feature, line_thickness):
+    thickness = max(0, line_thickness - 1)
+    for drow in range(-thickness, thickness + 1):
+        for dcol in range(-thickness, thickness + 1):
+            r, c = row + drow, column + dcol
+            if 0 <= r < TILE_SIZE_PIXELS and 0 <= c < TILE_SIZE_PIXELS:
+                raster[r, c] = max(raster[r, c], int(feature))
+
+
+PAINT_TILE = tile_for_point(CENTER, 17)
+
+# A node as a fraction of the tile's width and height from its north-west
+# corner: outside [0, 1) it is off the tile and its pixel clamps to the border.
+fractions = st.one_of(
+    st.sampled_from([-0.5, -1e-9, 0.0, 0.5, 0.999, 1.0, 1.5]),
+    st.floats(min_value=-0.6, max_value=1.6, allow_nan=False),
+)
+
+
+def tile_nodes(points):
+    bounds = tile_bounds(PAINT_TILE)
+    return [
+        SimpleNamespace(
+            location=LatLng(bounds.north - fy * bounds.height_degrees, bounds.west + fx * bounds.width_degrees)
+        )
+        for fx, fy in points
+    ]
+
+
+class TestPolylinePainter:
+    """``_paint_polyline`` paints what the per-pixel painter painted, ``==``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        polylines=st.lists(
+            st.tuples(
+                st.lists(st.tuples(fractions, fractions), max_size=8),
+                st.sampled_from(list(FeatureClass)),
+            ),
+            max_size=4,
+        ),
+        line_thickness=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # A single-pixel segment (both nodes on one pixel) and its polyline
+    # walked back over itself.
+    @example(polylines=[([(0.5, 0.5), (0.5, 0.5)], FeatureClass.PATH)], line_thickness=2, seed=0)
+    @example(
+        polylines=[([(0.1, 0.2), (0.9, 0.6), (0.1, 0.2)], FeatureClass.AREA)],
+        line_thickness=1,
+        seed=1,
+    )
+    # Both nodes off the tile on opposite sides: a segment along the border
+    # whose thickness square spills off the tile.
+    @example(polylines=[([(-0.5, -0.5), (1.5, -0.2)], FeatureClass.PATH)], line_thickness=3, seed=2)
+    @example(polylines=[([(1.5, 1.5), (-0.5, 0.5), (0.3, 1.2)], FeatureClass.POI)], line_thickness=3, seed=3)
+    def test_rasters_equal_the_per_pixel_painter(self, polylines, line_thickness, seed):
+        renderer = TileRenderer(map_data=None, line_thickness=line_thickness)
+        start = np.random.default_rng(seed).integers(0, len(FeatureClass), (TILE_SIZE_PIXELS,) * 2, dtype=np.uint8)
+        raster, expected = start.copy(), start.copy()
+        for points, feature in polylines:
+            nodes = tile_nodes(points)
+            renderer._paint_polyline(raster, PAINT_TILE, nodes, feature)
+            oracle_paint_polyline(expected, PAINT_TILE, nodes, feature, line_thickness)
+            assert raster.dtype == expected.dtype and (raster == expected).all()
+
+    @pytest.mark.parametrize("line_thickness", [1, 2, 3])
+    def test_rendered_tiles_equal_the_per_pixel_painter(self, city, monkeypatch, line_thickness):
+        coordinates = tiles_for_box(BoundingBox.around(city.bounds.center, 150.0), 17)
+        fast = TileRenderer(city.map_data, line_thickness=line_thickness).prerender(coordinates)
+
+        def paint(self, raster, coordinate, nodes, feature):
+            oracle_paint_polyline(raster, coordinate, nodes, feature, self.line_thickness)
+
+        monkeypatch.setattr(TileRenderer, "_paint_polyline", paint)
+        slow = TileRenderer(city.map_data, line_thickness=line_thickness).prerender(coordinates)
+        assert any(tile.coverage_fraction for tile in slow)
+        assert [tile.raster.tobytes() for tile in fast] == [tile.raster.tobytes() for tile in slow]
 
 
 class TestStitcher:
