@@ -12,9 +12,10 @@ Usage: scripts/rebaseline.py --reason TEXT
    ``BENCH_e??.json``.
 3. Prints the reason and, for every file that differs from
    ``git show HEAD:<path>``, its moved JSON key paths as ``path: old -> new``
-   (``scripts/artifact_drift.py``): the summary a model change ships in
-   CHANGES.md.  Run on an unchanged tree it prints no file and writes
-   nothing new.
+   (``scripts/artifact_drift.py``), then a ``removed R, changed C, added A``
+   tally of those paths: the summary a model change ships in CHANGES.md
+   (a pure deletion reads ``changed 0, added 0``).  Run on an unchanged
+   tree it prints no file and writes nothing new.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+ABSENT = "<absent>"
+"""How ``artifact_drift.drift`` shows the missing side of a leaf."""
 
 
 def rewrite_goldens(golden) -> tuple[list[Path], list[str]]:
@@ -77,23 +80,36 @@ def committed(path: Path) -> str | None:
     return show.stdout if show.returncode == 0 else None
 
 
+def tally(moved: list[str]) -> str:
+    """How many key paths of ``drift()``'s lines left, changed value, or
+    arrived: a leaf it shows as ``<absent>`` after the arrow was removed,
+    one it shows as ``<absent>`` before the arrow was added."""
+    removed = sum(line.endswith(f"-> {ABSENT}") for line in moved)
+    added = sum(f": {ABSENT} -> " in line for line in moved)
+    return f"removed {removed}, changed {len(moved) - removed - added}, added {added}"
+
+
+def file_lines(name: str, old: str | None, new: str | None, drift) -> list[str]:
+    """One differing file's block of the summary: its name, each moved key
+    path, and its tally.  An added or deleted file lists no paths; its
+    tally counts them against an empty payload."""
+    moved = drift(json.loads(old or "{}"), json.loads(new or "{}"))
+    if old is None or new is None:
+        return [f"{name}: {'added' if old is None else 'deleted'}", f"  {tally(moved)}"]
+    return [name, *(f"  {line}" for line in moved), f"  {tally(moved)}"]
+
+
 def summary(reason: str, paths: list[Path], skipped: list[str], drift) -> list[str]:
     lines = [f"reason: {reason}"]
     lines += [f"skipped, left as stored: {case}" for case in skipped]
-    moved = 0
+    differ = 0
     for path in sorted(set(paths)):
         old = committed(path)
         new = path.read_text() if path.exists() else None
-        if old == new:
-            continue
-        moved += 1
-        name = path.relative_to(REPO).as_posix()
-        if old is None or new is None:
-            lines.append(f"{name}: {'added' if old is None else 'deleted'}")
-            continue
-        lines.append(name)
-        lines += [f"  {line}" for line in drift(json.loads(old), json.loads(new))]
-    lines.append(f"{moved} file(s) differ from HEAD")
+        if old != new:
+            differ += 1
+            lines += file_lines(path.relative_to(REPO).as_posix(), old, new, drift)
+    lines.append(f"{differ} file(s) differ from HEAD")
     return lines
 
 

@@ -305,6 +305,26 @@ class TestGoldens:
         assert "--reason" in run.stderr
         assert written() == before
 
+    def test_rebaseline_tallies_each_file(self):
+        rebaseline = load(REPO_ROOT / "scripts" / "rebaseline.py")
+        stored = {"kept": 1, "moved": 2.0, "gone": {"a": 3, "b": 4}}
+        pruned = {"kept": 1, "moved": 2.0}
+        reshaped = {"kept": 1, "moved": 2.5, "new": None}
+
+        def block(old, new):
+            texts = (None if side is None else json.dumps(side) for side in (old, new))
+            return rebaseline.file_lines("g.json", *texts, golden.drift)
+
+        assert block(stored, pruned) == [
+            "g.json",
+            "  gone.a: 3 -> <absent>",
+            "  gone.b: 4 -> <absent>",
+            "  removed 2, changed 0, added 0",
+        ]
+        assert block(stored, reshaped)[-1] == "  removed 2, changed 1, added 1"
+        assert block(None, pruned) == ["g.json: added", "  removed 0, changed 0, added 2"]
+        assert block(pruned, None) == ["g.json: deleted", "  removed 2, changed 0, added 0"]
+
 
 class TestDocsLinks:
     """The docs link checker the lint stage runs: clean on the real tree,
