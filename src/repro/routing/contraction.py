@@ -107,12 +107,18 @@ class ContractionHierarchy:
         if self._shortcut_via is None:
             # The expansion table only depends on the preprocessed edges, so
             # it is built once on first use rather than per query.
+            # Keyed in travel direction.  Downward edges are stored reversed
+            # for the backward search, so a stored ``source -> target`` is
+            # travelled ``target -> source``.
             shortcut_via: dict[tuple[int, int], int] = {}
-            for adjacency in (self.upward, self.downward):
-                for edges in adjacency.values():
-                    for edge in edges:
-                        if edge.via is not None:
-                            shortcut_via[(edge.source, edge.target)] = edge.via
+            for edges in self.upward.values():
+                for edge in edges:
+                    if edge.via is not None:
+                        shortcut_via[(edge.source, edge.target)] = edge.via
+            for edges in self.downward.values():
+                for edge in edges:
+                    if edge.via is not None:
+                        shortcut_via[(edge.target, edge.source)] = edge.via
             self._shortcut_via = shortcut_via
         shortcut_via = self._shortcut_via
 

@@ -235,12 +235,6 @@ class TestAlgorithmsAgreeOnRandomGraphs:
                 assert walked == pytest.approx(expected.cost, rel=1e-9), name
         assert unreachable < 40
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 15: ContractionHierarchy._expand_path looks downward shortcuts up "
-        "the wrong way round and leaves them unexpanded; routed queries with a hop that is not "
-        "a graph edge, seeds 1-6: 19/39, 12/34, 23/40, 13/35, 8/39, 10/36",
-    )
     def test_hierarchy_paths_are_walkable(self):
         jumps = dict.fromkeys(self.SEEDS, 0)
         for seed in self.SEEDS:
