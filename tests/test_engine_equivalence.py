@@ -27,16 +27,17 @@ from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
 from repro.faults import FaultPlan
+from repro.operator import OperatorConfig
 from repro.services.retry import RetryPolicy
 from repro.simulation.network import LatencyModel
 from repro.simulation.queueing import ServiceTimeModel
 from repro.telemetry import TelemetryConfig
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload import WorkloadConfig, WorkloadEngine, WorkloadReport
 from repro.worldgen.scenario import build_scenario
 
 
-def snapshot_for(*, scenario_kw=None, **config_kw) -> dict:
-    """Run one fresh scenario+fleet and return its snapshot.
+def report_for(*, scenario_kw=None, **config_kw) -> WorkloadReport:
+    """Run one fresh scenario+fleet and return its report.
 
     Scenarios are rebuilt per run (never shared): runs mutate
     caches/queues/clock.
@@ -49,10 +50,14 @@ def snapshot_for(*, scenario_kw=None, **config_kw) -> dict:
     scenario = build_scenario(**scenario_kw)
     config_kw.setdefault("clients", 24)
     config_kw.setdefault("steps", 3)
-    return WorkloadEngine(scenario, WorkloadConfig(**config_kw)).run().snapshot()
+    return WorkloadEngine(scenario, WorkloadConfig(**config_kw)).run()
 
 
-def _churn_tape() -> dict:
+def snapshot_for(**kw) -> dict:
+    return report_for(**kw).snapshot()
+
+
+def _churn_tape() -> WorkloadReport:
     scenario_kw = {"store_replicas": 2, "seed": 21}
     scenario = build_scenario(store_count=2, city_rows=4, city_cols=4, **scenario_kw)
     victim = scenario.store_replica_ids(0)[0]
@@ -62,10 +67,10 @@ def _churn_tape() -> dict:
             ChurnEvent(20.0, ChurnEventKind.JOIN, victim),
         ]
     )
-    return snapshot_for(seed=11, steps=6, churn=churn, scenario_kw=scenario_kw)
+    return report_for(seed=11, steps=6, churn=churn, scenario_kw=scenario_kw)
 
 
-def _control_tape() -> dict:
+def _control_tape() -> WorkloadReport:
     scenario_kw = {"store_replicas": 3, "seed": 21}
     scenario = build_scenario(store_count=2, city_rows=4, city_cols=4, **scenario_kw)
     replicas = scenario.store_replica_ids(0)
@@ -75,10 +80,10 @@ def _control_tape() -> dict:
             ControlEvent(14.0, ControlEventKind.DRAIN, replicas[2]),
         ]
     )
-    return snapshot_for(seed=11, steps=6, control=control, scenario_kw=scenario_kw)
+    return report_for(seed=11, steps=6, control=control, scenario_kw=scenario_kw)
 
 
-def _kitchen_sink() -> dict:
+def _kitchen_sink() -> WorkloadReport:
     """Everything at once: replicas, queue model, jitter, churn AND
     control tapes, long traces, sharded resolvers."""
     fed = FederationConfig(
@@ -96,7 +101,7 @@ def _kitchen_sink() -> dict:
         ]
     )
     control = ControlSchedule.from_events([ControlEvent(10.0, ControlEventKind.SET_WEIGHT, replicas[1], 9)])
-    return snapshot_for(
+    return report_for(
         seed=3,
         steps=7,
         clients=30,
@@ -108,7 +113,7 @@ def _kitchen_sink() -> dict:
     )
 
 
-def _autoscaler() -> dict:
+def _autoscaler() -> WorkloadReport:
     """A live autoscaler driving warm-pool weights mid-run: the scaler's
     round observer fires at the same instants, so the whole decision tape
     is identical."""
@@ -141,10 +146,10 @@ def _autoscaler() -> dict:
             park_delay_seconds=10.0,
         ),
     )
-    return WorkloadEngine(scenario, config).run().snapshot()
+    return WorkloadEngine(scenario, config).run()
 
 
-def _fault_tape() -> dict:
+def _fault_tape() -> WorkloadReport:
     """A partition of one replica per store, then a gray failure, on a
     federation with device caches, a queue model and jittered retries."""
     config = FederationConfig(
@@ -174,28 +179,92 @@ def _fault_tape() -> dict:
         loss_probability=0.2,
     )
     config = WorkloadConfig(clients=10, steps=6, seed=7, step_seconds=20.0, faults=plan)
-    return WorkloadEngine(scenario, config).run().snapshot()
+    return WorkloadEngine(scenario, config).run()
 
 
-CASES: dict[str, Callable[[], object]] = {
-    "seed-0": lambda: snapshot_for(seed=0),
-    "seed-7": lambda: snapshot_for(seed=7),
-    "seed-21": lambda: snapshot_for(seed=21),
-    "shape-1x1": lambda: snapshot_for(clients=1, steps=1, seed=7),
-    "shape-5x2": lambda: snapshot_for(clients=5, steps=2, seed=7),
-    "shape-40x4": lambda: snapshot_for(clients=40, steps=4, seed=7),
-    "long-traces": lambda: snapshot_for(seed=7, long_traces=True, trace_dwell_steps=2, steps=5),
-    "resolver-pools": lambda: snapshot_for(seed=7, resolver_pools=3),
-    "jitter": lambda: snapshot_for(
+def _every_subsystem() -> WorkloadReport:
+    """Faults, churn with a rejoin, a drain and undrain sent through the
+    operator API over the network, telemetry on two resolver regions and
+    a live autoscaler: the one case where servers are rediscovered and
+    devices converge."""
+    config = FederationConfig(
+        device_discovery_cache_ttl_seconds=30.0,
+        registration_ttl_seconds=60.0,
+        client_tile_cache_entries=64,
+        service_times=ServiceTimeModel(default_ms=2.0, per_kind_ms={"routing": 4.0}),
+        server_queue_capacity=256,
+        retry_policy=RetryPolicy.full_jitter(),
+    )
+    scenario = build_scenario(store_count=2, city_rows=4, city_cols=4, config=config, seed=33, store_replicas=2)
+    store0, store1 = scenario.store_replica_ids(0), scenario.store_replica_ids(1)
+    scenario.federation.attach_warm_pool(sorted(scenario.federation.replica_groups)[0], 2)
+    plan = (
+        FaultPlan.flash_crowd(store0, 20.0, 50.0, extra_load=300)
+        + FaultPlan.partition(store1[:1], 40.0, 60.0, regions=(1,))
+        + FaultPlan.authority_outage(90.0, 110.0)
+    )
+    churn = ChurnSchedule.from_events(
+        [ChurnEvent(10.0, ChurnEventKind.CRASH, store1[1]), ChurnEvent(50.0, ChurnEventKind.JOIN, store1[1])]
+    )
+    control = ControlSchedule.from_events(
+        [ControlEvent(20.0, ControlEventKind.DRAIN, store0[1]), ControlEvent(70.0, ControlEventKind.UNDRAIN, store0[1])]
+    )
+    workload = WorkloadConfig(
+        clients=16,
+        steps=12,
+        seed=7,
+        step_seconds=10.0,
+        resolver_pools=2,
+        faults=plan,
+        churn=churn,
+        control=control,
+        telemetry=TelemetryConfig(window_seconds=40.0),
+        autoscale=AutoscalerConfig(
+            wait_high_ms=1.0,
+            wait_low_ms=0.5,
+            burn_high=0.0,
+            breach_evals=1,
+            recover_evals=2,
+            cooldown_seconds=60.0,
+            ramp_cooldown_seconds=30.0,
+            park_delay_seconds=40.0,
+        ),
+        operator=OperatorConfig(transport="network", timeout_ms=400.0),
+    )
+    return WorkloadEngine(scenario, workload).run()
+
+
+RUNS: dict[str, Callable[[], WorkloadReport]] = {
+    "seed-0": lambda: report_for(seed=0),
+    "seed-7": lambda: report_for(seed=7),
+    "seed-21": lambda: report_for(seed=21),
+    "shape-1x1": lambda: report_for(clients=1, steps=1, seed=7),
+    "shape-5x2": lambda: report_for(clients=5, steps=2, seed=7),
+    "shape-40x4": lambda: report_for(clients=40, steps=4, seed=7),
+    "long-traces": lambda: report_for(seed=7, long_traces=True, trace_dwell_steps=2, steps=5),
+    "resolver-pools": lambda: report_for(seed=7, resolver_pools=3),
+    "jitter": lambda: report_for(
         seed=7, scenario_kw={"config": FederationConfig(latency=LatencyModel(jitter_sigma=0.4))}
     ),
     "churn-tape": _churn_tape,
     "control-tape": _control_tape,
     "kitchen-sink": _kitchen_sink,
-    "telemetry": lambda: snapshot_for(seed=7, steps=5, telemetry=TelemetryConfig(window_seconds=4.0)),
+    "telemetry": lambda: report_for(seed=7, steps=5, telemetry=TelemetryConfig(window_seconds=4.0)),
     "autoscaler": _autoscaler,
     "fault-tape": _fault_tape,
+    "every-subsystem": _every_subsystem,
+    "cohort": lambda: report_for(
+        clients=600,
+        steps=3,
+        seed=7,
+        cohort_min_clients=500,
+        scenario_kw={"config": FederationConfig(service_times=ServiceTimeModel(default_ms=2.0), server_queue_capacity=64)},
+    ),
 }
+"""Each case's run.  Between them they turn on every subsystem, so the
+report-key census (``test_ci_pipeline.py``) reads its snapshots from here."""
+
+CASES: dict[str, Callable[[], object]] = {case: (lambda run=run: run().snapshot()) for case, run in RUNS.items()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -205,7 +274,13 @@ def test_snapshot_matches_golden(case):
 
 @pytest.mark.parametrize(
     "case,prefix",
-    [("telemetry", "telemetry."), ("autoscaler", "autoscale."), ("fault-tape", "faults.")],
+    [
+        ("telemetry", "telemetry."),
+        ("autoscaler", "autoscale."),
+        ("fault-tape", "faults."),
+        ("every-subsystem", "operator."),
+        ("cohort", "sampling."),
+    ],
 )
 def test_golden_covers_its_subsystem(case, prefix):
     """The stored snapshot of a subsystem's case carries that subsystem's
