@@ -131,12 +131,9 @@ class Autoscaler:
         self.replica_seconds = 0.0
         self.active_peak = 0
         self.counters: dict[str, int] = {
-            "evals": 0,
-            "actions": 0,
             "ops_applied": 0,
             "ops_rejected": 0,
             "promotions": 0,
-            "undrains": 0,
             "ramp_steps": 0,
             "parks": 0,
             "weight_changes": 0,
@@ -183,8 +180,6 @@ class Autoscaler:
         """Bounded headline floats for ``WorkloadReport.snapshot``
         (``autoscale.*`` keys, present only when the autoscaler ran)."""
         data = {name: float(value) for name, value in self.counters.items()}
-        data["groups"] = float(len(self.pools))
-        data["standbys"] = float(sum(len(p.standby_ids) for p in self.pools.values()))
         data["replica_seconds"] = self.replica_seconds
         data["active_peak"] = float(self.active_peak)
         return data
@@ -230,7 +225,6 @@ class Autoscaler:
             # both streaks, so an empty window can neither advance a breach
             # nor fake the quiet streak that triggers a scale-down.
             state.gate.update(False, False)
-            self.counters["evals"] += 1
             return
         wait, shed, slope = self._group_pressure(group_id)
         burn = self.reader.max_burn(last=SIGNAL_WINDOWS)
@@ -245,7 +239,6 @@ class Autoscaler:
             and (config.burn_high <= 0.0 or burn <= BURN_LOW)
         )
         decision = state.gate.update(pressed, relaxed and not pressed)
-        self.counters["evals"] += 1
         if decision == "breach":
             self._scale_up(group_id, state, now)
         elif decision == "recover":
@@ -263,7 +256,6 @@ class Autoscaler:
                 for sid in ramping:
                     state.drained_at.pop(sid, None)
                     self._note_direction(sid, +1, now)
-                self.counters["undrains"] += len(ramping)
                 state.up_cooldown.stamp(now)
             return
         # 2) Promote one pooled standby (drained-awaiting-park first:
@@ -342,7 +334,6 @@ class Autoscaler:
         records = self.control.apply_batch(now, ops)
         applied = sum(1 for record in records if record.applied)
         rejected = len(records) - applied
-        self.counters["actions"] += 1
         self.counters["ops_applied"] += applied
         self.counters["ops_rejected"] += rejected
         self.counters["weight_changes"] += applied

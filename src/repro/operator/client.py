@@ -264,22 +264,11 @@ class NetworkedControlPlayer:
         return True
 
     def lag_stats(self) -> dict[str, float]:
-        """Delivery-lag distribution (seconds) for applied tape events."""
+        """Mean and max delivery lag (seconds) of applied tape events."""
         lags = sorted(self.delivery_lags)
         if not lags:
-            return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-
-        def pct(q: float) -> float:
-            index = min(len(lags) - 1, int(q * len(lags)))
-            return lags[index]
-
-        return {
-            "count": float(len(lags)),
-            "mean": float_sum(lags) / len(lags),
-            "p50": pct(0.50),
-            "p95": pct(0.95),
-            "max": lags[-1],
-        }
+            return {"mean": 0.0, "max": 0.0}
+        return {"mean": float_sum(lags) / len(lags), "max": lags[-1]}
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache, LruStats
-from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, Summary, float_sum, percentile
+from repro.simulation.metrics import Histogram, MetricsRegistry, Summary, float_sum, percentile
 from repro.simulation.network import (
     LatencyModel,
     NetworkStats,
@@ -16,7 +16,6 @@ from repro.simulation.queueing import (
 )
 
 __all__ = [
-    "Counter",
     "Histogram",
     "LatencyModel",
     "LruCache",

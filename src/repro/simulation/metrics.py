@@ -22,46 +22,18 @@ def float_sum(values: Iterable[float]) -> float:
 
 
 @dataclass
-class Counter:
-    """A named monotonically increasing counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-
-@dataclass
 class Summary:
-    """Streaming summary statistics (count, mean, min, max, stddev).
-
-    The variance is tracked with Welford's online algorithm: the naive
-    ``total_squares/count − mean²`` formula catastrophically cancels for
-    large-magnitude observations with small spread (e.g. timestamps around
-    1e9 with millisecond jitter lose *all* precision, often going negative
-    before any clamp).  Welford accumulates the centered second moment
-    directly, so the spread survives regardless of magnitude.  ``mean``
-    stays ``total/count`` — bit-for-bit what it always was — so committed
-    benchmark artifacts that carry means are untouched by the fix.
-    """
+    """Streaming summary statistics (count, mean, min, max)."""
 
     name: str
     count: int = 0
     total: float = 0.0
     minimum: float = math.inf
     maximum: float = -math.inf
-    _welford_mean: float = field(default=0.0, repr=False)
-    _welford_m2: float = field(default=0.0, repr=False)
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        delta = value - self._welford_mean
-        self._welford_mean += delta / self.count
-        self._welford_m2 += delta * (value - self._welford_mean)
         self.minimum = min(self.minimum, value)
         self.maximum = max(self.maximum, value)
 
@@ -72,28 +44,6 @@ class Summary:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(max(0.0, self._welford_m2 / self.count))
-
-    def snapshot(self) -> dict[str, float]:
-        """This summary's statistics, keyed ``<name>.<stat>``.
-
-        An empty summary reports 0.0 for min/max rather than the ±inf
-        sentinels used internally, so snapshots stay printable and
-        comparable.
-        """
-        empty = self.count == 0
-        return {
-            f"{self.name}.mean": self.mean,
-            f"{self.name}.count": float(self.count),
-            f"{self.name}.min": 0.0 if empty else self.minimum,
-            f"{self.name}.max": 0.0 if empty else self.maximum,
-            f"{self.name}.stddev": self.stddev,
-        }
 
 
 def _streaming_bounds() -> list[float]:
@@ -278,37 +228,19 @@ class Histogram:
         return self.quantile(0.99)
 
     def snapshot(self) -> dict[str, float]:
-        """Count, mean and tail percentiles, keyed ``<name>.<stat>``."""
-        return {
-            f"{self.name}.count": float(self.count),
-            f"{self.name}.mean": self.mean,
-            f"{self.name}.p50": self.p50,
-            f"{self.name}.p95": self.p95,
-            f"{self.name}.p99": self.p99,
-        }
+        """The tail percentiles, keyed ``<name>.<p50|p95|p99>``."""
+        return {f"{self.name}.p50": self.p50, f"{self.name}.p95": self.p95, f"{self.name}.p99": self.p99}
 
 
 @dataclass
 class MetricsRegistry:
-    """A namespace of counters, summaries and histograms for one run."""
+    """The histograms of one run, by name."""
 
-    counters: dict[str, Counter] = field(default_factory=dict)
-    summaries: dict[str, Summary] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
     streaming_histograms: bool = False
     """Create histograms in bounded streaming mode (the large-fleet cohort
     sweep sets this so a million-client run keeps O(buckets) memory per
     histogram instead of one float per observation)."""
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def summary(self, name: str) -> Summary:
-        if name not in self.summaries:
-            self.summaries[name] = Summary(name)
-        return self.summaries[name]
 
     def histogram(self, name: str) -> Histogram:
         if name not in self.histograms:
@@ -316,20 +248,11 @@ class MetricsRegistry:
         return self.histograms[name]
 
     def snapshot(self) -> dict[str, float]:
-        """Flat dict of every metric, suitable for printing a results row."""
+        """Flat dict of every histogram's tail percentiles."""
         data: dict[str, float] = {}
-        for counter in self.counters.values():
-            data[counter.name] = float(counter.value)
-        for summary in self.summaries.values():
-            data.update(summary.snapshot())
         for histogram in self.histograms.values():
             data.update(histogram.snapshot())
         return data
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.summaries.clear()
-        self.histograms.clear()
 
 
 def percentile(values: list[float], fraction: float) -> float:

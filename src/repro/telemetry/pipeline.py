@@ -83,8 +83,6 @@ class TelemetryPipeline:
     """Server id → covering-cell tokens its discovery registration
     advertises (the zones :meth:`server_zonal` attributes queue load to)."""
     windows: list[TelemetryWindow] = field(default_factory=list)
-    downsample_merges: int = 0
-    """Pairwise-merge passes retention ran (each halves the window count)."""
     records: float = 0.0
     """Weighted request records emitted over the whole run."""
     _open: TelemetryWindow | None = field(default=None, repr=False)
@@ -204,7 +202,6 @@ class TelemetryPipeline:
             if len(self.windows) % 2:
                 merged.append(self.windows[-1])
             self.windows = merged
-            self.downsample_merges += 1
 
     # ------------------------------------------------------------------
     # Queries (post-run)
@@ -232,16 +229,6 @@ class TelemetryPipeline:
         """Window indices whose burn reached the alert threshold."""
         return alert_windows(self.windows, region, self.config.slo)
 
-    def region_degraded(self) -> dict[int, float]:
-        """Weighted degraded (stale-served) requests per client region."""
-        degraded: dict[int, float] = {}
-        for window in self.windows:
-            for region in window.regions:
-                totals = window.region_totals(region)
-                if totals["degraded"]:
-                    degraded[region] = degraded.get(region, 0.0) + totals["degraded"]
-        return degraded
-
     def fault_windows(self) -> dict[str, list[int]]:
         """Fault family → indices of windows it was in force during."""
         families: dict[str, list[int]] = {}
@@ -253,17 +240,4 @@ class TelemetryPipeline:
     def summary(self) -> dict[str, float]:
         """Bounded headline floats for ``WorkloadReport.snapshot``."""
         cells = {key[0] for w in self.windows for key in w.cells}
-        data: dict[str, float] = {
-            "windows": float(len(self.windows)),
-            "windows_emitted": float(sum(w.spans for w in self.windows)),
-            "downsample_merges": float(self.downsample_merges),
-            "records": self.records,
-            "cells": float(len(cells)),
-        }
-        degraded = self.region_degraded()
-        for region in self.regions():
-            series = self.burn_series(region)
-            data[f"region{region}.max_burn"] = max(series) if series else 0.0
-            data[f"region{region}.alert_windows"] = float(len(self.alert_windows(region)))
-            data[f"region{region}.degraded"] = degraded.get(region, 0.0)
-        return data
+        return {"windows": float(len(self.windows)), "records": self.records, "cells": float(len(cells))}

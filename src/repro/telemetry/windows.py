@@ -120,9 +120,6 @@ class TelemetryWindow:
     servers: dict[str, ServerWindowStats] = field(default_factory=dict)
     faults_active: tuple[str, ...] = ()
     """Fault families in force during (any part of) the window, sorted."""
-    spans: int = 1
-    """Original emission windows folded into this one (downsampling doubles
-    it); the sum over retained windows is the total windows ever emitted."""
 
     def record(
         self,
@@ -144,7 +141,6 @@ class TelemetryWindow:
     def merge_from(self, other: "TelemetryWindow") -> None:
         """Fold ``other`` (the later window) into this one."""
         self.end_seconds = other.end_seconds
-        self.spans += other.spans
         for key, stats in other.cells.items():
             mine = self.cells.get(key)
             if mine is None:

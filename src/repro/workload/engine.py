@@ -51,7 +51,7 @@ from repro.services.localization import FederatedLocalizationResult
 from repro.services.routing import FederatedRouteResult, FederatedRoutingError
 from repro.services.search import FederatedSearchResult
 from repro.services.tiles import FederatedViewport
-from repro.simulation.metrics import MetricsRegistry
+from repro.simulation.metrics import Histogram, MetricsRegistry, Summary
 from repro.simulation.tape import TimelineEntry
 from repro.spatialindex.cellid import CellId
 from repro.telemetry import TelemetryPipeline
@@ -83,9 +83,6 @@ __all__ = [
 
 RoundObserver = Callable[[int, float], None]
 """A round-boundary hook: ``observer(round_index, now_seconds)``."""
-
-_NOOP_COUNTERS = {"faults": "faults.skipped", "churn": None, "control": "control.rejected"}
-"""The counter a not-applied tape entry bumps, per source (churn: none)."""
 
 REQUEST_MIX = RequestMix()
 """Relative weights of the four request kinds every device draws from."""
@@ -140,6 +137,9 @@ class WorkloadEngine:
         # Multiplier applied to every metric a request records; 1 except
         # while a cohort tracer answers for its phantoms.
         self._active_weight = 1
+        # Weighted request outcomes: served, failed in routing, served
+        # nothing at all (either way), and served from a stale SRV view.
+        self._requests = self._errors = self._failed = self._degraded = 0
         # The run's one history, shared by every actor below; _tallies counts
         # only the tape step's entries, per (source, applied).
         self.timeline: list[TimelineEntry] = []
@@ -159,6 +159,7 @@ class WorkloadEngine:
         # Rejoined servers whose return traffic has not been seen yet:
         # server_id -> (rejoin instant, served-requests baseline).
         self._pending_rediscovery: dict[str, tuple[float, int]] = {}
+        self._rediscovery_seconds = Summary("rediscovery_seconds")
         self.operator_api: OperatorApi | None = None
         self.operator_client: OperatorClient | None = None
         if self.config.operator is not None:
@@ -202,6 +203,7 @@ class WorkloadEngine:
         # (device index, server_id) -> (event instant, target (prio, weight)).
         self._pending_convergence: dict[tuple[int, str], tuple[float, tuple[int, int]]] = {}
         self._devices_tracked = 0
+        self._converge_seconds = Histogram("converge_seconds", streaming=self.metrics.streaming_histograms)
         # Round-boundary observers.  An empty list is a strict no-op, so
         # observer-free runs stay byte-identical.
         self._round_observers: list[RoundObserver] = []
@@ -412,11 +414,10 @@ class WorkloadEngine:
         concurrent rounds: a partition is open, or a server up, for a whole
         round, never half of one.
 
-        Each entry is tallied per (source, applied) for the report and
-        counted as ``<source>.<kind>`` or under its source's no-op counter.
-        An applied join starts the rediscovery watch; an applied control
-        entry starts the convergence watch from ``now``, the instant
-        *before* any control hop.
+        Each entry is tallied per (source, applied) for the report.  An
+        applied join starts the rediscovery watch; an applied control entry
+        starts the convergence watch from ``now``, the instant *before* any
+        control hop.
         """
         federation = self.scenario.federation
         clock = federation.network.clock
@@ -427,11 +428,7 @@ class WorkloadEngine:
             for entry in actor.apply_until(now):
                 self._tallies[entry.source, entry.applied] += 1
                 if not entry.applied:
-                    noop = _NOOP_COUNTERS[entry.source]
-                    if noop is not None:
-                        self.metrics.counter(noop).increment()
                     continue
-                self.metrics.counter(f"{entry.source}.{entry.kind}").increment()
                 if entry.source == "churn" and entry.kind == "join":
                     server = federation.servers.get(entry.subject)
                     baseline = server.stats.total_requests if server is not None else 0
@@ -456,9 +453,7 @@ class WorkloadEngine:
             if server is None:  # crashed again before being rediscovered
                 continue
             if server.stats.total_requests > baseline:
-                self.metrics.summary("availability.rediscovery_seconds").observe(
-                    now - rejoined_at
-                )
+                self._rediscovery_seconds.observe(now - rejoined_at)
                 found.append(server_id)
         for server_id in found:
             del self._pending_rediscovery[server_id]
@@ -509,7 +504,7 @@ class WorkloadEngine:
         for (index, server_id), (since, target) in self._pending_convergence.items():
             view = self._device_by_index[index].client.context.discoverer.srv_view
             if view.get(server_id) == target:
-                self.metrics.histogram("control.converge_seconds").observe(now - since)
+                self._converge_seconds.observe(now - since)
                 converged.append((index, server_id))
         for key in converged:
             del self._pending_convergence[key]
@@ -545,33 +540,28 @@ class WorkloadEngine:
                 faults.active_region = None
         if result is None:
             # No traffic was generated; recording a request with 0 ms latency
-            # would dilute the tail percentiles the benchmarks compare.  The
-            # counter lives outside the "requests." namespace so _report's
-            # prefix sum counts only real traffic.
-            self.metrics.counter(f"skipped.{kind.value}").increment(weight)
+            # would dilute the tail percentiles the benchmarks compare.
             return
         latency_ms = network.stats.total_latency_ms - latency_before
         failed = isinstance(result, FederatedRoutingError)
-        if failed:
-            # Failed requests are counted separately; their (often short)
-            # abort latency must not dilute the success-path percentiles.
-            self.metrics.counter(f"errors.{kind.value}").increment(weight)
-            self.metrics.counter("availability.failed_requests").increment(weight)
-        else:
-            self.metrics.counter("dns.lookups").increment(result.dns_lookups * weight)
         outcome = result.outcome
         if outcome.degraded:
             # At least one cell was answered from a stale-while-unreachable
             # cached SRV view.
-            self.metrics.counter("degraded.requests").increment(weight)
-        if not failed:
+            self._degraded += weight
+        if failed:
+            # Failed requests are counted separately; their (often short)
+            # abort latency must not dilute the success-path percentiles.
+            self._errors += weight
+            self._failed += weight
+        else:
             if not outcome.served:
                 # Every map server this request tried was unreachable or
                 # overloaded past its whole replica chain: the user got
                 # nothing, although the request was issued and its latency
                 # counts.
-                self.metrics.counter("availability.failed_requests").increment(weight)
-            self.metrics.counter(f"requests.{kind.value}").increment(weight)
+                self._failed += weight
+            self._requests += weight
             self.metrics.histogram("latency_ms.all").observe(latency_ms, weight)
             self.metrics.histogram(f"latency_ms.{kind.value}").observe(latency_ms, weight)
         if self.telemetry is not None:
@@ -587,9 +577,7 @@ class WorkloadEngine:
 
     def _do_search(self, device: FleetClient) -> FederatedSearchResult:
         poi = self._poi_sampler.sample(device.rng)
-        result = device.client.search(poi.name, near=poi.location, radius_meters=SEARCH_RADIUS_METERS)
-        self.metrics.counter("search.results").increment(len(result) * self._active_weight)
-        return result
+        return device.client.search(poi.name, near=poi.location, radius_meters=SEARCH_RADIUS_METERS)
 
     def _do_route(self, device: FleetClient) -> FederatedRouteResult | None:
         """Route to a popular POI; ``None`` if no route was worth issuing.
@@ -601,27 +589,15 @@ class WorkloadEngine:
             poi = self._poi_sampler.sample(device.rng)
             if device.position.distance_to(poi.location) < 1.0:
                 continue
-            result = device.client.route(device.position, poi.location)
-            self.metrics.histogram("route.length_meters").observe(
-                result.length_meters, self._active_weight
-            )
-            return result
+            return device.client.route(device.position, poi.location)
         return None
 
     def _do_tiles(self, device: FleetClient) -> FederatedViewport:
-        weight = self._active_weight
         viewport = BoundingBox.around(device.position, VIEWPORT_METERS)
-        result = device.client.render_viewport(viewport, zoom=TILE_ZOOM)
-        self.metrics.counter("tiles.downloaded").increment(result.tiles_downloaded * weight)
-        self.metrics.counter("tiles.from_cache").increment(result.tiles_from_cache * weight)
-        return result
+        return device.client.render_viewport(viewport, zoom=TILE_ZOOM)
 
     def _do_localize(self, device: FleetClient) -> FederatedLocalizationResult:
-        cues = self._sense(device)
-        result = device.client.localize(device.position, cues)
-        if result.best is not None:
-            self.metrics.counter("localize.fixes").increment(self._active_weight)
-        return result
+        return device.client.localize(device.position, self._sense(device))
 
     def _sense(self, device: FleetClient) -> CueBundle:
         """What the device senses where it stands.
@@ -650,16 +626,6 @@ class WorkloadEngine:
         if self.telemetry is not None:
             # Seal a trailing partial window so short runs still report.
             self.telemetry.finalize(self.scenario.federation.network.clock.now())
-        requests = sum(
-            counter.value
-            for name, counter in self.metrics.counters.items()
-            if name.startswith("requests.")
-        )
-        errors = sum(
-            counter.value
-            for name, counter in self.metrics.counters.items()
-            if name.startswith("errors.")
-        )
         discovery_hits = discovery_misses = 0
         tile_hits = tile_misses = 0
         fleet_failover = FailoverRecorder()
@@ -674,12 +640,6 @@ class WorkloadEngine:
             # Failover accounting stays tracer-only (unweighted): the
             # recorder holds raw latency lists that cannot be scaled.
             fleet_failover.merge_from(device.client.context.failover)
-        if fleet_failover.failover_ms:
-            # Failover latencies land in the shared registry so the snapshot
-            # and latency_percentiles("failover") see them.
-            self.metrics.histogram("latency_ms.failover").observe_many(
-                fleet_failover.failover_ms
-            )
 
         federation = self.scenario.federation
         server_stats: dict[str, dict[str, float]] = {}
@@ -693,31 +653,25 @@ class WorkloadEngine:
 
         # Aggregate the DNS hit rate over every pool the fleet was sharded
         # across (pool 0 alone is the historical single-resolver number).
-        pools = federation.resolver_pool(self.config.resolver_pools)
-        pool_hit_rates = tuple(pool.recursive.cache.stats.hit_rate for pool in pools)
         answered = total = 0
-        for pool in pools:
+        for pool in federation.resolver_pool(self.config.resolver_pools):
             stats = pool.recursive.cache.stats
             answered += stats.hits + stats.negative_hits
             total += stats.hits + stats.negative_hits + stats.misses
-        failed_counter = self.metrics.counters.get("availability.failed_requests")
         tallies = self._tallies
-        rediscovery = self.metrics.summaries.get("availability.rediscovery_seconds")
         control_stats: dict[str, float] = {}
         if self.control_plane is not None:
-            converge = self.metrics.histograms.get("control.converge_seconds")
+            converge = self._converge_seconds
             control_stats = {
                 "events_applied": float(tallies["control", True]),
                 "events_rejected": float(tallies["control", False]),
                 "devices_tracked": float(self._devices_tracked),
-                "devices_converged": float(converge.count if converge is not None else 0),
+                "devices_converged": float(converge.count),
                 "devices_unconverged": float(len(self._pending_convergence)),
-                "converge_p50_s": converge.p50 if converge is not None else 0.0,
-                "converge_p95_s": converge.p95 if converge is not None else 0.0,
-                "converge_mean_s": converge.mean if converge is not None else 0.0,
+                "converge_p50_s": converge.p50,
+                "converge_p95_s": converge.p95,
+                "converge_mean_s": converge.mean,
             }
-        degraded_counter = self.metrics.counters.get("degraded.requests")
-        degraded = degraded_counter.value if degraded_counter is not None else 0
         fault_stats: dict[str, float] = {}
         if self.fault_injector is not None:
             stale_serves = sum(
@@ -726,15 +680,13 @@ class WorkloadEngine:
             )
             fault_stats = {
                 "events_applied": float(tallies["faults", True]),
-                "events_skipped": float(tallies["faults", False]),
-                "degraded_requests": float(degraded),
                 "stale_serves": float(stale_serves),
             }
         operator_stats: dict[str, float] = {}
         if self.operator_client is not None and self.operator_api is not None:
             operator_stats = {
-                key: float(value)
-                for key, value in self.operator_client.counters.items()
+                key: float(self.operator_client.counters[key])
+                for key in ("requests", "delivered", "timeouts")
             }
             operator_stats["audit_records"] = float(len(self.operator_api.audit))
             if isinstance(self.control_plane, NetworkedControlPlayer):
@@ -754,8 +706,8 @@ class WorkloadEngine:
             }
         return WorkloadReport(
             metrics=self.metrics,
-            requests=requests,
-            errors=errors,
+            requests=self._requests,
+            errors=self._errors,
             discovery_cache_hits=discovery_hits,
             discovery_cache_misses=discovery_misses,
             tile_cache_hits=tile_hits,
@@ -763,11 +715,10 @@ class WorkloadEngine:
             dns_cache_hit_rate=answered / total if total else 0.0,
             simulated_seconds=simulated_seconds,
             server_stats=server_stats,
-            dns_pool_hit_rates=pool_hit_rates,
             failover=fleet_failover,
-            failed_requests=failed_counter.value if failed_counter is not None else 0,
+            failed_requests=self._failed,
             churn_events_applied=tallies["churn", True],
-            rediscoveries=rediscovery.count if rediscovery is not None else 0,
+            rediscovery_seconds=self._rediscovery_seconds,
             rejoins_unseen=len(self._pending_rediscovery),
             replica_groups={
                 group_id: group.server_ids
@@ -775,7 +726,7 @@ class WorkloadEngine:
             },
             control_stats=control_stats,
             sampling=sampling,
-            degraded_requests=degraded,
+            degraded_requests=self._degraded,
             fault_stats=fault_stats,
             telemetry=self.telemetry,
             autoscale_stats=(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.services.failover import FailoverRecorder
-from repro.simulation.metrics import MetricsRegistry, float_sum
+from repro.simulation.metrics import Histogram, MetricsRegistry, Summary, float_sum
 from repro.simulation.queueing import load_cv
 from repro.telemetry import TelemetryPipeline
 
@@ -32,8 +32,6 @@ class WorkloadReport:
     """Per-map-server load-model snapshot (utilization, queue depth, drops,
     workers); empty when the federation runs without a server-side queue
     model."""
-    dns_pool_hit_rates: tuple[float, ...] = ()
-    """Hit rate of each shared regional resolver pool, in pool order."""
     failover: FailoverRecorder = field(default_factory=FailoverRecorder)
     """Fleet-aggregated failover accounting (attempts, failed chains, stale
     attempts, failover latencies)."""
@@ -41,7 +39,9 @@ class WorkloadReport:
     """Client requests that got no service at all: every map-server chain
     they tried exhausted its replicas (or routing found nothing to stitch)."""
     churn_events_applied: int = 0
-    rediscoveries: int = 0
+    rediscovery_seconds: Summary = field(default_factory=lambda: Summary("rediscovery_seconds"))
+    """Seconds from each rejoin to the first round that served the rejoined
+    server again."""
     rejoins_unseen: int = 0
     """Rejoined servers that saw no traffic again before the run ended."""
     replica_groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -60,23 +60,23 @@ class WorkloadReport:
     """Requests served from a stale-while-unreachable cached SRV view after
     live discovery failed (graceful degradation, not full service)."""
     fault_stats: dict[str, float] = field(default_factory=dict)
-    """Fault-injection outcome: tape events applied/skipped, degraded
-    (stale-served) requests and stale cache serves.  Empty when the run had
-    no fault plan, so fault-free snapshots carry no extra keys."""
+    """Fault-injection outcome: tape events applied and stale cache serves.
+    Empty when the run had no fault plan, so fault-free snapshots carry no
+    extra keys."""
     telemetry: TelemetryPipeline | None = None
     """The run's sealed telemetry windows and their roll-up queries (demand
     heatmaps, per-cell percentiles, zonal queue maps, per-region SLO burn).
     ``None`` when the run collected no telemetry, so telemetry-free
     snapshots carry no extra keys."""
     autoscale_stats: dict[str, float] = field(default_factory=dict)
-    """Autoscaler outcome: evaluations, applied/rejected ops, promotions,
-    ramp steps, parks, flaps, and the replica-seconds cost integral.  Empty
-    when the run had no autoscaler, so scaler-free snapshots carry no
-    extra keys."""
+    """Autoscaler outcome: applied/rejected ops, promotions, ramp steps,
+    parks, flaps, the peak active replica count and the replica-seconds cost
+    integral.  Empty when the run had no autoscaler, so scaler-free
+    snapshots carry no extra keys."""
     operator_stats: dict[str, float] = field(default_factory=dict)
-    """Operator-API outcome: requests issued/delivered, replays, per-family
-    rejections, timeouts, audit-log length, and — when a control tape rode
-    the API — tape retries and the delivery-lag tail (seconds from an
+    """Operator-API outcome: requests issued/delivered, timeouts, audit-log
+    length, and — when a control tape rode the API — tape retries, events
+    still pending, and the mean and max delivery lag (seconds from an
     event's scripted instant to its op landing at the authority).  Empty
     when the run had no operator config, so operator-free snapshots carry
     no extra keys."""
@@ -129,6 +129,11 @@ class WorkloadReport:
         return float_sum(cvs.values()) / len(cvs) if cvs else 0.0
 
     @property
+    def rediscoveries(self) -> int:
+        """Rejoined servers that clients found again before the run ended."""
+        return self.rediscovery_seconds.count
+
+    @property
     def failed_request_rate(self) -> float:
         """Fraction of client requests that got no service at all."""
         total = self.requests + self.errors
@@ -137,8 +142,9 @@ class WorkloadReport:
     def availability(self) -> dict[str, float]:
         """The run's availability metrics in one flat dict."""
         recorder = self.failover
-        failover_tail = self.latency_percentiles("failover")
-        rediscovery = self.metrics.summaries.get("availability.rediscovery_seconds")
+        failover_ms = Histogram("failover_ms", streaming=self.metrics.streaming_histograms)
+        failover_ms.observe_many(recorder.failover_ms)
+        rediscovery = self.rediscovery_seconds
         return {
             "failed_requests": float(self.failed_requests),
             "failed_request_rate": self.failed_request_rate,
@@ -152,20 +158,21 @@ class WorkloadReport:
             "dead_detections_own": float(recorder.dead_detections_own),
             "dead_detections_shared": float(recorder.dead_detections_shared),
             "detect_mean_ms": recorder.detect_mean_ms,
-            "failover_p50_ms": failover_tail["p50"],
-            "failover_p95_ms": failover_tail["p95"],
-            "failover_p99_ms": failover_tail["p99"],
+            "failover_p50_ms": failover_ms.p50,
+            "failover_p95_ms": failover_ms.p95,
+            "failover_p99_ms": failover_ms.p99,
             "churn_events_applied": float(self.churn_events_applied),
             "rediscoveries": float(self.rediscoveries),
             "rejoins_unseen": float(self.rejoins_unseen),
-            "rediscovery_seconds_mean": rediscovery.mean if rediscovery is not None else 0.0,
-            "rediscovery_seconds_max": (
-                rediscovery.maximum if rediscovery is not None and rediscovery.count else 0.0
-            ),
+            "rediscovery_seconds_mean": rediscovery.mean,
+            "rediscovery_seconds_max": rediscovery.maximum if rediscovery.count else 0.0,
         }
 
     def snapshot(self) -> dict[str, float]:
-        """One flat, deterministic dict describing the whole run."""
+        """One flat, deterministic dict describing the whole run.
+
+        Each key has one writer and a reader outside the tests
+        (``tests/test_ci_pipeline.py::TestReportKeys``)."""
         data = dict(sorted(self.metrics.snapshot().items()))
         data["requests"] = float(self.requests)
         data["errors"] = float(self.errors)
@@ -176,12 +183,8 @@ class WorkloadReport:
         for server_id in sorted(self.server_stats):
             for stat, value in sorted(self.server_stats[server_id].items()):
                 data[f"server.{server_id}.{stat}"] = value
-        for pool_index, hit_rate in enumerate(self.dns_pool_hit_rates):
-            data[f"dns_pool.{pool_index}.hit_rate"] = hit_rate
         for key, value in sorted(self.availability().items()):
             data[f"availability.{key}"] = value
-        for group_id, cv in self.group_load_cvs().items():
-            data[f"balance.{group_id}.util_cv"] = cv
         data["balance.replica_load_cv"] = self.replica_load_cv
         for key, value in sorted(self.control_stats.items()):
             data[f"control.{key}"] = value

@@ -299,8 +299,7 @@ class TestScalerNoSignal:
         pipeline.flush(10.0)
         scaler.begin(0.0)
         scaler.observe(0, 10.0)
-        assert scaler.counters["evals"] == 1
-        assert scaler.counters["actions"] == 0
+        assert scaler.counters["ops_applied"] == scaler.counters["ops_rejected"] == 0
         # The streak was reset: one more quiet evaluation holds rather than
         # completing the (now voided) recover pair.
         assert state.gate.update(False, True) == "hold"
@@ -468,15 +467,22 @@ class TestAutoscalerEndToEnd:
     def test_snapshot_gains_autoscale_keys(self):
         _scenario_, _engine, report = _flash_crowd_run(steps=8, autoscale=_E2E_AUTOSCALE)
         snapshot = report.snapshot()
-        assert snapshot["autoscale.groups"] == 1.0
-        assert snapshot["autoscale.standbys"] == 2.0
+        assert snapshot["autoscale.promotions"] == report.autoscale_stats["promotions"] > 0.0
         assert json.dumps(snapshot, sort_keys=True)  # JSON-serializable
 
-    def test_evaluations_pace_to_sealed_windows(self):
-        _scenario_, engine, report = _flash_crowd_run(steps=8, autoscale=_E2E_AUTOSCALE)
+    def test_evaluations_pace_to_sealed_windows(self, monkeypatch):
+        evaluated: list[float] = []
+        evaluate = Autoscaler._evaluate
+
+        def counted(scaler, group_id, now):
+            evaluated.append(now)
+            evaluate(scaler, group_id, now)
+
+        monkeypatch.setattr(Autoscaler, "_evaluate", counted)
+        _scenario_, engine, _report = _flash_crowd_run(steps=8, autoscale=_E2E_AUTOSCALE)
         assert engine.telemetry is not None
         # One evaluation per sealed window per group, no more.
-        assert report.autoscale_stats["evals"] == float(len(engine.telemetry.windows))
+        assert len(evaluated) == len(engine.telemetry.windows)
 
     def test_delayed_convergence_does_not_oscillate(self):
         """The oscillation gate: with cache TTLs stretching client

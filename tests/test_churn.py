@@ -659,8 +659,7 @@ class TestEngineChurnEndToEnd:
         # Availability metrics land in the deterministic snapshot.
         snapshot = report.snapshot()
         assert snapshot["availability.failed_chains"] == availability["failed_chains"]
-        assert snapshot["churn.crash"] == 1.0
-        assert snapshot["churn.join"] == 1.0
+        assert snapshot["availability.churn_events_applied"] == report.churn_events_applied == 2
 
     def test_churn_run_is_deterministic(self):
         def one_run():

@@ -985,3 +985,312 @@ class TestConfigOptions:
         assert values["SLOConfig.latency_ms"] == {250.0, 2.0, 3.0, ("source", "limit")}
         assert values["SLOConfig.availability_target"] == {0.9}
         assert values["TelemetryConfig.window_seconds"] == set()
+
+
+READER_DIRECTORIES = ("benchmarks", "perfbench", "scripts", "examples")
+"""Where a report key's readers live; a ``tests`` directory under them does
+not count."""
+
+REPORT_SECTIONS = {
+    "availability": "availability",
+    "control": "control_stats",
+    "faults": "fault_stats",
+    "autoscale": "autoscale_stats",
+    "operator": "operator_stats",
+    "sampling": "sampling",
+    "telemetry": "summary",
+    "server.<id>": "server_stats",
+}
+"""Snapshot prefix → the report accessor whose dict holds the rest of the
+key as a leaf (``telemetry`` is ``report.telemetry.summary()``)."""
+
+REPORT_SCALARS = {
+    "requests": "requests",
+    "errors": "errors",
+    "simulated_seconds": "simulated_seconds",
+    "discovery_cache.hit_rate": "discovery_cache_hit_rate",
+    "tile_cache.hit_rate": "tile_cache_hit_rate",
+    "dns_cache.hit_rate": "dns_cache_hit_rate",
+    "balance.replica_load_cv": "replica_load_cv",
+}
+"""Snapshot key → the report attribute that holds it."""
+
+LATENCY_ACCESSOR = "latency_percentiles"
+"""Reads ``latency_ms.<kind>.<p50|p95|p99>`` of the registry's histograms."""
+
+KEPT_KEYS: dict[str, str] = {}
+"""Snapshot key families that no reader reads but stay, with the reason."""
+
+_PASS_THROUGH = {"items", "values", "copy", "dict", "sorted", "list"}
+
+
+def key_family(key: str) -> str:
+    """``key`` with its server id or telemetry region folded."""
+    key = re.sub(r"^server\..+\.(\w+)$", r"server.<id>.\1", key)
+    return re.sub(r"^telemetry\.region\d+\.", "telemetry.region<n>.", key)
+
+
+def report_families(report) -> dict[str, str]:
+    """Each key family of ``report.snapshot()`` → ``"registry"`` when the
+    metrics registry writes it, else ``"report"``."""
+    registry_keys = report.metrics.snapshot().keys()
+    return {
+        key_family(key): "registry" if key in registry_keys else "report"
+        for key in report.snapshot()
+    }
+
+
+def _text(node: ast.expr) -> str | None:
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def report_reads(tree: ast.Module) -> set[tuple[str, ...]]:
+    """What one reader module reads of a report, as tokens:
+
+    * ``("name", s)`` for every string literal;
+    * ``("attribute", a)`` for every attribute it reads;
+    * ``("leaf", accessor, leaf)`` where it indexes, or ``.get``s, what a
+      report accessor returned by a literal leaf, or by a name bound to
+      literals (``for key in ("a", "b"): stats[key]``);
+    * ``("whole", accessor)`` where such a value goes whole into a dict, an
+      item or attribute, a keyword argument or a return value (an artifact
+      carries every leaf).
+
+    Values are followed through assignments and loop targets, through
+    ``.items()`` / ``.values()`` / ``dict()`` / ``sorted()``, and through
+    indexing by anything else (a server id)."""
+    accessors = {*REPORT_SECTIONS.values(), LATENCY_ACCESSOR}
+    bindings: dict[str, list[ast.expr]] = {}
+    for node in ast.walk(tree):
+        pairs = []
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            pairs = [(node.target, node.iter)]
+        for target, value in pairs:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    bindings.setdefault(name.id, []).append(value)
+
+    def leaves(node: ast.expr) -> set[str]:
+        """The literal leaves an index or ``.get`` argument can be."""
+        values = bindings.get(node.id, ()) if isinstance(node, ast.Name) else (node,)
+        found = set()
+        for value in values:
+            elements = value.elts if isinstance(value, (ast.Tuple, ast.List, ast.Set)) else [value]
+            found.update(_text(element) for element in elements)
+        return found - {None}
+
+    def carried(node: ast.expr, seen: frozenset[str] = frozenset()) -> set[str]:
+        """The accessors whose whole value (or one id's share of it) ``node`` is."""
+        if isinstance(node, ast.Attribute):
+            return {node.attr} & accessors
+        if isinstance(node, ast.Name) and node.id not in seen:
+            return set().union(*(carried(value, seen | {node.id}) for value in bindings.get(node.id, ())))
+        if isinstance(node, ast.Subscript) and not leaves(node.slice):
+            return carried(node.value, seen)
+        if isinstance(node, ast.IfExp):
+            return carried(node.body, seen) | carried(node.orelse, seen)
+        if not isinstance(node, ast.Call):
+            return set()
+        callee = node.func
+        if isinstance(callee, ast.Attribute):
+            if callee.attr in accessors:
+                return {callee.attr}
+            by_id = callee.attr == "get" and node.args and not leaves(node.args[0])
+            if callee.attr in _PASS_THROUGH or by_id:
+                return carried(callee.value, seen)
+        elif isinstance(callee, ast.Name) and callee.id in _PASS_THROUGH and node.args:
+            return carried(node.args[0], seen)
+        return set()
+
+    reads: set[tuple[str, ...]] = set()
+    for node in ast.walk(tree):
+        if _text(node) is not None:
+            reads.add(("name", node.value))
+        elif isinstance(node, ast.Attribute):
+            reads.add(("attribute", node.attr))
+        if isinstance(node, ast.Subscript):
+            index, base = node.slice, node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            index, base = (node.args or [None])[0], node.func.value
+        else:
+            index = None
+        if index is not None:
+            reads.update(("leaf", accessor, leaf) for accessor in carried(base) for leaf in leaves(index))
+        sinks = []
+        if isinstance(node, ast.Dict):
+            sinks = node.values
+        elif isinstance(node, (ast.keyword, ast.Return)) and node.value is not None:
+            sinks = [node.value]
+        elif isinstance(node, ast.Assign) and not all(isinstance(target, ast.Name) for target in node.targets):
+            sinks = [node.value]
+        for sink in sinks:
+            reads.update(("whole", accessor) for accessor in carried(sink))
+    return reads
+
+
+def reader_reads(root: Path) -> dict[str, set[tuple[str, ...]]]:
+    """:func:`report_reads` of every module under ``READER_DIRECTORIES``."""
+    return {
+        path.relative_to(root).as_posix(): report_reads(ast.parse(path.read_text(), filename=str(path)))
+        for directory in READER_DIRECTORIES
+        for path in sorted((root / directory).rglob("*.py"))
+        if "tests" not in path.relative_to(root).parts
+    }
+
+
+def is_read(family: str, origin: str, reads: set[tuple[str, ...]]) -> bool:
+    """Whether one reader module's ``reads`` read the key ``family``: by its
+    snapshot name, or by the accessor and leaf that produce it."""
+    if ("name", family) in reads:
+        return True
+    if origin == "registry":
+        head, kind, stat = (family.split(".") + ["", ""])[:3]
+        return (
+            head == "latency_ms"
+            and ("leaf", LATENCY_ACCESSOR, stat) in reads
+            and (kind == "all" or ("name", kind) in reads)
+        )
+    if family in REPORT_SCALARS:
+        return ("attribute", REPORT_SCALARS[family]) in reads
+    for prefix, accessor in REPORT_SECTIONS.items():
+        if family.startswith(prefix + "."):
+            leaf = family[len(prefix) + 1 :]
+            return ("whole", accessor) in reads or ("leaf", accessor, leaf) in reads
+    return False
+
+
+def report_census(
+    families: dict[str, str], readers: dict[str, set[tuple[str, ...]]], kept: dict[str, str]
+) -> tuple[list[str], list[str]]:
+    """``(families no reader reads and ``kept`` does not name, kept entries
+    that are read or in no snapshot)``: both empty when the census holds."""
+    unread = {
+        family
+        for family, origin in families.items()
+        if not any(is_read(family, origin, reads) for reads in readers.values())
+    }
+    return sorted(unread - kept.keys()), sorted(kept.keys() - unread)
+
+
+def snapshot_sections(report) -> dict[str, set[str]]:
+    """The keys each writer of ``report.snapshot()`` contributes: the
+    metrics registry, the scalar attributes, and each report section."""
+    sections = {
+        "registry": set(report.metrics.snapshot()),
+        "scalars": set(REPORT_SCALARS),
+        "server.<id>": {f"server.{server_id}.{stat}" for server_id, stats in report.server_stats.items() for stat in stats},
+    }
+    dicts = {
+        "availability": report.availability(),
+        "control": report.control_stats,
+        "faults": report.fault_stats,
+        "autoscale": report.autoscale_stats,
+        "operator": report.operator_stats,
+        "sampling": report.sampling,
+        "telemetry": report.telemetry.summary() if report.telemetry is not None else {},
+    }
+    sections.update((prefix, {f"{prefix}.{key}" for key in values}) for prefix, values in dicts.items())
+    return sections
+
+
+class TestReportKeys:
+    """Every key of ``WorkloadReport.snapshot()`` has a reader under
+    ``READER_DIRECTORIES`` (its name, or the accessor and leaf that produce
+    it), or ``KEPT_KEYS`` names it with a reason; an entry that stops being
+    an exception fails too.  The snapshots are the engine goldens' runs,
+    which between them turn on every subsystem."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from test_engine_equivalence import RUNS
+
+        return {case: run() for case, run in RUNS.items()}
+
+    @pytest.fixture(scope="class")
+    def census(self, runs):
+        families: dict[str, str] = {}
+        for report in runs.values():
+            families.update(report_families(report))
+        return report_census(families, reader_reads(REPO_ROOT), KEPT_KEYS)
+
+    def test_every_key_is_read_or_kept_for_a_reason(self, census):
+        unread, _stale = census
+        assert unread == []
+
+    def test_no_kept_key_is_stale(self, census):
+        _unread, stale = census
+        assert stale == []
+
+    def test_the_architecture_report_keys_section_lists_the_kept_keys(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        section = architecture.split("## Report keys", 1)[1].split("\n## ", 1)[0]
+        assert "TestReportKeys" in section
+        assert [kept for kept in KEPT_KEYS if f"`{kept}`" not in section] == []
+
+    @pytest.mark.parametrize("case", ["kitchen-sink", "every-subsystem"])
+    def test_each_key_has_one_writer(self, runs, case):
+        report = runs[case]
+        sections = snapshot_sections(report)
+        assert set().union(*sections.values()) == report.snapshot().keys()
+        overlaps = [
+            (first, second, sorted(sections[first] & sections[second]))
+            for first in sections
+            for second in sections
+            if first < second and sections[first] & sections[second]
+        ]
+        assert overlaps == []
+
+    def test_the_census_reads_names_accessor_leaves_and_whole_sections_not_tests(self, tmp_path):
+        root = TestReachability._tree(
+            tmp_path,
+            {
+                "benchmarks/bench.py": (
+                    "availability = report.availability()\n"
+                    "tail = report.latency_percentiles()\n"
+                    "row = {'fo_p95': availability['failover_p95_ms'], 'p95': tail['p95'], 'n': report.requests}\n"
+                    "row['_control'] = dict(sorted(report.control_stats.items()))\n"
+                    "for server_id, stats in sorted(report.server_stats.items()):\n"
+                    "    print(server_id, stats.get('dropped', 0.0))\n"
+                ),
+                "examples/demo.py": (
+                    "stats = report.autoscale_stats\n"
+                    "for key in ('promotions', 'flaps'):\n"
+                    "    print(stats[key])\n"
+                    "print(snapshot['tiles.downloaded'])\n"
+                ),
+                "scripts/.keep.py": "",
+                "perfbench/tests/test_bench.py": "print(report.fault_stats['stale_serves'], report.errors)\n",
+                "tests/test_all.py": "print(report.availability()['failovers'], report.sampling)\n",
+            },
+        )
+        families = {
+            "availability.failover_p95_ms": "report",
+            "availability.failovers": "report",
+            "latency_ms.all.p95": "registry",
+            "latency_ms.search.p95": "registry",
+            "requests": "report",
+            "errors": "report",
+            "control.converge_p95_s": "report",
+            "control.drain": "registry",
+            "server.<id>.dropped": "report",
+            "server.<id>.served": "report",
+            "autoscale.flaps": "report",
+            "autoscale.parks": "report",
+            "tiles.downloaded": "registry",
+            "faults.stale_serves": "report",
+            "sampling.tracers": "report",
+        }
+        kept = {"sampling.tracers": "a reason", "requests": "stale: it is read"}
+        unread, stale = report_census(families, reader_reads(root), kept)
+        assert unread == [
+            "autoscale.parks",
+            "availability.failovers",
+            "control.drain",
+            "errors",
+            "faults.stale_serves",
+            "latency_ms.search.p95",
+            "server.<id>.served",
+        ]
+        assert stale == ["requests"]

@@ -481,8 +481,7 @@ class TestEngineBalance:
     def test_balance_lands_in_snapshot(self):
         report = self.engine(WEIGHTED).run()
         snapshot = report.snapshot()
-        assert snapshot["balance.replica_load_cv"] == report.replica_load_cv
-        assert "balance.store-0.maps.example.util_cv" in snapshot
+        assert snapshot["balance.replica_load_cv"] == report.replica_load_cv > 0.0
 
 
 # ----------------------------------------------------------------------
