@@ -23,23 +23,17 @@ def float_sum(values: Iterable[float]) -> float:
 
 @dataclass
 class Summary:
-    """Streaming summary statistics (count, mean, min, max)."""
+    """Streaming summary statistics (count, mean, max)."""
 
     name: str
     count: int = 0
     total: float = 0.0
-    minimum: float = math.inf
     maximum: float = -math.inf
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
         self.maximum = max(self.maximum, value)
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
 
     @property
     def mean(self) -> float:

@@ -1180,7 +1180,9 @@ def snapshot_sections(report) -> dict[str, set[str]]:
     sections = {
         "registry": set(report.metrics.snapshot()),
         "scalars": set(REPORT_SCALARS),
-        "server.<id>": {f"server.{server_id}.{stat}" for server_id, stats in report.server_stats.items() for stat in stats},
+        "server.<id>": {
+            f"server.{server_id}.{stat}" for server_id, stats in report.server_stats.items() for stat in stats
+        },
     }
     dicts = {
         "availability": report.availability(),

@@ -258,7 +258,9 @@ RUNS: dict[str, Callable[[], WorkloadReport]] = {
         steps=3,
         seed=7,
         cohort_min_clients=500,
-        scenario_kw={"config": FederationConfig(service_times=ServiceTimeModel(default_ms=2.0), server_queue_capacity=64)},
+        scenario_kw={
+            "config": FederationConfig(service_times=ServiceTimeModel(default_ms=2.0), server_queue_capacity=64)
+        },
     ),
 }
 """Each case's run.  Between them they turn on every subsystem, so the
