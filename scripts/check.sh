@@ -21,7 +21,10 @@
 #             point in benchmarks/, perfbench/, scripts/ or examples/
 #             imports, other than through its own package __init__, fails;
 #             so does an import of a package at or above the importer's own
-#             in check_reachable.py's LAYERS, and a package LAYERS omits)
+#             in check_reachable.py's LAYERS, a package LAYERS omits, any
+#             import in the root repro/__init__.py, and an __all__ name
+#             that no other package's module and no entry point reads
+#             through its package; the OK line prints the public-name count)
 #
 # With no stage flag every stage runs in order — the local one-command check.
 # Usage: scripts/check.sh [--tier1|--smoke|--lint]...
@@ -111,7 +114,7 @@ if $run_lint; then
   python scripts/check_unbounded_memos.py
 
   echo
-  echo "== lint: module reachability and layering =="
+  echo "== lint: module reachability, layering and public names =="
   python scripts/check_reachable.py
 fi
 

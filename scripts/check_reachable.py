@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Fail the lint stage on a module under ``src/repro/`` that nothing runs,
-or on an import that reaches *up* the layer map.
+on an import that reaches *up* the layer map, or on a package name that
+nothing outside the package imports through it.
 
 Reachability.  A package ``__init__`` that re-exports a module keeps it
 importable and tested, but does not make anything *use* it: six such
@@ -27,8 +28,22 @@ comes later in ``LAYERS``.  An import is charged to the package its
 statement names, because that is the ``__init__`` Python runs: ``from
 repro.churn import RetryPolicy`` reaches ``churn`` wherever ``RetryPolicy``
 is defined.  Imports under ``if TYPE_CHECKING:`` and inside functions
-count, relative ones resolve first, a package missing from ``LAYERS`` is a
-finding, and only the root ``repro/__init__`` is exempt.
+count, relative ones resolve first, and a package missing from ``LAYERS``
+is a finding.  The root ``repro/__init__`` imports nothing at all: every
+import of a ``repro`` module runs it first, so anything it imported would
+load into every process, whatever layer that process asked for.
+
+Public names.  Every name can be imported from the submodule that defines
+it; a package ``__init__`` re-exports one only when something outside the
+package takes that second path.  So a name in ``repro.<pkg>.__all__`` must
+be read through the package by a module outside ``src/repro/<pkg>/``: ``from repro.<pkg> import Name``, or
+``repro.<pkg>.Name`` after ``import repro.<pkg>``.  The readers are the
+``src/repro`` modules other than the ``__init__`` files (a re-export is not
+a use) and the entry points; tests are not readers.  In an entry point a
+string constant that spells ``repro.<pkg>.Name[.attr]`` counts too, because
+``perfbench/trace.py`` resolves such strings through the package with
+``importlib`` and ``getattr``.  Every ``__all__`` must also be exactly the
+set of names its ``__init__`` binds.
 
 Standalone use: ``python scripts/check_reachable.py`` (exit 0 clean, exit 1
 with one ``path: reason`` per finding otherwise).
@@ -37,6 +52,7 @@ with one ``path: reason`` per finding otherwise).
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -183,16 +199,20 @@ def _named_packages(graph: _Graph, module: str, names: list[str]) -> list[str]:
 
 def layer_findings(root: Path) -> list[str]:
     """``path: reason`` for every package of ``root/src/repro`` missing from
-    ``LAYERS`` and every import statement that names a package at or above
-    the importer's own."""
+    ``LAYERS``, every import statement that names a package at or above the
+    importer's own, and every import statement in the root ``__init__``."""
     graph = _Graph(root)
     rank = {package: index for index, package in enumerate(LAYERS)}
     rank["repro"] = -1
     packages = {name.split(".")[1] for name in graph.modules if name != "repro"}
     failures = [f"src/repro/{package}: package missing from LAYERS" for package in sorted(packages - rank.keys())]
     for module, imports in sorted(graph.imports.items()):
+        if module == "repro":  # importing any repro module runs the root first
+            path = graph.modules[module].relative_to(root)
+            failures += [f"{path}: imports {target}, and the root package imports nothing" for target, _ in imports]
+            continue
         package = module.partition(".")[2].partition(".")[0]
-        if package not in rank:  # the root __init__, or a package reported above
+        if package not in rank:  # reported above
             continue
         for target, names in imports:
             for named in _named_packages(graph, target, names):
@@ -202,18 +222,120 @@ def layer_findings(root: Path) -> list[str]:
     return failures
 
 
+_DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+
+_UNREAD_NAME = "no module outside the package and no entry point reads it through"
+
+
+def _init_names(path: Path) -> tuple[set[str], list[str]]:
+    """The names a package ``__init__`` binds at its top level, and its
+    ``__all__`` (empty when it has none)."""
+    bound: set[str] = set()
+    declared: list[str] = []
+    for statement in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(statement, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in statement.names)
+        elif isinstance(statement, ast.ImportFrom) and statement.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in statement.names)
+        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(statement.name)
+        elif isinstance(statement, ast.Assign):
+            for target in statement.targets:
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    declared = list(ast.literal_eval(statement.value))
+                elif isinstance(target, ast.Name):
+                    bound.add(target.id)
+    return bound, declared
+
+
+def _dotted_reads(path: Path, anchor: str, strings: bool) -> set[str]:
+    """Every dotted name ``path`` reads: ``module.name`` for each name a
+    ``from`` import takes, each attribute chain rooted at an imported module
+    (``repro.pkg.Name.attr`` after ``import repro.pkg``) and, if ``strings``,
+    each ``repro.…`` run inside a string constant.  ``anchor`` is the
+    package relative imports start from."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = {f"{module}.{name}" for module, names in _imports(path, anchor) for name in names}
+    modules = {
+        alias.asname or alias.name.partition(".")[0]: alias.name if alias.asname else alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in modules:
+                reads.add(".".join([modules[node.id], *reversed(chain)]))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.update(match.group() for match in _DOTTED.finditer(node.value))
+    return reads
+
+
+def package_reads(root: Path) -> set[tuple[str, str]]:
+    """``(package, name)`` for every name read through a package's path by
+    a module outside that package.  The readers are the modules of
+    ``src/repro`` other than the ``__init__`` files, and the entry points;
+    string constants count in entry points only.  Tests are not readers."""
+    modules = _modules(root)
+    packages = {name for name, path in modules.items() if path.name == "__init__.py"}
+    readers = [(name, path, False) for name, path in modules.items() if path.name != "__init__.py"]
+    readers += [("", path, True) for path in entry_points(root) if not path.is_relative_to(root / "src")]
+    found = set()
+    for reader, path, strings in readers:
+        for read in _dotted_reads(path, reader.rpartition(".")[0], strings):
+            parts = read.split(".")
+            for cut in range(1, len(parts)):
+                package = ".".join(parts[:cut])
+                if package in packages and not reader.startswith(package + "."):
+                    found.add((package, parts[cut]))
+    return found
+
+
+def public_names(root: Path) -> dict[str, list[str]]:
+    """Package -> its ``__all__``, for every package of ``root/src/repro``."""
+    return {name: _init_names(path)[1] for name, path in sorted(_modules(root).items()) if path.name == "__init__.py"}
+
+
+def name_findings(root: Path) -> list[str]:
+    """``path: reason`` for every ``__all__`` name that no reader outside its
+    package takes through the package's path, and every name an ``__init__``
+    binds or lists in ``__all__`` but not both."""
+    reads = package_reads(root)
+    failures = []
+    for package, path in sorted(_modules(root).items()):
+        if path.name != "__init__.py":
+            continue
+        bound, declared = _init_names(path)
+        reasons = {name: f"{_UNREAD_NAME} {package}" for name in declared if (package, name) not in reads}
+        reasons.update((name, "in __all__, but the __init__ does not bind it") for name in set(declared) - bound)
+        reasons.update((name, "the __init__ binds it, but __all__ omits it") for name in bound - set(declared))
+        failures += [f"{path.relative_to(root)}: {name}: {reason}" for name, reason in sorted(reasons.items())]
+    return failures
+
+
 def main() -> int:
     unreached_failures = findings(REPO_ROOT)
     layer_failures = layer_findings(REPO_ROOT)
-    for failure in unreached_failures + layer_failures:
+    name_failures = name_findings(REPO_ROOT)
+    for failure in unreached_failures + layer_failures + name_failures:
         print(failure)
     if unreached_failures:
         print(f"{len(unreached_failures)} unreached module(s) in src/repro/")
     if layer_failures:
         print(f"{len(layer_failures)} layering finding(s) in src/repro/")
-    if unreached_failures or layer_failures:
+    if name_failures:
+        print(f"{len(name_failures)} public-name finding(s) in src/repro/")
+    if unreached_failures or layer_failures or name_failures:
         return 1
-    print(f"module reachability and layering OK (src/repro/; {len(ALLOWED)} allowlisted, {len(LAYERS)} layers)")
+    names = sum(len(declared) for declared in public_names(REPO_ROOT).values())
+    print(
+        "module reachability, layering and public names OK "
+        f"(src/repro/; {len(ALLOWED)} allowlisted, {len(LAYERS)} layers; {names} public names)"
+    )
     return 0
 
 

@@ -33,12 +33,7 @@ runs byte-identically to a build without this package (the same
 transparency discipline telemetry, faults, churn, and control follow).
 """
 
-from repro.autoscale.policy import AutoscalerConfig, Cooldown, HysteresisGate
+from repro.autoscale.policy import AutoscalerConfig
 from repro.autoscale.scaler import Autoscaler
 
-__all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
-    "Cooldown",
-    "HysteresisGate",
-]
+__all__ = ["Autoscaler", "AutoscalerConfig"]

@@ -1,16 +1,1 @@
 """The centralized mapping baseline (Figure 1 of the paper)."""
-
-from repro.centralized.preprocess import (
-    PreprocessedData,
-    PreprocessingReport,
-    preprocess_world_map,
-)
-from repro.centralized.system import CentralizedMapSystem, CentralizedStats
-
-__all__ = [
-    "CentralizedMapSystem",
-    "CentralizedStats",
-    "PreprocessedData",
-    "PreprocessingReport",
-    "preprocess_world_map",
-]

@@ -19,17 +19,7 @@ health and failover planning in :mod:`repro.services.retry`,
 """
 
 from repro.churn.controller import ChurnController
-from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
-
-# Kept for perfbench/workloads.py, which imports RetryPolicy from here and
-# is frozen as the benchmark's own code; every other caller imports it from
-# repro.services.retry.
+from repro.churn.schedule import ChurnSchedule
 from repro.services.retry import RetryPolicy
 
-__all__ = [
-    "ChurnController",
-    "ChurnEvent",
-    "ChurnEventKind",
-    "ChurnSchedule",
-    "RetryPolicy",
-]
+__all__ = ["ChurnController", "ChurnSchedule", "RetryPolicy"]

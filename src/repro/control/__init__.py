@@ -19,13 +19,7 @@ its discovery-cache/DNS-TTL entries expire, is
 is what ``WorkloadReport.control_stats`` measures.
 """
 
-from repro.control.plane import ControlOp, ControlPlane
+from repro.control.plane import ControlPlane
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 
-__all__ = [
-    "ControlEvent",
-    "ControlEventKind",
-    "ControlOp",
-    "ControlPlane",
-    "ControlSchedule",
-]
+__all__ = ["ControlEvent", "ControlEventKind", "ControlPlane", "ControlSchedule"]

@@ -2,13 +2,5 @@
 
 from repro.core.client import OpenFlameClient
 from repro.core.config import FederationConfig
-from repro.core.errors import FederationConfigError, OpenFlameError
-from repro.core.federation import Federation
 
-__all__ = [
-    "Federation",
-    "FederationConfig",
-    "FederationConfigError",
-    "OpenFlameClient",
-    "OpenFlameError",
-]
+__all__ = ["FederationConfig", "OpenFlameClient"]

@@ -1,24 +1,5 @@
 """Map server discovery over the DNS (Section 5.1 of the paper)."""
 
-from repro.discovery.cache import DiscoveryCache, DiscoveryCacheStats
-from repro.discovery.discoverer import Discoverer, DiscoveryResult
-from repro.discovery.naming import DEFAULT_DISCOVERY_SUFFIX, SpatialNaming
-from repro.discovery.registry import (
-    DEFAULT_REGISTRATION_TTL,
-    MAP_SERVER_RECORD_TYPE,
-    DiscoveryRegistry,
-    Registration,
-)
+from repro.discovery.discoverer import Discoverer
 
-__all__ = [
-    "DEFAULT_DISCOVERY_SUFFIX",
-    "DEFAULT_REGISTRATION_TTL",
-    "Discoverer",
-    "DiscoveryCache",
-    "DiscoveryCacheStats",
-    "DiscoveryRegistry",
-    "DiscoveryResult",
-    "MAP_SERVER_RECORD_TYPE",
-    "Registration",
-    "SpatialNaming",
-]
+__all__ = ["Discoverer"]

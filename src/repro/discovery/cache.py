@@ -21,9 +21,6 @@ from dataclasses import dataclass, field
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache, LruStats
 
-DiscoveryCacheStats = LruStats
-
-
 @dataclass
 class DiscoveryCache:
     """An LRU, TTL-bounded cache of per-cell discovery results.

@@ -28,11 +28,6 @@ engine.
 """
 
 from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultEvent, FaultEventKind, FaultPlan
+from repro.faults.schedule import FaultPlan
 
-__all__ = [
-    "FaultEvent",
-    "FaultEventKind",
-    "FaultInjector",
-    "FaultPlan",
-]
+__all__ = ["FaultInjector", "FaultPlan"]

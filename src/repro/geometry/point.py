@@ -48,7 +48,7 @@ class LatLng:
     def __post_init__(self) -> None:
         if not (MIN_LATITUDE <= self.latitude <= MAX_LATITUDE):
             raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        if not (MIN_LONGITUDE <= self.longitude <= 180.0):
+        if not (MIN_LONGITUDE <= self.longitude <= MAX_LONGITUDE):
             raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
 
     @classmethod

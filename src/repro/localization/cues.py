@@ -113,9 +113,6 @@ class FiducialCue:
         return CueType.FIDUCIAL
 
 
-LocationCue = GnssCue | BeaconCue | ImageCue | FiducialCue
-
-
 @dataclass(frozen=True, slots=True)
 class LocalizationResult:
     """A map server's answer to a localization request."""

@@ -1,39 +1,5 @@
 """Map servers: per-organization maps with services and access policies."""
 
-from repro.mapserver.auth import ANONYMOUS, Credential
-from repro.mapserver.geocode import (
-    Address,
-    GeocodeIndex,
-    GeocodeResult,
-    GeocodeService,
-    ReverseGeocodeResult,
-)
-from repro.mapserver.localization_service import LocalizationService
-from repro.mapserver.policy import AccessDenied, AccessPolicy, ServiceName, ServiceRule
-from repro.mapserver.routing_service import RouteResponse, RoutingService
-from repro.mapserver.search import SearchIndex, SearchResult, SearchService
-from repro.mapserver.server import MapServer, ServerStats
-from repro.mapserver.tile_service import TileService
+from repro.mapserver.server import MapServer
 
-__all__ = [
-    "ANONYMOUS",
-    "AccessDenied",
-    "AccessPolicy",
-    "Address",
-    "Credential",
-    "GeocodeIndex",
-    "GeocodeResult",
-    "GeocodeService",
-    "LocalizationService",
-    "MapServer",
-    "ReverseGeocodeResult",
-    "RouteResponse",
-    "RoutingService",
-    "SearchIndex",
-    "SearchResult",
-    "SearchService",
-    "ServerStats",
-    "ServiceName",
-    "ServiceRule",
-    "TileService",
-]
+__all__ = ["MapServer"]

@@ -16,59 +16,19 @@ player and autoscaler adapter the workload engine swaps in when a
 :class:`~repro.operator.config.OperatorConfig` is attached.
 """
 
-from repro.operator.audit import AuditLog, AuditRecord, replay_audit, state_digest
 from repro.operator.api import OperatorApi
-from repro.operator.client import (
-    NetworkedControlPlayer,
-    OperatorClient,
-    OperatorControlAdapter,
-    OperatorResult,
-)
+from repro.operator.audit import AuditLog, replay_audit, state_digest
+from repro.operator.client import NetworkedControlPlayer, OperatorClient
 from repro.operator.config import OperatorConfig
-from repro.operator.errors import (
-    ApiError,
-    ConflictError,
-    MalformedError,
-    UnauthorizedError,
-    UnavailableError,
-)
-from repro.operator.permissions import (
-    ACTION_PERMISSIONS,
-    ALL_PERMISSIONS,
-    AUDIT_READ,
-    CONTROL_WRITE,
-    HEALTH_REPORT,
-    POOL_WRITE,
-    Principal,
-    PrincipalRegistry,
-)
-from repro.operator.schemas import ACTIONS, ControlRequest, ControlResponse
+from repro.operator.permissions import PrincipalRegistry
 
 __all__ = [
-    "ACTIONS",
-    "ACTION_PERMISSIONS",
-    "ALL_PERMISSIONS",
-    "AUDIT_READ",
-    "ApiError",
     "AuditLog",
-    "AuditRecord",
-    "CONTROL_WRITE",
-    "ConflictError",
-    "ControlRequest",
-    "ControlResponse",
-    "HEALTH_REPORT",
-    "MalformedError",
     "NetworkedControlPlayer",
     "OperatorApi",
     "OperatorClient",
-    "OperatorControlAdapter",
     "OperatorConfig",
-    "OperatorResult",
-    "POOL_WRITE",
-    "Principal",
     "PrincipalRegistry",
-    "UnauthorizedError",
-    "UnavailableError",
     "replay_audit",
     "state_digest",
 ]

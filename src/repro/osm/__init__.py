@@ -1,56 +1,1 @@
 """OpenStreetMap-style map data model (nodes, ways, relations, tags)."""
-
-from repro.osm.builder import MapBuilder
-from repro.osm.elements import (
-    TAG_ACCESS,
-    TAG_ADDRESS,
-    TAG_AMENITY,
-    TAG_BUILDING,
-    TAG_CITY,
-    TAG_HIGHWAY,
-    TAG_HOUSE_NUMBER,
-    TAG_INDOOR,
-    TAG_LEVEL,
-    TAG_NAME,
-    TAG_PRIVACY,
-    TAG_PRODUCT,
-    TAG_SHOP,
-    TAG_STREET,
-    ElementRef,
-    ElementType,
-    Node,
-    Relation,
-    Way,
-)
-from repro.osm.mapdata import MapData, MapDataError, MapMetadata
-from repro.osm.validation import Severity, ValidationIssue, has_errors, validate_map
-
-__all__ = [
-    "ElementRef",
-    "ElementType",
-    "MapBuilder",
-    "MapData",
-    "MapDataError",
-    "MapMetadata",
-    "Node",
-    "Relation",
-    "Severity",
-    "TAG_ACCESS",
-    "TAG_ADDRESS",
-    "TAG_AMENITY",
-    "TAG_BUILDING",
-    "TAG_CITY",
-    "TAG_HIGHWAY",
-    "TAG_HOUSE_NUMBER",
-    "TAG_INDOOR",
-    "TAG_LEVEL",
-    "TAG_NAME",
-    "TAG_PRIVACY",
-    "TAG_PRODUCT",
-    "TAG_SHOP",
-    "TAG_STREET",
-    "ValidationIssue",
-    "Way",
-    "has_errors",
-    "validate_map",
-]

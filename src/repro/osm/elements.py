@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
 from repro.geometry.point import LatLng, LocalPoint
-
-Tags = Mapping[str, str]
 
 
 class ElementType(str, Enum):
@@ -110,6 +107,4 @@ TAG_ADDRESS = "addr:full"
 TAG_STREET = "addr:street"
 TAG_HOUSE_NUMBER = "addr:housenumber"
 TAG_CITY = "addr:city"
-TAG_LEVEL = "level"
-TAG_ACCESS = "access"
 TAG_PRIVACY = "privacy"

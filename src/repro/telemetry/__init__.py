@@ -32,33 +32,6 @@ this package.
 """
 
 from repro.telemetry.pipeline import TelemetryConfig, TelemetryPipeline
-from repro.telemetry.reader import TelemetryReader
-from repro.telemetry.slo import SLOConfig, alert_windows, burn_rate, burn_series
-from repro.telemetry.spatial import (
-    cell_ancestor,
-    cell_percentiles,
-    demand_by_cell,
-    demand_heatmap,
-    latency_by_cell,
-    server_zonal,
-)
-from repro.telemetry.windows import CellStats, ServerWindowStats, TelemetryWindow
+from repro.telemetry.slo import SLOConfig
 
-__all__ = [
-    "CellStats",
-    "SLOConfig",
-    "ServerWindowStats",
-    "TelemetryConfig",
-    "TelemetryPipeline",
-    "TelemetryReader",
-    "TelemetryWindow",
-    "alert_windows",
-    "burn_rate",
-    "burn_series",
-    "cell_ancestor",
-    "cell_percentiles",
-    "demand_by_cell",
-    "demand_heatmap",
-    "latency_by_cell",
-    "server_zonal",
-]
+__all__ = ["SLOConfig", "TelemetryConfig", "TelemetryPipeline"]

@@ -16,9 +16,6 @@ from repro.simulation.lru import LruCache, LruStats
 from repro.tiles.renderer import Tile
 from repro.tiles.tile_math import TileCoordinate
 
-TileCacheStats = LruStats
-
-
 @dataclass
 class TileCache:
     """LRU cache of tiles keyed by (server id, tile coordinate)."""

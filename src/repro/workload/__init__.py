@@ -9,36 +9,8 @@ search/route/tile/localize workload with Zipf-distributed POI popularity,
 so caches can be measured under realistic request streams.
 """
 
-from repro.workload.cohort import Cohort, plan_cohorts
-from repro.workload.config import WorkloadConfig, client_base_seed, derived_seed_streams
+from repro.workload.config import WorkloadConfig
 from repro.workload.engine import WorkloadEngine
 from repro.workload.fleet import FleetClient
-from repro.workload.mobility import (
-    AisleWalk,
-    CommuterHandoff,
-    CommuterTrace,
-    MobilityModel,
-    RandomWaypoint,
-)
-from repro.workload.report import WorkloadReport
-from repro.workload.traffic import RequestKind, RequestMix, ZipfSampler, zipf_weights
 
-__all__ = [
-    "AisleWalk",
-    "Cohort",
-    "CommuterHandoff",
-    "CommuterTrace",
-    "FleetClient",
-    "MobilityModel",
-    "RandomWaypoint",
-    "RequestKind",
-    "RequestMix",
-    "WorkloadConfig",
-    "WorkloadEngine",
-    "WorkloadReport",
-    "ZipfSampler",
-    "client_base_seed",
-    "derived_seed_streams",
-    "plan_cohorts",
-    "zipf_weights",
-]
+__all__ = ["FleetClient", "WorkloadConfig", "WorkloadEngine"]

@@ -1,23 +1,5 @@
 """Synthetic world generation: cities, stores, campuses, products, scenarios."""
 
-from repro.worldgen.campus import CampusWorld, generate_campus
-from repro.worldgen.indoor import IMAGE_DESCRIPTOR_DIMENSIONS, IndoorWorld, generate_store
-from repro.worldgen.outdoor import CityWorld, generate_city
-from repro.worldgen.products import Product, category_names, generate_catalog
-from repro.worldgen.scenario import FederatedScenario, build_scenario, outdoor_point_near
+from repro.worldgen.scenario import build_scenario
 
-__all__ = [
-    "CampusWorld",
-    "CityWorld",
-    "FederatedScenario",
-    "IMAGE_DESCRIPTOR_DIMENSIONS",
-    "IndoorWorld",
-    "Product",
-    "build_scenario",
-    "category_names",
-    "generate_campus",
-    "generate_catalog",
-    "generate_city",
-    "generate_store",
-    "outdoor_point_near",
-]
+__all__ = ["build_scenario"]

@@ -5,7 +5,7 @@ tests and benchmarks: one outdoor city map server (the "world provider"),
 several independently operated grocery-store map servers with indoor detail
 and localization databases, optionally a campus map server with a restrictive
 policy — all registered in one discovery DNS — plus a matching
-:class:`repro.centralized.CentralizedMapSystem` that has ingested only the
+:class:`repro.centralized.system.CentralizedMapSystem` that has ingested only the
 data a centralized provider could realistically obtain (the outdoor map, and
 optionally the indoor maps too, for ablations).
 """

@@ -18,8 +18,7 @@ import json
 
 import pytest
 
-from repro.autoscale import AutoscalerConfig, Cooldown, HysteresisGate
-from repro.autoscale.policy import BURN_LOW
+from repro.autoscale.policy import BURN_LOW, AutoscalerConfig, Cooldown, HysteresisGate
 from repro.autoscale.scaler import PROMOTE_WEIGHT, RAMP_WEIGHTS, Autoscaler
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
@@ -27,10 +26,11 @@ from repro.core.warmpool import WarmPool
 from repro.faults.schedule import FaultPlan
 from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
-from repro.telemetry import SLOConfig, TelemetryConfig
-from repro.telemetry.pipeline import TelemetryPipeline
+from repro.telemetry.pipeline import TelemetryConfig, TelemetryPipeline
+from repro.telemetry.slo import SLOConfig
 from repro.telemetry.reader import TelemetryReader
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 

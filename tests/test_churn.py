@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.churn import ChurnController, ChurnEvent, ChurnEventKind, ChurnSchedule
+from repro.churn.controller import ChurnController
+from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
 from repro.core.federation import Federation
@@ -25,7 +26,8 @@ from repro.services.retry import RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.network import SimulatedNetwork
 from repro.simulation.queueing import ServerOverloadedError, ServerQueue, ServiceTimeModel
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.scenario import build_scenario
 

@@ -671,6 +671,92 @@ class TestReachability:
         assert checker.findings(root) == []
 
 
+class TestPublicNames:
+    """The public-name census the same checker runs: clean on the real tree,
+    and an ``__all__`` name passes only when a module outside its package or
+    an entry point reads it through the package."""
+
+    def _checker(self):
+        return load(REPO_ROOT / "scripts" / "check_reachable.py")
+
+    def _flagged(self, tmp_path, files: dict[str, str]) -> list[str]:
+        """``path: name`` for each finding in a tree whose package ``pkg``
+        re-exports ``Name`` from ``pkg/defs.py``, plus ``files``."""
+        root = TestReachability._tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/pkg/__init__.py": 'from repro.pkg.defs import Name\n\n__all__ = ["Name"]\n',
+                "src/repro/pkg/defs.py": "class Name:\n    def method(self): ...\n",
+                "src/repro/other/__init__.py": "",
+                **files,
+            },
+        )
+        return [failure.rsplit(": ", 1)[0] for failure in self._checker().name_findings(root)]
+
+    def test_repo_sources_are_clean(self):
+        assert self._checker().name_findings(REPO_ROOT) == []
+
+    def test_a_name_only_tests_import_is_flagged(self, tmp_path):
+        files = {
+            "tests/test_pkg.py": "from repro.pkg import Name\n",
+            "benchmarks/tests/test_bench.py": "import repro.pkg\n\nrepro.pkg.Name()\n",
+        }
+        assert self._flagged(tmp_path, files) == ["src/repro/pkg/__init__.py: Name"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.pkg import Name\n",
+            "def main():\n    from repro.pkg import Name\n\n    return Name()\n",
+            "import repro.pkg\n\nrepro.pkg.Name().method()\n",
+            "import repro.pkg as pkg\n\npkg.Name()\n",
+        ],
+        ids=["from-import", "in-function", "attribute", "aliased-attribute"],
+    )
+    def test_a_name_an_entry_point_reads_passes(self, tmp_path, source):
+        assert self._flagged(tmp_path, {"scripts/tool.py": source}) == []
+
+    def test_a_module_of_the_package_itself_does_not_count(self, tmp_path):
+        flagged = self._flagged(tmp_path, {"src/repro/pkg/user.py": "from repro.pkg import Name\n"})
+        assert flagged == ["src/repro/pkg/__init__.py: Name"]
+
+    def test_another_packages_module_counts_but_its_init_does_not(self, tmp_path):
+        assert self._flagged(tmp_path / "module", {"src/repro/other/user.py": "from repro.pkg import Name\n"}) == []
+        re_export = {"src/repro/other/__init__.py": 'from repro.pkg import Name\n\n__all__ = ["Name"]\n'}
+        assert self._flagged(tmp_path / "init", re_export) == [
+            "src/repro/other/__init__.py: Name",
+            "src/repro/pkg/__init__.py: Name",
+        ]
+
+    @pytest.mark.parametrize(
+        "source",
+        ['TARGETS = ("repro.pkg.Name.method",)\n', 'TARGETS = [f"repro.pkg.Name.{how}" for how in ("method",)]\n'],
+        ids=["literal", "f-string"],
+    )
+    def test_a_dotted_string_counts_in_an_entry_point_only(self, tmp_path, source):
+        """``perfbench/trace.py`` resolves such strings through the package,
+        so they are reads there; a string in ``src/`` resolves nothing."""
+        assert self._flagged(tmp_path / "entry", {"perfbench/trace.py": source}) == []
+        flagged = self._flagged(tmp_path / "src", {"src/repro/other/trace.py": source})
+        assert flagged == ["src/repro/pkg/__init__.py: Name"]
+
+    def test_all_must_be_exactly_what_the_init_binds(self, tmp_path):
+        files = {
+            "src/repro/pkg/__init__.py": 'from repro.pkg.defs import Name\nCAP = 1\n__all__ = ["Missing", "Name"]\n',
+            "examples/demo.py": "import repro.pkg\nfrom repro.pkg import Missing, Name\n\nprint(repro.pkg.CAP)\n",
+        }
+        flagged = self._flagged(tmp_path, files)
+        assert flagged == ["src/repro/pkg/__init__.py: CAP", "src/repro/pkg/__init__.py: Missing"]
+
+    def test_a_package_without_all_must_bind_nothing(self, tmp_path):
+        files = {
+            "src/repro/other/__init__.py": "from repro.pkg.defs import Name\n",
+            "examples/demo.py": "from repro.other import Name\nfrom repro.pkg import Name as Same\n",
+        }
+        assert self._flagged(tmp_path, files) == ["src/repro/other/__init__.py: Name"]
+
+
 class TestLayering:
     """The layer rule the same checker enforces: clean on the real tree, and
     an import that reaches a higher package is flagged however it is written."""
@@ -684,7 +770,7 @@ class TestLayering:
         root = TestReachability._tree(
             tmp_path,
             {
-                "src/repro/__init__.py": "from repro.churn import ChurnSchedule\n",  # the root is exempt
+                "src/repro/__init__.py": "",
                 "src/repro/churn/__init__.py": (
                     "from repro.churn.schedule import ChurnSchedule\nfrom repro.services.retry import RetryPolicy\n"
                 ),
@@ -735,6 +821,16 @@ class TestLayering:
         )
         assert flagged == ["src/repro/core/a.py"]
 
+    @pytest.mark.parametrize(
+        "source",
+        ["from repro.churn import ChurnSchedule\n", "import repro.services.retry\n", "from . import core\n"],
+        ids=["upward-package", "downward-module", "relative"],
+    )
+    def test_any_import_in_the_root_init_is_flagged(self, tmp_path, source):
+        """Importing any ``repro`` module runs the root first, so the root
+        imports nothing, however low the import reaches."""
+        assert self._flagged(tmp_path, {"src/repro/__init__.py": source}) == ["src/repro/__init__.py"]
+
     def test_a_package_missing_from_layers_is_flagged(self, tmp_path):
         assert self._flagged(tmp_path, {"src/repro/extras/__init__.py": "import repro.churn\n"}) == ["src/repro/extras"]
 
@@ -752,9 +848,9 @@ class TestLayering:
         order trips, and pytest's collection order hides which.  One fresh
         interpreter (numpy preloaded with one BLAS thread, so the fork is
         single-threaded; nothing from ``repro``) forks a child per package
-        whose first ``repro`` import is that package.
-        ``import repro.<pkg>`` runs ``repro/__init__`` first, so the packages
-        a bare ``import repro`` loads are first-imported by that one child."""
+        whose first ``repro`` import is that package.  The root ``repro``
+        loads no package, and each package loads only itself and packages
+        below it in ``LAYERS``."""
         layers = self._checker().LAYERS
         result = subprocess.run(
             [sys.executable, "-c", _FIRST_IMPORTS, *layers],
@@ -767,8 +863,10 @@ class TestLayering:
         reports = json.loads(result.stdout)
         failures = {package: report for package, report in reports.items() if report.startswith("FAILED")}
         assert failures == {}
-        loaded_by_root = set(reports["repro"].split())
-        assert set(reports) - {"repro"} | loaded_by_root == set(layers)
+        assert reports.pop("repro") == ""
+        rank = {package: index for index, package in enumerate(layers)}
+        for package, report in reports.items():
+            assert [name for name in report.split() if rank[name] < rank[package]] == [], package
 
 
 _FIRST_IMPORTS = '''
@@ -807,7 +905,7 @@ def report(child):
 
 
 reports = {"repro": report(fork("repro"))}
-children = {package: fork("repro." + package) for package in sys.argv[1:] if package not in reports["repro"].split()}
+children = {package: fork("repro." + package) for package in sys.argv[1:]}
 reports.update((package, report(child)) for package, child in children.items())
 print(json.dumps(reports))
 '''

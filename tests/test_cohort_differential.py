@@ -21,7 +21,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from bench_e16_scale import build_scale_scenario  # noqa: E402
-from repro.workload import WorkloadConfig, WorkloadEngine  # noqa: E402
+from repro.workload.config import WorkloadConfig  # noqa: E402
+from repro.workload.engine import WorkloadEngine  # noqa: E402
 from repro.workload.report import WorkloadReport  # noqa: E402
 
 CLIENTS = 1_500

@@ -18,12 +18,9 @@ from repro.core.config import FederationConfig
 from repro.faults.schedule import FaultPlan
 from repro.operator.config import OperatorConfig
 from repro.simulation.queueing import ServiceTimeModel
-from repro.workload import (
-    Cohort,
-    WorkloadConfig,
-    WorkloadEngine,
-    plan_cohorts,
-)
+from repro.workload.cohort import Cohort, plan_cohorts
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.workload.fleet import TRACERS_PER_COHORT, FleetBuilder
 from repro.worldgen.scenario import build_scenario
 

@@ -16,13 +16,8 @@ import random
 import pytest
 
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
-from repro.control import (
-    ControlEvent,
-    ControlEventKind,
-    ControlOp,
-    ControlPlane,
-    ControlSchedule,
-)
+from repro.control.plane import ControlOp, ControlPlane
+from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
 from repro.core.errors import FederationConfigError
 from repro.core.federation import Federation
@@ -32,7 +27,8 @@ from repro.geometry.point import LatLng
 from repro.services.failover import rfc2782_order
 from repro.services.retry import RetryPolicy
 from repro.simulation.queueing import ServiceTimeModel
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.scenario import build_scenario
 

@@ -46,7 +46,7 @@ from repro.simulation.network import (
 )
 from repro.spatialindex.cellid import MAX_LEVEL, CellId, _grid_position
 from repro.spatialindex.covering import CoveringOptions, cells_at_level, normalize_covering
-from repro.worldgen import build_scenario
+from repro.worldgen.scenario import build_scenario
 
 
 # ----------------------------------------------------------------------

@@ -22,17 +22,19 @@ from pathlib import Path
 import pytest
 from golden import assert_golden, golden_path
 
-from repro.autoscale import AutoscalerConfig
+from repro.autoscale.policy import AutoscalerConfig
 from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
-from repro.faults import FaultPlan
-from repro.operator import OperatorConfig
+from repro.faults.schedule import FaultPlan
+from repro.operator.config import OperatorConfig
 from repro.services.retry import RetryPolicy
 from repro.simulation.network import LatencyModel
 from repro.simulation.queueing import ServiceTimeModel
-from repro.telemetry import TelemetryConfig
-from repro.workload import WorkloadConfig, WorkloadEngine, WorkloadReport
+from repro.telemetry.pipeline import TelemetryConfig
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
+from repro.workload.report import WorkloadReport
 from repro.worldgen.scenario import build_scenario
 
 

@@ -20,12 +20,8 @@ import pytest
 
 from repro.core.config import FederationConfig
 from repro.discovery.cache import DiscoveryCache
-from repro.faults import (
-    FaultEvent,
-    FaultEventKind,
-    FaultInjector,
-    FaultPlan,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultEvent, FaultEventKind, FaultPlan
 from repro.services.retry import DEAD_SERVER_TIMEOUT_MS, RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.lru import LruCache
@@ -38,7 +34,8 @@ from repro.simulation.network import (
     SimulatedNetwork,
 )
 from repro.simulation.queueing import ServiceTimeModel
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.workload.scenarios import get_scenario
 from repro.worldgen.scenario import build_scenario
 

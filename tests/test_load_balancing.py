@@ -26,7 +26,9 @@ from repro.services.health import SHARED_HEALTH_TTL_SECONDS, ReplicaHealth, Shar
 from repro.services.retry import DEAD_SERVER_TIMEOUT_MS, RetryPolicy
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.queueing import ServiceTimeModel, load_cv
-from repro.workload import CommuterTrace, WorkloadConfig, WorkloadEngine
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
+from repro.workload.mobility import CommuterTrace
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.scenario import build_scenario
 

@@ -18,24 +18,24 @@ import pytest
 from repro.control.plane import ControlPlane
 from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.config import FederationConfig
-from repro.operator import (
-    AuditLog,
-    ControlRequest,
-    MalformedError,
-    NetworkedControlPlayer,
-    OperatorApi,
-    OperatorClient,
-    OperatorConfig,
+from repro.operator.api import OperatorApi
+from repro.operator.audit import AuditLog, replay_audit, state_digest
+from repro.operator.client import NetworkedControlPlayer, OperatorClient
+from repro.operator.config import OperatorConfig
+from repro.operator.errors import MalformedError, UnauthorizedError
+from repro.operator.permissions import (
+    ACTION_PERMISSIONS,
+    ALL_PERMISSIONS,
+    CONTROL_WRITE,
+    HEALTH_REPORT,
     PrincipalRegistry,
-    replay_audit,
-    state_digest,
 )
-from repro.operator.errors import UnauthorizedError
-from repro.operator.permissions import ACTION_PERMISSIONS, ALL_PERMISSIONS, CONTROL_WRITE, HEALTH_REPORT
+from repro.operator.schemas import ControlRequest
 from repro.services.retry import RetryPolicy
 from repro.simulation.network import OPERATOR_TO_CONTROL_MS, GrayFailure
 from repro.simulation.queueing import ServiceTimeModel
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.scenario import build_scenario
 

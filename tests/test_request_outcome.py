@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from repro.churn import ChurnController, ChurnEvent, ChurnEventKind, ChurnSchedule
+from repro.churn.controller import ChurnController
+from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
 from repro.core.client import OpenFlameClient
 from repro.core.config import FederationConfig
 from repro.core.federation import Federation
@@ -24,11 +25,12 @@ from repro.faults.schedule import FaultPlan
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import LatLng
 from repro.mapserver.policy import AccessDenied, ServiceName
-from repro.services import RequestOutcome
+from repro.services.context import RequestOutcome
 from repro.services.retry import RetryPolicy
 from repro.services.routing import FederatedRoutingError
 from repro.simulation.queueing import ServiceTimeModel
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.worldgen.indoor import generate_store
 from repro.worldgen.scenario import build_scenario
 

@@ -29,7 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import bench_e16_scale as e16  # noqa: E402
 from repro.core.config import FederationConfig  # noqa: E402
-from repro.workload import WorkloadConfig, WorkloadEngine  # noqa: E402
+from repro.workload.config import WorkloadConfig  # noqa: E402
+from repro.workload.engine import WorkloadEngine  # noqa: E402
 from repro.workload.report import WorkloadReport  # noqa: E402
 from repro.worldgen.scenario import build_scenario  # noqa: E402
 

@@ -29,8 +29,9 @@ from collections.abc import Callable
 import pytest
 from golden import assert_golden
 
-from repro.geometry import BoundingBox, LatLng
-from repro.worldgen import build_scenario
+from repro.geometry.bbox import BoundingBox
+from repro.geometry.point import LatLng
+from repro.worldgen.scenario import build_scenario
 
 REQUESTS_PER_KIND = 40
 

@@ -559,7 +559,7 @@ def test_per_row_scoring_passes_stay_within_k_plus_two_per_call(monkeypatch):
 # ----------------------------------------------------------------------
 HASH_SEED_SCRIPT = """
 import hashlib, random
-from repro.worldgen import build_scenario
+from repro.worldgen.scenario import build_scenario
 
 scenario = build_scenario(store_count=2, city_rows=5, city_cols=5, seed=33)
 client = scenario.federation.client()

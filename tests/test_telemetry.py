@@ -27,21 +27,12 @@ from repro.core.config import FederationConfig
 from repro.faults.schedule import FaultPlan
 from repro.simulation.metrics import Histogram
 from repro.simulation.queueing import ServiceTimeModel
-from repro.telemetry import (
-    SLOConfig,
-    TelemetryConfig,
-    TelemetryPipeline,
-    TelemetryWindow,
-    alert_windows,
-    burn_rate,
-    cell_ancestor,
-    demand_by_cell,
-)
-from repro.telemetry.pipeline import MAX_WINDOWS
-from repro.telemetry.slo import ALERT_BURN_THRESHOLD, burn_series
-from repro.telemetry.spatial import cell_percentiles, latency_by_cell
-from repro.telemetry.windows import CellStats
-from repro.workload import WorkloadConfig, WorkloadEngine
+from repro.telemetry.pipeline import MAX_WINDOWS, TelemetryConfig, TelemetryPipeline
+from repro.telemetry.slo import ALERT_BURN_THRESHOLD, SLOConfig, alert_windows, burn_rate, burn_series
+from repro.telemetry.spatial import cell_ancestor, cell_percentiles, demand_by_cell, latency_by_cell
+from repro.telemetry.windows import CellStats, TelemetryWindow
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 

@@ -7,29 +7,24 @@ from collections import Counter
 
 import pytest
 
-from repro.autoscale import AutoscalerConfig
-from repro.churn import ChurnEvent, ChurnEventKind, ChurnSchedule
-from repro.control import ControlEvent, ControlEventKind, ControlSchedule
+from repro.autoscale.policy import AutoscalerConfig
+from repro.churn.schedule import ChurnEvent, ChurnEventKind, ChurnSchedule
+from repro.control.schedule import ControlEvent, ControlEventKind, ControlSchedule
 from repro.core.client import OpenFlameClient
 from repro.core.config import FederationConfig
-from repro.faults import FaultEvent, FaultEventKind, FaultPlan
+from repro.faults.schedule import FaultEvent, FaultEventKind, FaultPlan
 from repro.geometry.bbox import BoundingBox
-from repro.operator import NetworkedControlPlayer, OperatorConfig, OperatorControlAdapter
+from repro.operator.client import NetworkedControlPlayer, OperatorControlAdapter
+from repro.operator.config import OperatorConfig
 from repro.services.retry import RetryPolicy
 from repro.simulation.network import LatencyModel
 from repro.simulation.queueing import ServiceTimeModel
-from repro.telemetry import SLOConfig, TelemetryConfig
-from repro.workload import (
-    AisleWalk,
-    CommuterHandoff,
-    RandomWaypoint,
-    RequestKind,
-    RequestMix,
-    WorkloadConfig,
-    WorkloadEngine,
-    ZipfSampler,
-    zipf_weights,
-)
+from repro.telemetry.pipeline import TelemetryConfig
+from repro.telemetry.slo import SLOConfig
+from repro.workload.config import WorkloadConfig
+from repro.workload.engine import WorkloadEngine
+from repro.workload.mobility import AisleWalk, CommuterHandoff, RandomWaypoint
+from repro.workload.traffic import RequestKind, RequestMix, ZipfSampler, zipf_weights
 from repro.worldgen.scenario import build_scenario
 
 
