@@ -213,7 +213,7 @@ def run_cell(
         "ramp_steps": stats.get("ramp_steps", 0.0),
         "parks": stats.get("parks", 0.0),
         "flaps": stats.get("flaps", 0.0),
-        "_weight_changes": stats.get("weight_changes", 0.0),
+        "_weight_changes": stats.get("ops_applied", 0.0),
         "_failed_rate": report.failed_request_rate,
         "_simulated_seconds": report.simulated_seconds,
         "_snapshot_digest": digest(report.snapshot()),

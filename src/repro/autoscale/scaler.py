@@ -136,7 +136,6 @@ class Autoscaler:
             "promotions": 0,
             "ramp_steps": 0,
             "parks": 0,
-            "weight_changes": 0,
             "flaps": 0,
         }
 
@@ -336,7 +335,6 @@ class Autoscaler:
         rejected = len(records) - applied
         self.counters["ops_applied"] += applied
         self.counters["ops_rejected"] += rejected
-        self.counters["weight_changes"] += applied
         return applied
 
     def _note_direction(self, server_id: str, direction: int, now: float) -> None:

@@ -497,7 +497,7 @@ class TestAutoscalerEndToEnd:
         stats = report.autoscale_stats
         assert stats["flaps"] == 0.0
         assert stats["promotions"] <= 2.0
-        assert stats["weight_changes"] <= 8.0
+        assert stats["ops_applied"] <= 8.0
         # No server was scaled in both directions within one convergence
         # window (80 s): the cooldowns kept actions farther apart.
         scaler = engine.autoscaler
