@@ -91,6 +91,11 @@ Layer map draws the same order)."""
 
 _UNREACHED = "no entry point reaches it (only its package __init__ or nothing imports it)"
 
+_UNREAD_NAME = "no module outside the package and no entry point reads it through"
+
+_DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+"""A dotted ``repro.…`` run inside a string, as ``perfbench/trace.py`` names its targets."""
+
 
 def _modules(root: Path) -> dict[str, Path]:
     """Dotted name -> file for every module of ``root/src/repro``."""
@@ -222,11 +227,6 @@ def layer_findings(root: Path) -> list[str]:
     return failures
 
 
-_DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
-
-_UNREAD_NAME = "no module outside the package and no entry point reads it through"
-
-
 def _init_names(path: Path) -> tuple[set[str], list[str]]:
     """The names a package ``__init__`` binds at its top level, and its
     ``__all__`` (empty when it has none)."""
@@ -295,11 +295,6 @@ def package_reads(root: Path) -> set[tuple[str, str]]:
     return found
 
 
-def public_names(root: Path) -> dict[str, list[str]]:
-    """Package -> its ``__all__``, for every package of ``root/src/repro``."""
-    return {name: _init_names(path)[1] for name, path in sorted(_modules(root).items()) if path.name == "__init__.py"}
-
-
 def name_findings(root: Path) -> list[str]:
     """``path: reason`` for every ``__all__`` name that no reader outside its
     package takes through the package's path, and every name an ``__init__``
@@ -331,7 +326,7 @@ def main() -> int:
         print(f"{len(name_failures)} public-name finding(s) in src/repro/")
     if unreached_failures or layer_failures or name_failures:
         return 1
-    names = sum(len(declared) for declared in public_names(REPO_ROOT).values())
+    names = sum(len(_init_names(path)[1]) for path in _modules(REPO_ROOT).values() if path.name == "__init__.py")
     print(
         "module reachability, layering and public names OK "
         f"(src/repro/; {len(ALLOWED)} allowlisted, {len(LAYERS)} layers; {names} public names)"
